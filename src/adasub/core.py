@@ -202,7 +202,11 @@ class IndependentPrior(Prior):
                     if u < acc:
                         chosen = o
                         break
-                states.append(chosen if chosen is not None else self.m - 1)
+                if chosen is None:
+                    # u landed in the rounding gap left by a row summing to
+                    # just under 1; never fall back to a zero-mass state.
+                    chosen = self.item_states(e)[-1]
+                states.append(chosen)
         return tuple(states)
 
 
@@ -332,9 +336,16 @@ def sample_realization(prior, stream: random.Random) -> tuple:
 class UtilityFunction:
     """f(S, phi) >= 0 with evaluation counters.
 
-    f_counter counts raw f evaluations; delta_counter counts marginal-utility
-    oracle invocations (one per candidate item examined, the unit in which
-    the sampling policies' complexity bounds are stated).
+    f_counter counts calls of value(), and nothing else: a gain() that prices
+    a candidate without calling value() costs no f evaluation.  delta_counter
+    counts marginal-utility oracle invocations (one per candidate item
+    examined, the unit in which the sampling policies' complexity bounds are
+    stated).
+
+    A utility with depends_only_on_selected prices Delta through observe()
+    and gain(): f(dom psi, .) is then fixed by psi alone, so observe(psi)
+    computes it once per history and gain() prices each (item, state) from
+    that.
     """
 
     depends_only_on_selected = False
@@ -358,6 +369,19 @@ class UtilityFunction:
 
     def _value(self, items, states):
         raise NotImplementedError
+
+    def observe(self, psi: PartialRealization):
+        """The part of f fixed by psi: (dom psi, psi's states, f(dom psi))."""
+        dom = psi.domain()
+        fixed = psi.as_dict()
+        return dom, fixed, self.value(dom, fixed)
+
+    def gain(self, state, e: int, o: int) -> float:
+        """f(dom + e) - f(dom) with e in state o, for state = observe(psi)."""
+        dom, fixed, base = state
+        states = dict(fixed)
+        states[e] = o
+        return self.value(dom + (e,), states) - base
 
 
 class CoverageUtility(UtilityFunction):
@@ -395,12 +419,47 @@ class CoverageUtility(UtilityFunction):
         mask = 0
         for e in items:
             mask |= self.covers[e][states[e]]
-        total = 0.0
+        return self._mask_weight(mask)
+
+    def _mask_weight(self, mask: int, total: float = 0.0) -> float:
+        """total plus the weights of mask's bits, added low bit to high.
+
+        One summation order everywhere, so value() and gain() agree to the
+        last bit.
+        """
+        weights = self.weights
         while mask:
             bit = mask & -mask
-            total += self.weights[bit.bit_length() - 1]
+            total += weights[bit.bit_length() - 1]
             mask ^= bit
         return total
+
+    def observe(self, psi):
+        """(covered mask, f(dom psi), running sums of the covered weights).
+
+        sums[i] is the weight of the covered elements below element i, added
+        in _mask_weight's order, so sums[-1] is f(dom psi) to the last bit.
+        """
+        covered = 0
+        for e, o in psi.pairs:
+            covered |= self.covers[e][o]
+        sums = [0.0]
+        total = 0.0
+        for i, w in enumerate(self.weights):
+            if covered >> i & 1:
+                total += w
+            sums.append(total)
+        return covered, self.value(psi.domain(), psi.as_dict()), sums
+
+    def gain(self, state, e, o):
+        # value() of covered | new sums low to high, so it passes through
+        # sums[low] at new's lowest element and then adds the rest in order.
+        covered, base, sums = state
+        new = self.covers[e][o] & ~covered
+        if not new:
+            return sums[-1] - base      # value() of covered, less itself
+        low = (new & -new).bit_length() - 1
+        return self._mask_weight((covered | new) >> low << low, sums[low]) - base
 
 
 class TabularUtility(UtilityFunction):
@@ -485,24 +544,31 @@ def expected_set_value(f: UtilityFunction, prior, psi: PartialRealization,
     return total
 
 
-def _delta_exact(f, prior, psi, e):
-    """Delta(e | psi) without touching delta_counter."""
-    cond = condition(prior, psi)
-    dom = psi.domain()
-    dom_e = dom + (e,)
+def _observe(f, prior, psi):
+    """f.observe(psi), once psi is known to be possible under the prior."""
+    if prior.evidence_probability(psi) <= 0.0:
+        raise ZeroProbabilityEvidence("evidence %r has zero probability" % (psi.pairs,))
+    return f.observe(psi)
+
+
+def _delta_exact(f, prior, psi, e, state=None):
+    """Delta(e | psi) without touching delta_counter.
+
+    `state` is _observe(f, prior, psi) when the caller has it already.
+    """
     if f.depends_only_on_selected:
         # f(dom, .) is fixed by psi and f(dom+e, .) depends on Phi_e only,
         # so the expectation reduces to item e's posterior for any prior.
-        fixed = psi.as_dict()
-        base = f.value(dom, fixed)
+        if state is None:
+            state = _observe(f, prior, psi)
         total = 0.0
-        for o, p in cond.item_posterior(e):
-            states = dict(fixed)
-            states[e] = o
-            total += p * (f.value(dom_e, states) - base)
+        for o, p in prior.item_posterior(e, psi):
+            total += p * f.gain(state, e, o)
         return total
+    dom = psi.domain()
+    dom_e = dom + (e,)
     total = 0.0
-    for phi, p in cond.support():
+    for phi, p in condition(prior, psi).support():
         total += p * (f.value(dom_e, phi) - f.value(dom, phi))
     return total
 
@@ -544,6 +610,9 @@ class EvalContext:
     The per-decision random stream is derived from (seed, observation
     history), so a policy's choice at a given history is reproducible no
     matter how that history was reached.
+
+    f's state at the history of the last exact Delta is kept (one entry):
+    a decision prices all its candidates at one history.
     """
 
     def __init__(self, f, prior, seed=0, delta_cache=None, mode="exact",
@@ -556,6 +625,7 @@ class EvalContext:
         self.mc_samples = mc_samples
         self.last_candidates = ()
         self.last_delta = None
+        self._observed = None
 
     @property
     def n(self):
@@ -571,13 +641,22 @@ class EvalContext:
         if self.mode == "mc":
             return _delta_mc(self.f, self.prior, psi, e, self.mc_samples, self.seed)
         if self.delta_cache is None:
-            return _delta_exact(self.f, self.prior, psi, e)
+            return self._delta_exact(e, psi)
         key = (psi.pairs, e)
         val = self.delta_cache.get(key)
         if val is None:
-            val = _delta_exact(self.f, self.prior, psi, e)
+            val = self._delta_exact(e, psi)
             self.delta_cache[key] = val
         return val
+
+    def _delta_exact(self, e, psi):
+        state = None
+        if self.f.depends_only_on_selected:
+            observed = self._observed
+            if observed is None or observed[0] != psi.pairs:
+                observed = self._observed = (psi.pairs, _observe(self.f, self.prior, psi))
+            state = observed[1]
+        return _delta_exact(self.f, self.prior, psi, e, state)
 
     def record(self, candidates, delta):
         self.last_candidates = tuple(candidates)

@@ -192,7 +192,17 @@ def run_policy(pi: Policy, f, prior, phi, constraint=None, seed=0,
 
 
 def _feasible_pool(ctx, psi, cstate):
-    return [e for e in range(ctx.n) if e not in psi and cstate.can_select(e)]
+    """Unobserved items the constraint admits, in id order."""
+    if isinstance(cstate, CardinalityConstraint):
+        # The budget test is the same for every item.
+        if cstate.exhausted():
+            return []
+        pool = list(range(ctx.n))
+        for e in reversed(psi.domain()):    # descending, so pool[e] is still e
+            del pool[e]
+        return pool
+    observed = psi.as_dict()
+    return [e for e in range(ctx.n) if e not in observed and cstate.can_select(e)]
 
 
 def _argmax_delta(ctx, psi, candidates):

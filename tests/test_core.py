@@ -149,6 +149,18 @@ class TestSampling:
         for e in range(2):
             assert abs(ones[e] / n_samples - 0.5) < 4 * se
 
+    def test_rounding_gap_falls_back_to_a_positive_mass_state(self):
+        # The row sums to 1 - 5e-10, inside PROB_TOL; a draw past that sum
+        # must land on the last state with mass, not on the zero-mass state 2.
+        class Draw:
+            def random(self):
+                return 1 - 1e-10
+
+        prior = IndependentPrior([[0.5, 0.5 - 5e-10, 0.0]])
+        phi = prior.sample(Draw())
+        assert phi == (1,)
+        assert prior.evidence_probability(psi(enumerate(phi))) > 0.0
+
     def test_conditioned_sampling_respects_evidence(self, prior_a):
         cond = condition(prior_a, psi({0: 1}))
         rng = random.Random(3)

@@ -1,0 +1,167 @@
+"""The incremental Delta path against the two-evaluation definition.
+
+EvalContext.delta and marginal_utility price a candidate from f's state at
+the history (UtilityFunction.observe / gain).  These tests hold them to
+Sum_o p(o) * (f(dom + e) - f(dom)), written out with two value() calls per
+state, with exact float equality, and require rollouts driven by either to
+pick the same items.
+"""
+
+import math
+import random
+
+import pytest
+
+from adasub import (
+    ExplicitPrior,
+    IndependentPrior,
+    PSI_EMPTY,
+    PartialRealization,
+    UtilityFunction,
+    ZeroProbabilityEvidence,
+    adaptive_greedy,
+    adaptive_stochastic_greedy,
+    generate_coverage,
+    marginal_utility,
+    run_policy,
+    sample_realization,
+)
+from adasub.core import EvalContext
+
+
+def explicit_delta(f, prior, psi, e):
+    """Sum_o p(o | psi) * (f(dom + e) - f(dom)), two evaluations per state."""
+    if e in psi:
+        return 0.0
+    dom = psi.domain()
+    fixed = psi.as_dict()
+    total = 0.0
+    for o, p in prior.item_posterior(e, psi):
+        states = dict(fixed)
+        states[e] = o
+        total += p * (f.value(dom + (e,), states) - f.value(dom, fixed))
+    return total
+
+
+class ExplicitDeltaContext(EvalContext):
+    """An EvalContext that prices every candidate with explicit_delta."""
+
+    def delta(self, e, psi):
+        self.f.delta_counter += 1
+        return explicit_delta(self.f, self.prior, psi, e)
+
+
+def random_history(prior, rng, size):
+    phi = sample_realization(prior, rng)
+    return PartialRealization.of({e: phi[e] for e in rng.sample(range(prior.n), size)})
+
+
+def coverage_instances(count=24):
+    for seed in range(count):
+        rng = random.Random(seed)
+        yield rng, generate_coverage(n=rng.randint(6, 40), m=2 + seed % 2,
+                                     universe_size=rng.randint(4, 80),
+                                     density=rng.uniform(0.05, 0.5), seed=seed)
+
+
+class SqrtOfSelected(UtilityFunction):
+    """sqrt of the selected items' state weights: no coverage structure, so
+    Delta goes through UtilityFunction's generic observe/gain."""
+
+    depends_only_on_selected = True
+
+    def __init__(self, weights):
+        super().__init__()
+        self.weights = weights
+
+    def _value(self, items, states):
+        return math.sqrt(sum(self.weights[e][states[e]] for e in items))
+
+
+class TestCoverageDeltaIsExact:
+    def test_matches_two_evaluation_formula(self):
+        for rng, inst in coverage_instances():
+            f, ref = inst.utility(), inst.utility()
+            ctx = EvalContext(f, inst.prior)
+            histories = [PSI_EMPTY] + [random_history(inst.prior, rng, rng.randint(1, inst.n - 1))
+                                       for _ in range(4)]
+            # Interleave histories so the context's one cached state turns over.
+            for e in range(inst.n):
+                for psi in histories:
+                    expected = explicit_delta(ref, inst.prior, psi, e)
+                    assert ctx.delta(e, psi) == expected
+                    assert marginal_utility(f, inst.prior, psi, e) == expected
+
+    def test_delta_cache_keeps_exact_values(self):
+        inst = generate_coverage(n=12, m=3, universe_size=20, density=0.3, seed=4)
+        cache = {}
+        ctx = EvalContext(inst.utility(), inst.prior, delta_cache=cache)
+        psi = random_history(inst.prior, random.Random(1), 5)
+        for _ in range(2):
+            for e in range(inst.n):
+                assert ctx.delta(e, psi) == explicit_delta(inst.utility(), inst.prior, psi, e)
+        assert len(cache) == inst.n - 5
+
+    @pytest.mark.parametrize("pi", [adaptive_greedy(8), adaptive_greedy(8, "lazy"),
+                                    adaptive_stochastic_greedy(8, 0.1)],
+                             ids=lambda pi: pi.name)
+    def test_rollouts_pick_the_same_items(self, pi):
+        for seed in range(3):
+            inst = generate_coverage(n=200, m=2 + seed % 2, universe_size=30,
+                                     density=0.15, seed=100 + seed)
+            phi = sample_realization(inst.prior, random.Random(seed))
+            f, ref = inst.utility(), inst.utility()
+            trace = run_policy(pi, f, inst.prior, phi, seed=seed)
+            ref_trace = pi.run_on(ExplicitDeltaContext(ref, inst.prior, seed=seed), phi)
+            assert trace == ref_trace
+            assert f.delta_counter == ref.delta_counter
+
+
+SQRT_WEIGHTS = [[0.0, 2.0, 5.0], [1.0, 0.5, 3.0], [4.0, 0.0, 1.0], [2.5, 2.5, 0.25]]
+INDEPENDENT = IndependentPrior([[0.2, 0.3, 0.5], [0.6, 0.0, 0.4],
+                                [1 / 3, 1 / 3, 1 / 3], [0.1, 0.8, 0.1]])
+CORRELATED = ExplicitPrior([((0, 1, 2, 0), 0.25), ((2, 1, 0, 1), 0.25),
+                            ((1, 0, 0, 2), 0.3), ((2, 2, 1, 1), 0.2)])
+
+
+class TestGenericDelta:
+    def test_matches_two_evaluation_formula(self):
+        for prior in (INDEPENDENT, CORRELATED):
+            f, ref = SqrtOfSelected(SQRT_WEIGHTS), SqrtOfSelected(SQRT_WEIGHTS)
+            ctx = EvalContext(f, prior)
+            rng = random.Random(5)
+            histories = [PSI_EMPTY] + [random_history(prior, rng, size) for size in (1, 2, 3)]
+            for psi in histories:
+                for e in range(prior.n):
+                    expected = explicit_delta(ref, prior, psi, e)
+                    assert ctx.delta(e, psi) == expected
+                    assert marginal_utility(f, prior, psi, e) == expected
+
+    def test_base_value_is_evaluated_once_per_history(self):
+        f = SqrtOfSelected(SQRT_WEIGHTS)
+        ctx = EvalContext(f, INDEPENDENT)
+        psi = PartialRealization.of({3: 1})
+        ctx.delta(0, psi)               # f(dom psi), then one f(dom + 0) per state
+        assert f.f_counter == 1 + 3
+        ctx.delta(1, psi)               # item 1 has two states of positive mass
+        assert f.f_counter == 1 + 3 + 2
+        assert f.delta_counter == 2
+
+
+class TestImpossibleHistory:
+    def test_coverage_raises(self):
+        prior = IndependentPrior([[1.0, 0.0], [0.5, 0.5]])
+        f = generate_coverage(n=2, m=2, universe_size=4, density=0.5, seed=0).utility()
+        impossible = PartialRealization.of({0: 1})
+        with pytest.raises(ZeroProbabilityEvidence):
+            EvalContext(f, prior).delta(1, impossible)
+        with pytest.raises(ZeroProbabilityEvidence):
+            marginal_utility(f, prior, impossible, 1)
+
+    def test_generic_utility_raises(self):
+        f = SqrtOfSelected(SQRT_WEIGHTS)
+        impossible = PartialRealization.of({0: 0, 1: 0})
+        with pytest.raises(ZeroProbabilityEvidence):
+            EvalContext(f, CORRELATED).delta(2, impossible)
+        with pytest.raises(ZeroProbabilityEvidence):
+            marginal_utility(f, CORRELATED, impossible, 2)

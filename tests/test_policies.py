@@ -5,6 +5,7 @@ import pytest
 
 from adasub import (
     CardinalityConstraint,
+    IndependentPrior,
     PSI_EMPTY,
     PartialRealization,
     PolicyViolation,
@@ -22,7 +23,8 @@ from adasub import (
     run_policy,
     sample_realization,
 )
-from adasub.policies import FixedSequencePolicy, PartitionConstraint
+from adasub.core import EvalContext
+from adasub.policies import FixedSequencePolicy, PartitionConstraint, _feasible_pool
 
 
 def rollout(pi, inst, phi, seed=0):
@@ -78,6 +80,17 @@ class TestAdaptiveGreedy:
     def test_selects_exactly_min_k_n(self, utility_a, prior_a):
         trace = run_policy(adaptive_greedy(5), utility_a, prior_a, (0, 0))
         assert len(trace.selected) == 2
+
+
+def test_feasible_pool_matches_its_definition(utility_a):
+    ctx = EvalContext(utility_a, IndependentPrior([[0.5, 0.5]] * 10))
+    constraints = (CardinalityConstraint(3), CardinalityConstraint(0),
+                   PartitionConstraint.of([[0, 2, 5], [1, 7], [9]], [1, 0, 2]))
+    for cstate in constraints:
+        for obs in ({}, {2: 0, 5: 1}, {0: 1, 7: 0, 9: 1}, {e: 0 for e in range(10)}):
+            psi = PartialRealization.of(obs)
+            assert _feasible_pool(ctx, psi, cstate) == \
+                [e for e in range(10) if e not in psi and cstate.can_select(e)]
 
 
 class TestAdaptiveStochasticGreedy:
