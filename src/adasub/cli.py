@@ -11,10 +11,8 @@ over the exhaustive-computation caps.
 from __future__ import annotations
 
 import csv
-import math
 import random
 import re
-import statistics
 import sys
 import time
 
@@ -23,7 +21,7 @@ import click
 from . import __version__
 from .core import sample_realization
 from .errors import AdasubError, InstanceTooLarge, ParseError, ValidationError
-from .evaluation import exact_policy_value, expected_utility
+from .evaluation import expected_utility
 from .instances import generate_coverage, load_instance, save_instance
 from .oracle import optimal_value
 from .policies import (
@@ -54,8 +52,15 @@ def _fmt(x) -> str:
     return "" if x is None else str(x)
 
 
+def _echo(message: str, err: bool = False, nl: bool = True):
+    # Name the stream: left to find it, click caches a wrapper per stream
+    # object and the cache keeps each stream alive, so every in-process call
+    # made with a fresh sys.stdout (a test runner, a redirect) would leak it.
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _fail(code: int, message: str):
-    click.echo("error: %s" % message, err=True)
+    _echo("error: %s" % message, err=True)
     sys.exit(code)
 
 
@@ -141,7 +146,7 @@ def gen(n, m, universe, density, wmin, wmax, seed, k, groups, limits, out):
         save_instance(inst, out)
     except AdasubError as exc:
         _fail(EXIT_USAGE, str(exc))
-    click.echo("wrote %s" % out)
+    _echo("wrote %s" % out)
 
 
 RUN_COLUMNS = ["policy", "params", "f_avg", "stderr", "delta_evals", "f_evals",
@@ -155,12 +160,17 @@ RUN_COLUMNS = ["policy", "params", "f_avg", "stderr", "delta_evals", "f_evals",
 @click.option("--seed", type=int, required=True)
 @click.option("--mode", type=click.Choice(["exact", "mc"]), default="exact",
               show_default=True)
-@click.option("--samples", type=int, default=10_000, show_default=True)
-@click.option("--replicates", type=int, default=200, show_default=True,
-              help="Internal-randomness replicates for randomized policies in exact mode.")
+@click.option("--samples", type=int, default=10_000, show_default=True,
+              help="Monte Carlo rollouts per policy in mc mode.")
 @click.option("--out", type=click.Path(), required=True)
-def run(instance_path, policy_specs, seed, mode, samples, replicates, out):
-    """Evaluate policies on an instance; one CSV row per policy plus the oracle."""
+def run(instance_path, policy_specs, seed, mode, samples, out):
+    """Evaluate policies on an instance; one CSV row per policy plus the oracle.
+
+    Exact mode reports each policy's exact expected utility over the item
+    states and its own internal randomness (stderr 0); delta_evals counts
+    the Delta calls of that one evaluation.  mc mode estimates it from
+    --samples seeded rollouts, with their standard error.
+    """
     inst = _load(instance_path)
     try:
         policies = [parse_policy(p, inst) for p in policy_specs]
@@ -175,16 +185,7 @@ def run(instance_path, policy_specs, seed, mode, samples, replicates, out):
         f = inst.utility()
         t0 = time.perf_counter()
         if mode == "exact":
-            if pi.randomized:
-                cache = {}
-                vals = [exact_policy_value(pi, f, inst.prior, seed="%s:%d" % (seed, r),
-                                           delta_cache=cache)
-                        for r in range(replicates)]
-                favg = statistics.fmean(vals)
-                se = statistics.stdev(vals) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-            else:
-                favg = exact_policy_value(pi, f, inst.prior, seed=seed, delta_cache={})
-                se = 0.0
+            favg, se = expected_utility(f, inst.prior, pi), 0.0
         else:
             favg, se = expected_utility(f, inst.prior, pi, mode="mc",
                                         samples=samples, seed=seed)
@@ -199,7 +200,7 @@ def run(instance_path, policy_specs, seed, mode, samples, replicates, out):
         writer.writerow(RUN_COLUMNS)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
-    click.echo("wrote %s" % out)
+    _echo("wrote %s" % out)
 
 
 @main.command()
@@ -220,7 +221,7 @@ def oracle(instance_path, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-    click.echo(text, nl=False)
+    _echo(text, nl=False)
 
 
 CHECKS = {
@@ -252,7 +253,7 @@ def verify(instance_path, checks, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-    click.echo(text, nl=False)
+    _echo(text, nl=False)
     if not all(r.passed for r in reports):
         sys.exit(EXIT_CHECK_FAILED)
 
@@ -337,7 +338,7 @@ def bench(policy_name, ns, ks, eps_list, instance_path, m, universe, density, se
         writer.writerow(BENCH_COLUMNS)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
-    click.echo("wrote %s" % out)
+    _echo("wrote %s" % out)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 """Exact and Monte Carlo evaluation of policy expected utility.
 
-Exact evaluation of a seeded policy recurses over its decision tree: at each
-observation history the policy's choice is deterministic (its internal
-stream is derived from the master seed and the history), and the recursion
-branches over the chosen item's posterior states.  Policies that cannot be
-evaluated this way (concatenations, whose second phase forgets the history)
-fall back to enumerating the prior support and running a rollout per
-realization.
+Exact evaluation recurses over the policy's decision tree.  At each
+observation history the policy's choice is a distribution over items: its
+decision_distribution, which averages over the internal randomness exactly,
+or, for a fixed master seed, the point mass of the seeded decide (whose
+stream is derived from the seed and the history).  The recursion branches
+over each chosen item's posterior states and is memoized on (history,
+constraint state) unless the policy's choice depends on the path.  Policies
+with no single decision stream (concatenations, whose second phase forgets
+the history) fall back to enumerating the prior support and running a
+rollout per realization.
 """
 
 from __future__ import annotations
@@ -22,36 +25,65 @@ from .core import (
     condition,
     expected_set_value,
 )
-from .errors import PolicyViolation
+from .errors import ExactModeUnavailable, PolicyViolation
 from .policies import Policy, run_policy
 
 DEFAULT_REPLICATES = 200
 
 
-def exact_policy_value(pi: Policy, f, prior, seed=0, constraint=None,
+def exact_policy_value(pi: Policy, f, prior, seed=None, constraint=None,
                        delta_cache=None) -> float:
-    """Exact f_avg of pi under the prior, for one fixed internal seed."""
+    """Exact f_avg of pi under the prior.
+
+    seed=None averages over pi's internal randomness exactly; a given seed
+    fixes it, giving the value of that one seeded policy.
+    """
     if not pi.supports_tree_eval:
+        if seed is None and pi.randomized:
+            raise ExactModeUnavailable(
+                "%s has no exact form over its internal randomness; use mode='mc'"
+                % pi.name)
         return _exact_by_enumeration(pi, f, prior, seed, constraint)
     ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
     if constraint is None:
         constraint = pi.fresh_constraint(prior.n)
+    memo = None if pi.path_dependent else {}
+    return _tree_value(pi, ctx, memo, PSI_EMPTY, constraint, pi.init_scratch())
 
-    def rec(psi, cstate, scratch):
+
+def _tree_value(pi, ctx, memo, psi, cstate, scratch):
+    """Expected final utility of pi from history psi.
+
+    memo maps (psi, constraint key) to the value; it is None for a
+    path-dependent policy, which recurses per path with its own scratch.
+    """
+    if memo is not None:
+        key = (psi.pairs, cstate.key())
+        value = memo.get(key)
+        if value is not None:
+            return value
+    if memo is not None and ctx.seed is None:
+        choices = pi.decision_distribution(ctx, psi, cstate)
+    else:
         e = pi.decide(ctx, psi, cstate, scratch)
-        if e is None:
-            return expected_set_value(f, prior, psi, psi.domain())
-        if e in psi or not cstate.can_select(e):
-            raise PolicyViolation("%s chose infeasible item %d" % (pi.name, e))
-        nxt = cstate.after(e)
-        total = 0.0
-        posterior = condition(prior, psi).item_posterior(e)
-        for o, p in posterior:
-            branch_scratch = copy.deepcopy(scratch) if scratch else {}
-            total += p * rec(psi.with_observation(e, o), nxt, branch_scratch)
-        return total
-
-    return rec(PSI_EMPTY, constraint, pi.init_scratch())
+        choices = [] if e is None else [(e, 1.0)]
+    if not choices:
+        value = expected_set_value(ctx.f, ctx.prior, psi, psi.domain())
+    else:
+        value = 0.0
+        for e, q in choices:
+            if e in psi or not cstate.can_select(e):
+                raise PolicyViolation("%s chose infeasible item %d" % (pi.name, e))
+            nxt = cstate.after(e)
+            total = 0.0
+            for o, p in ctx.prior.item_posterior(e, psi):
+                branch_scratch = copy.deepcopy(scratch) if scratch else {}
+                total += p * _tree_value(pi, ctx, memo, psi.with_observation(e, o), nxt,
+                                         branch_scratch)
+            value += q * total
+    if memo is not None:
+        memo[key] = value
+    return value
 
 
 def _exact_by_enumeration(pi, f, prior, seed, constraint):
@@ -64,21 +96,15 @@ def _exact_by_enumeration(pi, f, prior, seed, constraint):
 
 def expected_utility(f, prior, pi: Policy, mode: str = "exact",
                      samples: int = 10_000, seed=0,
-                     replicates: int = DEFAULT_REPLICATES,
                      constraint=None, delta_cache=None):
-    """f_avg(pi): expected utility over the prior (and internal randomness).
+    """f_avg(pi): expected utility over the prior and pi's internal randomness.
 
-    Exact mode returns a float; for randomized policies the internal
-    randomness is averaged over `replicates` exactly-evaluated seeds.
-    Monte Carlo mode returns (estimate, standard_error).
+    Exact mode returns the exact expectation as a float, from one exact
+    evaluation (seed is unused: the internal randomness is averaged out, not
+    sampled).  Monte Carlo mode returns (estimate, standard_error).
     """
     if mode == "exact":
-        if pi.randomized:
-            vals = [exact_policy_value(pi, f, prior, seed="%s:%d" % (seed, r),
-                                       constraint=constraint, delta_cache=delta_cache)
-                    for r in range(replicates)]
-            return sum(vals) / len(vals)
-        return exact_policy_value(pi, f, prior, seed=seed, constraint=constraint,
+        return exact_policy_value(pi, f, prior, constraint=constraint,
                                   delta_cache=delta_cache)
     if mode != "mc":
         raise ValueError("unknown mode %r" % mode)

@@ -235,14 +235,23 @@ def dumps_instance(inst: Instance) -> str:
     return json.dumps(_instance_to_dict(inst), sort_keys=True, indent=1) + "\n"
 
 
+def _reject_constant(name):
+    raise ParseError("invalid JSON: %s is not a number" % name)
+
+
 def loads_instance(text: str) -> Instance:
     try:
-        d = json.loads(text)
+        d = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc) from exc
     if not isinstance(d, dict):
         raise ParseError("instance file must contain a JSON object")
-    return _instance_from_dict(d)
+    try:
+        return _instance_from_dict(d)
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong kind below the checked top-level fields, such
+        # as a number where a list belongs or a string among probabilities
+        raise ParseError("malformed instance: %s" % exc) from exc
 
 
 def save_instance(inst: Instance, path):
@@ -252,4 +261,8 @@ def save_instance(inst: Instance, path):
 
 def load_instance(path) -> Instance:
     with open(path) as fh:
-        return loads_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("instance file is not text: %s" % exc) from exc
+    return loads_instance(text)

@@ -84,6 +84,9 @@ def _solve(f, prior, constraint, base: PartialRealization, selectable=None,
         return result
 
     value, first = V(base, constraint)
+    # V refers to itself through its closure; unbinding it frees the memo
+    # table now instead of at the next full garbage collection.
+    del V
     return OracleResult(value, first, stats["nodes"], stats["hits"])
 
 

@@ -142,6 +142,9 @@ class Policy:
     name = "policy"
     randomized = False
     supports_tree_eval = True
+    # True when decide reads state the rollout carries in `scratch`, so the
+    # choice at psi depends on the path that reached it, not on psi alone.
+    path_dependent = False
 
     def params(self) -> dict:
         return {}
@@ -158,6 +161,13 @@ class Policy:
 
     def decide(self, ctx: EvalContext, psi: PartialRealization, cstate, scratch):
         raise NotImplementedError
+
+    def decision_distribution(self, ctx: EvalContext, psi: PartialRealization, cstate):
+        """[(item, prob)] of the next selection at psi over the policy's internal
+        randomness; [] means stop.  Deterministic policies give a point mass.
+        """
+        e = self.decide(ctx, psi, cstate, self.init_scratch())
+        return [] if e is None else [(e, 1.0)]
 
     def run_on(self, ctx: EvalContext, phi, cstate=None) -> PolicyTrace:
         """Select-observe loop on a fixed realization; selections are irrevocable."""
@@ -274,6 +284,7 @@ class AdaptiveGreedyPolicy(Policy):
             raise ValidationError("k must be >= 0")
         self.k = k
         self.lazy = lazy
+        self.path_dependent = lazy
         self.name = "lazy" if lazy else "greedy"
 
     def params(self):
@@ -322,7 +333,46 @@ class AdaptiveGreedyPolicy(Policy):
         return None
 
 
-class AdaptiveStochasticGreedyPolicy(Policy):
+class _BestOfSamplePolicy(Policy):
+    """Selects the best-Delta item of a uniform sample drawn from a pool.
+
+    Subclasses say which pool and what sample size (_sample_space); the draw
+    is without replacement, and ties go to the smallest item.
+    """
+
+    randomized = True
+
+    def _sample_space(self, ctx, psi, cstate):
+        """(candidate pool in id order, sample size); an empty pool stops."""
+        raise NotImplementedError
+
+    def decide(self, ctx, psi, cstate, scratch):
+        pool, s = self._sample_space(ctx, psi, cstate)
+        if not pool:
+            return None
+        candidates = sorted(ctx.rng_for(psi).sample(pool, s))
+        e, d = _argmax_delta(ctx, psi, candidates)
+        ctx.record(candidates, d)
+        return e
+
+    def decision_distribution(self, ctx, psi, cstate):
+        """Exact law of decide's choice over the uniform draw.
+
+        With the pool ranked by (-Delta, id), the sample's best is rank j iff
+        the sample holds rank j and s-1 of the N-1-j ranks after it:
+        probability C(N-1-j, s-1) / C(N, s).
+        """
+        pool, s = self._sample_space(ctx, psi, cstate)
+        if not pool:
+            return []
+        ranked = sorted(pool, key=lambda e: (-ctx.delta(e, psi), e))
+        size = len(ranked)
+        draws = math.comb(size, s)
+        return [(e, math.comb(size - 1 - j, s - 1) / draws)
+                for j, e in enumerate(ranked[:size - s + 1])]
+
+
+class AdaptiveStochasticGreedyPolicy(_BestOfSamplePolicy):
     """Each round: subsample the unselected items, select the best of the sample.
 
     The sample has size ceil((n/k) * ln(1/eps)) (clamped to the pool), drawn
@@ -331,7 +381,6 @@ class AdaptiveStochasticGreedyPolicy(Policy):
     """
 
     name = "asg"
-    randomized = True
 
     def __init__(self, k: int, epsilon: float):
         if k < 1:
@@ -347,17 +396,9 @@ class AdaptiveStochasticGreedyPolicy(Policy):
     def fresh_constraint(self, n):
         return CardinalityConstraint(min(self.k, n))
 
-    def decide(self, ctx, psi, cstate, scratch):
-        if cstate.exhausted():
-            return None
+    def _sample_space(self, ctx, psi, cstate):
         pool = _feasible_pool(ctx, psi, cstate)
-        if not pool:
-            return None
-        s = sample_budget(len(pool), ctx.n, self.k, self.epsilon)
-        candidates = sorted(ctx.rng_for(psi).sample(pool, s))
-        e, d = _argmax_delta(ctx, psi, candidates)
-        ctx.record(candidates, d)
-        return e
+        return pool, sample_budget(len(pool), ctx.n, self.k, self.epsilon)
 
 
 class RandomPolicy(Policy):
@@ -386,6 +427,10 @@ class RandomPolicy(Policy):
         e = ctx.rng_for(psi).choice(sorted(pool))
         ctx.record((e,), None)
         return e
+
+    def decision_distribution(self, ctx, psi, cstate):
+        pool = _feasible_pool(ctx, psi, cstate)
+        return [(e, 1.0 / len(pool)) for e in pool]
 
 
 class _PartitionPolicy(Policy):
@@ -435,7 +480,7 @@ class LocallyGreedyPolicy(_PartitionPolicy):
         return e
 
 
-class GeneralizedASGPolicy(_PartitionPolicy):
+class GeneralizedASGPolicy(_PartitionPolicy, _BestOfSamplePolicy):
     """Locally greedy with per-group subsampling of candidates.
 
     Within group i, each selection draws ceil((|B_i|/d_i) * ln(1/eps))
@@ -444,7 +489,6 @@ class GeneralizedASGPolicy(_PartitionPolicy):
     """
 
     name = "gasg"
-    randomized = True
 
     def __init__(self, groups, limits, epsilon: float, order=None):
         super().__init__(groups, limits, order)
@@ -457,17 +501,13 @@ class GeneralizedASGPolicy(_PartitionPolicy):
     def params(self):
         return {"eps": self.epsilon, "order": self._order_param()}
 
-    def decide(self, ctx, psi, cstate, scratch):
+    def _sample_space(self, ctx, psi, cstate):
         i, pool = self._active_group(psi, cstate)
         if i is None:
-            return None
+            return [], 0
         group = self.constraint.groups[i]
         limit = self.constraint.remaining[i]
-        s = sample_budget(len(pool), len(group), limit, self.epsilon)
-        candidates = sorted(ctx.rng_for(psi).sample(pool, s))
-        e, d = _argmax_delta(ctx, psi, candidates)
-        ctx.record(candidates, d)
-        return e
+        return pool, sample_budget(len(pool), len(group), limit, self.epsilon)
 
 
 class ConcatPolicy(Policy):

@@ -54,6 +54,17 @@ def mean_se(vals):
     return mean, se
 
 
+def check_exact(name, inst, eps, exact, mean, se, bound):
+    """The exact value over internal randomness meets the bound with no SE
+    slack and agrees with the mean of the seeded replicates."""
+    if exact < bound:
+        gate(name, False, "%s eps=%g exact %.6g < bound %.6g"
+             % (inst.metadata["name"], eps, exact, bound))
+    if abs(exact - mean) > 4.0 * se + 1e-12:
+        gate(name, False, "%s eps=%g exact %.12g is %.3g from the replicate mean "
+             "(se %.3g)" % (inst.metadata["name"], eps, exact, abs(exact - mean), se))
+
+
 # every exact policy value computed below, as (value, optimum), for the
 # oracle-dominance criterion
 _DOMINANCE_LOG = []
@@ -119,6 +130,9 @@ def test_criterion_1_asg_ratio(card_suite):
                 gate("1 asg approximation ratio", False,
                      "instance %s eps=%g mean=%.6g < bound=%.6g"
                      % (inst.metadata["name"], eps, mean, bound))
+            exact = exact_policy_value(pi, f, inst.prior, delta_cache=cache)
+            check_exact("1 asg approximation ratio", inst, eps, exact, mean, se,
+                        (1.0 - E_INV - eps) * opt)
     gate("1 asg approximation ratio", True,
          "worst margin %.4g (%s, eps=%g)" % (worst[0], worst[1], worst[2]))
 
@@ -213,6 +227,8 @@ def test_criterion_5_gasg_ratio_and_cap(partition_suite):
                 gate("5 gasg ratio and cap", False,
                      "%s eps=%g mean %.6g < bound %.6g"
                      % (inst.metadata["name"], eps, mean, bound))
+            exact = exact_policy_value(pi, f, inst.prior, delta_cache=cache)
+            check_exact("5 gasg ratio and cap", inst, eps, exact, mean, se, ratio * opt)
             cap = sum(d * math.ceil(len(g) / d * math.log(1.0 / eps))
                       for g, d in zip(groups, limits))
             for r in range(5):
@@ -248,6 +264,9 @@ def test_criterion_6_gasg_vs_local(partition_suite):
                 gate("6 gasg vs locally greedy", False,
                      "%s eps=%g mean %.6g < bound %.6g"
                      % (inst.metadata["name"], eps, mean, bound))
+            exact = exact_policy_value(pi, f, inst.prior, delta_cache=cache)
+            check_exact("6 gasg vs locally greedy", inst, eps, exact, mean, se,
+                        ratio * local_val)
     gate("6 gasg vs locally greedy", True,
          "worst margin %.4g (%s, eps=%g)" % worst)
 
@@ -319,7 +338,7 @@ def test_criterion_10_csv_determinism(card_suite, tmp_path):
             "run", "--instance", str(path),
             "--policy", "greedy(k=%d)" % k, "--policy", "asg(k=%d,eps=0.1)" % k,
             "--policy", "random(k=%d)" % k,
-            "--seed", "123", "--replicates", "50", "--out", str(out)])
+            "--seed", "123", "--out", str(out)])
         assert res.exit_code == 0, res.output
         with open(out, "rb") as fh:
             stripped.append([line.rsplit(b",", 1)[0] for line in fh])

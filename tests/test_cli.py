@@ -1,4 +1,9 @@
+import contextlib
 import csv
+import gc
+import io
+import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -57,7 +62,7 @@ class TestRun:
                                    "--policy", "greedy(k=2)",
                                    "--policy", "asg(k=2,eps=0.01)",
                                    "--policy", "random(k=2)",
-                                   "--seed", "5", "--replicates", "20",
+                                   "--seed", "5",
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
         rows = read_rows(out)
@@ -86,12 +91,34 @@ class TestRun:
             out = tmp_path / name
             res = runner.invoke(main, ["run", "--instance", instance_a_path,
                                        "--policy", "asg(k=2,eps=0.1)",
-                                       "--seed", "9", "--replicates", "30",
+                                       "--seed", "9",
                                        "--out", str(out)])
             assert res.exit_code == 0, res.output
             with open(out) as fh:
                 outs.append([line.rsplit(",", 1)[0] for line in fh])
         assert outs[0] == outs[1]
+
+
+def test_in_process_run_leaves_no_reference_cycles(instance_a_path, tmp_path):
+    # Cyclic garbage (a memo table held by a self-referencing closure, a
+    # stream kept by click's per-stream cache) outlives the call until a
+    # full collection, which raises peak memory when run is called in-process.
+    args = ["run", "--instance", instance_a_path, "--policy", "greedy(k=2)",
+            "--policy", "asg(k=2,eps=0.3)", "--policy", "random(k=1)",
+            "--seed", "3", "--out", str(tmp_path / "run.csv")]
+    main.main(args=args, prog_name="adasub", standalone_mode=False)
+    gc.collect()
+    gc.disable()
+    try:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main.main(args=args, prog_name="adasub", standalone_mode=False)
+        stream = weakref.ref(buf)
+        del buf
+        assert stream() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestVerify:
@@ -121,6 +148,38 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "--instance", instance_a_path,
                                    "--checks", "bogus"])
         assert res.exit_code == 2
+
+
+class TestMalformedInstance:
+    @pytest.fixture
+    def instance_dict(self):
+        return json.loads(dumps_instance(generate_coverage(3, 2, 4, 0.3, seed=0, k=2)))
+
+    def assert_usage_error(self, runner, tmp_path, d):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        for args in (["verify", "--instance", str(path)],
+                     ["run", "--instance", str(path), "--policy", "greedy(k=2)",
+                      "--seed", "0", "--out", str(tmp_path / "r.csv")]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 2, res.output
+            assert "error: " in res.output
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    def test_int_covers_entry(self, runner, tmp_path, instance_dict):
+        instance_dict["utility"]["covers"][1] = 7
+        self.assert_usage_error(runner, tmp_path, instance_dict)
+
+    def test_string_in_probs(self, runner, tmp_path, instance_dict):
+        instance_dict["prior"]["probs"][0][1] = "half"
+        self.assert_usage_error(runner, tmp_path, instance_dict)
+
+    def test_binary_file(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{\x00")
+        res = runner.invoke(main, ["verify", "--instance", str(path)])
+        assert res.exit_code == 2, res.output
+        assert "error: " in res.output
 
 
 class TestOracle:

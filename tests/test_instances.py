@@ -13,7 +13,11 @@ from adasub import (
     optimal_value,
     save_instance,
 )
-from adasub.instances import dumps_instance, loads_instance
+from adasub.instances import (
+    complementarity_counterexample,
+    dumps_instance,
+    loads_instance,
+)
 
 
 class TestGeneration:
@@ -97,3 +101,49 @@ class TestSerialization:
         path = tmp_path / "c.json"
         save_instance(inst, path)
         assert load_instance(path).constraint == CardinalityConstraint(2)
+
+
+def _field_paths(x, prefix=()):
+    yield prefix
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, val in items:
+        yield from _field_paths(val, prefix + (key,))
+
+
+def _replaced(d, path, val):
+    d = json.loads(json.dumps(d))
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = val
+    return d
+
+
+def test_every_single_field_corruption_is_a_clean_error():
+    # a number where a list belongs, a string among numbers, and so on, at
+    # every position of three instances covering each prior, utility and
+    # constraint type
+    bad_values = (0, -1, 1.5, "x", None, [], {}, [0], [[0]], True, 10 ** 6, [["a"]])
+    bases = (generate_coverage(4, 2, 4, 0.5, seed=1, k=2),
+             generate_coverage(4, 2, 4, 0.5, seed=1, groups=[[0, 1], [2, 3]], limits=[1, 1]),
+             complementarity_counterexample())
+    for inst in bases:
+        d = json.loads(dumps_instance(inst))
+        for path in list(_field_paths(d))[1:]:
+            for val in bad_values:
+                try:
+                    loads_instance(json.dumps(_replaced(d, path, val)))
+                except (ParseError, ValidationError):
+                    pass
+
+
+def test_non_finite_numbers_are_parse_errors():
+    text = dumps_instance(generate_coverage(3, 2, 4, 0.3, seed=0))
+    d = json.loads(text)
+    d["prior"]["probs"][0][0] = float("nan")
+    with pytest.raises(ParseError):
+        loads_instance(json.dumps(d))
+    d = json.loads(text)
+    d["utility"]["weights"][0] = float("inf")
+    with pytest.raises(ParseError):
+        loads_instance(json.dumps(d))

@@ -113,8 +113,7 @@ class TestAdaptiveStochasticGreedy:
         assert [s.chosen for s in asg_trace.steps] == [s.chosen for s in greedy_trace.steps]
 
     def test_instance_a_saturates_to_greedy_value(self, utility_a, prior_a):
-        val = expected_utility(utility_a, prior_a, adaptive_stochastic_greedy(2, 0.01),
-                               replicates=50)
+        val = expected_utility(utility_a, prior_a, adaptive_stochastic_greedy(2, 0.01))
         assert val == pytest.approx(1.75)
 
     def test_always_selects_even_at_zero_gain(self, prior_a, utility_a):
@@ -161,7 +160,7 @@ class TestPartitionPolicies:
 
     def test_gasg_saturated(self, utility_a, prior_a):
         pi = generalized_asg([[0], [1]], [1, 1], 0.01)
-        val = expected_utility(utility_a, prior_a, pi, replicates=20)
+        val = expected_utility(utility_a, prior_a, pi)
         assert val == pytest.approx(1.75)
 
     def test_gasg_single_group_sample_size(self):
@@ -224,7 +223,7 @@ class TestRandomPolicy:
         assert trace.selected == ()
 
     def test_singleton_average(self, utility_a, prior_a):
-        val = expected_utility(utility_a, prior_a, random_policy(1), replicates=400)
+        val = expected_utility(utility_a, prior_a, random_policy(1))
         assert val == pytest.approx(1.0, abs=0.1)
 
 
