@@ -157,7 +157,8 @@ RUN_COLUMNS = ["policy", "params", "f_avg", "stderr", "delta_evals", "f_evals",
 @click.option("--instance", "instance_path", type=click.Path(exists=True), required=True)
 @click.option("--policy", "policy_specs", multiple=True,
               help="Policy descriptor; repeatable.")
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seeds the rollouts of --mode mc; exact mode samples nothing.")
 @click.option("--mode", type=click.Choice(["exact", "mc"]), default="exact",
               show_default=True)
 @click.option("--samples", type=int, default=10_000, show_default=True,
@@ -167,9 +168,13 @@ def run(instance_path, policy_specs, seed, mode, samples, out):
     """Evaluate policies on an instance; one CSV row per policy plus the oracle.
 
     Exact mode reports each policy's exact expected utility over the item
-    states and its own internal randomness (stderr 0); delta_evals counts
-    the Delta calls of that one evaluation.  mc mode estimates it from
-    --samples seeded rollouts, with their standard error.
+    states and its own internal randomness (stderr 0).  Its delta_evals
+    counts the Delta calls of that one evaluation: for asg and gasg every
+    visited history prices its whole pool, so this is the cost of the
+    evaluation, not the policy's per-run Delta budget (see `bench`).  A
+    policy tree over the exact-evaluation size cap exits 3; --mode mc
+    estimates the value from --samples seeded rollouts, with their standard
+    error.
     """
     inst = _load(instance_path)
     try:
@@ -185,7 +190,10 @@ def run(instance_path, policy_specs, seed, mode, samples, out):
         f = inst.utility()
         t0 = time.perf_counter()
         if mode == "exact":
-            favg, se = expected_utility(f, inst.prior, pi), 0.0
+            try:
+                favg, se = expected_utility(f, inst.prior, pi), 0.0
+            except InstanceTooLarge as exc:
+                _fail(EXIT_TOO_LARGE, "%s; use --mode mc" % exc)
         else:
             favg, se = expected_utility(f, inst.prior, pi, mode="mc",
                                         samples=samples, seed=seed)

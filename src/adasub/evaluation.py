@@ -6,7 +6,10 @@ decision_distribution, which averages over the internal randomness exactly,
 or, for a fixed master seed, the point mass of the seeded decide (whose
 stream is derived from the seed and the history).  The recursion branches
 over each chosen item's posterior states and is memoized on (history,
-constraint state) unless the policy's choice depends on the path.  Policies
+constraint state) unless the policy's choice depends on the path.  Before
+recursing it bounds the number of histories it could visit and refuses trees
+over EXACT_MAX_HISTORIES: a randomized policy's tree grows with every item it
+may choose, up to C(n, j) * m^j histories at depth j.  Policies
 with no single decision stream (concatenations, whose second phase forgets
 the history) fall back to enumerating the prior support and running a
 rollout per realization.
@@ -25,10 +28,31 @@ from .core import (
     condition,
     expected_set_value,
 )
-from .errors import ExactModeUnavailable, PolicyViolation
+from .errors import ExactModeUnavailable, InstanceTooLarge, PolicyViolation
 from .policies import Policy, run_policy
 
 DEFAULT_REPLICATES = 200
+
+# Each visited history costs ~40 us and a ~320-byte memo entry (2-vCPU Xeon,
+# Python 3.11), so a tree at the cap takes under ten seconds and ~65 MiB.
+EXACT_MAX_HISTORIES = 200_000
+
+
+def exact_history_bound(pi: Policy, n: int, m: int, constraint, expand=True) -> int:
+    """Upper bound on the histories an exact evaluation of pi visits.
+
+    After j selections pi has followed at most prod(widths[:j]) item
+    sequences (each width 1 when expand is False: a seeded policy's choice
+    is a point mass); memoized, these collapse to at most C(n, j) item sets.
+    Each set carries at most m^j outcome vectors.
+    """
+    total = paths = 1
+    for j, width in enumerate(pi.decision_widths(n, constraint), 1):
+        if expand:
+            paths *= width
+        sets = paths if pi.path_dependent else min(paths, math.comb(n, j))
+        total += sets * m ** j
+    return total
 
 
 def exact_policy_value(pi: Policy, f, prior, seed=None, constraint=None,
@@ -36,7 +60,9 @@ def exact_policy_value(pi: Policy, f, prior, seed=None, constraint=None,
     """Exact f_avg of pi under the prior.
 
     seed=None averages over pi's internal randomness exactly; a given seed
-    fixes it, giving the value of that one seeded policy.
+    fixes it, giving the value of that one seeded policy.  Raises
+    InstanceTooLarge when exact_history_bound exceeds EXACT_MAX_HISTORIES;
+    expected_utility(mode="mc") estimates the value instead.
     """
     if not pi.supports_tree_eval:
         if seed is None and pi.randomized:
@@ -44,9 +70,14 @@ def exact_policy_value(pi: Policy, f, prior, seed=None, constraint=None,
                 "%s has no exact form over its internal randomness; use mode='mc'"
                 % pi.name)
         return _exact_by_enumeration(pi, f, prior, seed, constraint)
-    ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
     if constraint is None:
         constraint = pi.fresh_constraint(prior.n)
+    bound = exact_history_bound(pi, prior.n, prior.m, constraint, expand=seed is None)
+    if bound > EXACT_MAX_HISTORIES:
+        raise InstanceTooLarge(
+            "exact evaluation of %s may visit %d histories, over the cap %d"
+            % (pi.describe(), bound, EXACT_MAX_HISTORIES))
+    ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
     memo = None if pi.path_dependent else {}
     return _tree_value(pi, ctx, memo, PSI_EMPTY, constraint, pi.init_scratch())
 
@@ -101,7 +132,8 @@ def expected_utility(f, prior, pi: Policy, mode: str = "exact",
 
     Exact mode returns the exact expectation as a float, from one exact
     evaluation (seed is unused: the internal randomness is averaged out, not
-    sampled).  Monte Carlo mode returns (estimate, standard_error).
+    sampled); it raises InstanceTooLarge when the policy tree is over
+    EXACT_MAX_HISTORIES.  Monte Carlo mode returns (estimate, standard_error).
     """
     if mode == "exact":
         return exact_policy_value(pi, f, prior, constraint=constraint,

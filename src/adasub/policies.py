@@ -169,6 +169,11 @@ class Policy:
         e = self.decide(ctx, psi, cstate, self.init_scratch())
         return [] if e is None else [(e, 1.0)]
 
+    def decision_widths(self, n: int, cstate) -> list:
+        """Upper bounds, one per selection from the empty history on, on how
+        many items decision_distribution returns."""
+        return [1] * min(cstate.total_budget(), n)
+
     def run_on(self, ctx: EvalContext, phi, cstate=None) -> PolicyTrace:
         """Select-observe loop on a fixed realization; selections are irrevocable."""
         if cstate is None:
@@ -371,6 +376,13 @@ class _BestOfSamplePolicy(Policy):
         return [(e, math.comb(size - 1 - j, s - 1) / draws)
                 for j, e in enumerate(ranked[:size - s + 1])]
 
+    def _draw_sizes(self, n, cstate):
+        """(pool size, sample size) of each selection from the empty history on."""
+        raise NotImplementedError
+
+    def decision_widths(self, n, cstate):
+        return [size - s + 1 for size, s in self._draw_sizes(n, cstate)]
+
 
 class AdaptiveStochasticGreedyPolicy(_BestOfSamplePolicy):
     """Each round: subsample the unselected items, select the best of the sample.
@@ -399,6 +411,10 @@ class AdaptiveStochasticGreedyPolicy(_BestOfSamplePolicy):
     def _sample_space(self, ctx, psi, cstate):
         pool = _feasible_pool(ctx, psi, cstate)
         return pool, sample_budget(len(pool), ctx.n, self.k, self.epsilon)
+
+    def _draw_sizes(self, n, cstate):
+        sizes = range(n, n - min(cstate.total_budget(), n), -1)
+        return [(size, sample_budget(size, n, self.k, self.epsilon)) for size in sizes]
 
 
 class RandomPolicy(Policy):
@@ -431,6 +447,9 @@ class RandomPolicy(Policy):
     def decision_distribution(self, ctx, psi, cstate):
         pool = _feasible_pool(ctx, psi, cstate)
         return [(e, 1.0 / len(pool)) for e in pool]
+
+    def decision_widths(self, n, cstate):
+        return list(range(n, n - min(cstate.total_budget(), n), -1))
 
 
 class _PartitionPolicy(Policy):
@@ -508,6 +527,16 @@ class GeneralizedASGPolicy(_PartitionPolicy, _BestOfSamplePolicy):
         group = self.constraint.groups[i]
         limit = self.constraint.remaining[i]
         return pool, sample_budget(len(pool), len(group), limit, self.epsilon)
+
+    def _draw_sizes(self, n, cstate):
+        out = []
+        for i in self.order:
+            group = self.constraint.groups[i]
+            limit = self.constraint.remaining[i]
+            for t in range(min(cstate.remaining[i], len(group))):
+                size = len(group) - t
+                out.append((size, sample_budget(size, len(group), limit, self.epsilon)))
+        return out
 
 
 class ConcatPolicy(Policy):

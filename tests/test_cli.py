@@ -56,6 +56,30 @@ class TestGen:
 
 
 class TestRun:
+    def test_tree_over_exact_cap_exits_three(self, runner, tmp_path):
+        path = tmp_path / "big.json"
+        save_instance(generate_coverage(30, 2, 12, 0.3, seed=1, k=5), path)
+        out = tmp_path / "run.csv"
+        args = ["run", "--instance", str(path), "--policy", "greedy(k=5)",
+                "--policy", "random(k=5)", "--out", str(out)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3, res.output
+        assert "histories" in res.output and "--mode mc" in res.output
+        res = runner.invoke(main, args + ["--mode", "mc", "--samples", "20"])
+        assert res.exit_code == 0, res.output
+        assert [r["policy"] for r in read_rows(out)] == ["greedy", "random"]
+
+    def test_seed_defaults_to_zero(self, runner, instance_a_path, tmp_path):
+        outs = []
+        for extra in ([], ["--seed", "0"]):
+            out = tmp_path / ("r%d.csv" % len(extra))
+            res = runner.invoke(main, ["run", "--instance", instance_a_path,
+                                       "--policy", "random(k=1)", "--mode", "mc",
+                                       "--samples", "50", "--out", str(out)] + extra)
+            assert res.exit_code == 0, res.output
+            outs.append([(r["f_avg"], r["stderr"]) for r in read_rows(out)])
+        assert outs[0] == outs[1]
+
     def test_greedy_attains_optimum_on_instance_a(self, runner, instance_a_path, tmp_path):
         out = tmp_path / "run.csv"
         res = runner.invoke(main, ["run", "--instance", instance_a_path,
@@ -99,10 +123,19 @@ class TestRun:
         assert outs[0] == outs[1]
 
 
-def test_in_process_run_leaves_no_reference_cycles(instance_a_path, tmp_path):
-    # Cyclic garbage (a memo table held by a self-referencing closure, a
-    # stream kept by click's per-stream cache) outlives the call until a
-    # full collection, which raises peak memory when run is called in-process.
+def _memo_tables():
+    """Live oracle and exact-evaluation memos: dicts keyed by
+    (history pairs, constraint key)."""
+    return [o for o in gc.get_objects()
+            if type(o) is dict and o and all(
+                type(k) is tuple and len(k) == 2 and type(k[1]) is tuple
+                and k[1][:1] in (("card",), ("part",)) for k in o)]
+
+
+def test_in_process_run_frees_memos_and_stream(instance_a_path, tmp_path):
+    # A memo table held by a self-referencing closure, or a stream kept by
+    # click's per-stream cache, outlives the call until a full collection,
+    # which raises peak memory when run is called in-process.
     args = ["run", "--instance", instance_a_path, "--policy", "greedy(k=2)",
             "--policy", "asg(k=2,eps=0.3)", "--policy", "random(k=1)",
             "--seed", "3", "--out", str(tmp_path / "run.csv")]
@@ -110,13 +143,14 @@ def test_in_process_run_leaves_no_reference_cycles(instance_a_path, tmp_path):
     gc.collect()
     gc.disable()
     try:
+        before = {id(t) for t in _memo_tables()}
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             main.main(args=args, prog_name="adasub", standalone_mode=False)
         stream = weakref.ref(buf)
         del buf
         assert stream() is None
-        assert gc.collect() == 0
+        assert [t for t in _memo_tables() if id(t) not in before] == []
     finally:
         gc.enable()
 

@@ -8,6 +8,7 @@ no rank formula.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -16,6 +17,7 @@ from adasub import (
     CoverageUtility,
     ExactModeUnavailable,
     IndependentPrior,
+    InstanceTooLarge,
     PSI_EMPTY,
     adaptive_greedy,
     adaptive_stochastic_greedy,
@@ -28,6 +30,8 @@ from adasub import (
     locally_greedy,
     random_policy,
 )
+from adasub import evaluation
+from adasub.evaluation import EXACT_MAX_HISTORIES, exact_history_bound
 from adasub.policies import FixedSequencePolicy, PartitionConstraint, sample_budget
 
 
@@ -177,3 +181,61 @@ def test_randomized_concat_has_no_exact_mode(utility_a, prior_a):
         expected_utility(utility_a, prior_a, pi)
     est, _ = expected_utility(utility_a, prior_a, pi, mode="mc", samples=200, seed=1)
     assert 0.0 <= est <= 2.0
+
+
+def visited_histories(monkeypatch, pi, f, prior, seed=None):
+    """Value of pi and the number of histories its exact evaluation expands."""
+    seen = []
+    inner = evaluation._tree_value
+
+    def counting(pi_, ctx, memo, psi, cstate, scratch):
+        if memo is None or (psi.pairs, cstate.key()) not in memo:
+            seen.append((psi.pairs, cstate.key()))
+        return inner(pi_, ctx, memo, psi, cstate, scratch)
+
+    monkeypatch.setattr(evaluation, "_tree_value", counting)
+    value = exact_policy_value(pi, f, prior, seed=seed)
+    monkeypatch.undo()
+    return value, len(seen)
+
+
+def test_history_bound_covers_every_evaluation(monkeypatch):
+    for seed in range(6):
+        groups, limits = [[0, 1, 2], [3, 4, 5]], [2, 1]
+        inst = generate_coverage(n=6, m=2, universe_size=6, density=0.35, seed=600 + seed,
+                                 groups=groups, limits=limits)
+        policies = (adaptive_stochastic_greedy(3, 0.3), adaptive_stochastic_greedy(2, 0.5),
+                    random_policy(3), adaptive_greedy(3), adaptive_greedy(3, "lazy"),
+                    generalized_asg(groups, limits, 0.5), locally_greedy(groups, limits))
+        for pi in policies:
+            constraint = pi.fresh_constraint(inst.n)
+            for s in (None, 0):
+                _, visited = visited_histories(monkeypatch, pi, inst.utility(), inst.prior, s)
+                bound = exact_history_bound(pi, inst.n, inst.prior.m, constraint,
+                                            expand=s is None)
+                assert visited <= bound, (pi.describe(), s)
+
+
+def test_history_bound_is_tight_for_random(monkeypatch):
+    # every item has both states with positive probability, and random may
+    # choose any unselected item, so all C(n, j) * m^j histories occur
+    prior = IndependentPrior([[0.3, 0.7], [0.5, 0.5], [0.6, 0.4], [0.2, 0.8], [0.9, 0.1]])
+    f = CoverageUtility(weights=(1.0, 2.0, 0.5),
+                        covers=((0b001, 0b011), (0b000, 0b110), (0b100, 0b101),
+                                (0b010, 0b010), (0b000, 0b111)))
+    pi = random_policy(3)
+    _, visited = visited_histories(monkeypatch, pi, f, prior)
+    assert visited == sum(math.comb(5, j) * 2 ** j for j in range(4))
+    assert exact_history_bound(pi, 5, 2, pi.fresh_constraint(5)) == visited
+
+
+def test_tree_over_the_cap_is_refused_before_any_work():
+    inst = generate_coverage(n=30, m=2, universe_size=12, density=0.3, seed=1, k=5)
+    for pi in (random_policy(5), adaptive_stochastic_greedy(5, 0.1)):
+        f = inst.utility()
+        assert exact_history_bound(pi, 30, 2, pi.fresh_constraint(30)) > EXACT_MAX_HISTORIES
+        with pytest.raises(InstanceTooLarge, match="histories"):
+            expected_utility(f, inst.prior, pi)
+        assert f.delta_counter == 0 and f.f_counter == 0
+        # a seeded policy's tree is a point mass per history: 2^5 leaves
+        assert exact_policy_value(pi, inst.utility(), inst.prior, seed=3) > 0.0
