@@ -1,37 +1,35 @@
 """Exact and Monte Carlo evaluation of policy expected utility.
 
-Exact evaluation recurses over the policy's decision tree.  At each
-observation history the policy's choice is a distribution over items: its
-decision_distribution, which averages over the internal randomness exactly,
-or, for a fixed master seed, the point mass of the seeded decide (whose
-stream is derived from the seed and the history).  The recursion branches
-over each chosen item's posterior states and is memoized on (history,
-constraint state) unless the policy's choice depends on the path.  Before
-recursing it bounds the number of histories it could visit and refuses trees
-over EXACT_MAX_HISTORIES: a randomized policy's tree grows with every item it
-may choose, up to C(n, j) * m^j histories at depth j.  Policies
-with no single decision stream (concatenations, whose second phase forgets
-the history) fall back to enumerating the prior support and running a
-rollout per realization.
+One recursion over observation histories, HistoryRecursion, serves exact
+policy evaluation here and the optimum in adasub.oracle: both are the same
+expectation over histories, memoized on (history, constraint state), where
+the optimum takes a max and a policy its own choice.  A policy's choice is
+its decision_distribution, which averages over the internal randomness
+exactly, or, for a fixed master seed, the point mass of the seeded decide
+(whose stream is derived from the seed and the history).  Exact evaluation
+first bounds the histories it could visit and refuses trees over
+EXACT_MAX_HISTORIES: a randomized policy may reach C(n, j) * m^j histories
+at depth j.  Policies with no single decision stream (concatenations, whose
+second phase forgets the history) fall back to enumerating the prior support
+and running a rollout per realization.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import random
-from typing import Optional
 
 from .core import (
     EvalContext,
     PSI_EMPTY,
+    PartialRealization,
     condition,
     expected_set_value,
 )
 from .errors import ExactModeUnavailable, InstanceTooLarge, PolicyViolation
 from .policies import Policy, run_policy
-
-DEFAULT_REPLICATES = 200
 
 # Each visited history costs ~40 us and a ~320-byte memo entry (2-vCPU Xeon,
 # Python 3.11), so a tree at the cap takes under ten seconds and ~65 MiB.
@@ -55,6 +53,72 @@ def exact_history_bound(pi: Policy, n: int, m: int, constraint, expand=True) -> 
     return total
 
 
+class HistoryRecursion:
+    """Expected final utility over observation histories.
+
+    value(psi, cstate) is rule(self, psi, cstate, scratch), which either
+    stops, worth stop(psi) = E[f(dom psi) | psi], or combines
+    branch(psi, cstate, e, scratch) = sum_o p(o | psi) * value(psi + (e, o),
+    cstate after e) over items.  Values are memoized on (psi, constraint key)
+    unless memoize is False; only then does each branch copy the scratch.
+    Branching and stopping also condition on `given`, which the rule does not
+    see.  nodes counts rule calls, hits memo hits.
+    """
+
+    def __init__(self, f, prior, rule, memoize=True, given=PSI_EMPTY):
+        self.f, self.prior, self.rule, self.given = f, prior, rule, given
+        self.memo = {} if memoize else None
+        self.nodes = self.hits = 0
+
+    def value(self, psi, cstate, scratch=None):
+        memo = self.memo
+        if memo is not None:
+            key = (psi.pairs, cstate.key())
+            value = memo.get(key)
+            if value is not None:
+                self.hits += 1
+                return value
+        self.nodes += 1
+        value = self.rule(self, psi, cstate, scratch)
+        if memo is not None:
+            memo[key] = value
+        return value
+
+    def _evidence(self, psi):
+        if not self.given:
+            return psi
+        return PartialRealization.of({**self.given.as_dict(), **psi.as_dict()})
+
+    def stop(self, psi):
+        evidence = self._evidence(psi)
+        return expected_set_value(self.f, self.prior, evidence, evidence.domain())
+
+    def branch(self, psi, cstate, e, scratch=None):
+        nxt = cstate.after(e)
+        total = 0.0
+        for o, p in self.prior.item_posterior(e, self._evidence(psi)):
+            child = scratch if self.memo is not None else copy.deepcopy(scratch)
+            total += p * self.value(psi.with_observation(e, o), nxt, child)
+        return total
+
+
+def _policy_node(pi, ctx, rec, psi, cstate, scratch):
+    """pi's node rule: stop, or average the branches over its choice."""
+    if ctx.seed is None and not pi.path_dependent:
+        choices = pi.decision_distribution(ctx, psi, cstate)
+    else:
+        e = pi.decide(ctx, psi, cstate, scratch)
+        choices = [] if e is None else [(e, 1.0)]
+    if not choices:
+        return rec.stop(psi)
+    value = 0.0
+    for e, q in choices:
+        if e in psi or not cstate.can_select(e):
+            raise PolicyViolation("%s chose infeasible item %d" % (pi.name, e))
+        value += q * rec.branch(psi, cstate, e, scratch)
+    return value
+
+
 def exact_policy_value(pi: Policy, f, prior, seed=None, constraint=None,
                        delta_cache=None) -> float:
     """Exact f_avg of pi under the prior.
@@ -64,12 +128,22 @@ def exact_policy_value(pi: Policy, f, prior, seed=None, constraint=None,
     InstanceTooLarge when exact_history_bound exceeds EXACT_MAX_HISTORIES;
     expected_utility(mode="mc") estimates the value instead.
     """
+    return _policy_value(pi, f, prior, PSI_EMPTY, seed, constraint, delta_cache)
+
+
+def _policy_value(pi, f, prior, given, seed, constraint, delta_cache=None):
+    """E[f(dom given + pi's selections) | given], pi run from an empty history."""
     if not pi.supports_tree_eval:
         if seed is None and pi.randomized:
             raise ExactModeUnavailable(
                 "%s has no exact form over its internal randomness; use mode='mc'"
                 % pi.name)
-        return _exact_by_enumeration(pi, f, prior, seed, constraint)
+        total = 0.0
+        for phi, p in prior.support(given):
+            trace = run_policy(pi, f, prior, phi, constraint=constraint, seed=seed)
+            union = tuple(sorted(set(given.domain()) | set(trace.selected)))
+            total += p * f.value(union, phi)
+        return total
     if constraint is None:
         constraint = pi.fresh_constraint(prior.n)
     bound = exact_history_bound(pi, prior.n, prior.m, constraint, expand=seed is None)
@@ -78,51 +152,9 @@ def exact_policy_value(pi: Policy, f, prior, seed=None, constraint=None,
             "exact evaluation of %s may visit %d histories, over the cap %d"
             % (pi.describe(), bound, EXACT_MAX_HISTORIES))
     ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
-    memo = None if pi.path_dependent else {}
-    return _tree_value(pi, ctx, memo, PSI_EMPTY, constraint, pi.init_scratch())
-
-
-def _tree_value(pi, ctx, memo, psi, cstate, scratch):
-    """Expected final utility of pi from history psi.
-
-    memo maps (psi, constraint key) to the value; it is None for a
-    path-dependent policy, which recurses per path with its own scratch.
-    """
-    if memo is not None:
-        key = (psi.pairs, cstate.key())
-        value = memo.get(key)
-        if value is not None:
-            return value
-    if memo is not None and ctx.seed is None:
-        choices = pi.decision_distribution(ctx, psi, cstate)
-    else:
-        e = pi.decide(ctx, psi, cstate, scratch)
-        choices = [] if e is None else [(e, 1.0)]
-    if not choices:
-        value = expected_set_value(ctx.f, ctx.prior, psi, psi.domain())
-    else:
-        value = 0.0
-        for e, q in choices:
-            if e in psi or not cstate.can_select(e):
-                raise PolicyViolation("%s chose infeasible item %d" % (pi.name, e))
-            nxt = cstate.after(e)
-            total = 0.0
-            for o, p in ctx.prior.item_posterior(e, psi):
-                branch_scratch = copy.deepcopy(scratch) if scratch else {}
-                total += p * _tree_value(pi, ctx, memo, psi.with_observation(e, o), nxt,
-                                         branch_scratch)
-            value += q * total
-    if memo is not None:
-        memo[key] = value
-    return value
-
-
-def _exact_by_enumeration(pi, f, prior, seed, constraint):
-    total = 0.0
-    for phi, p in prior.support():
-        trace = run_policy(pi, f, prior, phi, constraint=constraint, seed=seed)
-        total += p * trace.value
-    return total
+    rec = HistoryRecursion(f, prior, functools.partial(_policy_node, pi, ctx),
+                           memoize=not pi.path_dependent, given=given)
+    return rec.value(PSI_EMPTY, constraint, pi.init_scratch())
 
 
 def expected_utility(f, prior, pi: Policy, mode: str = "exact",
@@ -153,34 +185,28 @@ def expected_utility(f, prior, pi: Policy, mode: str = "exact",
 
 
 def policy_marginal(f, prior, psi, pi: Policy, mode: str = "exact",
-                    samples: int = 10_000, seed=0,
-                    replicates: int = DEFAULT_REPLICATES,
-                    constraint=None) -> float:
+                    samples: int = 10_000, seed=0, constraint=None) -> float:
     """Expected gain of running pi (from an empty history) on top of psi.
 
     E[f(dom(psi) | union E(pi, Phi), Phi) - f(dom(psi), Phi)] over
-    realizations consistent with psi.
+    realizations consistent with psi; pi decides from its own observations
+    only, under the unconditioned prior.  Exact mode is exact over pi's
+    internal randomness as well (seed is unused) and has exact_policy_value's
+    size cap and its ExactModeUnavailable for a randomized concat; mc mode
+    averages `samples` seeded rollouts.
     """
-    dom = psi.domain()
-
-    def gain(phi, rollout_seed):
-        trace = run_policy(pi, f, prior, phi, constraint=constraint, seed=rollout_seed)
-        union = tuple(sorted(set(dom) | set(trace.selected)))
-        return f.value(union, phi) - f.value(dom, phi)
-
-    cond = condition(prior, psi)
     if mode == "exact":
-        seeds = ["%s:%d" % (seed, r) for r in range(replicates)] if pi.randomized else [seed]
-        support = cond.support()
-        total = 0.0
-        for s in seeds:
-            total += sum(p * gain(phi, s) for phi, p in support)
-        return total / len(seeds)
+        return (_policy_value(pi, f, prior, psi, None, constraint)
+                - expected_set_value(f, prior, psi, psi.domain()))
     if mode != "mc":
         raise ValueError("unknown mode %r" % mode)
+    dom = psi.domain()
+    cond = condition(prior, psi)
     rng = random.Random("%s#pm" % seed)
     acc = 0.0
     for i in range(samples):
         phi = cond.sample(rng)
-        acc += gain(phi, "%s#%d" % (seed, i))
+        trace = run_policy(pi, f, prior, phi, constraint=constraint, seed="%s#%d" % (seed, i))
+        union = tuple(sorted(set(dom) | set(trace.selected)))
+        acc += f.value(union, phi) - f.value(dom, phi)
     return acc / samples

@@ -83,17 +83,6 @@ def _mask_of(elems):
     return mask
 
 
-def _elems_of(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # generation
 

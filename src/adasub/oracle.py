@@ -1,11 +1,12 @@
 """Exhaustive optimal adaptive policy value on small instances.
 
-The recursion over partial realizations computes
+The optimum is the exact policy value's recursion over partial realizations
+(evaluation.HistoryRecursion) with the policy's choice replaced by a max:
 
     V(psi) = max( E[f(dom(psi), Phi) | psi],
                   max_e sum_o Pr[Phi_e = o | psi] * V(psi + (e, o)) )
 
-memoized on (canonical psi, remaining budget).  The explicit stop branch
+memoized on (canonical psi, constraint state).  The explicit stop branch
 keeps the oracle correct for non-monotone tabular utilities.  Hard instance
 caps fail loudly; ground truth is this module's only job.
 """
@@ -14,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PSI_EMPTY, PartialRealization, condition, expected_set_value
+from .core import PSI_EMPTY, PartialRealization, expected_set_value
 from .errors import InstanceTooLarge
+from .evaluation import HistoryRecursion
 from .policies import CardinalityConstraint
 
 VALUE_TOL = 1e-12
@@ -44,61 +46,48 @@ def _check_caps(prior, constraint, caps: OracleCaps):
         raise InstanceTooLarge("n=%d exceeds oracle cap %d" % (prior.n, caps.max_items))
     if prior.m > caps.max_states:
         raise InstanceTooLarge("m=%d exceeds oracle cap %d" % (prior.m, caps.max_states))
-    budget = constraint.total_budget()
+    # A budget over n cannot be spent; such instances are accepted and clamped.
+    budget = min(constraint.total_budget(), prior.n)
     if budget > caps.max_budget:
         raise InstanceTooLarge("budget %d exceeds oracle cap %d" % (budget, caps.max_budget))
 
 
 def _solve(f, prior, constraint, base: PartialRealization, selectable=None,
-           caps: OracleCaps = DEFAULT_CAPS, use_cache: bool = True) -> OracleResult:
+           caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
     _check_caps(prior, constraint, caps)
-    memo = {}
-    stats = {"nodes": 0, "hits": 0}
+    pool = range(prior.n) if selectable is None else selectable
+    first = []
 
-    def V(psi, cstate):
-        key = (psi.pairs, cstate.key())
-        cached = memo.get(key) if use_cache else None
-        if cached is not None:
-            stats["hits"] += 1
-            return cached
-        stats["nodes"] += 1
-        stop_value = expected_set_value(f, prior, psi, psi.domain())
-        best = stop_value
+    def best_choice(rec, psi, cstate, scratch):
+        """Max of stopping and every feasible branch; ties within VALUE_TOL."""
+        best = rec.stop(psi)
         best_items = []
-        pool = range(prior.n) if selectable is None else selectable
         for e in pool:
             if e in psi or not cstate.can_select(e):
                 continue
-            posterior = condition(prior, psi).item_posterior(e)
-            nxt = cstate.after(e)
-            val = 0.0
-            for o, p in posterior:
-                val += p * V(psi.with_observation(e, o), nxt)[0]
+            val = rec.branch(psi, cstate, e)
             if val > best + VALUE_TOL:
                 best = val
                 best_items = [e]
             elif val >= best - VALUE_TOL:
                 best_items.append(e)
-        result = (best, tuple(best_items))
-        memo[key] = result
-        return result
+        first[:] = best_items       # the root's call finishes last
+        return best
 
-    value, first = V(base, constraint)
-    # V refers to itself through its closure; unbinding it frees the memo
-    # table now instead of at the next full garbage collection.
-    del V
-    return OracleResult(value, first, stats["nodes"], stats["hits"])
+    rec = HistoryRecursion(f, prior, best_choice)
+    value = rec.value(base, constraint)
+    return OracleResult(value, tuple(first), rec.nodes, rec.hits)
 
 
 def optimal_value(f, prior, constraint, base: PartialRealization = PSI_EMPTY,
-                  caps: OracleCaps = DEFAULT_CAPS, use_cache: bool = True) -> OracleResult:
+                  caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
     """Optimal adaptive f_avg under the constraint, from observations `base`.
 
     For an empty base the value is absolute; for a nonempty base it is the
     expected gain over E[f(dom(base), Phi) | base] (the marginal form used
     by the restricted-policy checker).
     """
-    res = _solve(f, prior, constraint, base, caps=caps, use_cache=use_cache)
+    res = _solve(f, prior, constraint, base, caps=caps)
     if len(base) > 0:
         res.value -= expected_set_value(f, prior, base, base.domain())
     return res

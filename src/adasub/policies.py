@@ -87,9 +87,6 @@ class PartitionConstraint:
                 out[e] = i
         return out
 
-    def group_of(self, e: int) -> Optional[int]:
-        return self._group_of.get(e)
-
     def can_select(self, e: int) -> bool:
         i = self._group_of.get(e)
         return i is not None and self.remaining[i] > 0
@@ -457,6 +454,7 @@ class _PartitionPolicy(Policy):
 
     def __init__(self, groups, limits, order=None):
         self.constraint = PartitionConstraint.of(groups, limits)
+        self.limits = self.constraint.remaining     # the fixed budgets d_i
         b = len(self.constraint.groups)
         self.order = tuple(int(i) for i in (order if order is not None else range(b)))
         if sorted(self.order) != list(range(b)):
@@ -513,7 +511,7 @@ class GeneralizedASGPolicy(_PartitionPolicy, _BestOfSamplePolicy):
         super().__init__(groups, limits, order)
         if not 0.0 < epsilon < 1.0:
             raise ValidationError("epsilon must be in (0,1)")
-        if any(d < 1 for d in self.constraint.remaining):
+        if any(d < 1 for d in self.limits):
             raise ValidationError("every group budget must be >= 1")
         self.epsilon = epsilon
 
@@ -525,17 +523,15 @@ class GeneralizedASGPolicy(_PartitionPolicy, _BestOfSamplePolicy):
         if i is None:
             return [], 0
         group = self.constraint.groups[i]
-        limit = self.constraint.remaining[i]
-        return pool, sample_budget(len(pool), len(group), limit, self.epsilon)
+        return pool, sample_budget(len(pool), len(group), self.limits[i], self.epsilon)
 
     def _draw_sizes(self, n, cstate):
         out = []
         for i in self.order:
             group = self.constraint.groups[i]
-            limit = self.constraint.remaining[i]
             for t in range(min(cstate.remaining[i], len(group))):
                 size = len(group) - t
-                out.append((size, sample_budget(size, len(group), limit, self.epsilon)))
+                out.append((size, sample_budget(size, len(group), self.limits[i], self.epsilon)))
         return out
 
 
@@ -558,7 +554,6 @@ class ConcatPolicy(Policy):
         return {"first": self.first.describe(), "second": self.second.describe()}
 
     def run_on(self, ctx, phi, cstate=None):
-        from .core import EvalContext
         ctx1 = EvalContext(ctx.f, ctx.prior, seed="%s/1" % ctx.seed,
                            delta_cache=ctx.delta_cache, mode=ctx.mode,
                            mc_samples=ctx.mc_samples)

@@ -229,6 +229,24 @@ class TestOracle:
         res = runner.invoke(main, ["oracle", "--instance", str(path)])
         assert res.exit_code == 3
 
+    def test_budget_over_n_is_clamped(self, runner, tmp_path):
+        # k=8 on n=5 items cannot be spent: the file solves as k=5
+        spec = json.loads(dumps_instance(generate_coverage(5, 2, 8, 0.3, seed=4, k=5)))
+        outputs = []
+        for k in (5, 8):
+            spec["constraint"]["k"] = k
+            path = tmp_path / ("k%d.json" % k)
+            path.write_text(json.dumps(spec))
+            res = runner.invoke(main, ["oracle", "--instance", str(path)])
+            assert res.exit_code == 0, res.output
+            outputs.append(res.output)
+        assert outputs[0] == outputs[1]
+        out = tmp_path / "run.csv"
+        res = runner.invoke(main, ["run", "--instance", str(path), "--policy", "greedy(k=8)",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert read_rows(out)[0]["ratio"] == "1"
+
 
 class TestBench:
     def test_asg_counts_against_caps(self, runner, tmp_path):

@@ -19,15 +19,18 @@ from adasub import (
     IndependentPrior,
     InstanceTooLarge,
     PSI_EMPTY,
+    PartialRealization,
     adaptive_greedy,
     adaptive_stochastic_greedy,
     concat,
     empty_policy,
     exact_policy_value,
+    expected_set_value,
     expected_utility,
     generalized_asg,
     generate_coverage,
     locally_greedy,
+    policy_marginal,
     random_policy,
 )
 from adasub import evaluation
@@ -186,14 +189,14 @@ def test_randomized_concat_has_no_exact_mode(utility_a, prior_a):
 def visited_histories(monkeypatch, pi, f, prior, seed=None):
     """Value of pi and the number of histories its exact evaluation expands."""
     seen = []
-    inner = evaluation._tree_value
+    inner = evaluation.HistoryRecursion.value
 
-    def counting(pi_, ctx, memo, psi, cstate, scratch):
-        if memo is None or (psi.pairs, cstate.key()) not in memo:
+    def counting(rec, psi, cstate, scratch=None):
+        if rec.memo is None or (psi.pairs, cstate.key()) not in rec.memo:
             seen.append((psi.pairs, cstate.key()))
-        return inner(pi_, ctx, memo, psi, cstate, scratch)
+        return inner(rec, psi, cstate, scratch)
 
-    monkeypatch.setattr(evaluation, "_tree_value", counting)
+    monkeypatch.setattr(evaluation.HistoryRecursion, "value", counting)
     value = exact_policy_value(pi, f, prior, seed=seed)
     monkeypatch.undo()
     return value, len(seen)
@@ -239,3 +242,51 @@ def test_tree_over_the_cap_is_refused_before_any_work():
         assert f.delta_counter == 0 and f.f_counter == 0
         # a seeded policy's tree is a point mass per history: 2^5 leaves
         assert exact_policy_value(pi, inst.utility(), inst.prior, seed=3) > 0.0
+
+
+def reference_marginal(f, prior, psi, cstate, candidate_sets):
+    """E[f(dom psi + selections) - f(dom psi) | psi] for a policy that starts
+    from an empty history on each realization, averaged over every candidate
+    set it may draw."""
+    dom = psi.domain()
+
+    def gain(phi, history, cstate):
+        sets = candidate_sets(history, cstate)
+        if not sets:
+            union = tuple(sorted(set(dom) | set(history.domain())))
+            return f.value(union, phi) - f.value(dom, phi)
+        total = 0.0
+        for cand in sets:
+            delta = {e: explicit_delta(f, prior, history, e) for e in cand}
+            best = min(cand, key=lambda e: (-delta[e], e))
+            total += gain(phi, history.with_observation(best, phi[best]), cstate.after(best))
+        return total / len(sets)
+
+    return sum(p * gain(phi, PSI_EMPTY, cstate) for phi, p in prior.support(psi))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_policy_marginal_matches_the_reference(seed):
+    # psi's items stay in every policy's pool: a policy that does not see psi
+    # may select them again, and then observes psi's states
+    n, groups, limits, order = PARTITION_SHAPES[seed % len(PARTITION_SHAPES)]
+    k, eps = 2 + seed % 2, (0.5, 0.3, 0.1)[seed % 3]
+    inst = generate_coverage(n=n, m=2, universe_size=6, density=0.35, seed=700 + seed,
+                             groups=groups, limits=limits)
+    f, prior = inst.utility(), inst.prior
+    psi = PartialRealization.of({1: prior.item_states(1)[-1], n - 2: prior.item_states(n - 2)[0]})
+    cases = ((adaptive_stochastic_greedy(k, eps), CardinalityConstraint(k), asg_sets(n, k, eps)),
+             (random_policy(k), CardinalityConstraint(k), random_sets(n)),
+             (generalized_asg(groups, limits, eps, order),
+              PartitionConstraint.of(groups, limits), gasg_sets(groups, limits, eps, order)))
+    for pi, cstate, sets in cases:
+        val = policy_marginal(f, prior, psi, pi)
+        assert abs(val - reference_marginal(f, prior, psi, cstate, sets)) <= 1e-12, pi.name
+        assert (policy_marginal(f, prior, PSI_EMPTY, pi)
+                == exact_policy_value(pi, f, prior) - expected_set_value(f, prior, PSI_EMPTY, ()))
+
+
+def test_randomized_concat_has_no_exact_policy_marginal(utility_a, prior_a):
+    pi = concat(random_policy(1), empty_policy())
+    with pytest.raises(ExactModeUnavailable):
+        policy_marginal(utility_a, prior_a, PartialRealization.of({0: 1}), pi)

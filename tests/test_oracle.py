@@ -49,12 +49,21 @@ class TestOptimalValue:
                 assert val <= opt + 1e-9
 
     def test_cache_soundness(self):
+        def brute_force(f, prior, psi, budget):
+            """max(stop, every branch), unmemoized, over the support given psi."""
+            best = sum(p * f.value(psi.domain(), phi) for phi, p in prior.support(psi))
+            for e in range(prior.n):
+                if budget and e not in psi:
+                    best = max(best, sum(
+                        p * brute_force(f, prior, psi.with_observation(e, o), budget - 1)
+                        for o, p in prior.item_posterior(e, psi)))
+            return best
+
         for seed in range(20):
             inst = generate_coverage(n=5, m=2, universe_size=6, density=0.35, seed=seed)
-            con = CardinalityConstraint(3)
-            with_cache = optimal_value(inst.utility(), inst.prior, con, use_cache=True)
-            without = optimal_value(inst.utility(), inst.prior, con, use_cache=False)
-            assert with_cache.value == pytest.approx(without.value, abs=1e-12)
+            f = inst.utility()
+            memoized = optimal_value(f, inst.prior, CardinalityConstraint(3)).value
+            assert abs(memoized - brute_force(f, inst.prior, PSI_EMPTY, 3)) <= 1e-12
 
     def test_partition_constraint(self, utility_a, prior_a):
         con = PartitionConstraint.of([[0], [1]], [1, 1])
