@@ -590,16 +590,12 @@ def marginal_utility(f: UtilityFunction, prior, psi: PartialRealization, e: int,
     """Conditional expected marginal utility of item e given observations psi.
 
     Counts one delta_counter tick; returns 0 with no f evaluations when e is
-    already observed (adding it again cannot change the selected set).
+    already observed (adding it again cannot change the selected set).  The
+    value is EvalContext.delta's, from a context made for this one call.
     """
-    f.delta_counter += 1
-    if e in psi:
-        return 0.0
-    if mode == "exact":
-        return _delta_exact(f, prior, psi, e)
-    if mode == "mc":
-        return _delta_mc(f, prior, psi, e, samples, seed)
-    raise ValueError("unknown mode %r" % mode)
+    if mode not in ("exact", "mc"):
+        raise ValueError("unknown mode %r" % mode)
+    return EvalContext(f, prior, seed=seed, mode=mode, mc_samples=samples).delta(e, psi)
 
 
 class EvalContext:

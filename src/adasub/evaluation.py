@@ -61,6 +61,7 @@ class HistoryRecursion:
     branch(psi, cstate, e, scratch) = sum_o p(o | psi) * value(psi + (e, o),
     cstate after e) over items.  Values are memoized on (psi, constraint key)
     unless memoize is False; only then does each branch copy the scratch.
+    Stop values depend on psi alone and are always memoized on it.
     Branching and stopping also condition on `given`, which the rule does not
     see.  nodes counts rule calls, hits memo hits.
     """
@@ -68,6 +69,7 @@ class HistoryRecursion:
     def __init__(self, f, prior, rule, memoize=True, given=PSI_EMPTY):
         self.f, self.prior, self.rule, self.given = f, prior, rule, given
         self.memo = {} if memoize else None
+        self.stops = {}
         self.nodes = self.hits = 0
 
     def value(self, psi, cstate, scratch=None):
@@ -90,8 +92,12 @@ class HistoryRecursion:
         return PartialRealization.of({**self.given.as_dict(), **psi.as_dict()})
 
     def stop(self, psi):
-        evidence = self._evidence(psi)
-        return expected_set_value(self.f, self.prior, evidence, evidence.domain())
+        value = self.stops.get(psi.pairs)
+        if value is None:
+            evidence = self._evidence(psi)
+            value = self.stops[psi.pairs] = expected_set_value(
+                self.f, self.prior, evidence, evidence.domain())
+        return value
 
     def branch(self, psi, cstate, e, scratch=None):
         nxt = cstate.after(e)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PSI_EMPTY, PartialRealization, expected_set_value
-from .errors import InstanceTooLarge
+from .core import PSI_EMPTY, PartialRealization
+from .errors import InstanceTooLarge, ValidationError
 from .evaluation import HistoryRecursion
-from .policies import CardinalityConstraint
 
 VALUE_TOL = 1e-12
 
@@ -52,30 +51,36 @@ def _check_caps(prior, constraint, caps: OracleCaps):
         raise InstanceTooLarge("budget %d exceeds oracle cap %d" % (budget, caps.max_budget))
 
 
-def _solve(f, prior, constraint, base: PartialRealization, selectable=None,
+def _best_choice(rec, psi, cstate, first):
+    """Max of stopping and every feasible branch; ties within VALUE_TOL.
+
+    A `first` list receives the tied best items (the root's call finishes last).
+    """
+    best = rec.stop(psi)
+    best_items = []
+    for e in range(rec.prior.n):
+        if e in psi or not cstate.can_select(e):
+            continue
+        val = rec.branch(psi, cstate, e, first)
+        if val > best + VALUE_TOL:
+            best = val
+            best_items = [e]
+        elif val >= best - VALUE_TOL:
+            best_items.append(e)
+    if first is not None:
+        first[:] = best_items
+    return best
+
+
+def _solve(f, prior, constraint, base: PartialRealization,
            caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
+    """Optimum from `base`, less its stop value E[f(dom base) | base] if nonempty."""
     _check_caps(prior, constraint, caps)
-    pool = range(prior.n) if selectable is None else selectable
     first = []
-
-    def best_choice(rec, psi, cstate, scratch):
-        """Max of stopping and every feasible branch; ties within VALUE_TOL."""
-        best = rec.stop(psi)
-        best_items = []
-        for e in pool:
-            if e in psi or not cstate.can_select(e):
-                continue
-            val = rec.branch(psi, cstate, e)
-            if val > best + VALUE_TOL:
-                best = val
-                best_items = [e]
-            elif val >= best - VALUE_TOL:
-                best_items.append(e)
-        first[:] = best_items       # the root's call finishes last
-        return best
-
-    rec = HistoryRecursion(f, prior, best_choice)
-    value = rec.value(base, constraint)
+    rec = HistoryRecursion(f, prior, _best_choice)
+    value = rec.value(base, constraint, first)
+    if len(base) > 0:
+        value -= rec.stop(base)
     return OracleResult(value, tuple(first), rec.nodes, rec.hits)
 
 
@@ -87,16 +92,54 @@ def optimal_value(f, prior, constraint, base: PartialRealization = PSI_EMPTY,
     expected gain over E[f(dom(base), Phi) | base] (the marginal form used
     by the restricted-policy checker).
     """
-    res = _solve(f, prior, constraint, base, caps=caps)
-    if len(base) > 0:
-        res.value -= expected_set_value(f, prior, base, base.domain())
-    return res
+    return _solve(f, prior, constraint, base, caps)
+
+
+class _Restriction:
+    """Constraint state: at most `budget` further selections from `items`.
+
+    The budget is clamped to the items left, so key() is canonical and every
+    (psi, items, a) query that reaches a subproblem shares its memo entry.
+    """
+
+    __slots__ = ("items", "budget")
+
+    def __init__(self, items: frozenset, budget: int):
+        if budget < 0:
+            raise ValidationError("negative budget")
+        self.items, self.budget = items, min(budget, len(items))
+
+    def can_select(self, e):
+        return self.budget > 0 and e in self.items
+
+    def after(self, e):
+        return _Restriction(self.items - {e}, self.budget - 1)
+
+    def key(self):
+        return (self.items, self.budget)
+
+    def total_budget(self):
+        return self.budget
+
+
+class RestrictedOracle:
+    """restricted_optimal for one instance, called as oracle(psi, items, a).
+
+    One HistoryRecursion serves every call, so the values and stop values of
+    subproblems that several queries reach are computed once.
+    """
+
+    def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
+        self.prior, self.caps = prior, caps
+        self.rec = HistoryRecursion(f, prior, _best_choice)
+
+    def __call__(self, psi: PartialRealization, items, a: int) -> float:
+        state = _Restriction(frozenset(items).difference(psi.domain()), a)
+        _check_caps(self.prior, state, self.caps)
+        return self.rec.value(psi, state) - self.rec.stop(psi)
 
 
 def restricted_optimal(f, prior, psi: PartialRealization, items, a: int,
                        caps: OracleCaps = DEFAULT_CAPS) -> float:
     """Best expected gain over policies selecting at most `a` items from `items`."""
-    selectable = tuple(sorted(set(items) - set(psi.domain())))
-    res = _solve(f, prior, CardinalityConstraint(min(a, len(selectable))), psi,
-                 selectable=selectable, caps=caps)
-    return res.value - expected_set_value(f, prior, psi, psi.domain())
+    return RestrictedOracle(f, prior, caps)(psi, items, a)

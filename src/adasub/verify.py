@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import PSI_EMPTY, PartialRealization, marginal_utility
+from .core import EvalContext, PartialRealization
 from .errors import InstanceTooLarge, ValidationError
-from .oracle import OracleCaps, restricted_optimal
+from .oracle import OracleCaps, RestrictedOracle
 from .policies import sample_budget
 
 INEQ_TOL = 1e-9
@@ -54,13 +54,6 @@ def enumerate_partial_realizations(prior, max_size=None):
                     yield psi
 
 
-def _sub_partials(psi):
-    """Every subrealization of psi (including empty and psi itself)."""
-    for size in range(len(psi.pairs) + 1):
-        for pairs in itertools.combinations(psi.pairs, size):
-            yield PartialRealization(pairs)
-
-
 def _check_enumerable(prior, max_items, max_states):
     if prior.n > max_items:
         raise InstanceTooLarge("n=%d exceeds checker cap %d" % (prior.n, max_items))
@@ -71,46 +64,57 @@ def _check_enumerable(prior, max_items, max_states):
 def check_adaptive_monotone(f, prior, max_items: int = 8, max_states: int = 3) -> CheckReport:
     """Delta(e | psi) >= 0 for every positive-probability psi and e outside it."""
     _check_enumerable(prior, max_items, max_states)
+    ctx = EvalContext(f, prior)
     checked = 0
     for psi in enumerate_partial_realizations(prior):
         for e in range(prior.n):
             if e in psi:
                 continue
             checked += 1
-            d = marginal_utility(f, prior, psi, e)
+            d = ctx.delta(e, psi)
             if d < -INEQ_TOL:
                 witness = {"psi": psi.pairs, "item": e, "delta": d}
                 return CheckReport("adaptive-monotone", False, checked, witness)
     return CheckReport("adaptive-monotone", True, checked)
 
 
+def _sweep(name, prior, columns, price, witness, compared=None) -> CheckReport:
+    """value(psi, c) >= value(psi2, c) whenever psi is a subrealization of psi2.
+
+    Each history psi2's row of values over `columns` is priced once, by
+    price(psi2, c), in column order as its comparison with the empty
+    sub-history first needs it; every later comparison reads rows.  Only the
+    columns c with compared(psi2, c) are checked at psi2.  Sub-histories are
+    walked as pair tuples, smallest first, so their rows are complete.
+    """
+    rows = {}
+    checked = 0
+    for psi2 in enumerate_partial_realizations(prior):
+        row2 = rows[psi2.pairs] = [None] * len(columns)
+        live = [i for i, c in enumerate(columns) if compared is None or compared(psi2, c)]
+        for size in range(len(psi2) + 1):
+            for sub in itertools.combinations(psi2.pairs, size):
+                row = rows[sub]
+                for i in live:
+                    checked += 1
+                    rhs = row2[i]
+                    if rhs is None:
+                        rhs = row2[i] = price(psi2, columns[i])
+                    lhs = row[i]
+                    if lhs < rhs - INEQ_TOL:
+                        return CheckReport(name, False, checked, {
+                            "psi": sub, "psi2": psi2.pairs, **witness(columns[i], lhs, rhs)})
+    return CheckReport(name, True, checked)
+
+
 def check_adaptive_submodular(f, prior, max_items: int = 8, max_states: int = 3) -> CheckReport:
     """Delta(e | psi) >= Delta(e | psi') whenever psi is a subrealization of psi'."""
     _check_enumerable(prior, max_items, max_states)
-    deltas = {}
-
-    def delta(psi, e):
-        key = (psi.pairs, e)
-        val = deltas.get(key)
-        if val is None:
-            val = marginal_utility(f, prior, psi, e)
-            deltas[key] = val
-        return val
-
-    checked = 0
-    for psi2 in enumerate_partial_realizations(prior):
-        for psi in _sub_partials(psi2):
-            for e in range(prior.n):
-                if e in psi2:
-                    continue
-                checked += 1
-                lhs = delta(psi, e)
-                rhs = delta(psi2, e)
-                if lhs < rhs - INEQ_TOL:
-                    witness = {"psi": psi.pairs, "psi2": psi2.pairs, "item": e,
-                               "delta_psi": lhs, "delta_psi2": rhs}
-                    return CheckReport("adaptive-submodular", False, checked, witness)
-    return CheckReport("adaptive-submodular", True, checked)
+    ctx = EvalContext(f, prior)
+    return _sweep("adaptive-submodular", prior, range(prior.n),
+                  lambda psi, e: ctx.delta(e, psi),
+                  lambda e, lhs, rhs: {"item": e, "delta_psi": lhs, "delta_psi2": rhs},
+                  compared=lambda psi, e: e not in psi)
 
 
 def check_fully_adaptive_submodular(f, prior, max_items: int = 5,
@@ -121,34 +125,15 @@ def check_fully_adaptive_submodular(f, prior, max_items: int = 5,
     is doubly exponential, hence the tight caps.
     """
     _check_enumerable(prior, max_items, max_states)
-    caps = OracleCaps(max_items=max_items, max_states=max_states, max_budget=max_items)
-    values = {}
-
-    def best(psi, items, a):
-        key = (psi.pairs, items, a)
-        val = values.get(key)
-        if val is None:
-            val = restricted_optimal(f, prior, psi, items, a, caps=caps)
-            values[key] = val
-        return val
-
-    subsets = [tuple(c) for size in range(1, prior.n + 1)
-               for c in itertools.combinations(range(prior.n), size)]
-    checked = 0
-    for psi2 in enumerate_partial_realizations(prior):
-        for psi in _sub_partials(psi2):
-            for items in subsets:
-                for a in range(1, len(items) + 1):
-                    checked += 1
-                    lhs = best(psi, items, a)
-                    rhs = best(psi2, items, a)
-                    if lhs < rhs - INEQ_TOL:
-                        witness = {"psi": psi.pairs, "psi2": psi2.pairs,
-                                   "items": items, "budget": a,
-                                   "value_psi": lhs, "value_psi2": rhs}
-                        return CheckReport("fully-adaptive-submodular", False,
-                                           checked, witness)
-    return CheckReport("fully-adaptive-submodular", True, checked)
+    oracle = RestrictedOracle(f, prior, OracleCaps(max_items=max_items, max_states=max_states,
+                                                   max_budget=max_items))
+    columns = [(items, a) for size in range(1, prior.n + 1)
+               for items in itertools.combinations(range(prior.n), size)
+               for a in range(1, size + 1)]
+    return _sweep("fully-adaptive-submodular", prior, columns,
+                  lambda psi, col: oracle(psi, *col),
+                  lambda col, lhs, rhs: {"items": col[0], "budget": col[1],
+                                         "value_psi": lhs, "value_psi2": rhs})
 
 
 # ---------------------------------------------------------------------------

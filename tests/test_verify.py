@@ -1,8 +1,13 @@
+import itertools
 import math
+import random
 
 import pytest
 
 from adasub import (
+    CardinalityConstraint,
+    ExplicitPrior,
+    Instance,
     InstanceTooLarge,
     PSI_EMPTY,
     PartialRealization,
@@ -16,6 +21,10 @@ from adasub import (
     monotonicity_counterexample,
     restricted_optimal,
 )
+from adasub import verify
+from adasub.core import subrealization
+from adasub.oracle import OracleCaps, RestrictedOracle
+from adasub.verify import INEQ_TOL, CheckReport, enumerate_partial_realizations
 
 
 class TestMonotoneChecker:
@@ -131,3 +140,177 @@ class TestSamplingBound:
             lemma1_check(10, 0, 0.1)
         with pytest.raises(ValidationError):
             lemma1_check(10, 2, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# the checkers against sweeps written from the definitions
+
+
+def noisy_tabular(seed, n=3):
+    """A correlated tabular instance whose noise breaks the inequalities somewhere."""
+    rng = random.Random(seed)
+    support = rng.sample(list(itertools.product((0, 1), repeat=n)), 5)
+    weights = [rng.uniform(0.5, 1.5) for _ in support]
+    total = sum(weights)
+    prior = ExplicitPrior([(phi, w / total) for phi, w in zip(support, weights)])
+    table = [[sum(phi[e] for e in range(n) if mask >> e & 1) ** 0.5 + rng.uniform(0, 0.6)
+              for phi in support] for mask in range(1 << n)]
+    spec = {"type": "tabular", "realizations": [list(p) for p in support], "table": table}
+    return Instance(n, 2, prior, spec, CardinalityConstraint(n), {"name": "noisy-%d" % seed})
+
+
+def reference_instances():
+    coverage = [generate_coverage(n=4, m=2, universe_size=6, density=0.3, seed=seed)
+                for seed in range(10)]
+    return coverage + [noisy_tabular(seed) for seed in range(4)] + [
+        monotonicity_counterexample(), complementarity_counterexample()]
+
+
+def sub_histories(histories, psi2):
+    """Every enumerated psi with psi a subrealization of psi2, in enumeration order."""
+    return [psi for psi in histories if subrealization(psi, psi2)]
+
+
+def reference_monotone(f, prior):
+    """The monotone check with a fresh marginal_utility per comparison.
+
+    Returns the report and the number of distinct (psi, e) Delta values priced.
+    """
+    checked = 0
+    for psi in enumerate_partial_realizations(prior):
+        for e in range(prior.n):
+            if e in psi:
+                continue
+            checked += 1
+            d = marginal_utility(f, prior, psi, e)
+            if d < -INEQ_TOL:
+                return CheckReport("adaptive-monotone", False, checked,
+                                   {"psi": psi.pairs, "item": e, "delta": d}), checked
+    return CheckReport("adaptive-monotone", True, checked), checked
+
+
+def reference_submodular(f, prior):
+    """The submodular check with a fresh marginal_utility per comparison."""
+    histories = list(enumerate_partial_realizations(prior))
+    priced, checked = set(), 0
+    for psi2 in histories:
+        for psi in sub_histories(histories, psi2):
+            for e in range(prior.n):
+                if e in psi2:
+                    continue
+                checked += 1
+                lhs = marginal_utility(f, prior, psi, e)
+                rhs = marginal_utility(f, prior, psi2, e)
+                priced |= {(psi.pairs, e), (psi2.pairs, e)}
+                if lhs < rhs - INEQ_TOL:
+                    witness = {"psi": psi.pairs, "psi2": psi2.pairs, "item": e,
+                               "delta_psi": lhs, "delta_psi2": rhs}
+                    return CheckReport("adaptive-submodular", False, checked,
+                                       witness), len(priced)
+    return CheckReport("adaptive-submodular", True, checked), len(priced)
+
+
+def reference_fully(f, prior, values):
+    """The fully-adaptive check with a one-shot restricted_optimal per query.
+
+    `values` collects every (psi pairs, items, a) query and its value; each
+    is asked once, since a query's value does not depend on when it is asked.
+    """
+    caps = OracleCaps(max_items=5, max_states=2, max_budget=5)
+
+    def best(psi, items, a):
+        key = (psi.pairs, items, a)
+        if key not in values:
+            values[key] = restricted_optimal(f, prior, psi, items, a, caps=caps)
+        return values[key]
+
+    histories = list(enumerate_partial_realizations(prior))
+    checked = 0
+    for psi2 in histories:
+        for psi in sub_histories(histories, psi2):
+            for size in range(1, prior.n + 1):
+                for items in itertools.combinations(range(prior.n), size):
+                    for a in range(1, size + 1):
+                        checked += 1
+                        lhs, rhs = best(psi, items, a), best(psi2, items, a)
+                        if lhs < rhs - INEQ_TOL:
+                            witness = {"psi": psi.pairs, "psi2": psi2.pairs,
+                                       "items": items, "budget": a,
+                                       "value_psi": lhs, "value_psi2": rhs}
+                            return CheckReport("fully-adaptive-submodular", False,
+                                               checked, witness)
+    return CheckReport("fully-adaptive-submodular", True, checked)
+
+
+def instance_id(inst):
+    return inst.metadata["name"]
+
+
+@pytest.mark.parametrize("inst", reference_instances(), ids=instance_id)
+def test_checkers_match_the_definitional_sweeps(inst):
+    for check, reference in ((check_adaptive_monotone, reference_monotone),
+                             (check_adaptive_submodular, reference_submodular)):
+        f = inst.utility()
+        expected, deltas = reference(inst.utility(), inst.prior)
+        assert check(f, inst.prior) == expected
+        assert f.delta_counter == deltas
+    f = inst.utility()
+    expected = reference_fully(inst.utility(), inst.prior, {})
+    assert check_fully_adaptive_submodular(f, inst.prior) == expected
+    assert f.delta_counter == 0
+
+
+def test_noisy_instances_fail_past_the_first_comparison():
+    # the reference sweeps above are only tested on order if some check fails late
+    reports = [check(inst.utility(), inst.prior)
+               for inst in (noisy_tabular(seed) for seed in range(4))
+               for check in (check_adaptive_monotone, check_adaptive_submodular,
+                             check_fully_adaptive_submodular)]
+    assert sum(not r.passed and r.pairs_checked > 1 for r in reports) >= 6
+
+
+def reachable_states(prior, queries):
+    """Distinct (psi, V minus dom psi, clamped budget) states the queries reach."""
+    seen = set()
+    stack = [(psi, frozenset(items) - set(psi.domain()), a) for psi, items, a in queries]
+    while stack:
+        psi, rest, a = stack.pop()
+        a = min(a, len(rest))
+        if (psi.pairs, rest, a) in seen:
+            continue
+        seen.add((psi.pairs, rest, a))
+        for e in rest if a else ():
+            for o, _ in prior.item_posterior(e, psi):
+                stack.append((psi.with_observation(e, o), rest - {e}, a - 1))
+    return seen
+
+
+@pytest.mark.parametrize("inst", reference_instances(), ids=instance_id)
+def test_shared_oracle_equals_fresh_restricted_optimal(inst):
+    values = {}
+    reference_fully(inst.utility(), inst.prior, values)
+    keys = sorted(values)
+    random.Random(0).shuffle(keys)
+    oracle = RestrictedOracle(inst.utility(), inst.prior)
+    for pairs, items, a in keys:
+        assert oracle(PartialRealization(pairs), items, a) == values[pairs, items, a]
+
+
+def test_fully_adaptive_check_expands_each_oracle_state_once(monkeypatch):
+    made = []
+
+    class Recorded(RestrictedOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(verify, "RestrictedOracle", Recorded)
+    for seed in range(3):
+        inst = generate_coverage(n=4, m=2, universe_size=6, density=0.3, seed=seed)
+        assert check_fully_adaptive_submodular(inst.utility(), inst.prior).passed
+        histories = list(enumerate_partial_realizations(inst.prior))
+        queries = [(psi, items, a) for psi in histories
+                   for size in range(1, 5) for items in itertools.combinations(range(4), size)
+                   for a in range(1, size + 1)]
+        bound = len(reachable_states(inst.prior, queries))
+        assert made[-1].rec.nodes <= bound < 1000
