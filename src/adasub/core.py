@@ -297,9 +297,6 @@ class ConditionedPrior:
     def support(self):
         return self.base.support(self.evidence)
 
-    def support_size(self):
-        return self.base.support_size(self.evidence)
-
     def sample(self, rng: random.Random):
         return self.base.sample(rng, self.evidence)
 

@@ -22,9 +22,12 @@ import math
 import random
 
 from .core import (
+    CoverageUtility,
     EvalContext,
+    IndependentPrior,
     PSI_EMPTY,
     PartialRealization,
+    _observe,
     condition,
     expected_set_value,
 )
@@ -61,30 +64,58 @@ class HistoryRecursion:
     branch(psi, cstate, e, scratch) = sum_o p(o | psi) * value(psi + (e, o),
     cstate after e) over items.  Values are memoized on (psi, constraint key)
     unless memoize is False; only then does each branch copy the scratch.
-    Stop values depend on psi alone and are always memoized on it.
     Branching and stopping also condition on `given`, which the rule does not
     see.  nodes counts rule calls, hits memo hits.
+
+    summarize=True (the oracle: no `given`; its rule reads psi only through
+    stop, branch and dom psi) memoizes stop values; for coverage under an
+    independent prior it keys on (dom psi, covered mask), which fixes the
+    value bit for bit: unobserved items keep their prior rows and
+    f(dom psi + T, .) reads psi only through the mask.  Children of a key are
+    keyed from it in O(1), and their histories are built only on a miss.
     """
 
-    def __init__(self, f, prior, rule, memoize=True, given=PSI_EMPTY):
+    def __init__(self, f, prior, rule, memoize=True, given=PSI_EMPTY, summarize=False):
         self.f, self.prior, self.rule, self.given = f, prior, rule, given
         self.memo = {} if memoize else None
-        self.stops = {}
+        self.stops = {} if summarize else None
+        self.summarized = (summarize and isinstance(f, CoverageUtility)
+                           and isinstance(prior, IndependentPrior))
+        if self.summarized:
+            self.rows = [prior.item_posterior(e, PSI_EMPTY) for e in range(prior.n)]
+        self.roots, self.node = {}, None    # root summaries; key whose rule is running
         self.nodes = self.hits = 0
 
     def value(self, psi, cstate, scratch=None):
+        head = self._summary(psi) if self.summarized else (psi.pairs,)
+        return self._value(head + (cstate.key(),), psi, cstate, scratch)
+
+    def _value(self, key, psi, cstate, scratch, e=None, o=None):
+        """Memoized rule at `key`; psi + (e, o) when e is given, built on a miss."""
         memo = self.memo
         if memo is not None:
-            key = (psi.pairs, cstate.key())
             value = memo.get(key)
             if value is not None:
                 self.hits += 1
                 return value
+        if e is not None:
+            psi = psi.with_observation(e, o)
         self.nodes += 1
-        value = self.rule(self, psi, cstate, scratch)
+        parent, self.node = self.node, key
+        try:
+            value = self.rule(self, psi, cstate, scratch)
+        finally:
+            self.node = parent
         if memo is not None:
             memo[key] = value
         return value
+
+    def _summary(self, psi):
+        """(dom psi bitmask, covered mask) of a root; impossible evidence raises."""
+        if psi.pairs not in self.roots:
+            self.roots[psi.pairs] = (sum(1 << e for e, _ in psi.pairs),
+                                     _observe(self.f, self.prior, psi)[0])
+        return self.roots[psi.pairs]
 
     def _evidence(self, psi):
         if not self.given:
@@ -92,16 +123,25 @@ class HistoryRecursion:
         return PartialRealization.of({**self.given.as_dict(), **psi.as_dict()})
 
     def stop(self, psi):
-        value = self.stops.get(psi.pairs)
-        if value is None:
+        if self.stops is None:      # exact evaluation asks each history once
             evidence = self._evidence(psi)
-            value = self.stops[psi.pairs] = expected_set_value(
-                self.f, self.prior, evidence, evidence.domain())
-        return value
+            return expected_set_value(self.f, self.prior, evidence, evidence.domain())
+        key = (self.node or self._summary(psi))[1] if self.summarized else psi.pairs
+        if key not in self.stops:   # under summary keys, value() of the covered mask
+            self.stops[key] = (self.f._mask_weight(key) if self.summarized
+                               else expected_set_value(self.f, self.prior, psi, psi.domain()))
+        return self.stops[key]
 
     def branch(self, psi, cstate, e, scratch=None):
         nxt = cstate.after(e)
         total = 0.0
+        if self.summarized:
+            dom, covered, _ = self.node
+            ckey, covers = nxt.key(), self.f.covers[e]
+            for o, p in self.rows[e]:
+                key = (dom | 1 << e, covered | covers[o], ckey)
+                total += p * self._value(key, psi, nxt, scratch, e, o)
+            return total
         for o, p in self.prior.item_posterior(e, self._evidence(psi)):
             child = scratch if self.memo is not None else copy.deepcopy(scratch)
             total += p * self.value(psi.with_observation(e, o), nxt, child)

@@ -6,9 +6,10 @@ The optimum is the exact policy value's recursion over partial realizations
     V(psi) = max( E[f(dom(psi), Phi) | psi],
                   max_e sum_o Pr[Phi_e = o | psi] * V(psi + (e, o)) )
 
-memoized on (canonical psi, constraint state).  The explicit stop branch
-keeps the oracle correct for non-monotone tabular utilities.  Hard instance
-caps fail loudly; ground truth is this module's only job.
+memoized on (psi, constraint state); for coverage under an independent
+prior, psi is summarized as (dom psi, covered mask), which fixes V.  The
+stop branch keeps the oracle correct for non-monotone tabular utilities.
+Hard instance caps fail loudly; ground truth is this module's only job.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _solve(f, prior, constraint, base: PartialRealization,
     """Optimum from `base`, less its stop value E[f(dom base) | base] if nonempty."""
     _check_caps(prior, constraint, caps)
     first = []
-    rec = HistoryRecursion(f, prior, _best_choice)
+    rec = HistoryRecursion(f, prior, _best_choice, summarize=True)
     value = rec.value(base, constraint, first)
     if len(base) > 0:
         value -= rec.stop(base)
@@ -131,7 +132,7 @@ class RestrictedOracle:
 
     def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
         self.prior, self.caps = prior, caps
-        self.rec = HistoryRecursion(f, prior, _best_choice)
+        self.rec = HistoryRecursion(f, prior, _best_choice, summarize=True)
 
     def __call__(self, psi: PartialRealization, items, a: int) -> float:
         state = _Restriction(frozenset(items).difference(psi.domain()), a)

@@ -97,7 +97,9 @@ class PartitionConstraint:
         rem[i] -= 1
         if rem[i] < 0:
             raise PolicyViolation("group %d budget exceeded" % i)
-        return PartitionConstraint(self.groups, tuple(rem))
+        child = object.__new__(PartitionConstraint)     # valid as self is: no __post_init__
+        child.__dict__.update(self.__dict__, remaining=tuple(rem))     # shares _group_of
+        return child
 
     def exhausted(self) -> bool:
         return all(d == 0 for d in self.remaining)

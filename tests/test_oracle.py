@@ -1,10 +1,17 @@
+import itertools
+import random
+
 import pytest
 
 from adasub import (
     CardinalityConstraint,
+    CoverageUtility,
+    ExplicitPrior,
+    IndependentPrior,
     InstanceTooLarge,
     PSI_EMPTY,
     PartialRealization,
+    ZeroProbabilityEvidence,
     adaptive_greedy,
     adaptive_stochastic_greedy,
     expected_set_value,
@@ -15,8 +22,9 @@ from adasub import (
     random_policy,
     restricted_optimal,
 )
-from adasub.oracle import OracleCaps
+from adasub.oracle import OracleCaps, RestrictedOracle
 from adasub.policies import PartitionConstraint
+from adasub.verify import enumerate_partial_realizations
 
 
 class TestOptimalValue:
@@ -49,21 +57,55 @@ class TestOptimalValue:
                 assert val <= opt + 1e-9
 
     def test_cache_soundness(self):
-        def brute_force(f, prior, psi, budget):
-            """max(stop, every branch), unmemoized, over the support given psi."""
-            best = sum(p * f.value(psi.domain(), phi) for phi, p in prior.support(psi))
+        def stop(f, prior, psi):
+            return sum(p * f.value(psi.domain(), phi) for phi, p in prior.support(psi))
+
+        def brute_force(f, prior, psi, cstate):
+            """max(stop, every feasible branch), unmemoized, over the support given psi."""
+            best = stop(f, prior, psi)
             for e in range(prior.n):
-                if budget and e not in psi:
+                if e not in psi and cstate.can_select(e):
                     best = max(best, sum(
-                        p * brute_force(f, prior, psi.with_observation(e, o), budget - 1)
+                        p * brute_force(f, prior, psi.with_observation(e, o), cstate.after(e))
                         for o, p in prior.item_posterior(e, psi)))
             return best
 
+        cases = []
         for seed in range(20):
             inst = generate_coverage(n=5, m=2, universe_size=6, density=0.35, seed=seed)
-            f = inst.utility()
-            memoized = optimal_value(f, inst.prior, CardinalityConstraint(3)).value
-            assert abs(memoized - brute_force(f, inst.prior, PSI_EMPTY, 3)) <= 1e-12
+            cases.append((inst.utility(), inst.prior, CardinalityConstraint(3)))
+        for seed in range(8):
+            inst = generate_coverage(n=6, m=2, universe_size=6, density=0.35, seed=100 + seed,
+                                     groups=[[0, 1, 2], [3, 4, 5]], limits=[1, 2])
+            cases.append((inst.utility(), inst.prior, inst.constraint))
+        # Item 1's state copies item 0's, which covers the same set in both
+        # states: psi={0:0} and psi={0:1} share (dom, covered mask) but not
+        # their posteriors, so only psi keys tell them apart.
+        correlated = (
+            CoverageUtility((1.0, 2.0, 0.5), ((0b001, 0b001), (0b000, 0b110), (0b010, 0b100))),
+            ExplicitPrior([((0, 0, 0), 0.25), ((0, 0, 1), 0.25),
+                           ((1, 1, 0), 0.25), ((1, 1, 1), 0.25)]))
+        cases.append(correlated + (CardinalityConstraint(2),))
+        for f, prior, constraint in cases:
+            memoized = optimal_value(f, prior, constraint).value
+            assert abs(memoized - brute_force(f, prior, PSI_EMPTY, constraint)) <= 1e-12
+
+        # restricted queries (psi, V, a), shuffled, all answered by one oracle
+        restricted = [correlated] + [
+            (inst.utility(), inst.prior) for inst in
+            (generate_coverage(n=4, m=2, universe_size=6, density=0.35, seed=s) for s in (1, 2))]
+        for f, prior in restricted:
+            queries = [(psi, items, a)
+                       for psi in enumerate_partial_realizations(prior, max_size=2)
+                       for size in range(1, prior.n + 1)
+                       for items in itertools.combinations(range(prior.n), size)
+                       for a in range(1, size + 1)]
+            random.Random(0).shuffle(queries)
+            oracle = RestrictedOracle(f, prior)
+            for psi, items, a in queries:
+                allowed = PartitionConstraint.of([set(items) - set(psi.domain())], [a])
+                exact = brute_force(f, prior, psi, allowed) - stop(f, prior, psi)
+                assert abs(oracle(psi, items, a) - exact) <= 1e-12, (psi, items, a)
 
     def test_partition_constraint(self, utility_a, prior_a):
         con = PartitionConstraint.of([[0], [1]], [1, 1])
@@ -103,3 +145,13 @@ class TestRestrictedOptimal:
     def test_worthless_remainder(self, utility_a, prior_a):
         val = restricted_optimal(utility_a, prior_a, PartialRealization.of({0: 1}), (1,), 1)
         assert val == pytest.approx(0.0)
+
+    def test_impossible_base_is_refused(self):
+        # item 0 is never in state 1, so no policy can start from base
+        prior = IndependentPrior([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+        f = CoverageUtility((1.0, 1.0), ((0b01, 0b11), (0b00, 0b10), (0b10, 0b01)))
+        base = PartialRealization.of({0: 1})
+        with pytest.raises(ZeroProbabilityEvidence):
+            optimal_value(f, prior, CardinalityConstraint(1), base)
+        with pytest.raises(ZeroProbabilityEvidence):
+            restricted_optimal(f, prior, base, [1, 2], 1)
