@@ -154,14 +154,20 @@ class IndependentPrior(Prior):
             p *= self.probs[e][o]
         return p
 
+    @cached_property
+    def rows(self) -> tuple:
+        """Each item's (state, prob) pairs of positive mass: its posterior
+        given any evidence that leaves it unobserved."""
+        return tuple(tuple((o, p) for o, p in enumerate(row) if p > 0.0) for row in self.probs)
+
     def item_posterior(self, e, psi):
         o_seen = psi.state_of(e)
         if o_seen is not None:
             return [(o_seen, 1.0)]
-        return [(o, p) for o, p in enumerate(self.probs[e]) if p > 0.0]
+        return list(self.rows[e])
 
     def item_states(self, e):
-        return tuple(o for o, p in enumerate(self.probs[e]) if p > 0.0)
+        return tuple(o for o, _ in self.rows[e])
 
     def support_size(self, psi=PSI_EMPTY):
         size = 1
@@ -333,16 +339,16 @@ def sample_realization(prior, stream: random.Random) -> tuple:
 class UtilityFunction:
     """f(S, phi) >= 0 with evaluation counters.
 
-    f_counter counts calls of value(), and nothing else: a gain() that prices
-    a candidate without calling value() costs no f evaluation.  delta_counter
-    counts marginal-utility oracle invocations (one per candidate item
-    examined, the unit in which the sampling policies' complexity bounds are
-    stated).
+    f_counter counts calls of value(), and nothing else: an expected_gain()
+    that prices a candidate without calling value() costs no f evaluation.
+    delta_counter counts marginal-utility oracle invocations (one per
+    candidate item examined, the unit in which the sampling policies'
+    complexity bounds are stated).
 
     A utility with depends_only_on_selected prices Delta through observe()
-    and gain(): f(dom psi, .) is then fixed by psi alone, so observe(psi)
-    computes it once per history and gain() prices each (item, state) from
-    that.
+    and expected_gain(): f(dom psi, .) is then fixed by psi alone, so
+    observe(psi) computes it once per history and expected_gain() prices each
+    candidate from that.
     """
 
     depends_only_on_selected = False
@@ -373,12 +379,16 @@ class UtilityFunction:
         fixed = psi.as_dict()
         return dom, fixed, self.value(dom, fixed)
 
-    def gain(self, state, e: int, o: int) -> float:
-        """f(dom + e) - f(dom) with e in state o, for state = observe(psi)."""
+    def expected_gain(self, state, e: int, posterior) -> float:
+        """Delta(e | psi) for state = observe(psi) and posterior = e's (o, p)
+        pairs given psi: the sum of p * (f(dom + e) - f(dom)) with e in state o."""
         dom, fixed, base = state
-        states = dict(fixed)
-        states[e] = o
-        return self.value(dom + (e,), states) - base
+        total = 0.0
+        for o, p in posterior:
+            states = dict(fixed)
+            states[e] = o
+            total += p * (self.value(dom + (e,), states) - base)
+        return total
 
 
 class CoverageUtility(UtilityFunction):
@@ -421,8 +431,8 @@ class CoverageUtility(UtilityFunction):
     def _mask_weight(self, mask: int, total: float = 0.0) -> float:
         """total plus the weights of mask's bits, added low bit to high.
 
-        One summation order everywhere, so value() and gain() agree to the
-        last bit.
+        One summation order everywhere, so value() and expected_gain() agree
+        to the last bit.
         """
         weights = self.weights
         while mask:
@@ -432,10 +442,13 @@ class CoverageUtility(UtilityFunction):
         return total
 
     def observe(self, psi):
-        """(covered mask, f(dom psi), running sums of the covered weights).
+        """(covered mask, f(dom psi), running sums of the covered weights, memo).
 
         sums[i] is the weight of the covered elements below element i, added
         in _mask_weight's order, so sums[-1] is f(dom psi) to the last bit.
+        memo maps a newly covered mask to its gain (the empty mask's is there
+        from the start), so candidates that cover the same new elements at one
+        history are priced once.
         """
         covered = 0
         for e, o in psi.pairs:
@@ -446,17 +459,28 @@ class CoverageUtility(UtilityFunction):
             if covered >> i & 1:
                 total += w
             sums.append(total)
-        return covered, self.value(psi.domain(), psi.as_dict()), sums
+        base = self.value(psi.domain(), psi.as_dict())
+        return covered, base, sums, {0: sums[-1] - base}
 
-    def gain(self, state, e, o):
+    def expected_gain(self, state, e, posterior):
         # value() of covered | new sums low to high, so it passes through
         # sums[low] at new's lowest element and then adds the rest in order.
-        covered, base, sums = state
-        new = self.covers[e][o] & ~covered
-        if not new:
-            return sums[-1] - base      # value() of covered, less itself
-        low = (new & -new).bit_length() - 1
-        return self._mask_weight((covered | new) >> low << low, sums[low]) - base
+        covered, base, sums, memo = state
+        weights, row = self.weights, self.covers[e]
+        total = 0.0
+        for o, p in posterior:
+            new = row[o] & ~covered
+            gain = memo.get(new)
+            if gain is None:
+                low = (new & -new).bit_length() - 1
+                mask, acc = (covered | new) >> low << low, sums[low]
+                while mask:
+                    bit = mask & -mask
+                    acc += weights[bit.bit_length() - 1]
+                    mask ^= bit
+                gain = memo[new] = acc - base
+            total += p * gain
+        return total
 
 
 class TabularUtility(UtilityFunction):
@@ -548,28 +572,6 @@ def _observe(f, prior, psi):
     return f.observe(psi)
 
 
-def _delta_exact(f, prior, psi, e, state=None):
-    """Delta(e | psi) without touching delta_counter.
-
-    `state` is _observe(f, prior, psi) when the caller has it already.
-    """
-    if f.depends_only_on_selected:
-        # f(dom, .) is fixed by psi and f(dom+e, .) depends on Phi_e only,
-        # so the expectation reduces to item e's posterior for any prior.
-        if state is None:
-            state = _observe(f, prior, psi)
-        total = 0.0
-        for o, p in prior.item_posterior(e, psi):
-            total += p * f.gain(state, e, o)
-        return total
-    dom = psi.domain()
-    dom_e = dom + (e,)
-    total = 0.0
-    for phi, p in condition(prior, psi).support():
-        total += p * (f.value(dom_e, phi) - f.value(dom, phi))
-    return total
-
-
 def _delta_mc(f, prior, psi, e, samples, seed):
     cond = condition(prior, psi)
     rng = random.Random("delta|%s|%s" % (seed, psi.pairs))
@@ -618,7 +620,10 @@ class EvalContext:
         self.mc_samples = mc_samples
         self.last_candidates = ()
         self.last_delta = None
-        self._observed = None
+        self._observed = (None, None)   # (psi.pairs, f's state), in exact mode only
+        # delta()'s fast path: no delta_cache, and an unobserved item's posterior is its row.
+        self._rows = (prior.rows if delta_cache is None and isinstance(prior, IndependentPrior)
+                      else None)
 
     @property
     def n(self):
@@ -628,11 +633,14 @@ class EvalContext:
         return random.Random("%s|%s" % (self.seed, psi.pairs))
 
     def delta(self, e: int, psi: PartialRealization) -> float:
-        self.f.delta_counter += 1
+        f = self.f
+        f.delta_counter += 1
         if e in psi:
             return 0.0
+        if self._rows is not None and self._observed[0] == psi.pairs:
+            return f.expected_gain(self._observed[1], e, self._rows[e])
         if self.mode == "mc":
-            return _delta_mc(self.f, self.prior, psi, e, self.mc_samples, self.seed)
+            return _delta_mc(f, self.prior, psi, e, self.mc_samples, self.seed)
         if self.delta_cache is None:
             return self._delta_exact(e, psi)
         key = (psi.pairs, e)
@@ -643,13 +651,20 @@ class EvalContext:
         return val
 
     def _delta_exact(self, e, psi):
-        state = None
-        if self.f.depends_only_on_selected:
-            observed = self._observed
-            if observed is None or observed[0] != psi.pairs:
-                observed = self._observed = (psi.pairs, _observe(self.f, self.prior, psi))
-            state = observed[1]
-        return _delta_exact(self.f, self.prior, psi, e, state)
+        """Delta(e | psi) for an unobserved e, without touching delta_counter."""
+        f, prior = self.f, self.prior
+        if not f.depends_only_on_selected:
+            dom = psi.domain()
+            dom_e = dom + (e,)
+            total = 0.0
+            for phi, p in condition(prior, psi).support():
+                total += p * (f.value(dom_e, phi) - f.value(dom, phi))
+            return total
+        # f(dom, .) is fixed by psi and f(dom+e, .) depends on Phi_e only,
+        # so the expectation reduces to item e's posterior for any prior.
+        if self._observed[0] != psi.pairs:
+            self._observed = (psi.pairs, _observe(f, prior, psi))
+        return f.expected_gain(self._observed[1], e, prior.item_posterior(e, psi))
 
     def record(self, candidates, delta):
         self.last_candidates = tuple(candidates)

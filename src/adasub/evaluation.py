@@ -81,8 +81,6 @@ class HistoryRecursion:
         self.stops = {} if summarize else None
         self.summarized = (summarize and isinstance(f, CoverageUtility)
                            and isinstance(prior, IndependentPrior))
-        if self.summarized:
-            self.rows = [prior.item_posterior(e, PSI_EMPTY) for e in range(prior.n)]
         self.roots, self.node = {}, None    # root summaries; key whose rule is running
         self.nodes = self.hits = 0
 
@@ -138,7 +136,7 @@ class HistoryRecursion:
         if self.summarized:
             dom, covered, _ = self.node
             ckey, covers = nxt.key(), self.f.covers[e]
-            for o, p in self.rows[e]:
+            for o, p in self.prior.rows[e]:
                 key = (dom | 1 << e, covered | covers[o], ckey)
                 total += p * self._value(key, psi, nxt, scratch, e, o)
             return total

@@ -41,11 +41,14 @@ class OracleResult:
     cache_hits: int
 
 
-def _check_caps(prior, constraint, caps: OracleCaps):
+def _check_size(prior, caps: OracleCaps):
     if prior.n > caps.max_items:
         raise InstanceTooLarge("n=%d exceeds oracle cap %d" % (prior.n, caps.max_items))
     if prior.m > caps.max_states:
         raise InstanceTooLarge("m=%d exceeds oracle cap %d" % (prior.m, caps.max_states))
+
+
+def _check_budget(prior, constraint, caps: OracleCaps):
     # A budget over n cannot be spent; such instances are accepted and clamped.
     budget = min(constraint.total_budget(), prior.n)
     if budget > caps.max_budget:
@@ -59,8 +62,10 @@ def _best_choice(rec, psi, cstate, first):
     """
     best = rec.stop(psi)
     best_items = []
+    # Under summary keys the running node's dom bitmask answers `e in psi`.
+    dom = rec.node[0] if rec.summarized else sum(1 << e for e, _ in psi.pairs)
     for e in range(rec.prior.n):
-        if e in psi or not cstate.can_select(e):
+        if dom >> e & 1 or not cstate.can_select(e):
             continue
         val = rec.branch(psi, cstate, e, first)
         if val > best + VALUE_TOL:
@@ -76,7 +81,8 @@ def _best_choice(rec, psi, cstate, first):
 def _solve(f, prior, constraint, base: PartialRealization,
            caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
     """Optimum from `base`, less its stop value E[f(dom base) | base] if nonempty."""
-    _check_caps(prior, constraint, caps)
+    _check_size(prior, caps)
+    _check_budget(prior, constraint, caps)
     first = []
     rec = HistoryRecursion(f, prior, _best_choice, summarize=True)
     value = rec.value(base, constraint, first)
@@ -131,12 +137,13 @@ class RestrictedOracle:
     """
 
     def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
+        _check_size(prior, caps)
         self.prior, self.caps = prior, caps
         self.rec = HistoryRecursion(f, prior, _best_choice, summarize=True)
 
     def __call__(self, psi: PartialRealization, items, a: int) -> float:
         state = _Restriction(frozenset(items).difference(psi.domain()), a)
-        _check_caps(self.prior, state, self.caps)
+        _check_budget(self.prior, state, self.caps)
         return self.rec.value(psi, state) - self.rec.stop(psi)
 
 

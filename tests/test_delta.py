@@ -1,10 +1,10 @@
 """The incremental Delta path against the two-evaluation definition.
 
 EvalContext.delta and marginal_utility price a candidate from f's state at
-the history (UtilityFunction.observe / gain).  These tests hold them to
-Sum_o p(o) * (f(dom + e) - f(dom)), written out with two value() calls per
-state, with exact float equality, and require rollouts driven by either to
-pick the same items.
+the history (UtilityFunction.observe / expected_gain).  These tests hold
+them to Sum_o p(o) * (f(dom + e) - f(dom)), written out with two value()
+calls per state, with exact float equality, and require rollouts driven by
+either to pick the same items.
 """
 
 import math
@@ -13,6 +13,7 @@ import random
 import pytest
 
 from adasub import (
+    CoverageUtility,
     ExplicitPrior,
     IndependentPrior,
     PSI_EMPTY,
@@ -66,7 +67,7 @@ def coverage_instances(count=24):
 
 class SqrtOfSelected(UtilityFunction):
     """sqrt of the selected items' state weights: no coverage structure, so
-    Delta goes through UtilityFunction's generic observe/gain."""
+    Delta goes through UtilityFunction's generic observe/expected_gain."""
 
     depends_only_on_selected = True
 
@@ -102,6 +103,42 @@ class TestCoverageDeltaIsExact:
                 assert ctx.delta(e, psi) == explicit_delta(inst.utility(), inst.prior, psi, e)
         assert len(cache) == inst.n - 5
 
+    def test_zero_probability_state_is_never_priced(self):
+        # Item 0's state 1 and item 2's state 0 have no mass but would cover a lot.
+        prior = IndependentPrior([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.3, 0.7]])
+        weights = [0.1, 0.7, 0.2, 1.3, 0.05]
+        covers = [[0b00001, 0b11111], [0b00110, 0b01000], [0b11111, 0b10000],
+                  [0b00011, 0b11000]]
+        f, ref = CoverageUtility(weights, covers), CoverageUtility(weights, covers)
+        ctx = EvalContext(f, prior)
+        for psi in (PSI_EMPTY, PartialRealization.of({1: 0}),
+                    PartialRealization.of({0: 0, 3: 1})):
+            for e in range(4):
+                expected = explicit_delta(ref, prior, psi, e)
+                assert ctx.delta(e, psi) == expected
+                assert marginal_utility(f, prior, psi, e) == expected
+
+    def test_candidates_sharing_a_new_mask_are_priced_once(self):
+        weights = [0.1, 0.7, 0.2, 1.3, 0.3]
+        # Given psi = {3: 0}, which covers element 0, both state 0 of item 0
+        # (0b00011) and state 0 of item 2 (0b00010) newly cover element 1 only.
+        covers = [[0b00011, 0b01100], [0b10000, 0b00001], [0b00010, 0b10100],
+                  [0b00001, 0b11000]]
+        prior = IndependentPrior([[0.25, 0.75], [0.5, 0.5], [0.6, 0.4], [0.5, 0.5]])
+        f, ref = CoverageUtility(weights, covers), CoverageUtility(weights, covers)
+        psi = PartialRealization.of({3: 0})
+        state = f.observe(psi)
+        memo = state[3]
+        assert f.expected_gain(state, 0, prior.rows[0]) == explicit_delta(ref, prior, psi, 0)
+        priced = dict(memo)
+        assert 0b00010 in priced
+        assert f.expected_gain(state, 2, prior.rows[2]) == explicit_delta(ref, prior, psi, 2)
+        assert memo[0b00010] is priced[0b00010]     # a hit, not a second sum
+        assert set(memo) == set(priced) | {0b10100}
+        ctx = EvalContext(f, prior)
+        for e in range(3):
+            assert ctx.delta(e, psi) == explicit_delta(ref, prior, psi, e)
+
     @pytest.mark.parametrize("pi", [adaptive_greedy(8), adaptive_greedy(8, "lazy"),
                                     adaptive_stochastic_greedy(8, 0.1)],
                              ids=lambda pi: pi.name)
@@ -109,12 +146,27 @@ class TestCoverageDeltaIsExact:
         for seed in range(3):
             inst = generate_coverage(n=200, m=2 + seed % 2, universe_size=30,
                                      density=0.15, seed=100 + seed)
-            phi = sample_realization(inst.prior, random.Random(seed))
-            f, ref = inst.utility(), inst.utility()
-            trace = run_policy(pi, f, inst.prior, phi, seed=seed)
-            ref_trace = pi.run_on(ExplicitDeltaContext(ref, inst.prior, seed=seed), phi)
-            assert trace == ref_trace
-            assert f.delta_counter == ref.delta_counter
+            assert_same_rollout(pi, inst, seed)
+
+    @pytest.mark.parametrize("pi", [adaptive_greedy(50, "lazy"),
+                                    adaptive_stochastic_greedy(50, 0.1)],
+                             ids=lambda pi: pi.name)
+    def test_n1000_rollouts_pick_the_same_items(self, pi):
+        # The benchmark's rollout instance: saturated coverage, where most
+        # candidates of a history share their newly covered mask.
+        inst = generate_coverage(n=1000, m=2, universe_size=16, density=0.2, seed=77)
+        for seed in range(2):
+            assert_same_rollout(pi, inst, seed)
+
+
+def assert_same_rollout(pi, inst, seed):
+    """A rollout's trace and Delta count equal those of an explicit_delta rollout."""
+    phi = sample_realization(inst.prior, random.Random(seed))
+    f, ref = inst.utility(), inst.utility()
+    trace = run_policy(pi, f, inst.prior, phi, seed=seed)
+    ref_trace = pi.run_on(ExplicitDeltaContext(ref, inst.prior, seed=seed), phi)
+    assert trace == ref_trace
+    assert f.delta_counter == ref.delta_counter
 
 
 SQRT_WEIGHTS = [[0.0, 2.0, 5.0], [1.0, 0.5, 3.0], [4.0, 0.0, 1.0], [2.5, 2.5, 0.25]]
@@ -124,18 +176,31 @@ CORRELATED = ExplicitPrior([((0, 1, 2, 0), 0.25), ((2, 1, 0, 1), 0.25),
                             ((1, 0, 0, 2), 0.3), ((2, 2, 1, 1), 0.2)])
 
 
+COVERAGE_WEIGHTS = [0.1, 0.7, 0.2, 1.3, 0.05, 0.3]
+COVERAGE_COVERS = [[0b000011, 0b001100, 0b110000], [0b000110, 0b000000, 0b101001],
+                   [0b010010, 0b000111, 0b000001], [0b100100, 0b011000, 0b000011]]
+
+
+def coverage_utility():
+    return CoverageUtility(COVERAGE_WEIGHTS, COVERAGE_COVERS)
+
+
 class TestGenericDelta:
     def test_matches_two_evaluation_formula(self):
-        for prior in (INDEPENDENT, CORRELATED):
-            f, ref = SqrtOfSelected(SQRT_WEIGHTS), SqrtOfSelected(SQRT_WEIGHTS)
-            ctx = EvalContext(f, prior)
-            rng = random.Random(5)
-            histories = [PSI_EMPTY] + [random_history(prior, rng, size) for size in (1, 2, 3)]
-            for psi in histories:
-                for e in range(prior.n):
-                    expected = explicit_delta(ref, prior, psi, e)
-                    assert ctx.delta(e, psi) == expected
-                    assert marginal_utility(f, prior, psi, e) == expected
+        # The coverage utility under CORRELATED takes its posteriors from
+        # item_posterior(e, psi), not from an independent prior's rows.
+        for make_f in (lambda: SqrtOfSelected(SQRT_WEIGHTS), coverage_utility):
+            for prior in (INDEPENDENT, CORRELATED):
+                f, ref = make_f(), make_f()
+                ctx = EvalContext(f, prior)
+                rng = random.Random(5)
+                histories = [PSI_EMPTY] + [random_history(prior, rng, size)
+                                           for size in (1, 2, 3)]
+                for psi in histories:
+                    for e in range(prior.n):
+                        expected = explicit_delta(ref, prior, psi, e)
+                        assert ctx.delta(e, psi) == expected
+                        assert marginal_utility(f, prior, psi, e) == expected
 
     def test_base_value_is_evaluated_once_per_history(self):
         f = SqrtOfSelected(SQRT_WEIGHTS)

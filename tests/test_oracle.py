@@ -11,6 +11,7 @@ from adasub import (
     InstanceTooLarge,
     PSI_EMPTY,
     PartialRealization,
+    ValidationError,
     ZeroProbabilityEvidence,
     adaptive_greedy,
     adaptive_stochastic_greedy,
@@ -46,6 +47,19 @@ class TestOptimalValue:
         with pytest.raises(InstanceTooLarge):
             optimal_value(utility_a, prior_a, CardinalityConstraint(2),
                           caps=OracleCaps(max_items=1))
+
+    def test_restricted_oracle_checks_size_once_and_budget_per_query(self, utility_a,
+                                                                     prior_a):
+        with pytest.raises(InstanceTooLarge, match="n=2 exceeds oracle cap 1"):
+            RestrictedOracle(utility_a, prior_a, OracleCaps(max_items=1))
+        with pytest.raises(InstanceTooLarge, match="m=2 exceeds oracle cap 1"):
+            RestrictedOracle(utility_a, prior_a, OracleCaps(max_states=1))
+        oracle = RestrictedOracle(utility_a, prior_a, OracleCaps(max_budget=1))
+        with pytest.raises(InstanceTooLarge, match="budget 2 exceeds oracle cap 1"):
+            oracle(PSI_EMPTY, (0, 1), 2)
+        with pytest.raises(ValidationError, match="negative budget"):
+            oracle(PSI_EMPTY, (0, 1), -1)
+        assert oracle(PSI_EMPTY, (0, 1), 1) == pytest.approx(1.5)
 
     def test_dominates_every_policy(self):
         for seed in range(8):
