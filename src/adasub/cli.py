@@ -19,7 +19,6 @@ import time
 import click
 
 from . import __version__
-from .core import sample_realization
 from .errors import AdasubError, InstanceTooLarge, ParseError, ValidationError
 from .evaluation import expected_utility
 from .instances import generate_coverage, load_instance, save_instance
@@ -315,7 +314,7 @@ def bench(policy_name, ns, ks, eps_list, instance_path, m, universe, density, se
                 spec = "local" if eps is None else "gasg(eps=%s)" % eps
                 pi = parse_policy(spec, inst)
                 f = inst.utility()
-                phi = sample_realization(inst.prior, random.Random("bench|%s" % seed))
+                phi = inst.prior.sample(random.Random("bench|%s" % seed))
                 run_policy(pi, f, inst.prior, phi, seed="bench|%s" % seed)
                 cap, naive = _bench_caps(pi, inst.n, None, eps, inst.constraint)
                 rows.append([pi.name, inst.n, sum(inst.constraint.remaining), eps,
@@ -333,8 +332,8 @@ def bench(policy_name, ns, ks, eps_list, instance_path, m, universe, density, se
                         else:
                             pi = adaptive_greedy(k, variant=policy_name if policy_name == "lazy" else "naive")
                         f = inst.utility()
-                        phi = sample_realization(
-                            inst.prior, random.Random("bench|%s|%d|%d" % (seed, n, k)))
+                        phi = inst.prior.sample(
+                            random.Random("bench|%s|%d|%d" % (seed, n, k)))
                         run_policy(pi, f, inst.prior, phi,
                                    seed="bench|%s|%d|%d" % (seed, n, k))
                         cap, naive = _bench_caps(pi, n, k, eps, None)

@@ -178,8 +178,7 @@ class IndependentPrior(Prior):
         return size
 
     def support(self, psi=PSI_EMPTY):
-        if self.evidence_probability(psi) <= 0.0:
-            raise ZeroProbabilityEvidence("evidence %r has zero probability" % (psi.pairs,))
+        _check_evidence(self, psi)
         if self.support_size(psi) > ENUMERATION_CAP:
             raise ExactModeUnavailable(
                 "conditioned support exceeds %d realizations" % ENUMERATION_CAP)
@@ -285,9 +284,7 @@ class ConditionedPrior:
     evidence: PartialRealization
 
     def __post_init__(self):
-        if self.base.evidence_probability(self.evidence) <= 0.0:
-            raise ZeroProbabilityEvidence(
-                "evidence %r has zero probability" % (self.evidence.pairs,))
+        _check_evidence(self.base, self.evidence)
 
     @property
     def n(self):
@@ -525,102 +522,61 @@ class TabularUtility(UtilityFunction):
 # expectation engines
 
 
-def _joint_hidden_posterior(cond: ConditionedPrior, hidden: Sequence[int]):
-    """Joint posterior over the states of `hidden` items, as [(assignment, p)]."""
-    base = cond.base
-    if isinstance(base, IndependentPrior):
-        per_item = [cond.item_posterior(e) for e in hidden]
-        out = []
-        for combo in itertools.product(*per_item):
-            p = 1.0
-            for _, q in combo:
-                p *= q
-            out.append((tuple(o for o, _ in combo), p))
-        return out
-    mass = {}
-    for phi, p in cond.support():
-        key = tuple(phi[e] for e in hidden)
-        mass[key] = mass.get(key, 0.0) + p
-    return sorted(mass.items())
+def _check_evidence(prior, psi: PartialRealization):
+    """Raise ZeroProbabilityEvidence unless psi has positive probability."""
+    if prior.evidence_probability(psi) <= 0.0:
+        raise ZeroProbabilityEvidence("evidence %r has zero probability" % (psi.pairs,))
 
 
-def expected_set_value(f: UtilityFunction, prior, psi: PartialRealization,
-                       items: Sequence[int]) -> float:
-    """E[f(items, Phi) | Phi ~ psi]."""
-    cond = condition(prior, psi)
+def expected_set_value(f: UtilityFunction, prior, psi: PartialRealization) -> float:
+    """E[f(dom psi, Phi) | psi]: the value of stopping at psi."""
+    dom = psi.domain()
     if f.depends_only_on_selected:
-        hidden = [e for e in items if e not in psi]
-        if not hidden:
-            return f.value(items, psi.as_dict())
-        fixed = psi.as_dict()
-        total = 0.0
-        for assignment, p in _joint_hidden_posterior(cond, hidden):
-            states = dict(fixed)
-            states.update(zip(hidden, assignment))
-            total += p * f.value(items, states)
-        return total
+        _check_evidence(prior, psi)
+        return f.value(dom, psi.as_dict())
     total = 0.0
-    for phi, p in cond.support():
-        total += p * f.value(items, phi)
+    for phi, p in prior.support(psi):
+        total += p * f.value(dom, phi)
     return total
 
 
 def _observe(f, prior, psi):
     """f.observe(psi), once psi is known to be possible under the prior."""
-    if prior.evidence_probability(psi) <= 0.0:
-        raise ZeroProbabilityEvidence("evidence %r has zero probability" % (psi.pairs,))
+    _check_evidence(prior, psi)
     return f.observe(psi)
 
 
-def _delta_mc(f, prior, psi, e, samples, seed):
-    cond = condition(prior, psi)
-    rng = random.Random("delta|%s|%s" % (seed, psi.pairs))
-    dom = psi.domain()
-    dom_e = dom + (e,)
-    acc = 0.0
-    for _ in range(samples):
-        phi = cond.sample(rng)
-        acc += f.value(dom_e, phi) - f.value(dom, phi)
-    return acc / samples
-
-
-def marginal_utility(f: UtilityFunction, prior, psi: PartialRealization, e: int,
-                     mode: str = "exact", samples: int = 10_000, seed=0) -> float:
+def marginal_utility(f: UtilityFunction, prior, psi: PartialRealization, e: int) -> float:
     """Conditional expected marginal utility of item e given observations psi.
 
     Counts one delta_counter tick; returns 0 with no f evaluations when e is
     already observed (adding it again cannot change the selected set).  The
     value is EvalContext.delta's, from a context made for this one call.
     """
-    if mode not in ("exact", "mc"):
-        raise ValueError("unknown mode %r" % mode)
-    return EvalContext(f, prior, seed=seed, mode=mode, mc_samples=samples).delta(e, psi)
+    return EvalContext(f, prior).delta(e, psi)
 
 
 class EvalContext:
     """Shared evaluation state for policy rollouts.
 
     Bundles the utility, the prior, the master seed for internal policy
-    randomness, and an optional cross-rollout cache of exact Delta values.
+    randomness, and an optional cross-rollout cache of Delta values.
     The per-decision random stream is derived from (seed, observation
     history), so a policy's choice at a given history is reproducible no
     matter how that history was reached.
 
-    f's state at the history of the last exact Delta is kept (one entry):
+    f's state at the history of the last Delta is kept (one entry):
     a decision prices all its candidates at one history.
     """
 
-    def __init__(self, f, prior, seed=0, delta_cache=None, mode="exact",
-                 mc_samples=2000):
+    def __init__(self, f, prior, seed=0, delta_cache=None):
         self.f = f
         self.prior = prior
         self.seed = seed
         self.delta_cache = delta_cache
-        self.mode = mode
-        self.mc_samples = mc_samples
         self.last_candidates = ()
         self.last_delta = None
-        self._observed = (None, None)   # (psi.pairs, f's state), in exact mode only
+        self._observed = (None, None)   # (psi.pairs, f's state)
         # delta()'s fast path: no delta_cache, and an unobserved item's posterior is its row.
         self._rows = (prior.rows if delta_cache is None and isinstance(prior, IndependentPrior)
                       else None)
@@ -639,8 +595,6 @@ class EvalContext:
             return 0.0
         if self._rows is not None and self._observed[0] == psi.pairs:
             return f.expected_gain(self._observed[1], e, self._rows[e])
-        if self.mode == "mc":
-            return _delta_mc(f, self.prior, psi, e, self.mc_samples, self.seed)
         if self.delta_cache is None:
             return self._delta_exact(e, psi)
         key = (psi.pairs, e)
@@ -657,7 +611,7 @@ class EvalContext:
             dom = psi.domain()
             dom_e = dom + (e,)
             total = 0.0
-            for phi, p in condition(prior, psi).support():
+            for phi, p in prior.support(psi):
                 total += p * (f.value(dom_e, phi) - f.value(dom, phi))
             return total
         # f(dom, .) is fixed by psi and f(dom+e, .) depends on Phi_e only,

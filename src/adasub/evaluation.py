@@ -28,7 +28,6 @@ from .core import (
     PSI_EMPTY,
     PartialRealization,
     _observe,
-    condition,
     expected_set_value,
 )
 from .errors import ExactModeUnavailable, InstanceTooLarge, PolicyViolation
@@ -122,12 +121,11 @@ class HistoryRecursion:
 
     def stop(self, psi):
         if self.stops is None:      # exact evaluation asks each history once
-            evidence = self._evidence(psi)
-            return expected_set_value(self.f, self.prior, evidence, evidence.domain())
+            return expected_set_value(self.f, self.prior, self._evidence(psi))
         key = (self.node or self._summary(psi))[1] if self.summarized else psi.pairs
         if key not in self.stops:   # under summary keys, value() of the covered mask
             self.stops[key] = (self.f._mask_weight(key) if self.summarized
-                               else expected_set_value(self.f, self.prior, psi, psi.domain()))
+                               else expected_set_value(self.f, self.prior, psi))
         return self.stops[key]
 
     def branch(self, psi, cstate, e, scratch=None):
@@ -180,8 +178,8 @@ def _policy_value(pi, f, prior, given, seed, constraint, delta_cache=None):
     if not pi.supports_tree_eval:
         if seed is None and pi.randomized:
             raise ExactModeUnavailable(
-                "%s has no exact form over its internal randomness; use mode='mc'"
-                % pi.name)
+                "%s has no exact form over its internal randomness; "
+                "use expected_utility(mode='mc')" % pi.name)
         total = 0.0
         for phi, p in prior.support(given):
             trace = run_policy(pi, f, prior, phi, constraint=constraint, seed=seed)
@@ -228,29 +226,14 @@ def expected_utility(f, prior, pi: Policy, mode: str = "exact",
     return mean, math.sqrt(var / len(vals))
 
 
-def policy_marginal(f, prior, psi, pi: Policy, mode: str = "exact",
-                    samples: int = 10_000, seed=0, constraint=None) -> float:
+def policy_marginal(f, prior, psi, pi: Policy, constraint=None) -> float:
     """Expected gain of running pi (from an empty history) on top of psi.
 
     E[f(dom(psi) | union E(pi, Phi), Phi) - f(dom(psi), Phi)] over
     realizations consistent with psi; pi decides from its own observations
-    only, under the unconditioned prior.  Exact mode is exact over pi's
-    internal randomness as well (seed is unused) and has exact_policy_value's
-    size cap and its ExactModeUnavailable for a randomized concat; mc mode
-    averages `samples` seeded rollouts.
+    only, under the unconditioned prior.  The value is exact over pi's
+    internal randomness as well, with exact_policy_value's size cap and its
+    ExactModeUnavailable for a randomized concat.
     """
-    if mode == "exact":
-        return (_policy_value(pi, f, prior, psi, None, constraint)
-                - expected_set_value(f, prior, psi, psi.domain()))
-    if mode != "mc":
-        raise ValueError("unknown mode %r" % mode)
-    dom = psi.domain()
-    cond = condition(prior, psi)
-    rng = random.Random("%s#pm" % seed)
-    acc = 0.0
-    for i in range(samples):
-        phi = cond.sample(rng)
-        trace = run_policy(pi, f, prior, phi, constraint=constraint, seed="%s#%d" % (seed, i))
-        union = tuple(sorted(set(dom) | set(trace.selected)))
-        acc += f.value(union, phi) - f.value(dom, phi)
-    return acc / samples
+    return (_policy_value(pi, f, prior, psi, None, constraint)
+            - expected_set_value(f, prior, psi))

@@ -199,9 +199,9 @@ class Policy:
 
 
 def run_policy(pi: Policy, f, prior, phi, constraint=None, seed=0,
-               delta_cache=None, mode="exact") -> PolicyTrace:
+               delta_cache=None) -> PolicyTrace:
     """Execute one rollout of pi on realization phi and return its trace."""
-    ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache, mode=mode)
+    ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
     return pi.run_on(ctx, phi, constraint)
 
 
@@ -557,11 +557,9 @@ class ConcatPolicy(Policy):
 
     def run_on(self, ctx, phi, cstate=None):
         ctx1 = EvalContext(ctx.f, ctx.prior, seed="%s/1" % ctx.seed,
-                           delta_cache=ctx.delta_cache, mode=ctx.mode,
-                           mc_samples=ctx.mc_samples)
+                           delta_cache=ctx.delta_cache)
         ctx2 = EvalContext(ctx.f, ctx.prior, seed="%s/2" % ctx.seed,
-                           delta_cache=ctx.delta_cache, mode=ctx.mode,
-                           mc_samples=ctx.mc_samples)
+                           delta_cache=ctx.delta_cache)
         t1 = self.first.run_on(ctx1, phi)
         t2 = self.second.run_on(ctx2, phi)
         steps = list(t1.steps)

@@ -120,13 +120,6 @@ class TestMarginalUtility:
                    for phi, p in condition(explicit, psi({1: 0})).support())
         assert tab_free == pytest.approx(enum, abs=1e-12)
 
-    def test_mc_agrees_with_exact(self, utility_a, prior_a):
-        exact = marginal_utility(utility_a, prior_a, PSI_EMPTY, 0)
-        est = marginal_utility(utility_a, prior_a, PSI_EMPTY, 0, mode="mc",
-                               samples=20_000, seed=7)
-        # gain is 1 or 2 w.p. 1/2 each: sd = 0.5
-        assert abs(est - exact) < 4 * 0.5 / math.sqrt(20_000)
-
 
 class TestSampling:
     def test_point_mass_prior(self):
@@ -185,7 +178,7 @@ class TestCounters:
         f = TracingCoverage(list((1.0, 1.0)), [list(r) for r in ((0b01, 0b11), (0b00, 0b10))])
         marginal_utility(f, prior_a, PSI_EMPTY, 0)
         marginal_utility(f, prior_a, psi({0: 0}), 1)
-        expected_set_value(f, prior_a, PSI_EMPTY, (0, 1))
+        expected_set_value(f, prior_a, psi({0: 0, 1: 1}))
         assert f.f_counter == f.trace_count > 0
 
     def test_reset(self, utility_a, prior_a):

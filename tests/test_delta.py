@@ -18,10 +18,12 @@ from adasub import (
     IndependentPrior,
     PSI_EMPTY,
     PartialRealization,
+    TabularUtility,
     UtilityFunction,
     ZeroProbabilityEvidence,
     adaptive_greedy,
     adaptive_stochastic_greedy,
+    expected_set_value,
     generate_coverage,
     marginal_utility,
     run_policy,
@@ -222,6 +224,8 @@ class TestImpossibleHistory:
             EvalContext(f, prior).delta(1, impossible)
         with pytest.raises(ZeroProbabilityEvidence):
             marginal_utility(f, prior, impossible, 1)
+        with pytest.raises(ZeroProbabilityEvidence):
+            expected_set_value(f, prior, impossible)
 
     def test_generic_utility_raises(self):
         f = SqrtOfSelected(SQRT_WEIGHTS)
@@ -230,3 +234,13 @@ class TestImpossibleHistory:
             EvalContext(f, CORRELATED).delta(2, impossible)
         with pytest.raises(ZeroProbabilityEvidence):
             marginal_utility(f, CORRELATED, impossible, 2)
+
+    def test_tabular_utility_raises(self):
+        # each observation is possible on its own; together they are not
+        prior = ExplicitPrior([((0, 0, 0), 0.5), ((1, 1, 0), 0.5)])
+        f = TabularUtility(3, [(0, 0, 0), (1, 1, 0)], [[float(mask), 1.0] for mask in range(8)])
+        impossible = PartialRealization.of({0: 0, 1: 1})
+        with pytest.raises(ZeroProbabilityEvidence):
+            expected_set_value(f, prior, impossible)
+        with pytest.raises(ZeroProbabilityEvidence):
+            marginal_utility(f, prior, impossible, 2)

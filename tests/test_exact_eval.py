@@ -283,10 +283,10 @@ def test_policy_marginal_matches_the_reference(seed):
         val = policy_marginal(f, prior, psi, pi)
         assert abs(val - reference_marginal(f, prior, psi, cstate, sets)) <= 1e-12, pi.name
         assert (policy_marginal(f, prior, PSI_EMPTY, pi)
-                == exact_policy_value(pi, f, prior) - expected_set_value(f, prior, PSI_EMPTY, ()))
+                == exact_policy_value(pi, f, prior) - expected_set_value(f, prior, PSI_EMPTY))
 
 
 def test_randomized_concat_has_no_exact_policy_marginal(utility_a, prior_a):
     pi = concat(random_policy(1), empty_policy())
-    with pytest.raises(ExactModeUnavailable):
+    with pytest.raises(ExactModeUnavailable, match=r"use expected_utility\(mode='mc'\)$"):
         policy_marginal(utility_a, prior_a, PartialRealization.of({0: 1}), pi)

@@ -143,7 +143,7 @@ class TestRestrictedOptimal:
     def test_full_ground_set_matches_unrestricted(self, utility_a, prior_a):
         val = restricted_optimal(utility_a, prior_a, PSI_EMPTY, (0, 1), 2)
         opt = optimal_value(utility_a, prior_a, CardinalityConstraint(2)).value
-        base = expected_set_value(utility_a, prior_a, PSI_EMPTY, ())
+        base = expected_set_value(utility_a, prior_a, PSI_EMPTY)
         assert val == pytest.approx(opt - base, abs=1e-9)
 
     def test_unrestricted_query_equals_optimal_value_from_a_base(self):
