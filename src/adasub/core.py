@@ -120,9 +120,6 @@ class Prior:
         """Enumerate [(realization, prob)] consistent with psi, renormalized."""
         raise NotImplementedError
 
-    def support_size(self, psi: PartialRealization = PSI_EMPTY) -> int:
-        raise NotImplementedError
-
     def sample(self, rng: random.Random, psi: PartialRealization = PSI_EMPTY) -> tuple:
         raise NotImplementedError
 
@@ -257,9 +254,6 @@ class ExplicitPrior(Prior):
 
     def item_states(self, e):
         return tuple(sorted({phi[e] for phi, p in self.weighted if p > 0.0}))
-
-    def support_size(self, psi=PSI_EMPTY):
-        return sum(1 for phi, p in self.weighted if consistent(psi, phi) and p > 0.0)
 
     def support(self, psi=PSI_EMPTY):
         sub, total = self._consistent(psi)

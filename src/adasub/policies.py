@@ -7,7 +7,9 @@ stream derived from (master seed, observation history), which makes rollouts
 reproducible and lets the same seeded policy be evaluated exactly by
 recursion over its decision tree.
 
-Tie-breaking is the smallest item id everywhere.
+Greedy, ASG, locally greedy and GASG select the smallest (-Delta(e|psi), id)
+key of a uniform sample of the pool (the whole pool for the greedy two), and
+lazy greedy's heap orders by that key, so ties go to the smallest id everywhere.
 """
 
 from __future__ import annotations
@@ -219,17 +221,6 @@ def _feasible_pool(ctx, psi, cstate):
     return [e for e in range(ctx.n) if e not in observed and cstate.can_select(e)]
 
 
-def _argmax_delta(ctx, psi, candidates):
-    """Largest Delta(e|psi) among candidates; ties go to the smallest item."""
-    best_e = None
-    best_d = None
-    for e in candidates:
-        d = ctx.delta(e, psi)
-        if best_d is None or d > best_d:
-            best_e, best_d = e, d
-    return best_e, best_d
-
-
 def sample_budget(pool_size: int, group_size: int, limit: int, epsilon: float) -> int:
     """ceil((group_size/limit) * ln(1/eps)), clamped to the candidate pool."""
     s = math.ceil(group_size / limit * math.log(1.0 / epsilon))
@@ -273,23 +264,69 @@ class FixedSequencePolicy(Policy):
         return None
 
 
-class AdaptiveGreedyPolicy(Policy):
-    """Classic adaptive greedy: argmax Delta over all feasible items each round.
+class _BestOfSamplePolicy(Policy):
+    """Selects the best-Delta item of a uniform sample drawn from a pool.
 
-    The lazy variant keeps a max-heap of stale upper bounds and re-evaluates
-    the top until a value evaluated at the current history dominates the next
-    stale key.  Valid because adaptive submodularity makes Delta(e|.)
-    non-increasing along the policy's own observation chain; both variants
-    select identical items.
+    Subclasses say which pool (_sample_space) and, through _sample_size, how
+    large a sample; the draw is without replacement, and the best item has
+    the smallest (-Delta, id) key.  The default sample is the whole pool, which
+    is greedy: decide then draws nothing (each history has its own stream, so
+    no other choice changes) and decision_distribution puts mass 1 on rank 0.
     """
 
-    def __init__(self, k: int, lazy: bool = False):
+    def _sample_size(self, pool_size: int, group_size: int, limit: int) -> int:
+        return pool_size
+
+    def _sample_space(self, ctx, psi, cstate):
+        """(candidate pool in id order, sample size); an empty pool stops."""
+        raise NotImplementedError
+
+    def decide(self, ctx, psi, cstate, scratch):
+        pool, s = self._sample_space(ctx, psi, cstate)
+        if not pool:
+            return None
+        candidates = pool if s == len(pool) else sorted(ctx.rng_for(psi).sample(pool, s))
+        best = best_d = None
+        for e in candidates:    # in id order, so a tie keeps the smaller id
+            d = ctx.delta(e, psi)
+            if best is None or d > best_d:
+                best, best_d = e, d
+        ctx.record(candidates, best_d)
+        return best
+
+    def decision_distribution(self, ctx, psi, cstate):
+        """Exact law of decide's choice over the uniform draw.
+
+        With the pool ranked by (-Delta, id), the sample's best is rank j iff
+        the sample holds rank j and s-1 of the N-1-j ranks after it:
+        probability C(N-1-j, s-1) / C(N, s).
+        """
+        pool, s = self._sample_space(ctx, psi, cstate)
+        if not pool:
+            return []
+        ranked = sorted(pool, key=lambda e: (-ctx.delta(e, psi), e))
+        size = len(ranked)
+        draws = math.comb(size, s)
+        return [(e, math.comb(size - 1 - j, s - 1) / draws)
+                for j, e in enumerate(ranked[:size - s + 1])]
+
+    def _draw_sizes(self, n, cstate):
+        """(pool size, sample size) of each selection from the empty history on."""
+        raise NotImplementedError
+
+    def decision_widths(self, n, cstate):
+        return [size - s + 1 for size, s in self._draw_sizes(n, cstate)]
+
+
+class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
+    """Classic adaptive greedy: argmax Delta over all feasible items each round."""
+
+    name = "greedy"
+
+    def __init__(self, k: int):
         if k < 0:
             raise ValidationError("k must be >= 0")
         self.k = k
-        self.lazy = lazy
-        self.path_dependent = lazy
-        self.name = "lazy" if lazy else "greedy"
 
     def params(self):
         return {"k": self.k}
@@ -297,19 +334,31 @@ class AdaptiveGreedyPolicy(Policy):
     def fresh_constraint(self, n):
         return CardinalityConstraint(min(self.k, n))
 
+    def _sample_space(self, ctx, psi, cstate):
+        pool = _feasible_pool(ctx, psi, cstate)
+        return pool, self._sample_size(len(pool), ctx.n, self.k)
+
+    def _draw_sizes(self, n, cstate):
+        sizes = range(n, n - min(cstate.total_budget(), n), -1)
+        return [(size, self._sample_size(size, n, self.k)) for size in sizes]
+
+
+class LazyGreedyPolicy(AdaptiveGreedyPolicy):
+    """Adaptive greedy with lazy re-evaluation; selects greedy's items.
+
+    Keeps a max-heap of stale upper bounds, keyed (-Delta, id), and
+    re-evaluates the top until a value evaluated at the current history
+    dominates the next stale key.  Valid because adaptive submodularity
+    makes Delta(e|.) non-increasing along the policy's own observation chain.
+    """
+
+    name = "lazy"
+    path_dependent = True
+
     def decide(self, ctx, psi, cstate, scratch):
-        if cstate.exhausted():
-            return None
         pool = _feasible_pool(ctx, psi, cstate)
         if not pool:
             return None
-        if not self.lazy:
-            e, d = _argmax_delta(ctx, psi, pool)
-            ctx.record(pool, d)
-            return e
-        return self._decide_lazy(ctx, psi, scratch, pool)
-
-    def _decide_lazy(self, ctx, psi, scratch, pool):
         rnd = scratch.get("round", 0) + 1
         scratch["round"] = rnd
         heap = scratch.get("heap")
@@ -337,53 +386,7 @@ class AdaptiveGreedyPolicy(Policy):
         return None
 
 
-class _BestOfSamplePolicy(Policy):
-    """Selects the best-Delta item of a uniform sample drawn from a pool.
-
-    Subclasses say which pool and what sample size (_sample_space); the draw
-    is without replacement, and ties go to the smallest item.
-    """
-
-    randomized = True
-
-    def _sample_space(self, ctx, psi, cstate):
-        """(candidate pool in id order, sample size); an empty pool stops."""
-        raise NotImplementedError
-
-    def decide(self, ctx, psi, cstate, scratch):
-        pool, s = self._sample_space(ctx, psi, cstate)
-        if not pool:
-            return None
-        candidates = sorted(ctx.rng_for(psi).sample(pool, s))
-        e, d = _argmax_delta(ctx, psi, candidates)
-        ctx.record(candidates, d)
-        return e
-
-    def decision_distribution(self, ctx, psi, cstate):
-        """Exact law of decide's choice over the uniform draw.
-
-        With the pool ranked by (-Delta, id), the sample's best is rank j iff
-        the sample holds rank j and s-1 of the N-1-j ranks after it:
-        probability C(N-1-j, s-1) / C(N, s).
-        """
-        pool, s = self._sample_space(ctx, psi, cstate)
-        if not pool:
-            return []
-        ranked = sorted(pool, key=lambda e: (-ctx.delta(e, psi), e))
-        size = len(ranked)
-        draws = math.comb(size, s)
-        return [(e, math.comb(size - 1 - j, s - 1) / draws)
-                for j, e in enumerate(ranked[:size - s + 1])]
-
-    def _draw_sizes(self, n, cstate):
-        """(pool size, sample size) of each selection from the empty history on."""
-        raise NotImplementedError
-
-    def decision_widths(self, n, cstate):
-        return [size - s + 1 for size, s in self._draw_sizes(n, cstate)]
-
-
-class AdaptiveStochasticGreedyPolicy(_BestOfSamplePolicy):
+class AdaptiveStochasticGreedyPolicy(AdaptiveGreedyPolicy):
     """Each round: subsample the unselected items, select the best of the sample.
 
     The sample has size ceil((n/k) * ln(1/eps)) (clamped to the pool), drawn
@@ -392,6 +395,7 @@ class AdaptiveStochasticGreedyPolicy(_BestOfSamplePolicy):
     """
 
     name = "asg"
+    randomized = True
 
     def __init__(self, k: int, epsilon: float):
         if k < 1:
@@ -404,42 +408,27 @@ class AdaptiveStochasticGreedyPolicy(_BestOfSamplePolicy):
     def params(self):
         return {"k": self.k, "eps": self.epsilon}
 
-    def fresh_constraint(self, n):
-        return CardinalityConstraint(min(self.k, n))
-
-    def _sample_space(self, ctx, psi, cstate):
-        pool = _feasible_pool(ctx, psi, cstate)
-        return pool, sample_budget(len(pool), ctx.n, self.k, self.epsilon)
-
-    def _draw_sizes(self, n, cstate):
-        sizes = range(n, n - min(cstate.total_budget(), n), -1)
-        return [(size, sample_budget(size, n, self.k, self.epsilon)) for size in sizes]
+    def _sample_size(self, pool_size, group_size, limit):
+        return sample_budget(pool_size, group_size, limit, self.epsilon)
 
 
-class RandomPolicy(Policy):
-    """Selects k distinct items uniformly at random, ignoring observations."""
+class RandomPolicy(AdaptiveGreedyPolicy):
+    """Selects k distinct items uniformly at random, ignoring observations.
+
+    The best of a one-item sample, which needs no Delta.
+    """
 
     name = "random"
     randomized = True
 
-    def __init__(self, k: int):
-        if k < 0:
-            raise ValidationError("k must be >= 0")
-        self.k = k
-
-    def params(self):
-        return {"k": self.k}
-
-    def fresh_constraint(self, n):
-        return CardinalityConstraint(min(self.k, n))
+    def _sample_size(self, pool_size, group_size, limit):
+        return 1
 
     def decide(self, ctx, psi, cstate, scratch):
-        if cstate.exhausted():
-            return None
         pool = _feasible_pool(ctx, psi, cstate)
         if not pool:
             return None
-        e = ctx.rng_for(psi).choice(sorted(pool))
+        e = ctx.rng_for(psi).choice(pool)
         ctx.record((e,), None)
         return e
 
@@ -447,12 +436,15 @@ class RandomPolicy(Policy):
         pool = _feasible_pool(ctx, psi, cstate)
         return [(e, 1.0 / len(pool)) for e in pool]
 
-    def decision_widths(self, n, cstate):
-        return list(range(n, n - min(cstate.total_budget(), n), -1))
 
+class LocallyGreedyPolicy(_BestOfSamplePolicy):
+    """Greedy within each group, groups processed in the given order.
 
-class _PartitionPolicy(Policy):
-    """Shared machinery: process groups in a fixed order, greedily within each."""
+    Each within-group selection conditions on everything observed so far,
+    across all groups.
+    """
+
+    name = "local"
 
     def __init__(self, groups, limits, order=None):
         self.constraint = PartitionConstraint.of(groups, limits)
@@ -462,44 +454,33 @@ class _PartitionPolicy(Policy):
         if sorted(self.order) != list(range(b)):
             raise ValidationError("order must be a permutation of the group indices")
 
+    def params(self):
+        return {"order": ":".join(map(str, self.order))}
+
     def fresh_constraint(self, n):
         return self.constraint
 
-    def _active_group(self, psi, cstate):
+    def _sample_space(self, ctx, psi, cstate):
         for i in self.order:
             if cstate.remaining[i] == 0:
                 continue
-            pool = [e for e in self.constraint.groups[i] if e not in psi]
+            group = self.constraint.groups[i]
+            pool = [e for e in group if e not in psi]
             if pool:
-                return i, pool
-        return None, None
+                return pool, self._sample_size(len(pool), len(group), self.limits[i])
+        return [], 0
 
-    def _order_param(self):
-        return ":".join(map(str, self.order))
-
-
-class LocallyGreedyPolicy(_PartitionPolicy):
-    """Greedy within each group, groups processed in the given order.
-
-    Each within-group selection conditions on everything observed so far,
-    across all groups.
-    """
-
-    name = "local"
-
-    def params(self):
-        return {"order": self._order_param()}
-
-    def decide(self, ctx, psi, cstate, scratch):
-        i, pool = self._active_group(psi, cstate)
-        if i is None:
-            return None
-        e, d = _argmax_delta(ctx, psi, pool)
-        ctx.record(pool, d)
-        return e
+    def _draw_sizes(self, n, cstate):
+        out = []
+        for i in self.order:
+            group = self.constraint.groups[i]
+            for t in range(min(cstate.remaining[i], len(group))):
+                size = len(group) - t
+                out.append((size, self._sample_size(size, len(group), self.limits[i])))
+        return out
 
 
-class GeneralizedASGPolicy(_PartitionPolicy, _BestOfSamplePolicy):
+class GeneralizedASGPolicy(LocallyGreedyPolicy):
     """Locally greedy with per-group subsampling of candidates.
 
     Within group i, each selection draws ceil((|B_i|/d_i) * ln(1/eps))
@@ -508,6 +489,7 @@ class GeneralizedASGPolicy(_PartitionPolicy, _BestOfSamplePolicy):
     """
 
     name = "gasg"
+    randomized = True
 
     def __init__(self, groups, limits, epsilon: float, order=None):
         super().__init__(groups, limits, order)
@@ -518,23 +500,10 @@ class GeneralizedASGPolicy(_PartitionPolicy, _BestOfSamplePolicy):
         self.epsilon = epsilon
 
     def params(self):
-        return {"eps": self.epsilon, "order": self._order_param()}
+        return {"eps": self.epsilon, **super().params()}
 
-    def _sample_space(self, ctx, psi, cstate):
-        i, pool = self._active_group(psi, cstate)
-        if i is None:
-            return [], 0
-        group = self.constraint.groups[i]
-        return pool, sample_budget(len(pool), len(group), self.limits[i], self.epsilon)
-
-    def _draw_sizes(self, n, cstate):
-        out = []
-        for i in self.order:
-            group = self.constraint.groups[i]
-            for t in range(min(cstate.remaining[i], len(group))):
-                size = len(group) - t
-                out.append((size, sample_budget(size, len(group), self.limits[i], self.epsilon)))
-        return out
+    def _sample_size(self, pool_size, group_size, limit):
+        return sample_budget(pool_size, group_size, limit, self.epsilon)
 
 
 class ConcatPolicy(Policy):
@@ -584,7 +553,7 @@ def empty_policy() -> Policy:
 def adaptive_greedy(k: int, variant: str = "naive") -> Policy:
     if variant not in ("naive", "lazy"):
         raise ValidationError("variant must be 'naive' or 'lazy'")
-    return AdaptiveGreedyPolicy(k, lazy=(variant == "lazy"))
+    return LazyGreedyPolicy(k) if variant == "lazy" else AdaptiveGreedyPolicy(k)
 
 
 def adaptive_stochastic_greedy(k: int, epsilon: float) -> Policy:

@@ -3,7 +3,9 @@ import csv
 import gc
 import io
 import json
+import tempfile
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -281,3 +283,61 @@ class TestBench:
         # per-round candidate counts: (4 + 3) for the first group, 4 for the second
         assert int(row["delta_measured"]) == (4 + 3) + 4
         assert int(row["delta_cap"]) == (4 + 3) + 4
+
+
+# Golden CSVs: `run` (exact and --mode mc, all six policies on one partition
+# instance) and `bench` outputs.  Every column but wall_time_s must match byte
+# for byte.  Rewrite them only for an intended output change:
+# PYTHONPATH=src python tests/test_cli.py
+GOLDEN = Path(__file__).parent / "golden"
+SIX_POLICIES = ["greedy(k=2)", "lazy(k=2)", "asg(k=2,eps=0.3)", "random(k=2)",
+                "local", "gasg(eps=0.3)"]
+RUN_SIX = ["run", "--instance", "{instance}"] + [a for p in SIX_POLICIES for a in ("--policy", p)]
+GOLDEN_COMMANDS = {
+    "run_exact.csv": RUN_SIX,
+    "run_mc.csv": RUN_SIX + ["--mode", "mc", "--samples", "200", "--seed", "4"],
+    "bench_asg.csv": ["bench", "--policy", "asg", "--n", "40", "--n", "80", "--k", "4",
+                      "--k", "8", "--eps", "0.1", "--eps", "0.3", "--seed", "2"],
+    "bench_greedy.csv": ["bench", "--policy", "greedy", "--n", "40", "--k", "4", "--seed", "2"],
+    "bench_lazy.csv": ["bench", "--policy", "lazy", "--n", "40", "--k", "4", "--seed", "2"],
+    "bench_local.csv": ["bench", "--policy", "local", "--instance", "{instance}", "--seed", "3"],
+    "bench_gasg.csv": ["bench", "--policy", "gasg", "--instance", "{instance}",
+                       "--eps", "0.1", "--eps", "0.4", "--seed", "3"],
+}
+
+
+def csv_rows_without_wall_time(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if "wall_time_s" in rows[0]:
+        i = rows[0].index("wall_time_s")
+        rows = [row[:i] + row[i + 1:] for row in rows]
+    return rows
+
+
+def regenerate_golden(name, workdir):
+    """Rows of golden file `name`, written afresh under workdir."""
+    instance = workdir / "partition.json"
+    runner = CliRunner()
+    if not instance.exists():
+        res = runner.invoke(main, ["gen", "--n", "8", "--seed", "3", "--groups",
+                                   "0,1,2,3;4,5,6,7", "--limits", "2,1", "--out", str(instance)])
+        assert res.exit_code == 0, res.output
+    out = workdir / name
+    args = [a.format(instance=instance) for a in GOLDEN_COMMANDS[name]]
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 0, res.output
+    return csv_rows_without_wall_time(out)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_csv_matches_the_golden_file(name, tmp_path):
+    assert regenerate_golden(name, tmp_path) == csv_rows_without_wall_time(GOLDEN / name)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in GOLDEN_COMMANDS:
+            rows = regenerate_golden(name, Path(tmp))
+            with open(GOLDEN / name, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -32,8 +32,10 @@ from adasub import (
     locally_greedy,
     policy_marginal,
     random_policy,
+    run_policy,
 )
 from adasub import evaluation
+from adasub.core import EvalContext
 from adasub.evaluation import EXACT_MAX_HISTORIES, exact_history_bound
 from adasub.policies import FixedSequencePolicy, PartitionConstraint, sample_budget
 
@@ -71,11 +73,14 @@ def reference_value(f, prior, psi, cstate, candidate_sets):
 
 
 def asg_sets(n, k, eps):
+    """ASG's equally likely samples; eps=None is greedy, whose one candidate
+    set is the whole pool."""
     def sets(psi, cstate):
         pool = [e for e in range(n) if e not in psi] if cstate.remaining else []
         if not pool:
             return []
-        return list(itertools.combinations(pool, sample_budget(len(pool), n, k, eps)))
+        s = len(pool) if eps is None else sample_budget(len(pool), n, k, eps)
+        return list(itertools.combinations(pool, s))
     return sets
 
 
@@ -87,11 +92,13 @@ def random_sets(n):
 
 
 def gasg_sets(groups, limits, eps, order):
+    """GASG's equally likely samples; eps=None is locally greedy."""
     def sets(psi, cstate):
         for i in order:
             pool = [e for e in groups[i] if e not in psi]
             if cstate.remaining[i] and pool:
-                s = sample_budget(len(pool), len(groups[i]), limits[i], eps)
+                s = len(pool) if eps is None else sample_budget(len(pool), len(groups[i]),
+                                                                limits[i], eps)
                 return list(itertools.combinations(pool, s))
         return []
     return sets
@@ -134,6 +141,10 @@ def test_asg_and_random_match_the_reference(name, f, prior, n, k, eps):
     ref = reference_value(f, prior, PSI_EMPTY, CardinalityConstraint(k),
                           asg_sets(n, k, eps))
     assert abs(asg - ref) <= 1e-12
+    greedy = exact_policy_value(adaptive_greedy(k), f, prior)
+    ref = reference_value(f, prior, PSI_EMPTY, CardinalityConstraint(k),
+                          asg_sets(n, k, None))
+    assert abs(greedy - ref) <= 1e-12
     rnd = exact_policy_value(random_policy(k), f, prior)
     ref = reference_value(f, prior, PSI_EMPTY, CardinalityConstraint(k), random_sets(n))
     assert abs(rnd - ref) <= 1e-12
@@ -159,10 +170,39 @@ def partition_cases():
 
 @pytest.mark.parametrize("f,prior,groups,limits,order,eps", list(partition_cases()))
 def test_gasg_matches_the_reference(f, prior, groups, limits, order, eps):
+    cstate = PartitionConstraint.of(groups, limits)
     val = exact_policy_value(generalized_asg(groups, limits, eps, order), f, prior)
-    ref = reference_value(f, prior, PSI_EMPTY, PartitionConstraint.of(groups, limits),
-                          gasg_sets(groups, limits, eps, order))
+    ref = reference_value(f, prior, PSI_EMPTY, cstate, gasg_sets(groups, limits, eps, order))
     assert abs(val - ref) <= 1e-12
+    val = exact_policy_value(locally_greedy(groups, limits, order), f, prior)
+    ref = reference_value(f, prior, PSI_EMPTY, cstate, gasg_sets(groups, limits, None, order))
+    assert abs(val - ref) <= 1e-12
+
+
+def test_every_selection_path_breaks_ties_to_the_smallest_id():
+    # Item 2 is the unique best at the empty history (Delta 1.5).  After
+    # observing item 2 in state 0, items 0, 1 and 3 tie at Delta 1; within the
+    # group [0, 1, 3, 4], items 0, 1, 3 and 4 tie at the empty history.
+    f, prior = tied_instance()
+    after_2 = PartialRealization.of({2: 0})
+    assert [explicit_delta(f, prior, after_2, e) for e in (0, 1, 3, 4)] == [1.0, 1.0, 1.0, 0.5]
+    groups, limits = [[0, 1, 3, 4], [2]], [2, 1]
+    assert sample_budget(4, 5, 2, 0.1) == sample_budget(4, 4, 2, 0.1) == 4     # saturated
+    cases = ((adaptive_greedy(2), after_2), (adaptive_greedy(2, "lazy"), after_2),
+             (adaptive_stochastic_greedy(2, 0.1), after_2),
+             (locally_greedy(groups, limits), PSI_EMPTY),
+             (generalized_asg(groups, limits, 0.1), PSI_EMPTY))
+    for pi, psi in cases:
+        cstate = pi.fresh_constraint(5)
+        for seed in (0, 1, "x"):
+            ctx = EvalContext(f, prior, seed=seed)
+            assert pi.decide(ctx, psi, cstate, pi.init_scratch()) == 0, pi.name
+        assert pi.decision_distribution(EvalContext(f, prior), psi, cstate) == [(0, 1.0)]
+    # lazy greedy meets the tie through its heap of stale bounds
+    phi = (1, 1, 0, 1, 1)
+    for pi in (adaptive_greedy(2), adaptive_greedy(2, "lazy"),
+               adaptive_stochastic_greedy(2, 0.1)):
+        assert run_policy(pi, f, prior, phi).selected == (0, 2), pi.name
 
 
 def test_deterministic_policies_ignore_the_seed():

@@ -1,0 +1,78 @@
+"""Cross-engine properties on generated coverage instances (n <= 6).
+
+For every policy with an exact form, at the empty history: its
+decision_distribution is a probability law, each seeded decide picks an item
+that law can pick, and its exact value is at most the oracle's optimum.
+Examples are derandomized, so every run checks the same instances.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adasub import (
+    PSI_EMPTY,
+    adaptive_greedy,
+    adaptive_stochastic_greedy,
+    exact_policy_value,
+    generalized_asg,
+    generate_coverage,
+    locally_greedy,
+    optimal_value,
+    random_policy,
+)
+from adasub.core import EvalContext
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+EPSILONS = st.sampled_from([0.05, 0.3, 0.6])
+
+
+@st.composite
+def coverage(draw):
+    return dict(n=draw(st.integers(2, 6)), m=draw(st.integers(2, 3)),
+                universe_size=draw(st.integers(3, 6)),
+                density=draw(st.sampled_from([0.2, 0.35, 0.5])),
+                seed=draw(st.integers(0, 10_000)))
+
+
+@st.composite
+def partitions(draw):
+    """A coverage instance whose items are split into consecutive groups."""
+    spec = draw(coverage())
+    cuts = sorted(draw(st.sets(st.integers(1, spec["n"] - 1), max_size=2)))
+    bounds = [0] + cuts + [spec["n"]]
+    groups = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    limits = [draw(st.integers(1, min(2, len(g)))) for g in groups]
+    order = draw(st.permutations(range(len(groups))))
+    return spec, groups, limits, order
+
+
+def check_policy(pi, inst):
+    f, prior = inst.utility(), inst.prior
+    cstate = pi.fresh_constraint(inst.n)
+    law = pi.decision_distribution(EvalContext(f, prior, seed=None), PSI_EMPTY, cstate)
+    assert abs(sum(q for _, q in law) - 1.0) <= 1e-12, pi.describe()
+    support = {e for e, q in law if q > 0.0}
+    for seed in range(5):
+        e = pi.decide(EvalContext(f, prior, seed=seed), PSI_EMPTY, cstate, pi.init_scratch())
+        assert e in support, (pi.describe(), seed, e)
+    opt = optimal_value(f, prior, cstate).value
+    assert exact_policy_value(pi, f, prior) <= opt + 1e-12, pi.describe()
+
+
+@given(coverage(), st.integers(1, 3), EPSILONS)
+@SETTINGS
+def test_cardinality_policies(spec, k, eps):
+    inst = generate_coverage(**spec, k=k)
+    for pi in (adaptive_greedy(k), adaptive_greedy(k, "lazy"),
+               adaptive_stochastic_greedy(k, eps), random_policy(k)):
+        check_policy(pi, inst)
+
+
+@given(partitions(), EPSILONS)
+@SETTINGS
+def test_partition_policies(case, eps):
+    spec, groups, limits, order = case
+    inst = generate_coverage(**spec, groups=groups, limits=limits)
+    for pi in (locally_greedy(groups, limits, order),
+               generalized_asg(groups, limits, eps, order)):
+        check_policy(pi, inst)
