@@ -109,6 +109,8 @@ def parse_policy(text: str, instance=None):
             return generalized_asg(groups, limits, float(kv["eps"]), order_arg())
     except KeyError as exc:
         raise ValidationError("policy %r is missing argument %s" % (text, exc))
+    except ValueError as exc:
+        raise ValidationError("malformed number in policy %r: %s" % (text, exc))
     raise ValidationError("unknown policy %r" % name)
 
 
@@ -116,6 +118,13 @@ def parse_policy(text: str, instance=None):
 @click.version_option(version=__version__, prog_name="adasub")
 def main():
     """Adaptive submodular maximization: policies, oracle, checkers."""
+
+
+def _int_list(option: str, text: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError("%s needs comma-separated integers, got %r" % (option, text))
 
 
 @main.command()
@@ -136,10 +145,10 @@ def gen(n, m, universe, density, wmin, wmax, seed, k, groups, limits, out):
     try:
         group_lists = limit_list = None
         if groups is not None:
-            group_lists = [[int(x) for x in g.split(",")] for g in groups.split(";")]
+            group_lists = [_int_list("--groups", g) for g in groups.split(";")]
             if limits is None:
                 raise ValidationError("--groups requires --limits")
-            limit_list = [int(x) for x in limits.split(",")]
+            limit_list = _int_list("--limits", limits)
         inst = generate_coverage(n, m, universe, density, (wmin, wmax), seed,
                                  k=k, groups=group_lists, limits=limit_list)
         save_instance(inst, out)
@@ -188,14 +197,16 @@ def run(instance_path, policy_specs, seed, mode, samples, out):
     for spec, pi in zip(policy_specs, policies):
         f = inst.utility()
         t0 = time.perf_counter()
-        if mode == "exact":
-            try:
+        try:
+            if mode == "exact":
                 favg, se = expected_utility(f, inst.prior, pi), 0.0
-            except InstanceTooLarge as exc:
-                _fail(EXIT_TOO_LARGE, "%s; use --mode mc" % exc)
-        else:
-            favg, se = expected_utility(f, inst.prior, pi, mode="mc",
-                                        samples=samples, seed=seed)
+            else:
+                favg, se = expected_utility(f, inst.prior, pi, mode="mc",
+                                            samples=samples, seed=seed)
+        except InstanceTooLarge as exc:
+            _fail(EXIT_TOO_LARGE, "%s; use --mode mc" % exc)
+        except ValidationError as exc:
+            _fail(EXIT_USAGE, str(exc))
         wall = time.perf_counter() - t0
         ratio = favg / opt if opt else None
         rows.append([pi.name, ";".join("%s=%s" % kv for kv in sorted(pi.params().items())),
@@ -303,41 +314,35 @@ def bench(policy_name, ns, ks, eps_list, instance_path, m, universe, density, se
     """Measure oracle-call counts per rollout against the theoretical caps."""
     rows = []
     try:
+        if policy_name in ("asg", "gasg") and not eps_list:
+            raise ValidationError("--eps is required for asg/gasg")
         if policy_name in ("local", "gasg"):
             if instance_path is None:
                 raise ValidationError("--instance is required for %s" % policy_name)
             inst = _load(instance_path)
             if not isinstance(inst.constraint, PartitionConstraint):
                 raise ValidationError("instance constraint must be a partition")
-            eps_grid = list(eps_list) if policy_name == "gasg" else [None]
-            for eps in eps_grid:
-                spec = "local" if eps is None else "gasg(eps=%s)" % eps
-                pi = parse_policy(spec, inst)
-                f = inst.utility()
-                phi = inst.prior.sample(random.Random("bench|%s" % seed))
-                run_policy(pi, f, inst.prior, phi, seed="bench|%s" % seed)
-                cap, naive = _bench_caps(pi, inst.n, None, eps, inst.constraint)
-                rows.append([pi.name, inst.n, sum(inst.constraint.remaining), eps,
-                             f.delta_counter, cap, naive])
+            # (instance, k, rollout stream); k=None: the instance's budgets
+            cases = [(inst, None, "bench|%s" % seed)]
         else:
             if not ns or not ks:
                 raise ValidationError("--n and --k are required for %s" % policy_name)
-            eps_grid = list(eps_list) if policy_name == "asg" else [None]
+            cases = []
             for n in ns:
                 inst = generate_coverage(n, m, universe, density, seed=seed)
-                for k in ks:
-                    for eps in eps_grid:
-                        if policy_name == "asg":
-                            pi = adaptive_stochastic_greedy(k, eps)
-                        else:
-                            pi = adaptive_greedy(k, variant=policy_name if policy_name == "lazy" else "naive")
-                        f = inst.utility()
-                        phi = inst.prior.sample(
-                            random.Random("bench|%s|%d|%d" % (seed, n, k)))
-                        run_policy(pi, f, inst.prior, phi,
-                                   seed="bench|%s|%d|%d" % (seed, n, k))
-                        cap, naive = _bench_caps(pi, n, k, eps, None)
-                        rows.append([pi.name, n, k, eps, f.delta_counter, cap, naive])
+                cases += [(inst, k, "bench|%s|%d|%d" % (seed, n, k)) for k in ks]
+        eps_grid = list(eps_list) if policy_name in ("asg", "gasg") else [None]
+        for inst, k, stream in cases:
+            for eps in eps_grid:
+                args = [] if k is None else ["k=%d" % k]
+                args += [] if eps is None else ["eps=%r" % eps]
+                pi = parse_policy("%s(%s)" % (policy_name, ",".join(args)), inst)
+                f = inst.utility()
+                phi = inst.prior.sample(random.Random(stream))
+                run_policy(pi, f, inst.prior, phi, seed=stream)
+                cap, naive = _bench_caps(pi, inst.n, k, eps, inst.constraint)
+                budget = sum(inst.constraint.remaining) if k is None else k
+                rows.append([pi.name, inst.n, budget, eps, f.delta_counter, cap, naive])
     except AdasubError as exc:
         _fail(EXIT_USAGE, str(exc))
     with open(out, "w", newline="") as fh:

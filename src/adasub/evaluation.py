@@ -3,7 +3,9 @@
 One recursion over observation histories, HistoryRecursion, serves exact
 policy evaluation here and the optimum in adasub.oracle: both are the same
 expectation over histories, memoized on (history, constraint state), where
-the optimum takes a max and a policy its own choice.  A policy's choice is
+the optimum takes a max and a policy its own choice.  A policy owns its
+constraint (pi.fresh_constraint(n)) and is always evaluated under it.  A
+policy's choice is
 its decision_distribution, which averages over the internal randomness
 exactly, or, for a fixed master seed, the point mass of the seeded decide
 (whose stream is derived from the seed and the history).  Exact evaluation
@@ -30,7 +32,7 @@ from .core import (
     _observe,
     expected_set_value,
 )
-from .errors import ExactModeUnavailable, InstanceTooLarge, PolicyViolation
+from .errors import ExactModeUnavailable, InstanceTooLarge, PolicyViolation, ValidationError
 from .policies import Policy, run_policy
 
 # Each visited history costs ~40 us and a ~320-byte memo entry (2-vCPU Xeon,
@@ -38,7 +40,7 @@ from .policies import Policy, run_policy
 EXACT_MAX_HISTORIES = 200_000
 
 
-def exact_history_bound(pi: Policy, n: int, m: int, constraint, expand=True) -> int:
+def exact_history_bound(pi: Policy, n: int, m: int, expand=True) -> int:
     """Upper bound on the histories an exact evaluation of pi visits.
 
     After j selections pi has followed at most prod(widths[:j]) item
@@ -47,7 +49,7 @@ def exact_history_bound(pi: Policy, n: int, m: int, constraint, expand=True) -> 
     Each set carries at most m^j outcome vectors.
     """
     total = paths = 1
-    for j, width in enumerate(pi.decision_widths(n, constraint), 1):
+    for j, width in enumerate(pi.decision_widths(n), 1):
         if expand:
             paths *= width
         sets = paths if pi.path_dependent else min(paths, math.comb(n, j))
@@ -161,8 +163,7 @@ def _policy_node(pi, ctx, rec, psi, cstate, scratch):
     return value
 
 
-def exact_policy_value(pi: Policy, f, prior, seed=None, constraint=None,
-                       delta_cache=None) -> float:
+def exact_policy_value(pi: Policy, f, prior, seed=None, delta_cache=None) -> float:
     """Exact f_avg of pi under the prior.
 
     seed=None averages over pi's internal randomness exactly; a given seed
@@ -170,10 +171,10 @@ def exact_policy_value(pi: Policy, f, prior, seed=None, constraint=None,
     InstanceTooLarge when exact_history_bound exceeds EXACT_MAX_HISTORIES;
     expected_utility(mode="mc") estimates the value instead.
     """
-    return _policy_value(pi, f, prior, PSI_EMPTY, seed, constraint, delta_cache)
+    return _policy_value(pi, f, prior, PSI_EMPTY, seed, delta_cache)
 
 
-def _policy_value(pi, f, prior, given, seed, constraint, delta_cache=None):
+def _policy_value(pi, f, prior, given, seed, delta_cache=None):
     """E[f(dom given + pi's selections) | given], pi run from an empty history."""
     if not pi.supports_tree_eval:
         if seed is None and pi.randomized:
@@ -182,13 +183,11 @@ def _policy_value(pi, f, prior, given, seed, constraint, delta_cache=None):
                 "use expected_utility(mode='mc')" % pi.name)
         total = 0.0
         for phi, p in prior.support(given):
-            trace = run_policy(pi, f, prior, phi, constraint=constraint, seed=seed)
+            trace = run_policy(pi, f, prior, phi, seed=seed)
             union = tuple(sorted(set(given.domain()) | set(trace.selected)))
             total += p * f.value(union, phi)
         return total
-    if constraint is None:
-        constraint = pi.fresh_constraint(prior.n)
-    bound = exact_history_bound(pi, prior.n, prior.m, constraint, expand=seed is None)
+    bound = exact_history_bound(pi, prior.n, prior.m, expand=seed is None)
     if bound > EXACT_MAX_HISTORIES:
         raise InstanceTooLarge(
             "exact evaluation of %s may visit %d histories, over the cap %d"
@@ -196,12 +195,11 @@ def _policy_value(pi, f, prior, given, seed, constraint, delta_cache=None):
     ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
     rec = HistoryRecursion(f, prior, functools.partial(_policy_node, pi, ctx),
                            memoize=not pi.path_dependent, given=given)
-    return rec.value(PSI_EMPTY, constraint, pi.init_scratch())
+    return rec.value(PSI_EMPTY, pi.fresh_constraint(prior.n), pi.init_scratch())
 
 
 def expected_utility(f, prior, pi: Policy, mode: str = "exact",
-                     samples: int = 10_000, seed=0,
-                     constraint=None, delta_cache=None):
+                     samples: int = 10_000, seed=0, delta_cache=None):
     """f_avg(pi): expected utility over the prior and pi's internal randomness.
 
     Exact mode returns the exact expectation as a float, from one exact
@@ -210,23 +208,24 @@ def expected_utility(f, prior, pi: Policy, mode: str = "exact",
     EXACT_MAX_HISTORIES.  Monte Carlo mode returns (estimate, standard_error).
     """
     if mode == "exact":
-        return exact_policy_value(pi, f, prior, constraint=constraint,
-                                  delta_cache=delta_cache)
+        return exact_policy_value(pi, f, prior, delta_cache=delta_cache)
     if mode != "mc":
         raise ValueError("unknown mode %r" % mode)
+    if samples < 1:
+        raise ValidationError("Monte Carlo needs samples >= 1, got %d" % samples)
     rng_phi = random.Random("%s#phi" % seed)
     vals = []
     for i in range(samples):
         phi = prior.sample(rng_phi)
-        trace = run_policy(pi, f, prior, phi, constraint=constraint,
-                           seed="%s#%d" % (seed, i), delta_cache=delta_cache)
+        trace = run_policy(pi, f, prior, phi, seed="%s#%d" % (seed, i),
+                           delta_cache=delta_cache)
         vals.append(trace.value)
     mean = sum(vals) / len(vals)
     var = sum((v - mean) ** 2 for v in vals) / max(len(vals) - 1, 1)
     return mean, math.sqrt(var / len(vals))
 
 
-def policy_marginal(f, prior, psi, pi: Policy, constraint=None) -> float:
+def policy_marginal(f, prior, psi, pi: Policy) -> float:
     """Expected gain of running pi (from an empty history) on top of psi.
 
     E[f(dom(psi) | union E(pi, Phi), Phi) - f(dom(psi), Phi)] over
@@ -235,5 +234,5 @@ def policy_marginal(f, prior, psi, pi: Policy, constraint=None) -> float:
     internal randomness as well, with exact_policy_value's size cap and its
     ExactModeUnavailable for a randomized concat.
     """
-    return (_policy_value(pi, f, prior, psi, None, constraint)
+    return (_policy_value(pi, f, prior, psi, None)
             - expected_set_value(f, prior, psi))

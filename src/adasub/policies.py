@@ -5,7 +5,9 @@ in a scratch dict owned by the rollout (or by each branch of an exact
 policy-tree evaluation).  A policy's internal randomness is drawn from a
 stream derived from (master seed, observation history), which makes rollouts
 reproducible and lets the same seeded policy be evaluated exactly by
-recursion over its decision tree.
+recursion over its decision tree.  Each policy owns its constraint,
+fresh_constraint(n) (cardinality k for greedy, lazy, ASG and random; the
+partition matroid for locally greedy and GASG), and always runs under it.
 
 Greedy, ASG, locally greedy and GASG select the smallest (-Delta(e|psi), id)
 key of a uniform sample of the pool (the whole pool for the greedy two), and
@@ -170,15 +172,15 @@ class Policy:
         e = self.decide(ctx, psi, cstate, self.init_scratch())
         return [] if e is None else [(e, 1.0)]
 
-    def decision_widths(self, n: int, cstate) -> list:
+    def decision_widths(self, n: int) -> list:
         """Upper bounds, one per selection from the empty history on, on how
         many items decision_distribution returns."""
-        return [1] * min(cstate.total_budget(), n)
+        return [1] * min(self.fresh_constraint(n).total_budget(), n)
 
-    def run_on(self, ctx: EvalContext, phi, cstate=None) -> PolicyTrace:
-        """Select-observe loop on a fixed realization; selections are irrevocable."""
-        if cstate is None:
-            cstate = self.fresh_constraint(ctx.n)
+    def run_on(self, ctx: EvalContext, phi) -> PolicyTrace:
+        """Select-observe loop on a fixed realization, under the policy's own
+        constraint; selections are irrevocable."""
+        cstate = self.fresh_constraint(ctx.n)
         psi = PSI_EMPTY
         scratch = self.init_scratch()
         steps = []
@@ -200,25 +202,20 @@ class Policy:
         return PolicyTrace(tuple(steps), selected, ctx.f.value(selected, phi))
 
 
-def run_policy(pi: Policy, f, prior, phi, constraint=None, seed=0,
-               delta_cache=None) -> PolicyTrace:
+def run_policy(pi: Policy, f, prior, phi, seed=0, delta_cache=None) -> PolicyTrace:
     """Execute one rollout of pi on realization phi and return its trace."""
     ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
-    return pi.run_on(ctx, phi, constraint)
+    return pi.run_on(ctx, phi)
 
 
-def _feasible_pool(ctx, psi, cstate):
-    """Unobserved items the constraint admits, in id order."""
-    if isinstance(cstate, CardinalityConstraint):
-        # The budget test is the same for every item.
-        if cstate.exhausted():
-            return []
-        pool = list(range(ctx.n))
-        for e in reversed(psi.domain()):    # descending, so pool[e] is still e
-            del pool[e]
-        return pool
-    observed = psi.as_dict()
-    return [e for e in range(ctx.n) if e not in observed and cstate.can_select(e)]
+def _feasible_pool(n, psi, cstate):
+    """Unobserved items in id order, or none once the cardinality budget is spent."""
+    if cstate.exhausted():
+        return []
+    pool = list(range(n))
+    for e in reversed(psi.domain()):    # descending, so pool[e] is still e
+        del pool[e]
+    return pool
 
 
 def sample_budget(pool_size: int, group_size: int, limit: int, epsilon: float) -> int:
@@ -277,12 +274,12 @@ class _BestOfSamplePolicy(Policy):
     def _sample_size(self, pool_size: int, group_size: int, limit: int) -> int:
         return pool_size
 
-    def _sample_space(self, ctx, psi, cstate):
+    def _sample_space(self, n, psi, cstate):
         """(candidate pool in id order, sample size); an empty pool stops."""
         raise NotImplementedError
 
     def decide(self, ctx, psi, cstate, scratch):
-        pool, s = self._sample_space(ctx, psi, cstate)
+        pool, s = self._sample_space(ctx.n, psi, cstate)
         if not pool:
             return None
         candidates = pool if s == len(pool) else sorted(ctx.rng_for(psi).sample(pool, s))
@@ -301,7 +298,7 @@ class _BestOfSamplePolicy(Policy):
         the sample holds rank j and s-1 of the N-1-j ranks after it:
         probability C(N-1-j, s-1) / C(N, s).
         """
-        pool, s = self._sample_space(ctx, psi, cstate)
+        pool, s = self._sample_space(ctx.n, psi, cstate)
         if not pool:
             return []
         ranked = sorted(pool, key=lambda e: (-ctx.delta(e, psi), e))
@@ -310,12 +307,17 @@ class _BestOfSamplePolicy(Policy):
         return [(e, math.comb(size - 1 - j, s - 1) / draws)
                 for j, e in enumerate(ranked[:size - s + 1])]
 
-    def _draw_sizes(self, n, cstate):
-        """(pool size, sample size) of each selection from the empty history on."""
-        raise NotImplementedError
-
-    def decision_widths(self, n, cstate):
-        return [size - s + 1 for size, s in self._draw_sizes(n, cstate)]
+    def decision_widths(self, n):
+        """The law's length, pool size - s + 1, at each selection along one
+        path from the empty history: pool sizes do not depend on which items
+        were picked or observed."""
+        widths, psi, cstate = [], PSI_EMPTY, self.fresh_constraint(n)
+        while True:
+            pool, s = self._sample_space(n, psi, cstate)
+            if not pool:
+                return widths
+            widths.append(len(pool) - s + 1)
+            psi, cstate = psi.with_observation(pool[0], 0), cstate.after(pool[0])
 
 
 class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
@@ -334,13 +336,9 @@ class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
     def fresh_constraint(self, n):
         return CardinalityConstraint(min(self.k, n))
 
-    def _sample_space(self, ctx, psi, cstate):
-        pool = _feasible_pool(ctx, psi, cstate)
-        return pool, self._sample_size(len(pool), ctx.n, self.k)
-
-    def _draw_sizes(self, n, cstate):
-        sizes = range(n, n - min(cstate.total_budget(), n), -1)
-        return [(size, self._sample_size(size, n, self.k)) for size in sizes]
+    def _sample_space(self, n, psi, cstate):
+        pool = _feasible_pool(n, psi, cstate)
+        return pool, self._sample_size(len(pool), n, self.k)
 
 
 class LazyGreedyPolicy(AdaptiveGreedyPolicy):
@@ -356,7 +354,7 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
     path_dependent = True
 
     def decide(self, ctx, psi, cstate, scratch):
-        pool = _feasible_pool(ctx, psi, cstate)
+        pool = _feasible_pool(ctx.n, psi, cstate)
         if not pool:
             return None
         rnd = scratch.get("round", 0) + 1
@@ -425,7 +423,7 @@ class RandomPolicy(AdaptiveGreedyPolicy):
         return 1
 
     def decide(self, ctx, psi, cstate, scratch):
-        pool = _feasible_pool(ctx, psi, cstate)
+        pool = _feasible_pool(ctx.n, psi, cstate)
         if not pool:
             return None
         e = ctx.rng_for(psi).choice(pool)
@@ -433,7 +431,7 @@ class RandomPolicy(AdaptiveGreedyPolicy):
         return e
 
     def decision_distribution(self, ctx, psi, cstate):
-        pool = _feasible_pool(ctx, psi, cstate)
+        pool = _feasible_pool(ctx.n, psi, cstate)
         return [(e, 1.0 / len(pool)) for e in pool]
 
 
@@ -460,7 +458,7 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
     def fresh_constraint(self, n):
         return self.constraint
 
-    def _sample_space(self, ctx, psi, cstate):
+    def _sample_space(self, n, psi, cstate):
         for i in self.order:
             if cstate.remaining[i] == 0:
                 continue
@@ -469,15 +467,6 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
             if pool:
                 return pool, self._sample_size(len(pool), len(group), self.limits[i])
         return [], 0
-
-    def _draw_sizes(self, n, cstate):
-        out = []
-        for i in self.order:
-            group = self.constraint.groups[i]
-            for t in range(min(cstate.remaining[i], len(group))):
-                size = len(group) - t
-                out.append((size, self._sample_size(size, len(group), self.limits[i])))
-        return out
 
 
 class GeneralizedASGPolicy(LocallyGreedyPolicy):
@@ -524,7 +513,7 @@ class ConcatPolicy(Policy):
     def params(self):
         return {"first": self.first.describe(), "second": self.second.describe()}
 
-    def run_on(self, ctx, phi, cstate=None):
+    def run_on(self, ctx, phi):
         ctx1 = EvalContext(ctx.f, ctx.prior, seed="%s/1" % ctx.seed,
                            delta_cache=ctx.delta_cache)
         ctx2 = EvalContext(ctx.f, ctx.prior, seed="%s/2" % ctx.seed,

@@ -56,6 +56,19 @@ class TestGen:
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
 
+    def test_malformed_group_is_usage_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["gen", "--n", "4", "--groups", "0,a", "--limits", "1",
+                                   "--out", str(tmp_path / "inst.json")])
+        assert_clean_usage_error(res)
+        assert "--groups" in res.output
+
+
+def assert_clean_usage_error(res):
+    """Exit 2 with an `error:` line, not an uncaught exception."""
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert "error: " in res.output and "Traceback" not in res.output
+
 
 class TestRun:
     def test_tree_over_exact_cap_exits_three(self, runner, tmp_path):
@@ -110,6 +123,24 @@ class TestRun:
                                    "--seed", "5", "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
         assert "frobnicate" in res.output
+
+    @pytest.mark.parametrize("spec", ["asg(k=x,eps=0.1)", "greedy(k=2.5)", "local(order=0:x)"])
+    def test_malformed_number_is_usage_error(self, runner, tmp_path, spec):
+        path = tmp_path / "part.json"
+        save_instance(generate_coverage(4, 2, 6, 0.3, seed=1, groups=[[0, 1], [2, 3]],
+                                        limits=[1, 1]), path)
+        res = runner.invoke(main, ["run", "--instance", str(path), "--policy", spec,
+                                   "--out", str(tmp_path / "x.csv")])
+        assert_clean_usage_error(res)
+        assert spec in res.output
+
+    def test_monte_carlo_without_samples_is_usage_error(self, runner, instance_a_path,
+                                                        tmp_path):
+        res = runner.invoke(main, ["run", "--instance", instance_a_path,
+                                   "--policy", "greedy(k=1)", "--mode", "mc",
+                                   "--samples", "0", "--out", str(tmp_path / "x.csv")])
+        assert_clean_usage_error(res)
+        assert "samples" in res.output
 
     def test_reproducible_modulo_wall_time(self, runner, instance_a_path, tmp_path):
         outs = []
@@ -283,6 +314,18 @@ class TestBench:
         # per-round candidate counts: (4 + 3) for the first group, 4 for the second
         assert int(row["delta_measured"]) == (4 + 3) + 4
         assert int(row["delta_cap"]) == (4 + 3) + 4
+
+    def test_sampling_policies_need_eps(self, runner, tmp_path):
+        inst_path = tmp_path / "part.json"
+        save_instance(generate_coverage(4, 2, 6, 0.3, seed=1, groups=[[0, 1], [2, 3]],
+                                        limits=[1, 1]), inst_path)
+        out = tmp_path / "bench.csv"
+        for args in (["--policy", "asg", "--n", "8", "--k", "2"],
+                     ["--policy", "gasg", "--instance", str(inst_path)]):
+            res = runner.invoke(main, ["bench"] + args + ["--seed", "0", "--out", str(out)])
+            assert_clean_usage_error(res)
+            assert "--eps is required" in res.output
+            assert not out.exists()
 
 
 # Golden CSVs: `run` (exact and --mode mc, all six policies on one partition

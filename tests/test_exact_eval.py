@@ -251,11 +251,9 @@ def test_history_bound_covers_every_evaluation(monkeypatch):
                     random_policy(3), adaptive_greedy(3), adaptive_greedy(3, "lazy"),
                     generalized_asg(groups, limits, 0.5), locally_greedy(groups, limits))
         for pi in policies:
-            constraint = pi.fresh_constraint(inst.n)
             for s in (None, 0):
                 _, visited = visited_histories(monkeypatch, pi, inst.utility(), inst.prior, s)
-                bound = exact_history_bound(pi, inst.n, inst.prior.m, constraint,
-                                            expand=s is None)
+                bound = exact_history_bound(pi, inst.n, inst.prior.m, expand=s is None)
                 assert visited <= bound, (pi.describe(), s)
 
 
@@ -269,14 +267,14 @@ def test_history_bound_is_tight_for_random(monkeypatch):
     pi = random_policy(3)
     _, visited = visited_histories(monkeypatch, pi, f, prior)
     assert visited == sum(math.comb(5, j) * 2 ** j for j in range(4))
-    assert exact_history_bound(pi, 5, 2, pi.fresh_constraint(5)) == visited
+    assert exact_history_bound(pi, 5, 2) == visited
 
 
 def test_tree_over_the_cap_is_refused_before_any_work():
     inst = generate_coverage(n=30, m=2, universe_size=12, density=0.3, seed=1, k=5)
     for pi in (random_policy(5), adaptive_stochastic_greedy(5, 0.1)):
         f = inst.utility()
-        assert exact_history_bound(pi, 30, 2, pi.fresh_constraint(30)) > EXACT_MAX_HISTORIES
+        assert exact_history_bound(pi, 30, 2) > EXACT_MAX_HISTORIES
         with pytest.raises(InstanceTooLarge, match="histories"):
             expected_utility(f, inst.prior, pi)
         assert f.delta_counter == 0 and f.f_counter == 0

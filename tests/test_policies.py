@@ -5,10 +5,10 @@ import pytest
 
 from adasub import (
     CardinalityConstraint,
-    IndependentPrior,
     PSI_EMPTY,
     PartialRealization,
     PolicyViolation,
+    ValidationError,
     adaptive_greedy,
     adaptive_stochastic_greedy,
     concat,
@@ -23,7 +23,6 @@ from adasub import (
     run_policy,
     sample_realization,
 )
-from adasub.core import EvalContext
 from adasub.policies import FixedSequencePolicy, PartitionConstraint, _feasible_pool
 
 
@@ -44,8 +43,7 @@ class TestRunPolicy:
         assert trace.value == pytest.approx(2.0)
 
     def test_zero_budget(self, utility_a, prior_a):
-        trace = run_policy(adaptive_greedy(2), utility_a, prior_a, (1, 0),
-                           constraint=CardinalityConstraint(0))
+        trace = run_policy(adaptive_greedy(0), utility_a, prior_a, (1, 0))
         assert trace.steps == ()
 
     def test_infeasible_choice_raises(self, utility_a, prior_a):
@@ -82,14 +80,11 @@ class TestAdaptiveGreedy:
         assert len(trace.selected) == 2
 
 
-def test_feasible_pool_matches_its_definition(utility_a):
-    ctx = EvalContext(utility_a, IndependentPrior([[0.5, 0.5]] * 10))
-    constraints = (CardinalityConstraint(3), CardinalityConstraint(0),
-                   PartitionConstraint.of([[0, 2, 5], [1, 7], [9]], [1, 0, 2]))
-    for cstate in constraints:
+def test_feasible_pool_matches_its_definition():
+    for cstate in (CardinalityConstraint(3), CardinalityConstraint(0)):
         for obs in ({}, {2: 0, 5: 1}, {0: 1, 7: 0, 9: 1}, {e: 0 for e in range(10)}):
             psi = PartialRealization.of(obs)
-            assert _feasible_pool(ctx, psi, cstate) == \
+            assert _feasible_pool(10, psi, cstate) == \
                 [e for e in range(10) if e not in psi and cstate.can_select(e)]
 
 
@@ -250,6 +245,12 @@ class TestExactVsMonteCarlo:
         est, se = expected_utility(inst.utility(), inst.prior, pi, mode="mc",
                                    samples=20_000, seed=1)
         assert abs(est - exact) < 4 * se
+
+    def test_monte_carlo_needs_a_sample(self, utility_a, prior_a):
+        for samples in (0, -3):
+            with pytest.raises(ValidationError, match="samples"):
+                expected_utility(utility_a, prior_a, adaptive_greedy(1), mode="mc",
+                                 samples=samples)
 
     def test_tree_eval_matches_per_realization_enumeration(self):
         inst = generate_coverage(n=6, m=2, universe_size=8, density=0.3, seed=13)

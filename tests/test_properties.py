@@ -3,8 +3,12 @@
 For every policy with an exact form, at the empty history: its
 decision_distribution is a probability law, each seeded decide picks an item
 that law can pick, and its exact value is at most the oracle's optimum.
+Along one path from the empty history, the law at depth j has
+decision_widths(n)[j] items, and it is empty exactly when the widths run out.
 Examples are derandomized, so every run checks the same instances.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +61,23 @@ def check_policy(pi, inst):
         assert e in support, (pi.describe(), seed, e)
     opt = optimal_value(f, prior, cstate).value
     assert exact_policy_value(pi, f, prior) <= opt + 1e-12, pi.describe()
+    check_widths_along_a_path(pi, inst)
+
+
+def check_widths_along_a_path(pi, inst):
+    """Follow the law's top-ranked item on one sampled realization."""
+    widths = pi.decision_widths(inst.n)
+    phi = inst.prior.sample(random.Random(0))
+    ctx = EvalContext(inst.utility(), inst.prior, seed=None)
+    psi, cstate = PSI_EMPTY, pi.fresh_constraint(inst.n)
+    for j in range(len(widths) + 1):
+        law = pi.decision_distribution(ctx, psi, cstate)
+        if j == len(widths):
+            assert law == [], (pi.describe(), j)
+            return
+        assert len(law) == widths[j], (pi.describe(), j)
+        e = law[0][0]
+        psi, cstate = psi.with_observation(e, phi[e]), cstate.after(e)
 
 
 @given(coverage(), st.integers(1, 3), EPSILONS)
