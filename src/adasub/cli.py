@@ -71,6 +71,9 @@ def _load(path):
 
 
 _POLICY_RE = re.compile(r"^([a-z_]+)\s*(?:\((.*)\))?$")
+# The keys each policy descriptor takes; any other key is a usage error.
+_POLICY_KEYS = {"empty": (), "greedy": ("k",), "lazy": ("k",), "asg": ("k", "eps"),
+                "random": ("k",), "local": ("order",), "gasg": ("eps", "order")}
 
 
 def parse_policy(text: str, instance=None):
@@ -85,6 +88,11 @@ def parse_policy(text: str, instance=None):
             raise ValidationError("bad argument %r in policy %r" % (part, text))
         key, val = part.split("=", 1)
         kv[key.strip()] = val.strip()
+    if name not in _POLICY_KEYS:
+        raise ValidationError("unknown policy %r" % name)
+    unknown = sorted(set(kv) - set(_POLICY_KEYS[name]))
+    if unknown:
+        raise ValidationError("policy %r does not take %s" % (text, ", ".join(unknown)))
 
     def order_arg():
         return [int(x) for x in kv["order"].split(":")] if "order" in kv else None
@@ -111,7 +119,6 @@ def parse_policy(text: str, instance=None):
         raise ValidationError("policy %r is missing argument %s" % (text, exc))
     except ValueError as exc:
         raise ValidationError("malformed number in policy %r: %s" % (text, exc))
-    raise ValidationError("unknown policy %r" % name)
 
 
 @click.group()

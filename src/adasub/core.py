@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import reprlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -112,6 +114,10 @@ class Prior:
     def evidence_probability(self, psi: PartialRealization) -> float:
         raise NotImplementedError
 
+    def possible(self, psi: PartialRealization) -> bool:
+        """True iff psi has positive probability."""
+        return self.evidence_probability(psi) > 0.0
+
     def item_posterior(self, e: int, psi: PartialRealization):
         """List of (state, prob) with prob > 0 for item e given evidence psi."""
         raise NotImplementedError
@@ -150,6 +156,15 @@ class IndependentPrior(Prior):
         for e, o in psi.pairs:
             p *= self.probs[e][o]
         return p
+
+    def possible(self, psi):
+        # Each observed state's own mass: their product underflows to 0.0
+        # past ~1,075 fair-coin observations.
+        probs = self.probs
+        for e, o in psi.pairs:
+            if probs[e][o] <= 0.0:
+                return False
+        return True
 
     @cached_property
     def rows(self) -> tuple:
@@ -190,25 +205,22 @@ class IndependentPrior(Prior):
         return out
 
     def sample(self, rng, psi=PSI_EMPTY):
+        seen = psi._map
         states = []
-        for e in range(self.n):
-            o_seen = psi.state_of(e)
-            if o_seen is not None:
-                states.append(o_seen)
-            else:
+        for e, row in enumerate(self.probs):
+            o = seen.get(e)
+            if o is None:
                 u = rng.random()
                 acc = 0.0
-                chosen = None
-                for o, p in enumerate(self.probs[e]):
+                for o, p in enumerate(row):
                     acc += p
                     if u < acc:
-                        chosen = o
                         break
-                if chosen is None:
+                else:
                     # u landed in the rounding gap left by a row summing to
                     # just under 1; never fall back to a zero-mass state.
-                    chosen = self.item_states(e)[-1]
-                states.append(chosen)
+                    o = self.item_states(e)[-1]
+            states.append(o)
         return tuple(states)
 
 
@@ -242,7 +254,7 @@ class ExplicitPrior(Prior):
         sub = [(phi, p) for phi, p in self.weighted if consistent(psi, phi) and p > 0.0]
         total = sum(p for _, p in sub)
         if total <= 0.0:
-            raise ZeroProbabilityEvidence("evidence %r has zero probability" % (psi.pairs,))
+            raise _zero_probability(psi)
         return sub, total
 
     def item_posterior(self, e, psi):
@@ -398,12 +410,16 @@ class CoverageUtility(UtilityFunction):
         if any(w < 0 for w in self.weights):
             raise ValidationError("negative universe weight")
         self.universe_size = len(self.weights)
-        self.covers = tuple(tuple(int(mask) for mask in row) for row in covers)
-        full = (1 << self.universe_size) - 1
-        for e, row in enumerate(self.covers):
+        self.covers = tuple(tuple(map(int, row)) for row in covers)
+        union = 0
+        for row in self.covers:
             for mask in row:
-                if mask & ~full:
-                    raise ValidationError("coverage of item %d outside universe" % e)
+                union |= mask
+        outside = ~((1 << self.universe_size) - 1)
+        if union & outside:
+            e = next(e for e, row in enumerate(self.covers)
+                     if any(mask & outside for mask in row))
+            raise ValidationError("coverage of item %d outside universe" % e)
 
     @property
     def n(self):
@@ -516,10 +532,16 @@ class TabularUtility(UtilityFunction):
 # expectation engines
 
 
+def _zero_probability(psi: PartialRealization) -> ZeroProbabilityEvidence:
+    # reprlib shortens psi: a long history would make a message of many KB.
+    return ZeroProbabilityEvidence("evidence %s (%d observations) has zero probability"
+                                   % (reprlib.repr(psi.pairs), len(psi)))
+
+
 def _check_evidence(prior, psi: PartialRealization):
     """Raise ZeroProbabilityEvidence unless psi has positive probability."""
-    if prior.evidence_probability(psi) <= 0.0:
-        raise ZeroProbabilityEvidence("evidence %r has zero probability" % (psi.pairs,))
+    if not prior.possible(psi):
+        raise _zero_probability(psi)
 
 
 def expected_set_value(f: UtilityFunction, prior, psi: PartialRealization) -> float:
@@ -559,8 +581,16 @@ class EvalContext:
     history), so a policy's choice at a given history is reproducible no
     matter how that history was reached.
 
-    f's state at the history of the last Delta is kept (one entry):
-    a decision prices all its candidates at one history.
+    It also holds one history state, for the current history object: its
+    observed-item map, its unobserved items in id order (the pool, built on
+    first use) and f's Delta state (derived on the first Delta there).
+    advance(psi, e, o) carries that state from psi to the child psi + (e, o)
+    with one map entry and one list deletion; under an independent prior the
+    child's evidence check is the new observation's mass.  A rollout
+    (Policy.run_on) advances this way, so no round rebuilds what the round
+    before it had.  Any other history (exact evaluation, decision_widths'
+    walk, a stray psi) becomes the current one with its state built from
+    scratch.
     """
 
     def __init__(self, f, prior, seed=0, delta_cache=None):
@@ -570,10 +600,17 @@ class EvalContext:
         self.delta_cache = delta_cache
         self.last_candidates = ()
         self.last_delta = None
-        self._observed = (None, None)   # (psi.pairs, f's state)
-        # delta()'s fast path: no delta_cache, and an unobserved item's posterior is its row.
-        self._rows = (prior.rows if delta_cache is None and isinstance(prior, IndependentPrior)
-                      else None)
+        independent = isinstance(prior, IndependentPrior)
+        # delta()'s fast path: f's state prices Delta, no delta_cache, and an
+        # unobserved item's posterior is its row.
+        self._rows = (prior.rows if independent and delta_cache is None
+                      and f.depends_only_on_selected else None)
+        self._probs = prior.probs if independent else None
+        self._psi = None            # the current history
+        self._seen = {}             # its observed items -> states
+        self._pool = None           # its unobserved items in id order
+        self._fstate = None         # f's Delta state at it
+        self._possible = False      # True once it is known to have positive probability
 
     @property
     def n(self):
@@ -582,13 +619,70 @@ class EvalContext:
     def rng_for(self, psi: PartialRealization) -> random.Random:
         return random.Random("%s|%s" % (self.seed, psi.pairs))
 
+    def _adopt(self, psi):
+        """Make psi the current history, its state built from scratch."""
+        self._psi = psi
+        self._seen = dict(psi.pairs)
+        self._pool = self._fstate = None
+        self._possible = False
+
+    def observed(self, psi: PartialRealization) -> dict:
+        """psi's observed items -> states; the context's own map, not to be modified."""
+        if psi is not self._psi:
+            self._adopt(psi)
+        return self._seen
+
+    def pool(self, psi: PartialRealization) -> list:
+        """psi's unobserved items in id order.
+
+        The list is the context's own: advance() deletes the chosen item from
+        it, so copy it to keep it, and do not modify it.
+        """
+        if psi is not self._psi:
+            self._adopt(psi)
+        pool = self._pool
+        if pool is None:
+            pool = self._pool = list(range(self.n))
+            for e, _ in reversed(psi.pairs):    # descending, so pool[e] is still e
+                del pool[e]
+        return pool
+
+    def advance(self, psi: PartialRealization, e: int, o: int) -> PartialRealization:
+        """psi + (e, o), made the current history with psi's state carried over."""
+        seen = self.observed(psi)
+        if e in seen:
+            raise ValidationError("item %d already observed" % e)
+        child = PartialRealization(tuple(sorted(psi.pairs + ((e, o),))))
+        seen[e] = o
+        if self._pool is not None:
+            del self._pool[bisect_left(self._pool, e)]
+        probs = self._probs
+        self._possible = self._possible and probs is not None and probs[e][o] > 0.0
+        self._psi = child
+        self._fstate = None
+        return child
+
+    def _state(self):
+        """f's Delta state at the current history, which must be possible."""
+        if self._fstate is None:
+            if not self._possible:
+                _check_evidence(self.prior, self._psi)
+                self._possible = True
+            self._fstate = self.f.observe(self._psi)
+        return self._fstate
+
     def delta(self, e: int, psi: PartialRealization) -> float:
         f = self.f
         f.delta_counter += 1
-        if e in psi:
+        if psi is not self._psi:
+            self._adopt(psi)
+        if e in self._seen:
             return 0.0
-        if self._rows is not None and self._observed[0] == psi.pairs:
-            return f.expected_gain(self._observed[1], e, self._rows[e])
+        if self._rows is not None:
+            state = self._fstate
+            if state is None:
+                state = self._state()
+            return f.expected_gain(state, e, self._rows[e])
         if self.delta_cache is None:
             return self._delta_exact(e, psi)
         key = (psi.pairs, e)
@@ -599,7 +693,8 @@ class EvalContext:
         return val
 
     def _delta_exact(self, e, psi):
-        """Delta(e | psi) for an unobserved e, without touching delta_counter."""
+        """Delta(e | psi) for an unobserved e at the current history psi,
+        without touching delta_counter."""
         f, prior = self.f, self.prior
         if not f.depends_only_on_selected:
             dom = psi.domain()
@@ -610,9 +705,7 @@ class EvalContext:
             return total
         # f(dom, .) is fixed by psi and f(dom+e, .) depends on Phi_e only,
         # so the expectation reduces to item e's posterior for any prior.
-        if self._observed[0] != psi.pairs:
-            self._observed = (psi.pairs, _observe(f, prior, psi))
-        return f.expected_gain(self._observed[1], e, prior.item_posterior(e, psi))
+        return f.expected_gain(self._state(), e, prior.item_posterior(e, psi))
 
     def record(self, candidates, delta):
         self.last_candidates = tuple(candidates)

@@ -48,8 +48,16 @@ class Instance:
         """Build a fresh utility (zeroed counters) from the stored spec."""
         spec = self.utility_spec
         if spec["type"] == "coverage":
-            masks = [[_mask_of(elems) for elems in row] for row in spec["covers"]]
-            return CoverageUtility(spec["weights"], masks)
+            covers = []
+            for row in spec["covers"]:
+                masks = []
+                for elems in row:
+                    mask = 0
+                    for x in elems:
+                        mask |= 1 << int(x)
+                    masks.append(mask)
+                covers.append(masks)
+            return CoverageUtility(spec["weights"], covers)
         if spec["type"] == "tabular":
             return TabularUtility(self.n, spec["realizations"], spec["table"])
         raise ParseError("unknown utility type %r" % spec["type"])
@@ -74,13 +82,6 @@ class Instance:
                     raise ValidationError("partition group references unknown item")
         self.utility()  # constructor re-checks nonnegativity etc.
         return self
-
-
-def _mask_of(elems):
-    mask = 0
-    for x in elems:
-        mask |= 1 << int(x)
-    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Every policy is an immutable descriptor; all per-rollout mutable state lives
 in a scratch dict owned by the rollout (or by each branch of an exact
-policy-tree evaluation).  A policy's internal randomness is drawn from a
-stream derived from (master seed, observation history), which makes rollouts
-reproducible and lets the same seeded policy be evaluated exactly by
-recursion over its decision tree.  Each policy owns its constraint,
+policy-tree evaluation) and in the EvalContext, which carries each history's
+pool and observed-item map to its child.  A policy's internal randomness is
+drawn from a stream derived from (master seed, observation history), which
+makes rollouts reproducible and lets the same seeded policy be evaluated
+exactly by recursion over its decision tree.  Each policy owns its constraint,
 fresh_constraint(n) (cardinality k for greedy, lazy, ASG and random; the
 partition matroid for locally greedy and GASG), and always runs under it.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import EvalContext, PSI_EMPTY, PartialRealization
+from .core import EvalContext, IndependentPrior, PSI_EMPTY, PartialRealization, UtilityFunction
 from .errors import PolicyViolation, ValidationError
 
 
@@ -179,7 +180,8 @@ class Policy:
 
     def run_on(self, ctx: EvalContext, phi) -> PolicyTrace:
         """Select-observe loop on a fixed realization, under the policy's own
-        constraint; selections are irrevocable."""
+        constraint; selections are irrevocable.  Each history is the context's
+        current one, advanced from its parent."""
         cstate = self.fresh_constraint(ctx.n)
         psi = PSI_EMPTY
         scratch = self.init_scratch()
@@ -189,14 +191,14 @@ class Policy:
             e = self.decide(ctx, psi, cstate, scratch)
             if e is None:
                 break
-            if e in psi:
+            if e in ctx.observed(psi):
                 raise PolicyViolation("%s re-selected item %d" % (self.name, e))
             if not cstate.can_select(e):
                 raise PolicyViolation("%s selected infeasible item %d" % (self.name, e))
             o = phi[e]
             rnd += 1
             steps.append(TraceStep(rnd, ctx.last_candidates, e, o, ctx.last_delta))
-            psi = psi.with_observation(e, o)
+            psi = ctx.advance(psi, e, o)
             cstate = cstate.after(e)
         selected = psi.domain()
         return PolicyTrace(tuple(steps), selected, ctx.f.value(selected, phi))
@@ -208,14 +210,10 @@ def run_policy(pi: Policy, f, prior, phi, seed=0, delta_cache=None) -> PolicyTra
     return pi.run_on(ctx, phi)
 
 
-def _feasible_pool(n, psi, cstate):
-    """Unobserved items in id order, or none once the cardinality budget is spent."""
-    if cstate.exhausted():
-        return []
-    pool = list(range(n))
-    for e in reversed(psi.domain()):    # descending, so pool[e] is still e
-        del pool[e]
-    return pool
+def _feasible_pool(ctx, psi, cstate):
+    """Unobserved items in id order (ctx.pool), or none once the cardinality
+    budget is spent."""
+    return [] if cstate.exhausted() else ctx.pool(psi)
 
 
 def sample_budget(pool_size: int, group_size: int, limit: int, epsilon: float) -> int:
@@ -274,12 +272,15 @@ class _BestOfSamplePolicy(Policy):
     def _sample_size(self, pool_size: int, group_size: int, limit: int) -> int:
         return pool_size
 
-    def _sample_space(self, n, psi, cstate):
-        """(candidate pool in id order, sample size); an empty pool stops."""
+    def _sample_space(self, ctx, psi, cstate):
+        """(candidate pool in id order, sample size); an empty pool stops.
+
+        The pool may be ctx.pool(psi) itself, valid until the next advance.
+        """
         raise NotImplementedError
 
     def decide(self, ctx, psi, cstate, scratch):
-        pool, s = self._sample_space(ctx.n, psi, cstate)
+        pool, s = self._sample_space(ctx, psi, cstate)
         if not pool:
             return None
         candidates = pool if s == len(pool) else sorted(ctx.rng_for(psi).sample(pool, s))
@@ -298,7 +299,7 @@ class _BestOfSamplePolicy(Policy):
         the sample holds rank j and s-1 of the N-1-j ranks after it:
         probability C(N-1-j, s-1) / C(N, s).
         """
-        pool, s = self._sample_space(ctx.n, psi, cstate)
+        pool, s = self._sample_space(ctx, psi, cstate)
         if not pool:
             return []
         ranked = sorted(pool, key=lambda e: (-ctx.delta(e, psi), e))
@@ -310,14 +311,17 @@ class _BestOfSamplePolicy(Policy):
     def decision_widths(self, n):
         """The law's length, pool size - s + 1, at each selection along one
         path from the empty history: pool sizes do not depend on which items
-        were picked or observed."""
+        were picked or observed, nor on f or the prior, so the walk runs in a
+        context over n one-state items that prices nothing."""
+        ctx = EvalContext(UtilityFunction(), IndependentPrior([(1.0,)] * n))
         widths, psi, cstate = [], PSI_EMPTY, self.fresh_constraint(n)
         while True:
-            pool, s = self._sample_space(n, psi, cstate)
+            pool, s = self._sample_space(ctx, psi, cstate)
             if not pool:
                 return widths
             widths.append(len(pool) - s + 1)
-            psi, cstate = psi.with_observation(pool[0], 0), cstate.after(pool[0])
+            e = pool[0]
+            psi, cstate = ctx.advance(psi, e, 0), cstate.after(e)
 
 
 class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
@@ -336,9 +340,9 @@ class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
     def fresh_constraint(self, n):
         return CardinalityConstraint(min(self.k, n))
 
-    def _sample_space(self, n, psi, cstate):
-        pool = _feasible_pool(n, psi, cstate)
-        return pool, self._sample_size(len(pool), n, self.k)
+    def _sample_space(self, ctx, psi, cstate):
+        pool = _feasible_pool(ctx, psi, cstate)
+        return pool, self._sample_size(len(pool), ctx.n, self.k)
 
 
 class LazyGreedyPolicy(AdaptiveGreedyPolicy):
@@ -354,23 +358,27 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
     path_dependent = True
 
     def decide(self, ctx, psi, cstate, scratch):
-        pool = _feasible_pool(ctx.n, psi, cstate)
-        if not pool:
+        # Only round 1 reads the pool; after it the heap holds every item not
+        # yet chosen, and an exhausted budget or an empty heap stops.
+        if cstate.exhausted():
             return None
-        rnd = scratch.get("round", 0) + 1
-        scratch["round"] = rnd
+        rnd = scratch["round"] = scratch.get("round", 0) + 1
         heap = scratch.get("heap")
         if heap is None:
+            pool = ctx.pool(psi)
+            if not pool:
+                return None
             heap = [(-ctx.delta(e, psi), e, rnd) for e in pool]
             heapq.heapify(heap)
             scratch["heap"] = heap
             negd, e, _ = heapq.heappop(heap)
             ctx.record(pool, -negd)
             return e
+        seen = ctx.observed(psi)
         evaluated = []
         while heap:
             negd, e, stamp = heapq.heappop(heap)
-            if e in psi:
+            if e in seen:
                 continue
             if stamp == rnd:
                 ctx.record(evaluated, -negd)
@@ -423,7 +431,7 @@ class RandomPolicy(AdaptiveGreedyPolicy):
         return 1
 
     def decide(self, ctx, psi, cstate, scratch):
-        pool = _feasible_pool(ctx.n, psi, cstate)
+        pool = _feasible_pool(ctx, psi, cstate)
         if not pool:
             return None
         e = ctx.rng_for(psi).choice(pool)
@@ -431,7 +439,7 @@ class RandomPolicy(AdaptiveGreedyPolicy):
         return e
 
     def decision_distribution(self, ctx, psi, cstate):
-        pool = _feasible_pool(ctx.n, psi, cstate)
+        pool = _feasible_pool(ctx, psi, cstate)
         return [(e, 1.0 / len(pool)) for e in pool]
 
 
@@ -458,12 +466,13 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
     def fresh_constraint(self, n):
         return self.constraint
 
-    def _sample_space(self, n, psi, cstate):
+    def _sample_space(self, ctx, psi, cstate):
+        seen = ctx.observed(psi)
         for i in self.order:
             if cstate.remaining[i] == 0:
                 continue
             group = self.constraint.groups[i]
-            pool = [e for e in group if e not in psi]
+            pool = [e for e in group if e not in seen]
             if pool:
                 return pool, self._sample_size(len(pool), len(group), self.limits[i])
         return [], 0

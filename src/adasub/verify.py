@@ -50,7 +50,7 @@ def enumerate_partial_realizations(prior, max_size=None):
         for dom in itertools.combinations(range(n), size):
             for states in itertools.product(*(per_item[e] for e in dom)):
                 psi = PartialRealization.of(zip(dom, states))
-                if prior.evidence_probability(psi) > 0.0:
+                if prior.possible(psi):
                     yield psi
 
 

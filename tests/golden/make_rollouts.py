@@ -1,0 +1,62 @@
+"""Write rollouts_n1000.json: ASG and lazy-greedy rollouts on the n=1000 instance.
+
+Run from the repository root:  python3 tests/golden/make_rollouts.py
+
+The instance is the benchmark's rollout instance (n=1000, k=50).  For each
+of REALIZATIONS seeded realizations the file records, per policy, the
+selection order, the selected set, the Delta and f counters and repr() of
+the final value.  tests/test_golden_rollouts.py compares a fresh run with
+the file exactly, so regenerate it only when a change is meant to alter a
+seeded selection or a count, and say why.
+"""
+
+import json
+import random
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parents[1] / "src"))
+
+from adasub import (  # noqa: E402
+    adaptive_greedy,
+    adaptive_stochastic_greedy,
+    generate_coverage,
+    run_policy,
+)
+
+GOLDEN_FILE = HERE / "rollouts_n1000.json"
+REALIZATIONS = 3
+K, EPS = 50, 0.1
+
+
+def rollouts() -> list:
+    """One record per (realization, policy), in a fixed order."""
+    inst = generate_coverage(n=1000, m=2, universe_size=16, density=0.2, seed=77)
+    records = []
+    for i in range(REALIZATIONS):
+        stream = "golden:%d" % i
+        phi = inst.prior.sample(random.Random(stream))
+        for pi in (adaptive_stochastic_greedy(K, EPS), adaptive_greedy(K, "lazy")):
+            f = inst.utility()
+            trace = run_policy(pi, f, inst.prior, phi, seed=stream)
+            records.append({
+                "realization": i,
+                "policy": pi.describe(),
+                "chosen": [step.chosen for step in trace.steps],
+                "selected": list(trace.selected),
+                "delta_counter": f.delta_counter,
+                "f_counter": f.f_counter,
+                "value": repr(trace.value),
+            })
+    return records
+
+
+def main():
+    lines = ",\n".join(json.dumps(record) for record in rollouts())
+    with open(GOLDEN_FILE, "w") as fh:
+        fh.write("[\n%s\n]\n" % lines)
+
+
+if __name__ == "__main__":
+    main()

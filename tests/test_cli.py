@@ -134,6 +134,19 @@ class TestRun:
         assert_clean_usage_error(res)
         assert spec in res.output
 
+    @pytest.mark.parametrize("spec,key", [("greedy(k=2,eps=0.5,foo=1)", "eps, foo"),
+                                          ("local(ordr=1:0)", "ordr")])
+    def test_unknown_key_is_usage_error(self, runner, tmp_path, spec, key):
+        path = tmp_path / "part.json"
+        save_instance(generate_coverage(4, 2, 6, 0.3, seed=1, groups=[[0, 1], [2, 3]],
+                                        limits=[1, 1]), path)
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, ["run", "--instance", str(path), "--policy", spec,
+                                   "--out", str(out)])
+        assert_clean_usage_error(res)
+        assert "does not take %s" % key in res.output
+        assert not out.exists()
+
     def test_monte_carlo_without_samples_is_usage_error(self, runner, instance_a_path,
                                                         tmp_path):
         res = runner.invoke(main, ["run", "--instance", instance_a_path,
@@ -314,6 +327,16 @@ class TestBench:
         # per-round candidate counts: (4 + 3) for the first group, 4 for the second
         assert int(row["delta_measured"]) == (4 + 3) + 4
         assert int(row["delta_cap"]) == (4 + 3) + 4
+
+    def test_history_past_the_evidence_product_underflow(self, runner, tmp_path):
+        # 2,500 observations: the product of their states' masses is 0.0 in
+        # double precision, yet every one of them has positive mass.
+        out = tmp_path / "bench.csv"
+        res = runner.invoke(main, ["bench", "--policy", "lazy", "--n", "3000", "--k", "2500",
+                                   "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 0, res.output[:500]
+        row = read_rows(out)[0]
+        assert int(row["delta_measured"]) <= int(row["delta_cap"])
 
     def test_sampling_policies_need_eps(self, runner, tmp_path):
         inst_path = tmp_path / "part.json"

@@ -201,6 +201,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             CoverageUtility([-1.0], [[0b1]])
 
+    @pytest.mark.parametrize("covers,item", [
+        ([[0b01, 0b10], [0b11, 0b100], [0b1000, 0b0]], 1),
+        ([[0b01, 0b10], [0b11, 0b01], [0b10, -1]], 2),
+    ])
+    def test_coverage_outside_universe_names_the_first_item(self, covers, item):
+        with pytest.raises(ValidationError, match=r"^coverage of item %d outside universe$" % item):
+            CoverageUtility([1.0, 1.0], covers)
+
 
 @st.composite
 def partials(draw, n=4, m=2):

@@ -244,3 +244,31 @@ class TestImpossibleHistory:
             expected_set_value(f, prior, impossible)
         with pytest.raises(ZeroProbabilityEvidence):
             marginal_utility(f, prior, impossible, 2)
+
+
+class TestLongHistory:
+    """An independent prior's history is possible iff every observed state has
+    mass; the product of those masses underflows long before that fails."""
+
+    FAIR = IndependentPrior([[0.5, 0.5]] * 1100)
+
+    def test_lazy_greedy_runs_past_the_product_underflow(self):
+        f = generate_coverage(n=1100, m=2, universe_size=16, density=0.2, seed=3).utility()
+        phi = self.FAIR.sample(random.Random(0))
+        trace = run_policy(adaptive_greedy(1100, "lazy"), f, self.FAIR, phi)
+        full = PartialRealization.of(enumerate(phi))
+        assert self.FAIR.evidence_probability(full) == 0.0
+        assert trace.selected == tuple(range(1100))
+        assert trace.value == f.value(range(1100), phi) == expected_set_value(f, self.FAIR, full)
+        # A history that is not a rollout's current one is checked in full.
+        rest = PartialRealization(full.pairs[1:])
+        assert marginal_utility(f, self.FAIR, rest, 0) == explicit_delta(f, self.FAIR, rest, 0)
+
+    @pytest.mark.parametrize("prior", [IndependentPrior([[1.0, 0.0]] * 2000),
+                                       ExplicitPrior([((0,) * 2000, 1.0)])],
+                             ids=["independent", "explicit"])
+    def test_zero_probability_message_is_short(self, prior):
+        impossible = PartialRealization.of({e: 1 for e in range(2000)})
+        with pytest.raises(ZeroProbabilityEvidence, match="2000 observations") as info:
+            prior.support(impossible)
+        assert len(str(info.value)) < 200

@@ -1,0 +1,127 @@
+"""EvalContext's carried history state against its definition.
+
+A rollout advances the context from each history to its child, carrying the
+observed-item map, the pool of unobserved items and f's Delta state.  At
+every history they must equal what psi alone defines, and a history other
+than the current one, whose state is built from scratch, must agree too.
+"""
+
+import random
+
+import pytest
+
+from adasub import (
+    CoverageUtility,
+    IndependentPrior,
+    PSI_EMPTY,
+    PartialRealization,
+    ZeroProbabilityEvidence,
+    adaptive_greedy,
+    adaptive_stochastic_greedy,
+    concat,
+    generalized_asg,
+    generate_coverage,
+    locally_greedy,
+    marginal_utility,
+    policies,
+    random_policy,
+    run_policy,
+)
+from adasub.core import EvalContext
+
+GROUPS = [list(range(0, 12)), list(range(12, 30)), list(range(30, 40))]
+POLICIES = [adaptive_stochastic_greedy(8, 0.2), adaptive_greedy(8, "lazy"), adaptive_greedy(8),
+            random_policy(8), locally_greedy(GROUPS, [2, 3, 2], [1, 2, 0]),
+            generalized_asg(GROUPS, [2, 3, 2], 0.2)]
+
+
+def unobserved(n, psi):
+    return [e for e in range(n) if e not in psi]
+
+
+class CheckedContext(EvalContext):
+    """An EvalContext that checks its state after every advance and keeps
+    every history the rollout reached."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.histories = [PSI_EMPTY]
+
+    def advance(self, psi, e, o):
+        child = super().advance(psi, e, o)
+        assert self.observed(child) == child.as_dict()
+        assert self.pool(child) == unobserved(self.n, child)
+        self.histories.append(child)
+        return child
+
+
+def instance():
+    return generate_coverage(n=40, m=3, universe_size=20, density=0.15, seed=12)
+
+
+@pytest.mark.parametrize("pi", POLICIES, ids=lambda pi: pi.name)
+def test_carried_state_matches_the_history(pi):
+    inst = instance()
+    for seed in range(3):
+        phi = inst.prior.sample(random.Random(seed))
+        f = inst.utility()
+        ctx = CheckedContext(f, inst.prior, seed=seed)
+        trace = pi.run_on(ctx, phi)
+        assert len(ctx.histories) == len(trace.steps) + 1 > 1
+        assert trace == run_policy(pi, inst.utility(), inst.prior, phi, seed=seed)
+
+
+def test_other_histories_take_the_fallback():
+    inst = instance()
+    phi = inst.prior.sample(random.Random(4))
+    f, ref = inst.utility(), inst.utility()
+    ctx = CheckedContext(f, inst.prior, seed=4)
+    adaptive_stochastic_greedy(8, 0.2).run_on(ctx, phi)
+    current, ancestor = ctx.histories[-1], ctx.histories[3]
+    e = unobserved(inst.n, current)[0]
+    sibling = PartialRealization.of({**ctx.histories[4].as_dict(), e: (phi[e] + 1) % 3})
+    for psi in (ancestor, sibling, PSI_EMPTY):
+        assert ctx.pool(psi) == unobserved(inst.n, psi)
+        assert ctx.observed(psi) == psi.as_dict()
+        for item in range(inst.n):
+            assert ctx.delta(item, psi) == marginal_utility(ref, inst.prior, psi, item)
+    # The rollout's last history is no longer current; advancing it rebuilds.
+    child = ctx.advance(current, e, phi[e])
+    assert ctx.pool(child) == unobserved(inst.n, child)
+    assert ctx.delta(e, child) == 0.0
+
+
+def test_advance_checks_the_new_observation_mass():
+    prior = IndependentPrior([[1.0, 0.0], [0.5, 0.5], [0.25, 0.75]])
+    f = CoverageUtility([1.0, 2.0, 3.0], [[0b001, 0b110], [0b010, 0b100], [0b100, 0b011]])
+    ctx = EvalContext(f, prior)
+    assert ctx.delta(2, PSI_EMPTY) == marginal_utility(f, prior, PSI_EMPTY, 2)
+    possible = ctx.advance(PSI_EMPTY, 1, 1)
+    assert ctx.delta(2, possible) == marginal_utility(f, prior, possible, 2)
+    impossible = ctx.advance(possible, 0, 1)    # item 0's state 1 has no mass
+    with pytest.raises(ZeroProbabilityEvidence):
+        ctx.delta(2, impossible)
+
+
+@pytest.mark.parametrize("pi", [adaptive_greedy(5, "lazy"), adaptive_stochastic_greedy(5, 0.2)],
+                         ids=lambda pi: pi.name)
+def test_concat_phases_do_not_share_state(pi, monkeypatch):
+    contexts = []
+
+    class Recorded(CheckedContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    monkeypatch.setattr(policies, "EvalContext", Recorded)
+    inst = instance()
+    phi = inst.prior.sample(random.Random(2))
+    trace = run_policy(concat(pi, pi), inst.utility(), inst.prior, phi, seed=3)
+    _, first, second = contexts
+    for ctx, seed in ((first, "3/1"), (second, "3/2")):
+        psi = ctx.histories[-1]
+        assert ctx.observed(psi) == psi.as_dict()
+        assert psi.domain() == run_policy(pi, inst.utility(), inst.prior, phi,
+                                          seed=seed).selected
+    assert first.observed(first.histories[-1]) is not second.observed(second.histories[-1])
+    assert len(trace.steps) == 10

@@ -23,6 +23,7 @@ from adasub import (
     run_policy,
     sample_realization,
 )
+from adasub.core import EvalContext, IndependentPrior, UtilityFunction
 from adasub.policies import FixedSequencePolicy, PartitionConstraint, _feasible_pool
 
 
@@ -81,10 +82,11 @@ class TestAdaptiveGreedy:
 
 
 def test_feasible_pool_matches_its_definition():
+    ctx = EvalContext(UtilityFunction(), IndependentPrior([[0.5, 0.5]] * 10))
     for cstate in (CardinalityConstraint(3), CardinalityConstraint(0)):
         for obs in ({}, {2: 0, 5: 1}, {0: 1, 7: 0, 9: 1}, {e: 0 for e in range(10)}):
             psi = PartialRealization.of(obs)
-            assert _feasible_pool(10, psi, cstate) == \
+            assert _feasible_pool(ctx, psi, cstate) == \
                 [e for e in range(10) if e not in psi and cstate.can_select(e)]
 
 
