@@ -78,7 +78,7 @@ class PartialRealization:
     def with_observation(self, e: int, o: int) -> "PartialRealization":
         if e in self._map:
             raise ValidationError("item %d already observed" % e)
-        return PartialRealization(tuple(sorted(self.pairs + ((e, o),))))
+        return PartialRealization(_insert_pair(self.pairs, e, o)[1])
 
     def __contains__(self, e: int) -> bool:
         return e in self._map
@@ -88,6 +88,13 @@ class PartialRealization:
 
 
 PSI_EMPTY = PartialRealization.empty()
+
+
+def _insert_pair(pairs: tuple, e: int, o: int):
+    """(i, pairs with (e, o) at index i): the sorted pairs of a history that
+    does not observe e, extended by (e, o) without a sort."""
+    i = bisect_left(pairs, (e,))
+    return i, pairs[:i] + ((e, o),) + pairs[i:]
 
 
 def consistent(psi: PartialRealization, phi: Sequence) -> bool:
@@ -382,6 +389,12 @@ class UtilityFunction:
         fixed = psi.as_dict()
         return dom, fixed, self.value(dom, fixed)
 
+    def observe_child(self, state, e: int, o: int, observed: dict):
+        """observe() of the child history psi + (e, o), given state =
+        observe(psi) and the child's item -> state map.  Calls value() once,
+        as observe() does; this generic form rebuilds from the map."""
+        return self.observe(PartialRealization(tuple(sorted(observed.items()))))
+
     def expected_gain(self, state, e: int, posterior) -> float:
         """Delta(e | psi) for state = observe(psi) and posterior = e's (o, p)
         pairs given psi: the sum of p * (f(dom + e) - f(dom)) with e in state o."""
@@ -410,7 +423,10 @@ class CoverageUtility(UtilityFunction):
         if any(w < 0 for w in self.weights):
             raise ValidationError("negative universe weight")
         self.universe_size = len(self.weights)
-        self.covers = tuple(tuple(map(int, row)) for row in covers)
+        # A row that is a tuple already (Instance.utility()'s cached mask
+        # table) is shared, not copied, so a call copies no table.
+        self.covers = tuple(row if type(row) is tuple else tuple(map(int, row))
+                            for row in covers)
         union = 0
         for row in self.covers:
             for mask in row:
@@ -467,6 +483,25 @@ class CoverageUtility(UtilityFunction):
                 total += w
             sums.append(total)
         base = self.value(psi.domain(), psi.as_dict())
+        return covered, base, sums, {0: sums[-1] - base}
+
+    def observe_child(self, state, e, o, observed):
+        """observe(psi + (e, o)) from state = observe(psi): the covered mask
+        gains e's coverage, sums are recomputed from the lowest newly covered
+        element up, and the memo starts afresh.  value() runs once, over the
+        child's observed map, so f is counted as observe() counts it."""
+        covered, _, sums, _ = state
+        new = self.covers[e][o] & ~covered
+        if new:
+            covered |= new
+            low = (new & -new).bit_length() - 1
+            sums = sums[:low + 1]
+            total = sums[low]
+            for i in range(low, self.universe_size):
+                if covered >> i & 1:
+                    total += self.weights[i]
+                sums.append(total)
+        base = self.value(observed, observed)
         return covered, base, sums, {0: sums[-1] - base}
 
     def expected_gain(self, state, e, posterior):
@@ -581,16 +616,21 @@ class EvalContext:
     history), so a policy's choice at a given history is reproducible no
     matter how that history was reached.
 
-    It also holds one history state, for the current history object: its
-    observed-item map, its unobserved items in id order (the pool, built on
-    first use) and f's Delta state (derived on the first Delta there).
-    advance(psi, e, o) carries that state from psi to the child psi + (e, o)
-    with one map entry and one list deletion; under an independent prior the
-    child's evidence check is the new observation's mass.  A rollout
-    (Policy.run_on) advances this way, so no round rebuilds what the round
-    before it had.  Any other history (exact evaluation, decision_widths'
-    walk, a stray psi) becomes the current one with its state built from
-    scratch.
+    It also holds one history state, for the current history object:
+      - its observed-item map;
+      - its unobserved items in id order (the pool, built on first use);
+      - f's Delta state (for coverage: the covered mask, f(dom psi) and the
+        running sums; derived on the first Delta there);
+      - the reprs of its pairs, in pair order, that rng_for joins into the
+        seed string (built on first use).
+    advance(psi, e, o) carries that state from psi to the child psi + (e, o):
+    one map entry, one pool deletion, one repr insertion, and f's state
+    derived from the parent's by f.observe_child once the child is priced.
+    Under an independent prior the child's evidence check is the new
+    observation's mass.  A rollout (Policy.run_on) advances this way, so no
+    round rebuilds what the round before it had.  Any other history (exact
+    evaluation, decision_widths' walk, a stray psi) becomes the current one
+    with its state built from scratch.
     """
 
     def __init__(self, f, prior, seed=0, delta_cache=None):
@@ -610,6 +650,8 @@ class EvalContext:
         self._seen = {}             # its observed items -> states
         self._pool = None           # its unobserved items in id order
         self._fstate = None         # f's Delta state at it
+        self._parent = None         # (parent's f state, e, o) to derive _fstate from
+        self._reprs = None          # repr of each of its pairs, in pair order
         self._possible = False      # True once it is known to have positive probability
 
     @property
@@ -617,13 +659,21 @@ class EvalContext:
         return self.prior.n
 
     def rng_for(self, psi: PartialRealization) -> random.Random:
-        return random.Random("%s|%s" % (self.seed, psi.pairs))
+        """The stream of the decision at psi, seeded by "seed|psi.pairs"."""
+        if psi is not self._psi:
+            return random.Random("%s|%s" % (self.seed, psi.pairs))
+        reprs = self._reprs
+        if reprs is None:
+            reprs = self._reprs = [repr(pair) for pair in psi.pairs]
+        if len(reprs) == 1:         # str of a 1-tuple ends in ",)"
+            return random.Random("%s|(%s,)" % (self.seed, reprs[0]))
+        return random.Random("%s|(%s)" % (self.seed, ", ".join(reprs)))
 
     def _adopt(self, psi):
         """Make psi the current history, its state built from scratch."""
         self._psi = psi
         self._seen = dict(psi.pairs)
-        self._pool = self._fstate = None
+        self._pool = self._fstate = self._parent = self._reprs = None
         self._possible = False
 
     def observed(self, psi: PartialRealization) -> dict:
@@ -652,13 +702,18 @@ class EvalContext:
         seen = self.observed(psi)
         if e in seen:
             raise ValidationError("item %d already observed" % e)
-        child = PartialRealization(tuple(sorted(psi.pairs + ((e, o),))))
+        i, pairs = _insert_pair(psi.pairs, e, o)
+        child = PartialRealization(pairs)
         seen[e] = o
         if self._pool is not None:
             del self._pool[bisect_left(self._pool, e)]
+        if self._reprs is not None:
+            self._reprs.insert(i, repr((e, o)))
         probs = self._probs
         self._possible = self._possible and probs is not None and probs[e][o] > 0.0
         self._psi = child
+        fstate = self._fstate
+        self._parent = None if fstate is None else (fstate, e, o)
         self._fstate = None
         return child
 
@@ -668,7 +723,12 @@ class EvalContext:
             if not self._possible:
                 _check_evidence(self.prior, self._psi)
                 self._possible = True
-            self._fstate = self.f.observe(self._psi)
+            parent = self._parent
+            if parent is None:
+                self._fstate = self.f.observe(self._psi)
+            else:
+                self._fstate = self.f.observe_child(*parent, self._seen)
+                self._parent = None
         return self._fstate
 
     def delta(self, e: int, psi: PartialRealization) -> float:

@@ -157,7 +157,7 @@ def _policy_node(pi, ctx, rec, psi, cstate, scratch):
         return rec.stop(psi)
     value = 0.0
     for e, q in choices:
-        if e in psi or not cstate.can_select(e):
+        if not 0 <= e < ctx.n or e in psi or not cstate.can_select(e):
             raise PolicyViolation("%s chose infeasible item %d" % (pi.name, e))
         value += q * rec.branch(psi, cstate, e, scratch)
     return value

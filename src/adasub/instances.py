@@ -43,21 +43,24 @@ class Instance:
     utility_spec: dict
     constraint: object
     metadata: dict = field(default_factory=dict)
+    _masks: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def utility(self) -> UtilityFunction:
-        """Build a fresh utility (zeroed counters) from the stored spec."""
+        """Build a fresh utility (zeroed counters) from the stored spec.
+
+        A coverage spec's element lists become one bitmask per (item, state)
+        once per instance: the table is kept, keyed on the identity of
+        utility_spec["covers"], so replacing that list rebuilds it.  Only the
+        table is kept, not the built utility.
+        """
         spec = self.utility_spec
         if spec["type"] == "coverage":
-            covers = []
-            for row in spec["covers"]:
-                masks = []
-                for elems in row:
-                    mask = 0
-                    for x in elems:
-                        mask |= 1 << int(x)
-                    masks.append(mask)
-                covers.append(masks)
-            return CoverageUtility(spec["weights"], covers)
+            covers = spec["covers"]
+            cached = self._masks
+            if cached is None or cached[0] is not covers:
+                masks = tuple(tuple(_mask(elems) for elems in row) for row in covers)
+                cached = self._masks = (covers, masks)
+            return CoverageUtility(spec["weights"], cached[1])
         if spec["type"] == "tabular":
             return TabularUtility(self.n, spec["realizations"], spec["table"])
         raise ParseError("unknown utility type %r" % spec["type"])
@@ -82,6 +85,13 @@ class Instance:
                     raise ValidationError("partition group references unknown item")
         self.utility()  # constructor re-checks nonnegativity etc.
         return self
+
+
+def _mask(elems) -> int:
+    mask = 0
+    for x in elems:
+        mask |= 1 << int(x)
+    return mask
 
 
 # ---------------------------------------------------------------------------

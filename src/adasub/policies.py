@@ -191,6 +191,8 @@ class Policy:
             e = self.decide(ctx, psi, cstate, scratch)
             if e is None:
                 break
+            if not 0 <= e < ctx.n:
+                raise PolicyViolation("%s selected unknown item %d" % (self.name, e))
             if e in ctx.observed(psi):
                 raise PolicyViolation("%s re-selected item %d" % (self.name, e))
             if not cstate.can_select(e):
@@ -358,8 +360,9 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
     path_dependent = True
 
     def decide(self, ctx, psi, cstate, scratch):
-        # Only round 1 reads the pool; after it the heap holds every item not
-        # yet chosen, and an exhausted budget or an empty heap stops.
+        # Only round 1 reads the pool; after it the heap holds exactly the
+        # items not yet chosen (each was popped when chosen), and an exhausted
+        # budget or an empty heap stops.
         if cstate.exhausted():
             return None
         rnd = scratch["round"] = scratch.get("round", 0) + 1
@@ -374,12 +377,9 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
             negd, e, _ = heapq.heappop(heap)
             ctx.record(pool, -negd)
             return e
-        seen = ctx.observed(psi)
         evaluated = []
         while heap:
             negd, e, stamp = heapq.heappop(heap)
-            if e in seen:
-                continue
             if stamp == rnd:
                 ctx.record(evaluated, -negd)
                 return e

@@ -1,11 +1,14 @@
 """EvalContext's carried history state against its definition.
 
 A rollout advances the context from each history to its child, carrying the
-observed-item map, the pool of unobserved items and f's Delta state.  At
-every history they must equal what psi alone defines, and a history other
-than the current one, whose state is built from scratch, must agree too.
+observed-item map, the pool of unobserved items, f's Delta state and the
+reprs behind rng_for's seed string.  At every history they must equal what
+psi alone defines, and a history other than the current one, whose state is
+built from scratch, must agree too.
 """
 
+import copy
+import math
 import random
 
 import pytest
@@ -27,7 +30,7 @@ from adasub import (
     random_policy,
     run_policy,
 )
-from adasub.core import EvalContext
+from adasub.core import EvalContext, UtilityFunction
 
 GROUPS = [list(range(0, 12)), list(range(12, 30)), list(range(30, 40))]
 POLICIES = [adaptive_stochastic_greedy(8, 0.2), adaptive_greedy(8, "lazy"), adaptive_greedy(8),
@@ -39,18 +42,68 @@ def unobserved(n, psi):
     return [e for e in range(n) if e not in psi]
 
 
+def draws(rng):
+    return [rng.random() for _ in range(20)]
+
+
+def reference_draws(seed, psi):
+    return draws(random.Random("%s|%s" % (seed, psi.pairs)))
+
+
+def assert_same_f_state(derived, fresh):
+    """A derived f state equals the from-scratch one, floats to the bit."""
+    if isinstance(fresh[0], int):       # coverage: (covered, base, sums, memo)
+        assert derived[0] == fresh[0]
+        assert derived[1].hex() == fresh[1].hex()
+        assert [x.hex() for x in derived[2]] == [x.hex() for x in fresh[2]]
+        assert derived[3] == fresh[3] == {0: 0.0}
+    else:                               # generic: (dom, fixed, base)
+        assert derived[:2] == fresh[:2]
+        assert derived[2].hex() == fresh[2].hex()
+
+
 class CheckedContext(EvalContext):
     """An EvalContext that checks its state after every advance and keeps
-    every history the rollout reached."""
+    every history the rollout reached.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    It prices with its own shallow copy of f, whose observe and observe_child
+    it wraps: each f state derived from a parent's is checked against
+    observe() of the history from scratch (on a second copy, so that f's
+    counters see only the rollout), and both kinds are counted.  rng_for's
+    stream is checked against the seed string at every history.
+    """
+
+    def __init__(self, f, prior, **kwargs):
+        reference, f = copy.copy(f), copy.copy(f)
+        super().__init__(f, prior, **kwargs)
         self.histories = [PSI_EMPTY]
+        self.built = self.derived = 0
+        # The class's methods: f may be another CheckedContext's copy (concat).
+        observe, observe_child = type(f).observe, type(f).observe_child
+
+        def built(psi):
+            self.built += 1
+            return observe(f, psi)
+
+        def derived(state, e, o, observed):
+            child = observe_child(f, state, e, o, observed)
+            psi = self.histories[-1]
+            assert observed == psi.as_dict()
+            assert_same_f_state(child, observe(reference, psi))
+            self.derived += 1
+            return child
+
+        f.observe, f.observe_child = built, derived
+
+    def rng_for(self, psi):
+        assert draws(super().rng_for(psi)) == reference_draws(self.seed, psi)
+        return super().rng_for(psi)
 
     def advance(self, psi, e, o):
         child = super().advance(psi, e, o)
         assert self.observed(child) == child.as_dict()
         assert self.pool(child) == unobserved(self.n, child)
+        self.rng_for(child)
         self.histories.append(child)
         return child
 
@@ -64,11 +117,42 @@ def test_carried_state_matches_the_history(pi):
     inst = instance()
     for seed in range(3):
         phi = inst.prior.sample(random.Random(seed))
-        f = inst.utility()
-        ctx = CheckedContext(f, inst.prior, seed=seed)
+        ctx = CheckedContext(inst.utility(), inst.prior, seed=seed)
         trace = pi.run_on(ctx, phi)
         assert len(ctx.histories) == len(trace.steps) + 1 > 1
-        assert trace == run_policy(pi, inst.utility(), inst.prior, phi, seed=seed)
+        plain = inst.utility()
+        assert trace == run_policy(pi, plain, inst.prior, phi, seed=seed)
+        # One value() per priced history plus the final one: the empty
+        # history's state is built, every later one derived from its parent,
+        # and the last history, where the budget is spent, is not priced.
+        priced = pi.name != "random"
+        assert (ctx.built, ctx.derived) == ((1, len(trace.steps) - 1) if priced else (0, 0))
+        assert ctx.f.f_counter == plain.f_counter == ctx.built + ctx.derived + 1
+        assert ctx.f.delta_counter == plain.delta_counter
+
+
+class SqrtOfSelected(UtilityFunction):
+    """No coverage structure: Delta goes through the generic observe_child."""
+
+    depends_only_on_selected = True
+
+    def __init__(self, weights):
+        super().__init__()
+        self.weights = weights
+
+    def _value(self, items, states):
+        return math.sqrt(sum(self.weights[e][states[e]] for e in items))
+
+
+def test_generic_utility_derives_the_same_state():
+    inst = instance()
+    rng = random.Random(5)
+    f = SqrtOfSelected([[rng.random() for _ in range(3)] for _ in range(inst.n)])
+    phi = inst.prior.sample(random.Random(6))
+    ctx = CheckedContext(f, inst.prior, seed=6)
+    trace = adaptive_greedy(6).run_on(ctx, phi)
+    assert ctx.derived == 5
+    assert trace == run_policy(adaptive_greedy(6), copy.copy(f), inst.prior, phi, seed=6)
 
 
 def test_other_histories_take_the_fallback():
@@ -81,7 +165,9 @@ def test_other_histories_take_the_fallback():
     e = unobserved(inst.n, current)[0]
     sibling = PartialRealization.of({**ctx.histories[4].as_dict(), e: (phi[e] + 1) % 3})
     for psi in (ancestor, sibling, PSI_EMPTY):
+        assert draws(ctx.rng_for(psi)) == reference_draws(4, psi)     # not adopted
         assert ctx.pool(psi) == unobserved(inst.n, psi)
+        assert draws(ctx.rng_for(psi)) == reference_draws(4, psi)     # adopted
         assert ctx.observed(psi) == psi.as_dict()
         for item in range(inst.n):
             assert ctx.delta(item, psi) == marginal_utility(ref, inst.prior, psi, item)
@@ -120,8 +206,27 @@ def test_concat_phases_do_not_share_state(pi, monkeypatch):
     _, first, second = contexts
     for ctx, seed in ((first, "3/1"), (second, "3/2")):
         psi = ctx.histories[-1]
+        assert ctx.seed == seed
+        assert draws(EvalContext.rng_for(ctx, psi)) == reference_draws(seed, psi)
         assert ctx.observed(psi) == psi.as_dict()
         assert psi.domain() == run_policy(pi, inst.utility(), inst.prior, phi,
                                           seed=seed).selected
     assert first.observed(first.histories[-1]) is not second.observed(second.histories[-1])
     assert len(trace.steps) == 10
+
+
+@pytest.mark.parametrize("seed", [0, "7/1", None])
+def test_seed_string_at_the_edges(seed):
+    inst = instance()
+    ctx = EvalContext(inst.utility(), inst.prior, seed=seed)
+    assert draws(ctx.rng_for(PSI_EMPTY)) == reference_draws(seed, PSI_EMPTY)
+    ctx.pool(PSI_EMPTY)                              # now the current history
+    assert draws(ctx.rng_for(PSI_EMPTY)) == reference_draws(seed, PSI_EMPTY)
+    one = ctx.advance(PSI_EMPTY, 17, 2)
+    assert one.pairs == ((17, 2),)
+    assert draws(ctx.rng_for(one)) == reference_draws(seed, one)
+    two = ctx.advance(one, 3, 0)                     # inserted before the first pair
+    three = ctx.advance(two, 39, 1)
+    assert three.pairs == ((3, 0), (17, 2), (39, 1))
+    for psi in (two, three, PartialRealization.of({17: 2})):
+        assert draws(ctx.rng_for(psi)) == reference_draws(seed, psi)

@@ -13,7 +13,9 @@ from adasub import (
     optimal_value,
     save_instance,
 )
+from adasub.core import IndependentPrior
 from adasub.instances import (
+    Instance,
     complementarity_counterexample,
     dumps_instance,
     loads_instance,
@@ -101,6 +103,37 @@ class TestSerialization:
         path = tmp_path / "c.json"
         save_instance(inst, path)
         assert load_instance(path).constraint == CardinalityConstraint(2)
+
+
+class TestUtilityMaskTable:
+    def test_calls_share_the_table_but_not_the_counters(self):
+        inst = generate_coverage(8, 2, 10, 0.3, seed=5)
+        f, g = inst.utility(), inst.utility()
+        assert f is not g and f.covers == g.covers
+        f.value((0, 1), (0,) * 8)
+        f.delta_counter += 1
+        assert (g.f_counter, g.delta_counter) == (0, 0)
+        assert (inst.utility().f_counter, inst.utility().delta_counter) == (0, 0)
+
+    def test_replaced_covers_rebuild_the_table(self):
+        inst = generate_coverage(4, 2, 6, 0.3, seed=2)
+        before = inst.utility().covers
+        covers = [[[0, 1], [2]], [[3], []], [[4, 5], [0]], [[], [1, 5]]]
+        inst.utility_spec["covers"] = covers
+        after = inst.utility()
+        assert after.covers == ((0b11, 0b100), (0b1000, 0), (0b110000, 0b1), (0, 0b100010))
+        assert after.covers != before
+        w = inst.utility_spec["weights"]
+        assert after.value((0, 2), (0, 0, 0, 0)) == sum([w[0], w[1], w[4], w[5]])
+
+    def test_out_of_universe_coverage_raises_on_the_first_call(self):
+        inst = Instance(3, 2, IndependentPrior([[0.5, 0.5]] * 3),
+                        {"type": "coverage", "weights": [1.0, 2.0],
+                         "covers": [[[0], [1]], [[0, 1], [2]], [[], [0]]]},
+                        CardinalityConstraint(2))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="coverage of item 1 outside universe"):
+                inst.utility()
 
 
 def _field_paths(x, prefix=()):

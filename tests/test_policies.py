@@ -57,6 +57,16 @@ class TestRunPolicy:
             run_policy(Stubborn([0]), utility_a, prior_a, (1, 0))
         del bad
 
+    @pytest.mark.parametrize("sequence", [[-1, 0], [7, 0], [0, 5]])
+    def test_item_outside_the_ground_set_raises(self, sequence):
+        # -1 would read item 4's coverage and state; 7 would index past them.
+        inst = generate_coverage(n=5, m=2, universe_size=6, density=0.4, seed=1)
+        phi = sample_realization(inst.prior, random.Random(0))
+        with pytest.raises(PolicyViolation, match="unknown item"):
+            run_policy(FixedSequencePolicy(sequence), inst.utility(), inst.prior, phi)
+        with pytest.raises(PolicyViolation, match="infeasible item"):
+            exact_policy_value(FixedSequencePolicy(sequence), inst.utility(), inst.prior)
+
 
 class TestAdaptiveGreedy:
     def test_k1_value(self, utility_a, prior_a):
