@@ -265,6 +265,8 @@ def verify(instance_path, checks, out):
     """Run definitional checkers; nonzero exit on any violation."""
     inst = _load(instance_path)
     names = [c.strip() for c in checks.split(",") if c.strip()]
+    if not names:
+        _fail(EXIT_USAGE, "no checks given")
     unknown = [c for c in names if c not in CHECKS]
     if unknown:
         _fail(EXIT_USAGE, "unknown checks: %s" % ",".join(unknown))

@@ -133,16 +133,20 @@ class RestrictedOracle:
     """restricted_optimal for one instance, called as oracle(psi, items, a).
 
     One HistoryRecursion serves every call, so the values and stop values of
-    subproblems that several queries reach are computed once.
+    subproblems that several queries reach are computed once.  The domain of
+    the last psi asked is kept, since callers ask many (items, a) at one psi.
     """
 
     def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
         _check_size(prior, caps)
         self.prior, self.caps = prior, caps
         self.rec = HistoryRecursion(f, prior, _best_choice, summarize=True)
+        self._psi = self._dom = None
 
     def __call__(self, psi: PartialRealization, items, a: int) -> float:
-        state = _Restriction(frozenset(items).difference(psi.domain()), a)
+        if psi is not self._psi:
+            self._psi, self._dom = psi, psi.domain()
+        state = _Restriction(frozenset(items).difference(self._dom), a)
         _check_budget(self.prior, state, self.caps)
         return self.rec.value(psi, state) - self.rec.stop(psi)
 

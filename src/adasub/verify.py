@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,7 +50,8 @@ def enumerate_partial_realizations(prior, max_size=None):
     for size in range(limit + 1):
         for dom in itertools.combinations(range(n), size):
             for states in itertools.product(*(per_item[e] for e in dom)):
-                psi = PartialRealization.of(zip(dom, states))
+                # dom is ascending and duplicate-free, so the pairs are canonical
+                psi = PartialRealization(tuple(zip(dom, states)))
                 if prior.possible(psi):
                     yield psi
 
@@ -67,9 +69,7 @@ def check_adaptive_monotone(f, prior, max_items: int = 8, max_states: int = 3) -
     ctx = EvalContext(f, prior)
     checked = 0
     for psi in enumerate_partial_realizations(prior):
-        for e in range(prior.n):
-            if e in psi:
-                continue
+        for e in ctx.pool(psi):
             checked += 1
             d = ctx.delta(e, psi)
             if d < -INEQ_TOL:
@@ -83,27 +83,57 @@ def _sweep(name, prior, columns, price, witness, compared=None) -> CheckReport:
 
     Each history psi2's row of values over `columns` is priced once, by
     price(psi2, c), in column order as its comparison with the empty
-    sub-history first needs it; every later comparison reads rows.  Only the
-    columns c with compared(psi2, c) are checked at psi2.  Sub-histories are
-    walked as pair tuples, smallest first, so their rows are complete.
+    sub-history needs it; a failure there returns before the rest is priced.
+    compared(psi2) lists the indices of the columns checked at psi2, in
+    increasing order (all of them if `compared` is None).  It must be
+    downward closed: a column compared at psi2 is compared at every
+    sub-history of psi2, so their rows hold that column's value.
+
+    Every proper sub-history psi of psi2 is decided at once against the
+    running minimum low[psi2 - p] = min of the column over psi2 - p and its
+    sub-histories, for each pair p of psi2; those histories have smaller
+    domains, so they were enumerated earlier.  min returns one of the values
+    it compares, so this fails exactly when some psi does.  Only then are the
+    sub-histories walked as pair tuples (by size, then in combinations
+    order, then by column) to name the first failing pair.  pairs_checked
+    counts every inequality decided: 2^|psi2| per compared column of a
+    passing psi2, and up to the witness for the failing one.
     """
-    rows = {}
+    rows, lows = {}, {}
+    ncols = len(columns)
     checked = 0
     for psi2 in enumerate_partial_realizations(prior):
-        row2 = rows[psi2.pairs] = [None] * len(columns)
-        live = [i for i, c in enumerate(columns) if compared is None or compared(psi2, c)]
-        for size in range(len(psi2) + 1):
-            for sub in itertools.combinations(psi2.pairs, size):
-                row = rows[sub]
-                for i in live:
-                    checked += 1
-                    rhs = row2[i]
-                    if rhs is None:
-                        rhs = row2[i] = price(psi2, columns[i])
-                    lhs = row[i]
-                    if lhs < rhs - INEQ_TOL:
-                        return CheckReport(name, False, checked, {
-                            "psi": sub, "psi2": psi2.pairs, **witness(columns[i], lhs, rhs)})
+        pairs = psi2.pairs
+        # Columns psi2 does not compare hold -inf: -inf < -inf is false, and
+        # by downward closure no extension of psi2 compares them either.
+        row2 = rows[pairs] = [-math.inf] * ncols
+        bounds = [-math.inf] * ncols
+        live = range(ncols) if compared is None else compared(psi2)
+        empty = rows[()]
+        for i in live:
+            checked += 1
+            rhs = row2[i] = price(psi2, columns[i])
+            bound = bounds[i] = rhs - INEQ_TOL
+            if empty[i] < bound:
+                return CheckReport(name, False, checked, {
+                    "psi": (), "psi2": pairs, **witness(columns[i], empty[i], rhs)})
+        if not pairs:
+            lows[pairs] = row2
+            continue
+        below = [lows[pairs[:j] + pairs[j + 1:]] for j in range(len(pairs))]
+        low = list(map(min, *below)) if len(below) > 1 else below[0]
+        if any(map(operator.lt, low, bounds)):
+            for size in range(1, len(pairs) + 1):
+                for sub in itertools.combinations(pairs, size):
+                    row = rows[sub]
+                    for i in live:
+                        checked += 1
+                        if row[i] < bounds[i]:
+                            return CheckReport(name, False, checked, {
+                                "psi": sub, "psi2": pairs,
+                                **witness(columns[i], row[i], row2[i])})
+        checked += ((1 << len(pairs)) - 1) * len(live)
+        lows[pairs] = list(map(min, row2, low))
     return CheckReport(name, True, checked)
 
 
@@ -114,7 +144,7 @@ def check_adaptive_submodular(f, prior, max_items: int = 8, max_states: int = 3)
     return _sweep("adaptive-submodular", prior, range(prior.n),
                   lambda psi, e: ctx.delta(e, psi),
                   lambda e, lhs, rhs: {"item": e, "delta_psi": lhs, "delta_psi2": rhs},
-                  compared=lambda psi, e: e not in psi)
+                  compared=ctx.pool)
 
 
 def check_fully_adaptive_submodular(f, prior, max_items: int = 5,

@@ -229,6 +229,12 @@ class TestVerify:
                                    "--checks", "bogus"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("checks", ["", " , "])
+    def test_empty_check_list_is_usage_error(self, runner, instance_a_path, checks):
+        res = runner.invoke(main, ["verify", "--instance", instance_a_path, "--checks", checks])
+        assert_clean_usage_error(res)
+        assert "error: no checks given" in res.output
+
 
 class TestMalformedInstance:
     @pytest.fixture

@@ -162,7 +162,10 @@ def noisy_tabular(seed, n=3):
 def reference_instances():
     coverage = [generate_coverage(n=4, m=2, universe_size=6, density=0.3, seed=seed)
                 for seed in range(10)]
-    return coverage + [noisy_tabular(seed) for seed in range(4)] + [
+    # seeds 4, 19 and 221 first fail submodularity at |psi| = 1 < |psi2| = 2,
+    # past the comparisons with the empty history; at 221 only psi2 less its
+    # second pair fails
+    return coverage + [noisy_tabular(seed) for seed in (0, 1, 2, 3, 4, 19, 221)] + [
         monotonicity_counterexample(), complementarity_counterexample()]
 
 
