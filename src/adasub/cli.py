@@ -32,7 +32,6 @@ from .policies import (
     locally_greedy,
     random_policy,
     run_policy,
-    sample_budget,
 )
 from .verify import (
     check_adaptive_monotone,
@@ -289,22 +288,6 @@ BENCH_COLUMNS = ["policy", "n", "budget", "epsilon", "delta_measured",
                  "delta_cap", "naive_evals"]
 
 
-def _bench_caps(pi, n, k, eps, constraint):
-    if pi.name == "asg":
-        return k * sample_budget(n, n, k, eps), n * k
-    if pi.name in ("greedy", "lazy"):
-        return sum(n - r for r in range(min(k, n))), n * k
-    sizes = [len(g) for g in constraint.groups]
-    limits = list(constraint.remaining)
-    if pi.name == "gasg":
-        cap = sum(d * sample_budget(len(g), len(g), d, eps)
-                  for g, d in zip(constraint.groups, limits))
-    else:
-        cap = sum(sum(s - j for j in range(min(d, s)))
-                  for s, d in zip(sizes, limits))
-    return cap, sum(limits) * n
-
-
 @main.command()
 @click.option("--policy", "policy_name",
               type=click.Choice(["asg", "greedy", "lazy", "local", "gasg"]),
@@ -349,9 +332,9 @@ def bench(policy_name, ns, ks, eps_list, instance_path, m, universe, density, se
                 f = inst.utility()
                 phi = inst.prior.sample(random.Random(stream))
                 run_policy(pi, f, inst.prior, phi, seed=stream)
-                cap, naive = _bench_caps(pi, inst.n, k, eps, inst.constraint)
                 budget = sum(inst.constraint.remaining) if k is None else k
-                rows.append([pi.name, inst.n, budget, eps, f.delta_counter, cap, naive])
+                rows.append([pi.name, inst.n, budget, eps, f.delta_counter,
+                             pi.oracle_call_cap(inst.n), inst.n * budget])
     except AdasubError as exc:
         _fail(EXIT_USAGE, str(exc))
     with open(out, "w", newline="") as fh:

@@ -14,6 +14,7 @@ independence lets the expectation factorize over a single item's posterior.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import reprlib
 from bisect import bisect_left
@@ -153,8 +154,8 @@ class IndependentPrior(Prior):
         for e, row in enumerate(self.probs):
             if len(row) != self.m:
                 raise ValidationError("item %d has %d states, expected %d" % (e, len(row), self.m))
-            if any(p < 0 for p in row):
-                raise ValidationError("negative probability for item %d" % e)
+            if not all(0.0 <= p < math.inf for p in row):
+                raise ValidationError("negative or non-finite probability for item %d" % e)
             if abs(sum(row) - 1.0) > PROB_TOL:
                 raise ValidationError("prior normalization: item %d sums to %.17g" % (e, sum(row)))
 
@@ -244,8 +245,8 @@ class ExplicitPrior(Prior):
         for phi, p in entries:
             if len(phi) != self.n:
                 raise ValidationError("realization length mismatch")
-            if p < 0:
-                raise ValidationError("negative probability")
+            if not 0.0 <= p < math.inf:
+                raise ValidationError("negative or non-finite probability")
             if phi in seen:
                 raise ValidationError("duplicate realization %r in support" % (phi,))
             seen.add(phi)
@@ -355,13 +356,9 @@ class UtilityFunction:
     candidate item examined, the unit in which the sampling policies'
     complexity bounds are stated).
 
-    A utility with depends_only_on_selected prices Delta through observe()
-    and expected_gain(): f(dom psi, .) is then fixed by psi alone, so
-    observe(psi) computes it once per history and expected_gain() prices each
-    candidate from that.
+    Only CoverageUtility prices Delta from a per-history state; any other
+    utility's Delta and stop values are sums over the conditioned support.
     """
-
-    depends_only_on_selected = False
 
     def __init__(self):
         self.f_counter = 0
@@ -374,8 +371,8 @@ class UtilityFunction:
     def value(self, items: Iterable[int], states) -> float:
         """Evaluate f on the selected items under the given states.
 
-        `states` is a full realization tuple, or (for utilities that depend
-        only on selected items' states) any mapping covering `items`.
+        `states` is a full realization tuple, or (for CoverageUtility, which
+        reads only the selected items' states) any mapping covering `items`.
         """
         self.f_counter += 1
         return self._value(items, states)
@@ -383,45 +380,22 @@ class UtilityFunction:
     def _value(self, items, states):
         raise NotImplementedError
 
-    def observe(self, psi: PartialRealization):
-        """The part of f fixed by psi: (dom psi, psi's states, f(dom psi))."""
-        dom = psi.domain()
-        fixed = psi.as_dict()
-        return dom, fixed, self.value(dom, fixed)
-
-    def observe_child(self, state, e: int, o: int, observed: dict):
-        """observe() of the child history psi + (e, o), given state =
-        observe(psi) and the child's item -> state map.  Calls value() once,
-        as observe() does; this generic form rebuilds from the map."""
-        return self.observe(PartialRealization(tuple(sorted(observed.items()))))
-
-    def expected_gain(self, state, e: int, posterior) -> float:
-        """Delta(e | psi) for state = observe(psi) and posterior = e's (o, p)
-        pairs given psi: the sum of p * (f(dom + e) - f(dom)) with e in state o."""
-        dom, fixed, base = state
-        total = 0.0
-        for o, p in posterior:
-            states = dict(fixed)
-            states[e] = o
-            total += p * (self.value(dom + (e,), states) - base)
-        return total
-
 
 class CoverageUtility(UtilityFunction):
     """Weighted coverage: each (item, state) covers a subset of a universe.
 
     f(S, phi) = total weight of the union of the selected items' realized
     coverage sets.  Monotone in S for every phi, and adaptive submodular for
-    independent priors.
+    independent priors.  f(dom psi, .) is fixed by psi alone, so observe(psi)
+    computes it once per history and expected_gain() prices each candidate
+    from that state.
     """
-
-    depends_only_on_selected = True
 
     def __init__(self, weights: Sequence[float], covers: Sequence[Sequence[int]]):
         super().__init__()
         self.weights = tuple(float(w) for w in weights)
-        if any(w < 0 for w in self.weights):
-            raise ValidationError("negative universe weight")
+        if not all(0.0 <= w < math.inf for w in self.weights):
+            raise ValidationError("negative or non-finite universe weight")
         self.universe_size = len(self.weights)
         # A row that is a tuple already (Instance.utility()'s cached mask
         # table) is shared, not copied, so a call copies no table.
@@ -547,8 +521,8 @@ class TabularUtility(UtilityFunction):
         for row in self.table:
             if len(row) != len(self.realizations):
                 raise ValidationError("table row length mismatch")
-            if any(v < 0 for v in row):
-                raise ValidationError("negative utility value")
+            if not all(0.0 <= v < math.inf for v in row):
+                raise ValidationError("negative or non-finite utility value")
 
     def _value(self, items, states):
         if not isinstance(states, tuple):
@@ -582,7 +556,7 @@ def _check_evidence(prior, psi: PartialRealization):
 def expected_set_value(f: UtilityFunction, prior, psi: PartialRealization) -> float:
     """E[f(dom psi, Phi) | psi]: the value of stopping at psi."""
     dom = psi.domain()
-    if f.depends_only_on_selected:
+    if isinstance(f, CoverageUtility):
         _check_evidence(prior, psi)
         return f.value(dom, psi.as_dict())
     total = 0.0
@@ -644,7 +618,7 @@ class EvalContext:
         # delta()'s fast path: f's state prices Delta, no delta_cache, and an
         # unobserved item's posterior is its row.
         self._rows = (prior.rows if independent and delta_cache is None
-                      and f.depends_only_on_selected else None)
+                      and isinstance(f, CoverageUtility) else None)
         self._probs = prior.probs if independent else None
         self._psi = None            # the current history
         self._seen = {}             # its observed items -> states
@@ -756,7 +730,7 @@ class EvalContext:
         """Delta(e | psi) for an unobserved e at the current history psi,
         without touching delta_counter."""
         f, prior = self.f, self.prior
-        if not f.depends_only_on_selected:
+        if not isinstance(f, CoverageUtility):
             dom = psi.domain()
             dom_e = dom + (e,)
             total = 0.0

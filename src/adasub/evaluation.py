@@ -73,7 +73,8 @@ class HistoryRecursion:
     independent prior it keys on (dom psi, covered mask), which fixes the
     value bit for bit: unobserved items keep their prior rows and
     f(dom psi + T, .) reads psi only through the mask.  Children of a key are
-    keyed from it in O(1), and their histories are built only on a miss.
+    keyed from it in O(1) and get no history: the rule sees psi=None below
+    the root, and stop, branch and dom psi read the running key (self.node).
     """
 
     def __init__(self, f, prior, rule, memoize=True, given=PSI_EMPTY, summarize=False):
@@ -89,16 +90,14 @@ class HistoryRecursion:
         head = self._summary(psi) if self.summarized else (psi.pairs,)
         return self._value(head + (cstate.key(),), psi, cstate, scratch)
 
-    def _value(self, key, psi, cstate, scratch, e=None, o=None):
-        """Memoized rule at `key`; psi + (e, o) when e is given, built on a miss."""
+    def _value(self, key, psi, cstate, scratch):
+        """The rule at psi, memoized on `key`."""
         memo = self.memo
         if memo is not None:
             value = memo.get(key)
             if value is not None:
                 self.hits += 1
                 return value
-        if e is not None:
-            psi = psi.with_observation(e, o)
         self.nodes += 1
         parent, self.node = self.node, key
         try:
@@ -138,7 +137,7 @@ class HistoryRecursion:
             ckey, covers = nxt.key(), self.f.covers[e]
             for o, p in self.prior.rows[e]:
                 key = (dom | 1 << e, covered | covers[o], ckey)
-                total += p * self._value(key, psi, nxt, scratch, e, o)
+                total += p * self._value(key, None, nxt, scratch)
             return total
         for o, p in self.prior.item_posterior(e, self._evidence(psi)):
             child = scratch if self.memo is not None else copy.deepcopy(scratch)

@@ -192,6 +192,14 @@ def _require(d, key, types, where):
     return val
 
 
+def _ints(values, where):
+    """values, once each is a JSON integer: int() would truncate 2.5 to 2."""
+    for x in values:
+        if type(x) is not int:
+            raise ParseError("%s must be integers, got %r" % (where, x))
+    return values
+
+
 def _instance_from_dict(d: dict) -> Instance:
     n = _require(d, "n", int, "instance")
     m = _require(d, "m", int, "instance")
@@ -201,7 +209,7 @@ def _instance_from_dict(d: dict) -> Instance:
         prior = IndependentPrior(_require(prior_d, "probs", list, "prior"))
     elif ptype == "explicit":
         support = _require(prior_d, "support", list, "prior")
-        prior = ExplicitPrior([(tuple(_require(s, "states", list, "support entry")),
+        prior = ExplicitPrior([(_ints(_require(s, "states", list, "support entry"), "states"),
                                 _require(s, "p", (int, float), "support entry"))
                                for s in support])
     else:
@@ -212,10 +220,15 @@ def _instance_from_dict(d: dict) -> Instance:
         spec = {"type": "coverage",
                 "weights": _require(util_d, "weights", list, "utility"),
                 "covers": _require(util_d, "covers", list, "utility")}
+        for row in spec["covers"]:
+            for elems in row:
+                _ints(elems, "coverage elements")
     elif utype == "tabular":
         spec = {"type": "tabular",
                 "realizations": _require(util_d, "realizations", list, "utility"),
                 "table": _require(util_d, "table", list, "utility")}
+        for phi in spec["realizations"]:
+            _ints(phi, "realization states")
     else:
         raise ParseError("unknown utility type %r" % utype)
     con_d = _require(d, "constraint", dict, "instance")
@@ -223,8 +236,10 @@ def _instance_from_dict(d: dict) -> Instance:
     if ctype == "cardinality":
         constraint = CardinalityConstraint(_require(con_d, "k", int, "constraint"))
     elif ctype == "partition":
-        constraint = PartitionConstraint.of(_require(con_d, "groups", list, "constraint"),
-                                            _require(con_d, "limits", list, "constraint"))
+        groups = _require(con_d, "groups", list, "constraint")
+        constraint = PartitionConstraint.of([_ints(g, "group items") for g in groups],
+                                            _ints(_require(con_d, "limits", list, "constraint"),
+                                                  "partition limits"))
     else:
         raise ParseError("unknown constraint type %r" % ctype)
     meta = d.get("metadata", {})

@@ -78,28 +78,21 @@ def _best_choice(rec, psi, cstate, first):
     return best
 
 
-def _solve(f, prior, constraint, base: PartialRealization,
-           caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
-    """Optimum from `base`, less its stop value E[f(dom base) | base] if nonempty."""
+def _solve(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
     _check_size(prior, caps)
     _check_budget(prior, constraint, caps)
     first = []
     rec = HistoryRecursion(f, prior, _best_choice, summarize=True)
-    value = rec.value(base, constraint, first)
-    if len(base) > 0:
-        value -= rec.stop(base)
+    value = rec.value(PSI_EMPTY, constraint, first)
     return OracleResult(value, tuple(first), rec.nodes, rec.hits)
 
 
-def optimal_value(f, prior, constraint, base: PartialRealization = PSI_EMPTY,
-                  caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
-    """Optimal adaptive f_avg under the constraint, from observations `base`.
+def optimal_value(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
+    """Optimal adaptive f_avg under the constraint, from the empty history.
 
-    For an empty base the value is absolute; for a nonempty base it is the
-    expected gain over E[f(dom(base), Phi) | base] (the marginal form used
-    by the restricted-policy checker).
+    The gain from observations psi is restricted_optimal's marginal form.
     """
-    return _solve(f, prior, constraint, base, caps)
+    return _solve(f, prior, constraint, caps)
 
 
 class _Restriction:

@@ -342,6 +342,10 @@ class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
     def fresh_constraint(self, n):
         return CardinalityConstraint(min(self.k, n))
 
+    def oracle_call_cap(self, n: int) -> int:
+        """The paper's cap on one rollout's Delta calls: pools n, n-1, ... in min(k, n) rounds."""
+        return sum(n - r for r in range(min(self.k, n)))
+
     def _sample_space(self, ctx, psi, cstate):
         pool = _feasible_pool(ctx, psi, cstate)
         return pool, self._sample_size(len(pool), ctx.n, self.k)
@@ -414,6 +418,10 @@ class AdaptiveStochasticGreedyPolicy(AdaptiveGreedyPolicy):
     def params(self):
         return {"k": self.k, "eps": self.epsilon}
 
+    def oracle_call_cap(self, n):
+        """k samples of ceil((n/k) * ln(1/eps)) items (clamped to n)."""
+        return self.k * sample_budget(n, n, self.k, self.epsilon)
+
     def _sample_size(self, pool_size, group_size, limit):
         return sample_budget(pool_size, group_size, limit, self.epsilon)
 
@@ -466,6 +474,11 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
     def fresh_constraint(self, n):
         return self.constraint
 
+    def oracle_call_cap(self, n: int) -> int:
+        """Greedy's cap in each group i: pools |B_i|, |B_i|-1, ... in min(d_i, |B_i|) rounds."""
+        return sum(sum(len(g) - j for j in range(min(d, len(g))))
+                   for g, d in zip(self.constraint.groups, self.limits))
+
     def _sample_space(self, ctx, psi, cstate):
         seen = ctx.observed(psi)
         for i in self.order:
@@ -499,6 +512,11 @@ class GeneralizedASGPolicy(LocallyGreedyPolicy):
 
     def params(self):
         return {"eps": self.epsilon, **super().params()}
+
+    def oracle_call_cap(self, n):
+        """d_i samples of ceil((|B_i|/d_i) * ln(1/eps)) items in each group i."""
+        return sum(d * sample_budget(len(g), len(g), d, self.epsilon)
+                   for g, d in zip(self.constraint.groups, self.limits))
 
     def _sample_size(self, pool_size, group_size, limit):
         return sample_budget(pool_size, group_size, limit, self.epsilon)

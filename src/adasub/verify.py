@@ -19,11 +19,14 @@ from typing import Optional
 import numpy as np
 
 from .core import EvalContext, PartialRealization
-from .errors import InstanceTooLarge, ValidationError
-from .oracle import OracleCaps, RestrictedOracle
+from .errors import ValidationError
+from .oracle import OracleCaps, RestrictedOracle, _check_size
 from .policies import sample_budget
 
 INEQ_TOL = 1e-9
+# Size caps of the sweeps; the fully-adaptive check is doubly exponential.
+DELTA_CHECK_CAPS = OracleCaps(max_items=8, max_states=3)
+FULLY_ADAPTIVE_CAPS = OracleCaps(max_items=5, max_states=2, max_budget=5)
 
 
 @dataclass
@@ -56,16 +59,9 @@ def enumerate_partial_realizations(prior, max_size=None):
                     yield psi
 
 
-def _check_enumerable(prior, max_items, max_states):
-    if prior.n > max_items:
-        raise InstanceTooLarge("n=%d exceeds checker cap %d" % (prior.n, max_items))
-    if prior.m > max_states:
-        raise InstanceTooLarge("m=%d exceeds checker cap %d" % (prior.m, max_states))
-
-
-def check_adaptive_monotone(f, prior, max_items: int = 8, max_states: int = 3) -> CheckReport:
+def check_adaptive_monotone(f, prior) -> CheckReport:
     """Delta(e | psi) >= 0 for every positive-probability psi and e outside it."""
-    _check_enumerable(prior, max_items, max_states)
+    _check_size(prior, DELTA_CHECK_CAPS)
     ctx = EvalContext(f, prior)
     checked = 0
     for psi in enumerate_partial_realizations(prior):
@@ -137,9 +133,9 @@ def _sweep(name, prior, columns, price, witness, compared=None) -> CheckReport:
     return CheckReport(name, True, checked)
 
 
-def check_adaptive_submodular(f, prior, max_items: int = 8, max_states: int = 3) -> CheckReport:
+def check_adaptive_submodular(f, prior) -> CheckReport:
     """Delta(e | psi) >= Delta(e | psi') whenever psi is a subrealization of psi'."""
-    _check_enumerable(prior, max_items, max_states)
+    _check_size(prior, DELTA_CHECK_CAPS)
     ctx = EvalContext(f, prior)
     return _sweep("adaptive-submodular", prior, range(prior.n),
                   lambda psi, e: ctx.delta(e, psi),
@@ -147,16 +143,13 @@ def check_adaptive_submodular(f, prior, max_items: int = 8, max_states: int = 3)
                   compared=ctx.pool)
 
 
-def check_fully_adaptive_submodular(f, prior, max_items: int = 5,
-                                    max_states: int = 2) -> CheckReport:
+def check_fully_adaptive_submodular(f, prior) -> CheckReport:
     """The submodularity inequality for best restricted-policy values.
 
-    Quantifies over every nonempty V and every budget a in [|V|]; the check
-    is doubly exponential, hence the tight caps.
+    Quantifies over every nonempty V and every budget a in [|V|], under
+    FULLY_ADAPTIVE_CAPS.
     """
-    _check_enumerable(prior, max_items, max_states)
-    oracle = RestrictedOracle(f, prior, OracleCaps(max_items=max_items, max_states=max_states,
-                                                   max_budget=max_items))
+    oracle = RestrictedOracle(f, prior, FULLY_ADAPTIVE_CAPS)
     columns = [(items, a) for size in range(1, prior.n + 1)
                for items in itertools.combinations(range(prior.n), size)
                for a in range(1, size + 1)]

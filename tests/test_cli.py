@@ -56,6 +56,14 @@ class TestGen:
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
 
+    @pytest.mark.parametrize("option", [["--wmin", "nan"], ["--wmax", "inf"]])
+    def test_non_finite_weight_is_usage_error(self, runner, tmp_path, option):
+        out = tmp_path / "inst.json"
+        res = runner.invoke(main, ["gen", "--n", "3"] + option + ["--out", str(out)])
+        assert_clean_usage_error(res)
+        assert "non-finite" in res.output
+        assert not out.exists()
+
     def test_malformed_group_is_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["gen", "--n", "4", "--groups", "0,a", "--limits", "1",
                                    "--out", str(tmp_path / "inst.json")])
@@ -241,15 +249,19 @@ class TestMalformedInstance:
     def instance_dict(self):
         return json.loads(dumps_instance(generate_coverage(3, 2, 4, 0.3, seed=0, k=2)))
 
-    def assert_usage_error(self, runner, tmp_path, d):
+    def assert_usage_error(self, runner, tmp_path, d, huge=None):
+        """`verify`, `run` and `oracle` on d exit 2; the string `huge`, if
+        given, is written as the JSON number 1e999, which json reads as inf."""
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(d))
+        text = json.dumps(d)
+        path.write_text(text if huge is None else text.replace(json.dumps(huge), "1e999"))
         for args in (["verify", "--instance", str(path)],
                      ["run", "--instance", str(path), "--policy", "greedy(k=2)",
-                      "--seed", "0", "--out", str(tmp_path / "r.csv")]):
+                      "--seed", "0", "--out", str(tmp_path / "r.csv")],
+                     ["oracle", "--instance", str(path)]):
             res = runner.invoke(main, args)
             assert res.exit_code == 2, res.output
-            assert "error: " in res.output
+            assert "error: " in res.output and "Traceback" not in res.output
             assert res.exception is None or isinstance(res.exception, SystemExit)
 
     def test_int_covers_entry(self, runner, tmp_path, instance_dict):
@@ -259,6 +271,37 @@ class TestMalformedInstance:
     def test_string_in_probs(self, runner, tmp_path, instance_dict):
         instance_dict["prior"]["probs"][0][1] = "half"
         self.assert_usage_error(runner, tmp_path, instance_dict)
+
+    def test_overflowing_weight(self, runner, tmp_path, instance_dict):
+        instance_dict["utility"]["weights"][1] = "HUGE"
+        self.assert_usage_error(runner, tmp_path, instance_dict, huge="HUGE")
+
+    def test_overflowing_table_value(self, runner, tmp_path):
+        d = json.loads(dumps_instance(complementarity_counterexample()))
+        d["utility"]["table"][3][0] = "HUGE"
+        self.assert_usage_error(runner, tmp_path, d, huge="HUGE")
+
+    # Each of these was truncated to an integer without a word, and oracle exited 0.
+    def test_fractional_cover_element(self, runner, tmp_path, instance_dict):
+        instance_dict["utility"]["covers"][0][1].append(2.5)
+        self.assert_usage_error(runner, tmp_path, instance_dict)
+
+    @pytest.mark.parametrize("field,value", [("limits", [1.5, 1]),
+                                             ("groups", [[0.9, 1], [2]])])
+    def test_fractional_partition_field(self, runner, tmp_path, field, value):
+        d = json.loads(dumps_instance(generate_coverage(3, 2, 4, 0.3, seed=0,
+                                                        groups=[[0, 1], [2]], limits=[1, 1])))
+        d["constraint"][field] = value
+        self.assert_usage_error(runner, tmp_path, d)
+
+    @pytest.mark.parametrize("field", ["support", "realizations"])
+    def test_fractional_explicit_state(self, runner, tmp_path, field):
+        d = json.loads(dumps_instance(complementarity_counterexample()))
+        if field == "support":
+            d["prior"]["support"][0]["states"] = [0.6, 0]
+        else:
+            d["utility"]["realizations"][0] = [0.6, 0]
+        self.assert_usage_error(runner, tmp_path, d)
 
     def test_binary_file(self, runner, tmp_path):
         path = tmp_path / "bad.json"

@@ -11,6 +11,7 @@ from adasub import (
     IndependentPrior,
     PSI_EMPTY,
     PartialRealization,
+    TabularUtility,
     UtilityFunction,
     ValidationError,
     ZeroProbabilityEvidence,
@@ -200,6 +201,16 @@ class TestValidation:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             CoverageUtility([-1.0], [[0b1]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, bad):
+        # NaN passes both `p < 0` and the normalization test
+        for make in (lambda: IndependentPrior([[bad, 1.0]]),
+                     lambda: ExplicitPrior([((0,), bad), ((1,), 1.0)]),
+                     lambda: CoverageUtility([1.0, bad], [[0b1], [0b10]]),
+                     lambda: TabularUtility(1, [(0,)], [[0.0], [bad]])):
+            with pytest.raises(ValidationError, match="negative or non-finite"):
+                make()
 
     @pytest.mark.parametrize("covers,item", [
         ([[0b01, 0b10], [0b11, 0b100], [0b1000, 0b0]], 1),

@@ -1,7 +1,7 @@
 """The incremental Delta path against the two-evaluation definition.
 
-EvalContext.delta and marginal_utility price a candidate from f's state at
-the history (UtilityFunction.observe / expected_gain).  These tests hold
+EvalContext.delta and marginal_utility price a coverage candidate from f's
+state at the history (CoverageUtility.observe / expected_gain).  These tests hold
 them to Sum_o p(o) * (f(dom + e) - f(dom)), written out with two value()
 calls per state, with exact float equality, and require rollouts driven by
 either to pick the same items.
@@ -69,9 +69,7 @@ def coverage_instances(count=24):
 
 class SqrtOfSelected(UtilityFunction):
     """sqrt of the selected items' state weights: no coverage structure, so
-    Delta goes through UtilityFunction's generic observe/expected_gain."""
-
-    depends_only_on_selected = True
+    Delta is priced from the conditioned support."""
 
     def __init__(self, weights):
         super().__init__()
@@ -191,28 +189,17 @@ class TestGenericDelta:
     def test_matches_two_evaluation_formula(self):
         # The coverage utility under CORRELATED takes its posteriors from
         # item_posterior(e, psi), not from an independent prior's rows.
-        for make_f in (lambda: SqrtOfSelected(SQRT_WEIGHTS), coverage_utility):
-            for prior in (INDEPENDENT, CORRELATED):
-                f, ref = make_f(), make_f()
-                ctx = EvalContext(f, prior)
-                rng = random.Random(5)
-                histories = [PSI_EMPTY] + [random_history(prior, rng, size)
-                                           for size in (1, 2, 3)]
-                for psi in histories:
-                    for e in range(prior.n):
-                        expected = explicit_delta(ref, prior, psi, e)
-                        assert ctx.delta(e, psi) == expected
-                        assert marginal_utility(f, prior, psi, e) == expected
-
-    def test_base_value_is_evaluated_once_per_history(self):
-        f = SqrtOfSelected(SQRT_WEIGHTS)
-        ctx = EvalContext(f, INDEPENDENT)
-        psi = PartialRealization.of({3: 1})
-        ctx.delta(0, psi)               # f(dom psi), then one f(dom + 0) per state
-        assert f.f_counter == 1 + 3
-        ctx.delta(1, psi)               # item 1 has two states of positive mass
-        assert f.f_counter == 1 + 3 + 2
-        assert f.delta_counter == 2
+        for prior in (INDEPENDENT, CORRELATED):
+            f, ref = coverage_utility(), coverage_utility()
+            ctx = EvalContext(f, prior)
+            rng = random.Random(5)
+            histories = [PSI_EMPTY] + [random_history(prior, rng, size)
+                                       for size in (1, 2, 3)]
+            for psi in histories:
+                for e in range(prior.n):
+                    expected = explicit_delta(ref, prior, psi, e)
+                    assert ctx.delta(e, psi) == expected
+                    assert marginal_utility(f, prior, psi, e) == expected
 
 
 class TestImpossibleHistory:

@@ -8,7 +8,6 @@ built from scratch, must agree too.
 """
 
 import copy
-import math
 import random
 
 import pytest
@@ -30,7 +29,7 @@ from adasub import (
     random_policy,
     run_policy,
 )
-from adasub.core import EvalContext, UtilityFunction
+from adasub.core import EvalContext
 
 GROUPS = [list(range(0, 12)), list(range(12, 30)), list(range(30, 40))]
 POLICIES = [adaptive_stochastic_greedy(8, 0.2), adaptive_greedy(8, "lazy"), adaptive_greedy(8),
@@ -51,15 +50,12 @@ def reference_draws(seed, psi):
 
 
 def assert_same_f_state(derived, fresh):
-    """A derived f state equals the from-scratch one, floats to the bit."""
-    if isinstance(fresh[0], int):       # coverage: (covered, base, sums, memo)
-        assert derived[0] == fresh[0]
-        assert derived[1].hex() == fresh[1].hex()
-        assert [x.hex() for x in derived[2]] == [x.hex() for x in fresh[2]]
-        assert derived[3] == fresh[3] == {0: 0.0}
-    else:                               # generic: (dom, fixed, base)
-        assert derived[:2] == fresh[:2]
-        assert derived[2].hex() == fresh[2].hex()
+    """A derived coverage state (covered, base, sums, memo) equals the
+    from-scratch one, floats to the bit."""
+    assert derived[0] == fresh[0]
+    assert derived[1].hex() == fresh[1].hex()
+    assert [x.hex() for x in derived[2]] == [x.hex() for x in fresh[2]]
+    assert derived[3] == fresh[3] == {0: 0.0}
 
 
 class CheckedContext(EvalContext):
@@ -129,30 +125,6 @@ def test_carried_state_matches_the_history(pi):
         assert (ctx.built, ctx.derived) == ((1, len(trace.steps) - 1) if priced else (0, 0))
         assert ctx.f.f_counter == plain.f_counter == ctx.built + ctx.derived + 1
         assert ctx.f.delta_counter == plain.delta_counter
-
-
-class SqrtOfSelected(UtilityFunction):
-    """No coverage structure: Delta goes through the generic observe_child."""
-
-    depends_only_on_selected = True
-
-    def __init__(self, weights):
-        super().__init__()
-        self.weights = weights
-
-    def _value(self, items, states):
-        return math.sqrt(sum(self.weights[e][states[e]] for e in items))
-
-
-def test_generic_utility_derives_the_same_state():
-    inst = instance()
-    rng = random.Random(5)
-    f = SqrtOfSelected([[rng.random() for _ in range(3)] for _ in range(inst.n)])
-    phi = inst.prior.sample(random.Random(6))
-    ctx = CheckedContext(f, inst.prior, seed=6)
-    trace = adaptive_greedy(6).run_on(ctx, phi)
-    assert ctx.derived == 5
-    assert trace == run_policy(adaptive_greedy(6), copy.copy(f), inst.prior, phi, seed=6)
 
 
 def test_other_histories_take_the_fallback():

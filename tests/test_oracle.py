@@ -146,16 +146,6 @@ class TestRestrictedOptimal:
         base = expected_set_value(utility_a, prior_a, PSI_EMPTY)
         assert val == pytest.approx(opt - base, abs=1e-9)
 
-    def test_unrestricted_query_equals_optimal_value_from_a_base(self):
-        # both subtract the stop value at the base from the same recursion
-        for seed in range(6):
-            inst = generate_coverage(n=5, m=2, universe_size=6, density=0.35, seed=seed)
-            f = inst.utility()
-            base = PartialRealization.of({seed % 5: 1, (seed + 2) % 5: 0})
-            res = optimal_value(f, inst.prior, CardinalityConstraint(2), base=base)
-            assert res.value == restricted_optimal(f, inst.prior, base, range(5), 2)
-            assert res.value >= 0.0     # stopping at the base is one of the policies
-
     def test_worthless_remainder(self, utility_a, prior_a):
         val = restricted_optimal(utility_a, prior_a, PartialRealization.of({0: 1}), (1,), 1)
         assert val == pytest.approx(0.0)
@@ -165,7 +155,5 @@ class TestRestrictedOptimal:
         prior = IndependentPrior([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
         f = CoverageUtility((1.0, 1.0), ((0b01, 0b11), (0b00, 0b10), (0b10, 0b01)))
         base = PartialRealization.of({0: 1})
-        with pytest.raises(ZeroProbabilityEvidence):
-            optimal_value(f, prior, CardinalityConstraint(1), base)
         with pytest.raises(ZeroProbabilityEvidence):
             restricted_optimal(f, prior, base, [1, 2], 1)

@@ -2,7 +2,9 @@
 
 For every policy with an exact form, at the empty history: its
 decision_distribution is a probability law, each seeded decide picks an item
-that law can pick, and its exact value is at most the oracle's optimum.
+that law can pick, its exact value is at most the oracle's optimum, and for one
+fixed seed the seeded exact value equals the support-weighted mean of seeded
+rollouts.
 Along one path from the empty history, the law at depth j has
 decision_widths(n)[j] items, and it is empty exactly when the widths run out.
 Examples are derandomized, so every run checks the same instances.
@@ -23,11 +25,13 @@ from adasub import (
     locally_greedy,
     optimal_value,
     random_policy,
+    run_policy,
 )
 from adasub.core import EvalContext
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 EPSILONS = st.sampled_from([0.05, 0.3, 0.6])
+SEED = 1
 
 
 @st.composite
@@ -61,6 +65,10 @@ def check_policy(pi, inst):
         assert e in support, (pi.describe(), seed, e)
     opt = optimal_value(f, prior, cstate).value
     assert exact_policy_value(pi, f, prior) <= opt + 1e-12, pi.describe()
+    # The seeded tree against one seeded rollout per realization of the support.
+    rolled = sum(p * run_policy(pi, f, prior, phi, seed=SEED).value
+                 for phi, p in prior.support())
+    assert abs(exact_policy_value(pi, f, prior, seed=SEED) - rolled) <= 1e-12, pi.describe()
     check_widths_along_a_path(pi, inst)
 
 
