@@ -245,6 +245,8 @@ class ExplicitPrior(Prior):
         for phi, p in entries:
             if len(phi) != self.n:
                 raise ValidationError("realization length mismatch")
+            if min(phi) < 0:
+                raise ValidationError("negative state in realization %r" % (phi,))
             if not 0.0 <= p < math.inf:
                 raise ValidationError("negative or non-finite probability")
             if phi in seen:

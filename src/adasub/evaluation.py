@@ -1,19 +1,20 @@
 """Exact and Monte Carlo evaluation of policy expected utility.
 
 One recursion over observation histories, HistoryRecursion, serves exact
-policy evaluation here and the optimum in adasub.oracle: both are the same
-expectation over histories, memoized on (history, constraint state), where
-the optimum takes a max and a policy its own choice.  A policy owns its
-constraint (pi.fresh_constraint(n)) and is always evaluated under it.  A
-policy's choice is
-its decision_distribution, which averages over the internal randomness
-exactly, or, for a fixed master seed, the point mass of the seeded decide
-(whose stream is derived from the seed and the history).  Exact evaluation
-first bounds the histories it could visit and refuses trees over
-EXACT_MAX_HISTORIES: a randomized policy may reach C(n, j) * m^j histories
-at depth j.  Policies with no single decision stream (concatenations, whose
-second phase forgets the history) fall back to enumerating the prior support
-and running a rollout per realization.
+policy evaluation here and, for every instance but coverage under an
+independent prior (which adasub.oracle solves in its own kernel), the
+optimum: both are the same expectation over histories, memoized on
+(history, constraint state), where the optimum takes a max and a policy its
+own choice.  A policy owns its constraint (pi.fresh_constraint(n)) and is
+always evaluated under it.  A policy's choice is its decision_distribution,
+which averages over the internal randomness exactly, or, for a fixed master
+seed, the point mass of the seeded decide (whose stream is derived from the
+seed and the history).  Exact evaluation first bounds the histories it
+could visit and refuses trees over EXACT_MAX_HISTORIES: a randomized policy
+may reach C(n, j) * m^j histories at depth j.  Policies with no single
+decision stream (concatenations, whose second phase forgets the history)
+fall back to enumerating the prior support and running a rollout per
+realization.
 """
 
 from __future__ import annotations
@@ -23,15 +24,7 @@ import functools
 import math
 import random
 
-from .core import (
-    CoverageUtility,
-    EvalContext,
-    IndependentPrior,
-    PSI_EMPTY,
-    PartialRealization,
-    _observe,
-    expected_set_value,
-)
+from .core import EvalContext, PSI_EMPTY, PartialRealization, expected_set_value
 from .errors import ExactModeUnavailable, InstanceTooLarge, PolicyViolation, ValidationError
 from .policies import Policy, run_policy
 
@@ -65,33 +58,18 @@ class HistoryRecursion:
     branch(psi, cstate, e, scratch) = sum_o p(o | psi) * value(psi + (e, o),
     cstate after e) over items.  Values are memoized on (psi, constraint key)
     unless memoize is False; only then does each branch copy the scratch.
-    Branching and stopping also condition on `given`, which the rule does not
-    see.  nodes counts rule calls, hits memo hits.
-
-    summarize=True (the oracle: no `given`; its rule reads psi only through
-    stop, branch and dom psi) memoizes stop values; for coverage under an
-    independent prior it keys on (dom psi, covered mask), which fixes the
-    value bit for bit: unobserved items keep their prior rows and
-    f(dom psi + T, .) reads psi only through the mask.  Children of a key are
-    keyed from it in O(1) and get no history: the rule sees psi=None below
-    the root, and stop, branch and dom psi read the running key (self.node).
+    A stop value is priced each time a rule asks for it, as exact evaluation
+    asks once per history.  Branching and stopping also condition on `given`,
+    which the rule does not see.  nodes counts rule calls, hits memo hits.
     """
 
-    def __init__(self, f, prior, rule, memoize=True, given=PSI_EMPTY, summarize=False):
+    def __init__(self, f, prior, rule, memoize=True, given=PSI_EMPTY):
         self.f, self.prior, self.rule, self.given = f, prior, rule, given
         self.memo = {} if memoize else None
-        self.stops = {} if summarize else None
-        self.summarized = (summarize and isinstance(f, CoverageUtility)
-                           and isinstance(prior, IndependentPrior))
-        self.roots, self.node = {}, None    # root summaries; key whose rule is running
         self.nodes = self.hits = 0
 
     def value(self, psi, cstate, scratch=None):
-        head = self._summary(psi) if self.summarized else (psi.pairs,)
-        return self._value(head + (cstate.key(),), psi, cstate, scratch)
-
-    def _value(self, key, psi, cstate, scratch):
-        """The rule at psi, memoized on `key`."""
+        key = (psi.pairs, cstate.key())
         memo = self.memo
         if memo is not None:
             value = memo.get(key)
@@ -99,21 +77,10 @@ class HistoryRecursion:
                 self.hits += 1
                 return value
         self.nodes += 1
-        parent, self.node = self.node, key
-        try:
-            value = self.rule(self, psi, cstate, scratch)
-        finally:
-            self.node = parent
+        value = self.rule(self, psi, cstate, scratch)
         if memo is not None:
             memo[key] = value
         return value
-
-    def _summary(self, psi):
-        """(dom psi bitmask, covered mask) of a root; impossible evidence raises."""
-        if psi.pairs not in self.roots:
-            self.roots[psi.pairs] = (sum(1 << e for e, _ in psi.pairs),
-                                     _observe(self.f, self.prior, psi)[0])
-        return self.roots[psi.pairs]
 
     def _evidence(self, psi):
         if not self.given:
@@ -121,24 +88,11 @@ class HistoryRecursion:
         return PartialRealization.of({**self.given.as_dict(), **psi.as_dict()})
 
     def stop(self, psi):
-        if self.stops is None:      # exact evaluation asks each history once
-            return expected_set_value(self.f, self.prior, self._evidence(psi))
-        key = (self.node or self._summary(psi))[1] if self.summarized else psi.pairs
-        if key not in self.stops:   # under summary keys, value() of the covered mask
-            self.stops[key] = (self.f._mask_weight(key) if self.summarized
-                               else expected_set_value(self.f, self.prior, psi))
-        return self.stops[key]
+        return expected_set_value(self.f, self.prior, self._evidence(psi))
 
     def branch(self, psi, cstate, e, scratch=None):
         nxt = cstate.after(e)
         total = 0.0
-        if self.summarized:
-            dom, covered, _ = self.node
-            ckey, covers = nxt.key(), self.f.covers[e]
-            for o, p in self.prior.rows[e]:
-                key = (dom | 1 << e, covered | covers[o], ckey)
-                total += p * self._value(key, None, nxt, scratch)
-            return total
         for o, p in self.prior.item_posterior(e, self._evidence(psi)):
             child = scratch if self.memo is not None else copy.deepcopy(scratch)
             total += p * self.value(psi.with_observation(e, o), nxt, child)

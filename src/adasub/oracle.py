@@ -1,22 +1,36 @@
 """Exhaustive optimal adaptive policy value on small instances.
 
 The optimum is the exact policy value's recursion over partial realizations
-(evaluation.HistoryRecursion) with the policy's choice replaced by a max:
+with the policy's choice replaced by a max:
 
     V(psi) = max( E[f(dom(psi), Phi) | psi],
                   max_e sum_o Pr[Phi_e = o | psi] * V(psi + (e, o)) )
 
-memoized on (psi, constraint state); for coverage under an independent
-prior, psi is summarized as (dom psi, covered mask), which fixes V.  The
-stop branch keeps the oracle correct for non-monotone tabular utilities.
-Hard instance caps fail loudly; ground truth is this module's only job.
+memoized on (psi, constraint state).  The stop branch keeps the oracle
+correct for non-monotone tabular utilities.  Two recursions compute it:
+
+* For coverage under an independent prior, _CoverageKernel.  An unobserved
+  item's posterior is its prior, and the future values of psi read it only
+  through its covered mask, so (dom psi bitmask, covered mask, constraint
+  key) fixes V bit for bit and is the memo key; a stop is the covered mask's
+  weight, memoized on the mask.  Each constraint key gets a move table once:
+  the mask of selectable items and, per item e, (cstate.after(e), its key).
+  A node loops over the set bits of `selectable & ~dom` in ascending order
+  and keys each child from the node's key in O(1); no history is built
+  below the root.
+* Every other instance runs evaluation.HistoryRecursion with _best_choice
+  as the node rule, memoized on psi itself.
+
+Both break ties alike: values within VALUE_TOL of the best tie, and the
+root's tied best items are its optimal first actions.  Hard instance caps
+fail loudly; ground truth is this module's only job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PSI_EMPTY, PartialRealization
+from .core import CoverageUtility, IndependentPrior, PSI_EMPTY, PartialRealization, _observe
 from .errors import InstanceTooLarge, ValidationError
 from .evaluation import HistoryRecursion
 
@@ -55,19 +69,26 @@ def _check_budget(prior, constraint, caps: OracleCaps):
         raise InstanceTooLarge("budget %d exceeds oracle cap %d" % (budget, caps.max_budget))
 
 
-def _best_choice(rec, psi, cstate, first):
-    """Max of stopping and every feasible branch; ties within VALUE_TOL.
+def _dom_mask(psi):
+    dom = 0
+    for e, _ in psi.pairs:
+        dom |= 1 << e
+    return dom
 
-    A `first` list receives the tied best items (the root's call finishes last).
+
+def _best_choice(rec, psi, cstate, first):
+    """HistoryRecursion's node rule: the max of stopping and every feasible
+    branch; values within VALUE_TOL of the best tie.
+
+    A `first` list receives the tied best items.
     """
     best = rec.stop(psi)
     best_items = []
-    # Under summary keys the running node's dom bitmask answers `e in psi`.
-    dom = rec.node[0] if rec.summarized else sum(1 << e for e, _ in psi.pairs)
+    dom = _dom_mask(psi)
     for e in range(rec.prior.n):
         if dom >> e & 1 or not cstate.can_select(e):
             continue
-        val = rec.branch(psi, cstate, e, first)
+        val = rec.branch(psi, cstate, e)
         if val > best + VALUE_TOL:
             best = val
             best_items = [e]
@@ -78,11 +99,107 @@ def _best_choice(rec, psi, cstate, first):
     return best
 
 
+class _CoverageKernel:
+    """The optimum for coverage under an independent prior (module docstring).
+
+    value(psi, cstate, first) and stop(psi) answer as HistoryRecursion's do
+    with _best_choice as the rule; psi is read once per change, for its root
+    key.  nodes counts expanded keys, hits memo hits.
+    """
+
+    def __init__(self, f, prior):
+        self.f, self.prior, self.n = f, prior, prior.n
+        # Per item, (coverage mask, probability) of each state of positive mass.
+        self.rows = tuple(tuple((f.covers[e][o], p) for o, p in row)
+                          for e, row in enumerate(prior.rows))
+        self.memo, self.stops, self.moves = {}, {}, {}
+        self.nodes = self.hits = 0
+        self._psi = self._root = None
+
+    def _root_of(self, psi):
+        """(dom psi bitmask, covered mask); impossible evidence raises."""
+        if psi is not self._psi:
+            self._root = (_dom_mask(psi), _observe(self.f, self.prior, psi)[0])
+            self._psi = psi
+        return self._root
+
+    def stop(self, psi):
+        return self._stop(self._root_of(psi)[1])
+
+    def _stop(self, covered):
+        value = self.stops.get(covered)
+        if value is None:
+            value = self.stops[covered] = self.f._mask_weight(covered)
+        return value
+
+    def value(self, psi, cstate, first=None):
+        key = self._root_of(psi) + (cstate.key(),)
+        value = self.memo.get(key)
+        if value is None:
+            return self._node(key, cstate, first)
+        self.hits += 1
+        return value
+
+    def _moves(self, cstate, ckey):
+        """(selectable items' mask, per item (cstate.after(e), its key)) of a key."""
+        selectable, after = 0, [None] * self.n
+        for e in range(self.n):
+            if cstate.can_select(e):
+                selectable |= 1 << e
+                nxt = cstate.after(e)
+                after[e] = (nxt, nxt.key())
+        table = self.moves[ckey] = (selectable, after)
+        return table
+
+    def _node(self, key, cstate, first):
+        """V at a key not in the memo."""
+        self.nodes += 1
+        dom, covered, ckey = key
+        memo, rows = self.memo, self.rows
+        best = self._stop(covered)
+        selectable, after = self.moves.get(ckey) or self._moves(cstate, ckey)
+        free = selectable & ~dom
+        best_items = []
+        hits = 0
+        while free:
+            bit = free & -free
+            free ^= bit
+            e = bit.bit_length() - 1
+            nxt, nkey = after[e]
+            child = dom | bit
+            total = 0.0
+            for mask, p in rows[e]:
+                k = (child, covered | mask, nkey)
+                value = memo.get(k)
+                if value is None:
+                    value = self._node(k, nxt, None)
+                else:
+                    hits += 1
+                total += p * value
+            if total > best + VALUE_TOL:
+                best = total
+                best_items = [e]
+            elif total >= best - VALUE_TOL:
+                best_items.append(e)
+        self.hits += hits
+        if first is not None:
+            first[:] = best_items
+        memo[key] = best
+        return best
+
+
+def _recursion(f, prior):
+    """The oracle's recursion for f under the prior (module docstring)."""
+    if isinstance(f, CoverageUtility) and isinstance(prior, IndependentPrior):
+        return _CoverageKernel(f, prior)
+    return HistoryRecursion(f, prior, _best_choice)
+
+
 def _solve(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
     _check_size(prior, caps)
     _check_budget(prior, constraint, caps)
     first = []
-    rec = HistoryRecursion(f, prior, _best_choice, summarize=True)
+    rec = _recursion(f, prior)
     value = rec.value(PSI_EMPTY, constraint, first)
     return OracleResult(value, tuple(first), rec.nodes, rec.hits)
 
@@ -96,7 +213,8 @@ def optimal_value(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> Orac
 
 
 class _Restriction:
-    """Constraint state: at most `budget` further selections from `items`.
+    """Constraint state: at most `budget` further selections from the items
+    whose bits are set in the mask `items`.
 
     The budget is clamped to the items left, so key() is canonical and every
     (psi, items, a) query that reaches a subproblem shares its memo entry.
@@ -104,16 +222,16 @@ class _Restriction:
 
     __slots__ = ("items", "budget")
 
-    def __init__(self, items: frozenset, budget: int):
+    def __init__(self, items: int, budget: int):
         if budget < 0:
             raise ValidationError("negative budget")
-        self.items, self.budget = items, min(budget, len(items))
+        self.items, self.budget = items, min(budget, items.bit_count())
 
     def can_select(self, e):
-        return self.budget > 0 and e in self.items
+        return self.budget > 0 and self.items >> e & 1 == 1
 
     def after(self, e):
-        return _Restriction(self.items - {e}, self.budget - 1)
+        return _Restriction(self.items & ~(1 << e), self.budget - 1)
 
     def key(self):
         return (self.items, self.budget)
@@ -125,23 +243,33 @@ class _Restriction:
 class RestrictedOracle:
     """restricted_optimal for one instance, called as oracle(psi, items, a).
 
-    One HistoryRecursion serves every call, so the values and stop values of
-    subproblems that several queries reach are computed once.  The domain of
-    the last psi asked is kept, since callers ask many (items, a) at one psi.
+    One recursion serves every call, so the values and stop values of
+    subproblems that several queries reach are computed once.  Callers ask
+    many (items, a) at one psi, so psi's dom bitmask and stop value are
+    computed when psi changes, not per query.
     """
 
     def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
         _check_size(prior, caps)
         self.prior, self.caps = prior, caps
-        self.rec = HistoryRecursion(f, prior, _best_choice, summarize=True)
-        self._psi = self._dom = None
+        self.rec = _recursion(f, prior)
+        self._psi = self._dom = self._stop = None
 
     def __call__(self, psi: PartialRealization, items, a: int) -> float:
+        n, mask = self.prior.n, 0
+        for e in items:
+            if not 0 <= e < n:
+                raise ValidationError("item %r outside [0, %d)" % (e, n))
+            mask |= 1 << e
         if psi is not self._psi:
-            self._psi, self._dom = psi, psi.domain()
-        state = _Restriction(frozenset(items).difference(self._dom), a)
-        _check_budget(self.prior, state, self.caps)
-        return self.rec.value(psi, state) - self.rec.stop(psi)
+            self._psi, self._dom, self._stop = psi, _dom_mask(psi), None
+        state = _Restriction(mask & ~self._dom, a)
+        if state.budget > self.caps.max_budget:
+            _check_budget(self.prior, state, self.caps)
+        value = self.rec.value(psi, state)
+        if self._stop is None:
+            self._stop = self.rec.stop(psi)
+        return value - self._stop
 
 
 def restricted_optimal(f, prior, psi: PartialRealization, items, a: int,

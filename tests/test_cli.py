@@ -303,6 +303,13 @@ class TestMalformedInstance:
             d["utility"]["realizations"][0] = [0.6, 0]
         self.assert_usage_error(runner, tmp_path, d)
 
+    def test_negative_explicit_state(self, runner, tmp_path):
+        # `oracle` read state -1 as the item's last state and exited 0.
+        d = json.loads(dumps_instance(generate_coverage(2, 2, 4, 0.5, seed=1, k=1)))
+        d["prior"] = {"type": "explicit", "support": [{"states": [-1, 0], "p": 0.5},
+                                                      {"states": [1, 1], "p": 0.5}]}
+        self.assert_usage_error(runner, tmp_path, d)
+
     def test_binary_file(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{\x00")

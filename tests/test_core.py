@@ -198,6 +198,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ExplicitPrior([((0,), 0.5), ((0,), 0.5)])
 
+    def test_explicit_rejects_negative_states(self):
+        # A coverage utility would read state -1 as covers[e][-1], the last state.
+        with pytest.raises(ValidationError, match="negative state"):
+            ExplicitPrior([((-1, 0), 0.5), ((1, 1), 0.5)])
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             CoverageUtility([-1.0], [[0b1]])

@@ -23,7 +23,7 @@ from adasub import (
     random_policy,
     restricted_optimal,
 )
-from adasub.oracle import OracleCaps, RestrictedOracle
+from adasub.oracle import VALUE_TOL, OracleCaps, RestrictedOracle
 from adasub.policies import PartitionConstraint
 from adasub.verify import enumerate_partial_realizations
 
@@ -157,3 +157,56 @@ class TestRestrictedOptimal:
         base = PartialRealization.of({0: 1})
         with pytest.raises(ZeroProbabilityEvidence):
             restricted_optimal(f, prior, base, [1, 2], 1)
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_items_outside_the_ground_set_are_refused(self, utility_a, prior_a, explicit):
+        prior = ExplicitPrior(prior_a.support()) if explicit else prior_a
+        oracle = RestrictedOracle(utility_a, prior)
+        for items in ((-1,), (0, -1), (2,), (1, 5)):
+            with pytest.raises(ValidationError, match="outside"):
+                oracle(PSI_EMPTY, items, 1)
+        with pytest.raises(ValidationError, match="outside"):
+            restricted_optimal(utility_a, prior, PSI_EMPTY, (0, 2), 1)
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_a_repeated_item_counts_once(self, utility_a, prior_a, explicit):
+        prior = ExplicitPrior(prior_a.support()) if explicit else prior_a
+        oracle = RestrictedOracle(utility_a, prior)
+        # Summed bits would read (0, 0) as item 1 and (1, 1) as item 2.
+        assert oracle(PSI_EMPTY, (0, 0), 1) == oracle(PSI_EMPTY, (0,), 1) == 1.5
+        assert oracle(PSI_EMPTY, (1, 1), 2) == oracle(PSI_EMPTY, (1,), 1) == 0.5
+        assert oracle(PSI_EMPTY, (0, 1, 0), 3) == oracle(PSI_EMPTY, (0, 1), 2)
+
+
+def _kernel_cases():
+    """Coverage instances under an independent prior, cardinality and partition."""
+    for seed in range(4):
+        yield pytest.param(generate_coverage(n=5, m=2, universe_size=6, density=0.35,
+                                             seed=seed, k=3), id="card-n5-seed%d" % seed)
+    for seed in range(2):
+        yield pytest.param(generate_coverage(n=6, m=2, universe_size=8, density=0.3,
+                                             seed=10 + seed, groups=[[0, 1, 2], [3, 4]],
+                                             limits=[1, 2]), id="part-n6-seed%d" % (10 + seed))
+    yield pytest.param(generate_coverage(n=4, m=3, universe_size=6, density=0.35, seed=20, k=2),
+                       id="card-n4-m3-seed20")
+
+
+@pytest.mark.parametrize("inst", _kernel_cases())
+def test_coverage_kernel_agrees_with_the_plain_recursion(inst):
+    # The same instance under an explicit prior over the same support runs
+    # HistoryRecursion with _best_choice instead of the coverage kernel.
+    f, prior = inst.utility(), inst.prior
+    explicit = ExplicitPrior(prior.support())
+    fast = optimal_value(f, prior, inst.constraint)
+    plain = optimal_value(f, explicit, inst.constraint)
+    assert abs(fast.value - plain.value) <= VALUE_TOL
+    assert fast.optimal_first_actions == plain.optimal_first_actions
+
+    fast_oracle, plain_oracle = RestrictedOracle(f, prior), RestrictedOracle(f, explicit)
+    columns = [(items, a) for size in range(1, inst.n + 1)
+               for items in itertools.combinations(range(inst.n), size)
+               for a in range(1, min(size, 3) + 1)]
+    for psi in enumerate_partial_realizations(prior, max_size=2):
+        for items, a in columns:
+            assert abs(fast_oracle(psi, items, a)
+                       - plain_oracle(psi, items, a)) <= VALUE_TOL, (psi, items, a)
