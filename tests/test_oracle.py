@@ -205,7 +205,7 @@ def test_coverage_kernel_agrees_with_the_plain_recursion(inst):
     fast_oracle, plain_oracle = RestrictedOracle(f, prior), RestrictedOracle(f, explicit)
     columns = [(items, a) for size in range(1, inst.n + 1)
                for items in itertools.combinations(range(inst.n), size)
-               for a in range(1, min(size, 3) + 1)]
+               for a in range(1, size + 1)]
     for psi in enumerate_partial_realizations(prior, max_size=2):
         for items, a in columns:
             assert abs(fast_oracle(psi, items, a)
