@@ -240,7 +240,8 @@ class ExplicitPrior(Prior):
         if not entries:
             raise ValidationError("empty support")
         self.n = len(entries[0][0])
-        self.m = max(max(phi) for phi, _ in entries) + 1
+        if self.n == 0:
+            raise ValidationError("explicit support has no items: its realizations are empty")
         seen = set()
         for phi, p in entries:
             if len(phi) != self.n:
@@ -252,6 +253,7 @@ class ExplicitPrior(Prior):
             if phi in seen:
                 raise ValidationError("duplicate realization %r in support" % (phi,))
             seen.add(phi)
+        self.m = max(max(phi) for phi, _ in entries) + 1
         total = sum(p for _, p in entries)
         if abs(total - 1.0) > PROB_TOL:
             raise ValidationError("prior normalization: support sums to %.17g" % total)
@@ -388,9 +390,9 @@ class CoverageUtility(UtilityFunction):
 
     f(S, phi) = total weight of the union of the selected items' realized
     coverage sets.  Monotone in S for every phi, and adaptive submodular for
-    independent priors.  f(dom psi, .) is fixed by psi alone, so observe(psi)
-    computes it once per history and expected_gain() prices each candidate
-    from that state.
+    independent priors.  f(dom psi, .) and each gain at psi depend on psi's
+    covered mask alone: observe(psi) builds that Delta state without a value()
+    call, and expected_gain() prices each candidate from it.
     """
 
     def __init__(self, weights: Sequence[float], covers: Sequence[Sequence[int]]):
@@ -440,32 +442,36 @@ class CoverageUtility(UtilityFunction):
             mask ^= bit
         return total
 
+    def covered(self, psi) -> int:
+        """The mask of the universe elements psi's observations cover."""
+        covered = 0
+        for e, o in psi.pairs:
+            covered |= self.covers[e][o]
+        return covered
+
     def observe(self, psi):
         """(covered mask, f(dom psi), running sums of the covered weights, memo).
 
         sums[i] is the weight of the covered elements below element i, added
         in _mask_weight's order, so sums[-1] is f(dom psi) to the last bit.
         memo maps a newly covered mask to its gain (the empty mask's is there
-        from the start), so candidates that cover the same new elements at one
-        history are priced once.
+        from the start).  All of it depends on the covered mask alone, so
+        histories that cover the same elements may share one state.
         """
-        covered = 0
-        for e, o in psi.pairs:
-            covered |= self.covers[e][o]
+        covered = self.covered(psi)
         sums = [0.0]
         total = 0.0
         for i, w in enumerate(self.weights):
             if covered >> i & 1:
                 total += w
             sums.append(total)
-        base = self.value(psi.domain(), psi.as_dict())
-        return covered, base, sums, {0: sums[-1] - base}
+        return covered, total, sums, {0: 0.0}
 
     def observe_child(self, state, e, o, observed):
         """observe(psi + (e, o)) from state = observe(psi): the covered mask
         gains e's coverage, sums are recomputed from the lowest newly covered
-        element up, and the memo starts afresh.  value() runs once, over the
-        child's observed map, so f is counted as observe() counts it."""
+        element up, and the memo starts afresh.  Like observe(), it calls no
+        value(); `observed` (the child's observed map) is not read."""
         covered, _, sums, _ = state
         new = self.covers[e][o] & ~covered
         if new:
@@ -477,8 +483,7 @@ class CoverageUtility(UtilityFunction):
                 if covered >> i & 1:
                     total += self.weights[i]
                 sums.append(total)
-        base = self.value(observed, observed)
-        return covered, base, sums, {0: sums[-1] - base}
+        return covered, sums[-1], sums, {0: 0.0}
 
     def expected_gain(self, state, e, posterior):
         # value() of covered | new sums low to high, so it passes through
@@ -567,12 +572,6 @@ def expected_set_value(f: UtilityFunction, prior, psi: PartialRealization) -> fl
     return total
 
 
-def _observe(f, prior, psi):
-    """f.observe(psi), once psi is known to be possible under the prior."""
-    _check_evidence(prior, psi)
-    return f.observe(psi)
-
-
 def marginal_utility(f: UtilityFunction, prior, psi: PartialRealization, e: int) -> float:
     """Conditional expected marginal utility of item e given observations psi.
 
@@ -595,8 +594,8 @@ class EvalContext:
     It also holds one history state, for the current history object:
       - its observed-item map;
       - its unobserved items in id order (the pool, built on first use);
-      - f's Delta state (for coverage: the covered mask, f(dom psi) and the
-        running sums; derived on the first Delta there);
+      - f's Delta state (for coverage: the covered mask, f(dom psi), the
+        running sums and the gain memo; made on the first Delta there);
       - the reprs of its pairs, in pair order, that rng_for joins into the
         seed string (built on first use).
     advance(psi, e, o) carries that state from psi to the child psi + (e, o):
@@ -605,8 +604,9 @@ class EvalContext:
     Under an independent prior the child's evidence check is the new
     observation's mass.  A rollout (Policy.run_on) advances this way, so no
     round rebuilds what the round before it had.  Any other history (exact
-    evaluation, decision_widths' walk, a stray psi) becomes the current one
-    with its state built from scratch.
+    evaluation, decision_widths' walk, the checkers' sweeps, a stray psi)
+    becomes the current one with its state built from scratch, but f's Delta
+    state is built once per covered mask and shared, gain memo and all.
     """
 
     def __init__(self, f, prior, seed=0, delta_cache=None):
@@ -627,6 +627,7 @@ class EvalContext:
         self._pool = None           # its unobserved items in id order
         self._fstate = None         # f's Delta state at it
         self._parent = None         # (parent's f state, e, o) to derive _fstate from
+        self._states = {}           # covered mask -> f's Delta state built from scratch
         self._reprs = None          # repr of each of its pairs, in pair order
         self._possible = False      # True once it is known to have positive probability
 
@@ -701,7 +702,11 @@ class EvalContext:
                 self._possible = True
             parent = self._parent
             if parent is None:
-                self._fstate = self.f.observe(self._psi)
+                covered = self.f.covered(self._psi)
+                state = self._states.get(covered)
+                if state is None:
+                    state = self._states[covered] = self.f.observe(self._psi)
+                self._fstate = state
             else:
                 self._fstate = self.f.observe_child(*parent, self._seen)
                 self._parent = None

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CoverageUtility, IndependentPrior, PSI_EMPTY, PartialRealization, _observe
+from .core import (CoverageUtility, IndependentPrior, PSI_EMPTY, PartialRealization,
+                   _check_evidence)
 from .errors import InstanceTooLarge, ValidationError
 from .evaluation import HistoryRecursion
 
@@ -119,7 +120,8 @@ class _CoverageKernel:
     def _root_of(self, psi):
         """(dom psi bitmask, covered mask); impossible evidence raises."""
         if psi is not self._psi:
-            self._root = (_dom_mask(psi), _observe(self.f, self.prior, psi)[0])
+            _check_evidence(self.prior, psi)
+            self._root = (_dom_mask(psi), self.f.covered(psi))
             self._psi = psi
         return self._root
 
@@ -246,29 +248,46 @@ class RestrictedOracle:
     One recursion serves every call, so the values and stop values of
     subproblems that several queries reach are computed once.  Callers ask
     many (items, a) at one psi, so psi's dom bitmask and stop value are
-    computed when psi changes, not per query.
+    computed when psi changes, not per query.  query(psi, mask(items), a)
+    checks the items once for many psi; on the coverage kernel it reads the
+    memo at the query's key and builds a _Restriction only on a miss.
     """
 
     def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
         _check_size(prior, caps)
         self.prior, self.caps = prior, caps
         self.rec = _recursion(f, prior)
+        self._memo = self.rec.memo if isinstance(self.rec, _CoverageKernel) else None
         self._psi = self._dom = self._stop = None
 
     def __call__(self, psi: PartialRealization, items, a: int) -> float:
+        return self.query(psi, self.mask(items), a)
+
+    def mask(self, items) -> int:
+        """The bitmask of items, each checked to lie in [0, n)."""
         n, mask = self.prior.n, 0
         for e in items:
             if not 0 <= e < n:
                 raise ValidationError("item %r outside [0, %d)" % (e, n))
             mask |= 1 << e
+        return mask
+
+    def query(self, psi: PartialRealization, mask: int, a: int) -> float:
+        """oracle(psi, items, a), the items given as mask(items)."""
         if psi is not self._psi:
             self._psi, self._dom, self._stop = psi, _dom_mask(psi), None
-        state = _Restriction(mask & ~self._dom, a)
-        if state.budget > self.caps.max_budget:
-            _check_budget(self.prior, state, self.caps)
-        value = self.rec.value(psi, state)
-        if self._stop is None:
+        free = mask & ~self._dom
+        budget = min(a, free.bit_count())
+        if not 0 <= budget <= self.caps.max_budget:     # raises
+            _check_budget(self.prior, _Restriction(free, a), self.caps)
+        if self._stop is None:      # checks psi's evidence
             self._stop = self.rec.stop(psi)
+        # (dom, covered, the _Restriction's key), as the kernel keys its memo
+        value = None if self._memo is None else self._memo.get(
+            self.rec._root_of(psi) + ((free, budget),))
+        if value is None:
+            return self.rec.value(psi, _Restriction(free, a)) - self._stop
+        self.rec.hits += 1
         return value - self._stop
 
 

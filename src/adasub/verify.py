@@ -150,11 +150,12 @@ def check_fully_adaptive_submodular(f, prior) -> CheckReport:
     FULLY_ADAPTIVE_CAPS.
     """
     oracle = RestrictedOracle(f, prior, FULLY_ADAPTIVE_CAPS)
-    columns = [(items, a) for size in range(1, prior.n + 1)
+    columns = [(items, a, oracle.mask(items)) for size in range(1, prior.n + 1)
                for items in itertools.combinations(range(prior.n), size)
                for a in range(1, size + 1)]
+    query = oracle.query
     return _sweep("fully-adaptive-submodular", prior, columns,
-                  lambda psi, col: oracle(psi, *col),
+                  lambda psi, col: query(psi, col[2], col[1]),
                   lambda col, lhs, rhs: {"items": col[0], "budget": col[1],
                                          "value_psi": lhs, "value_psi2": rhs})
 

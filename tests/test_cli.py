@@ -177,13 +177,26 @@ class TestRun:
         assert outs[0] == outs[1]
 
 
+def _constraint_key(k):
+    return type(k) is tuple and k[:1] in (("card",), ("part",))
+
+
+def _memo_key(k):
+    """(history pairs, constraint key) or the coverage kernel's
+    (dom mask, covered mask, constraint key)."""
+    return type(k) is tuple and (
+        len(k) == 2 and _constraint_key(k[1])
+        or len(k) == 3 and type(k[0]) is type(k[1]) is int and _constraint_key(k[2]))
+
+
 def _memo_tables():
-    """Live oracle and exact-evaluation memos: dicts keyed by
-    (history pairs, constraint key)."""
+    """Live oracle and exact-evaluation memos, and EvalContext's f states
+    shared by covered mask (dicts from a mask to a state that starts with it)."""
     return [o for o in gc.get_objects()
-            if type(o) is dict and o and all(
-                type(k) is tuple and len(k) == 2 and type(k[1]) is tuple
-                and k[1][:1] in (("card",), ("part",)) for k in o)]
+            if type(o) is dict and o and (
+                all(map(_memo_key, o))
+                or all(type(k) is int and type(v) is tuple and len(v) == 4 and v[0] == k
+                       for k, v in o.items()))]
 
 
 def test_in_process_run_frees_memos_and_stream(instance_a_path, tmp_path):
@@ -309,6 +322,13 @@ class TestMalformedInstance:
         d["prior"] = {"type": "explicit", "support": [{"states": [-1, 0], "p": 0.5},
                                                       {"states": [1, 1], "p": 0.5}]}
         self.assert_usage_error(runner, tmp_path, d)
+
+    def test_explicit_support_without_items(self, runner, tmp_path):
+        d = json.loads(dumps_instance(generate_coverage(2, 2, 4, 0.5, seed=1, k=1)))
+        d["prior"] = {"type": "explicit", "support": [{"states": [], "p": 1.0}]}
+        self.assert_usage_error(runner, tmp_path, d)
+        res = runner.invoke(main, ["oracle", "--instance", str(tmp_path / "bad.json")])
+        assert "explicit support has no items" in res.output
 
     def test_binary_file(self, runner, tmp_path):
         path = tmp_path / "bad.json"

@@ -203,6 +203,12 @@ class TestValidation:
         with pytest.raises(ValidationError, match="negative state"):
             ExplicitPrior([((-1, 0), 0.5), ((1, 1), 0.5)])
 
+    @pytest.mark.parametrize("support", [[((), 1.0)], [((0,), 0.5), ((), 0.5)]])
+    def test_explicit_rejects_itemless_realizations(self, support):
+        # max() over an empty realization raised a bare ValueError.
+        with pytest.raises(ValidationError, match="no items|length mismatch"):
+            ExplicitPrior(support)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             CoverageUtility([-1.0], [[0b1]])

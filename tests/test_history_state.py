@@ -14,6 +14,7 @@ import pytest
 
 from adasub import (
     CoverageUtility,
+    ExplicitPrior,
     IndependentPrior,
     PSI_EMPTY,
     PartialRealization,
@@ -30,6 +31,7 @@ from adasub import (
     run_policy,
 )
 from adasub.core import EvalContext
+from adasub.verify import enumerate_partial_realizations
 
 GROUPS = [list(range(0, 12)), list(range(12, 30)), list(range(30, 40))]
 POLICIES = [adaptive_stochastic_greedy(8, 0.2), adaptive_greedy(8, "lazy"), adaptive_greedy(8),
@@ -118,12 +120,13 @@ def test_carried_state_matches_the_history(pi):
         assert len(ctx.histories) == len(trace.steps) + 1 > 1
         plain = inst.utility()
         assert trace == run_policy(pi, plain, inst.prior, phi, seed=seed)
-        # One value() per priced history plus the final one: the empty
-        # history's state is built, every later one derived from its parent,
-        # and the last history, where the budget is spent, is not priced.
+        # The empty history's state is built, every later one derived from
+        # its parent, and the last history, where the budget is spent, is not
+        # priced.  Neither path calls value(): the only f evaluation is the
+        # trace's final value.
         priced = pi.name != "random"
         assert (ctx.built, ctx.derived) == ((1, len(trace.steps) - 1) if priced else (0, 0))
-        assert ctx.f.f_counter == plain.f_counter == ctx.built + ctx.derived + 1
+        assert ctx.f.f_counter == plain.f_counter == 1
         assert ctx.f.delta_counter == plain.delta_counter
 
 
@@ -202,3 +205,22 @@ def test_seed_string_at_the_edges(seed):
     assert three.pairs == ((3, 0), (17, 2), (39, 1))
     for psi in (two, three, PartialRealization.of({17: 2})):
         assert draws(ctx.rng_for(psi)) == reference_draws(seed, psi)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["independent", "explicit"])
+@pytest.mark.parametrize("n,seed", [(4, 0), (5, 1), (6, 2), (6, 3)])
+def test_states_shared_by_covered_mask_are_bit_exact(n, seed, explicit):
+    # One context prices every history from scratch, so histories that cover
+    # the same elements share one f state and its gain memo; each Delta must
+    # equal a fresh context's to the bit, whatever history primed the memo.
+    inst = generate_coverage(n=n, m=2, universe_size=6, density=0.3, seed=seed)
+    prior = ExplicitPrior(inst.prior.support()) if explicit else inst.prior
+    f, ref = inst.utility(), inst.utility()
+    ctx = EvalContext(f, prior)
+    histories = list(enumerate_partial_realizations(prior))
+    for psi in histories:
+        for e in range(n):
+            assert ctx.delta(e, psi).hex() == marginal_utility(ref, prior, psi, e).hex()
+        assert f.observe(psi)[1] == ref.value(psi.domain(), psi.as_dict())
+    assert f.delta_counter == ref.delta_counter == n * len(histories)
+    assert len(ctx._states) == len({f.covered(psi) for psi in histories}) < len(histories)

@@ -210,3 +210,25 @@ def test_coverage_kernel_agrees_with_the_plain_recursion(inst):
         for items, a in columns:
             assert abs(fast_oracle(psi, items, a)
                        - plain_oracle(psi, items, a)) <= VALUE_TOL, (psi, items, a)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["kernel", "history-recursion"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mask_queries_equal_restricted_optimal(seed, explicit):
+    # One oracle answers query(psi, mask, a) for every column, as the
+    # fully-adaptive check asks it; on the kernel a query that hits the memo
+    # is read at its key without a _Restriction.  Each answer must equal a
+    # fresh restricted_optimal to the bit.
+    inst = generate_coverage(n=4, m=2, universe_size=6, density=0.35, seed=seed)
+    f, prior = inst.utility(), inst.prior
+    if explicit:
+        prior = ExplicitPrior(prior.support())
+    oracle = RestrictedOracle(f, prior)
+    columns = [(items, a, oracle.mask(items)) for size in range(1, inst.n + 1)
+               for items in itertools.combinations(range(inst.n), size)
+               for a in range(1, size + 1)]
+    for psi in enumerate_partial_realizations(prior, max_size=2):
+        for items, a, mask in columns:
+            expected = restricted_optimal(f, prior, psi, items, a)
+            assert oracle.query(psi, mask, a) == expected, (psi, items, a)
+    assert oracle.rec.hits > 0
