@@ -32,6 +32,9 @@ Realization = tuple  # length-n tuple of state indices
 
 PROB_TOL = 1e-9
 ENUMERATION_CAP = 1 << 20
+# Running sums (~32 bytes each) an EvalContext's shared coverage states reach
+# before they are dropped and built anew.
+_SHARED_SUMS_MAX = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +461,10 @@ class CoverageUtility(UtilityFunction):
         from the start).  All of it depends on the covered mask alone, so
         histories that cover the same elements may share one state.
         """
-        covered = self.covered(psi)
+        return self.observe_covered(self.covered(psi))
+
+    def observe_covered(self, covered):
+        """observe(psi) from psi's covered mask."""
         sums = [0.0]
         total = 0.0
         for i, w in enumerate(self.weights):
@@ -467,11 +473,11 @@ class CoverageUtility(UtilityFunction):
             sums.append(total)
         return covered, total, sums, {0: 0.0}
 
-    def observe_child(self, state, e, o, observed):
+    def observe_child(self, state, e, o):
         """observe(psi + (e, o)) from state = observe(psi): the covered mask
         gains e's coverage, sums are recomputed from the lowest newly covered
         element up, and the memo starts afresh.  Like observe(), it calls no
-        value(); `observed` (the child's observed map) is not read."""
+        value()."""
         covered, _, sums, _ = state
         new = self.covers[e][o] & ~covered
         if new:
@@ -606,7 +612,8 @@ class EvalContext:
     round rebuilds what the round before it had.  Any other history (exact
     evaluation, decision_widths' walk, the checkers' sweeps, a stray psi)
     becomes the current one with its state built from scratch, but f's Delta
-    state is built once per covered mask and shared, gain memo and all.
+    state is built once per covered mask and shared, gain memo and all, until
+    the shared states reach _SHARED_SUMS_MAX running sums.
     """
 
     def __init__(self, f, prior, seed=0, delta_cache=None):
@@ -702,13 +709,16 @@ class EvalContext:
                 self._possible = True
             parent = self._parent
             if parent is None:
-                covered = self.f.covered(self._psi)
-                state = self._states.get(covered)
+                f, states = self.f, self._states
+                covered = f.covered(self._psi)
+                state = states.get(covered)
                 if state is None:
-                    state = self._states[covered] = self.f.observe(self._psi)
+                    if len(states) * (f.universe_size + 1) >= _SHARED_SUMS_MAX:
+                        states.clear()
+                    state = states[covered] = f.observe_covered(covered)
                 self._fstate = state
             else:
-                self._fstate = self.f.observe_child(*parent, self._seen)
+                self._fstate = self.f.observe_child(*parent)
                 self._parent = None
         return self._fstate
 

@@ -142,6 +142,17 @@ class _CoverageKernel:
         self.hits += 1
         return value
 
+    def restricted(self, psi, items, budget):
+        """value(psi, _Restriction(items, budget)) for a budget <= |items|;
+        the memo is read at that state's key, (items, budget), and the
+        _Restriction is built only on a miss."""
+        key = self._root_of(psi) + ((items, budget),)
+        value = self.memo.get(key)
+        if value is None:
+            return self._node(key, _Restriction(items, budget), None)
+        self.hits += 1
+        return value
+
     def _moves(self, cstate, ckey):
         """(selectable items' mask, per item (cstate.after(e), its key)) of a key."""
         selectable, after = 0, [None] * self.n
@@ -249,15 +260,16 @@ class RestrictedOracle:
     subproblems that several queries reach are computed once.  Callers ask
     many (items, a) at one psi, so psi's dom bitmask and stop value are
     computed when psi changes, not per query.  query(psi, mask(items), a)
-    checks the items once for many psi; on the coverage kernel it reads the
-    memo at the query's key and builds a _Restriction only on a miss.
+    checks the items once for many psi; the coverage kernel answers it by
+    _CoverageKernel.restricted.
     """
 
     def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
         _check_size(prior, caps)
         self.prior, self.caps = prior, caps
-        self.rec = _recursion(f, prior)
-        self._memo = self.rec.memo if isinstance(self.rec, _CoverageKernel) else None
+        rec = self.rec = _recursion(f, prior)
+        self._restricted = (rec.restricted if isinstance(rec, _CoverageKernel) else
+                            lambda psi, items, budget: rec.value(psi, _Restriction(items, budget)))
         self._psi = self._dom = self._stop = None
 
     def __call__(self, psi: PartialRealization, items, a: int) -> float:
@@ -282,13 +294,7 @@ class RestrictedOracle:
             _check_budget(self.prior, _Restriction(free, a), self.caps)
         if self._stop is None:      # checks psi's evidence
             self._stop = self.rec.stop(psi)
-        # (dom, covered, the _Restriction's key), as the kernel keys its memo
-        value = None if self._memo is None else self._memo.get(
-            self.rec._root_of(psi) + ((free, budget),))
-        if value is None:
-            return self.rec.value(psi, _Restriction(free, a)) - self._stop
-        self.rec.hits += 1
-        return value - self._stop
+        return self._restricted(psi, free, budget) - self._stop
 
 
 def restricted_optimal(f, prior, psi: PartialRealization, items, a: int,

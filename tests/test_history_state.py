@@ -8,6 +8,7 @@ built from scratch, must agree too.
 """
 
 import copy
+import math
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from adasub import (
     random_policy,
     run_policy,
 )
+from adasub import core
 from adasub.core import EvalContext
 from adasub.verify import enumerate_partial_realizations
 
@@ -64,11 +66,11 @@ class CheckedContext(EvalContext):
     """An EvalContext that checks its state after every advance and keeps
     every history the rollout reached.
 
-    It prices with its own shallow copy of f, whose observe and observe_child
-    it wraps: each f state derived from a parent's is checked against
-    observe() of the history from scratch (on a second copy, so that f's
-    counters see only the rollout), and both kinds are counted.  rng_for's
-    stream is checked against the seed string at every history.
+    It prices with its own shallow copy of f, whose observe_covered and
+    observe_child it wraps: each f state derived from a parent's is checked
+    against the history's state built from scratch (on a second copy, so
+    that f's counters see only the rollout), and both kinds are counted.
+    rng_for's stream is checked against the seed string at every history.
     """
 
     def __init__(self, f, prior, **kwargs):
@@ -77,21 +79,20 @@ class CheckedContext(EvalContext):
         self.histories = [PSI_EMPTY]
         self.built = self.derived = 0
         # The class's methods: f may be another CheckedContext's copy (concat).
-        observe, observe_child = type(f).observe, type(f).observe_child
+        observe_covered, observe_child = type(f).observe_covered, type(f).observe_child
 
-        def built(psi):
+        def built(covered):
             self.built += 1
-            return observe(f, psi)
+            return observe_covered(f, covered)
 
-        def derived(state, e, o, observed):
-            child = observe_child(f, state, e, o, observed)
+        def derived(state, e, o):
+            child = observe_child(f, state, e, o)
             psi = self.histories[-1]
-            assert observed == psi.as_dict()
-            assert_same_f_state(child, observe(reference, psi))
+            assert_same_f_state(child, observe_covered(reference, reference.covered(psi)))
             self.derived += 1
             return child
 
-        f.observe, f.observe_child = built, derived
+        f.observe_covered, f.observe_child = built, derived
 
     def rng_for(self, psi):
         assert draws(super().rng_for(psi)) == reference_draws(self.seed, psi)
@@ -224,3 +225,21 @@ def test_states_shared_by_covered_mask_are_bit_exact(n, seed, explicit):
         assert f.observe(psi)[1] == ref.value(psi.domain(), psi.as_dict())
     assert f.delta_counter == ref.delta_counter == n * len(histories)
     assert len(ctx._states) == len({f.covered(psi) for psi in histories}) < len(histories)
+
+
+def test_shared_states_stay_within_their_cap():
+    # With a large universe nearly every history covers its own mask, so the
+    # shared states fill up; they are dropped at the cap and the Deltas that
+    # follow must still equal a fresh context's to the bit.
+    inst = generate_coverage(n=5, m=3, universe_size=200, density=0.3, seed=4)
+    f, ref = inst.utility(), inst.utility()
+    ctx = EvalContext(f, inst.prior)
+    cap = math.ceil(core._SHARED_SUMS_MAX / (f.universe_size + 1))
+    histories = list(enumerate_partial_realizations(inst.prior))
+    assert len({f.covered(psi) for psi in histories}) > 2 * cap
+    most = 0
+    for psi in histories:
+        for e in range(inst.n):
+            assert ctx.delta(e, psi).hex() == marginal_utility(ref, inst.prior, psi, e).hex()
+        most = max(most, len(ctx._states))
+    assert most == cap

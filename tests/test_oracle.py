@@ -23,7 +23,7 @@ from adasub import (
     random_policy,
     restricted_optimal,
 )
-from adasub.oracle import VALUE_TOL, OracleCaps, RestrictedOracle
+from adasub.oracle import VALUE_TOL, OracleCaps, RestrictedOracle, _dom_mask, _Restriction
 from adasub.policies import PartitionConstraint
 from adasub.verify import enumerate_partial_realizations
 
@@ -231,4 +231,8 @@ def test_mask_queries_equal_restricted_optimal(seed, explicit):
         for items, a, mask in columns:
             expected = restricted_optimal(f, prior, psi, items, a)
             assert oracle.query(psi, mask, a) == expected, (psi, items, a)
+            if not explicit:    # the kernel's restricted() reads value()'s key
+                rec = oracle.rec
+                state = _Restriction(mask & ~_dom_mask(psi), a)
+                assert rec.memo[rec._root_of(psi) + (state.key(),)] == rec.value(psi, state)
     assert oracle.rec.hits > 0
