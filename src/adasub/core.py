@@ -32,8 +32,9 @@ Realization = tuple  # length-n tuple of state indices
 
 PROB_TOL = 1e-9
 ENUMERATION_CAP = 1 << 20
-# Running sums (~32 bytes each) an EvalContext's shared coverage states reach
-# before they are dropped and built anew.
+# Running sums (~32 bytes each) an EvalContext's coverage states, one per
+# covered mask priced in a rollout or anywhere else, reach before they are
+# dropped and built anew.
 _SHARED_SUMS_MAX = 1 << 14
 
 
@@ -394,8 +395,8 @@ class CoverageUtility(UtilityFunction):
     f(S, phi) = total weight of the union of the selected items' realized
     coverage sets.  Monotone in S for every phi, and adaptive submodular for
     independent priors.  f(dom psi, .) and each gain at psi depend on psi's
-    covered mask alone: observe(psi) builds that Delta state without a value()
-    call, and expected_gain() prices each candidate from it.
+    covered mask alone: observe_covered(covered(psi)) builds that Delta state
+    without a value() call, and expected_gain() prices each candidate from it.
     """
 
     def __init__(self, weights: Sequence[float], covers: Sequence[Sequence[int]]):
@@ -452,19 +453,17 @@ class CoverageUtility(UtilityFunction):
             covered |= self.covers[e][o]
         return covered
 
-    def observe(self, psi):
-        """(covered mask, f(dom psi), running sums of the covered weights, memo).
+    def observe_covered(self, covered):
+        """(covered mask, f(dom psi), running sums of the covered weights, memo)
+        for a history psi whose observations cover the mask `covered`.
 
         sums[i] is the weight of the covered elements below element i, added
         in _mask_weight's order, so sums[-1] is f(dom psi) to the last bit.
         memo maps a newly covered mask to its gain (the empty mask's is there
         from the start).  All of it depends on the covered mask alone, so
-        histories that cover the same elements may share one state.
+        histories that cover the same elements may share one state.  No
+        value() is called.
         """
-        return self.observe_covered(self.covered(psi))
-
-    def observe_covered(self, covered):
-        """observe(psi) from psi's covered mask."""
         sums = [0.0]
         total = 0.0
         for i, w in enumerate(self.weights):
@@ -473,41 +472,19 @@ class CoverageUtility(UtilityFunction):
             sums.append(total)
         return covered, total, sums, {0: 0.0}
 
-    def observe_child(self, state, e, o):
-        """observe(psi + (e, o)) from state = observe(psi): the covered mask
-        gains e's coverage, sums are recomputed from the lowest newly covered
-        element up, and the memo starts afresh.  Like observe(), it calls no
-        value()."""
-        covered, _, sums, _ = state
-        new = self.covers[e][o] & ~covered
-        if new:
-            covered |= new
-            low = (new & -new).bit_length() - 1
-            sums = sums[:low + 1]
-            total = sums[low]
-            for i in range(low, self.universe_size):
-                if covered >> i & 1:
-                    total += self.weights[i]
-                sums.append(total)
-        return covered, sums[-1], sums, {0: 0.0}
-
     def expected_gain(self, state, e, posterior):
         # value() of covered | new sums low to high, so it passes through
         # sums[low] at new's lowest element and then adds the rest in order.
         covered, base, sums, memo = state
-        weights, row = self.weights, self.covers[e]
+        row = self.covers[e]
         total = 0.0
         for o, p in posterior:
             new = row[o] & ~covered
             gain = memo.get(new)
             if gain is None:
                 low = (new & -new).bit_length() - 1
-                mask, acc = (covered | new) >> low << low, sums[low]
-                while mask:
-                    bit = mask & -mask
-                    acc += weights[bit.bit_length() - 1]
-                    mask ^= bit
-                gain = memo[new] = acc - base
+                gain = memo[new] = self._mask_weight((covered | new) >> low << low,
+                                                     sums[low]) - base
             total += p * gain
         return total
 
@@ -527,6 +504,8 @@ class TabularUtility(UtilityFunction):
             raise ValidationError("tabular utility limited to n <= %d" % self.MAX_ITEMS)
         self.n = n
         self.realizations = tuple(tuple(int(s) for s in phi) for phi in realizations)
+        if any(len(phi) != n for phi in self.realizations):
+            raise ValidationError("every tabular realization must have %d states" % n)
         self._index = {phi: i for i, phi in enumerate(self.realizations)}
         self.table = tuple(tuple(float(v) for v in row) for row in table)
         if len(self.table) != (1 << n):
@@ -600,20 +579,21 @@ class EvalContext:
     It also holds one history state, for the current history object:
       - its observed-item map;
       - its unobserved items in id order (the pool, built on first use);
-      - f's Delta state (for coverage: the covered mask, f(dom psi), the
-        running sums and the gain memo; made on the first Delta there);
+      - for coverage, its covered mask (made on the first Delta there);
       - the reprs of its pairs, in pair order, that rng_for joins into the
         seed string (built on first use).
     advance(psi, e, o) carries that state from psi to the child psi + (e, o):
-    one map entry, one pool deletion, one repr insertion, and f's state
-    derived from the parent's by f.observe_child once the child is priced.
-    Under an independent prior the child's evidence check is the new
-    observation's mass.  A rollout (Policy.run_on) advances this way, so no
-    round rebuilds what the round before it had.  Any other history (exact
-    evaluation, decision_widths' walk, the checkers' sweeps, a stray psi)
-    becomes the current one with its state built from scratch, but f's Delta
-    state is built once per covered mask and shared, gain memo and all, until
-    the shared states reach _SHARED_SUMS_MAX running sums.
+    one map entry, one pool deletion, one repr insertion and one OR into the
+    covered mask.  Under an independent prior the child's evidence check is
+    the new observation's mass.  A rollout (Policy.run_on) advances this way,
+    so no round rebuilds what the round before it had.  Any other history
+    (exact evaluation, decision_widths' walk, the checkers' sweeps, a stray
+    psi) becomes the current one with its state built from scratch.
+    f's Delta state (for coverage: the covered mask, f(dom psi), the running
+    sums and the gain memo) has one builder, f.observe_covered.  The context
+    keeps one state per covered mask, shared, gain memo and all, by every
+    history that covers the same elements, rollout or not, until the states
+    reach _SHARED_SUMS_MAX running sums.
     """
 
     def __init__(self, f, prior, seed=0, delta_cache=None):
@@ -632,9 +612,9 @@ class EvalContext:
         self._psi = None            # the current history
         self._seen = {}             # its observed items -> states
         self._pool = None           # its unobserved items in id order
+        self._covered = None        # its covered mask, once f's state is asked for
         self._fstate = None         # f's Delta state at it
-        self._parent = None         # (parent's f state, e, o) to derive _fstate from
-        self._states = {}           # covered mask -> f's Delta state built from scratch
+        self._states = {}           # covered mask -> f's Delta state
         self._reprs = None          # repr of each of its pairs, in pair order
         self._possible = False      # True once it is known to have positive probability
 
@@ -657,7 +637,7 @@ class EvalContext:
         """Make psi the current history, its state built from scratch."""
         self._psi = psi
         self._seen = dict(psi.pairs)
-        self._pool = self._fstate = self._parent = self._reprs = None
+        self._pool = self._covered = self._fstate = self._reprs = None
         self._possible = False
 
     def observed(self, psi: PartialRealization) -> dict:
@@ -695,9 +675,9 @@ class EvalContext:
             self._reprs.insert(i, repr((e, o)))
         probs = self._probs
         self._possible = self._possible and probs is not None and probs[e][o] > 0.0
+        if self._covered is not None:
+            self._covered |= self.f.covers[e][o]
         self._psi = child
-        fstate = self._fstate
-        self._parent = None if fstate is None else (fstate, e, o)
         self._fstate = None
         return child
 
@@ -707,19 +687,15 @@ class EvalContext:
             if not self._possible:
                 _check_evidence(self.prior, self._psi)
                 self._possible = True
-            parent = self._parent
-            if parent is None:
-                f, states = self.f, self._states
-                covered = f.covered(self._psi)
-                state = states.get(covered)
-                if state is None:
-                    if len(states) * (f.universe_size + 1) >= _SHARED_SUMS_MAX:
-                        states.clear()
-                    state = states[covered] = f.observe_covered(covered)
-                self._fstate = state
-            else:
-                self._fstate = self.f.observe_child(*parent)
-                self._parent = None
+            f, states, covered = self.f, self._states, self._covered
+            if covered is None:
+                covered = self._covered = f.covered(self._psi)
+            state = states.get(covered)
+            if state is None:
+                if len(states) * (f.universe_size + 1) >= _SHARED_SUMS_MAX:
+                    states.clear()
+                state = states[covered] = f.observe_covered(covered)
+            self._fstate = state
         return self._fstate
 
     def delta(self, e: int, psi: PartialRealization) -> float:

@@ -83,7 +83,16 @@ class Instance:
             for g in self.constraint.groups:
                 if any(not 0 <= e < self.n for e in g):
                     raise ValidationError("partition group references unknown item")
-        self.utility()  # constructor re-checks nonnegativity etc.
+        f = self.utility()  # constructor re-checks nonnegativity etc.
+        if spec["type"] == "tabular":
+            # An independent prior's support is counted before it is listed.
+            if (isinstance(self.prior, IndependentPrior)
+                    and self.prior.support_size() > len(f.realizations)):
+                raise ValidationError("the prior's support is larger than the table")
+            for phi, _ in self.prior.support():
+                if phi not in f._index:
+                    raise ValidationError("the prior's realization %r is not in the table"
+                                          % (phi,))
         return self
 
 

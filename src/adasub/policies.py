@@ -181,8 +181,12 @@ class Policy:
     def run_on(self, ctx: EvalContext, phi) -> PolicyTrace:
         """Select-observe loop on a fixed realization, under the policy's own
         constraint; selections are irrevocable.  Each history is the context's
-        current one, advanced from its parent."""
-        cstate = self.fresh_constraint(ctx.n)
+        current one, advanced from its parent.  phi must give each of the n
+        items a state in [0, m)."""
+        n, m = ctx.n, ctx.prior.m
+        if len(phi) != n:
+            raise ValidationError("realization has %d states, expected %d" % (len(phi), n))
+        cstate = self.fresh_constraint(n)
         psi = PSI_EMPTY
         scratch = self.init_scratch()
         steps = []
@@ -191,13 +195,16 @@ class Policy:
             e = self.decide(ctx, psi, cstate, scratch)
             if e is None:
                 break
-            if not 0 <= e < ctx.n:
+            if not 0 <= e < n:
                 raise PolicyViolation("%s selected unknown item %d" % (self.name, e))
             if e in ctx.observed(psi):
                 raise PolicyViolation("%s re-selected item %d" % (self.name, e))
             if not cstate.can_select(e):
                 raise PolicyViolation("%s selected infeasible item %d" % (self.name, e))
             o = phi[e]
+            if not 0 <= o < m:
+                raise ValidationError("realization gives item %d state %r, outside [0, %d)"
+                                      % (e, o, m))
             rnd += 1
             steps.append(TraceStep(rnd, ctx.last_candidates, e, o, ctx.last_delta))
             psi = ctx.advance(psi, e, o)

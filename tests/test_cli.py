@@ -330,6 +330,23 @@ class TestMalformedInstance:
         res = runner.invoke(main, ["oracle", "--instance", str(tmp_path / "bad.json")])
         assert "explicit support has no items" in res.output
 
+    # Each of these ended in a traceback and exit 1: "realization (0, 0) not in the table".
+    @pytest.mark.parametrize("realizations", [[[0, 1]], [[0]]])
+    def test_table_misses_the_explicit_support(self, runner, tmp_path, realizations):
+        d = json.loads(dumps_instance(complementarity_counterexample()))
+        d["utility"]["realizations"] = realizations
+        self.assert_usage_error(runner, tmp_path, d)
+
+    @pytest.mark.parametrize("probs", [[[0.5, 0.5], [0.5, 0.5]],    # 4 realizations, 2 columns
+                                       [[0.5, 0.5], [1.0, 0.0]]])   # (1, 0) has no column
+    def test_table_misses_the_independent_support(self, runner, tmp_path, probs):
+        d = json.loads(dumps_instance(complementarity_counterexample()))
+        d["m"] = 2
+        d["prior"] = {"type": "independent", "probs": probs}
+        d["utility"]["realizations"] = [[0, 0], [1, 1]]
+        d["utility"]["table"] = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]
+        self.assert_usage_error(runner, tmp_path, d)
+
     def test_binary_file(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{\x00")

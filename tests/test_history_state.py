@@ -1,10 +1,11 @@
 """EvalContext's carried history state against its definition.
 
 A rollout advances the context from each history to its child, carrying the
-observed-item map, the pool of unobserved items, f's Delta state and the
+observed-item map, the pool of unobserved items, the covered mask and the
 reprs behind rng_for's seed string.  At every history they must equal what
 psi alone defines, and a history other than the current one, whose state is
-built from scratch, must agree too.
+built from scratch, must agree too.  f's Delta state has one builder,
+observe_covered, and is shared by every history that covers the same mask.
 """
 
 import copy
@@ -53,46 +54,52 @@ def reference_draws(seed, psi):
     return draws(random.Random("%s|%s" % (seed, psi.pairs)))
 
 
-def assert_same_f_state(derived, fresh):
-    """A derived coverage state (covered, base, sums, memo) equals the
-    from-scratch one, floats to the bit."""
-    assert derived[0] == fresh[0]
-    assert derived[1].hex() == fresh[1].hex()
-    assert [x.hex() for x in derived[2]] == [x.hex() for x in fresh[2]]
-    assert derived[3] == fresh[3] == {0: 0.0}
+def assert_same_f_state(state, ref, psi):
+    """A coverage state (covered, base, sums, memo) at psi equals a fresh
+    utility ref's observe_covered(covered(psi)), floats to the bit, and every
+    gain in its memo, whichever history priced it, is the gain that ref's
+    whole-mask sum gives."""
+    covered, base, sums, memo = state
+    fresh = ref.observe_covered(ref.covered(psi))
+    assert covered == fresh[0]
+    assert base.hex() == fresh[1].hex()
+    assert [x.hex() for x in sums] == [x.hex() for x in fresh[2]]
+    assert memo[0] == 0.0
+    for new, gain in memo.items():
+        assert gain.hex() == (ref._mask_weight(covered | new) - base).hex()
 
 
 class CheckedContext(EvalContext):
     """An EvalContext that checks its state after every advance and keeps
     every history the rollout reached.
 
-    It prices with its own shallow copy of f, whose observe_covered and
-    observe_child it wraps: each f state derived from a parent's is checked
-    against the history's state built from scratch (on a second copy, so
-    that f's counters see only the rollout), and both kinds are counted.
+    It prices with its own shallow copy of f, whose observe_covered it wraps
+    to count the states built.  Each f state a history is priced from is
+    checked against a second copy's observe_covered(covered(psi)) (so that
+    f's counters see only the rollout), and its covered mask is kept.
     rng_for's stream is checked against the seed string at every history.
     """
 
     def __init__(self, f, prior, **kwargs):
-        reference, f = copy.copy(f), copy.copy(f)
+        self.reference, f = copy.copy(f), copy.copy(f)
         super().__init__(f, prior, **kwargs)
         self.histories = [PSI_EMPTY]
-        self.built = self.derived = 0
-        # The class's methods: f may be another CheckedContext's copy (concat).
-        observe_covered, observe_child = type(f).observe_covered, type(f).observe_child
+        self.built = 0
+        self.priced = set()
+        # The class's method: f may be another CheckedContext's copy (concat).
+        observe_covered = type(f).observe_covered
 
         def built(covered):
             self.built += 1
             return observe_covered(f, covered)
 
-        def derived(state, e, o):
-            child = observe_child(f, state, e, o)
-            psi = self.histories[-1]
-            assert_same_f_state(child, observe_covered(reference, reference.covered(psi)))
-            self.derived += 1
-            return child
+        f.observe_covered = built
 
-        f.observe_covered, f.observe_child = built, derived
+    def _state(self):
+        state = super()._state()
+        assert_same_f_state(state, self.reference, self._psi)
+        self.priced.add(state[0])
+        return state
 
     def rng_for(self, psi):
         assert draws(super().rng_for(psi)) == reference_draws(self.seed, psi)
@@ -121,12 +128,11 @@ def test_carried_state_matches_the_history(pi):
         assert len(ctx.histories) == len(trace.steps) + 1 > 1
         plain = inst.utility()
         assert trace == run_policy(pi, plain, inst.prior, phi, seed=seed)
-        # The empty history's state is built, every later one derived from
-        # its parent, and the last history, where the budget is spent, is not
-        # priced.  Neither path calls value(): the only f evaluation is the
-        # trace's final value.
-        priced = pi.name != "random"
-        assert (ctx.built, ctx.derived) == ((1, len(trace.steps) - 1) if priced else (0, 0))
+        # One state is built per covered mask priced, and none by the random
+        # policy, which prices nothing.  Building calls no value(): the only
+        # f evaluation is the trace's final value.
+        assert ctx.built == len(ctx.priced)
+        assert bool(ctx.priced) == (pi.name != "random")
         assert ctx.f.f_counter == plain.f_counter == 1
         assert ctx.f.delta_counter == plain.delta_counter
 
@@ -222,7 +228,7 @@ def test_states_shared_by_covered_mask_are_bit_exact(n, seed, explicit):
     for psi in histories:
         for e in range(n):
             assert ctx.delta(e, psi).hex() == marginal_utility(ref, prior, psi, e).hex()
-        assert f.observe(psi)[1] == ref.value(psi.domain(), psi.as_dict())
+        assert f.observe_covered(f.covered(psi))[1] == ref.value(psi.domain(), psi.as_dict())
     assert f.delta_counter == ref.delta_counter == n * len(histories)
     assert len(ctx._states) == len({f.covered(psi) for psi in histories}) < len(histories)
 
@@ -243,3 +249,30 @@ def test_shared_states_stay_within_their_cap():
             assert ctx.delta(e, psi).hex() == marginal_utility(ref, inst.prior, psi, e).hex()
         most = max(most, len(ctx._states))
     assert most == cap
+
+
+def test_a_long_rollout_keeps_its_states_within_the_cap():
+    # A rollout prices one covered mask per round, and with a large universe
+    # nearly every round covers a new one, so over many rounds the states it
+    # shares fill up and are dropped at the cap.  Each Delta must still equal
+    # a fresh utility's to the bit.
+    inst = generate_coverage(n=400, m=2, universe_size=200, density=0.01, seed=3)
+    f, ref = inst.utility(), inst.utility()
+    cap = math.ceil(core._SHARED_SUMS_MAX / (f.universe_size + 1))
+    masks, sizes = set(), []
+
+    class Capped(EvalContext):
+        def delta(self, e, psi):
+            value = super().delta(e, psi)
+            assert value.hex() == marginal_utility(ref, inst.prior, psi, e).hex()
+            masks.add(self._covered)
+            sizes.append(len(self._states))
+            return value
+
+    pi = adaptive_stochastic_greedy(150, 0.1)
+    phi = inst.prior.sample(random.Random(5))
+    trace = pi.run_on(Capped(f, inst.prior, seed=5), phi)
+    assert len(trace.steps) == 150
+    assert len(masks) > cap
+    assert max(sizes) == cap
+    assert trace == run_policy(pi, inst.utility(), inst.prior, phi, seed=5)

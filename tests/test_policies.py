@@ -67,6 +67,24 @@ class TestRunPolicy:
         with pytest.raises(PolicyViolation, match="infeasible item"):
             exact_policy_value(FixedSequencePolicy(sequence), inst.utility(), inst.prior)
 
+    @pytest.mark.parametrize("phi,match", [((0, 0, -1, 0, 0), "state -1"),
+                                           ((0, 0, 2, 0, 0), "state 2"),
+                                           ((0, 0, 0, 0), "4 states"),
+                                           ((0, 0, 0, 0, 0, 0), "6 states")])
+    def test_malformed_realization_raises(self, phi, match):
+        # Greedy observes item 2 first.  Its state -1 was read as the last
+        # state and gave a value; state 2 and a length-4 phi raised a bare
+        # IndexError.
+        inst = generate_coverage(n=5, m=2, universe_size=6, density=0.4, seed=1, k=2)
+        assert run_policy(adaptive_greedy(2), inst.utility(), inst.prior,
+                          (0,) * 5).steps[0].chosen == 2
+        with pytest.raises(ValidationError, match=match):
+            run_policy(adaptive_greedy(2), inst.utility(), inst.prior, phi)
+        if len(phi) != 5:   # checked up front, whatever the policy observes
+            for pi in (random_policy(2), concat(adaptive_greedy(1), empty_policy())):
+                with pytest.raises(ValidationError, match=match):
+                    run_policy(pi, inst.utility(), inst.prior, phi)
+
 
 class TestAdaptiveGreedy:
     def test_k1_value(self, utility_a, prior_a):
