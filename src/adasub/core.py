@@ -54,10 +54,12 @@ class PartialRealization:
     @classmethod
     def of(cls, observations: Union[Mapping[int, int], Iterable]) -> "PartialRealization":
         if isinstance(observations, Mapping):
-            items = observations.items()
-        else:
-            items = list(observations)
-        pairs = tuple(sorted((int(e), int(o)) for e, o in items))
+            observations = observations.items()
+        pairs = [(e, o) for e, o in observations]
+        if any(type(e) is not int or type(o) is not int for e, o in pairs):
+            raise ValidationError("partial realization needs integer items and states: %s"
+                                  % reprlib.repr(pairs))
+        pairs = tuple(sorted(pairs))
         seen = [e for e, _ in pairs]
         if len(set(seen)) != len(seen):
             raise ValidationError("duplicate item in partial realization: %r" % (pairs,))
@@ -170,13 +172,18 @@ class IndependentPrior(Prior):
         return p
 
     def possible(self, psi):
-        # Each observed state's own mass: their product underflows to 0.0
-        # past ~1,075 fair-coin observations.
-        probs = self.probs
+        # Each observed state needs mass of its own (none outside [0, m)):
+        # the product of the masses underflows past ~1,075 fair-coin observations.
+        states = self._states
         for e, o in psi.pairs:
-            if probs[e][o] <= 0.0:
+            if o not in states[e]:
                 return False
         return True
+
+    @cached_property
+    def _states(self) -> tuple:
+        """Each item's states of positive mass, as a set."""
+        return tuple(frozenset(o for o, _ in row) for row in self.rows)
 
     @cached_property
     def rows(self) -> tuple:
@@ -267,6 +274,7 @@ class ExplicitPrior(Prior):
         return sum(p for phi, p in self.weighted if consistent(psi, phi))
 
     def _consistent(self, psi):
+        _check_items(psi, self.n)
         sub = [(phi, p) for phi, p in self.weighted if consistent(psi, phi) and p > 0.0]
         total = sum(p for _, p in sub)
         if total <= 0.0:
@@ -539,8 +547,18 @@ def _zero_probability(psi: PartialRealization) -> ZeroProbabilityEvidence:
                                    % (reprlib.repr(psi.pairs), len(psi)))
 
 
+def _check_items(psi: PartialRealization, n: int):
+    """Raise ValidationError unless psi's items (sorted in its pairs) lie in [0, n)."""
+    pairs = psi.pairs
+    if pairs and not (0 <= pairs[0][0] and pairs[-1][0] < n):
+        raise ValidationError("evidence %s observes an item outside [0, %d)"
+                              % (reprlib.repr(pairs), n))
+
+
 def _check_evidence(prior, psi: PartialRealization):
-    """Raise ZeroProbabilityEvidence unless psi has positive probability."""
+    """Raise ValidationError for an item outside [0, n) in psi, and
+    ZeroProbabilityEvidence unless psi has positive probability."""
+    _check_items(psi, prior.n)
     if not prior.possible(psi):
         raise _zero_probability(psi)
 
@@ -563,7 +581,10 @@ def marginal_utility(f: UtilityFunction, prior, psi: PartialRealization, e: int)
     Counts one delta_counter tick; returns 0 with no f evaluations when e is
     already observed (adding it again cannot change the selected set).  The
     value is EvalContext.delta's, from a context made for this one call.
+    An item that is not an integer in [0, n) raises ValidationError.
     """
+    if type(e) is not int or not 0 <= e < prior.n:
+        raise ValidationError("item %r is not an integer in [0, %d)" % (e, prior.n))
     return EvalContext(f, prior).delta(e, psi)
 
 

@@ -56,30 +56,30 @@ class HistoryRecursion:
     value(psi, cstate) is rule(self, psi, cstate, scratch), which either
     stops, worth stop(psi) = E[f(dom psi) | psi], or combines
     branch(psi, cstate, e, scratch) = sum_o p(o | psi) * value(psi + (e, o),
-    cstate after e) over items.  Values are memoized on (psi, constraint key)
-    unless memoize is False; only then does each branch copy the scratch.
+    cstate after e) over items.  A node whose scratch is empty ({}, [] or
+    None) is memoized on (psi, constraint key); one whose scratch holds state
+    depends on its path, is not memoized, and gives each child a deep copy.
     A stop value is priced each time a rule asks for it, as exact evaluation
     asks once per history.  Branching and stopping also condition on `given`,
     which the rule does not see.  nodes counts rule calls, hits memo hits.
     """
 
-    def __init__(self, f, prior, rule, memoize=True, given=PSI_EMPTY):
+    def __init__(self, f, prior, rule, given=PSI_EMPTY):
         self.f, self.prior, self.rule, self.given = f, prior, rule, given
-        self.memo = {} if memoize else None
+        self.memo = {}
         self.nodes = self.hits = 0
 
     def value(self, psi, cstate, scratch=None):
+        if scratch:
+            self.nodes += 1
+            return self.rule(self, psi, cstate, scratch)
         key = (psi.pairs, cstate.key())
-        memo = self.memo
-        if memo is not None:
-            value = memo.get(key)
-            if value is not None:
-                self.hits += 1
-                return value
+        value = self.memo.get(key)
+        if value is not None:
+            self.hits += 1
+            return value
         self.nodes += 1
-        value = self.rule(self, psi, cstate, scratch)
-        if memo is not None:
-            memo[key] = value
+        value = self.memo[key] = self.rule(self, psi, cstate, scratch)
         return value
 
     def _evidence(self, psi):
@@ -94,7 +94,7 @@ class HistoryRecursion:
         nxt = cstate.after(e)
         total = 0.0
         for o, p in self.prior.item_posterior(e, self._evidence(psi)):
-            child = scratch if self.memo is not None else copy.deepcopy(scratch)
+            child = copy.deepcopy(scratch) if scratch else scratch
             total += p * self.value(psi.with_observation(e, o), nxt, child)
         return total
 
@@ -146,9 +146,8 @@ def _policy_value(pi, f, prior, given, seed, delta_cache=None):
             "exact evaluation of %s may visit %d histories, over the cap %d"
             % (pi.describe(), bound, EXACT_MAX_HISTORIES))
     ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
-    rec = HistoryRecursion(f, prior, functools.partial(_policy_node, pi, ctx),
-                           memoize=not pi.path_dependent, given=given)
-    return rec.value(PSI_EMPTY, pi.fresh_constraint(prior.n), pi.init_scratch())
+    rec = HistoryRecursion(f, prior, functools.partial(_policy_node, pi, ctx), given=given)
+    return rec.value(PSI_EMPTY, pi.fresh_constraint(prior.n), {})
 
 
 def expected_utility(f, prior, pi: Policy, mode: str = "exact",

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (CoverageUtility, IndependentPrior, PSI_EMPTY, PartialRealization,
-                   _check_evidence)
+                   _check_evidence, _check_items)
 from .errors import InstanceTooLarge, ValidationError
 from .evaluation import HistoryRecursion
 
@@ -287,6 +287,7 @@ class RestrictedOracle:
     def query(self, psi: PartialRealization, mask: int, a: int) -> float:
         """oracle(psi, items, a), the items given as mask(items)."""
         if psi is not self._psi:
+            _check_items(psi, self.prior.n)
             self._psi, self._dom, self._stop = psi, _dom_mask(psi), None
         free = mask & ~self._dom
         budget = min(a, free.bit_count())

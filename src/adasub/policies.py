@@ -1,12 +1,12 @@
 """Adaptive selection policies and the select-observe execution loop.
 
 Every policy is an immutable descriptor; all per-rollout mutable state lives
-in a scratch dict owned by the rollout (or by each branch of an exact
-policy-tree evaluation) and in the EvalContext, which carries each history's
-pool and observed-item map to its child.  A policy's internal randomness is
-drawn from a stream derived from (master seed, observation history), which
-makes rollouts reproducible and lets the same seeded policy be evaluated
-exactly by recursion over its decision tree.  Each policy owns its constraint,
+in a scratch dict, empty when a rollout starts (only lazy greedy writes to it),
+and in the EvalContext, which carries each history's pool and observed-item
+map to its child.  A policy's internal randomness is drawn from a stream
+derived from (master seed, observation history), which makes rollouts
+reproducible and lets the same seeded policy be evaluated exactly by
+recursion over its decision tree.  Each policy owns its constraint,
 fresh_constraint(n) (cardinality k for greedy, lazy, ASG and random; the
 partition matroid for locally greedy and GASG), and always runs under it.
 
@@ -147,7 +147,8 @@ class Policy:
     randomized = False
     supports_tree_eval = True
     # True when decide reads state the rollout carries in `scratch`, so the
-    # choice at psi depends on the path that reached it, not on psi alone.
+    # choice at psi depends on the path to psi: exact evaluation then follows
+    # decide at each node and bounds its histories by paths, not item sets.
     path_dependent = False
 
     def params(self) -> dict:
@@ -160,9 +161,6 @@ class Policy:
     def fresh_constraint(self, n: int):
         return CardinalityConstraint(n)
 
-    def init_scratch(self) -> dict:
-        return {}
-
     def decide(self, ctx: EvalContext, psi: PartialRealization, cstate, scratch):
         raise NotImplementedError
 
@@ -170,7 +168,7 @@ class Policy:
         """[(item, prob)] of the next selection at psi over the policy's internal
         randomness; [] means stop.  Deterministic policies give a point mass.
         """
-        e = self.decide(ctx, psi, cstate, self.init_scratch())
+        e = self.decide(ctx, psi, cstate, {})
         return [] if e is None else [(e, 1.0)]
 
     def decision_widths(self, n: int) -> list:
@@ -182,13 +180,13 @@ class Policy:
         """Select-observe loop on a fixed realization, under the policy's own
         constraint; selections are irrevocable.  Each history is the context's
         current one, advanced from its parent.  phi must give each of the n
-        items a state in [0, m)."""
+        items an integer state in [0, m)."""
         n, m = ctx.n, ctx.prior.m
         if len(phi) != n:
             raise ValidationError("realization has %d states, expected %d" % (len(phi), n))
         cstate = self.fresh_constraint(n)
         psi = PSI_EMPTY
-        scratch = self.init_scratch()
+        scratch = {}
         steps = []
         rnd = 0
         while True:
@@ -202,9 +200,9 @@ class Policy:
             if not cstate.can_select(e):
                 raise PolicyViolation("%s selected infeasible item %d" % (self.name, e))
             o = phi[e]
-            if not 0 <= o < m:
-                raise ValidationError("realization gives item %d state %r, outside [0, %d)"
-                                      % (e, o, m))
+            if type(o) is not int or not 0 <= o < m:
+                raise ValidationError("realization gives item %d state %r, not an integer "
+                                      "in [0, %d)" % (e, o, m))
             rnd += 1
             steps.append(TraceStep(rnd, ctx.last_candidates, e, o, ctx.last_delta))
             psi = ctx.advance(psi, e, o)
@@ -378,17 +376,11 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
             return None
         rnd = scratch["round"] = scratch.get("round", 0) + 1
         heap = scratch.get("heap")
-        if heap is None:
-            pool = ctx.pool(psi)
-            if not pool:
-                return None
-            heap = [(-ctx.delta(e, psi), e, rnd) for e in pool]
-            heapq.heapify(heap)
-            scratch["heap"] = heap
-            negd, e, _ = heapq.heappop(heap)
-            ctx.record(pool, -negd)
-            return e
         evaluated = []
+        if heap is None:    # every entry is fresh, so the first pop is chosen
+            evaluated = ctx.pool(psi)
+            heap = scratch["heap"] = [(-ctx.delta(e, psi), e, rnd) for e in evaluated]
+            heapq.heapify(heap)
         while heap:
             negd, e, stamp = heapq.heappop(heap)
             if stamp == rnd:

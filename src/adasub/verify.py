@@ -16,9 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .core import EvalContext, PartialRealization
+from .core import EvalContext, IndependentPrior, PartialRealization
 from .errors import ValidationError
 from .oracle import OracleCaps, RestrictedOracle, _check_size
 from .policies import sample_budget
@@ -50,12 +48,14 @@ def enumerate_partial_realizations(prior, max_size=None):
     n = prior.n
     limit = n if max_size is None else min(max_size, n)
     per_item = [prior.item_states(e) for e in range(n)]
+    # Under an independent prior every combination of these states is possible.
+    checked = not isinstance(prior, IndependentPrior)
     for size in range(limit + 1):
         for dom in itertools.combinations(range(n), size):
             for states in itertools.product(*(per_item[e] for e in dom)):
                 # dom is ascending and duplicate-free, so the pairs are canonical
                 psi = PartialRealization(tuple(zip(dom, states)))
-                if prior.possible(psi):
+                if not checked or prior.possible(psi):
                     yield psi
 
 
@@ -201,7 +201,9 @@ def lemma1_check(n: int, k: int, epsilon: float, trials: int = 100_000,
 
     # Empirical: the sample is the s smallest of n iid uniform keys; it hits
     # the target (wlog items 0..k-1) iff the smallest target key has overall
-    # rank < s.
+    # rank < s.  numpy is imported here, the one place that needs it, so that
+    # importing adasub does not load it.
+    import numpy as np
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = trials

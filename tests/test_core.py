@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -18,10 +19,12 @@ from adasub import (
     condition,
     consistent,
     expected_set_value,
+    generate_coverage,
     marginal_utility,
     sample_realization,
     subrealization,
 )
+from adasub.oracle import restricted_optimal
 
 
 def psi(obs):
@@ -50,6 +53,12 @@ class TestConsistency:
     def test_duplicate_item_rejected(self):
         with pytest.raises(ValidationError):
             PartialRealization.of([(0, 1), (0, 0)])
+
+    @pytest.mark.parametrize("obs", [{0: 0.5}, {1.7: 0}, {True: 0}, [(2, False)]])
+    def test_non_integer_item_or_state_rejected(self, obs):
+        # int() made {0: 0.5} state 0 and {1.7: 0} item 1.
+        with pytest.raises(ValidationError, match="integer"):
+            PartialRealization.of(obs)
 
 
 class TestConditioning:
@@ -120,6 +129,37 @@ class TestMarginalUtility:
         enum = sum(p * (utility_a.value((1, 0), phi) - utility_a.value((1,), phi))
                    for phi, p in condition(explicit, psi({1: 0})).support())
         assert tab_free == pytest.approx(enum, abs=1e-12)
+
+
+# Each prices evidence psi; marginal_utility also takes an item.
+EVIDENCE_CALLS = {
+    "expected_set_value": lambda f, prior, psi, e: expected_set_value(f, prior, psi),
+    "restricted_optimal": lambda f, prior, psi, e: restricted_optimal(f, prior, psi, [0, 1], 1),
+    "marginal_utility": marginal_utility,
+}
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+@pytest.mark.parametrize("call,pairs,item,error", [
+    # marginal_utility's own item: -1 gave item 4's Delta, 5 a bare IndexError,
+    # 1.5 a bare TypeError, and True item 1's Delta
+    *(("marginal_utility", (), e, ValidationError) for e in (-1, 5, 1.5, True)),
+    # a state outside [0, m): (4, -1) was priced as state 1, (0, 2) raised IndexError
+    *((call, pairs, 1, ZeroProbabilityEvidence)
+      for call, pairs in itertools.product(EVIDENCE_CALLS, [((4, -1),), ((0, 2),)])),
+    # an item outside [0, n): -1 was read as item 4 (restricted_optimal raised
+    # "negative shift count"), 5 past the end
+    *((call, pairs, 1, ValidationError)
+      for call, pairs in itertools.product(EVIDENCE_CALLS, [((-1, 0),), ((5, 0),)])),
+])
+def test_input_outside_the_instance_is_refused(call, pairs, item, error, explicit):
+    inst = generate_coverage(n=5, m=2, universe_size=6, density=0.4, seed=1, k=2)
+    f, prior = inst.utility(), inst.prior
+    if explicit:
+        prior = ExplicitPrior(prior.support())
+    psi = PartialRealization(pairs)
+    with pytest.raises(error):
+        EVIDENCE_CALLS[call](f, prior, psi, item)
 
 
 class TestSampling:

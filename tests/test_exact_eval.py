@@ -196,7 +196,7 @@ def test_every_selection_path_breaks_ties_to_the_smallest_id():
         cstate = pi.fresh_constraint(5)
         for seed in (0, 1, "x"):
             ctx = EvalContext(f, prior, seed=seed)
-            assert pi.decide(ctx, psi, cstate, pi.init_scratch()) == 0, pi.name
+            assert pi.decide(ctx, psi, cstate, {}) == 0, pi.name
         assert pi.decision_distribution(EvalContext(f, prior), psi, cstate) == [(0, 1.0)]
     # lazy greedy meets the tie through its heap of stale bounds
     phi = (1, 1, 0, 1, 1)
@@ -232,7 +232,7 @@ def visited_histories(monkeypatch, pi, f, prior, seed=None):
     inner = evaluation.HistoryRecursion.value
 
     def counting(rec, psi, cstate, scratch=None):
-        if rec.memo is None or (psi.pairs, cstate.key()) not in rec.memo:
+        if (psi.pairs, cstate.key()) not in rec.memo:
             seen.append((psi.pairs, cstate.key()))
         return inner(rec, psi, cstate, scratch)
 
@@ -240,6 +240,44 @@ def visited_histories(monkeypatch, pi, f, prior, seed=None):
     value = exact_policy_value(pi, f, prior, seed=seed)
     monkeypatch.undo()
     return value, len(seen)
+
+
+def recursion_of(monkeypatch, pi, f, prior, seed=None):
+    """(value, the HistoryRecursion) of an exact evaluation of pi."""
+    made = []
+    init = evaluation.HistoryRecursion.__init__
+
+    def recording(rec, *args, **kwargs):
+        init(rec, *args, **kwargs)
+        made.append(rec)
+
+    monkeypatch.setattr(evaluation.HistoryRecursion, "__init__", recording)
+    value = exact_policy_value(pi, f, prior, seed=seed)
+    monkeypatch.undo()
+    (rec,) = made
+    return value, rec
+
+
+def test_only_nodes_with_an_empty_scratch_are_memoized(monkeypatch):
+    groups, limits = [[0, 1, 2], [3, 4, 5]], [2, 1]
+    inst = generate_coverage(n=6, m=2, universe_size=6, density=0.35, seed=600,
+                             groups=groups, limits=limits)
+    f, prior = inst.utility(), inst.prior
+    greedy = exact_policy_value(adaptive_greedy(3), f, prior)
+    # Lazy greedy's heap is in its scratch from the root's decision on: the
+    # root alone is memoized, and each branch must carry its own heap to
+    # select greedy's items.
+    for seed in (None, 0):
+        value, rec = recursion_of(monkeypatch, adaptive_greedy(3, "lazy"), f, prior, seed)
+        assert value == greedy
+        assert list(rec.memo) == [((), ("card", 3))]
+        assert (rec.nodes, rec.hits) == (15, 0)
+    # ASG and GASG write nothing to their scratch, so their trees share nodes.
+    for pi, hits in ((adaptive_stochastic_greedy(3, 0.3), 70),
+                     (generalized_asg(groups, limits, 0.5), 4)):
+        _, rec = recursion_of(monkeypatch, pi, f, prior)
+        assert rec.hits == hits, pi.describe()
+        assert len(rec.memo) == rec.nodes, pi.describe()
 
 
 def test_history_bound_covers_every_evaluation(monkeypatch):

@@ -70,11 +70,13 @@ class TestRunPolicy:
     @pytest.mark.parametrize("phi,match", [((0, 0, -1, 0, 0), "state -1"),
                                            ((0, 0, 2, 0, 0), "state 2"),
                                            ((0, 0, 0, 0), "4 states"),
-                                           ((0, 0, 0, 0, 0, 0), "6 states")])
+                                           ((0, 0, 0, 0, 0, 0), "6 states"),
+                                           ((0, 0, 0.5, 0, 0), "state 0.5"),
+                                           ((0, 0, True, 0, 0), "state True")])
     def test_malformed_realization_raises(self, phi, match):
         # Greedy observes item 2 first.  Its state -1 was read as the last
-        # state and gave a value; state 2 and a length-4 phi raised a bare
-        # IndexError.
+        # state and gave a value, and True as state 1; state 2 and a length-4
+        # phi raised a bare IndexError, and 0.5 a bare TypeError.
         inst = generate_coverage(n=5, m=2, universe_size=6, density=0.4, seed=1, k=2)
         assert run_policy(adaptive_greedy(2), inst.utility(), inst.prior,
                           (0,) * 5).steps[0].chosen == 2

@@ -61,7 +61,7 @@ def check_policy(pi, inst):
     assert abs(sum(q for _, q in law) - 1.0) <= 1e-12, pi.describe()
     support = {e for e, q in law if q > 0.0}
     for seed in range(5):
-        e = pi.decide(EvalContext(f, prior, seed=seed), PSI_EMPTY, cstate, pi.init_scratch())
+        e = pi.decide(EvalContext(f, prior, seed=seed), PSI_EMPTY, cstate, {})
         assert e in support, (pi.describe(), seed, e)
     opt = optimal_value(f, prior, cstate).value
     assert exact_policy_value(pi, f, prior) <= opt + 1e-12, pi.describe()

@@ -1,12 +1,17 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from adasub import (
     CardinalityConstraint,
     ExplicitPrior,
+    IndependentPrior,
     Instance,
     InstanceTooLarge,
     PSI_EMPTY,
@@ -25,6 +30,19 @@ from adasub import verify
 from adasub.core import subrealization
 from adasub.oracle import OracleCaps, RestrictedOracle
 from adasub.verify import INEQ_TOL, CheckReport, enumerate_partial_realizations
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_enumeration_yields_exactly_the_possible_histories(explicit):
+    # Item 1 is never in state 0; the explicit support also ties item 2 to item 0.
+    prior = IndependentPrior([[0.5, 0.5], [0.0, 1.0], [0.3, 0.7]])
+    if explicit:
+        prior = ExplicitPrior([((0, 1, 0), 0.5), ((1, 1, 1), 0.5)])
+    every = [PartialRealization(tuple(zip(dom, states)))
+             for size in range(4) for dom in itertools.combinations(range(3), size)
+             for states in itertools.product(range(2), repeat=size)]
+    assert list(enumerate_partial_realizations(prior)) == [
+        psi for psi in every if prior.evidence_probability(psi) > 0.0]
 
 
 class TestMonotoneChecker:
@@ -133,6 +151,14 @@ class TestSamplingBound:
                     res = lemma1_check(n, k, eps, trials=1, seed=0)
                     assert res.exact >= res.with_replacement_bound - 1e-12
                     assert res.with_replacement_bound >= res.bound - 1e-12
+
+    def test_importing_adasub_loads_no_numpy(self):
+        # Only lemma1_check's empirical loop needs numpy, and it imports it.
+        src = Path(verify.__file__).resolve().parent.parent
+        code = "import sys, adasub, adasub.cli; sys.exit('numpy' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                             timeout=60)
+        assert res.returncode == 0
 
     def test_invalid_parameters(self):
         from adasub import ValidationError
