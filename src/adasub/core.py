@@ -28,14 +28,20 @@ from .errors import (
     ZeroProbabilityEvidence,
 )
 
-Realization = tuple  # length-n tuple of state indices
-
 PROB_TOL = 1e-9
 ENUMERATION_CAP = 1 << 20
 # Running sums (~32 bytes each) an EvalContext's coverage states, one per
 # covered mask priced in a rollout or anywhere else, reach before they are
 # dropped and built anew.
 _SHARED_SUMS_MAX = 1 << 14
+
+
+def _check_int(value, name: str):
+    """value, once it is an int: int() would truncate 2.5 to 2, and a bool
+    would pass as 0 or 1.  ValidationError names the parameter otherwise."""
+    if type(value) is not int:
+        raise ValidationError("%s must be an integer, got %r" % (name, value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +71,6 @@ class PartialRealization:
             raise ValidationError("duplicate item in partial realization: %r" % (pairs,))
         return cls(pairs)
 
-    @classmethod
-    def empty(cls) -> "PartialRealization":
-        return cls(())
-
     @cached_property
     def _map(self) -> dict:
         return dict(self.pairs)
@@ -94,7 +96,7 @@ class PartialRealization:
         return len(self.pairs)
 
 
-PSI_EMPTY = PartialRealization.empty()
+PSI_EMPTY = PartialRealization(())
 
 
 def _insert_pair(pairs: tuple, e: int, o: int):
@@ -166,14 +168,16 @@ class IndependentPrior(Prior):
                 raise ValidationError("prior normalization: item %d sums to %.17g" % (e, sum(row)))
 
     def evidence_probability(self, psi):
-        p = 1.0
+        _check_items(psi, self.n)
+        p, m = 1.0, self.m
         for e, o in psi.pairs:
-            p *= self.probs[e][o]
+            p *= self.probs[e][o] if 0 <= o < m else 0.0
         return p
 
     def possible(self, psi):
         # Each observed state needs mass of its own (none outside [0, m)):
         # the product of the masses underflows past ~1,075 fair-coin observations.
+        _check_items(psi, self.n)
         states = self._states
         for e, o in psi.pairs:
             if o not in states[e]:
@@ -201,12 +205,7 @@ class IndependentPrior(Prior):
         return tuple(o for o, _ in self.rows[e])
 
     def support_size(self, psi=PSI_EMPTY):
-        size = 1
-        for e in range(self.n):
-            size *= len(self.item_posterior(e, psi))
-            if size > ENUMERATION_CAP:
-                return size
-        return size
+        return math.prod(len(self.item_posterior(e, psi)) for e in range(self.n))
 
     def support(self, psi=PSI_EMPTY):
         _check_evidence(self, psi)
@@ -224,6 +223,8 @@ class IndependentPrior(Prior):
         return out
 
     def sample(self, rng, psi=PSI_EMPTY):
+        if psi.pairs:
+            _check_evidence(self, psi)
         seen = psi._map
         states = []
         for e, row in enumerate(self.probs):
@@ -271,6 +272,7 @@ class ExplicitPrior(Prior):
         self.weighted = tuple(entries)
 
     def evidence_probability(self, psi):
+        _check_items(psi, self.n)
         return sum(p for phi, p in self.weighted if consistent(psi, phi))
 
     def _consistent(self, psi):
@@ -354,9 +356,7 @@ def condition(prior, psi: PartialRealization) -> ConditionedPrior:
 
 def sample_realization(prior, stream: random.Random) -> tuple:
     """Draw one realization from a Prior or ConditionedPrior."""
-    if isinstance(prior, ConditionedPrior):
-        return prior.sample(stream)
-    return prior.sample(stream, PSI_EMPTY)
+    return prior.sample(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +426,6 @@ class CoverageUtility(UtilityFunction):
             e = next(e for e, row in enumerate(self.covers)
                      if any(mask & outside for mask in row))
             raise ValidationError("coverage of item %d outside universe" % e)
-
-    @property
-    def n(self):
-        return len(self.covers)
-
-    @property
-    def m(self):
-        return len(self.covers[0]) if self.covers else 0
 
     def _value(self, items, states):
         mask = 0
@@ -556,9 +548,8 @@ def _check_items(psi: PartialRealization, n: int):
 
 
 def _check_evidence(prior, psi: PartialRealization):
-    """Raise ValidationError for an item outside [0, n) in psi, and
-    ZeroProbabilityEvidence unless psi has positive probability."""
-    _check_items(psi, prior.n)
+    """Raise ValidationError for an item outside [0, n) in psi (prior.possible
+    checks it), and ZeroProbabilityEvidence unless psi has positive probability."""
     if not prior.possible(psi):
         raise _zero_probability(psi)
 
@@ -646,7 +637,7 @@ class EvalContext:
     def rng_for(self, psi: PartialRealization) -> random.Random:
         """The stream of the decision at psi, seeded by "seed|psi.pairs"."""
         if psi is not self._psi:
-            return random.Random("%s|%s" % (self.seed, psi.pairs))
+            self._adopt(psi)
         reprs = self._reprs
         if reprs is None:
             reprs = self._reprs = [repr(pair) for pair in psi.pairs]

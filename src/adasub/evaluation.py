@@ -24,7 +24,7 @@ import functools
 import math
 import random
 
-from .core import EvalContext, PSI_EMPTY, PartialRealization, expected_set_value
+from .core import EvalContext, PSI_EMPTY, PartialRealization, _check_int, expected_set_value
 from .errors import ExactModeUnavailable, InstanceTooLarge, PolicyViolation, ValidationError
 from .policies import Policy, run_policy
 
@@ -163,7 +163,7 @@ def expected_utility(f, prior, pi: Policy, mode: str = "exact",
         return exact_policy_value(pi, f, prior, delta_cache=delta_cache)
     if mode != "mc":
         raise ValueError("unknown mode %r" % mode)
-    if samples < 1:
+    if _check_int(samples, "samples") < 1:
         raise ValidationError("Monte Carlo needs samples >= 1, got %d" % samples)
     rng_phi = random.Random("%s#phi" % seed)
     vals = []

@@ -109,7 +109,7 @@ def _mask(elems) -> int:
 
 def generate_coverage(n: int, m: int, universe_size: int, density: float,
                       weight_range=(0.5, 1.5), seed: int = 0,
-                      k=None, groups=None, limits=None, name=None) -> Instance:
+                      k=None, groups=None, limits=None) -> Instance:
     """Random stochastic-coverage instance, deterministic in the seed.
 
     Each (item, state) covers each universe element independently with
@@ -120,6 +120,9 @@ def generate_coverage(n: int, m: int, universe_size: int, density: float,
         raise ValidationError("density must be in [0,1]")
     if n < 1 or m < 1 or universe_size < 1:
         raise ValidationError("sizes must be >= 1")
+    if weight_range[0] > weight_range[1]:
+        raise ValidationError("empty weight range: minimum %r exceeds maximum %r"
+                              % tuple(weight_range))
     rng = random.Random(seed)
     weights = [round(rng.uniform(*weight_range), 6) for _ in range(universe_size)]
     covers = [[sorted(x for x in range(universe_size) if rng.random() < density)
@@ -136,7 +139,7 @@ def generate_coverage(n: int, m: int, universe_size: int, density: float,
         constraint = PartitionConstraint.of(groups, limits)
     else:
         constraint = CardinalityConstraint(min(k if k is not None else 2, n))
-    meta = {"name": name or "coverage-%d" % seed, "seed": seed}
+    meta = {"name": "coverage-%d" % seed, "seed": seed}
     inst = Instance(n, m, prior,
                     {"type": "coverage", "weights": weights, "covers": covers},
                     constraint, meta)
@@ -196,7 +199,8 @@ def _require(d, key, types, where):
     if key not in d:
         raise ParseError("missing field %r in %s" % (key, where))
     val = d[key]
-    if not isinstance(val, types):
+    # No field is a bool, and a bool is an int to isinstance: true would pass as 1.
+    if not isinstance(val, types) or isinstance(val, bool):
         raise ParseError("field %r in %s has wrong type" % (key, where))
     return val
 

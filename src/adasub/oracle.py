@@ -63,9 +63,9 @@ def _check_size(prior, caps: OracleCaps):
         raise InstanceTooLarge("m=%d exceeds oracle cap %d" % (prior.m, caps.max_states))
 
 
-def _check_budget(prior, constraint, caps: OracleCaps):
+def _check_budget(prior, budget: int, caps: OracleCaps):
     # A budget over n cannot be spent; such instances are accepted and clamped.
-    budget = min(constraint.total_budget(), prior.n)
+    budget = min(budget, prior.n)
     if budget > caps.max_budget:
         raise InstanceTooLarge("budget %d exceeds oracle cap %d" % (budget, caps.max_budget))
 
@@ -210,7 +210,7 @@ def _recursion(f, prior):
 
 def _solve(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
     _check_size(prior, caps)
-    _check_budget(prior, constraint, caps)
+    _check_budget(prior, constraint.total_budget(), caps)
     first = []
     rec = _recursion(f, prior)
     value = rec.value(PSI_EMPTY, constraint, first)
@@ -227,18 +227,16 @@ def optimal_value(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> Orac
 
 class _Restriction:
     """Constraint state: at most `budget` further selections from the items
-    whose bits are set in the mask `items`.
+    whose bits are set in the mask `items`, 0 <= budget <= |items|.
 
-    The budget is clamped to the items left, so key() is canonical and every
+    The query clamps the root's budget, so key() is canonical and every
     (psi, items, a) query that reaches a subproblem shares its memo entry.
     """
 
     __slots__ = ("items", "budget")
 
     def __init__(self, items: int, budget: int):
-        if budget < 0:
-            raise ValidationError("negative budget")
-        self.items, self.budget = items, min(budget, items.bit_count())
+        self.items, self.budget = items, budget
 
     def can_select(self, e):
         return self.budget > 0 and self.items >> e & 1 == 1
@@ -248,9 +246,6 @@ class _Restriction:
 
     def key(self):
         return (self.items, self.budget)
-
-    def total_budget(self):
-        return self.budget
 
 
 class RestrictedOracle:
@@ -276,23 +271,28 @@ class RestrictedOracle:
         return self.query(psi, self.mask(items), a)
 
     def mask(self, items) -> int:
-        """The bitmask of items, each checked to lie in [0, n)."""
+        """The bitmask of items, each checked to be an integer in [0, n)."""
         n, mask = self.prior.n, 0
         for e in items:
-            if not 0 <= e < n:
-                raise ValidationError("item %r outside [0, %d)" % (e, n))
+            if type(e) is not int or not 0 <= e < n:
+                raise ValidationError("item %r outside the integers [0, %d)" % (e, n))
             mask |= 1 << e
         return mask
 
     def query(self, psi: PartialRealization, mask: int, a: int) -> float:
-        """oracle(psi, items, a), the items given as mask(items)."""
+        """oracle(psi, items, a), the items given as mask(items); a is checked
+        here and clamped to the items psi leaves free."""
+        if type(a) is not int:
+            raise ValidationError("budget a must be an integer, got %r" % (a,))
+        if a < 0:
+            raise ValidationError("negative budget")
         if psi is not self._psi:
             _check_items(psi, self.prior.n)
             self._psi, self._dom, self._stop = psi, _dom_mask(psi), None
         free = mask & ~self._dom
         budget = min(a, free.bit_count())
-        if not 0 <= budget <= self.caps.max_budget:     # raises
-            _check_budget(self.prior, _Restriction(free, a), self.caps)
+        if budget > self.caps.max_budget:     # raises
+            _check_budget(self.prior, budget, self.caps)
         if self._stop is None:      # checks psi's evidence
             self._stop = self.rec.stop(psi)
         return self._restricted(psi, free, budget) - self._stop

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import EvalContext, IndependentPrior, PSI_EMPTY, PartialRealization, UtilityFunction
+from .core import (EvalContext, IndependentPrior, PSI_EMPTY, PartialRealization,
+                   UtilityFunction, _check_int)
 from .errors import PolicyViolation, ValidationError
 
 
@@ -38,6 +39,8 @@ class CardinalityConstraint:
     remaining: int
 
     def __post_init__(self):
+        if type(self.remaining) is not int:     # runs on every after(): one test
+            raise ValidationError("budget must be an integer, got %r" % (self.remaining,))
         if self.remaining < 0:
             raise ValidationError("negative budget")
 
@@ -81,8 +84,8 @@ class PartitionConstraint:
 
     @classmethod
     def of(cls, groups: Sequence[Sequence[int]], limits: Sequence[int]) -> "PartitionConstraint":
-        return cls(tuple(tuple(sorted(int(e) for e in g)) for g in groups),
-                   tuple(int(d) for d in limits))
+        return cls(tuple(tuple(sorted(_check_int(e, "group item") for e in g)) for g in groups),
+                   tuple(_check_int(d, "group limit") for d in limits))
 
     @cached_property
     def _group_of(self) -> dict:
@@ -249,7 +252,7 @@ class FixedSequencePolicy(Policy):
     name = "fixed"
 
     def __init__(self, sequence: Sequence[int]):
-        self.sequence = tuple(int(e) for e in sequence)
+        self.sequence = tuple(_check_int(e, "sequence item") for e in sequence)
 
     def params(self):
         return {"seq": ":".join(map(str, self.sequence))}
@@ -258,8 +261,6 @@ class FixedSequencePolicy(Policy):
         return CardinalityConstraint(len(self.sequence))
 
     def decide(self, ctx, psi, cstate, scratch):
-        if cstate.exhausted():
-            return None
         for e in self.sequence:
             if e not in psi:
                 return e
@@ -337,7 +338,7 @@ class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
     name = "greedy"
 
     def __init__(self, k: int):
-        if k < 0:
+        if _check_int(k, "k") < 0:
             raise ValidationError("k must be >= 0")
         self.k = k
 
@@ -407,7 +408,7 @@ class AdaptiveStochasticGreedyPolicy(AdaptiveGreedyPolicy):
     randomized = True
 
     def __init__(self, k: int, epsilon: float):
-        if k < 1:
+        if _check_int(k, "k") < 1:
             raise ValidationError("k must be >= 1")
         if not 0.0 < epsilon < 1.0:
             raise ValidationError("epsilon must be in (0,1)")

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import EvalContext, IndependentPrior, PartialRealization
+from .core import EvalContext, IndependentPrior, PartialRealization, _check_int
 from .errors import ValidationError
 from .oracle import OracleCaps, RestrictedOracle, _check_size
 from .policies import sample_budget
@@ -189,11 +189,11 @@ def lemma1_check(n: int, k: int, epsilon: float, trials: int = 100_000,
     probability is 1 - C(n-k, s)/C(n, s); this dominates the
     with-replacement-style bound 1 - e^(-s*k/n) >= 1 - epsilon.
     """
-    if not (1 <= k <= n):
+    if not (1 <= _check_int(k, "k") <= _check_int(n, "n")):
         raise ValidationError("need 1 <= k <= n")
     if not (0.0 < epsilon < 1.0):
         raise ValidationError("epsilon must be in (0,1)")
-    if trials < 1:
+    if _check_int(trials, "trials") < 1:
         raise ValidationError("trials must be >= 1")
     s = sample_budget(n, n, k, epsilon)
     miss = math.comb(n - k, s) / math.comb(n, s) if s <= n - k else 0.0

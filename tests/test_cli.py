@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from adasub import generate_coverage, save_instance
+from adasub import ParseError, generate_coverage, save_instance
 from adasub.cli import main
 from adasub.instances import (
     complementarity_counterexample,
     dumps_instance,
+    loads_instance,
 )
 
 
@@ -62,6 +63,14 @@ class TestGen:
         res = runner.invoke(main, ["gen", "--n", "3"] + option + ["--out", str(out)])
         assert_clean_usage_error(res)
         assert "non-finite" in res.output
+        assert not out.exists()
+
+    def test_empty_weight_range_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "inst.json"
+        res = runner.invoke(main, ["gen", "--n", "3", "--wmin", "2", "--wmax", "1",
+                                   "--out", str(out)])
+        assert_clean_usage_error(res)
+        assert "weight range" in res.output
         assert not out.exists()
 
     def test_malformed_group_is_usage_error(self, runner, tmp_path):
@@ -306,6 +315,17 @@ class TestMalformedInstance:
                                                         groups=[[0, 1], [2]], limits=[1, 1])))
         d["constraint"][field] = value
         self.assert_usage_error(runner, tmp_path, d)
+
+    # A bool is an int to isinstance, so `true` could pass as 1.
+    @pytest.mark.parametrize("path", [("constraint", "k"), ("n",)], ids=["k", "n"])
+    def test_bool_integer_field(self, runner, tmp_path, instance_dict, path):
+        d = instance_dict
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = True
+        self.assert_usage_error(runner, tmp_path, instance_dict)
+        with pytest.raises(ParseError, match="field %r in .* has wrong type" % path[-1]):
+            loads_instance(json.dumps(instance_dict))
 
     @pytest.mark.parametrize("field", ["support", "realizations"])
     def test_fractional_explicit_state(self, runner, tmp_path, field):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adasub import (
+    CardinalityConstraint,
     CoverageUtility,
     ExplicitPrior,
     IndependentPrior,
@@ -16,15 +17,21 @@ from adasub import (
     UtilityFunction,
     ValidationError,
     ZeroProbabilityEvidence,
+    adaptive_greedy,
+    adaptive_stochastic_greedy,
     condition,
     consistent,
     expected_set_value,
+    expected_utility,
     generate_coverage,
+    lemma1_check,
     marginal_utility,
+    optimal_value,
     sample_realization,
     subrealization,
 )
 from adasub.oracle import restricted_optimal
+from adasub.policies import FixedSequencePolicy, PartitionConstraint
 
 
 def psi(obs):
@@ -290,3 +297,61 @@ def test_subrealization_is_transitive(p1, p2, p3):
 def test_consistency_agrees_with_subrealization_of_full(p, phi):
     full = PartialRealization.of(enumerate(phi))
     assert consistent(p, phi) == subrealization(p, full)
+
+
+def _repro_instance():
+    inst = generate_coverage(n=5, m=2, universe_size=6, density=0.4, seed=1, k=2)
+    return inst.utility(), inst.prior
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda f, prior: restricted_optimal(f, prior, PSI_EMPTY, [0, 1], 1.5), "budget a"),
+    (lambda f, prior: restricted_optimal(f, prior, PSI_EMPTY, [0, 1], True), "budget a"),
+    (lambda f, prior: restricted_optimal(f, prior, PSI_EMPTY, [True], 1), "item True"),
+    (lambda f, prior: restricted_optimal(f, prior, PSI_EMPTY, [0.0, 1], 1), "item 0.0"),
+    (lambda f, prior: optimal_value(f, prior, CardinalityConstraint(1.5)), "budget"),
+    (lambda f, prior: expected_utility(f, prior, adaptive_greedy(2.5)), "k"),
+    (lambda f, prior: adaptive_stochastic_greedy(2.5, 0.1), "k"),
+    (lambda f, prior: adaptive_greedy(True), "k"),
+    (lambda f, prior: PartitionConstraint.of([[0, 1]], [1.5]), "group limit"),
+    (lambda f, prior: FixedSequencePolicy([1.7]), "sequence item"),
+    (lambda f, prior: expected_utility(f, prior, adaptive_greedy(2), mode="mc", samples=2.5),
+     "samples"),
+    (lambda f, prior: lemma1_check(10, 2, 0.1, trials=1.5), "trials"),
+], ids=["budget-float", "budget-bool", "item-bool", "item-float", "cardinality-float",
+        "greedy-k-float", "asg-k-float", "greedy-k-bool", "partition-limit-float",
+        "sequence-item-float", "mc-samples-float", "lemma1-trials-float"])
+def test_integer_parameters_refuse_floats_and_bools(call, name):
+    # int() would truncate 2.5, and a bool would pass as 0 or 1.
+    f, prior = _repro_instance()
+    with pytest.raises(ValidationError, match=r"^%s (must be an integer|outside the integers)"
+                       % name):
+        call(f, prior)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["independent", "explicit"])
+@pytest.mark.parametrize("query,pairs,expected", [
+    ("evidence_probability", ((4, -1),), 0.0),
+    ("evidence_probability", ((0, 2),), 0.0),
+    ("evidence_probability", ((-1, 0),), ValidationError),
+    ("evidence_probability", ((5, 0),), ValidationError),
+    ("possible", ((4, -1),), False),
+    ("possible", ((0, 2),), False),
+    ("possible", ((-1, 0),), ValidationError),
+    ("possible", ((5, 0),), ValidationError),
+    ("sample", ((4, -1),), ZeroProbabilityEvidence),
+    ("sample", ((0, 2),), ZeroProbabilityEvidence),
+    ("sample", ((5, 0),), ValidationError),
+])
+def test_evidence_outside_range(explicit, query, pairs, expected):
+    # An item outside [0, n) is refused; a state outside [0, m) has no mass.
+    _, prior = _repro_instance()
+    if explicit:
+        prior = ExplicitPrior(prior.support())
+    evidence = PartialRealization.of(pairs)
+    args = (random.Random(0), evidence) if query == "sample" else (evidence,)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            getattr(prior, query)(*args)
+    else:
+        assert getattr(prior, query)(*args) == expected

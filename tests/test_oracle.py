@@ -25,7 +25,7 @@ from adasub import (
 )
 from adasub.oracle import VALUE_TOL, OracleCaps, RestrictedOracle, _dom_mask, _Restriction
 from adasub.policies import PartitionConstraint
-from adasub.verify import enumerate_partial_realizations
+from adasub.verify import check_fully_adaptive_submodular, enumerate_partial_realizations
 
 
 class TestOptimalValue:
@@ -233,6 +233,32 @@ def test_mask_queries_equal_restricted_optimal(seed, explicit):
             assert oracle.query(psi, mask, a) == expected, (psi, items, a)
             if not explicit:    # the kernel's restricted() reads value()'s key
                 rec = oracle.rec
-                state = _Restriction(mask & ~_dom_mask(psi), a)
+                free = mask & ~_dom_mask(psi)
+                state = _Restriction(free, min(a, free.bit_count()))    # as query clamps
                 assert rec.memo[rec._root_of(psi) + (state.key(),)] == rec.value(psi, state)
     assert oracle.rec.hits > 0
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["kernel", "history-recursion"])
+def test_restriction_budgets_never_exceed_their_items(monkeypatch, explicit):
+    # _Restriction does not clamp: the query clamps the root's budget to its
+    # free items, and every state below keeps 0 <= budget <= |items|, so each
+    # subproblem has one memo key.
+    inst = generate_coverage(n=4, m=2, universe_size=6, density=0.35, seed=0)
+    f, prior = inst.utility(), inst.prior
+    if explicit:
+        prior = ExplicitPrior(prior.support())
+    oracles = []
+
+    class Recorded(RestrictedOracle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            oracles.append(self)
+
+    monkeypatch.setattr("adasub.verify.RestrictedOracle", Recorded)
+    check_fully_adaptive_submodular(f, prior)
+    (oracle,) = oracles
+    keys = [key[-1] for key in oracle.rec.memo]     # (items, budget) per entry
+    assert keys
+    for items, budget in keys:
+        assert 0 <= budget <= items.bit_count(), (items, budget)
