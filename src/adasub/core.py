@@ -30,9 +30,9 @@ from .errors import (
 
 PROB_TOL = 1e-9
 ENUMERATION_CAP = 1 << 20
-# Running sums (~32 bytes each) an EvalContext's coverage states, one per
-# covered mask priced in a rollout or anywhere else, reach before they are
-# dropped and built anew.
+# Running sums (~32 bytes each) a CoverageUtility's Delta states, one per
+# covered mask priced by any context on it, reach before they are dropped and
+# built anew.
 _SHARED_SUMS_MAX = 1 << 14
 
 
@@ -178,16 +178,11 @@ class IndependentPrior(Prior):
         # Each observed state needs mass of its own (none outside [0, m)):
         # the product of the masses underflows past ~1,075 fair-coin observations.
         _check_items(psi, self.n)
-        states = self._states
+        probs, m = self.probs, self.m
         for e, o in psi.pairs:
-            if o not in states[e]:
+            if not (0 <= o < m and probs[e][o] > 0.0):
                 return False
         return True
-
-    @cached_property
-    def _states(self) -> tuple:
-        """Each item's states of positive mass, as a set."""
-        return tuple(frozenset(o for o, _ in row) for row in self.rows)
 
     @cached_property
     def rows(self) -> tuple:
@@ -196,6 +191,7 @@ class IndependentPrior(Prior):
         return tuple(tuple((o, p) for o, p in enumerate(row) if p > 0.0) for row in self.probs)
 
     def item_posterior(self, e, psi):
+        _check_item(e, self.n)
         o_seen = psi.state_of(e)
         if o_seen is not None:
             return [(o_seen, 1.0)]
@@ -227,19 +223,16 @@ class IndependentPrior(Prior):
             _check_evidence(self, psi)
         seen = psi._map
         states = []
-        for e, row in enumerate(self.probs):
+        for e, row in enumerate(self.rows):
             o = seen.get(e)
             if o is None:
+                # u past a row's rounded sum leaves o at its last state with mass.
                 u = rng.random()
                 acc = 0.0
-                for o, p in enumerate(row):
+                for o, p in row:
                     acc += p
                     if u < acc:
                         break
-                else:
-                    # u landed in the rounding gap left by a row summing to
-                    # just under 1; never fall back to a zero-mass state.
-                    o = self.item_states(e)[-1]
             states.append(o)
         return tuple(states)
 
@@ -284,6 +277,7 @@ class ExplicitPrior(Prior):
         return sub, total
 
     def item_posterior(self, e, psi):
+        _check_item(e, self.n)
         sub, total = self._consistent(psi)
         mass = {}
         for phi, p in sub:
@@ -403,8 +397,8 @@ class CoverageUtility(UtilityFunction):
     f(S, phi) = total weight of the union of the selected items' realized
     coverage sets.  Monotone in S for every phi, and adaptive submodular for
     independent priors.  f(dom psi, .) and each gain at psi depend on psi's
-    covered mask alone: observe_covered(covered(psi)) builds that Delta state
-    without a value() call, and expected_gain() prices each candidate from it.
+    covered mask alone: state(covered(psi)) gives that Delta state, built once
+    with no value() call, and expected_gain() prices each candidate from it.
     """
 
     def __init__(self, weights: Sequence[float], covers: Sequence[Sequence[int]]):
@@ -426,6 +420,7 @@ class CoverageUtility(UtilityFunction):
             e = next(e for e, row in enumerate(self.covers)
                      if any(mask & outside for mask in row))
             raise ValidationError("coverage of item %d outside universe" % e)
+        self._states = {}           # covered mask -> Delta state
 
     def _value(self, items, states):
         mask = 0
@@ -453,7 +448,7 @@ class CoverageUtility(UtilityFunction):
             covered |= self.covers[e][o]
         return covered
 
-    def observe_covered(self, covered):
+    def state(self, covered):
         """(covered mask, f(dom psi), running sums of the covered weights, memo)
         for a history psi whose observations cover the mask `covered`.
 
@@ -461,16 +456,23 @@ class CoverageUtility(UtilityFunction):
         in _mask_weight's order, so sums[-1] is f(dom psi) to the last bit.
         memo maps a newly covered mask to its gain (the empty mask's is there
         from the start).  All of it depends on the covered mask alone, so
-        histories that cover the same elements may share one state.  No
-        value() is called.
+        every history that covers the same elements, in any context on this
+        utility, gets the same state, built once with no value() call.  The
+        states are dropped once they hold _SHARED_SUMS_MAX running sums.
         """
-        sums = [0.0]
-        total = 0.0
-        for i, w in enumerate(self.weights):
-            if covered >> i & 1:
-                total += w
-            sums.append(total)
-        return covered, total, sums, {0: 0.0}
+        states = self._states
+        state = states.get(covered)
+        if state is None:
+            if len(states) * (self.universe_size + 1) >= _SHARED_SUMS_MAX:
+                states.clear()
+            sums = [0.0]
+            total = 0.0
+            for i, w in enumerate(self.weights):
+                if covered >> i & 1:
+                    total += w
+                sums.append(total)
+            state = states[covered] = covered, total, sums, {0: 0.0}
+        return state
 
     def expected_gain(self, state, e, posterior):
         # value() of covered | new sums low to high, so it passes through
@@ -547,6 +549,11 @@ def _check_items(psi: PartialRealization, n: int):
                               % (reprlib.repr(pairs), n))
 
 
+def _check_item(e, n: int):
+    if type(e) is not int or not 0 <= e < n:
+        raise ValidationError("item %r is not an integer in [0, %d)" % (e, n))
+
+
 def _check_evidence(prior, psi: PartialRealization):
     """Raise ValidationError for an item outside [0, n) in psi (prior.possible
     checks it), and ZeroProbabilityEvidence unless psi has positive probability."""
@@ -574,8 +581,7 @@ def marginal_utility(f: UtilityFunction, prior, psi: PartialRealization, e: int)
     value is EvalContext.delta's, from a context made for this one call.
     An item that is not an integer in [0, n) raises ValidationError.
     """
-    if type(e) is not int or not 0 <= e < prior.n:
-        raise ValidationError("item %r is not an integer in [0, %d)" % (e, prior.n))
+    _check_item(e, prior.n)
     return EvalContext(f, prior).delta(e, psi)
 
 
@@ -602,10 +608,9 @@ class EvalContext:
     (exact evaluation, decision_widths' walk, the checkers' sweeps, a stray
     psi) becomes the current one with its state built from scratch.
     f's Delta state (for coverage: the covered mask, f(dom psi), the running
-    sums and the gain memo) has one builder, f.observe_covered.  The context
-    keeps one state per covered mask, shared, gain memo and all, by every
-    history that covers the same elements, rollout or not, until the states
-    reach _SHARED_SUMS_MAX running sums.
+    sums and the gain memo) belongs to f: f.state(covered) builds, shares and
+    bounds it, so every history that covers the same elements, in any
+    context on f, rollout or not, prices from one state and one gain memo.
     """
 
     def __init__(self, f, prior, seed=0, delta_cache=None):
@@ -626,7 +631,6 @@ class EvalContext:
         self._pool = None           # its unobserved items in id order
         self._covered = None        # its covered mask, once f's state is asked for
         self._fstate = None         # f's Delta state at it
-        self._states = {}           # covered mask -> f's Delta state
         self._reprs = None          # repr of each of its pairs, in pair order
         self._possible = False      # True once it is known to have positive probability
 
@@ -699,15 +703,9 @@ class EvalContext:
             if not self._possible:
                 _check_evidence(self.prior, self._psi)
                 self._possible = True
-            f, states, covered = self.f, self._states, self._covered
-            if covered is None:
-                covered = self._covered = f.covered(self._psi)
-            state = states.get(covered)
-            if state is None:
-                if len(states) * (f.universe_size + 1) >= _SHARED_SUMS_MAX:
-                    states.clear()
-                state = states[covered] = f.observe_covered(covered)
-            self._fstate = state
+            if self._covered is None:
+                self._covered = self.f.covered(self._psi)
+            self._fstate = self.f.state(self._covered)
         return self._fstate
 
     def delta(self, e: int, psi: PartialRealization) -> float:

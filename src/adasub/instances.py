@@ -30,6 +30,7 @@ from .core import (
     IndependentPrior,
     TabularUtility,
     UtilityFunction,
+    _check_int,
 )
 from .errors import ParseError, ValidationError
 from .policies import CardinalityConstraint, PartitionConstraint
@@ -118,7 +119,7 @@ def generate_coverage(n: int, m: int, universe_size: int, density: float,
     """
     if not 0.0 <= density <= 1.0:
         raise ValidationError("density must be in [0,1]")
-    if n < 1 or m < 1 or universe_size < 1:
+    if min(_check_int(n, "n"), _check_int(m, "m"), _check_int(universe_size, "universe_size")) < 1:
         raise ValidationError("sizes must be >= 1")
     if weight_range[0] > weight_range[1]:
         raise ValidationError("empty weight range: minimum %r exceeds maximum %r"

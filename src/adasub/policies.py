@@ -464,7 +464,8 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
         self.constraint = PartitionConstraint.of(groups, limits)
         self.limits = self.constraint.remaining     # the fixed budgets d_i
         b = len(self.constraint.groups)
-        self.order = tuple(int(i) for i in (order if order is not None else range(b)))
+        self.order = tuple(_check_int(i, "order item")
+                           for i in (order if order is not None else range(b)))
         if sorted(self.order) != list(range(b)):
             raise ValidationError("order must be a permutation of the group indices")
 

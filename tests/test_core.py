@@ -144,13 +144,19 @@ EVIDENCE_CALLS = {
     "restricted_optimal": lambda f, prior, psi, e: restricted_optimal(f, prior, psi, [0, 1], 1),
     "marginal_utility": marginal_utility,
 }
+# Each takes an item; item_posterior checks no evidence of its own.
+ITEM_CALLS = {
+    "marginal_utility": marginal_utility,
+    "item_posterior": lambda f, prior, psi, e: prior.item_posterior(e, psi),
+}
 
 
 @pytest.mark.parametrize("explicit", [False, True])
 @pytest.mark.parametrize("call,pairs,item,error", [
-    # marginal_utility's own item: -1 gave item 4's Delta, 5 a bare IndexError,
-    # 1.5 a bare TypeError, and True item 1's Delta
-    *(("marginal_utility", (), e, ValidationError) for e in (-1, 5, 1.5, True)),
+    # the item: -1 gave item 4's Delta or posterior, 5 a bare IndexError, 1.5
+    # a bare TypeError, and True item 1's Delta or posterior
+    *((call, (), e, ValidationError)
+      for call, e in itertools.product(ITEM_CALLS, (-1, 5, 1.5, True))),
     # a state outside [0, m): (4, -1) was priced as state 1, (0, 2) raised IndexError
     *((call, pairs, 1, ZeroProbabilityEvidence)
       for call, pairs in itertools.product(EVIDENCE_CALLS, [((4, -1),), ((0, 2),)])),
@@ -166,7 +172,22 @@ def test_input_outside_the_instance_is_refused(call, pairs, item, error, explici
         prior = ExplicitPrior(prior.support())
     psi = PartialRealization(pairs)
     with pytest.raises(error):
-        EVIDENCE_CALLS[call](f, prior, psi, item)
+        {**EVIDENCE_CALLS, **ITEM_CALLS}[call](f, prior, psi, item)
+
+
+@st.composite
+def histories(draw, n=4):
+    """Histories over n items whose states may lie outside [0, 3)."""
+    dom = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return PartialRealization.of({e: draw(st.integers(-1, 3)) for e in dom})
+
+
+@given(histories())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_independent_possible_is_positive_evidence(psi):
+    prior = IndependentPrior([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.25, 0.75],
+                              [0.2, 0.3, 0.5]])
+    assert prior.possible(psi) == (prior.evidence_probability(psi) > 0.0)
 
 
 class TestSampling:

@@ -127,7 +127,7 @@ class TestCoverageDeltaIsExact:
         prior = IndependentPrior([[0.25, 0.75], [0.5, 0.5], [0.6, 0.4], [0.5, 0.5]])
         f, ref = CoverageUtility(weights, covers), CoverageUtility(weights, covers)
         psi = PartialRealization.of({3: 0})
-        state = f.observe_covered(f.covered(psi))
+        state = f.state(f.covered(psi))
         memo = state[3]
         assert f.expected_gain(state, 0, prior.rows[0]) == explicit_delta(ref, prior, psi, 0)
         priced = dict(memo)

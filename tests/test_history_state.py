@@ -4,8 +4,9 @@ A rollout advances the context from each history to its child, carrying the
 observed-item map, the pool of unobserved items, the covered mask and the
 reprs behind rng_for's seed string.  At every history they must equal what
 psi alone defines, and a history other than the current one, whose state is
-built from scratch, must agree too.  f's Delta state has one builder,
-observe_covered, and is shared by every history that covers the same mask.
+built from scratch, must agree too.  f's Delta state belongs to f: f.state
+builds it, and every history that covers the same mask, in any context on f,
+prices from it.
 """
 
 import copy
@@ -55,12 +56,13 @@ def reference_draws(seed, psi):
 
 
 def assert_same_f_state(state, ref, psi):
-    """A coverage state (covered, base, sums, memo) at psi equals a fresh
-    utility ref's observe_covered(covered(psi)), floats to the bit, and every
-    gain in its memo, whichever history priced it, is the gain that ref's
-    whole-mask sum gives."""
+    """A coverage state (covered, base, sums, memo) at psi equals the state
+    ref.state(covered(psi)) of a utility ref with its own states, to the bit,
+    and every gain in its memo, whichever history priced it, is the gain that
+    ref's whole-mask sum gives."""
     covered, base, sums, memo = state
-    fresh = ref.observe_covered(ref.covered(psi))
+    fresh = ref.state(ref.covered(psi))
+    assert fresh is not state
     assert covered == fresh[0]
     assert base.hex() == fresh[1].hex()
     assert [x.hex() for x in sums] == [x.hex() for x in fresh[2]]
@@ -73,27 +75,31 @@ class CheckedContext(EvalContext):
     """An EvalContext that checks its state after every advance and keeps
     every history the rollout reached.
 
-    It prices with its own shallow copy of f, whose observe_covered it wraps
-    to count the states built.  Each f state a history is priced from is
-    checked against a second copy's observe_covered(covered(psi)) (so that
-    f's counters see only the rollout), and its covered mask is kept.
-    rng_for's stream is checked against the seed string at every history.
+    It prices with its own shallow copy of f, given a Delta-state table of
+    its own, and wraps the copy's state() to count the states built (the
+    table's misses).  Each f state a history is priced from is checked
+    against a separately built utility's (so that f's counters see only the
+    rollout), and its covered mask is kept.  rng_for's stream is checked
+    against the seed string at every history.
     """
 
     def __init__(self, f, prior, **kwargs):
-        self.reference, f = copy.copy(f), copy.copy(f)
+        # A copy.copy of f shares f's Delta-state table: the reference is
+        # built anew, and the copy that prices gets a table of its own.
+        self.reference, f = type(f)(f.weights, f.covers), copy.copy(f)
+        f._states = {}
         super().__init__(f, prior, **kwargs)
         self.histories = [PSI_EMPTY]
         self.built = 0
         self.priced = set()
         # The class's method: f may be another CheckedContext's copy (concat).
-        observe_covered = type(f).observe_covered
+        state_of = type(f).state
 
-        def built(covered):
-            self.built += 1
-            return observe_covered(f, covered)
+        def state(covered):
+            self.built += covered not in f._states
+            return state_of(f, covered)
 
-        f.observe_covered = built
+        f.state = state
 
     def _state(self):
         state = super()._state()
@@ -214,6 +220,26 @@ def test_seed_string_at_the_edges(seed):
         assert draws(ctx.rng_for(psi)) == reference_draws(seed, psi)
 
 
+def test_contexts_on_one_utility_share_its_states():
+    # The Delta states belong to the utility: a second context on f, and the
+    # context marginal_utility makes, price from the state the first context
+    # built, gain memo and all, while a context on an equal utility builds its own.
+    inst = instance()
+    f, other = inst.utility(), inst.utility()
+    psi = PartialRealization.of({3: 1, 17: 0})
+    contexts = [EvalContext(f, inst.prior), EvalContext(f, inst.prior, seed=5),
+                EvalContext(other, inst.prior)]
+    for ctx in contexts:
+        assert ctx.delta(0, psi) == contexts[0].delta(0, psi)
+    first, second, third = (ctx._fstate for ctx in contexts)
+    assert first is second is f.state(f.covered(psi))
+    assert third is other.state(f.covered(psi)) is not first
+    assert len(f._states) == len(other._states) == 1
+    memo = dict(first[3])
+    assert marginal_utility(f, inst.prior, psi, 0) == contexts[0].delta(0, psi)
+    assert first[3] == memo and len(f._states) == 1
+
+
 @pytest.mark.parametrize("explicit", [False, True], ids=["independent", "explicit"])
 @pytest.mark.parametrize("n,seed", [(4, 0), (5, 1), (6, 2), (6, 3)])
 def test_states_shared_by_covered_mask_are_bit_exact(n, seed, explicit):
@@ -228,9 +254,9 @@ def test_states_shared_by_covered_mask_are_bit_exact(n, seed, explicit):
     for psi in histories:
         for e in range(n):
             assert ctx.delta(e, psi).hex() == marginal_utility(ref, prior, psi, e).hex()
-        assert f.observe_covered(f.covered(psi))[1] == ref.value(psi.domain(), psi.as_dict())
+        assert f.state(f.covered(psi))[1] == ref.value(psi.domain(), psi.as_dict())
     assert f.delta_counter == ref.delta_counter == n * len(histories)
-    assert len(ctx._states) == len({f.covered(psi) for psi in histories}) < len(histories)
+    assert len(f._states) == len({f.covered(psi) for psi in histories}) < len(histories)
 
 
 def test_shared_states_stay_within_their_cap():
@@ -247,7 +273,7 @@ def test_shared_states_stay_within_their_cap():
     for psi in histories:
         for e in range(inst.n):
             assert ctx.delta(e, psi).hex() == marginal_utility(ref, inst.prior, psi, e).hex()
-        most = max(most, len(ctx._states))
+        most = max(most, len(f._states))
     assert most == cap
 
 
@@ -266,7 +292,7 @@ def test_a_long_rollout_keeps_its_states_within_the_cap():
             value = super().delta(e, psi)
             assert value.hex() == marginal_utility(ref, inst.prior, psi, e).hex()
             masks.add(self._covered)
-            sizes.append(len(self._states))
+            sizes.append(len(f._states))
             return value
 
     pi = adaptive_stochastic_greedy(150, 0.1)

@@ -48,6 +48,14 @@ class TestGeneration:
         with pytest.raises(ValidationError):
             generate_coverage(4, 2, 6, 1.5, seed=0)
 
+    @pytest.mark.parametrize("size,value", [("n", 2.5), ("m", 2.0), ("universe_size", True)])
+    def test_sizes_must_be_integers(self, size, value):
+        # n=2.5 and m=2.0 ended in a bare TypeError; universe_size=True ran as 1.
+        sizes = dict(n=3, m=2, universe_size=6)
+        sizes[size] = value
+        with pytest.raises(ValidationError, match="%s must be an integer" % size):
+            generate_coverage(**sizes, density=0.4, seed=1)
+
     def test_generated_instances_are_adaptive_submodular(self):
         for seed in (0, 1, 2):
             inst = generate_coverage(5, 2, 6, 0.3, seed=seed)

@@ -185,6 +185,15 @@ class TestPartitionPolicies:
                            utility_a, prior_a, (1, 1))
         assert [s.chosen for s in first.steps] == [1, 0]
 
+    @pytest.mark.parametrize("make", [
+        lambda: locally_greedy([[0, 1], [2, 3]], [1, 1], order=[1.7, 0]),
+        lambda: generalized_asg([[0, 1], [2, 3]], [1, 1], 0.1, order=[True, 0]),
+    ], ids=["float", "bool"])
+    def test_order_items_must_be_integers(self, make):
+        # int() truncated 1.7 to 1, and True passed as 1: both ran with order (1, 0).
+        with pytest.raises(ValidationError, match="order item"):
+            make()
+
     def test_gasg_saturated(self, utility_a, prior_a):
         pi = generalized_asg([[0], [1]], [1, 1], 0.01)
         val = expected_utility(utility_a, prior_a, pi)

@@ -7,9 +7,14 @@ fixed seed the seeded exact value equals the support-weighted mean of seeded
 rollouts.
 Along one path from the empty history, the law at depth j has
 decision_widths(n)[j] items, and it is empty exactly when the widths run out.
+Against sampling: each item's frequency among the seeded decides of a fixed
+seed range is within 4 binomial standard errors of its mass in the law, and a
+Monte Carlo estimate of the policy's value is within 4 of its standard errors
+of the exact value.
 Examples are derandomized, so every run checks the same instances.
 """
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -20,6 +25,7 @@ from adasub import (
     adaptive_greedy,
     adaptive_stochastic_greedy,
     exact_policy_value,
+    expected_utility,
     generalized_asg,
     generate_coverage,
     locally_greedy,
@@ -30,6 +36,8 @@ from adasub import (
 from adasub.core import EvalContext
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+SAMPLING = settings(SETTINGS, max_examples=20)
+DRAWS = 400
 EPSILONS = st.sampled_from([0.05, 0.3, 0.6])
 SEED = 1
 
@@ -105,3 +113,34 @@ def test_partition_policies(case, eps):
     for pi in (locally_greedy(groups, limits, order),
                generalized_asg(groups, limits, eps, order)):
         check_policy(pi, inst)
+
+
+def check_against_sampling(pi, inst):
+    f, prior = inst.utility(), inst.prior
+    cstate = pi.fresh_constraint(inst.n)
+    law = dict(pi.decision_distribution(EvalContext(f, prior, seed=None), PSI_EMPTY, cstate))
+    counts = dict.fromkeys(law, 0)
+    for seed in range(DRAWS):
+        counts[pi.decide(EvalContext(f, prior, seed=seed), PSI_EMPTY, cstate, {})] += 1
+    for e, q in law.items():
+        se = math.sqrt(q * (1.0 - q) / DRAWS)
+        assert abs(counts[e] / DRAWS - q) <= 4 * se + 1e-12, (pi.describe(), e, q, counts)
+    mean, se = expected_utility(f, prior, pi, mode="mc", samples=DRAWS, seed=SEED)
+    exact = exact_policy_value(pi, f, prior)
+    assert abs(mean - exact) <= 4 * se + 1e-12, (pi.describe(), mean, se, exact)
+
+
+@given(coverage(), st.integers(1, 3), EPSILONS)
+@SAMPLING
+def test_cardinality_laws_match_sampling(spec, k, eps):
+    inst = generate_coverage(**spec, k=k)
+    for pi in (adaptive_stochastic_greedy(k, eps), random_policy(k)):
+        check_against_sampling(pi, inst)
+
+
+@given(partitions(), EPSILONS)
+@SAMPLING
+def test_partition_laws_match_sampling(case, eps):
+    spec, groups, limits, order = case
+    inst = generate_coverage(**spec, groups=groups, limits=limits)
+    check_against_sampling(generalized_asg(groups, limits, eps, order), inst)
