@@ -241,7 +241,8 @@ class ExplicitPrior(Prior):
     """A weighted list of realizations (supports arbitrary correlations)."""
 
     def __init__(self, weighted: Sequence):
-        entries = [(tuple(int(s) for s in phi), float(p)) for phi, p in weighted]
+        entries = [(tuple(_check_int(s, "realization state") for s in phi), float(p))
+                   for phi, p in weighted]
         if not entries:
             raise ValidationError("empty support")
         self.n = len(entries[0][0])
@@ -408,8 +409,9 @@ class CoverageUtility(UtilityFunction):
             raise ValidationError("negative or non-finite universe weight")
         self.universe_size = len(self.weights)
         # A row that is a tuple already (Instance.utility()'s cached mask
-        # table) is shared, not copied, so a call copies no table.
-        self.covers = tuple(row if type(row) is tuple else tuple(map(int, row))
+        # table) is shared, not copied or checked, so a call copies no table.
+        self.covers = tuple(row if type(row) is tuple
+                            else tuple(_check_int(mask, "coverage mask") for mask in row)
                             for row in covers)
         union = 0
         for row in self.covers:
@@ -505,7 +507,8 @@ class TabularUtility(UtilityFunction):
         if n > self.MAX_ITEMS:
             raise ValidationError("tabular utility limited to n <= %d" % self.MAX_ITEMS)
         self.n = n
-        self.realizations = tuple(tuple(int(s) for s in phi) for phi in realizations)
+        self.realizations = tuple(tuple(_check_int(s, "realization state") for s in phi)
+                                  for phi in realizations)
         if any(len(phi) != n for phi in self.realizations):
             raise ValidationError("every tabular realization must have %d states" % n)
         self._index = {phi: i for i, phi in enumerate(self.realizations)}
@@ -605,8 +608,8 @@ class EvalContext:
     covered mask.  Under an independent prior the child's evidence check is
     the new observation's mass.  A rollout (Policy.run_on) advances this way,
     so no round rebuilds what the round before it had.  Any other history
-    (exact evaluation, decision_widths' walk, the checkers' sweeps, a stray
-    psi) becomes the current one with its state built from scratch.
+    (exact evaluation, the checkers' sweeps, a stray psi) becomes the
+    current one with its state built from scratch.
     f's Delta state (for coverage: the covered mask, f(dom psi), the running
     sums and the gain memo) belongs to f: f.state(covered) builds, shares and
     bounds it, so every history that covers the same elements, in any

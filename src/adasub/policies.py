@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import (EvalContext, IndependentPrior, PSI_EMPTY, PartialRealization,
-                   UtilityFunction, _check_int)
+from .core import EvalContext, PSI_EMPTY, PartialRealization, _check_int
 from .errors import PolicyViolation, ValidationError
 
 
@@ -220,10 +219,16 @@ def run_policy(pi: Policy, f, prior, phi, seed=0, delta_cache=None) -> PolicyTra
     return pi.run_on(ctx, phi)
 
 
-def _feasible_pool(ctx, psi, cstate):
-    """Unobserved items in id order (ctx.pool), or none once the cardinality
-    budget is spent."""
-    return [] if cstate.exhausted() else ctx.pool(psi)
+def _check_epsilon(epsilon):
+    """epsilon, once it is a number in (0, 1) whose 1/epsilon is finite (a
+    subnormal one overflows sample_budget); ValidationError otherwise."""
+    if not isinstance(epsilon, (int, float)):
+        raise ValidationError("epsilon must be a number, got %r" % (epsilon,))
+    if not 0.0 < epsilon < 1.0:
+        raise ValidationError("epsilon must be in (0,1)")
+    if not math.isfinite(1.0 / epsilon):
+        raise ValidationError("epsilon %r is too small: 1/epsilon overflows" % (epsilon,))
+    return epsilon
 
 
 def sample_budget(pool_size: int, group_size: int, limit: int, epsilon: float) -> int:
@@ -280,15 +285,14 @@ class _BestOfSamplePolicy(Policy):
     def _sample_size(self, pool_size: int, group_size: int, limit: int) -> int:
         return pool_size
 
-    def _sample_space(self, ctx, psi, cstate):
-        """(candidate pool in id order, sample size); an empty pool stops.
-
-        The pool may be ctx.pool(psi) itself, valid until the next advance.
-        """
+    def _sample_space(self, seen: dict, pool: list, cstate, n: int):
+        """(candidates in id order, sample size) under cstate at a history over
+        n items that observed `seen` (item -> state) and left `pool` (id order);
+        the candidates may be `pool` itself, and none stops."""
         raise NotImplementedError
 
     def decide(self, ctx, psi, cstate, scratch):
-        pool, s = self._sample_space(ctx, psi, cstate)
+        pool, s = self._sample_space(ctx.observed(psi), ctx.pool(psi), cstate, ctx.n)
         if not pool:
             return None
         candidates = pool if s == len(pool) else sorted(ctx.rng_for(psi).sample(pool, s))
@@ -307,7 +311,7 @@ class _BestOfSamplePolicy(Policy):
         the sample holds rank j and s-1 of the N-1-j ranks after it:
         probability C(N-1-j, s-1) / C(N, s).
         """
-        pool, s = self._sample_space(ctx, psi, cstate)
+        pool, s = self._sample_space(ctx.observed(psi), ctx.pool(psi), cstate, ctx.n)
         if not pool:
             return []
         ranked = sorted(pool, key=lambda e: (-ctx.delta(e, psi), e))
@@ -319,17 +323,18 @@ class _BestOfSamplePolicy(Policy):
     def decision_widths(self, n):
         """The law's length, pool size - s + 1, at each selection along one
         path from the empty history: pool sizes do not depend on which items
-        were picked or observed, nor on f or the prior, so the walk runs in a
-        context over n one-state items that prices nothing."""
-        ctx = EvalContext(UtilityFunction(), IndependentPrior([(1.0,)] * n))
-        widths, psi, cstate = [], PSI_EMPTY, self.fresh_constraint(n)
+        were picked or observed, nor on f or the prior, so the walk observes
+        each round's first candidate in state 0."""
+        widths, seen, pool, cstate = [], {}, list(range(n)), self.fresh_constraint(n)
         while True:
-            pool, s = self._sample_space(ctx, psi, cstate)
-            if not pool:
+            candidates, s = self._sample_space(seen, pool, cstate, n)
+            if not candidates:
                 return widths
-            widths.append(len(pool) - s + 1)
-            e = pool[0]
-            psi, cstate = ctx.advance(psi, e, 0), cstate.after(e)
+            widths.append(len(candidates) - s + 1)
+            e = candidates[0]
+            seen[e] = 0
+            pool.remove(e)
+            cstate = cstate.after(e)
 
 
 class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
@@ -352,9 +357,10 @@ class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
         """The paper's cap on one rollout's Delta calls: pools n, n-1, ... in min(k, n) rounds."""
         return sum(n - r for r in range(min(self.k, n)))
 
-    def _sample_space(self, ctx, psi, cstate):
-        pool = _feasible_pool(ctx, psi, cstate)
-        return pool, self._sample_size(len(pool), ctx.n, self.k)
+    def _sample_space(self, seen, pool, cstate, n):
+        if cstate.exhausted():
+            return [], 0
+        return pool, self._sample_size(len(pool), n, self.k)
 
 
 class LazyGreedyPolicy(AdaptiveGreedyPolicy):
@@ -410,10 +416,8 @@ class AdaptiveStochasticGreedyPolicy(AdaptiveGreedyPolicy):
     def __init__(self, k: int, epsilon: float):
         if _check_int(k, "k") < 1:
             raise ValidationError("k must be >= 1")
-        if not 0.0 < epsilon < 1.0:
-            raise ValidationError("epsilon must be in (0,1)")
         self.k = k
-        self.epsilon = epsilon
+        self.epsilon = _check_epsilon(epsilon)
 
     def params(self):
         return {"k": self.k, "eps": self.epsilon}
@@ -439,7 +443,7 @@ class RandomPolicy(AdaptiveGreedyPolicy):
         return 1
 
     def decide(self, ctx, psi, cstate, scratch):
-        pool = _feasible_pool(ctx, psi, cstate)
+        pool = [] if cstate.exhausted() else ctx.pool(psi)
         if not pool:
             return None
         e = ctx.rng_for(psi).choice(pool)
@@ -447,7 +451,7 @@ class RandomPolicy(AdaptiveGreedyPolicy):
         return e
 
     def decision_distribution(self, ctx, psi, cstate):
-        pool = _feasible_pool(ctx, psi, cstate)
+        pool = [] if cstate.exhausted() else ctx.pool(psi)
         return [(e, 1.0 / len(pool)) for e in pool]
 
 
@@ -480,8 +484,7 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
         return sum(sum(len(g) - j for j in range(min(d, len(g))))
                    for g, d in zip(self.constraint.groups, self.limits))
 
-    def _sample_space(self, ctx, psi, cstate):
-        seen = ctx.observed(psi)
+    def _sample_space(self, seen, pool, cstate, n):
         for i in self.order:
             if cstate.remaining[i] == 0:
                 continue
@@ -505,11 +508,9 @@ class GeneralizedASGPolicy(LocallyGreedyPolicy):
 
     def __init__(self, groups, limits, epsilon: float, order=None):
         super().__init__(groups, limits, order)
-        if not 0.0 < epsilon < 1.0:
-            raise ValidationError("epsilon must be in (0,1)")
+        self.epsilon = _check_epsilon(epsilon)
         if any(d < 1 for d in self.limits):
             raise ValidationError("every group budget must be >= 1")
-        self.epsilon = epsilon
 
     def params(self):
         return {"eps": self.epsilon, **super().params()}

@@ -19,7 +19,7 @@ from typing import Optional
 from .core import EvalContext, IndependentPrior, PartialRealization, _check_int
 from .errors import ValidationError
 from .oracle import OracleCaps, RestrictedOracle, _check_size
-from .policies import sample_budget
+from .policies import _check_epsilon, sample_budget
 
 INEQ_TOL = 1e-9
 # Size caps of the sweeps; the fully-adaptive check is doubly exponential.
@@ -191,8 +191,7 @@ def lemma1_check(n: int, k: int, epsilon: float, trials: int = 100_000,
     """
     if not (1 <= _check_int(k, "k") <= _check_int(n, "n")):
         raise ValidationError("need 1 <= k <= n")
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError("epsilon must be in (0,1)")
+    _check_epsilon(epsilon)
     if _check_int(trials, "trials") < 1:
         raise ValidationError("trials must be >= 1")
     s = sample_budget(n, n, k, epsilon)

@@ -353,3 +353,29 @@ def test_criterion_10_csv_determinism(card_suite, tmp_path):
     ok = stripped[0] == stripped[1] and benches[0] == benches[1]
     gate("10 seeded csv determinism", ok,
          "run (sans wall time) and bench outputs byte-identical")
+
+
+def test_criterion_11_premises(card_suite, partition_suite):
+    """The ratios asserted by criteria 1/5/6 assume adaptive monotonicity and
+    adaptive submodularity (Golovin and Krause, JAIR 2011): every instance
+    they run on meets both, each sweep deciding every inequality."""
+    name = "11 premises"
+    suite = [inst for inst, *_ in card_suite] + [inst for inst, *_ in partition_suite]
+    for inst in suite:
+        f, prior, n = inst.utility(), inst.prior, inst.n
+        # Every state has mass, so depth j holds C(n, j) * m^j histories, each
+        # with n - j unobserved items and 2^j sub-histories.
+        deltas = [math.comb(n, j) * prior.m ** j * (n - j) for j in range(n + 1)]
+        for report, pairs in (
+                (check_adaptive_monotone(f, prior), sum(deltas)),
+                (check_adaptive_submodular(f, prior),
+                 sum(d * 2 ** j for j, d in enumerate(deltas)))):
+            if not report.passed:
+                gate(name, False, "%s is not %s: %r"
+                     % (inst.metadata["name"], report.name, report.counterexample))
+            if report.pairs_checked != pairs:
+                gate(name, False, "%s: %s decided %d inequalities, expected %d"
+                     % (inst.metadata["name"], report.name, report.pairs_checked, pairs))
+    gate(name, True, "%d instances adaptive monotone and submodular; the fully-adaptive "
+         "premise (partition suite, n=7-8) waits for ROADMAP direction 3: "
+         "FULLY_ADAPTIVE_CAPS stops at n=5" % len(suite))

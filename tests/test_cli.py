@@ -151,6 +151,14 @@ class TestRun:
         assert_clean_usage_error(res)
         assert spec in res.output
 
+    def test_subnormal_eps_is_usage_error(self, runner, tmp_path):
+        path = tmp_path / "inst.json"
+        save_instance(generate_coverage(6, 2, 16, 0.2, seed=1, k=2), path)
+        res = runner.invoke(main, ["run", "--instance", str(path), "--policy",
+                                   "asg(k=2,eps=1e-320)", "--out", str(tmp_path / "x.csv")])
+        assert_clean_usage_error(res)
+        assert "1/epsilon overflows" in res.output
+
     @pytest.mark.parametrize("spec,key", [("greedy(k=2,eps=0.5,foo=1)", "eps, foo"),
                                           ("local(ordr=1:0)", "ordr")])
     def test_unknown_key_is_usage_error(self, runner, tmp_path, spec, key):
@@ -450,6 +458,14 @@ class TestBench:
         assert res.exit_code == 0, res.output[:500]
         row = read_rows(out)[0]
         assert int(row["delta_measured"]) <= int(row["delta_cap"])
+
+    def test_subnormal_eps_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "bench.csv"
+        res = runner.invoke(main, ["bench", "--policy", "asg", "--n", "10", "--k", "2",
+                                   "--eps", "1e-320", "--seed", "0", "--out", str(out)])
+        assert_clean_usage_error(res)
+        assert "1/epsilon overflows" in res.output
+        assert not out.exists()
 
     def test_sampling_policies_need_eps(self, runner, tmp_path):
         inst_path = tmp_path / "part.json"

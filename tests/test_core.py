@@ -339,9 +339,17 @@ def _repro_instance():
     (lambda f, prior: expected_utility(f, prior, adaptive_greedy(2), mode="mc", samples=2.5),
      "samples"),
     (lambda f, prior: lemma1_check(10, 2, 0.1, trials=1.5), "trials"),
+    (lambda f, prior: ExplicitPrior([((0, 1.7), 0.5), ((1, 0), 0.5)]), "realization state"),
+    (lambda f, prior: ExplicitPrior([((True, 0), 1.0)]), "realization state"),
+    (lambda f, prior: ExplicitPrior([((0, math.inf), 1.0)]), "realization state"),
+    (lambda f, prior: TabularUtility(1, [(1.5,)], [[0.0], [1.0]]), "realization state"),
+    (lambda f, prior: CoverageUtility([1.0, 1.0], [[1, 2.5]]), "coverage mask"),
+    (lambda f, prior: CoverageUtility([1.0, 1.0], [[True, 2]]), "coverage mask"),
 ], ids=["budget-float", "budget-bool", "item-bool", "item-float", "cardinality-float",
         "greedy-k-float", "asg-k-float", "greedy-k-bool", "partition-limit-float",
-        "sequence-item-float", "mc-samples-float", "lemma1-trials-float"])
+        "sequence-item-float", "mc-samples-float", "lemma1-trials-float",
+        "explicit-state-float", "explicit-state-bool", "explicit-state-inf",
+        "tabular-state-float", "coverage-mask-float", "coverage-mask-bool"])
 def test_integer_parameters_refuse_floats_and_bools(call, name):
     # int() would truncate 2.5, and a bool would pass as 0 or 1.
     f, prior = _repro_instance()

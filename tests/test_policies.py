@@ -17,6 +17,7 @@ from adasub import (
     expected_utility,
     generalized_asg,
     generate_coverage,
+    lemma1_check,
     locally_greedy,
     policy_marginal,
     random_policy,
@@ -24,7 +25,7 @@ from adasub import (
     sample_realization,
 )
 from adasub.core import EvalContext, IndependentPrior, UtilityFunction
-from adasub.policies import FixedSequencePolicy, PartitionConstraint, _feasible_pool
+from adasub.policies import FixedSequencePolicy, PartitionConstraint
 
 
 def rollout(pi, inst, phi, seed=0):
@@ -111,13 +112,52 @@ class TestAdaptiveGreedy:
         assert len(trace.selected) == 2
 
 
-def test_feasible_pool_matches_its_definition():
+def test_sample_space_matches_its_definition():
     ctx = EvalContext(UtilityFunction(), IndependentPrior([[0.5, 0.5]] * 10))
+    pi = adaptive_greedy(3)
     for cstate in (CardinalityConstraint(3), CardinalityConstraint(0)):
         for obs in ({}, {2: 0, 5: 1}, {0: 1, 7: 0, 9: 1}, {e: 0 for e in range(10)}):
             psi = PartialRealization.of(obs)
-            assert _feasible_pool(ctx, psi, cstate) == \
-                [e for e in range(10) if e not in psi and cstate.can_select(e)]
+            pool, _ = pi._sample_space(ctx.observed(psi), ctx.pool(psi), cstate, ctx.n)
+            assert pool == [e for e in range(10) if e not in psi and cstate.can_select(e)]
+
+
+@pytest.mark.parametrize("eps,match", [
+    (1e-320, "too small"), (5e-324, "too small"), ("0.1", "must be a number"),
+    (None, "must be a number"), (0.0, r"must be in \(0,1\)"), (1.0, r"must be in \(0,1\)"),
+    (-0.1, r"must be in \(0,1\)"), (math.nan, r"must be in \(0,1\)")])
+@pytest.mark.parametrize("make", [
+    lambda eps: adaptive_stochastic_greedy(2, eps),
+    lambda eps: generalized_asg([[0, 1]], [1], eps),
+    lambda eps: lemma1_check(10, 2, eps, trials=10),
+], ids=["asg", "gasg", "lemma1"])
+def test_epsilon_outside_the_rule_is_refused(make, eps, match):
+    # 1/eps must be finite, or sample_budget's ln(1/eps) overflows.
+    with pytest.raises(ValidationError, match=match):
+        make(eps)
+
+
+def test_tiny_normal_epsilon_still_runs():
+    assert adaptive_stochastic_greedy(2, 1e-300).oracle_call_cap(10) == 20
+    assert generalized_asg([[0, 1]], [1], 1e-300).oracle_call_cap(2) == 2
+    assert lemma1_check(10, 2, 1e-300, trials=10).sample_size == 10
+
+
+def test_decision_widths_build_no_context(monkeypatch):
+    """The walk sizes each round from a plain map and list: no stand-in
+    utility, prior or context."""
+    groups, limits = [[0, 1, 2], [3, 4], [5, 6, 7, 8]], [2, 1, 2]
+    policies = (adaptive_greedy(3), adaptive_greedy(3, "lazy"), random_policy(3),
+                adaptive_stochastic_greedy(3, 0.1), locally_greedy(groups, limits, [2, 0, 1]),
+                generalized_asg(groups, limits, 0.3, [2, 0, 1]))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("%s built" % type(self).__name__)
+
+    for cls in (EvalContext, IndependentPrior, UtilityFunction):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert [pi.decision_widths(9) for pi in policies] == \
+        [[1, 1, 1], [1, 1, 1], [9, 8, 7], [3, 2, 1], [1] * 5, [2, 1, 2, 1, 1]]
 
 
 class TestAdaptiveStochasticGreedy:
