@@ -408,14 +408,14 @@ class CoverageUtility(UtilityFunction):
         if not all(0.0 <= w < math.inf for w in self.weights):
             raise ValidationError("negative or non-finite universe weight")
         self.universe_size = len(self.weights)
-        # A row that is a tuple already (Instance.utility()'s cached mask
-        # table) is shared, not copied or checked, so a call copies no table.
-        self.covers = tuple(row if type(row) is tuple
-                            else tuple(_check_int(mask, "coverage mask") for mask in row)
-                            for row in covers)
+        # tuple() returns a tuple row itself, so Instance.utility()'s cached
+        # mask table is shared, not copied.
+        self.covers = tuple(map(tuple, covers))
         union = 0
         for row in self.covers:
             for mask in row:
+                if type(mask) is not int:
+                    _check_int(mask, "coverage mask")
                 union |= mask
         outside = ~((1 << self.universe_size) - 1)
         if union & outside:

@@ -6,15 +6,15 @@ independent prior (which adasub.oracle solves in its own kernel), the
 optimum: both are the same expectation over histories, memoized on
 (history, constraint state), where the optimum takes a max and a policy its
 own choice.  A policy owns its constraint (pi.fresh_constraint(n)) and is
-always evaluated under it.  A policy's choice is its decision_distribution,
-which averages over the internal randomness exactly, or, for a fixed master
-seed, the point mass of the seeded decide (whose stream is derived from the
-seed and the history).  Exact evaluation first bounds the histories it
-could visit and refuses trees over EXACT_MAX_HISTORIES: a randomized policy
-may reach C(n, j) * m^j histories at depth j.  Policies with no single
-decision stream (concatenations, whose second phase forgets the history)
-fall back to enumerating the prior support and running a rollout per
-realization.
+always evaluated under it.  A deterministic policy's choice is its decide,
+the code a rollout runs, and so is a randomized one's for a fixed master seed
+(its stream is derived from the seed and the history); unseeded, a randomized
+policy's decision_distribution averages over that randomness exactly.  Exact
+evaluation first bounds the histories it could visit and refuses trees over
+EXACT_MAX_HISTORIES: a randomized policy may reach C(n, j) * m^j histories at
+depth j.  Policies with no single decision stream (concatenations, whose
+second phase forgets the history) fall back to enumerating the prior support
+and running a rollout per realization.
 """
 
 from __future__ import annotations
@@ -37,16 +37,16 @@ def exact_history_bound(pi: Policy, n: int, m: int, expand=True) -> int:
     """Upper bound on the histories an exact evaluation of pi visits.
 
     After j selections pi has followed at most prod(widths[:j]) item
-    sequences (each width 1 when expand is False: a seeded policy's choice
-    is a point mass); memoized, these collapse to at most C(n, j) item sets.
-    Each set carries at most m^j outcome vectors.
+    sequences (each width 1 when expand is False, as a seeded policy's choice
+    is a point mass, and for a deterministic policy: one sequence bounds it
+    whether or not its nodes are memoized); memoized, these collapse to at
+    most C(n, j) item sets.  Each set carries at most m^j outcome vectors.
     """
     total = paths = 1
     for j, width in enumerate(pi.decision_widths(n), 1):
         if expand:
             paths *= width
-        sets = paths if pi.path_dependent else min(paths, math.comb(n, j))
-        total += sets * m ** j
+        total += min(paths, math.comb(n, j)) * m ** j
     return total
 
 
@@ -101,7 +101,7 @@ class HistoryRecursion:
 
 def _policy_node(pi, ctx, rec, psi, cstate, scratch):
     """pi's node rule: stop, or average the branches over its choice."""
-    if ctx.seed is None and not pi.path_dependent:
+    if ctx.seed is None and pi.randomized:
         choices = pi.decision_distribution(ctx, psi, cstate)
     else:
         e = pi.decide(ctx, psi, cstate, scratch)

@@ -124,7 +124,6 @@ class PartitionConstraint:
 
 @dataclass(frozen=True)
 class TraceStep:
-    round_index: int
     candidates: tuple
     chosen: int
     observed: int
@@ -146,12 +145,10 @@ class Policy:
     """Decision procedure: observation history + constraint state -> item or stop."""
 
     name = "policy"
+    # Exact evaluation averages a randomized policy through decision_distribution,
+    # which gets no scratch: only a deterministic policy may keep state there.
     randomized = False
     supports_tree_eval = True
-    # True when decide reads state the rollout carries in `scratch`, so the
-    # choice at psi depends on the path to psi: exact evaluation then follows
-    # decide at each node and bounds its histories by paths, not item sets.
-    path_dependent = False
 
     def params(self) -> dict:
         return {}
@@ -190,7 +187,6 @@ class Policy:
         psi = PSI_EMPTY
         scratch = {}
         steps = []
-        rnd = 0
         while True:
             e = self.decide(ctx, psi, cstate, scratch)
             if e is None:
@@ -205,8 +201,7 @@ class Policy:
             if type(o) is not int or not 0 <= o < m:
                 raise ValidationError("realization gives item %d state %r, not an integer "
                                       "in [0, %d)" % (e, o, m))
-            rnd += 1
-            steps.append(TraceStep(rnd, ctx.last_candidates, e, o, ctx.last_delta))
+            steps.append(TraceStep(ctx.last_candidates, e, o, ctx.last_delta))
             psi = ctx.advance(psi, e, o)
             cstate = cstate.after(e)
         selected = psi.domain()
@@ -373,7 +368,6 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
     """
 
     name = "lazy"
-    path_dependent = True
 
     def decide(self, ctx, psi, cstate, scratch):
         # Only round 1 reads the pool; after it the heap holds exactly the
@@ -549,12 +543,8 @@ class ConcatPolicy(Policy):
                            delta_cache=ctx.delta_cache)
         t1 = self.first.run_on(ctx1, phi)
         t2 = self.second.run_on(ctx2, phi)
-        steps = list(t1.steps)
-        for st in t2.steps:
-            steps.append(TraceStep(len(steps) + 1, st.candidates, st.chosen,
-                                   st.observed, st.delta))
         selected = tuple(sorted(set(t1.selected) | set(t2.selected)))
-        return PolicyTrace(tuple(steps), selected, ctx.f.value(selected, phi))
+        return PolicyTrace(t1.steps + t2.steps, selected, ctx.f.value(selected, phi))
 
     def decide(self, ctx, psi, cstate, scratch):
         raise NotImplementedError("concatenation has no single decision stream")

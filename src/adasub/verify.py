@@ -47,16 +47,20 @@ def enumerate_partial_realizations(prior, max_size=None):
     """All positive-probability partial realizations, smallest domains first."""
     n = prior.n
     limit = n if max_size is None else min(max_size, n)
-    per_item = [prior.item_states(e) for e in range(n)]
-    # Under an independent prior every combination of these states is possible.
-    checked = not isinstance(prior, IndependentPrior)
+    independent = isinstance(prior, IndependentPrior)
+    if independent:
+        per_item = [prior.item_states(e) for e in range(n)]
+    else:
+        support = [phi for phi, _ in prior.support()]
     for size in range(limit + 1):
         for dom in itertools.combinations(range(n), size):
-            for states in itertools.product(*(per_item[e] for e in dom)):
+            if independent:     # every combination of positive-mass states is possible
+                vectors = itertools.product(*(per_item[e] for e in dom))
+            else:               # the support's restrictions to dom, in product order
+                vectors = sorted({tuple(phi[e] for e in dom) for phi in support})
+            for states in vectors:
                 # dom is ascending and duplicate-free, so the pairs are canonical
-                psi = PartialRealization(tuple(zip(dom, states)))
-                if not checked or prior.possible(psi):
-                    yield psi
+                yield PartialRealization(tuple(zip(dom, states)))
 
 
 def check_adaptive_monotone(f, prior) -> CheckReport:

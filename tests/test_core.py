@@ -345,11 +345,17 @@ def _repro_instance():
     (lambda f, prior: TabularUtility(1, [(1.5,)], [[0.0], [1.0]]), "realization state"),
     (lambda f, prior: CoverageUtility([1.0, 1.0], [[1, 2.5]]), "coverage mask"),
     (lambda f, prior: CoverageUtility([1.0, 1.0], [[True, 2]]), "coverage mask"),
+    (lambda f, prior: CoverageUtility([1.0, 1.0], [[1, math.inf]]), "coverage mask"),
+    (lambda f, prior: CoverageUtility([1.0, 1.0], [(1, 2.5)]), "coverage mask"),
+    (lambda f, prior: CoverageUtility([1.0, 1.0], [(True, 2)]), "coverage mask"),
+    (lambda f, prior: CoverageUtility([1.0, 1.0], [(1, math.inf)]), "coverage mask"),
 ], ids=["budget-float", "budget-bool", "item-bool", "item-float", "cardinality-float",
         "greedy-k-float", "asg-k-float", "greedy-k-bool", "partition-limit-float",
         "sequence-item-float", "mc-samples-float", "lemma1-trials-float",
         "explicit-state-float", "explicit-state-bool", "explicit-state-inf",
-        "tabular-state-float", "coverage-mask-float", "coverage-mask-bool"])
+        "tabular-state-float", "coverage-mask-float", "coverage-mask-bool",
+        "coverage-mask-inf", "coverage-tuple-mask-float", "coverage-tuple-mask-bool",
+        "coverage-tuple-mask-inf"])
 def test_integer_parameters_refuse_floats_and_bools(call, name):
     # int() would truncate 2.5, and a bool would pass as 0 or 1.
     f, prior = _repro_instance()

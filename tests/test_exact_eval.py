@@ -1,6 +1,7 @@
 """Exact evaluation over a policy's internal randomness.
 
-exact_policy_value with no seed expands each policy's decision_distribution.
+exact_policy_value with no seed expands a randomized policy's
+decision_distribution; a deterministic policy's tree runs its decide.
 These tests hold it to a brute-force reference that, at every history,
 averages the best-of-sample choice over every candidate set the sampler can
 draw (itertools.combinations(pool, s), all equally likely), with no memo and
@@ -37,7 +38,14 @@ from adasub import (
 from adasub import evaluation
 from adasub.core import EvalContext
 from adasub.evaluation import EXACT_MAX_HISTORIES, exact_history_bound
-from adasub.policies import FixedSequencePolicy, PartitionConstraint, sample_budget
+from adasub.policies import (
+    FixedSequencePolicy,
+    PartitionConstraint,
+    Policy,
+    RandomPolicy,
+    _BestOfSamplePolicy,
+    sample_budget,
+)
 
 
 def explicit_delta(f, prior, psi, e):
@@ -216,6 +224,33 @@ def test_deterministic_policies_ignore_the_seed():
             exact = exact_policy_value(pi, inst.utility(), inst.prior)
             for s in (0, 7, "x"):
                 assert exact_policy_value(pi, inst.utility(), inst.prior, seed=s) == exact
+
+
+def test_only_an_unseeded_randomized_policy_is_averaged_through_its_law(monkeypatch):
+    # A deterministic policy's exact tree runs its decide, the code a rollout
+    # runs; only an unseeded randomized policy's tree reads its law.
+    groups, limits = [[0, 1, 2], [3, 4, 5]], [1, 2]
+    inst = generate_coverage(n=6, m=2, universe_size=6, density=0.35, seed=501,
+                             groups=groups, limits=limits)
+    f, prior = inst.utility(), inst.prior
+    randomized = (adaptive_stochastic_greedy(3, 0.3), generalized_asg(groups, limits, 0.5),
+                  random_policy(3))
+    laws = [exact_policy_value(pi, f, prior) for pi in randomized]
+
+    def refuse(*args):
+        raise AssertionError("not on this path")
+
+    for cls in (Policy, _BestOfSamplePolicy):
+        monkeypatch.setattr(cls, "decision_distribution", refuse)
+    for pi in (adaptive_greedy(3), adaptive_greedy(3, "lazy"),
+               locally_greedy(groups, limits, (1, 0)), FixedSequencePolicy([4, 1, 2]),
+               empty_policy()):
+        rollouts = sum(p * run_policy(pi, f, prior, phi).value for phi, p in prior.support())
+        assert abs(exact_policy_value(pi, f, prior) - rollouts) <= 1e-12, pi.name
+    monkeypatch.undo()
+    for cls in (_BestOfSamplePolicy, RandomPolicy):
+        monkeypatch.setattr(cls, "decide", refuse)
+    assert [exact_policy_value(pi, f, prior) for pi in randomized] == laws
 
 
 def test_randomized_concat_has_no_exact_mode(utility_a, prior_a):

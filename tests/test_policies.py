@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -25,7 +26,7 @@ from adasub import (
     sample_realization,
 )
 from adasub.core import EvalContext, IndependentPrior, UtilityFunction
-from adasub.policies import FixedSequencePolicy, PartitionConstraint
+from adasub.policies import FixedSequencePolicy, PartitionConstraint, TraceStep
 
 
 def rollout(pi, inst, phi, seed=0):
@@ -284,9 +285,24 @@ class TestConcat:
         assert trace.selected == (0,)
         assert trace.value == pytest.approx(2.0)
 
+    def test_trace_is_the_phases_traces_in_order(self):
+        inst = generate_coverage(n=8, m=2, universe_size=8, density=0.3, seed=2, k=3)
+        first, second = adaptive_stochastic_greedy(3, 0.3), random_policy(2)
+        phi = inst.prior.sample(random.Random(0))
+        trace, _ = rollout(concat(first, second), inst, phi, seed=5)
+        t1, _ = rollout(first, inst, phi, seed="5/1")
+        t2, _ = rollout(second, inst, phi, seed="5/2")
+        assert len(t1.steps) == 3 and len(t2.steps) == 2
+        assert trace.steps == t1.steps + t2.steps
+
     def test_exact_value_by_enumeration(self, utility_a, prior_a):
         pi = concat(FixedSequencePolicy([0]), FixedSequencePolicy([1]))
         assert expected_utility(utility_a, prior_a, pi) == pytest.approx(1.75)
+
+
+def test_trace_step_fields():
+    names = [field.name for field in dataclasses.fields(TraceStep)]
+    assert names == ["candidates", "chosen", "observed", "delta"]
 
 
 class TestRandomPolicy:

@@ -45,6 +45,55 @@ def test_enumeration_yields_exactly_the_possible_histories(explicit):
         psi for psi in every if prior.evidence_probability(psi) > 0.0]
 
 
+def explicit_priors():
+    """Correlated priors, some with zero-mass realizations, and the counterexamples'."""
+    priors = [monotonicity_counterexample().prior, complementarity_counterexample().prior]
+    for seed, (n, m, size) in enumerate([(3, 2, 5), (3, 3, 9), (4, 2, 10), (5, 2, 12)] * 3):
+        rng = random.Random(seed)
+        support = rng.sample(list(itertools.product(range(m), repeat=n)), size)
+        weights = [rng.choice((0.0, rng.uniform(0.5, 1.5))) for _ in support]
+        weights[0] = 1.0
+        total = sum(weights)
+        priors.append(ExplicitPrior([(phi, w / total) for phi, w in zip(support, weights)]))
+    return priors
+
+
+@pytest.mark.parametrize("prior", explicit_priors())
+def test_explicit_enumeration_is_the_definitional_filter(prior):
+    n = prior.n
+    every = [PartialRealization(tuple(zip(dom, states)))
+             for size in range(n + 1) for dom in itertools.combinations(range(n), size)
+             for states in itertools.product(*(prior.item_states(e) for e in dom))]
+    assert list(enumerate_partial_realizations(prior)) == [
+        psi for psi in every if prior.possible(psi)]
+    assert list(enumerate_partial_realizations(prior, max_size=1)) == [
+        psi for psi in every if len(psi.pairs) <= 1 and prior.possible(psi)]
+
+
+def test_sweeps_check_each_explicit_history_once(monkeypatch):
+    # The enumeration reads the support and checks nothing; each sweep's
+    # context checks a history once, when it prices a Delta there.
+    inst = generate_coverage(n=6, m=2, universe_size=6, density=0.3, seed=3)
+    prior = ExplicitPrior(inst.prior.support())
+    calls = []
+    possible = ExplicitPrior.possible
+
+    def counting(self, psi):
+        calls.append(psi)
+        return possible(self, psi)
+
+    monkeypatch.setattr(ExplicitPrior, "possible", counting)
+    histories = list(enumerate_partial_realizations(prior))
+    assert calls == []
+    with_pool = sum(len(psi.pairs) < prior.n for psi in histories)
+    assert with_pool == 665
+    for check, pairs in ((check_adaptive_monotone, 1458), (check_adaptive_submodular, 18750)):
+        del calls[:]
+        report = check(inst.utility(), prior)
+        assert report.passed and report.pairs_checked == pairs
+        assert len(calls) == with_pool, check.__name__
+
+
 class TestMonotoneChecker:
     def test_coverage_passes(self):
         inst = generate_coverage(n=5, m=2, universe_size=6, density=0.3, seed=0)
