@@ -5,7 +5,10 @@ All randomness flows from --seed; outputs are CSV or plain-text files whose
 bytes are reproducible for a fixed seed (the wall-time column excepted).
 
 Exit status: 0 success, 1 check failure, 2 usage/config error, 3 instance
-over the exhaustive-computation caps.
+over the exhaustive-computation caps.  The command group maps package
+errors to these codes in one place: InstanceTooLarge exits 3, any other
+AdasubError or an OSError (an unreadable instance, an unwritable --out)
+exits 2, each with one `error: ...` line.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import time
 import click
 
 from . import __version__
-from .errors import AdasubError, InstanceTooLarge, ParseError, ValidationError
+from .errors import AdasubError, InstanceTooLarge, ValidationError
 from .evaluation import expected_utility
 from .instances import generate_coverage, load_instance, save_instance
 from .oracle import optimal_value
@@ -60,13 +63,6 @@ def _echo(message: str, err: bool = False, nl: bool = True):
 def _fail(code: int, message: str):
     _echo("error: %s" % message, err=True)
     sys.exit(code)
-
-
-def _load(path):
-    try:
-        return load_instance(path)
-    except (ParseError, ValidationError, OSError) as exc:
-        _fail(EXIT_USAGE, str(exc))
 
 
 _POLICY_RE = re.compile(r"^([a-z_]+)\s*(?:\((.*)\))?$")
@@ -120,7 +116,22 @@ def parse_policy(text: str, instance=None):
         raise ValidationError("malformed number in policy %r: %s" % (text, exc))
 
 
-@click.group()
+class _Group(click.Group):
+    """Turns a package error out of any command into its exit code; click's
+    own exceptions, SystemExit and programming errors pass through."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InstanceTooLarge as exc:
+            _fail(EXIT_TOO_LARGE, str(exc))
+        except BrokenPipeError:
+            raise   # click exits 1 quietly when stdout is closed
+        except (AdasubError, OSError) as exc:
+            _fail(EXIT_USAGE, str(exc))
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="adasub")
 def main():
     """Adaptive submodular maximization: policies, oracle, checkers."""
@@ -148,18 +159,15 @@ def _int_list(option: str, text: str) -> list:
 @click.option("--out", type=click.Path(), required=True)
 def gen(n, m, universe, density, wmin, wmax, seed, k, groups, limits, out):
     """Generate a random stochastic-coverage instance file."""
-    try:
-        group_lists = limit_list = None
-        if groups is not None:
-            group_lists = [_int_list("--groups", g) for g in groups.split(";")]
-            if limits is None:
-                raise ValidationError("--groups requires --limits")
-            limit_list = _int_list("--limits", limits)
-        inst = generate_coverage(n, m, universe, density, (wmin, wmax), seed,
-                                 k=k, groups=group_lists, limits=limit_list)
-        save_instance(inst, out)
-    except AdasubError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    group_lists = limit_list = None
+    if groups is not None:
+        group_lists = [_int_list("--groups", g) for g in groups.split(";")]
+        if limits is None:
+            raise ValidationError("--groups requires --limits")
+        limit_list = _int_list("--limits", limits)
+    inst = generate_coverage(n, m, universe, density, (wmin, wmax), seed,
+                             k=k, groups=group_lists, limits=limit_list)
+    save_instance(inst, out)
     _echo("wrote %s" % out)
 
 
@@ -190,11 +198,8 @@ def run(instance_path, policy_specs, seed, mode, samples, out):
     estimates the value from --samples seeded rollouts, with their standard
     error.
     """
-    inst = _load(instance_path)
-    try:
-        policies = [parse_policy(p, inst) for p in policy_specs]
-    except ValidationError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    inst = load_instance(instance_path)
+    policies = [parse_policy(p, inst) for p in policy_specs]
     try:
         opt = optimal_value(inst.utility(), inst.prior, inst.constraint).value
     except InstanceTooLarge:
@@ -211,8 +216,6 @@ def run(instance_path, policy_specs, seed, mode, samples, out):
                                             samples=samples, seed=seed)
         except InstanceTooLarge as exc:
             _fail(EXIT_TOO_LARGE, "%s; use --mode mc" % exc)
-        except ValidationError as exc:
-            _fail(EXIT_USAGE, str(exc))
         wall = time.perf_counter() - t0
         ratio = favg / opt if opt else None
         rows.append([pi.name, ";".join("%s=%s" % kv for kv in sorted(pi.params().items())),
@@ -232,11 +235,8 @@ def run(instance_path, policy_specs, seed, mode, samples, out):
 @click.option("--out", type=click.Path(), default=None)
 def oracle(instance_path, out):
     """Exhaustive optimal-policy value for a small instance."""
-    inst = _load(instance_path)
-    try:
-        res = optimal_value(inst.utility(), inst.prior, inst.constraint)
-    except InstanceTooLarge as exc:
-        _fail(EXIT_TOO_LARGE, str(exc))
+    inst = load_instance(instance_path)
+    res = optimal_value(inst.utility(), inst.prior, inst.constraint)
     lines = ["value %s" % _fmt(res.value),
              "optimal_first_actions %s" % ",".join(map(str, res.optimal_first_actions)),
              "nodes_expanded %d" % res.nodes_expanded,
@@ -262,19 +262,14 @@ CHECKS = {
 @click.option("--out", type=click.Path(), default=None)
 def verify(instance_path, checks, out):
     """Run definitional checkers; nonzero exit on any violation."""
-    inst = _load(instance_path)
+    inst = load_instance(instance_path)
     names = [c.strip() for c in checks.split(",") if c.strip()]
     if not names:
         _fail(EXIT_USAGE, "no checks given")
     unknown = [c for c in names if c not in CHECKS]
     if unknown:
         _fail(EXIT_USAGE, "unknown checks: %s" % ",".join(unknown))
-    reports = []
-    try:
-        for name in names:
-            reports.append(CHECKS[name](inst.utility(), inst.prior))
-    except InstanceTooLarge as exc:
-        _fail(EXIT_TOO_LARGE, str(exc))
+    reports = [CHECKS[name](inst.utility(), inst.prior) for name in names]
     text = "\n".join(r.format() for r in reports) + "\n"
     if out:
         with open(out, "w") as fh:
@@ -305,38 +300,35 @@ BENCH_COLUMNS = ["policy", "n", "budget", "epsilon", "delta_measured",
 def bench(policy_name, ns, ks, eps_list, instance_path, m, universe, density, seed, out):
     """Measure oracle-call counts per rollout against the theoretical caps."""
     rows = []
-    try:
-        if policy_name in ("asg", "gasg") and not eps_list:
-            raise ValidationError("--eps is required for asg/gasg")
-        if policy_name in ("local", "gasg"):
-            if instance_path is None:
-                raise ValidationError("--instance is required for %s" % policy_name)
-            inst = _load(instance_path)
-            if not isinstance(inst.constraint, PartitionConstraint):
-                raise ValidationError("instance constraint must be a partition")
-            # (instance, k, rollout stream); k=None: the instance's budgets
-            cases = [(inst, None, "bench|%s" % seed)]
-        else:
-            if not ns or not ks:
-                raise ValidationError("--n and --k are required for %s" % policy_name)
-            cases = []
-            for n in ns:
-                inst = generate_coverage(n, m, universe, density, seed=seed)
-                cases += [(inst, k, "bench|%s|%d|%d" % (seed, n, k)) for k in ks]
-        eps_grid = list(eps_list) if policy_name in ("asg", "gasg") else [None]
-        for inst, k, stream in cases:
-            for eps in eps_grid:
-                args = [] if k is None else ["k=%d" % k]
-                args += [] if eps is None else ["eps=%r" % eps]
-                pi = parse_policy("%s(%s)" % (policy_name, ",".join(args)), inst)
-                f = inst.utility()
-                phi = inst.prior.sample(random.Random(stream))
-                run_policy(pi, f, inst.prior, phi, seed=stream)
-                budget = sum(inst.constraint.remaining) if k is None else k
-                rows.append([pi.name, inst.n, budget, eps, f.delta_counter,
-                             pi.oracle_call_cap(inst.n), inst.n * budget])
-    except AdasubError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    if policy_name in ("asg", "gasg") and not eps_list:
+        raise ValidationError("--eps is required for asg/gasg")
+    if policy_name in ("local", "gasg"):
+        if instance_path is None:
+            raise ValidationError("--instance is required for %s" % policy_name)
+        inst = load_instance(instance_path)
+        if not isinstance(inst.constraint, PartitionConstraint):
+            raise ValidationError("instance constraint must be a partition")
+        # (instance, k, rollout stream); k=None: the instance's budgets
+        cases = [(inst, None, "bench|%s" % seed)]
+    else:
+        if not ns or not ks:
+            raise ValidationError("--n and --k are required for %s" % policy_name)
+        cases = []
+        for n in ns:
+            inst = generate_coverage(n, m, universe, density, seed=seed)
+            cases += [(inst, k, "bench|%s|%d|%d" % (seed, n, k)) for k in ks]
+    eps_grid = list(eps_list) if policy_name in ("asg", "gasg") else [None]
+    for inst, k, stream in cases:
+        for eps in eps_grid:
+            args = [] if k is None else ["k=%d" % k]
+            args += [] if eps is None else ["eps=%r" % eps]
+            pi = parse_policy("%s(%s)" % (policy_name, ",".join(args)), inst)
+            f = inst.utility()
+            phi = inst.prior.sample(random.Random(stream))
+            run_policy(pi, f, inst.prior, phi, seed=stream)
+            budget = sum(inst.constraint.remaining) if k is None else k
+            rows.append([pi.name, inst.n, budget, eps, f.delta_counter,
+                         pi.oracle_call_cap(inst.n), inst.n * budget])
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BENCH_COLUMNS)

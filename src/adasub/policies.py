@@ -108,9 +108,6 @@ class PartitionConstraint:
         child.__dict__.update(self.__dict__, remaining=tuple(rem))     # shares _group_of
         return child
 
-    def exhausted(self) -> bool:
-        return all(d == 0 for d in self.remaining)
-
     def key(self):
         return ("part", self.remaining)
 
@@ -145,8 +142,9 @@ class Policy:
     """Decision procedure: observation history + constraint state -> item or stop."""
 
     name = "policy"
-    # Exact evaluation averages a randomized policy through decision_distribution,
-    # which gets no scratch: only a deterministic policy may keep state there.
+    # A randomized policy defines decision_distribution, the law of its choice
+    # that unseeded exact evaluation averages over; the law gets no scratch,
+    # so only a deterministic policy may keep state there.
     randomized = False
     supports_tree_eval = True
 
@@ -157,22 +155,12 @@ class Policy:
         inner = ",".join("%s=%s" % (k, v) for k, v in sorted(self.params().items()))
         return "%s(%s)" % (self.name, inner)
 
-    def fresh_constraint(self, n: int):
-        return CardinalityConstraint(n)
-
     def decide(self, ctx: EvalContext, psi: PartialRealization, cstate, scratch):
         raise NotImplementedError
 
-    def decision_distribution(self, ctx: EvalContext, psi: PartialRealization, cstate):
-        """[(item, prob)] of the next selection at psi over the policy's internal
-        randomness; [] means stop.  Deterministic policies give a point mass.
-        """
-        e = self.decide(ctx, psi, cstate, {})
-        return [] if e is None else [(e, 1.0)]
-
     def decision_widths(self, n: int) -> list:
         """Upper bounds, one per selection from the empty history on, on how
-        many items decision_distribution returns."""
+        many items the policy may choose there (its law's length if randomized)."""
         return [1] * min(self.fresh_constraint(n).total_budget(), n)
 
     def run_on(self, ctx: EvalContext, phi) -> PolicyTrace:
@@ -370,19 +358,19 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
     name = "lazy"
 
     def decide(self, ctx, psi, cstate, scratch):
-        # Only round 1 reads the pool; after it the heap holds exactly the
-        # items not yet chosen (each was popped when chosen), and an exhausted
-        # budget or an empty heap stops.
+        # Only round 1 reads the pool; in round j + 1 (|psi| = j) the heap holds
+        # the n - j items not yet chosen, at least one while the budget
+        # min(k, n) - j lasts, so only an exhausted budget stops.
         if cstate.exhausted():
             return None
-        rnd = scratch["round"] = scratch.get("round", 0) + 1
+        rnd = len(psi) + 1
         heap = scratch.get("heap")
         evaluated = []
         if heap is None:    # every entry is fresh, so the first pop is chosen
             evaluated = ctx.pool(psi)
             heap = scratch["heap"] = [(-ctx.delta(e, psi), e, rnd) for e in evaluated]
             heapq.heapify(heap)
-        while heap:
+        while True:
             negd, e, stamp = heapq.heappop(heap)
             if stamp == rnd:
                 ctx.record(evaluated, -negd)
@@ -393,7 +381,6 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
                 ctx.record(evaluated, d)
                 return e
             heapq.heappush(heap, (-d, e, rnd))
-        return None
 
 
 class AdaptiveStochasticGreedyPolicy(AdaptiveGreedyPolicy):

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from adasub import ParseError, generate_coverage, save_instance
+from adasub import (
+    InstanceTooLarge,
+    ParseError,
+    ZeroProbabilityEvidence,
+    cli,
+    generate_coverage,
+    save_instance,
+)
 from adasub.cli import main
 from adasub.instances import (
     complementarity_counterexample,
@@ -478,6 +485,85 @@ class TestBench:
             assert_clean_usage_error(res)
             assert "--eps is required" in res.output
             assert not out.exists()
+
+
+class TestExitCodes:
+    """The command group maps package errors and OSErrors to exit codes for
+    every command; anything else still propagates."""
+
+    @pytest.fixture
+    def commands(self, instance_a_path):
+        return {"gen": ["gen", "--n", "4"],
+                "run": ["run", "--instance", instance_a_path, "--policy", "greedy(k=2)"],
+                "oracle": ["oracle", "--instance", instance_a_path],
+                "verify": ["verify", "--instance", instance_a_path],
+                "bench": ["bench", "--policy", "greedy", "--n", "8", "--k", "2",
+                          "--seed", "0"]}
+
+    @pytest.mark.parametrize("command", ["gen", "run", "oracle", "verify", "bench"])
+    def test_out_in_a_missing_directory_is_usage_error(self, runner, tmp_path, commands,
+                                                       command):
+        out = tmp_path / "missing" / "out.txt"
+        res = runner.invoke(main, commands[command] + ["--out", str(out)])
+        assert_clean_usage_error(res)
+        assert "No such file or directory" in res.output
+        assert not out.parent.exists()
+
+    def test_directory_as_instance_is_usage_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["oracle", "--instance", str(tmp_path)])
+        assert_clean_usage_error(res)
+
+    def test_unexpected_package_error_is_usage_error(self, runner, instance_a_path,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise ZeroProbabilityEvidence("no mass here")
+
+        monkeypatch.setattr(cli, "optimal_value", refuse)
+        res = runner.invoke(main, ["oracle", "--instance", instance_a_path])
+        assert_clean_usage_error(res)
+        assert res.output == "error: no mass here\n"
+
+    def test_over_cap_exits_three_through_the_group(self, runner, instance_a_path, tmp_path,
+                                                    monkeypatch):
+        def refuse(*args, **kwargs):
+            raise InstanceTooLarge("over the cap")
+
+        monkeypatch.setattr(cli, "optimal_value", refuse)
+        res = runner.invoke(main, ["oracle", "--instance", instance_a_path])
+        assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+        assert res.output == "error: over the cap\n"
+        # run keeps its fallback for the oracle: no oracle row and a blank ratio
+        out = tmp_path / "run.csv"
+        args = ["run", "--instance", instance_a_path, "--policy", "greedy(k=2)",
+                "--out", str(out)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert [(r["policy"], r["ratio"]) for r in read_rows(out)] == [("greedy", "")]
+        # and names the Monte Carlo mode when the policy's tree is over its cap
+        monkeypatch.setattr(cli, "expected_utility", refuse)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+        assert res.output == "error: over the cap; use --mode mc\n"
+
+    def test_programming_error_keeps_its_traceback(self, runner, instance_a_path,
+                                                   monkeypatch):
+        bug = TypeError("a bug")
+
+        def fail(*args):
+            raise bug
+
+        monkeypatch.setattr(cli, "optimal_value", fail)
+        res = runner.invoke(main, ["oracle", "--instance", instance_a_path])
+        assert res.exit_code == 1 and res.exception is bug
+
+    def test_closed_stdout_is_left_to_click(self, runner, instance_a_path, monkeypatch):
+        def fail(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "optimal_value", fail)
+        res = runner.invoke(main, ["oracle", "--instance", instance_a_path])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output == ""
 
 
 # Golden CSVs: `run` (exact and --mode mc, all six policies on one partition
