@@ -8,12 +8,15 @@ Exit status: 0 success, 1 check failure, 2 usage/config error, 3 instance
 over the exhaustive-computation caps.  The command group maps package
 errors to these codes in one place: InstanceTooLarge exits 3, any other
 AdasubError or an OSError (an unreadable instance, an unwritable --out)
-exits 2, each with one `error: ...` line.
+exits 2, each with one `error: ...` line.  An --out in a missing directory,
+or one that is a directory, is refused before any work is done.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
+import os
 import random
 import re
 import sys
@@ -137,6 +140,18 @@ def main():
     """Adaptive submodular maximization: policies, oracle, checkers."""
 
 
+def _writable_out(ctx, param, out):
+    """--out, unless open(out, "w") would fail for want of its directory or
+    because out is one: that OSError is raised now, before any work, and
+    nothing is created."""
+    if out is not None:
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    return out
+
+
 def _int_list(option: str, text: str) -> list:
     try:
         return [int(x) for x in text.split(",")]
@@ -185,7 +200,7 @@ RUN_COLUMNS = ["policy", "params", "f_avg", "stderr", "delta_evals", "f_evals",
               show_default=True)
 @click.option("--samples", type=int, default=10_000, show_default=True,
               help="Monte Carlo rollouts per policy in mc mode.")
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(), required=True, callback=_writable_out)
 def run(instance_path, policy_specs, seed, mode, samples, out):
     """Evaluate policies on an instance; one CSV row per policy plus the oracle.
 
@@ -232,7 +247,7 @@ def run(instance_path, policy_specs, seed, mode, samples, out):
 
 @main.command()
 @click.option("--instance", "instance_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_writable_out)
 def oracle(instance_path, out):
     """Exhaustive optimal-policy value for a small instance."""
     inst = load_instance(instance_path)
@@ -249,9 +264,9 @@ def oracle(instance_path, out):
 
 
 CHECKS = {
-    "monotone": lambda f, prior: check_adaptive_monotone(f, prior),
-    "submodular": lambda f, prior: check_adaptive_submodular(f, prior),
-    "fully": lambda f, prior: check_fully_adaptive_submodular(f, prior),
+    "monotone": check_adaptive_monotone,
+    "submodular": check_adaptive_submodular,
+    "fully": check_fully_adaptive_submodular,
 }
 
 
@@ -259,7 +274,7 @@ CHECKS = {
 @click.option("--instance", "instance_path", type=click.Path(exists=True), required=True)
 @click.option("--checks", default="monotone,submodular", show_default=True,
               help="Comma-separated subset of monotone,submodular,fully.")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_writable_out)
 def verify(instance_path, checks, out):
     """Run definitional checkers; nonzero exit on any violation."""
     inst = load_instance(instance_path)
@@ -296,7 +311,7 @@ BENCH_COLUMNS = ["policy", "n", "budget", "epsilon", "delta_measured",
 @click.option("--universe", type=int, default=16, show_default=True)
 @click.option("--density", type=float, default=0.2, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(), required=True, callback=_writable_out)
 def bench(policy_name, ns, ks, eps_list, instance_path, m, universe, density, seed, out):
     """Measure oracle-call counts per rollout against the theoretical caps."""
     rows = []

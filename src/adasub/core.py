@@ -30,10 +30,10 @@ from .errors import (
 
 PROB_TOL = 1e-9
 ENUMERATION_CAP = 1 << 20
-# Running sums (~32 bytes each) a CoverageUtility's Delta states, one per
-# covered mask priced by any context on it, reach before they are dropped and
-# built anew.
-_SHARED_SUMS_MAX = 1 << 14
+# A CoverageUtility's Delta states, one per covered mask priced by any context
+# on it, are dropped and built anew once their number times (universe size + 1)
+# reaches this bound.
+_SHARED_STATES_MAX = 1 << 14
 
 
 def _check_int(value, name: str):
@@ -430,13 +430,14 @@ class CoverageUtility(UtilityFunction):
             mask |= self.covers[e][states[e]]
         return self._mask_weight(mask)
 
-    def _mask_weight(self, mask: int, total: float = 0.0) -> float:
-        """total plus the weights of mask's bits, added low bit to high.
+    def _mask_weight(self, mask: int) -> float:
+        """The weights of mask's bits, added low bit to high.
 
         One summation order everywhere, so value() and expected_gain() agree
         to the last bit.
         """
         weights = self.weights
+        total = 0.0
         while mask:
             bit = mask & -mask
             total += weights[bit.bit_length() - 1]
@@ -451,44 +452,35 @@ class CoverageUtility(UtilityFunction):
         return covered
 
     def state(self, covered):
-        """(covered mask, f(dom psi), running sums of the covered weights, memo)
-        for a history psi whose observations cover the mask `covered`.
+        """(covered mask, f(dom psi), memo) for a history psi whose
+        observations cover the mask `covered`.
 
-        sums[i] is the weight of the covered elements below element i, added
-        in _mask_weight's order, so sums[-1] is f(dom psi) to the last bit.
         memo maps a newly covered mask to its gain (the empty mask's is there
         from the start).  All of it depends on the covered mask alone, so
         every history that covers the same elements, in any context on this
         utility, gets the same state, built once with no value() call.  The
-        states are dropped once they hold _SHARED_SUMS_MAX running sums.
+        states are dropped once their number times (universe size + 1)
+        reaches _SHARED_STATES_MAX.
         """
         states = self._states
         state = states.get(covered)
         if state is None:
-            if len(states) * (self.universe_size + 1) >= _SHARED_SUMS_MAX:
+            if len(states) * (self.universe_size + 1) >= _SHARED_STATES_MAX:
                 states.clear()
-            sums = [0.0]
-            total = 0.0
-            for i, w in enumerate(self.weights):
-                if covered >> i & 1:
-                    total += w
-                sums.append(total)
-            state = states[covered] = covered, total, sums, {0: 0.0}
+            state = states[covered] = covered, self._mask_weight(covered), {0: 0.0}
         return state
 
     def expected_gain(self, state, e, posterior):
-        # value() of covered | new sums low to high, so it passes through
-        # sums[low] at new's lowest element and then adds the rest in order.
-        covered, base, sums, memo = state
+        # A gain is value()'s own sum over the mask f(dom psi + {e}) covers,
+        # less f(dom psi): the two-evaluation formula by construction.
+        covered, base, memo = state
         row = self.covers[e]
         total = 0.0
         for o, p in posterior:
             new = row[o] & ~covered
             gain = memo.get(new)
             if gain is None:
-                low = (new & -new).bit_length() - 1
-                gain = memo[new] = self._mask_weight((covered | new) >> low << low,
-                                                     sums[low]) - base
+                gain = memo[new] = self._mask_weight(covered | new) - base
             total += p * gain
         return total
 
@@ -610,10 +602,10 @@ class EvalContext:
     so no round rebuilds what the round before it had.  Any other history
     (exact evaluation, the checkers' sweeps, a stray psi) becomes the
     current one with its state built from scratch.
-    f's Delta state (for coverage: the covered mask, f(dom psi), the running
-    sums and the gain memo) belongs to f: f.state(covered) builds, shares and
-    bounds it, so every history that covers the same elements, in any
-    context on f, rollout or not, prices from one state and one gain memo.
+    f's Delta state (for coverage: the covered mask, f(dom psi) and the gain
+    memo) belongs to f: f.state(covered) builds, shares and bounds it, so
+    every history that covers the same elements, in any context on f,
+    rollout or not, prices from one state and one gain memo.
     """
 
     def __init__(self, f, prior, seed=0, delta_cache=None):

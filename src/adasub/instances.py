@@ -100,7 +100,7 @@ class Instance:
 def _mask(elems) -> int:
     mask = 0
     for x in elems:
-        mask |= 1 << int(x)
+        mask |= 1 << _check_int(x, "coverage element")
     return mask
 
 

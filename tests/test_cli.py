@@ -509,6 +509,24 @@ class TestExitCodes:
         assert "No such file or directory" in res.output
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("command", ["run", "oracle", "verify", "bench"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_is_refused_before_any_work(self, runner, tmp_path, commands,
+                                                       monkeypatch, command, where):
+        def compute(*args, **kwargs):
+            raise AssertionError("computed before --out was checked")
+
+        for name in ("optimal_value", "expected_utility", "run_policy"):
+            monkeypatch.setattr(cli, name, compute)
+        for name in cli.CHECKS:
+            monkeypatch.setitem(cli.CHECKS, name, compute)
+        out = tmp_path / "missing" / "out.txt" if where == "missing directory" else tmp_path
+        res = runner.invoke(main, commands[command] + ["--out", str(out)])
+        assert_clean_usage_error(res)
+        message = "No such file or directory" if where == "missing directory" else "Is a directory"
+        assert res.output.startswith("error: [Errno ") and message in res.output
+        assert not out.parent.exists() if where == "missing directory" else out.is_dir()
+
     def test_directory_as_instance_is_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["oracle", "--instance", str(tmp_path)])
         assert_clean_usage_error(res)

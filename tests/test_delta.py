@@ -1,7 +1,7 @@
 """The incremental Delta path against the two-evaluation definition.
 
 EvalContext.delta and marginal_utility price a coverage candidate from f's
-state at the history (CoverageUtility.observe / expected_gain).  These tests hold
+state at the history (CoverageUtility.state / expected_gain).  These tests hold
 them to Sum_o p(o) * (f(dom + e) - f(dom)), written out with two value()
 calls per state, with exact float equality, and require rollouts driven by
 either to pick the same items.
@@ -59,12 +59,12 @@ def random_history(prior, rng, size):
     return PartialRealization.of({e: phi[e] for e in rng.sample(range(prior.n), size)})
 
 
-def coverage_instances(count=24):
+def coverage_instances(count=24, universe=(4, 80), density=(0.05, 0.5)):
     for seed in range(count):
         rng = random.Random(seed)
         yield rng, generate_coverage(n=rng.randint(6, 40), m=2 + seed % 2,
-                                     universe_size=rng.randint(4, 80),
-                                     density=rng.uniform(0.05, 0.5), seed=seed)
+                                     universe_size=rng.randint(*universe),
+                                     density=rng.uniform(*density), seed=seed)
 
 
 class SqrtOfSelected(UtilityFunction):
@@ -92,6 +92,26 @@ class TestCoverageDeltaIsExact:
                     expected = explicit_delta(ref, inst.prior, psi, e)
                     assert ctx.delta(e, psi) == expected
                     assert marginal_utility(f, inst.prior, psi, e) == expected
+
+    def test_matches_two_evaluation_formula_at_large_universes(self):
+        # Sparse coverage of 128-256 elements: a candidate's newly covered
+        # elements sit high in the mask and rarely repeat, so the gain memo
+        # misses on almost every candidate and each gain is a fresh sum.
+        priced = misses = 0
+        for rng, inst in coverage_instances(12, universe=(128, 256), density=(0.01, 0.05)):
+            f, ref = inst.utility(), inst.utility()
+            ctx = EvalContext(f, inst.prior)
+            histories = [PSI_EMPTY] + [random_history(inst.prior, rng, rng.randint(1, inst.n - 1))
+                                       for _ in range(4)]
+            for e in range(inst.n):
+                for psi in histories:
+                    expected = explicit_delta(ref, inst.prior, psi, e).hex()
+                    assert ctx.delta(e, psi).hex() == expected
+                    assert marginal_utility(f, inst.prior, psi, e).hex() == expected
+            for psi in histories:
+                priced += sum(inst.m for e in range(inst.n) if e not in psi)
+            misses += sum(len(state[2]) - 1 for state in f._states.values())
+        assert misses > 0.8 * priced
 
     def test_delta_cache_keeps_exact_values(self):
         inst = generate_coverage(n=12, m=3, universe_size=20, density=0.3, seed=4)
@@ -128,7 +148,7 @@ class TestCoverageDeltaIsExact:
         f, ref = CoverageUtility(weights, covers), CoverageUtility(weights, covers)
         psi = PartialRealization.of({3: 0})
         state = f.state(f.covered(psi))
-        memo = state[3]
+        memo = state[2]
         assert f.expected_gain(state, 0, prior.rows[0]) == explicit_delta(ref, prior, psi, 0)
         priced = dict(memo)
         assert 0b00010 in priced

@@ -56,16 +56,15 @@ def reference_draws(seed, psi):
 
 
 def assert_same_f_state(state, ref, psi):
-    """A coverage state (covered, base, sums, memo) at psi equals the state
+    """A coverage state (covered, base, memo) at psi equals the state
     ref.state(covered(psi)) of a utility ref with its own states, to the bit,
     and every gain in its memo, whichever history priced it, is the gain that
     ref's whole-mask sum gives."""
-    covered, base, sums, memo = state
+    covered, base, memo = state
     fresh = ref.state(ref.covered(psi))
     assert fresh is not state
     assert covered == fresh[0]
     assert base.hex() == fresh[1].hex()
-    assert [x.hex() for x in sums] == [x.hex() for x in fresh[2]]
     assert memo[0] == 0.0
     for new, gain in memo.items():
         assert gain.hex() == (ref._mask_weight(covered | new) - base).hex()
@@ -235,9 +234,9 @@ def test_contexts_on_one_utility_share_its_states():
     assert first is second is f.state(f.covered(psi))
     assert third is other.state(f.covered(psi)) is not first
     assert len(f._states) == len(other._states) == 1
-    memo = dict(first[3])
+    memo = dict(first[2])
     assert marginal_utility(f, inst.prior, psi, 0) == contexts[0].delta(0, psi)
-    assert first[3] == memo and len(f._states) == 1
+    assert first[2] == memo and len(f._states) == 1
 
 
 @pytest.mark.parametrize("explicit", [False, True], ids=["independent", "explicit"])
@@ -266,7 +265,7 @@ def test_shared_states_stay_within_their_cap():
     inst = generate_coverage(n=5, m=3, universe_size=200, density=0.3, seed=4)
     f, ref = inst.utility(), inst.utility()
     ctx = EvalContext(f, inst.prior)
-    cap = math.ceil(core._SHARED_SUMS_MAX / (f.universe_size + 1))
+    cap = math.ceil(core._SHARED_STATES_MAX / (f.universe_size + 1))
     histories = list(enumerate_partial_realizations(inst.prior))
     assert len({f.covered(psi) for psi in histories}) > 2 * cap
     most = 0
@@ -284,7 +283,7 @@ def test_a_long_rollout_keeps_its_states_within_the_cap():
     # a fresh utility's to the bit.
     inst = generate_coverage(n=400, m=2, universe_size=200, density=0.01, seed=3)
     f, ref = inst.utility(), inst.utility()
-    cap = math.ceil(core._SHARED_SUMS_MAX / (f.universe_size + 1))
+    cap = math.ceil(core._SHARED_STATES_MAX / (f.universe_size + 1))
     masks, sizes = set(), []
 
     class Capped(EvalContext):

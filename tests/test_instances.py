@@ -143,6 +143,16 @@ class TestUtilityMaskTable:
             with pytest.raises(ValidationError, match="coverage of item 1 outside universe"):
                 inst.utility()
 
+    @pytest.mark.parametrize("element", [2.5, True], ids=["float", "bool"])
+    def test_non_integer_coverage_element_is_refused(self, element):
+        # 1 << int(x) would have read 2.5 as element 2 and True as element 1.
+        inst = Instance(1, 1, IndependentPrior([[1.0]]),
+                        {"type": "coverage", "weights": [1.0, 1.0, 1.0],
+                         "covers": [[[element]]]},
+                        CardinalityConstraint(1))
+        with pytest.raises(ValidationError, match="coverage element must be an integer"):
+            inst.validate()
+
 
 def _field_paths(x, prefix=()):
     yield prefix
