@@ -3,8 +3,9 @@
 The golden file holds optimal_value's value bits, tied first actions and
 node/memo-hit counts, and restricted_optimal's value bits at every psi of
 size <= 1, for generated cardinality and partition instances (n = 4-10),
-written by tests/golden/make_oracle.py; a fresh run must match it byte for
-byte.
+the same kind of coverage under an explicit prior, tabular utilities under
+either prior and both counterexamples, written by tests/golden/make_oracle.py;
+a fresh run must match it byte for byte.
 """
 
 import importlib.util
