@@ -1,14 +1,13 @@
 """Exact and Monte Carlo evaluation of policy expected utility.
 
-One recursion over observation histories, HistoryRecursion, serves exact
-policy evaluation here and, for every instance but coverage under an
-independent prior (which adasub.oracle solves in its own kernel), the
-optimum: both are the same expectation over histories, memoized on
-(history, constraint state), where the optimum takes a max and a policy its
-own choice.  A policy owns its constraint (pi.fresh_constraint(n)) and is
-always evaluated under it.  A deterministic policy's choice is its decide,
-the code a rollout runs, and so is a randomized one's for a fixed master seed
-(its stream is derived from the seed and the history); unseeded, a randomized
+Exact evaluation is one recursion over observation histories,
+HistoryRecursion: the expectation of the final utility over histories,
+memoized on (history, constraint state), where each node takes the policy's
+own choice (adasub.oracle takes the max over the same expectation in its own
+kernel).  A policy owns its constraint (pi.fresh_constraint(n)) and is always
+evaluated under it.  A deterministic policy's choice is its decide, the code
+a rollout runs, and so is a randomized one's for a fixed master seed (its
+stream is derived from the seed and the history); unseeded, a randomized
 policy's decision_distribution averages over that randomness exactly.  Exact
 evaluation first bounds the histories it could visit and refuses trees over
 EXACT_MAX_HISTORIES: a randomized policy may reach C(n, j) * m^j histories at
@@ -20,7 +19,6 @@ and running a rollout per realization.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import random
 
@@ -51,35 +49,53 @@ def exact_history_bound(pi: Policy, n: int, m: int, expand=True) -> int:
 
 
 class HistoryRecursion:
-    """Expected final utility over observation histories.
+    """pi's expected final utility over observation histories, in the context ctx.
 
-    value(psi, cstate) is rule(self, psi, cstate, scratch), which either
-    stops, worth stop(psi) = E[f(dom psi) | psi], or combines
+    value(psi, cstate, scratch) is a node: pi either stops, worth stop(psi) =
+    E[f(dom psi) | psi], or its choice's branches are averaged, each
     branch(psi, cstate, e, scratch) = sum_o p(o | psi) * value(psi + (e, o),
-    cstate after e) over items.  A node whose scratch is empty ({}, [] or
-    None) is memoized on (psi, constraint key); one whose scratch holds state
-    depends on its path, is not memoized, and gives each child a deep copy.
-    A stop value is priced each time a rule asks for it, as exact evaluation
-    asks once per history.  Branching and stopping also condition on `given`,
-    which the rule does not see.  nodes counts rule calls, hits memo hits.
+    cstate after e).  A node whose scratch is empty ({} or None) is memoized
+    on (psi, constraint key); one whose scratch holds state depends on its
+    path, is not memoized, and gives each child a deep copy.  A stop value is
+    priced each time a node stops, once per history.  Branching and stopping
+    also condition on `given`, which pi does not see.  nodes counts expanded
+    nodes, hits memo hits.
     """
 
-    def __init__(self, f, prior, rule, given=PSI_EMPTY):
-        self.f, self.prior, self.rule, self.given = f, prior, rule, given
+    def __init__(self, pi, ctx, given=PSI_EMPTY):
+        self.pi, self.ctx, self.given = pi, ctx, given
+        self.f, self.prior = ctx.f, ctx.prior
         self.memo = {}
         self.nodes = self.hits = 0
 
     def value(self, psi, cstate, scratch=None):
         if scratch:
             self.nodes += 1
-            return self.rule(self, psi, cstate, scratch)
+            return self._node(psi, cstate, scratch)
         key = (psi.pairs, cstate.key())
         value = self.memo.get(key)
         if value is not None:
             self.hits += 1
             return value
         self.nodes += 1
-        value = self.memo[key] = self.rule(self, psi, cstate, scratch)
+        value = self.memo[key] = self._node(psi, cstate, scratch)
+        return value
+
+    def _node(self, psi, cstate, scratch):
+        """Stop, or average the branches over pi's choice."""
+        pi, ctx = self.pi, self.ctx
+        if ctx.seed is None and pi.randomized:
+            choices = pi.decision_distribution(ctx, psi, cstate)
+        else:
+            e = pi.decide(ctx, psi, cstate, scratch)
+            choices = [] if e is None else [(e, 1.0)]
+        if not choices:
+            return self.stop(psi)
+        value = 0.0
+        for e, q in choices:
+            if not 0 <= e < ctx.n or e in psi or not cstate.can_select(e):
+                raise PolicyViolation("%s chose infeasible item %d" % (pi.name, e))
+            value += q * self.branch(psi, cstate, e, scratch)
         return value
 
     def _evidence(self, psi):
@@ -97,23 +113,6 @@ class HistoryRecursion:
             child = copy.deepcopy(scratch) if scratch else scratch
             total += p * self.value(psi.with_observation(e, o), nxt, child)
         return total
-
-
-def _policy_node(pi, ctx, rec, psi, cstate, scratch):
-    """pi's node rule: stop, or average the branches over its choice."""
-    if ctx.seed is None and pi.randomized:
-        choices = pi.decision_distribution(ctx, psi, cstate)
-    else:
-        e = pi.decide(ctx, psi, cstate, scratch)
-        choices = [] if e is None else [(e, 1.0)]
-    if not choices:
-        return rec.stop(psi)
-    value = 0.0
-    for e, q in choices:
-        if not 0 <= e < ctx.n or e in psi or not cstate.can_select(e):
-            raise PolicyViolation("%s chose infeasible item %d" % (pi.name, e))
-        value += q * rec.branch(psi, cstate, e, scratch)
-    return value
 
 
 def exact_policy_value(pi: Policy, f, prior, seed=None, delta_cache=None) -> float:
@@ -146,7 +145,7 @@ def _policy_value(pi, f, prior, given, seed, delta_cache=None):
             "exact evaluation of %s may visit %d histories, over the cap %d"
             % (pi.describe(), bound, EXACT_MAX_HISTORIES))
     ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
-    rec = HistoryRecursion(f, prior, functools.partial(_policy_node, pi, ctx), given=given)
+    rec = HistoryRecursion(pi, ctx, given=given)
     return rec.value(PSI_EMPTY, pi.fresh_constraint(prior.n), {})
 
 
@@ -173,7 +172,10 @@ def expected_utility(f, prior, pi: Policy, mode: str = "exact",
                            delta_cache=delta_cache)
         vals.append(trace.value)
     mean = sum(vals) / len(vals)
-    var = sum((v - mean) ** 2 for v in vals) / max(len(vals) - 1, 1)
+    try:
+        var = sum((v - mean) ** 2 for v in vals) / max(len(vals) - 1, 1)
+    except OverflowError:   # a square past the float range, as from values near 1e308
+        var = math.inf
     return mean, math.sqrt(var / len(vals))
 
 

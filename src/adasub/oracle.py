@@ -7,23 +7,27 @@ with the policy's choice replaced by a max:
                   max_e sum_o Pr[Phi_e = o | psi] * V(psi + (e, o)) )
 
 memoized on (psi, constraint state).  The stop branch keeps the oracle
-correct for non-monotone tabular utilities.  Two recursions compute it:
+correct for non-monotone tabular utilities.  One flat kernel, _Kernel,
+computes it for every instance.  It keys a history psi as (dom psi bitmask,
+state, constraint key), where the state ORs a bit pattern per observation
+(e, o):
 
-* For coverage under an independent prior, _CoverageKernel.  An unobserved
-  item's posterior is its prior, and the future values of psi read it only
-  through its covered mask, so (dom psi bitmask, covered mask, constraint
-  key) fixes V bit for bit and is the memo key; a stop is the covered mask's
-  weight, memoized on the mask.  Each constraint key gets a move table once:
-  the mask of selectable items and, per item e, (cstate.after(e), its key).
-  A node loops over the set bits of `selectable & ~dom` in ascending order
-  and keys each child from the node's key in O(1); no history is built
-  below the root.
-* Every other instance runs evaluation.HistoryRecursion with _best_choice
-  as the node rule, memoized on psi itself.
+* for coverage under an independent prior, (e, o)'s coverage mask.  An
+  unobserved item's posterior is its prior, and the future values of psi
+  read it only through its covered mask, so the key fixes V bit for bit; a
+  stop is the covered mask's weight.
+* for every other instance, o + 1 in item e's field of m.bit_length() bits,
+  so the state is psi itself; a stop is expected_set_value at that history.
 
-Both break ties alike: values within VALUE_TOL of the best tie, and the
-root's tied best items are its optimal first actions.  Hard instance caps
-fail loudly; ground truth is this module's only job.
+Stop values are memoized on the state.  Under an independent prior each
+item's (bits, probability) row is built once; under an explicit prior a node
+prices each free item's posterior at its history.  Each constraint key gets
+a move table once: the mask of selectable items and, per item e,
+(cstate.after(e), its key).  A node loops over the set bits of
+`selectable & ~dom` in ascending order and keys each child from the node's
+key in O(1).  Values within VALUE_TOL of the best tie, and the root's tied
+best items are its optimal first actions.  Hard instance caps fail loudly;
+ground truth is this module's only job.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (CoverageUtility, IndependentPrior, PSI_EMPTY, PartialRealization,
-                   _check_evidence, _check_items)
+                   _check_evidence, _check_items, expected_set_value)
 from .errors import InstanceTooLarge, ValidationError
-from .evaluation import HistoryRecursion
 
 VALUE_TOL = 1e-12
 
@@ -77,61 +80,57 @@ def _dom_mask(psi):
     return dom
 
 
-def _best_choice(rec, psi, cstate, first):
-    """HistoryRecursion's node rule: the max of stopping and every feasible
-    branch; values within VALUE_TOL of the best tie.
+class _Kernel:
+    """The optimum's recursion (module docstring).
 
-    A `first` list receives the tied best items.
-    """
-    best = rec.stop(psi)
-    best_items = []
-    dom = _dom_mask(psi)
-    for e in range(rec.prior.n):
-        if dom >> e & 1 or not cstate.can_select(e):
-            continue
-        val = rec.branch(psi, cstate, e)
-        if val > best + VALUE_TOL:
-            best = val
-            best_items = [e]
-        elif val >= best - VALUE_TOL:
-            best_items.append(e)
-    if first is not None:
-        first[:] = best_items
-    return best
-
-
-class _CoverageKernel:
-    """The optimum for coverage under an independent prior (module docstring).
-
-    value(psi, cstate, first) and stop(psi) answer as HistoryRecursion's do
-    with _best_choice as the rule; psi is read once per change, for its root
-    key.  nodes counts expanded keys, hits memo hits.
+    value(psi, cstate, first) is V at psi under the constraint state, and
+    stop(psi) psi's stop value; psi is read once per change, for its root
+    key.  A `first` list receives the root's tied best items.  nodes counts
+    expanded keys, hits memo hits.
     """
 
     def __init__(self, f, prior):
         self.f, self.prior, self.n = f, prior, prior.n
-        # Per item, (coverage mask, probability) of each state of positive mass.
-        self.rows = tuple(tuple((f.covers[e][o], p) for o, p in row)
-                          for e, row in enumerate(prior.rows))
+        independent = isinstance(prior, IndependentPrior)
+        self.coverage = independent and isinstance(f, CoverageUtility)
+        self.width = width = prior.m.bit_length()
+        # bits[e][o]: observation (e, o)'s part of a state.
+        self.bits = (f.covers if self.coverage else
+                     [[(o + 1) << (e * width) for o in range(prior.m)] for e in range(self.n)])
+        # Per item, (bits, probability) of each state of positive mass; under
+        # an explicit prior a node prices them at its history.
+        self.rows = (tuple(tuple((self.bits[e][o], p) for o, p in row)
+                           for e, row in enumerate(prior.rows)) if independent else None)
         self.memo, self.stops, self.moves = {}, {}, {}
         self.nodes = self.hits = 0
         self._psi = self._root = None
 
+    def _history(self, state):
+        """The history whose state this is, where states are not covered masks."""
+        width, field = self.width, (1 << self.width) - 1
+        return PartialRealization(tuple((e, o - 1) for e in range(self.n)
+                                        if (o := (state >> (e * width)) & field)))
+
     def _root_of(self, psi):
-        """(dom psi bitmask, covered mask); impossible evidence raises."""
+        """(dom psi bitmask, state); impossible evidence raises."""
         if psi is not self._psi:
             _check_evidence(self.prior, psi)
-            self._root = (_dom_mask(psi), self.f.covered(psi))
+            bits, state = self.bits, 0
+            for e, o in psi.pairs:
+                state |= bits[e][o]
+            self._root = (_dom_mask(psi), state)
             self._psi = psi
         return self._root
 
     def stop(self, psi):
         return self._stop(self._root_of(psi)[1])
 
-    def _stop(self, covered):
-        value = self.stops.get(covered)
+    def _stop(self, state):
+        value = self.stops.get(state)
         if value is None:
-            value = self.stops[covered] = self.f._mask_weight(covered)
+            value = self.stops[state] = (
+                self.f._mask_weight(state) if self.coverage
+                else expected_set_value(self.f, self.prior, self._history(state)))
         return value
 
     def value(self, psi, cstate, first=None):
@@ -167,11 +166,16 @@ class _CoverageKernel:
     def _node(self, key, cstate, first):
         """V at a key not in the memo."""
         self.nodes += 1
-        dom, covered, ckey = key
+        dom, state, ckey = key
         memo, rows = self.memo, self.rows
-        best = self._stop(covered)
+        best = self._stop(state)
         selectable, after = self.moves.get(ckey) or self._moves(cstate, ckey)
         free = selectable & ~dom
+        if rows is None and free:   # an explicit prior's posteriors at psi
+            psi, rows = self._history(state), [None] * self.n
+            for e in range(self.n):
+                if free >> e & 1:
+                    rows[e] = [(self.bits[e][o], p) for o, p in self.prior.item_posterior(e, psi)]
         best_items = []
         hits = 0
         while free:
@@ -181,8 +185,8 @@ class _CoverageKernel:
             nxt, nkey = after[e]
             child = dom | bit
             total = 0.0
-            for mask, p in rows[e]:
-                k = (child, covered | mask, nkey)
+            for bits, p in rows[e]:
+                k = (child, state | bits, nkey)
                 value = memo.get(k)
                 if value is None:
                     value = self._node(k, nxt, None)
@@ -201,18 +205,11 @@ class _CoverageKernel:
         return best
 
 
-def _recursion(f, prior):
-    """The oracle's recursion for f under the prior (module docstring)."""
-    if isinstance(f, CoverageUtility) and isinstance(prior, IndependentPrior):
-        return _CoverageKernel(f, prior)
-    return HistoryRecursion(f, prior, _best_choice)
-
-
 def _solve(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
     _check_size(prior, caps)
     _check_budget(prior, constraint.total_budget(), caps)
     first = []
-    rec = _recursion(f, prior)
+    rec = _Kernel(f, prior)
     value = rec.value(PSI_EMPTY, constraint, first)
     return OracleResult(value, tuple(first), rec.nodes, rec.hits)
 
@@ -255,16 +252,13 @@ class RestrictedOracle:
     subproblems that several queries reach are computed once.  Callers ask
     many (items, a) at one psi, so psi's dom bitmask and stop value are
     computed when psi changes, not per query.  query(psi, mask(items), a)
-    checks the items once for many psi; the coverage kernel answers it by
-    _CoverageKernel.restricted.
+    checks the items once for many psi; _Kernel.restricted answers it.
     """
 
     def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
         _check_size(prior, caps)
         self.prior, self.caps = prior, caps
-        rec = self.rec = _recursion(f, prior)
-        self._restricted = (rec.restricted if isinstance(rec, _CoverageKernel) else
-                            lambda psi, items, budget: rec.value(psi, _Restriction(items, budget)))
+        self.rec = _Kernel(f, prior)
         self._psi = self._dom = self._stop = None
 
     def __call__(self, psi: PartialRealization, items, a: int) -> float:
@@ -295,7 +289,7 @@ class RestrictedOracle:
             _check_budget(self.prior, budget, self.caps)
         if self._stop is None:      # checks psi's evidence
             self._stop = self.rec.stop(psi)
-        return self._restricted(psi, free, budget) - self._stop
+        return self.rec.restricted(psi, free, budget) - self._stop
 
 
 def restricted_optimal(f, prior, psi: PartialRealization, items, a: int,

@@ -86,12 +86,21 @@ class TestGen:
         assert_clean_usage_error(res)
         assert "--groups" in res.output
 
+    def test_groups_without_limits_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "inst.json"
+        res = runner.invoke(main, ["gen", "--n", "4", "--groups", "0,1;2,3",
+                                   "--out", str(out)])
+        assert_clean_usage_error(res)
+        assert res.stderr == "error: --groups requires --limits\n"
+        assert not out.exists()
+
 
 def assert_clean_usage_error(res):
-    """Exit 2 with an `error:` line, not an uncaught exception."""
+    """Exit 2 with one `error:` line on stderr, not an uncaught exception."""
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit), res.exception
     assert "error: " in res.output and "Traceback" not in res.output
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
 
 
 class TestRun:
@@ -140,6 +149,32 @@ class TestRun:
                                    "--seed", "5", "--out", str(out)])
         assert res.exit_code == 0
         assert read_rows(out) == []
+
+    @pytest.mark.parametrize("spec,message", [
+        ("asg k=2", "cannot parse policy descriptor 'asg k=2'"),
+        ("", "cannot parse policy descriptor ''"),
+        ("greedy(2)", "bad argument '2' in policy 'greedy(2)'"),
+        ("asg(k=2)", "policy 'asg(k=2)' is missing argument 'eps'"),
+        ("local", "policy 'local' needs an instance with a partition constraint"),
+        ("gasg(eps=0.1)", "policy 'gasg' needs an instance with a partition constraint"),
+    ])
+    def test_bad_descriptor_is_usage_error(self, runner, instance_a_path, tmp_path,
+                                           spec, message):
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, ["run", "--instance", instance_a_path, "--policy", spec,
+                                   "--out", str(out)])
+        assert_clean_usage_error(res)
+        assert res.stderr == "error: %s\n" % message
+        assert not out.exists()
+
+    def test_empty_policy_selects_nothing(self, runner, instance_a_path, tmp_path):
+        out = tmp_path / "run.csv"
+        res = runner.invoke(main, ["run", "--instance", instance_a_path,
+                                   "--policy", "empty", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = read_rows(out)
+        assert [(r["policy"], r["f_avg"], r["delta_evals"], r["ratio"]) for r in rows] == [
+            ("empty", "0", "0", "0"), ("oracle", "1.75", "", "1")]
 
     def test_unknown_policy_is_usage_error(self, runner, instance_a_path, tmp_path):
         res = runner.invoke(main, ["run", "--instance", instance_a_path,
@@ -397,6 +432,13 @@ class TestOracle:
         assert "value 1.75" in res.output
         assert "nodes_expanded" in res.output
 
+    def test_out_file_holds_the_printed_report(self, runner, instance_a_path, tmp_path):
+        out = tmp_path / "oracle.txt"
+        res = runner.invoke(main, ["oracle", "--instance", instance_a_path, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert out.read_text() == res.stdout
+        assert res.stdout.startswith("value 1.75\noptimal_first_actions ")
+
     def test_too_large_exits_three(self, runner, tmp_path):
         path = tmp_path / "big.json"
         save_instance(generate_coverage(11, 2, 4, 0.2, seed=0), path)
@@ -485,6 +527,23 @@ class TestBench:
             assert_clean_usage_error(res)
             assert "--eps is required" in res.output
             assert not out.exists()
+
+
+    @pytest.mark.parametrize("args,message", [
+        (["--policy", "local"], "--instance is required for local"),
+        (["--policy", "gasg", "--eps", "0.1", "--instance", "{card}"],
+         "instance constraint must be a partition"),
+        (["--policy", "greedy", "--n", "8"], "--n and --k are required for greedy"),
+    ])
+    def test_argument_errors_are_usage_errors(self, runner, tmp_path, args, message):
+        card = tmp_path / "card.json"
+        save_instance(generate_coverage(4, 2, 6, 0.3, seed=1, k=2), card)
+        out = tmp_path / "bench.csv"
+        res = runner.invoke(main, ["bench"] + [a.format(card=card) for a in args]
+                            + ["--seed", "0", "--out", str(out)])
+        assert_clean_usage_error(res)
+        assert res.stderr == "error: %s\n" % message
+        assert not out.exists()
 
 
 class TestExitCodes:

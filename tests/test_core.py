@@ -30,6 +30,8 @@ from adasub import (
     sample_realization,
     subrealization,
 )
+from adasub.core import ENUMERATION_CAP, EvalContext
+from adasub.errors import ExactModeUnavailable
 from adasub.oracle import restricted_optimal
 from adasub.policies import FixedSequencePolicy, PartitionConstraint
 
@@ -60,6 +62,17 @@ class TestConsistency:
     def test_duplicate_item_rejected(self):
         with pytest.raises(ValidationError):
             PartialRealization.of([(0, 1), (0, 0)])
+
+    def test_observing_an_observed_item_is_refused(self, prior_a):
+        seen = psi({0: 1})
+        with pytest.raises(ValidationError, match="item 0 already observed"):
+            seen.with_observation(0, 0)
+        ctx = EvalContext(CoverageUtility((1.0,), ((0b0, 0b1), (0b1, 0b0))), prior_a)
+        child = ctx.advance(seen, 1, 0)
+        for e in (0, 1):
+            with pytest.raises(ValidationError, match="item %d already observed" % e):
+                ctx.advance(child, e, 1)
+        assert ctx.observed(child) == {0: 1, 1: 0}     # the refused calls changed nothing
 
     @pytest.mark.parametrize("obs", [{0: 0.5}, {1.7: 0}, {True: 0}, [(2, False)]])
     def test_non_integer_item_or_state_rejected(self, obs):
@@ -290,6 +303,26 @@ class TestValidation:
                      lambda: TabularUtility(1, [(0,)], [[0.0], [bad]])):
             with pytest.raises(ValidationError, match="negative or non-finite"):
                 make()
+
+    def test_tabular_utility_is_bounded_in_items(self):
+        n = TabularUtility.MAX_ITEMS + 1
+        with pytest.raises(ValidationError, match="n <= %d" % TabularUtility.MAX_ITEMS):
+            TabularUtility(n, [(0,) * n], [[0.0]] * (1 << n))
+
+    def test_tabular_realization_outside_the_table_is_refused(self):
+        f = TabularUtility(2, [(0, 0), (1, 0)], [[0.0, 1.0]] * 4)
+        assert f.value((0,), [1, 0]) == 1.0
+        with pytest.raises(ValidationError, match=r"realization \(0, 1\) not in the table"):
+            f.value((0,), (0, 1))
+
+    def test_support_over_the_enumeration_cap_is_unavailable(self):
+        # 21 fair coins have 2^21 realizations, twice ENUMERATION_CAP: the
+        # support is counted, not listed, before it is refused.
+        prior = IndependentPrior([[0.5, 0.5]] * 21)
+        assert prior.support_size() == 2 * ENUMERATION_CAP
+        with pytest.raises(ExactModeUnavailable, match="exceeds %d" % ENUMERATION_CAP):
+            prior.support()
+        assert len(prior.support(psi({e: 0 for e in range(20)}))) == 2
 
     @pytest.mark.parametrize("covers,item", [
         ([[0b01, 0b10], [0b11, 0b100], [0b1000, 0b0]], 1),

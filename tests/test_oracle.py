@@ -15,10 +15,12 @@ from adasub import (
     ZeroProbabilityEvidence,
     adaptive_greedy,
     adaptive_stochastic_greedy,
+    complementarity_counterexample,
     expected_set_value,
     expected_utility,
     generate_coverage,
     marginal_utility,
+    monotonicity_counterexample,
     optimal_value,
     random_policy,
     restricted_optimal,
@@ -178,7 +180,7 @@ class TestRestrictedOptimal:
         assert oracle(PSI_EMPTY, (0, 1, 0), 3) == oracle(PSI_EMPTY, (0, 1), 2)
 
 
-def _kernel_cases():
+def _coverage_cases():
     """Coverage instances under an independent prior, cardinality and partition."""
     for seed in range(4):
         yield pytest.param(generate_coverage(n=5, m=2, universe_size=6, density=0.35,
@@ -191,10 +193,11 @@ def _kernel_cases():
                        id="card-n4-m3-seed20")
 
 
-@pytest.mark.parametrize("inst", _kernel_cases())
-def test_coverage_kernel_agrees_with_the_plain_recursion(inst):
-    # The same instance under an explicit prior over the same support runs
-    # HistoryRecursion with _best_choice instead of the coverage kernel.
+@pytest.mark.parametrize("inst", _coverage_cases())
+def test_covered_mask_keys_agree_with_history_keys(inst):
+    # The same instance under an explicit prior over the same support keys
+    # each history by itself instead of by its covered mask, and prices each
+    # posterior and stop value at that history.
     f, prior = inst.utility(), inst.prior
     explicit = ExplicitPrior(prior.support())
     fast = optimal_value(f, prior, inst.constraint)
@@ -212,13 +215,33 @@ def test_coverage_kernel_agrees_with_the_plain_recursion(inst):
                        - plain_oracle(psi, items, a)) <= VALUE_TOL, (psi, items, a)
 
 
-@pytest.mark.parametrize("explicit", [False, True], ids=["kernel", "history-recursion"])
+@pytest.mark.parametrize("inst", [monotonicity_counterexample(),
+                                  complementarity_counterexample(),
+                                  generate_coverage(n=3, m=3, universe_size=6, density=0.35,
+                                                    seed=20, k=2)],
+                         ids=["monotonicity", "complementarity", "coverage-n3-m3"])
+def test_a_history_state_decodes_to_its_history(inst):
+    # Off the covered-mask case a state holds o + 1 in item e's field, so it
+    # is the history itself: tabular utilities, and coverage under an
+    # explicit prior.
+    prior = ExplicitPrior(inst.prior.support())
+    oracle = RestrictedOracle(inst.utility(), prior)
+    rec = oracle.rec
+    assert not rec.coverage and rec.rows is None
+    for psi in enumerate_partial_realizations(prior):
+        dom, state = rec._root_of(psi)
+        assert dom == _dom_mask(psi)
+        assert rec._history(state) == psi
+        assert rec.stop(psi) == expected_set_value(inst.utility(), prior, psi)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["independent-prior", "explicit-prior"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mask_queries_equal_restricted_optimal(seed, explicit):
     # One oracle answers query(psi, mask, a) for every column, as the
-    # fully-adaptive check asks it; on the kernel a query that hits the memo
-    # is read at its key without a _Restriction.  Each answer must equal a
-    # fresh restricted_optimal to the bit.
+    # fully-adaptive check asks it; a query that hits the memo is read at its
+    # key without a _Restriction.  Each answer must equal a fresh
+    # restricted_optimal to the bit.
     inst = generate_coverage(n=4, m=2, universe_size=6, density=0.35, seed=seed)
     f, prior = inst.utility(), inst.prior
     if explicit:
@@ -231,15 +254,15 @@ def test_mask_queries_equal_restricted_optimal(seed, explicit):
         for items, a, mask in columns:
             expected = restricted_optimal(f, prior, psi, items, a)
             assert oracle.query(psi, mask, a) == expected, (psi, items, a)
-            if not explicit:    # the kernel's restricted() reads value()'s key
-                rec = oracle.rec
-                free = mask & ~_dom_mask(psi)
-                state = _Restriction(free, min(a, free.bit_count()))    # as query clamps
-                assert rec.memo[rec._root_of(psi) + (state.key(),)] == rec.value(psi, state)
+            # restricted() reads value()'s key
+            rec = oracle.rec
+            free = mask & ~_dom_mask(psi)
+            state = _Restriction(free, min(a, free.bit_count()))    # as query clamps
+            assert rec.memo[rec._root_of(psi) + (state.key(),)] == rec.value(psi, state)
     assert oracle.rec.hits > 0
 
 
-@pytest.mark.parametrize("explicit", [False, True], ids=["kernel", "history-recursion"])
+@pytest.mark.parametrize("explicit", [False, True], ids=["independent-prior", "explicit-prior"])
 def test_restriction_budgets_never_exceed_their_items(monkeypatch, explicit):
     # _Restriction does not clamp: the query clamps the root's budget to its
     # free items, and every state below keeps 0 <= budget <= |items|, so each

@@ -25,7 +25,7 @@ from adasub import (
     run_policy,
     sample_realization,
 )
-from adasub.core import EvalContext, IndependentPrior, UtilityFunction
+from adasub.core import CoverageUtility, EvalContext, IndependentPrior, UtilityFunction
 from adasub.policies import FixedSequencePolicy, PartitionConstraint, TraceStep
 
 
@@ -348,6 +348,14 @@ class TestExactVsMonteCarlo:
             with pytest.raises(ValidationError, match="samples"):
                 expected_utility(utility_a, prior_a, adaptive_greedy(1), mode="mc",
                                  samples=samples)
+
+    def test_standard_error_past_the_float_range_is_infinite(self):
+        # Rollouts worth 0 and 1e200 deviate from their mean by ~5e199, whose
+        # square overflows: the standard error is inf, not an OverflowError.
+        f = CoverageUtility((1e200,), ((0b0, 0b1),))
+        prior = IndependentPrior([[0.5, 0.5]])
+        est, se = expected_utility(f, prior, adaptive_greedy(1), mode="mc", samples=20, seed=0)
+        assert 0.0 < est < 1e200 and se == math.inf
 
     def test_tree_eval_matches_per_realization_enumeration(self):
         inst = generate_coverage(n=6, m=2, universe_size=8, density=0.3, seed=13)
