@@ -171,11 +171,18 @@ class _Kernel:
         best = self._stop(state)
         selectable, after = self.moves.get(ckey) or self._moves(cstate, ckey)
         free = selectable & ~dom
-        if rows is None and free:   # an explicit prior's posteriors at psi
-            psi, rows = self._history(state), [None] * self.n
+        if rows is None and free:
+            # An explicit prior's posteriors at psi, from one filtering of its
+            # support: item_posterior's masses, summed in support order and
+            # divided once.
+            sub, total = self.prior._consistent(self._history(state))
+            rows = [None] * self.n
             for e in range(self.n):
                 if free >> e & 1:
-                    rows[e] = [(self.bits[e][o], p) for o, p in self.prior.item_posterior(e, psi)]
+                    mass = {}
+                    for phi, p in sub:
+                        mass[phi[e]] = mass.get(phi[e], 0.0) + p
+                    rows[e] = [(self.bits[e][o], p / total) for o, p in sorted(mass.items())]
         best_items = []
         hits = 0
         while free:

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .core import EvalContext, IndependentPrior, PartialRealization, _check_int
 from .errors import ValidationError
-from .oracle import OracleCaps, RestrictedOracle, _check_size
+from .oracle import OracleCaps, RestrictedOracle, _check_size, _dom_mask
 from .policies import _check_epsilon, sample_budget
 
 INEQ_TOL = 1e-9
@@ -78,62 +78,74 @@ def check_adaptive_monotone(f, prior) -> CheckReport:
     return CheckReport("adaptive-monotone", True, checked)
 
 
-def _sweep(name, prior, columns, price, witness, compared=None) -> CheckReport:
+def _sweep(name, prior, columns, values, witness, compared=None) -> CheckReport:
     """value(psi, c) >= value(psi2, c) whenever psi is a subrealization of psi2.
 
-    Each history psi2's row of values over `columns` is priced once, by
-    price(psi2, c), in column order as its comparison with the empty
-    sub-history needs it; a failure there returns before the rest is priced.
-    compared(psi2) lists the indices of the columns checked at psi2, in
-    increasing order (all of them if `compared` is None).  It must be
-    downward closed: a column compared at psi2 is compared at every
-    sub-history of psi2, so their rows hold that column's value.
+    Each history psi2's row of values over `columns` is priced once:
+    values(psi2, live) yields the values of the columns `live` in order, and
+    is consumed as psi2's comparison with the empty sub-history needs them,
+    so a failure there prices nothing further.  compared(psi2) lists the
+    indices of the columns checked at psi2, in increasing order (all of them
+    if `compared` is None).  It must be downward closed: a column compared
+    at psi2 is compared at every sub-history of psi2, so their rows hold
+    that column's value.
 
     Every proper sub-history psi of psi2 is decided at once against the
-    running minimum low[psi2 - p] = min of the column over psi2 - p and its
-    sub-histories, for each pair p of psi2; those histories have smaller
-    domains, so they were enumerated earlier.  min returns one of the values
-    it compares, so this fails exactly when some psi does.  Only then are the
+    minimum, per column, over all of them.  Those minima live on the
+    history lattice: a history's code is sum (o+1)*(m+1)^e over its pairs
+    (e, o), an array of shape (m+1,)*n x len(columns) holds each priced row
+    at its code and +inf elsewhere, and when the enumeration reaches size
+    j, one np.minimum per item axis (digits 1..m take the minimum with
+    digit 0) turns every entry into the minimum over its sub-histories.
+    Histories of size < j are priced by then, so a size-j psi2 reads the
+    minimum over its proper sub-histories at its code; its level's rows are
+    written when the level ends.  min returns one of the values it
+    compares, so psi2 fails exactly when some psi does.  Only then are the
     sub-histories walked as pair tuples (by size, then in combinations
     order, then by column) to name the first failing pair.  pairs_checked
     counts every inequality decided: 2^|psi2| per compared column of a
     passing psi2, and up to the witness for the failing one.
     """
-    rows, lows = {}, {}
-    ncols = len(columns)
-    checked = 0
-    for psi2 in enumerate_partial_realizations(prior):
-        pairs = psi2.pairs
-        # Columns psi2 does not compare hold -inf: -inf < -inf is false, and
-        # by downward closure no extension of psi2 compares them either.
-        row2 = rows[pairs] = [-math.inf] * ncols
-        bounds = [-math.inf] * ncols
-        live = range(ncols) if compared is None else compared(psi2)
-        empty = rows[()]
-        for i in live:
-            checked += 1
-            rhs = row2[i] = price(psi2, columns[i])
-            bound = bounds[i] = rhs - INEQ_TOL
-            if empty[i] < bound:
-                return CheckReport(name, False, checked, {
-                    "psi": (), "psi2": pairs, **witness(columns[i], empty[i], rhs)})
-        if not pairs:
-            lows[pairs] = row2
-            continue
-        below = [lows[pairs[:j] + pairs[j + 1:]] for j in range(len(pairs))]
-        low = list(map(min, *below)) if len(below) > 1 else below[0]
-        if any(map(operator.lt, low, bounds)):
-            for size in range(1, len(pairs) + 1):
-                for sub in itertools.combinations(pairs, size):
-                    row = rows[sub]
-                    for i in live:
-                        checked += 1
-                        if row[i] < bounds[i]:
-                            return CheckReport(name, False, checked, {
-                                "psi": sub, "psi2": pairs,
-                                **witness(columns[i], row[i], row2[i])})
-        checked += ((1 << len(pairs)) - 1) * len(live)
-        lows[pairs] = list(map(min, row2, low))
+    import numpy as np
+    n, ncols, radix = prior.n, len(columns), prior.m + 1
+    code_of = {(e, o): (o + 1) * radix ** e for e in range(n) for o in range(prior.m)}
+    lattice = np.full((radix,) * n + (ncols,), math.inf)
+    lows = lattice.reshape(-1, ncols)       # a view: row `code` of the lattice
+    rows, checked = {}, 0
+    for depth, level in itertools.groupby(enumerate_partial_realizations(prior),
+                                          lambda psi: len(psi.pairs)):
+        level = list(level)
+        codes = [sum(map(code_of.__getitem__, psi.pairs)) for psi in level]
+        for axis in range(n):   # every smaller history's row is written
+            view = lattice.reshape(radix ** axis, radix, -1)
+            np.minimum(view[:, 1:], view[:, :1], out=view[:, 1:])
+        for psi2, low in zip(level, lows[codes].tolist()):
+            pairs = psi2.pairs
+            # Columns psi2 does not compare hold -inf: -inf < -inf is false,
+            # and by downward closure no extension of psi2 compares them either.
+            row2 = rows[pairs] = [-math.inf] * ncols
+            bounds = [-math.inf] * ncols
+            live = range(ncols) if compared is None else compared(psi2)
+            empty = rows[()]
+            for i, rhs in zip(live, values(psi2, live)):
+                row2[i] = rhs
+                bound = bounds[i] = rhs - INEQ_TOL
+                if empty[i] < bound:
+                    return CheckReport(name, False, checked + live.index(i) + 1, {
+                        "psi": (), "psi2": pairs, **witness(columns[i], empty[i], rhs)})
+            checked += len(live)
+            if depth and any(map(operator.lt, low, bounds)):
+                for size in range(1, depth + 1):
+                    for sub in itertools.combinations(pairs, size):
+                        row = rows[sub]
+                        for i in live:
+                            checked += 1
+                            if row[i] < bounds[i]:
+                                return CheckReport(name, False, checked, {
+                                    "psi": sub, "psi2": pairs,
+                                    **witness(columns[i], row[i], row2[i])})
+            checked += ((1 << depth) - 1) * len(live)
+        lows[codes] = [rows[psi.pairs] for psi in level]
     return CheckReport(name, True, checked)
 
 
@@ -142,7 +154,7 @@ def check_adaptive_submodular(f, prior) -> CheckReport:
     _check_size(prior, DELTA_CHECK_CAPS)
     ctx = EvalContext(f, prior)
     return _sweep("adaptive-submodular", prior, range(prior.n),
-                  lambda psi, e: ctx.delta(e, psi),
+                  lambda psi, live: map(ctx.delta, live, itertools.repeat(psi)),
                   lambda e, lhs, rhs: {"item": e, "delta_psi": lhs, "delta_psi2": rhs},
                   compared=ctx.pool)
 
@@ -151,15 +163,30 @@ def check_fully_adaptive_submodular(f, prior) -> CheckReport:
     """The submodularity inequality for best restricted-policy values.
 
     Quantifies over every nonempty V and every budget a in [|V|], under
-    FULLY_ADAPTIVE_CAPS.
+    FULLY_ADAPTIVE_CAPS.  A column's value at psi depends only on its key
+    (V minus dom psi, min(a, |V minus dom psi|)), so each history's row is
+    priced once per distinct key and scattered to the columns through an
+    index built once per dom mask.
     """
     oracle = RestrictedOracle(f, prior, FULLY_ADAPTIVE_CAPS)
     columns = [(items, a, oracle.mask(items)) for size in range(1, prior.n + 1)
                for items in itertools.combinations(range(prior.n), size)
                for a in range(1, size + 1)]
-    query = oracle.query
-    return _sweep("fully-adaptive-submodular", prior, columns,
-                  lambda psi, col: query(psi, col[2], col[1]),
+    query, plans = oracle.query, {}
+
+    def values(psi, live):
+        dom = _dom_mask(psi)
+        plan = plans.get(dom)
+        if plan is None:
+            slots, scatter = {}, []
+            for _, a, mask in columns:
+                free = mask & ~dom
+                scatter.append(slots.setdefault((free, min(a, free.bit_count())), len(slots)))
+            plan = plans[dom] = (tuple(slots), scatter)
+        keys, scatter = plan
+        return map([query(psi, free, a) for free, a in keys].__getitem__, scatter)
+
+    return _sweep("fully-adaptive-submodular", prior, columns, values,
                   lambda col, lhs, rhs: {"items": col[0], "budget": col[1],
                                          "value_psi": lhs, "value_psi2": rhs})
 
@@ -204,8 +231,8 @@ def lemma1_check(n: int, k: int, epsilon: float, trials: int = 100_000,
 
     # Empirical: the sample is the s smallest of n iid uniform keys; it hits
     # the target (wlog items 0..k-1) iff the smallest target key has overall
-    # rank < s.  numpy is imported here, the one place that needs it, so that
-    # importing adasub does not load it.
+    # rank < s.  numpy is imported here, as in _sweep, so that importing
+    # adasub does not load it.
     import numpy as np
     rng = np.random.default_rng(seed)
     hits = 0

@@ -202,7 +202,7 @@ class TestSamplingBound:
                     assert res.with_replacement_bound >= res.bound - 1e-12
 
     def test_importing_adasub_loads_no_numpy(self):
-        # Only lemma1_check's empirical loop needs numpy, and it imports it.
+        # lemma1_check's empirical loop and the sweeps import numpy when they run.
         src = Path(verify.__file__).resolve().parent.parent
         code = "import sys, adasub, adasub.cli; sys.exit('numpy' in sys.modules)"
         res = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
@@ -345,6 +345,94 @@ def test_noisy_instances_fail_past_the_first_comparison():
                for check in (check_adaptive_monotone, check_adaptive_submodular,
                              check_fully_adaptive_submodular)]
     assert sum(not r.passed and r.pairs_checked > 1 for r in reports) >= 6
+
+
+def assert_checks_match_references(utility, prior):
+    """All three checks equal the reference sweeps, Delta counts included."""
+    for check, reference in ((check_adaptive_monotone, reference_monotone),
+                             (check_adaptive_submodular, reference_submodular)):
+        f = utility()
+        expected, deltas = reference(utility(), prior)
+        assert check(f, prior) == expected
+        assert f.delta_counter == deltas
+    f = utility()
+    if prior.m > verify.FULLY_ADAPTIVE_CAPS.max_states:
+        with pytest.raises(InstanceTooLarge):
+            check_fully_adaptive_submodular(f, prior)
+    else:
+        assert check_fully_adaptive_submodular(f, prior) == reference_fully(utility(), prior, {})
+    assert f.delta_counter == 0
+
+
+@pytest.mark.parametrize("prior", explicit_priors())
+def test_checkers_match_the_definitional_sweeps_on_coverage_under_explicit_priors(prior):
+    # Zero-mass realizations leave lattice entries no enumerated history
+    # fills, and m=3 widens each item's digit; correlation makes some
+    # coverage instances fail adaptive submodularity.
+    inst = generate_coverage(n=prior.n, m=prior.m, universe_size=6, density=0.4, seed=prior.n)
+    assert_checks_match_references(inst.utility, prior)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_checkers_match_the_definitional_sweeps_on_noisy_seeds(seed):
+    inst = noisy_tabular(seed)
+    assert_checks_match_references(inst.utility, inst.prior)
+
+
+def planted_tabular(level, n=4):
+    """An instance whose first submodularity failure is at |psi2| = level - 1.
+
+    f(A, phi) = g(|A|) with gains 8, 4, 2, 1 whatever phi, plus a bump of
+    twice the gain g(level) - g(level - 1) on the set {0, ..., level - 1}:
+    Delta(e | that set less e) then exceeds the gain at |psi| = level - 2 but
+    not the gains below it, so for level > 2 only the lattice minimum sees it.
+    """
+    gains = [2.0 ** (n - 1 - j) for j in range(n)]
+    bump = 2 * gains[level - 1]
+    support = list(itertools.product((0, 1), repeat=n))
+    table = [[sum(gains[:mask.bit_count()]) + (bump if mask == (1 << level) - 1 else 0.0)]
+             * len(support) for mask in range(1 << n)]
+    prior = ExplicitPrior([(phi, 1 / len(support)) for phi in support])
+    spec = {"type": "tabular", "realizations": [list(p) for p in support], "table": table}
+    return Instance(n, 2, prior, spec, CardinalityConstraint(n), {"name": "planted-%d" % level})
+
+
+@pytest.mark.parametrize("level", (2, 3, 4))
+def test_planted_failures_land_at_every_level(level):
+    inst = planted_tabular(level)
+    assert_checks_match_references(inst.utility, inst.prior)
+    w = check_adaptive_submodular(inst.utility(), inst.prior).counterexample
+    assert (len(w["psi2"]), len(w["psi"])) == (level - 1, level - 2)
+
+
+def test_caps_corner_passes_with_closed_form_counts():
+    # n * (m+1)^(n-1) monotone and n * (2m+1)^(n-1) submodular comparisons:
+    # each item outside psi2, for each of psi2's 2^|psi2| sub-histories.
+    n, m = verify.DELTA_CHECK_CAPS.max_items, verify.DELTA_CHECK_CAPS.max_states
+    inst = generate_coverage(n=n, m=m, universe_size=8, density=0.3, seed=1)
+    f = inst.utility()
+    monotone = check_adaptive_monotone(f, inst.prior)
+    submodular = check_adaptive_submodular(f, inst.prior)
+    assert monotone.passed and monotone.pairs_checked == n * (m + 1) ** (n - 1) == 131_072
+    assert submodular.passed and submodular.pairs_checked == n * (2 * m + 1) ** (n - 1) == 6_588_344
+
+
+def test_fully_adaptive_check_queries_each_distinct_key_once(monkeypatch):
+    # A history with d observed items and r = 4 - d free ones has r * 2^(r-1)
+    # keys (W, b) with W nonempty, plus (0, 0) when some V lies in dom psi:
+    # 32 + 8 * 13 + 24 * 5 + 32 * 2 + 16 * 1 = 336 of the 81 * 32 = 2,592 columns.
+    calls = []
+    query = RestrictedOracle.query
+
+    def counting(self, psi, mask, a):
+        calls.append((psi.pairs, mask, a))
+        return query(self, psi, mask, a)
+
+    monkeypatch.setattr(RestrictedOracle, "query", counting)
+    inst = generate_coverage(n=4, m=2, universe_size=6, density=0.3, seed=0)
+    report = check_fully_adaptive_submodular(inst.utility(), inst.prior)
+    assert report.passed and report.pairs_checked == 20_000
+    assert len(calls) == len(set(calls)) == 336
 
 
 def reachable_states(prior, queries):
