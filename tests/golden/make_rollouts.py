@@ -1,11 +1,14 @@
-"""Write rollouts_n1000.json: ASG and lazy-greedy rollouts on the n=1000 instance.
+"""Write rollouts_n1000.json: ASG and lazy-greedy rollouts on n=1000 instances.
 
 Run from the repository root:  python3 tests/golden/make_rollouts.py
 
-The instance is the benchmark's rollout instance (n=1000, k=50).  For each
-of REALIZATIONS seeded realizations the file records, per policy, the
-selection order, the selected set, the Delta and f counters and repr() of
-the final value.  tests/test_golden_rollouts.py compares a fresh run with
+The first instance is the benchmark's rollout instance (n=1000, k=50, a
+universe of 16 elements); the others differ only in universe size, one on
+each side of CoverageUtility's weight-table cap: 12 elements (priced from
+the table) and 17 (priced by the summation loop and its gain memo).  For
+each instance and each of REALIZATIONS seeded realizations the file
+records, per policy, the selection order, the selected set, the Delta and
+f counters and repr() of the final value.  tests/test_golden_rollouts.py compares a fresh run with
 the file exactly, so regenerate it only when a change is meant to alter a
 seeded selection or a count, and say why.
 """
@@ -28,27 +31,31 @@ from adasub import (  # noqa: E402
 GOLDEN_FILE = HERE / "rollouts_n1000.json"
 REALIZATIONS = 3
 K, EPS = 50, 0.1
+UNIVERSE_SIZES = (16, 12, 17)
 
 
 def rollouts() -> list:
-    """One record per (realization, policy), in a fixed order."""
-    inst = generate_coverage(n=1000, m=2, universe_size=16, density=0.2, seed=77)
+    """One record per (universe size, realization, policy), in a fixed order."""
     records = []
-    for i in range(REALIZATIONS):
-        stream = "golden:%d" % i
-        phi = inst.prior.sample(random.Random(stream))
-        for pi in (adaptive_stochastic_greedy(K, EPS), adaptive_greedy(K, "lazy")):
-            f = inst.utility()
-            trace = run_policy(pi, f, inst.prior, phi, seed=stream)
-            records.append({
-                "realization": i,
-                "policy": pi.describe(),
-                "chosen": [step.chosen for step in trace.steps],
-                "selected": list(trace.selected),
-                "delta_counter": f.delta_counter,
-                "f_counter": f.f_counter,
-                "value": repr(trace.value),
-            })
+    for universe_size in UNIVERSE_SIZES:
+        inst = generate_coverage(n=1000, m=2, universe_size=universe_size, density=0.2,
+                                 seed=77)
+        for i in range(REALIZATIONS):
+            stream = "golden:%d" % i
+            phi = inst.prior.sample(random.Random(stream))
+            for pi in (adaptive_stochastic_greedy(K, EPS), adaptive_greedy(K, "lazy")):
+                f = inst.utility()
+                trace = run_policy(pi, f, inst.prior, phi, seed=stream)
+                records.append({
+                    "universe_size": universe_size,
+                    "realization": i,
+                    "policy": pi.describe(),
+                    "chosen": [step.chosen for step in trace.steps],
+                    "selected": list(trace.selected),
+                    "delta_counter": f.delta_counter,
+                    "f_counter": f.f_counter,
+                    "value": repr(trace.value),
+                })
     return records
 
 

@@ -1,8 +1,8 @@
 """Seeded n=1000 rollouts against tests/golden/rollouts_n1000.json.
 
-The golden file holds each ASG and lazy-greedy rollout's selection order,
-selected set, Delta and f counts and repr() of its value, written by
-tests/golden/make_rollouts.py; a fresh run must match it exactly.
+The golden file holds, per instance, each ASG and lazy-greedy rollout's
+selection order, selected set, Delta and f counts and repr() of its value,
+written by tests/golden/make_rollouts.py; a fresh run must match it exactly.
 """
 
 import importlib.util
