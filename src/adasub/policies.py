@@ -350,9 +350,11 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
     """Adaptive greedy with lazy re-evaluation; selects greedy's items.
 
     Keeps a max-heap of stale upper bounds, keyed (-Delta, id), and
-    re-evaluates the top until a value evaluated at the current history
-    dominates the next stale key.  Valid because adaptive submodularity
-    makes Delta(e|.) non-increasing along the policy's own observation chain.
+    re-evaluates the top in place (one heapreplace) until the top holds a
+    value evaluated at the current history; that item is chosen.  Valid
+    because adaptive submodularity makes Delta(e|.) non-increasing along the
+    policy's own observation chain.  Ids are distinct, so the order of the
+    keys alone picks the top.
     """
 
     name = "lazy"
@@ -371,16 +373,14 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
             heap = scratch["heap"] = [(-ctx.delta(e, psi), e, rnd) for e in evaluated]
             heapq.heapify(heap)
         while True:
-            negd, e, stamp = heapq.heappop(heap)
+            negd, e, stamp = heap[0]
             if stamp == rnd:
+                heapq.heappop(heap)
                 ctx.record(evaluated, -negd)
                 return e
             d = ctx.delta(e, psi)
             evaluated.append(e)
-            if not heap or (-d, e) <= heap[0][:2]:
-                ctx.record(evaluated, d)
-                return e
-            heapq.heappush(heap, (-d, e, rnd))
+            heapq.heapreplace(heap, (-d, e, rnd))
 
 
 class AdaptiveStochasticGreedyPolicy(AdaptiveGreedyPolicy):

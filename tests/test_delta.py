@@ -9,6 +9,7 @@ either to pick the same items.
 
 import math
 import random
+import weakref
 
 import pytest
 
@@ -29,6 +30,7 @@ from adasub import (
     run_policy,
     sample_realization,
 )
+from adasub import core
 from adasub.core import EvalContext
 
 
@@ -139,13 +141,16 @@ class TestCoverageDeltaIsExact:
                 assert marginal_utility(f, prior, psi, e) == expected
 
     def test_candidates_sharing_a_new_mask_are_priced_once(self):
-        weights = [0.1, 0.7, 0.2, 1.3, 0.3]
+        # Twelve zero-weight elements that no cover touches take the universe
+        # past the weight-table cap, to the gain memo, and change no value.
+        weights = [0.1, 0.7, 0.2, 1.3, 0.3] + [0.0] * 12
         # Given psi = {3: 0}, which covers element 0, both state 0 of item 0
         # (0b00011) and state 0 of item 2 (0b00010) newly cover element 1 only.
         covers = [[0b00011, 0b01100], [0b10000, 0b00001], [0b00010, 0b10100],
                   [0b00001, 0b11000]]
         prior = IndependentPrior([[0.25, 0.75], [0.5, 0.5], [0.6, 0.4], [0.5, 0.5]])
         f, ref = CoverageUtility(weights, covers), CoverageUtility(weights, covers)
+        assert f.universe_size == core._TABLE_MAX_UNIVERSE + 1
         psi = PartialRealization.of({3: 0})
         state = f.state(f.covered(psi))
         memo = state[2]
@@ -158,6 +163,31 @@ class TestCoverageDeltaIsExact:
         ctx = EvalContext(f, prior)
         for e in range(3):
             assert ctx.delta(e, psi) == explicit_delta(ref, prior, psi, e)
+
+    @pytest.mark.parametrize("universe", [core._TABLE_MAX_UNIVERSE,
+                                          core._TABLE_MAX_UNIVERSE + 1])
+    def test_matches_two_evaluation_formula_at_the_table_cap(self, universe):
+        # The largest universe read from the weight table and the smallest
+        # priced by the summation loop and its memo, with zero weights among
+        # the elements, give explicit_delta's floats to the bit.
+        for seed in range(6):
+            rng = random.Random(seed)
+            inst = generate_coverage(n=rng.randint(6, 30), m=2 + seed % 2,
+                                     universe_size=universe, density=rng.uniform(0.05, 0.5),
+                                     seed=seed)
+            weights = [0.0 if x % 3 == seed % 3 else w
+                       for x, w in enumerate(inst.utility_spec["weights"])]
+            covers = inst.utility().covers
+            f, ref = CoverageUtility(weights, covers), CoverageUtility(weights, covers)
+            assert (f._table is None) == (universe > core._TABLE_MAX_UNIVERSE)
+            ctx = EvalContext(f, inst.prior)
+            histories = [PSI_EMPTY] + [random_history(inst.prior, rng, rng.randint(1, inst.n - 1))
+                                       for _ in range(4)]
+            for e in range(inst.n):
+                for psi in histories:
+                    expected = explicit_delta(ref, inst.prior, psi, e).hex()
+                    assert ctx.delta(e, psi).hex() == expected
+                    assert marginal_utility(f, inst.prior, psi, e).hex() == expected
 
     @pytest.mark.parametrize("pi", [adaptive_greedy(8), adaptive_greedy(8, "lazy"),
                                     adaptive_stochastic_greedy(8, 0.1)],
@@ -177,6 +207,47 @@ class TestCoverageDeltaIsExact:
         inst = generate_coverage(n=1000, m=2, universe_size=16, density=0.2, seed=77)
         for seed in range(2):
             assert_same_rollout(pi, inst, seed)
+
+
+def low_to_high(weights, mask):
+    """The weights of mask's bits, added low bit to high."""
+    total = 0.0
+    for x, w in enumerate(weights):
+        if mask >> x & 1:
+            total += w
+    return total
+
+
+class TestWeightTable:
+    @pytest.mark.parametrize("universe", [0, 1, 8, 15, 16])
+    def test_every_mask_weight_is_the_low_to_high_sum(self, universe):
+        # Weights of many magnitudes, so that the order of addition shows in
+        # the low bits, with every fourth one 0.0.
+        rng = random.Random(universe)
+        weights = [0.0 if x % 4 == 1 else rng.uniform(0.0, 10.0) ** rng.choice((1, 3))
+                   for x in range(universe)]
+        f = CoverageUtility(weights, [[0, (1 << universe) - 1]])
+        assert f._table is not None
+        for mask in range(1 << universe):
+            assert f._mask_weight(mask).hex() == low_to_high(f.weights, mask).hex()
+
+    def test_utilities_with_equal_weights_share_one_table(self):
+        inst = generate_coverage(n=10, m=2, universe_size=16, density=0.2, seed=3)
+        f, g = inst.utility(), CoverageUtility(list(inst.utility_spec["weights"]), [[0, 1]])
+        assert f._table is g._table
+        assert CoverageUtility([1.0] * 17, [[0, 1]])._table is None
+
+    def test_tables_no_utility_holds_stay_within_their_bound(self):
+        # More distinct 16-element weight vectors than the bound: once their
+        # utilities are gone, at most the bound's worth of tables is alive.
+        tables = []
+        for i in range(core._WEIGHT_TABLES_MAX + 3):
+            f = CoverageUtility([i + 0.5] + [1.0] * 15, [[0, 1]])
+            assert len(f._table) == 1 << 16
+            tables.append(weakref.ref(f._table))
+        del f
+        alive = [ref() for ref in tables if ref() is not None]
+        assert len(alive) <= core._WEIGHT_TABLES_MAX
 
 
 def assert_same_rollout(pi, inst, seed):
