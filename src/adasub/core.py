@@ -46,6 +46,15 @@ _TABLE_MAX_UNIVERSE = 16
 _WEIGHT_TABLES_MAX = 4
 
 
+def _left_sum(values) -> float:
+    """values added left to right: the bits of Python 3.11's sum() on every
+    version, where 3.12's sum() compensates float rounding."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _check_int(value, name: str):
     """value, once it is an int: int() would truncate 2.5 to 2, and a bool
     would pass as 0 or 1.  ValidationError names the parameter otherwise."""
@@ -270,19 +279,19 @@ class ExplicitPrior(Prior):
                 raise ValidationError("duplicate realization %r in support" % (phi,))
             seen.add(phi)
         self.m = max(max(phi) for phi, _ in entries) + 1
-        total = sum(p for _, p in entries)
+        total = _left_sum(p for _, p in entries)
         if abs(total - 1.0) > PROB_TOL:
             raise ValidationError("prior normalization: support sums to %.17g" % total)
         self.weighted = tuple(entries)
 
     def evidence_probability(self, psi):
         _check_items(psi, self.n)
-        return sum(p for phi, p in self.weighted if consistent(psi, phi))
+        return _left_sum(p for phi, p in self.weighted if consistent(psi, phi))
 
     def _consistent(self, psi):
         _check_items(psi, self.n)
         sub = [(phi, p) for phi, p in self.weighted if consistent(psi, phi) and p > 0.0]
-        total = sum(p for _, p in sub)
+        total = _left_sum(p for _, p in sub)
         if total <= 0.0:
             raise _zero_probability(psi)
         return sub, total
@@ -371,8 +380,9 @@ def sample_realization(prior, stream: random.Random) -> tuple:
 class UtilityFunction:
     """f(S, phi) >= 0 with evaluation counters.
 
-    f_counter counts calls of value(), and nothing else: an expected_gain()
-    that prices a candidate without calling value() costs no f evaluation.
+    f_counter counts calls of value(), and nothing else: a coverage state's
+    pricing function prices a candidate without calling value(), so it costs
+    no f evaluation.
     delta_counter counts marginal-utility oracle invocations (one per
     candidate item examined, the unit in which the sampling policies'
     complexity bounds are stated).
@@ -409,7 +419,8 @@ class CoverageUtility(UtilityFunction):
     coverage sets.  Monotone in S for every phi, and adaptive submodular for
     independent priors.  f(dom psi, .) and each gain at psi depend on psi's
     covered mask alone: state(covered(psi)) gives that Delta state, built once
-    with no value() call, and expected_gain() prices each candidate from it.
+    with no value() call, and the state's pricing function gain(e, posterior),
+    made with it, prices each candidate (expected_gain() delegates to it).
 
     Over a universe of at most _TABLE_MAX_UNIVERSE elements every mask weight
     is read from one table of 2^size doubles, shared by every utility with
@@ -449,20 +460,14 @@ class CoverageUtility(UtilityFunction):
     def _mask_weight(self, mask: int) -> float:
         """The weights of mask's bits, added low bit to high.
 
-        One summation order everywhere, so value() and expected_gain() agree
-        to the last bit: the weight table holds each mask's sum in this same
-        order, so reading it gives the float this loop would.
+        One summation order everywhere, so value() and the pricing functions
+        agree to the last bit: the weight table holds each mask's sum in
+        _low_to_high's order, so reading it gives the float that loop would.
         """
         table = self._table
         if table is not None:
             return table[mask]
-        weights = self.weights
-        total = 0.0
-        while mask:
-            bit = mask & -mask
-            total += weights[bit.bit_length() - 1]
-            mask ^= bit
-        return total
+        return _low_to_high(self.weights, mask)
 
     def covered(self, psi) -> int:
         """The mask of the universe elements psi's observations cover."""
@@ -472,48 +477,79 @@ class CoverageUtility(UtilityFunction):
         return covered
 
     def state(self, covered):
-        """(covered mask, f(dom psi), memo) for a history psi whose
+        """(covered mask, f(dom psi), memo, gain) for a history psi whose
         observations cover the mask `covered`.
 
+        gain(e, posterior) is the state's pricing function (_new_state).
         memo maps a newly covered mask to its gain (the empty mask's is there
-        from the start); with a weight table expected_gain() reads no memo,
-        so it keeps that one entry.  All of it depends on the covered mask
-        alone, so every history that covers the same elements, in any context
-        on this utility, gets the same state, built once with no value()
-        call.  The states are dropped once their number times (universe
-        size + 1) reaches _SHARED_STATES_MAX.
+        from the start); with a weight table gain reads no memo, so it keeps
+        that one entry.  All of it depends on the covered mask alone, so
+        every history that covers the same elements, in any context on this
+        utility, gets the same state, built once with no value() call.  The
+        states are dropped once their number times (universe size + 1)
+        reaches _SHARED_STATES_MAX.
         """
         states = self._states
         state = states.get(covered)
         if state is None:
             if len(states) * (self.universe_size + 1) >= _SHARED_STATES_MAX:
                 states.clear()
-            state = states[covered] = covered, self._mask_weight(covered), {0: 0.0}
+            state = states[covered] = self._new_state(covered)
         return state
 
-    def expected_gain(self, state, e, posterior):
-        """Sum_o p(o) * (f(dom psi + {e}) - f(dom psi)) over e's posterior.
+    def _new_state(self, covered):
+        """The state at `covered`, its pricing function made once for it.
 
-        A gain is value()'s own sum over the mask f(dom psi + {e}) covers,
-        less f(dom psi): the two-evaluation formula by construction.  With a
-        weight table that sum is one read; otherwise the state's memo prices
-        each newly covered mask once.
+        gain(e, posterior) = Sum_o p(o) * (f(dom psi + {e}) - f(dom psi)) over
+        e's posterior.  A gain is value()'s own sum over the mask
+        f(dom psi + {e}) covers, less f(dom psi): the two-evaluation formula
+        by construction.  With a weight table that sum is one read; otherwise
+        the memo prices each newly covered mask once.  The covered mask, the
+        base and the table or memo are bound here, so a call only loops over
+        the posterior.
         """
-        covered, base, memo = state
-        row = self.covers[e]
-        total = 0.0
+        base = self._mask_weight(covered)
+        memo = {0: 0.0}
+        covers = self.covers
         table = self._table
         if table is not None:
-            for o, p in posterior:
-                total += p * (table[covered | row[o]] - base)
-            return total
-        for o, p in posterior:
-            new = row[o] & ~covered
-            gain = memo.get(new)
-            if gain is None:
-                gain = memo[new] = self._mask_weight(covered | new) - base
-            total += p * gain
-        return total
+            def gain(e, posterior):
+                row = covers[e]
+                total = 0.0
+                for o, p in posterior:
+                    total += p * (table[covered | row[o]] - base)
+                return total
+        else:
+            # The weights, not self: a function that held the utility would
+            # make the utility and its states a cycle that only gc frees.
+            weights = self.weights
+
+            def gain(e, posterior):
+                row = covers[e]
+                total = 0.0
+                for o, p in posterior:
+                    new = row[o] & ~covered
+                    g = memo.get(new)
+                    if g is None:
+                        g = memo[new] = _low_to_high(weights, covered | new) - base
+                    total += p * g
+                return total
+        return covered, base, memo, gain
+
+    def expected_gain(self, state, e, posterior):
+        """Sum_o p(o) * (f(dom psi + {e}) - f(dom psi)) over e's posterior,
+        from the state's pricing function (_new_state)."""
+        return state[3](e, posterior)
+
+
+def _low_to_high(weights: tuple, mask: int) -> float:
+    """The weights of mask's bits, added low bit to high."""
+    total = 0.0
+    while mask:
+        bit = mask & -mask
+        total += weights[bit.bit_length() - 1]
+        mask ^= bit
+    return total
 
 
 @lru_cache(maxsize=_WEIGHT_TABLES_MAX)
@@ -521,7 +557,7 @@ def _weight_table(weights: tuple) -> array:
     """table[mask] = the weights of mask's bits, added low bit to high.
 
     Each weight w extends the table by [x + w for x in table], so
-    table[mask] = table[mask - high bit] + weights[high bit]: _mask_weight's
+    table[mask] = table[mask - high bit] + weights[high bit]: _low_to_high's
     loop, step for step.  Weights that compare equal (0.0 and -0.0) give the
     same table, since every sum starts from +0.0.
     """
@@ -648,11 +684,12 @@ class EvalContext:
     so no round rebuilds what the round before it had.  Any other history
     (exact evaluation, the checkers' sweeps, a stray psi) becomes the
     current one with its state built from scratch.
-    f's Delta state (for coverage: the covered mask, f(dom psi) and the gain
-    memo, which only a universe past the weight-table cap reads) belongs to
-    f: f.state(covered) builds, shares and bounds it, so every history that
-    covers the same elements, in any context on f, rollout or not, prices
-    from one state and one gain memo.
+    f's Delta state (for coverage: the covered mask, f(dom psi), the gain
+    memo, which only a universe past the weight-table cap reads, and the
+    pricing function made for that mask) belongs to f: f.state(covered)
+    builds, shares and bounds it, so every history that covers the same
+    elements, in any context on f, rollout or not, prices through one
+    function and one gain memo.  delta() calls that function directly.
     """
 
     def __init__(self, f, prior, seed=0, delta_cache=None):
@@ -761,7 +798,7 @@ class EvalContext:
             state = self._fstate
             if state is None:
                 state = self._state()
-            return f.expected_gain(state, e, self._rows[e])
+            return state[3](e, self._rows[e])
         if self.delta_cache is None:
             return self._delta_exact(e, psi)
         key = (psi.pairs, e)
@@ -784,7 +821,7 @@ class EvalContext:
             return total
         # f(dom, .) is fixed by psi and f(dom+e, .) depends on Phi_e only,
         # so the expectation reduces to item e's posterior for any prior.
-        return f.expected_gain(self._state(), e, prior.item_posterior(e, psi))
+        return self._state()[3](e, prior.item_posterior(e, psi))
 
     def record(self, candidates, delta):
         self.last_candidates = tuple(candidates)

@@ -220,6 +220,31 @@ def sample_budget(pool_size: int, group_size: int, limit: int, epsilon: float) -
     return min(max(s, 1), pool_size)
 
 
+def _draw(rng, pool: list, s: int) -> list:
+    """sorted(rng.sample(pool, s)) for 0 <= s <= len(pool), the same items
+    from the same getrandbits calls.
+
+    When random.sample tracks its picks in a set (a pool larger than its
+    set-size threshold), this is that branch inlined: each pick is
+    getrandbits(len(pool).bit_length()), drawn again while it is out of
+    range or already picked.  Its _randbelow frame per draw is what the
+    inlining saves.  A smaller pool goes to rng.sample itself.
+    """
+    n = len(pool)
+    setsize = 21 if s <= 5 else 21 + 4 ** math.ceil(math.log(s * 3, 4))
+    if n <= setsize:
+        return sorted(rng.sample(pool, s))
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    picked = set()
+    for _ in range(s):
+        j = getrandbits(bits)
+        while j >= n or j in picked:
+            j = getrandbits(bits)
+        picked.add(j)
+    return sorted([pool[j] for j in picked])
+
+
 # ---------------------------------------------------------------------------
 # concrete policies
 
@@ -278,7 +303,7 @@ class _BestOfSamplePolicy(Policy):
         pool, s = self._sample_space(ctx.observed(psi), ctx.pool(psi), cstate, ctx.n)
         if not pool:
             return None
-        candidates = pool if s == len(pool) else sorted(ctx.rng_for(psi).sample(pool, s))
+        candidates = pool if s == len(pool) else _draw(ctx.rng_for(psi), pool, s)
         best = best_d = None
         for e in candidates:    # in id order, so a tie keeps the smaller id
             d = ctx.delta(e, psi)

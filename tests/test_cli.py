@@ -12,10 +12,12 @@ from click.testing import CliRunner
 
 from adasub import (
     InstanceTooLarge,
+    PSI_EMPTY,
     ParseError,
     ZeroProbabilityEvidence,
     cli,
     generate_coverage,
+    marginal_utility,
     save_instance,
 )
 from adasub.cli import main
@@ -254,7 +256,7 @@ def _memo_tables():
     return [o for o in gc.get_objects()
             if type(o) is dict and o and (
                 all(map(_memo_key, o))
-                or all(type(k) is int and type(v) is tuple and len(v) == 4 and v[0] == k
+                or all(type(k) is int and type(v) is tuple and v[:1] == (k,)
                        for k, v in o.items()))]
 
 
@@ -262,6 +264,11 @@ def test_in_process_run_frees_memos_and_stream(instance_a_path, tmp_path):
     # A memo table held by a self-referencing closure, or a stream kept by
     # click's per-stream cache, outlives the call until a full collection,
     # which raises peak memory when run is called in-process.
+    inst = generate_coverage(4, 2, 6, 0.3, seed=0)
+    f = inst.utility()
+    marginal_utility(f, inst.prior, PSI_EMPTY, 0)
+    assert any(t is f._states for t in _memo_tables())
+    del f
     args = ["run", "--instance", instance_a_path, "--policy", "greedy(k=2)",
             "--policy", "asg(k=2,eps=0.3)", "--policy", "random(k=1)",
             "--seed", "3", "--out", str(tmp_path / "run.csv")]

@@ -1,10 +1,10 @@
 """The incremental Delta path against the two-evaluation definition.
 
-EvalContext.delta and marginal_utility price a coverage candidate from f's
-state at the history (CoverageUtility.state / expected_gain).  These tests hold
-them to Sum_o p(o) * (f(dom + e) - f(dom)), written out with two value()
-calls per state, with exact float equality, and require rollouts driven by
-either to pick the same items.
+EvalContext.delta and marginal_utility price a coverage candidate with the
+pricing function of f's state at the history (CoverageUtility.state).  These
+tests hold them to Sum_o p(o) * (f(dom + e) - f(dom)), written out with two
+value() calls per state, with exact float equality, and require rollouts
+driven by either to pick the same items.
 """
 
 import math
@@ -24,14 +24,17 @@ from adasub import (
     ZeroProbabilityEvidence,
     adaptive_greedy,
     adaptive_stochastic_greedy,
+    exact_policy_value,
     expected_set_value,
+    generalized_asg,
     generate_coverage,
     marginal_utility,
     run_policy,
     sample_realization,
 )
-from adasub import core
+from adasub import core, evaluation, policies, verify
 from adasub.core import EvalContext
+from adasub.verify import enumerate_partial_realizations
 
 
 def explicit_delta(f, prior, psi, e):
@@ -189,6 +192,26 @@ class TestCoverageDeltaIsExact:
                     assert ctx.delta(e, psi).hex() == expected
                     assert marginal_utility(f, inst.prior, psi, e).hex() == expected
 
+    @pytest.mark.parametrize("explicit", [False, True], ids=["independent", "explicit"])
+    @pytest.mark.parametrize("universe", [core._TABLE_MAX_UNIVERSE,
+                                          core._TABLE_MAX_UNIVERSE + 1])
+    def test_pricing_function_is_the_two_evaluation_formula(self, universe, explicit):
+        # The function f.state() makes for a covered mask, called with an
+        # item's posterior at any history covering that mask, gives
+        # explicit_delta's float to the bit: from the weight table at 16
+        # elements, from the summation loop and its memo at 17.
+        inst = generate_coverage(n=6, m=2, universe_size=universe, density=0.3, seed=universe)
+        prior = ExplicitPrior(inst.prior.support()) if explicit else inst.prior
+        f, ref = inst.utility(), inst.utility()
+        histories = list(enumerate_partial_realizations(prior))
+        for psi in histories:
+            gain = f.state(f.covered(psi))[3]
+            for e in range(inst.n):
+                if e not in psi:
+                    expected = explicit_delta(ref, prior, psi, e).hex()
+                    assert gain(e, prior.item_posterior(e, psi)).hex() == expected
+        assert len(f._states) < len(histories)
+
     @pytest.mark.parametrize("pi", [adaptive_greedy(8), adaptive_greedy(8, "lazy"),
                                     adaptive_stochastic_greedy(8, 0.1)],
                              ids=lambda pi: pi.name)
@@ -258,6 +281,68 @@ def assert_same_rollout(pi, inst, seed):
     ref_trace = pi.run_on(ExplicitDeltaContext(ref, inst.prior, seed=seed), phi)
     assert trace == ref_trace
     assert f.delta_counter == ref.delta_counter
+
+
+class CountingContext(EvalContext):
+    """An EvalContext that counts calls of its delta(), as the benchmark's
+    traced runs count calls of EvalContext.delta."""
+
+    calls = 0
+
+    def delta(self, e, psi):
+        CountingContext.calls += 1
+        return super().delta(e, psi)
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """CountingContext in place of EvalContext wherever the package makes one."""
+    monkeypatch.setattr(CountingContext, "calls", 0)
+    for module in (core, evaluation, policies, verify):
+        monkeypatch.setattr(module, "EvalContext", CountingContext)
+    return CountingContext
+
+
+class TestOneCallPerTick:
+    """Every delta_counter tick is one EvalContext.delta call: the benchmark
+    fails a traced job whose count of those calls differs from the counters."""
+
+    @pytest.mark.parametrize("universe", [12, 17])
+    @pytest.mark.parametrize("pi", [adaptive_stochastic_greedy(8, 0.1),
+                                    adaptive_greedy(8, "lazy"), adaptive_greedy(8)],
+                             ids=lambda pi: pi.name)
+    def test_n1000_rollouts(self, counting, pi, universe):
+        # Universes on both sides of the weight-table cap.
+        inst = generate_coverage(n=1000, m=2, universe_size=universe, density=0.2, seed=77)
+        f = inst.utility()
+        run_policy(pi, f, inst.prior, sample_realization(inst.prior, random.Random(1)), seed=1)
+        assert counting.calls == f.delta_counter > 0
+
+    @pytest.mark.parametrize("pi", [adaptive_stochastic_greedy(2, 0.3),
+                                    generalized_asg([[0, 1, 2], [3, 4, 5]], [1, 1], 0.3)],
+                             ids=lambda pi: pi.name)
+    def test_unseeded_exact_evaluation(self, counting, pi):
+        inst = generate_coverage(n=6, m=2, universe_size=6, density=0.3, seed=2)
+        f = inst.utility()
+        exact_policy_value(pi, f, inst.prior)
+        assert counting.calls == f.delta_counter > 0
+
+    def test_marginal_utility(self, counting):
+        inst = generate_coverage(n=6, m=2, universe_size=6, density=0.3, seed=2)
+        f = inst.utility()
+        for psi in (PSI_EMPTY, PartialRealization.of({1: 0, 4: 1})):
+            for e in range(inst.n):
+                marginal_utility(f, inst.prior, psi, e)
+        assert counting.calls == f.delta_counter == 2 * inst.n
+
+    @pytest.mark.parametrize("check", [verify.check_adaptive_monotone,
+                                       verify.check_adaptive_submodular],
+                             ids=["monotone", "submodular"])
+    def test_delta_checkers(self, counting, check):
+        inst = generate_coverage(n=4, m=2, universe_size=6, density=0.3, seed=2)
+        f = inst.utility()
+        check(f, inst.prior)
+        assert counting.calls == f.delta_counter > 0
 
 
 SQRT_WEIGHTS = [[0.0, 2.0, 5.0], [1.0, 0.5, 3.0], [4.0, 0.0, 1.0], [2.5, 2.5, 0.25]]

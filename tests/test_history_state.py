@@ -56,18 +56,25 @@ def reference_draws(seed, psi):
 
 
 def assert_same_f_state(state, ref, psi):
-    """A coverage state (covered, base, memo) at psi equals the state
-    ref.state(covered(psi)) of a utility ref with its own states, to the bit,
-    and every gain in its memo, whichever history priced it, is the gain that
-    ref's whole-mask sum gives."""
-    covered, base, memo = state
+    """A coverage state (covered, base, memo, gain) at psi equals the state
+    ref.state(covered(psi)) of a utility ref with its own states, to the bit;
+    every gain in its memo, whichever history priced it, is the gain that
+    ref's whole-mask sum gives, and so is its pricing function's price of
+    every item under a uniform posterior."""
+    covered, base, memo, gain = state
     fresh = ref.state(ref.covered(psi))
     assert fresh is not state
     assert covered == fresh[0]
     assert base.hex() == fresh[1].hex()
+    for e, row in enumerate(ref.covers):
+        posterior = [(o, 1.0 / len(row)) for o in range(len(row))]
+        total = 0.0
+        for o, p in posterior:
+            total += p * (ref._mask_weight(covered | row[o]) - base)
+        assert gain(e, posterior).hex() == total.hex()
     assert memo[0] == 0.0
-    for new, gain in memo.items():
-        assert gain.hex() == (ref._mask_weight(covered | new) - base).hex()
+    for new, g in memo.items():
+        assert g.hex() == (ref._mask_weight(covered | new) - base).hex()
 
 
 class CheckedContext(EvalContext):

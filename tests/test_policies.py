@@ -20,6 +20,7 @@ from adasub import (
     generate_coverage,
     lemma1_check,
     locally_greedy,
+    policies,
     policy_marginal,
     random_policy,
     run_policy,
@@ -206,6 +207,25 @@ class TestAdaptiveStochasticGreedy:
         t1, _ = rollout(pi, inst, phi, seed="master")
         t2, _ = rollout(pi, inst, phi, seed="master")
         assert t1 == t2
+
+
+DRAW_SIZES = list(range(1, 81)) + [276, 277, 278, 975, 1024, 1025, 4000]
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+def test_draw_is_sorted_random_sample(n):
+    # 277 is random.sample's set-size threshold for a sample of 47, so 276
+    # and 277 take its list branch and 278 its set branch; 975 to 1025 and
+    # 4000 cross bit lengths.  Each draw must give sorted(rng.sample(pool, s))
+    # and leave the stream where rng.sample leaves it.
+    pools = [list(range(n)), [3 * e + 7 for e in reversed(range(n))]]
+    sizes = sorted({s for s in (1, 2, 5, 6, 7, n // 3, n // 2, n, 47) if s <= n})
+    for pool in pools:
+        for s in sizes:
+            for seed in ("0", "7|((3, 1),)", "rollout-n1000:0:12"):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert policies._draw(rng, pool, s) == sorted(ref.sample(pool, s))
+                assert rng.random() == ref.random()
 
 
 class TestPartitionPolicies:
