@@ -297,12 +297,21 @@ class ExplicitPrior(Prior):
         return sub, total
 
     def item_posterior(self, e, psi):
-        _check_item(e, self.n)
+        return self.posteriors(psi, (e,))[0]
+
+    def posteriors(self, psi, items) -> list:
+        """Each item's item_posterior given psi, from one filtering of the
+        support: its masses summed in support order, then divided once."""
+        for e in items:
+            _check_item(e, self.n)
         sub, total = self._consistent(psi)
-        mass = {}
-        for phi, p in sub:
-            mass[phi[e]] = mass.get(phi[e], 0.0) + p
-        return sorted((o, p / total) for o, p in mass.items())
+        out = []
+        for e in items:
+            mass = {}
+            for phi, p in sub:
+                mass[phi[e]] = mass.get(phi[e], 0.0) + p
+            out.append(sorted((o, p / total) for o, p in mass.items()))
+        return out
 
     def item_states(self, e):
         return tuple(sorted({phi[e] for phi, p in self.weighted if p > 0.0}))
@@ -404,6 +413,9 @@ class UtilityFunction:
 
         `states` is a full realization tuple, or (for CoverageUtility, which
         reads only the selected items' states) any mapping covering `items`.
+        An item that is not an integer in [0, n), or for coverage a selected
+        item whose state is missing or not an integer in [0, m), raises
+        ValidationError.
         """
         self.f_counter += 1
         return self._value(items, states)
@@ -418,9 +430,8 @@ class CoverageUtility(UtilityFunction):
     f(S, phi) = total weight of the union of the selected items' realized
     coverage sets.  Monotone in S for every phi, and adaptive submodular for
     independent priors.  f(dom psi, .) and each gain at psi depend on psi's
-    covered mask alone: state(covered(psi)) gives that Delta state, built once
-    with no value() call, and the state's pricing function gain(e, posterior),
-    made with it, prices each candidate (expected_gain() delegates to it).
+    covered mask alone: state(covered(psi)) gives that Delta state, the
+    pricing function gain(e, posterior), built once with no value() call.
 
     Over a universe of at most _TABLE_MAX_UNIVERSE elements every mask weight
     is read from one table of 2^size doubles, shared by every utility with
@@ -452,9 +463,18 @@ class CoverageUtility(UtilityFunction):
                        if self.universe_size <= _TABLE_MAX_UNIVERSE else None)
 
     def _value(self, items, states):
-        mask = 0
+        covers, mask = self.covers, 0
         for e in items:
-            mask |= self.covers[e][states[e]]
+            _check_item(e, len(covers))
+            try:
+                o = states[e]
+            except (IndexError, KeyError):
+                raise ValidationError("the states give item %d no state" % e) from None
+            row = covers[e]
+            if type(o) is not int or not 0 <= o < len(row):
+                raise ValidationError("state %r of item %d is not an integer in [0, %d)"
+                                      % (o, e, len(row)))
+            mask |= row[o]
         return self._mask_weight(mask)
 
     def _mask_weight(self, mask: int) -> float:
@@ -477,17 +497,13 @@ class CoverageUtility(UtilityFunction):
         return covered
 
     def state(self, covered):
-        """(covered mask, f(dom psi), memo, gain) for a history psi whose
-        observations cover the mask `covered`.
+        """f's Delta state at a history psi whose observations cover the mask
+        `covered`: its pricing function gain(e, posterior) (_new_state).
 
-        gain(e, posterior) is the state's pricing function (_new_state).
-        memo maps a newly covered mask to its gain (the empty mask's is there
-        from the start); with a weight table gain reads no memo, so it keeps
-        that one entry.  All of it depends on the covered mask alone, so
-        every history that covers the same elements, in any context on this
-        utility, gets the same state, built once with no value() call.  The
-        states are dropped once their number times (universe size + 1)
-        reaches _SHARED_STATES_MAX.
+        It depends on the covered mask alone, so every history that covers
+        the same elements, in any context on this utility, gets the same
+        function, built once with no value() call.  The functions are dropped
+        once their number times (universe size + 1) reaches _SHARED_STATES_MAX.
         """
         states = self._states
         state = states.get(covered)
@@ -498,18 +514,17 @@ class CoverageUtility(UtilityFunction):
         return state
 
     def _new_state(self, covered):
-        """The state at `covered`, its pricing function made once for it.
+        """gain(e, posterior) = Sum_o p(o) * (f(dom psi + {e}) - f(dom psi))
+        over e's posterior, made once for the covered mask.
 
-        gain(e, posterior) = Sum_o p(o) * (f(dom psi + {e}) - f(dom psi)) over
-        e's posterior.  A gain is value()'s own sum over the mask
-        f(dom psi + {e}) covers, less f(dom psi): the two-evaluation formula
-        by construction.  With a weight table that sum is one read; otherwise
-        the memo prices each newly covered mask once.  The covered mask, the
-        base and the table or memo are bound here, so a call only loops over
-        the posterior.
+        A gain is value()'s own sum over the mask f(dom psi + {e}) covers,
+        less f(dom psi): the two-evaluation formula by construction.  With a
+        weight table that sum is one read; otherwise a memo, which only this
+        path builds, prices each newly covered mask once.  The covered mask,
+        f(dom psi) and the table or memo are bound here, so a call only loops
+        over the posterior.
         """
         base = self._mask_weight(covered)
-        memo = {0: 0.0}
         covers = self.covers
         table = self._table
         if table is not None:
@@ -519,27 +534,23 @@ class CoverageUtility(UtilityFunction):
                 for o, p in posterior:
                     total += p * (table[covered | row[o]] - base)
                 return total
-        else:
-            # The weights, not self: a function that held the utility would
-            # make the utility and its states a cycle that only gc frees.
-            weights = self.weights
+            return gain
+        # The weights, not self: a function that held the utility would make
+        # the utility and its states a cycle that only gc frees.
+        weights = self.weights
+        memo = {0: 0.0}
 
-            def gain(e, posterior):
-                row = covers[e]
-                total = 0.0
-                for o, p in posterior:
-                    new = row[o] & ~covered
-                    g = memo.get(new)
-                    if g is None:
-                        g = memo[new] = _low_to_high(weights, covered | new) - base
-                    total += p * g
-                return total
-        return covered, base, memo, gain
-
-    def expected_gain(self, state, e, posterior):
-        """Sum_o p(o) * (f(dom psi + {e}) - f(dom psi)) over e's posterior,
-        from the state's pricing function (_new_state)."""
-        return state[3](e, posterior)
+        def gain(e, posterior):
+            row = covers[e]
+            total = 0.0
+            for o, p in posterior:
+                new = row[o] & ~covered
+                g = memo.get(new)
+                if g is None:
+                    g = memo[new] = _low_to_high(weights, covered | new) - base
+                total += p * g
+            return total
+        return gain
 
 
 def _low_to_high(weights: tuple, mask: int) -> float:
@@ -600,6 +611,7 @@ class TabularUtility(UtilityFunction):
             states = tuple(states)
         mask = 0
         for e in items:
+            _check_item(e, self.n)
             mask |= 1 << e
         try:
             idx = self._index[states]
@@ -684,12 +696,10 @@ class EvalContext:
     so no round rebuilds what the round before it had.  Any other history
     (exact evaluation, the checkers' sweeps, a stray psi) becomes the
     current one with its state built from scratch.
-    f's Delta state (for coverage: the covered mask, f(dom psi), the gain
-    memo, which only a universe past the weight-table cap reads, and the
-    pricing function made for that mask) belongs to f: f.state(covered)
-    builds, shares and bounds it, so every history that covers the same
-    elements, in any context on f, rollout or not, prices through one
-    function and one gain memo.  delta() calls that function directly.
+    f's Delta state (for coverage: the pricing function made for the
+    covered mask) belongs to f: f.state(covered) builds, shares and bounds
+    it, so every history that covers the same elements, in any context on f,
+    rollout or not, prices through one function.  delta() calls it directly.
     """
 
     def __init__(self, f, prior, seed=0, delta_cache=None):
@@ -709,7 +719,7 @@ class EvalContext:
         self._seen = {}             # its observed items -> states
         self._pool = None           # its unobserved items in id order
         self._covered = None        # its covered mask, once f's state is asked for
-        self._fstate = None         # f's Delta state at it
+        self._fstate = None         # f's Delta state at it: its pricing function
         self._reprs = None          # repr of each of its pairs, in pair order
         self._possible = False      # True once it is known to have positive probability
 
@@ -777,7 +787,8 @@ class EvalContext:
         return child
 
     def _state(self):
-        """f's Delta state at the current history, which must be possible."""
+        """f's Delta state at the current history, which must be possible:
+        its pricing function gain(e, posterior)."""
         if self._fstate is None:
             if not self._possible:
                 _check_evidence(self.prior, self._psi)
@@ -795,10 +806,10 @@ class EvalContext:
         if e in self._seen:
             return 0.0
         if self._rows is not None:
-            state = self._fstate
-            if state is None:
-                state = self._state()
-            return state[3](e, self._rows[e])
+            gain = self._fstate
+            if gain is None:
+                gain = self._state()
+            return gain(e, self._rows[e])
         if self.delta_cache is None:
             return self._delta_exact(e, psi)
         key = (psi.pairs, e)
@@ -821,7 +832,7 @@ class EvalContext:
             return total
         # f(dom, .) is fixed by psi and f(dom+e, .) depends on Phi_e only,
         # so the expectation reduces to item e's posterior for any prior.
-        return self._state()[3](e, prior.item_posterior(e, psi))
+        return self._state()(e, prior.item_posterior(e, psi))
 
     def record(self, candidates, delta):
         self.last_candidates = tuple(candidates)

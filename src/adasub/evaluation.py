@@ -161,7 +161,7 @@ def expected_utility(f, prior, pi: Policy, mode: str = "exact",
     if mode == "exact":
         return exact_policy_value(pi, f, prior, delta_cache=delta_cache)
     if mode != "mc":
-        raise ValueError("unknown mode %r" % mode)
+        raise ValidationError("unknown mode %r" % mode)
     if _check_int(samples, "samples") < 1:
         raise ValidationError("Monte Carlo needs samples >= 1, got %d" % samples)
     rng_phi = random.Random("%s#phi" % seed)

@@ -21,9 +21,9 @@ state, constraint key), where the state ORs a bit pattern per observation
 
 Stop values are memoized on the state.  Under an independent prior each
 item's (bits, probability) row is built once; under an explicit prior a node
-prices each free item's posterior at its history.  Each constraint key gets
-a move table once: the mask of selectable items and, per item e,
-(cstate.after(e), its key).  A node loops over the set bits of
+reads each free item's posterior at its history from ExplicitPrior.posteriors.
+Each constraint key gets a move table once: the mask of selectable items and,
+per item e, (cstate.after(e), its key).  A node loops over the set bits of
 `selectable & ~dom` in ascending order and keys each child from the node's
 key in O(1).  Values within VALUE_TOL of the best tie, and the root's tied
 best items are its optimal first actions.  Hard instance caps fail loudly;
@@ -172,17 +172,11 @@ class _Kernel:
         selectable, after = self.moves.get(ckey) or self._moves(cstate, ckey)
         free = selectable & ~dom
         if rows is None and free:
-            # An explicit prior's posteriors at psi, from one filtering of its
-            # support: item_posterior's masses, summed in support order and
-            # divided once.
-            sub, total = self.prior._consistent(self._history(state))
-            rows = [None] * self.n
-            for e in range(self.n):
-                if free >> e & 1:
-                    mass = {}
-                    for phi, p in sub:
-                        mass[phi[e]] = mass.get(phi[e], 0.0) + p
-                    rows[e] = [(self.bits[e][o], p / total) for o, p in sorted(mass.items())]
+            # An explicit prior's posteriors at psi, its states as bits.
+            items = [e for e in range(self.n) if free >> e & 1]
+            rows, bits = [None] * self.n, self.bits
+            for e, posterior in zip(items, self.prior.posteriors(self._history(state), items)):
+                rows[e] = [(bits[e][o], p) for o, p in posterior]
         best_items = []
         hits = 0
         while free:

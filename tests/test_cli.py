@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import tempfile
+import types
 import weakref
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from adasub import (
+    CoverageUtility,
     InstanceTooLarge,
     PSI_EMPTY,
     ParseError,
@@ -250,14 +252,19 @@ def _memo_key(k):
         or len(k) == 3 and type(k[0]) is type(k[1]) is int and _constraint_key(k[2]))
 
 
+def _f_state(v):
+    """True for a CoverageUtility Delta state: the pricing function it makes."""
+    return type(v) is types.FunctionType and v.__qualname__.startswith(
+        CoverageUtility._new_state.__qualname__ + ".")
+
+
 def _memo_tables():
     """Live oracle and exact-evaluation memos, and EvalContext's f states
-    shared by covered mask (dicts from a mask to a state that starts with it)."""
+    shared by covered mask (dicts from a mask to a pricing function)."""
     return [o for o in gc.get_objects()
             if type(o) is dict and o and (
                 all(map(_memo_key, o))
-                or all(type(k) is int and type(v) is tuple and v[:1] == (k,)
-                       for k, v in o.items()))]
+                or all(type(k) is int and _f_state(v) for k, v in o.items()))]
 
 
 def test_in_process_run_frees_memos_and_stream(instance_a_path, tmp_path):

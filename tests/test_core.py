@@ -12,19 +12,24 @@ from adasub import (
     ExplicitPrior,
     IndependentPrior,
     PSI_EMPTY,
+    ParseError,
     PartialRealization,
+    PolicyViolation,
     TabularUtility,
     UtilityFunction,
     ValidationError,
     ZeroProbabilityEvidence,
     adaptive_greedy,
     adaptive_stochastic_greedy,
+    complementarity_counterexample,
     condition,
     consistent,
     expected_set_value,
     expected_utility,
+    generalized_asg,
     generate_coverage,
     lemma1_check,
+    locally_greedy,
     marginal_utility,
     optimal_value,
     sample_realization,
@@ -32,6 +37,7 @@ from adasub import (
 )
 from adasub.core import ENUMERATION_CAP, EvalContext
 from adasub.errors import ExactModeUnavailable
+from adasub.instances import loads_instance
 from adasub.oracle import restricted_optimal
 from adasub.policies import FixedSequencePolicy, PartitionConstraint
 
@@ -394,6 +400,68 @@ def test_integer_parameters_refuse_floats_and_bools(call, name):
     f, prior = _repro_instance()
     with pytest.raises(ValidationError, match=r"^%s (must be an integer|outside the integers)"
                        % name):
+        call(f, prior)
+
+
+@pytest.mark.parametrize("items,states,match", [
+    ([0], (-1, 0, 0), "state -1 of item 0"),    # was item 0's state-1 weight
+    ([0], (True, 0, 0), "state True of item 0"),    # passed as state 1
+    ([0], (2, 0, 0), "state 2 of item 0"),      # was a bare IndexError
+    ([0], (0.0, 0, 0), "state 0.0 of item 0"),
+    ([-1], (0, 0, 1), "item -1 "),              # priced item 2
+    ([3], (0, 0, 0), "item 3 "),
+    ([5], (0, 0, 0), "item 5 "),                # was a bare IndexError
+    ([True], (0, 0, 0), "item True "),
+    ([2], (0,), "the states give item 2 no state"),     # was a bare IndexError
+    ([2], {0: 1}, "the states give item 2 no state"),   # was a bare KeyError
+])
+def test_coverage_value_refuses_items_and_states_outside_the_instance(items, states, match):
+    f = generate_coverage(n=3, m=2, universe_size=6, density=0.5, seed=1).utility()
+    with pytest.raises(ValidationError, match="^%s" % match):
+        f.value(items, states)
+    assert f.value([0, 2], (1, 0, 1)) == f.value([0, 2], {0: 1, 2: 1})
+
+
+@pytest.mark.parametrize("item", [-1, 2, True, 0.0])
+def test_tabular_value_refuses_items_outside_the_instance(item):
+    # -1 raised a bare ValueError ("negative shift count"), 2 an IndexError.
+    f = complementarity_counterexample().utility()
+    with pytest.raises(ValidationError, match=r"^item %r is not an integer in \[0, 2\)" % (item,)):
+        f.value([item], f.realizations[0])
+
+
+class _OverBudget(FixedSequencePolicy):
+    """Chooses item 0 under a constraint that allows no selection."""
+
+    def fresh_constraint(self, n):
+        return CardinalityConstraint(0)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda f, prior: adaptive_greedy(-1), ValidationError, "k must be >= 0"),
+    (lambda f, prior: adaptive_stochastic_greedy(0, 0.1), ValidationError, "k must be >= 1"),
+    (lambda f, prior: locally_greedy([[0, 1], [2, 3]], [1, 1], order=[0, 0]),
+     ValidationError, "order must be a permutation"),
+    (lambda f, prior: generalized_asg([[0, 1], [2, 3]], [1, 0], 0.1),
+     ValidationError, "every group budget must be >= 1"),
+    (lambda f, prior: adaptive_greedy(2, variant="eager"), ValidationError, "variant must be"),
+    (lambda f, prior: PartitionConstraint.of([[0, 1]], [1]).after(0).after(1),
+     PolicyViolation, "group 0 budget exceeded"),
+    (lambda f, prior: _OverBudget([0]).run_on(EvalContext(f, prior), (0,) * prior.n),
+     PolicyViolation, "selected infeasible item 0"),
+    (lambda f, prior: lemma1_check(10, 2, 0.1, trials=0), ValidationError,
+     "trials must be >= 1"),
+    (lambda f, prior: generate_coverage(n=0, m=2, universe_size=6, density=0.5),
+     ValidationError, "sizes must be >= 1"),
+    (lambda f, prior: loads_instance("[]"), ParseError, "must contain a JSON object"),
+    (lambda f, prior: expected_utility(f, prior, adaptive_greedy(2), mode="approx"),
+     ValidationError, "unknown mode 'approx'"),
+], ids=["greedy-k-negative", "asg-k-zero", "local-order-repeats", "gasg-limit-zero",
+        "greedy-variant-unknown", "partition-after-exhausted", "run-on-infeasible-choice",
+        "lemma1-trials-zero", "generate-n-zero", "load-non-object", "expected-utility-mode"])
+def test_out_of_range_arguments_raise_package_errors(call, error, match):
+    f, prior = _repro_instance()
+    with pytest.raises(error, match=match):
         call(f, prior)
 
 

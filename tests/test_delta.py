@@ -7,6 +7,7 @@ value() calls per state, with exact float equality, and require rollouts
 driven by either to pick the same items.
 """
 
+import gc
 import math
 import random
 import weakref
@@ -98,7 +99,7 @@ class TestCoverageDeltaIsExact:
                     assert ctx.delta(e, psi) == expected
                     assert marginal_utility(f, inst.prior, psi, e) == expected
 
-    def test_matches_two_evaluation_formula_at_large_universes(self):
+    def test_matches_two_evaluation_formula_at_large_universes(self, mask_sums):
         # Sparse coverage of 128-256 elements: a candidate's newly covered
         # elements sit high in the mask and rarely repeat, so the gain memo
         # misses on almost every candidate and each gain is a fresh sum.
@@ -111,11 +112,14 @@ class TestCoverageDeltaIsExact:
             for e in range(inst.n):
                 for psi in histories:
                     expected = explicit_delta(ref, inst.prior, psi, e).hex()
+                    del mask_sums[:]
                     assert ctx.delta(e, psi).hex() == expected
                     assert marginal_utility(f, inst.prior, psi, e).hex() == expected
+                    misses += len(mask_sums)
             for psi in histories:
                 priced += sum(inst.m for e in range(inst.n) if e not in psi)
-            misses += sum(len(state[2]) - 1 for state in f._states.values())
+            # Each state built sums its own covered mask once; the rest are misses.
+            misses -= len(f._states)
         assert misses > 0.8 * priced
 
     def test_delta_cache_keeps_exact_values(self):
@@ -143,7 +147,7 @@ class TestCoverageDeltaIsExact:
                 assert ctx.delta(e, psi) == expected
                 assert marginal_utility(f, prior, psi, e) == expected
 
-    def test_candidates_sharing_a_new_mask_are_priced_once(self):
+    def test_candidates_sharing_a_new_mask_are_priced_once(self, mask_sums):
         # Twelve zero-weight elements that no cover touches take the universe
         # past the weight-table cap, to the gain memo, and change no value.
         weights = [0.1, 0.7, 0.2, 1.3, 0.3] + [0.0] * 12
@@ -155,17 +159,18 @@ class TestCoverageDeltaIsExact:
         f, ref = CoverageUtility(weights, covers), CoverageUtility(weights, covers)
         assert f.universe_size == core._TABLE_MAX_UNIVERSE + 1
         psi = PartialRealization.of({3: 0})
-        state = f.state(f.covered(psi))
-        memo = state[2]
-        assert f.expected_gain(state, 0, prior.rows[0]) == explicit_delta(ref, prior, psi, 0)
-        priced = dict(memo)
-        assert 0b00010 in priced
-        assert f.expected_gain(state, 2, prior.rows[2]) == explicit_delta(ref, prior, psi, 2)
-        assert memo[0b00010] is priced[0b00010]     # a hit, not a second sum
-        assert set(memo) == set(priced) | {0b10100}
+        expected = [explicit_delta(ref, prior, psi, e) for e in range(3)]
+        del mask_sums[:]
+        gain = f.state(f.covered(psi))
+        assert mask_sums == [0b00001]               # f(dom psi)
+        assert gain(0, prior.rows[0]) == expected[0]
+        assert mask_sums[1:] == [0b00011, 0b01101]  # newly covering 0b00010 and 0b01100
+        del mask_sums[:]
+        assert gain(2, prior.rows[2]) == expected[2]
+        assert mask_sums == [0b10101]               # 0b00010 a hit, not a second sum
         ctx = EvalContext(f, prior)
         for e in range(3):
-            assert ctx.delta(e, psi) == explicit_delta(ref, prior, psi, e)
+            assert ctx.delta(e, psi) == expected[e]
 
     @pytest.mark.parametrize("universe", [core._TABLE_MAX_UNIVERSE,
                                           core._TABLE_MAX_UNIVERSE + 1])
@@ -205,7 +210,9 @@ class TestCoverageDeltaIsExact:
         f, ref = inst.utility(), inst.utility()
         histories = list(enumerate_partial_realizations(prior))
         for psi in histories:
-            gain = f.state(f.covered(psi))[3]
+            gain = f.state(f.covered(psi))
+            # Only the summation path keeps a gain memo.
+            assert ("memo" in gain.__code__.co_freevars) == (f._table is None)
             for e in range(inst.n):
                 if e not in psi:
                     expected = explicit_delta(ref, prior, psi, e).hex()
@@ -271,6 +278,23 @@ class TestWeightTable:
         del f
         alive = [ref() for ref in tables if ref() is not None]
         assert len(alive) <= core._WEIGHT_TABLES_MAX
+
+    @pytest.mark.parametrize("universe", [core._TABLE_MAX_UNIVERSE,
+                                          core._TABLE_MAX_UNIVERSE + 1])
+    def test_a_priced_utility_is_freed_without_the_cycle_collector(self, universe):
+        # A pricing function that held its utility would make the utility and
+        # its states a cycle that only a gc pass frees.
+        inst = generate_coverage(n=6, m=2, universe_size=universe, density=0.3, seed=1)
+        f = inst.utility()
+        marginal_utility(f, inst.prior, PartialRealization.of({1: 0}), 0)
+        assert f._states
+        gc.disable()
+        try:
+            alive = weakref.ref(f)
+            del f
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 def assert_same_rollout(pi, inst, seed):

@@ -55,26 +55,29 @@ def reference_draws(seed, psi):
     return draws(random.Random("%s|%s" % (seed, psi.pairs)))
 
 
-def assert_same_f_state(state, ref, psi):
-    """A coverage state (covered, base, memo, gain) at psi equals the state
-    ref.state(covered(psi)) of a utility ref with its own states, to the bit;
-    every gain in its memo, whichever history priced it, is the gain that
-    ref's whole-mask sum gives, and so is its pricing function's price of
-    every item under a uniform posterior."""
-    covered, base, memo, gain = state
-    fresh = ref.state(ref.covered(psi))
-    assert fresh is not state
-    assert covered == fresh[0]
-    assert base.hex() == fresh[1].hex()
+def assert_same_f_state(ctx, ref, psi):
+    """The context's coverage state at psi, its pricing function, is
+    f.state of the context's covered mask, and that mask is ref.covered(psi)
+    for a utility ref with its own states.  The function prices every state
+    of every item alone, and every item under a uniform posterior, to the
+    bit of the two-evaluation formula on ref, whichever history primed it."""
+    gain = ctx._fstate
+    assert gain is ctx.f.state(ctx._covered)
+    assert ctx._covered == ref.covered(psi)
+    assert gain is not ref.state(ref.covered(psi))
+    dom, fixed = psi.domain(), psi.as_dict()
+    base = ref.value(dom, fixed)
     for e, row in enumerate(ref.covers):
+        if e in psi:
+            continue
+        gains = [ref.value(dom + (e,), {**fixed, e: o}) - base for o in range(len(row))]
+        for o, g in enumerate(gains):
+            assert gain(e, [(o, 1.0)]).hex() == g.hex()
         posterior = [(o, 1.0 / len(row)) for o in range(len(row))]
         total = 0.0
-        for o, p in posterior:
-            total += p * (ref._mask_weight(covered | row[o]) - base)
+        for (o, p), g in zip(posterior, gains):
+            total += p * g
         assert gain(e, posterior).hex() == total.hex()
-    assert memo[0] == 0.0
-    for new, g in memo.items():
-        assert g.hex() == (ref._mask_weight(covered | new) - base).hex()
 
 
 class CheckedContext(EvalContext):
@@ -109,8 +112,8 @@ class CheckedContext(EvalContext):
 
     def _state(self):
         state = super()._state()
-        assert_same_f_state(state, self.reference, self._psi)
-        self.priced.add(state[0])
+        assert_same_f_state(self, self.reference, self._psi)
+        self.priced.add(self._covered)
         return state
 
     def rng_for(self, psi):
@@ -226,11 +229,12 @@ def test_seed_string_at_the_edges(seed):
         assert draws(ctx.rng_for(psi)) == reference_draws(seed, psi)
 
 
-def test_contexts_on_one_utility_share_its_states():
+def test_contexts_on_one_utility_share_its_states(mask_sums):
     # The Delta states belong to the utility: a second context on f, and the
     # context marginal_utility makes, price from the state the first context
     # built, gain memo and all, while a context on an equal utility builds its own.
     inst = instance()
+    assert inst.utility()._table is None      # 20 elements: the memo path
     f, other = inst.utility(), inst.utility()
     psi = PartialRealization.of({3: 1, 17: 0})
     contexts = [EvalContext(f, inst.prior), EvalContext(f, inst.prior, seed=5),
@@ -241,9 +245,9 @@ def test_contexts_on_one_utility_share_its_states():
     assert first is second is f.state(f.covered(psi))
     assert third is other.state(f.covered(psi)) is not first
     assert len(f._states) == len(other._states) == 1
-    memo = dict(first[2])
+    del mask_sums[:]
     assert marginal_utility(f, inst.prior, psi, 0) == contexts[0].delta(0, psi)
-    assert first[2] == memo and len(f._states) == 1
+    assert mask_sums == [] and len(f._states) == 1     # memo hits, no state built
 
 
 @pytest.mark.parametrize("explicit", [False, True], ids=["independent", "explicit"])
@@ -260,7 +264,11 @@ def test_states_shared_by_covered_mask_are_bit_exact(n, seed, explicit):
     for psi in histories:
         for e in range(n):
             assert ctx.delta(e, psi).hex() == marginal_utility(ref, prior, psi, e).hex()
-        assert f.state(f.covered(psi))[1] == ref.value(psi.domain(), psi.as_dict())
+        gain, dom, fixed = f.state(f.covered(psi)), psi.domain(), psi.as_dict()
+        for e in unobserved(n, psi):
+            for o in range(inst.m):
+                g = ref.value(dom + (e,), {**fixed, e: o}) - ref.value(dom, fixed)
+                assert gain(e, [(o, 1.0)]).hex() == g.hex()
     assert f.delta_counter == ref.delta_counter == n * len(histories)
     assert len(f._states) == len({f.covered(psi) for psi in histories}) < len(histories)
 
