@@ -263,10 +263,11 @@ def oracle(instance_path, out):
     _echo(text, nl=False)
 
 
+# Each check is looked up when it runs, so a rebound adasub.cli.check_* is called.
 CHECKS = {
-    "monotone": check_adaptive_monotone,
-    "submodular": check_adaptive_submodular,
-    "fully": check_fully_adaptive_submodular,
+    "monotone": lambda f, prior: check_adaptive_monotone(f, prior),
+    "submodular": lambda f, prior: check_adaptive_submodular(f, prior),
+    "fully": lambda f, prior: check_fully_adaptive_submodular(f, prior),
 }
 
 

@@ -7,10 +7,10 @@ with the policy's choice replaced by a max:
                   max_e sum_o Pr[Phi_e = o | psi] * V(psi + (e, o)) )
 
 memoized on (psi, constraint state).  The stop branch keeps the oracle
-correct for non-monotone tabular utilities.  One flat kernel, _Kernel,
-computes it for every instance.  It keys a history psi as (dom psi bitmask,
-state, constraint key), where the state ORs a bit pattern per observation
-(e, o):
+correct for non-monotone tabular utilities.  One object per instance,
+RestrictedOracle, computes it for optimal_value and every restricted query.
+It keys a history psi as (dom psi bitmask, state, constraint key), where the
+state ORs a bit pattern per observation (e, o):
 
 * for coverage under an independent prior, (e, o)'s coverage mask.  An
   unobserved item's posterior is its prior, and the future values of psi
@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (CoverageUtility, IndependentPrior, PSI_EMPTY, PartialRealization,
-                   _check_evidence, _check_items, expected_set_value)
+from .core import (CoverageUtility, IndependentPrior, PartialRealization, _check_evidence,
+                   expected_set_value)
 from .errors import InstanceTooLarge, ValidationError
 
 VALUE_TOL = 1e-12
@@ -80,17 +80,21 @@ def _dom_mask(psi):
     return dom
 
 
-class _Kernel:
-    """The optimum's recursion (module docstring).
+class RestrictedOracle:
+    """The optimum's recursion (module docstring) for one instance.
 
-    value(psi, cstate, first) is V at psi under the constraint state, and
-    stop(psi) psi's stop value; psi is read once per change, for its root
-    key.  A `first` list receives the root's tied best items.  nodes counts
-    expanded keys, hits memo hits.
+    optimal_value expands the empty history's key once; restricted_optimal
+    is oracle(psi, items, a).  One memo serves every call, so the values and
+    stop values of subproblems that several queries reach are computed once.
+    Callers ask many (items, a) at one psi, so psi's root key (dom psi
+    bitmask, state) is computed when psi changes, not per query, and
+    query(psi, mask(items), a) checks the items once for many psi.  nodes
+    counts expanded keys, hits memo hits.
     """
 
-    def __init__(self, f, prior):
-        self.f, self.prior, self.n = f, prior, prior.n
+    def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
+        _check_size(prior, caps)
+        self.f, self.prior, self.n, self.caps = f, prior, prior.n, caps
         independent = isinstance(prior, IndependentPrior)
         self.coverage = independent and isinstance(f, CoverageUtility)
         self.width = width = prior.m.bit_length()
@@ -105,6 +109,44 @@ class _Kernel:
         self.nodes = self.hits = 0
         self._psi = self._root = None
 
+    def __call__(self, psi: PartialRealization, items, a: int) -> float:
+        return self.query(psi, self.mask(items), a)
+
+    def mask(self, items) -> int:
+        """The bitmask of items, each checked to be an integer in [0, n)."""
+        n, mask = self.n, 0
+        for e in items:
+            if type(e) is not int or not 0 <= e < n:
+                raise ValidationError("item %r outside the integers [0, %d)" % (e, n))
+            mask |= 1 << e
+        return mask
+
+    def query(self, psi: PartialRealization, mask: int, a: int) -> float:
+        """oracle(psi, items, a), the items given as mask(items).
+
+        Checks, in this order: a is an integer >= 0 (ValidationError); psi
+        observes items in [0, n) (ValidationError) and is possible
+        (ZeroProbabilityEvidence); a, clamped to the items psi leaves free,
+        is within the budget cap (InstanceTooLarge).  The memo is read at
+        the query's key, and a _Restriction is built only on a miss.
+        """
+        if type(a) is not int:
+            raise ValidationError("budget a must be an integer, got %r" % (a,))
+        if a < 0:
+            raise ValidationError("negative budget")
+        dom, state = self._root_of(psi)
+        free = mask & ~dom
+        budget = min(a, free.bit_count())
+        if budget > self.caps.max_budget:     # raises
+            _check_budget(self.prior, budget, self.caps)
+        key = (dom, state, (free, budget))
+        value = self.memo.get(key)
+        if value is None:
+            value = self._node(key, _Restriction(free, budget))
+        else:
+            self.hits += 1
+        return value - self._stop(state)
+
     def _history(self, state):
         """The history whose state this is, where states are not covered masks."""
         width, field = self.width, (1 << self.width) - 1
@@ -112,7 +154,8 @@ class _Kernel:
                                         if (o := (state >> (e * width)) & field)))
 
     def _root_of(self, psi):
-        """(dom psi bitmask, state); impossible evidence raises."""
+        """(dom psi bitmask, state); psi's items are range-checked and
+        impossible evidence raises."""
         if psi is not self._psi:
             _check_evidence(self.prior, psi)
             bits, state = self.bits, 0
@@ -122,34 +165,12 @@ class _Kernel:
             self._psi = psi
         return self._root
 
-    def stop(self, psi):
-        return self._stop(self._root_of(psi)[1])
-
     def _stop(self, state):
         value = self.stops.get(state)
         if value is None:
             value = self.stops[state] = (
                 self.f._mask_weight(state) if self.coverage
                 else expected_set_value(self.f, self.prior, self._history(state)))
-        return value
-
-    def value(self, psi, cstate, first=None):
-        key = self._root_of(psi) + (cstate.key(),)
-        value = self.memo.get(key)
-        if value is None:
-            return self._node(key, cstate, first)
-        self.hits += 1
-        return value
-
-    def restricted(self, psi, items, budget):
-        """value(psi, _Restriction(items, budget)) for a budget <= |items|;
-        the memo is read at that state's key, (items, budget), and the
-        _Restriction is built only on a miss."""
-        key = self._root_of(psi) + ((items, budget),)
-        value = self.memo.get(key)
-        if value is None:
-            return self._node(key, _Restriction(items, budget), None)
-        self.hits += 1
         return value
 
     def _moves(self, cstate, ckey):
@@ -163,8 +184,8 @@ class _Kernel:
         table = self.moves[ckey] = (selectable, after)
         return table
 
-    def _node(self, key, cstate, first):
-        """V at a key not in the memo."""
+    def _node(self, key, cstate, first=None):
+        """V at a key not in the memo; a `first` list receives its tied best items."""
         self.nodes += 1
         dom, state, ckey = key
         memo, rows = self.memo, self.rows
@@ -190,7 +211,7 @@ class _Kernel:
                 k = (child, state | bits, nkey)
                 value = memo.get(k)
                 if value is None:
-                    value = self._node(k, nxt, None)
+                    value = self._node(k, nxt)
                 else:
                     hits += 1
                 total += p * value
@@ -207,12 +228,11 @@ class _Kernel:
 
 
 def _solve(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
-    _check_size(prior, caps)
+    oracle = RestrictedOracle(f, prior, caps)
     _check_budget(prior, constraint.total_budget(), caps)
     first = []
-    rec = _Kernel(f, prior)
-    value = rec.value(PSI_EMPTY, constraint, first)
-    return OracleResult(value, tuple(first), rec.nodes, rec.hits)
+    value = oracle._node((0, 0, constraint.key()), constraint, first)   # the empty history
+    return OracleResult(value, tuple(first), oracle.nodes, oracle.hits)
 
 
 def optimal_value(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
@@ -244,53 +264,6 @@ class _Restriction:
 
     def key(self):
         return (self.items, self.budget)
-
-
-class RestrictedOracle:
-    """restricted_optimal for one instance, called as oracle(psi, items, a).
-
-    One recursion serves every call, so the values and stop values of
-    subproblems that several queries reach are computed once.  Callers ask
-    many (items, a) at one psi, so psi's dom bitmask and stop value are
-    computed when psi changes, not per query.  query(psi, mask(items), a)
-    checks the items once for many psi; _Kernel.restricted answers it.
-    """
-
-    def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
-        _check_size(prior, caps)
-        self.prior, self.caps = prior, caps
-        self.rec = _Kernel(f, prior)
-        self._psi = self._dom = self._stop = None
-
-    def __call__(self, psi: PartialRealization, items, a: int) -> float:
-        return self.query(psi, self.mask(items), a)
-
-    def mask(self, items) -> int:
-        """The bitmask of items, each checked to be an integer in [0, n)."""
-        n, mask = self.prior.n, 0
-        for e in items:
-            if type(e) is not int or not 0 <= e < n:
-                raise ValidationError("item %r outside the integers [0, %d)" % (e, n))
-            mask |= 1 << e
-        return mask
-
-    def query(self, psi: PartialRealization, mask: int, a: int) -> float:
-        """oracle(psi, items, a), the items given as mask(items); a is checked
-        here and clamped to the items psi leaves free."""
-        if type(a) is not int:
-            raise ValidationError("budget a must be an integer, got %r" % (a,))
-        if a < 0:
-            raise ValidationError("negative budget")
-        if psi is not self._psi:
-            _check_items(psi, self.prior.n)
-            self._psi, self._dom, self._stop = psi, _dom_mask(psi), None
-        free = mask & ~self._dom
-        budget = min(a, free.bit_count())
-        if budget > self.caps.max_budget:     # raises
-            _check_budget(self.prior, budget, self.caps)
-        if self._stop is None:      # checks psi's evidence
-            self._stop = self.rec.stop(psi)
-        return self.rec.restricted(psi, free, budget) - self._stop
 
 
 def restricted_optimal(f, prior, psi: PartialRealization, items, a: int,

@@ -150,7 +150,7 @@ def oracle_text() -> str:
                 lines.append("restricted psi=%s items=%s a=%d %s" % (
                     ",".join("%d:%d" % pair for pair in psi.pairs) or "-",
                     ",".join(map(str, items)), a, oracle(psi, items, a).hex()))
-        lines.append("restricted_nodes %d" % oracle.rec.nodes)
+        lines.append("restricted_nodes %d" % oracle.nodes)
     return "\n".join(lines) + "\n"
 
 

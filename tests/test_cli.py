@@ -318,6 +318,24 @@ class TestVerify:
                                    "--checks", "fully"])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("check, name", [("monotone", "check_adaptive_monotone"),
+                                             ("submodular", "check_adaptive_submodular"),
+                                             ("fully", "check_fully_adaptive_submodular")])
+    def test_a_rebound_check_function_is_called(self, runner, instance_a_path, monkeypatch,
+                                                check, name):
+        # A tracer rebinds adasub.cli.check_*; verify must call the rebound one.
+        calls = []
+        original = getattr(cli, name)
+
+        def spy(f, prior):
+            calls.append(name)
+            return original(f, prior)
+
+        monkeypatch.setattr(cli, name, spy)
+        res = runner.invoke(main, ["verify", "--instance", instance_a_path, "--checks", check])
+        assert res.exit_code == 0, res.output
+        assert calls == [name] and "PASS" in res.output
+
     def test_unknown_check_is_usage_error(self, runner, instance_a_path):
         res = runner.invoke(main, ["verify", "--instance", instance_a_path,
                                    "--checks", "bogus"])

@@ -171,6 +171,29 @@ class TestRestrictedOptimal:
             restricted_optimal(utility_a, prior, PSI_EMPTY, (0, 2), 1)
 
     @pytest.mark.parametrize("explicit", [False, True])
+    def test_query_checks_a_then_evidence_then_the_budget_cap(self, explicit):
+        # Item 0 is never in state 1, so {0: 1} is impossible.  Every query
+        # below asks for a budget of 2, clamped to 2 free items, over a cap of 1.
+        prior = IndependentPrior([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+        if explicit:
+            prior = ExplicitPrior(prior.support())
+        f = CoverageUtility((1.0, 1.0), ((0b01, 0b11), (0b00, 0b10), (0b10, 0b01)))
+        oracle = RestrictedOracle(f, prior, OracleCaps(max_budget=1))
+        items = oracle.mask((1, 2))
+        outside = (PartialRealization.of({3: 0}), PartialRealization.of({-1: 0}),
+                   PartialRealization.of({0: 0, 5: 1}))
+        for psi in outside:
+            with pytest.raises(ValidationError, match="negative budget"):
+                oracle.query(psi, items, -1)
+            with pytest.raises(ValidationError, match=r"observes an item outside \[0, 3\)"):
+                oracle.query(psi, items, 2)
+        with pytest.raises(ZeroProbabilityEvidence):
+            oracle.query(PartialRealization.of({0: 1}), items, 2)
+        with pytest.raises(InstanceTooLarge, match="budget 2 exceeds oracle cap 1"):
+            oracle.query(PartialRealization.of({0: 0}), items, 2)
+        assert oracle.query(PartialRealization.of({0: 0}), items, 1) >= 0.0
+
+    @pytest.mark.parametrize("explicit", [False, True])
     def test_a_repeated_item_counts_once(self, utility_a, prior_a, explicit):
         prior = ExplicitPrior(prior_a.support()) if explicit else prior_a
         oracle = RestrictedOracle(utility_a, prior)
@@ -226,22 +249,31 @@ def test_a_history_state_decodes_to_its_history(inst):
     # explicit prior.
     prior = ExplicitPrior(inst.prior.support())
     oracle = RestrictedOracle(inst.utility(), prior)
-    rec = oracle.rec
-    assert not rec.coverage and rec.rows is None
+    assert not oracle.coverage and oracle.rows is None
     for psi in enumerate_partial_realizations(prior):
-        dom, state = rec._root_of(psi)
+        dom, state = oracle._root_of(psi)
         assert dom == _dom_mask(psi)
-        assert rec._history(state) == psi
-        assert rec.stop(psi) == expected_set_value(inst.utility(), prior, psi)
+        assert oracle._history(state) == psi
+        assert oracle._stop(state) == expected_set_value(inst.utility(), prior, psi)
 
 
 @pytest.mark.parametrize("explicit", [False, True], ids=["independent-prior", "explicit-prior"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_mask_queries_equal_restricted_optimal(seed, explicit):
+def test_mask_queries_equal_restricted_optimal(monkeypatch, seed, explicit):
     # One oracle answers query(psi, mask, a) for every column, as the
     # fully-adaptive check asks it; a query that hits the memo is read at its
-    # key without a _Restriction.  Each answer must equal a fresh
-    # restricted_optimal to the bit.
+    # key without building a _Restriction.  Each answer must equal a fresh
+    # restricted_optimal to the bit, and the memo value at the query's key
+    # less psi's stop value.
+    built = []
+
+    class Counted(_Restriction):
+        __slots__ = ()
+
+        def __init__(self, items, budget):
+            built.append((items, budget))
+            super().__init__(items, budget)
+
     inst = generate_coverage(n=4, m=2, universe_size=6, density=0.35, seed=seed)
     f, prior = inst.utility(), inst.prior
     if explicit:
@@ -250,16 +282,25 @@ def test_mask_queries_equal_restricted_optimal(seed, explicit):
     columns = [(items, a, oracle.mask(items)) for size in range(1, inst.n + 1)
                for items in itertools.combinations(range(inst.n), size)
                for a in range(1, size + 1)]
+    monkeypatch.setattr("adasub.oracle._Restriction", Counted)
+    hit_queries = 0
     for psi in enumerate_partial_realizations(prior, max_size=2):
         for items, a, mask in columns:
             expected = restricted_optimal(f, prior, psi, items, a)
-            assert oracle.query(psi, mask, a) == expected, (psi, items, a)
-            # restricted() reads value()'s key
-            rec = oracle.rec
-            free = mask & ~_dom_mask(psi)
-            state = _Restriction(free, min(a, free.bit_count()))    # as query clamps
-            assert rec.memo[rec._root_of(psi) + (state.key(),)] == rec.value(psi, state)
-    assert oracle.rec.hits > 0
+            dom, state = oracle._root_of(psi)
+            free = mask & ~dom
+            key = (dom, state, (free, min(a, free.bit_count())))     # as query clamps
+            hit, hits = key in oracle.memo, oracle.hits
+            built.clear()
+            answer = oracle.query(psi, mask, a)
+            assert answer == expected, (psi, items, a)
+            assert answer == oracle.memo[key] - oracle._stop(state), (psi, items, a)
+            if hit:
+                hit_queries += 1
+                assert not built and oracle.hits == hits + 1, (psi, items, a)
+            else:
+                assert built[0] == key[2], (psi, items, a)
+    assert hit_queries > 0
 
 
 @pytest.mark.parametrize("explicit", [False, True], ids=["independent-prior", "explicit-prior"])
@@ -281,7 +322,7 @@ def test_restriction_budgets_never_exceed_their_items(monkeypatch, explicit):
     monkeypatch.setattr("adasub.verify.RestrictedOracle", Recorded)
     check_fully_adaptive_submodular(f, prior)
     (oracle,) = oracles
-    keys = [key[-1] for key in oracle.rec.memo]     # (items, budget) per entry
+    keys = [key[-1] for key in oracle.memo]     # (items, budget) per entry
     assert keys
     for items, budget in keys:
         assert 0 <= budget <= items.bit_count(), (items, budget)

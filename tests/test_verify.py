@@ -479,4 +479,4 @@ def test_fully_adaptive_check_expands_each_oracle_state_once(monkeypatch):
                    for size in range(1, 5) for items in itertools.combinations(range(4), size)
                    for a in range(1, size + 1)]
         bound = len(reachable_states(inst.prior, queries))
-        assert made[-1].rec.nodes <= bound < 1000
+        assert made[-1].nodes <= bound < 1000
