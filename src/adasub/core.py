@@ -183,8 +183,9 @@ class IndependentPrior(Prior):
                 raise ValidationError("item %d has %d states, expected %d" % (e, len(row), self.m))
             if not all(0.0 <= p < math.inf for p in row):
                 raise ValidationError("negative or non-finite probability for item %d" % e)
-            if abs(sum(row) - 1.0) > PROB_TOL:
-                raise ValidationError("prior normalization: item %d sums to %.17g" % (e, sum(row)))
+            total = _left_sum(row)
+            if abs(total - 1.0) > PROB_TOL:
+                raise ValidationError("prior normalization: item %d sums to %.17g" % (e, total))
 
     def evidence_probability(self, psi):
         _check_items(psi, self.n)
@@ -389,9 +390,9 @@ def sample_realization(prior, stream: random.Random) -> tuple:
 class UtilityFunction:
     """f(S, phi) >= 0 with evaluation counters.
 
-    f_counter counts calls of value(), and nothing else: a coverage state's
-    pricing function prices a candidate without calling value(), so it costs
-    no f evaluation.
+    f_counter counts calls of value() and coverage stops (covered_value), and
+    nothing else: a coverage state's pricing function and the oracle's stops
+    read covered masks' weights with no count.
     delta_counter counts marginal-utility oracle invocations (one per
     candidate item examined, the unit in which the sampling policies'
     complexity bounds are stated).
@@ -488,6 +489,12 @@ class CoverageUtility(UtilityFunction):
         if table is not None:
             return table[mask]
         return _low_to_high(self.weights, mask)
+
+    def covered_value(self, covered: int) -> float:
+        """f(dom psi) at a history psi whose observations cover the mask
+        `covered`, counted as one f evaluation: a coverage stop."""
+        self.f_counter += 1
+        return self._mask_weight(covered)
 
     def covered(self, psi) -> int:
         """The mask of the universe elements psi's observations cover."""
@@ -651,11 +658,12 @@ def _check_evidence(prior, psi: PartialRealization):
 
 
 def expected_set_value(f: UtilityFunction, prior, psi: PartialRealization) -> float:
-    """E[f(dom psi, Phi) | psi]: the value of stopping at psi."""
-    dom = psi.domain()
+    """E[f(dom psi, Phi) | psi]: the value of stopping at psi; for coverage,
+    psi's covered mask's weight once _check_evidence has passed psi."""
     if isinstance(f, CoverageUtility):
         _check_evidence(prior, psi)
-        return f.value(dom, psi.as_dict())
+        return f.covered_value(f.covered(psi))
+    dom = psi.domain()
     total = 0.0
     for phi, p in prior.support(psi):
         total += p * f.value(dom, phi)

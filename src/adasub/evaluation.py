@@ -2,9 +2,10 @@
 
 Exact evaluation is one recursion over observation histories,
 HistoryRecursion: the expectation of the final utility over histories,
-memoized on (history, constraint state), where each node takes the policy's
-own choice (adasub.oracle takes the max over the same expectation in its own
-kernel).  A policy owns its constraint (pi.fresh_constraint(n)) and is always
+memoized on (history, constraint state), where each node either stops, worth
+expected_set_value (for coverage, its covered mask's weight), or averages
+over the policy's own choice (adasub.oracle's RestrictedOracle takes the max
+instead).  A policy owns its constraint (pi.fresh_constraint(n)) and is always
 evaluated under it.  A deterministic policy's choice is its decide, the code
 a rollout runs, and so is a randomized one's for a fixed master seed (its
 stream is derived from the seed and the history); unseeded, a randomized
@@ -13,7 +14,8 @@ evaluation first bounds the histories it could visit and refuses trees over
 EXACT_MAX_HISTORIES: a randomized policy may reach C(n, j) * m^j histories at
 depth j.  Policies with no single decision stream (concatenations, whose
 second phase forgets the history) fall back to enumerating the prior support
-and running a rollout per realization.
+and running a rollout per realization.  Monte Carlo sums left to right, so its
+mean and standard error have the same bits on every Python version.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import copy
 import math
 import random
 
-from .core import EvalContext, PSI_EMPTY, PartialRealization, _check_int, expected_set_value
+from .core import (EvalContext, PSI_EMPTY, PartialRealization, _check_int, _left_sum,
+                   expected_set_value)
 from .errors import ExactModeUnavailable, InstanceTooLarge, PolicyViolation, ValidationError
 from .policies import Policy, run_policy
 
@@ -51,20 +54,18 @@ def exact_history_bound(pi: Policy, n: int, m: int, expand=True) -> int:
 class HistoryRecursion:
     """pi's expected final utility over observation histories, in the context ctx.
 
-    value(psi, cstate, scratch) is a node: pi either stops, worth stop(psi) =
-    E[f(dom psi) | psi], or its choice's branches are averaged, each
-    branch(psi, cstate, e, scratch) = sum_o p(o | psi) * value(psi + (e, o),
-    cstate after e).  A node whose scratch is empty ({} or None) is memoized
-    on (psi, constraint key); one whose scratch holds state depends on its
-    path, is not memoized, and gives each child a deep copy.  A stop value is
-    priced each time a node stops, once per history.  Branching and stopping
-    also condition on `given`, which pi does not see.  nodes counts expanded
-    nodes, hits memo hits.
+    value(psi, cstate, scratch) is a node.  Its evidence is psi with `given`,
+    which pi does not see, built once per node.  pi either stops, worth
+    E[f(dom psi) | evidence], priced each time a node stops (once per
+    history), or its choice's branches are averaged, each e worth
+    sum_o p(o | evidence) * value(psi + (e, o), cstate after e).  A node whose
+    scratch is empty ({} or None) is memoized on (psi, constraint key); one
+    whose scratch holds state depends on its path, is not memoized, and gives
+    each child a deep copy.  nodes counts expanded nodes, hits memo hits.
     """
 
     def __init__(self, pi, ctx, given=PSI_EMPTY):
         self.pi, self.ctx, self.given = pi, ctx, given
-        self.f, self.prior = ctx.f, ctx.prior
         self.memo = {}
         self.nodes = self.hits = 0
 
@@ -83,36 +84,27 @@ class HistoryRecursion:
 
     def _node(self, psi, cstate, scratch):
         """Stop, or average the branches over pi's choice."""
-        pi, ctx = self.pi, self.ctx
+        pi, ctx, given = self.pi, self.ctx, self.given
         if ctx.seed is None and pi.randomized:
             choices = pi.decision_distribution(ctx, psi, cstate)
         else:
             e = pi.decide(ctx, psi, cstate, scratch)
             choices = [] if e is None else [(e, 1.0)]
+        evidence = (PartialRealization.of({**given.as_dict(), **psi.as_dict()})
+                    if given else psi)
         if not choices:
-            return self.stop(psi)
+            return expected_set_value(ctx.f, ctx.prior, evidence)
         value = 0.0
         for e, q in choices:
             if not 0 <= e < ctx.n or e in psi or not cstate.can_select(e):
                 raise PolicyViolation("%s chose infeasible item %d" % (pi.name, e))
-            value += q * self.branch(psi, cstate, e, scratch)
+            nxt = cstate.after(e)
+            branch = 0.0
+            for o, p in ctx.prior.item_posterior(e, evidence):
+                child = copy.deepcopy(scratch) if scratch else scratch
+                branch += p * self.value(psi.with_observation(e, o), nxt, child)
+            value += q * branch
         return value
-
-    def _evidence(self, psi):
-        if not self.given:
-            return psi
-        return PartialRealization.of({**self.given.as_dict(), **psi.as_dict()})
-
-    def stop(self, psi):
-        return expected_set_value(self.f, self.prior, self._evidence(psi))
-
-    def branch(self, psi, cstate, e, scratch=None):
-        nxt = cstate.after(e)
-        total = 0.0
-        for o, p in self.prior.item_posterior(e, self._evidence(psi)):
-            child = copy.deepcopy(scratch) if scratch else scratch
-            total += p * self.value(psi.with_observation(e, o), nxt, child)
-        return total
 
 
 def exact_policy_value(pi: Policy, f, prior, seed=None, delta_cache=None) -> float:
@@ -171,9 +163,9 @@ def expected_utility(f, prior, pi: Policy, mode: str = "exact",
         trace = run_policy(pi, f, prior, phi, seed="%s#%d" % (seed, i),
                            delta_cache=delta_cache)
         vals.append(trace.value)
-    mean = sum(vals) / len(vals)
+    mean = _left_sum(vals) / len(vals)
     try:
-        var = sum((v - mean) ** 2 for v in vals) / max(len(vals) - 1, 1)
+        var = _left_sum((v - mean) ** 2 for v in vals) / max(len(vals) - 1, 1)
     except OverflowError:   # a square past the float range, as from values near 1e308
         var = math.inf
     return mean, math.sqrt(var / len(vals))

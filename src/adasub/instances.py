@@ -31,6 +31,7 @@ from .core import (
     TabularUtility,
     UtilityFunction,
     _check_int,
+    _left_sum,
 )
 from .errors import ParseError, ValidationError
 from .policies import CardinalityConstraint, PartitionConstraint
@@ -131,9 +132,9 @@ def generate_coverage(n: int, m: int, universe_size: int, density: float,
     probs = []
     for _ in range(n):
         raw = [rng.uniform(0.1, 1.0) for _ in range(m)]
-        total = sum(raw)
+        total = _left_sum(raw)
         row = [round(p / total, 9) for p in raw[:-1]]
-        row.append(round(1.0 - sum(row), 9))
+        row.append(round(1.0 - _left_sum(row), 9))
         probs.append(row)
     prior = IndependentPrior(probs)
     if groups is not None:

@@ -473,6 +473,8 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
     def __init__(self, groups, limits, order=None):
         self.constraint = PartitionConstraint.of(groups, limits)
         self.limits = self.constraint.remaining     # the fixed budgets d_i
+        items = [e for g in self.constraint.groups for e in g]
+        self._span = (min(items, default=0), max(items, default=0))     # smallest, largest
         b = len(self.constraint.groups)
         self.order = tuple(_check_int(i, "order item")
                            for i in (order if order is not None else range(b)))
@@ -483,6 +485,10 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
         return {"order": ":".join(map(str, self.order))}
 
     def fresh_constraint(self, n):
+        lo, hi = self._span
+        if lo < 0 or hi >= n:
+            raise ValidationError("group item %d is not an item in [0, %d)"
+                                  % (lo if lo < 0 else hi, n))
         return self.constraint
 
     def oracle_call_cap(self, n: int) -> int:

@@ -8,9 +8,12 @@ each side of CoverageUtility's weight-table cap: 12 elements (priced from
 the table) and 17 (priced by the summation loop and its gain memo).  For
 each instance and each of REALIZATIONS seeded realizations the file
 records, per policy, the selection order, the selected set, the Delta and
-f counters and repr() of the final value.  tests/test_golden_rollouts.py compares a fresh run with
-the file exactly, so regenerate it only when a change is meant to alter a
-seeded selection or a count, and say why.
+f counters and repr() of the final value.  A last record holds the .hex()
+of a Monte Carlo mean and standard error (expected_utility(mode="mc")) on a
+small partition instance, so every Python version checks the bits of its
+sums.  tests/test_golden_rollouts.py compares a fresh run with the file
+exactly, so regenerate it only when a change is meant to alter a seeded
+selection, a count or a Monte Carlo bit, and say why.
 """
 
 import json
@@ -24,6 +27,8 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 from adasub import (  # noqa: E402
     adaptive_greedy,
     adaptive_stochastic_greedy,
+    expected_utility,
+    generalized_asg,
     generate_coverage,
     run_policy,
 )
@@ -32,6 +37,8 @@ GOLDEN_FILE = HERE / "rollouts_n1000.json"
 REALIZATIONS = 3
 K, EPS = 50, 0.1
 UNIVERSE_SIZES = (16, 12, 17)
+MC_GROUPS, MC_LIMITS = [[0, 1, 2, 3], [4, 5, 6, 7]], [2, 1]
+MC_SAMPLES, MC_SEED = 200, 4
 
 
 def rollouts() -> list:
@@ -59,8 +66,23 @@ def rollouts() -> list:
     return records
 
 
+def monte_carlo() -> list:
+    """GASG's Monte Carlo estimate on the golden run_mc.csv instance."""
+    inst = generate_coverage(n=8, m=2, universe_size=8, density=0.3, seed=3,
+                             groups=MC_GROUPS, limits=MC_LIMITS)
+    pi = generalized_asg(MC_GROUPS, MC_LIMITS, 0.3)
+    mean, se = expected_utility(inst.utility(), inst.prior, pi, mode="mc",
+                                samples=MC_SAMPLES, seed=MC_SEED)
+    return [{"monte_carlo": pi.describe(), "samples": MC_SAMPLES, "seed": MC_SEED,
+             "mean": mean.hex(), "se": se.hex()}]
+
+
+def records() -> list:
+    return rollouts() + monte_carlo()
+
+
 def main():
-    lines = ",\n".join(json.dumps(record) for record in rollouts())
+    lines = ",\n".join(json.dumps(record) for record in records())
     with open(GOLDEN_FILE, "w") as fh:
         fh.write("[\n%s\n]\n" % lines)
 

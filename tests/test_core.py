@@ -260,6 +260,10 @@ class TracingCoverage(CoverageUtility):
         self.trace_count += 1
         return super()._value(items, states)
 
+    def covered_value(self, covered):
+        self.trace_count += 1
+        return super().covered_value(covered)
+
 
 class TestCounters:
     def test_f_counter_matches_tracing_wrapper(self, prior_a):
@@ -268,6 +272,31 @@ class TestCounters:
         marginal_utility(f, prior_a, psi({0: 0}), 1)
         expected_set_value(f, prior_a, psi({0: 0, 1: 1}))
         assert f.f_counter == f.trace_count > 0
+
+    @pytest.mark.parametrize("universe_size", [16, 17])     # weight table, then summation
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_coverage_stop_is_value_at_the_history_and_one_count(self, universe_size,
+                                                                explicit):
+        inst = generate_coverage(n=6, m=2, universe_size=universe_size, density=0.4, seed=9)
+        f = inst.utility()
+        assert (f._table is None) == (universe_size > 16)
+        # Item 0 is never in state 1, so {0: 1} is impossible evidence.
+        prior = IndependentPrior([(1.0, 0.0)] + list(inst.prior.probs[1:]))
+        if explicit:
+            prior = ExplicitPrior(prior.support())
+        options = [(None, 0)] + [(None, 0, 1)] * 5
+        for states in itertools.product(*options):
+            history = psi({e: o for e, o in enumerate(states) if o is not None})
+            value = f.value(history.domain(), history.as_dict())
+            before = f.f_counter
+            assert expected_set_value(f, prior, history).hex() == value.hex()
+            assert f.f_counter == before + 1
+        for bad, error in [({0: 1}, ZeroProbabilityEvidence), ({6: 0}, ValidationError),
+                           ({-1: 0}, ValidationError), ({1: 0, 9: 1}, ValidationError)]:
+            before = f.f_counter
+            with pytest.raises(error):
+                expected_set_value(f, prior, psi(bad))
+            assert f.f_counter == before
 
     def test_reset(self, utility_a, prior_a):
         marginal_utility(utility_a, prior_a, PSI_EMPTY, 0)

@@ -2,7 +2,8 @@
 
 The golden file holds, per instance, each ASG and lazy-greedy rollout's
 selection order, selected set, Delta and f counts and repr() of its value,
-written by tests/golden/make_rollouts.py; a fresh run must match it exactly.
+then the .hex() of a Monte Carlo mean and standard error, written by
+tests/golden/make_rollouts.py; a fresh run must match it exactly.
 """
 
 import importlib.util
@@ -23,4 +24,4 @@ def test_rollouts_match_the_golden_file():
     module = _make_rollouts()
     with open(module.GOLDEN_FILE) as fh:
         golden = json.load(fh)
-    assert module.rollouts() == golden
+    assert module.records() == golden

@@ -281,6 +281,23 @@ class TestPartitionPolicies:
             for i, g in enumerate(constraint.groups):
                 assert len(set(trace.selected) & set(g)) <= limits[i]
 
+    @pytest.mark.parametrize("item", [5, 9, -1])
+    @pytest.mark.parametrize("make", [
+        lambda e: locally_greedy([[0, e]], [1]),
+        lambda e: generalized_asg([[0, 1, 2, e]], [1], 0.5),
+    ], ids=["local", "gasg"])
+    def test_group_item_outside_the_instance_is_refused(self, make, item):
+        # A bare IndexError from Delta's row lookup, or for -1 item 4's Delta.
+        inst = generate_coverage(n=5, m=2, universe_size=6, density=0.4, seed=2)
+        phi = sample_realization(inst.prior, random.Random(0))
+        pi = make(item)
+        for run in (lambda f: run_policy(pi, f, inst.prior, phi),
+                    lambda f: exact_policy_value(pi, f, inst.prior),
+                    lambda f: expected_utility(f, inst.prior, pi, mode="mc", samples=3)):
+            with pytest.raises(ValidationError, match=r"group item %d is not an item in "
+                                                      r"\[0, 5\)" % item):
+                run(inst.utility())
+
     def test_ungrouped_items_never_selected(self, prior_a, utility_a):
         # item 0 is in no group, so only item 1 is selectable
         pi = locally_greedy([[1]], [1])
