@@ -8,14 +8,16 @@ each side of CoverageUtility's weight-table cap: 12 elements (priced from
 the table) and 17 (priced by the summation loop and its gain memo).  For
 each instance and each of REALIZATIONS seeded realizations the file
 records, per policy, the selection order, the selected set, the Delta and
-f counters and repr() of the final value.  A last record holds the .hex()
-of a Monte Carlo mean and standard error (expected_utility(mode="mc")) on a
-small partition instance, so every Python version checks the bits of its
-sums.  tests/test_golden_rollouts.py compares a fresh run with the file
+f counters, repr() of the final value and steps_sha256, the sha256 of every
+trace step's (candidates, chosen, observed, Delta's .hex()).  A last record
+holds the .hex() of a Monte Carlo mean and standard error
+(expected_utility(mode="mc")) on a small partition instance, so every Python
+version checks the bits of its sums.  tests/test_golden_rollouts.py compares a fresh run with the file
 exactly, so regenerate it only when a change is meant to alter a seeded
-selection, a count or a Monte Carlo bit, and say why.
+selection, a count, a trace step or a Monte Carlo bit, and say why.
 """
 
+import hashlib
 import json
 import random
 import sys
@@ -41,6 +43,14 @@ MC_GROUPS, MC_LIMITS = [[0, 1, 2, 3], [4, 5, 6, 7]], [2, 1]
 MC_SAMPLES, MC_SEED = 200, 4
 
 
+def steps_sha256(trace) -> str:
+    """sha256 of the repr of each step's (candidates, chosen, observed, Delta
+    as .hex() or None), which pins every step's record to the bit."""
+    steps = [(s.candidates, s.chosen, s.observed, None if s.delta is None else s.delta.hex())
+             for s in trace.steps]
+    return hashlib.sha256(repr(steps).encode()).hexdigest()
+
+
 def rollouts() -> list:
     """One record per (universe size, realization, policy), in a fixed order."""
     records = []
@@ -62,6 +72,7 @@ def rollouts() -> list:
                     "delta_counter": f.delta_counter,
                     "f_counter": f.f_counter,
                     "value": repr(trace.value),
+                    "steps_sha256": steps_sha256(trace),
                 })
     return records
 

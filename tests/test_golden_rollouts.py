@@ -1,8 +1,9 @@
 """Seeded n=1000 rollouts against tests/golden/rollouts_n1000.json.
 
 The golden file holds, per instance, each ASG and lazy-greedy rollout's
-selection order, selected set, Delta and f counts and repr() of its value,
-then the .hex() of a Monte Carlo mean and standard error, written by
+selection order, selected set, Delta and f counts, repr() of its value and
+the sha256 of its trace steps (candidates, choice, observation, Delta), then
+the .hex() of a Monte Carlo mean and standard error, written by
 tests/golden/make_rollouts.py; a fresh run must match it exactly.
 """
 
