@@ -715,8 +715,6 @@ class EvalContext:
         self.prior = prior
         self.seed = seed
         self.delta_cache = delta_cache
-        self.last_candidates = ()
-        self.last_delta = None
         independent = isinstance(prior, IndependentPrior)
         # delta()'s fast path: f's state prices Delta, no delta_cache, and an
         # unobserved item's posterior is its row.
@@ -841,7 +839,3 @@ class EvalContext:
         # f(dom, .) is fixed by psi and f(dom+e, .) depends on Phi_e only,
         # so the expectation reduces to item e's posterior for any prior.
         return self._state()(e, prior.item_posterior(e, psi))
-
-    def record(self, candidates, delta):
-        self.last_candidates = tuple(candidates)
-        self.last_delta = delta

@@ -26,8 +26,8 @@ import random
 
 from .core import (EvalContext, PSI_EMPTY, PartialRealization, _check_int, _left_sum,
                    expected_set_value)
-from .errors import ExactModeUnavailable, InstanceTooLarge, PolicyViolation, ValidationError
-from .policies import Policy, run_policy
+from .errors import ExactModeUnavailable, InstanceTooLarge, ValidationError
+from .policies import Policy, _check_choice, run_policy
 
 # Each visited history costs ~40 us and a ~320-byte memo entry (2-vCPU Xeon,
 # Python 3.11), so a tree at the cap takes under ten seconds and ~65 MiB.
@@ -88,16 +88,15 @@ class HistoryRecursion:
         if ctx.seed is None and pi.randomized:
             choices = pi.decision_distribution(ctx, psi, cstate)
         else:
-            e = pi.decide(ctx, psi, cstate, scratch)
-            choices = [] if e is None else [(e, 1.0)]
+            decision = pi.decide(ctx, psi, cstate, scratch)
+            choices = [] if decision is None else [(decision[0], 1.0)]
         evidence = (PartialRealization.of({**given.as_dict(), **psi.as_dict()})
                     if given else psi)
         if not choices:
             return expected_set_value(ctx.f, ctx.prior, evidence)
         value = 0.0
         for e, q in choices:
-            if not 0 <= e < ctx.n or e in psi or not cstate.can_select(e):
-                raise PolicyViolation("%s chose infeasible item %d" % (pi.name, e))
+            _check_choice(pi, e, psi, cstate, ctx.n)
             nxt = cstate.after(e)
             branch = 0.0
             for o, p in ctx.prior.item_posterior(e, evidence):

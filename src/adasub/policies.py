@@ -156,6 +156,8 @@ class Policy:
         return "%s(%s)" % (self.name, inner)
 
     def decide(self, ctx: EvalContext, psi: PartialRealization, cstate, scratch):
+        """None to stop, or (item, candidates, Delta): the choice, the items drawn or
+        priced (maybe ctx's pool: copy before advance) and the choice's Delta or None."""
         raise NotImplementedError
 
     def decision_widths(self, n: int) -> list:
@@ -176,24 +178,30 @@ class Policy:
         scratch = {}
         steps = []
         while True:
-            e = self.decide(ctx, psi, cstate, scratch)
-            if e is None:
+            decision = self.decide(ctx, psi, cstate, scratch)
+            if decision is None:
                 break
-            if not 0 <= e < n:
-                raise PolicyViolation("%s selected unknown item %d" % (self.name, e))
-            if e in ctx.observed(psi):
-                raise PolicyViolation("%s re-selected item %d" % (self.name, e))
-            if not cstate.can_select(e):
-                raise PolicyViolation("%s selected infeasible item %d" % (self.name, e))
+            e, candidates, delta = decision
+            _check_choice(self, e, ctx.observed(psi), cstate, n)
             o = phi[e]
             if type(o) is not int or not 0 <= o < m:
                 raise ValidationError("realization gives item %d state %r, not an integer "
                                       "in [0, %d)" % (e, o, m))
-            steps.append(TraceStep(ctx.last_candidates, e, o, ctx.last_delta))
+            steps.append(TraceStep(tuple(candidates), e, o, delta))
             psi = ctx.advance(psi, e, o)
             cstate = cstate.after(e)
         selected = psi.domain()
         return PolicyTrace(tuple(steps), selected, ctx.f.value(selected, phi))
+
+
+def _check_choice(pi: Policy, e: int, seen, cstate, n: int):
+    """Raise PolicyViolation unless e is an unseen item in [0, n) that cstate allows."""
+    if not 0 <= e < n:
+        raise PolicyViolation("%s selected unknown item %d" % (pi.name, e))
+    if e in seen:
+        raise PolicyViolation("%s re-selected item %d" % (pi.name, e))
+    if not cstate.can_select(e):
+        raise PolicyViolation("%s selected infeasible item %d" % (pi.name, e))
 
 
 def run_policy(pi: Policy, f, prior, phi, seed=0, delta_cache=None) -> PolicyTrace:
@@ -276,7 +284,7 @@ class FixedSequencePolicy(Policy):
     def decide(self, ctx, psi, cstate, scratch):
         for e in self.sequence:
             if e not in psi:
-                return e
+                return e, (), None
         return None
 
 
@@ -309,8 +317,7 @@ class _BestOfSamplePolicy(Policy):
             d = ctx.delta(e, psi)
             if best is None or d > best_d:
                 best, best_d = e, d
-        ctx.record(candidates, best_d)
-        return best
+        return best, candidates, best_d
 
     def decision_distribution(self, ctx, psi, cstate):
         """Exact law of decide's choice over the uniform draw.
@@ -401,8 +408,7 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
             negd, e, stamp = heap[0]
             if stamp == rnd:
                 heapq.heappop(heap)
-                ctx.record(evaluated, -negd)
-                return e
+                return e, evaluated, -negd
             d = ctx.delta(e, psi)
             evaluated.append(e)
             heapq.heapreplace(heap, (-d, e, rnd))
@@ -453,8 +459,7 @@ class RandomPolicy(AdaptiveGreedyPolicy):
         if not pool:
             return None
         e = ctx.rng_for(psi).choice(pool)
-        ctx.record((e,), None)
-        return e
+        return e, (e,), None
 
     def decision_distribution(self, ctx, psi, cstate):
         pool = [] if cstate.exhausted() else ctx.pool(psi)

@@ -203,7 +203,7 @@ def test_every_selection_path_breaks_ties_to_the_smallest_id():
         cstate = pi.fresh_constraint(5)
         for seed in (0, 1, "x"):
             ctx = EvalContext(f, prior, seed=seed)
-            assert pi.decide(ctx, psi, cstate, {}) == 0, pi.name
+            assert pi.decide(ctx, psi, cstate, {})[0] == 0, pi.name
         assert pi.decision_distribution(EvalContext(f, prior), psi, cstate) == [(0, 1.0)]
     # lazy greedy meets the tie through its heap of stale bounds
     phi = (1, 1, 0, 1, 1)

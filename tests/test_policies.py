@@ -27,12 +27,38 @@ from adasub import (
     sample_realization,
 )
 from adasub.core import CoverageUtility, EvalContext, IndependentPrior, UtilityFunction
-from adasub.policies import FixedSequencePolicy, PartitionConstraint, TraceStep
+from adasub.policies import FixedSequencePolicy, PartitionConstraint, Policy, TraceStep
 
 
 def rollout(pi, inst, phi, seed=0):
     f = inst.utility()
     return run_policy(pi, f, inst.prior, phi, seed=seed), f
+
+
+class Stubborn(Policy):
+    """Chooses choices[len(psi)] at every history, observed or not, under a
+    budget of `budget`; stops once the choices run out."""
+
+    name = "stubborn"
+
+    def __init__(self, choices, budget):
+        self.choices, self.budget = choices, budget
+
+    def fresh_constraint(self, n):
+        return CardinalityConstraint(self.budget)
+
+    def decide(self, ctx, psi, cstate, scratch):
+        return (self.choices[len(psi)], (), None) if len(psi) < len(self.choices) else None
+
+
+class StubbornLaw(Stubborn):
+    """Stubborn whose unseeded law is a point mass on its choice."""
+
+    randomized = True
+
+    def decision_distribution(self, ctx, psi, cstate):
+        decision = self.decide(ctx, psi, cstate, None)
+        return [] if decision is None else [(decision[0], 1.0)]
 
 
 class TestRunPolicy:
@@ -55,10 +81,43 @@ class TestRunPolicy:
         # fixed policy skips observed items, so force the violation directly
         class Stubborn(FixedSequencePolicy):
             def decide(self, ctx, psi, cstate, scratch):
-                return 0
+                return 0, (), None
         with pytest.raises(PolicyViolation):
             run_policy(Stubborn([0]), utility_a, prior_a, (1, 0))
         del bad
+
+    @pytest.mark.parametrize("choices,budget,message",
+                             [([7], 1, "stubborn selected unknown item 7"),
+                              ([-1], 1, "stubborn selected unknown item -1"),
+                              ([0, 0], 2, "stubborn re-selected item 0"),
+                              ([0, 1], 1, "stubborn selected infeasible item 1")])
+    @pytest.mark.parametrize("cls", [Stubborn, StubbornLaw])
+    def test_rollouts_and_exact_evaluation_refuse_a_choice_alike(self, cls, choices, budget,
+                                                                 message):
+        # Exact evaluation called all three "chose infeasible item"; its
+        # unseeded StubbornLaw tree checks the law's items, its seeded one decide's.
+        inst = generate_coverage(n=5, m=2, universe_size=6, density=0.4, seed=1)
+        f, prior, pi = inst.utility(), inst.prior, cls(choices, budget)
+        phi = sample_realization(prior, random.Random(0))
+        for run in (lambda: run_policy(pi, f, prior, phi),
+                    lambda: exact_policy_value(pi, f, prior),
+                    lambda: exact_policy_value(pi, f, prior, seed=0)):
+            with pytest.raises(PolicyViolation, match="^%s$" % message):
+                run()
+
+    def test_a_step_records_only_its_own_decision(self):
+        # A fixed step draws and prices nothing.  Before decide returned its
+        # candidates and Delta, this step reported ASG's last round on the same
+        # context: candidates (0, 3, 4, 5, 7) and Delta 2.0448...
+        inst = generate_coverage(n=8, m=2, universe_size=8, density=0.3, seed=1, k=2)
+        phi = inst.prior.sample(random.Random(1))
+        ctx = EvalContext(inst.utility(), inst.prior)
+        last = adaptive_stochastic_greedy(2, 0.3).run_on(ctx, phi).steps[-1]
+        assert last.candidates == (0, 3, 4, 5, 7) and last.delta is not None
+        assert FixedSequencePolicy([5]).run_on(ctx, phi).steps == (TraceStep((), 5, phi[5], None),)
+        steps = random_policy(2).run_on(ctx, phi).steps
+        assert len(steps) == 2
+        assert all(s.candidates == (s.chosen,) and s.delta is None for s in steps)
 
     @pytest.mark.parametrize("sequence", [[-1, 0], [7, 0], [0, 5]])
     def test_item_outside_the_ground_set_raises(self, sequence):
@@ -67,7 +126,7 @@ class TestRunPolicy:
         phi = sample_realization(inst.prior, random.Random(0))
         with pytest.raises(PolicyViolation, match="unknown item"):
             run_policy(FixedSequencePolicy(sequence), inst.utility(), inst.prior, phi)
-        with pytest.raises(PolicyViolation, match="infeasible item"):
+        with pytest.raises(PolicyViolation, match="unknown item"):
             exact_policy_value(FixedSequencePolicy(sequence), inst.utility(), inst.prior)
 
     @pytest.mark.parametrize("phi,match", [((0, 0, -1, 0, 0), "state -1"),

@@ -69,7 +69,7 @@ def check_policy(pi, inst):
     assert abs(sum(q for _, q in law) - 1.0) <= 1e-12, pi.describe()
     support = {e for e, q in law if q > 0.0}
     for seed in range(5):
-        e = pi.decide(EvalContext(f, prior, seed=seed), PSI_EMPTY, cstate, {})
+        e = pi.decide(EvalContext(f, prior, seed=seed), PSI_EMPTY, cstate, {})[0]
         assert e in support, (pi.describe(), seed, e)
     opt = optimal_value(f, prior, cstate).value
     assert exact_policy_value(pi, f, prior) <= opt + 1e-12, pi.describe()
@@ -121,7 +121,7 @@ def check_against_sampling(pi, inst):
     law = dict(pi.decision_distribution(EvalContext(f, prior, seed=None), PSI_EMPTY, cstate))
     counts = dict.fromkeys(law, 0)
     for seed in range(DRAWS):
-        counts[pi.decide(EvalContext(f, prior, seed=seed), PSI_EMPTY, cstate, {})] += 1
+        counts[pi.decide(EvalContext(f, prior, seed=seed), PSI_EMPTY, cstate, {})[0]] += 1
     for e, q in law.items():
         se = math.sqrt(q * (1.0 - q) / DRAWS)
         assert abs(counts[e] / DRAWS - q) <= 4 * se + 1e-12, (pi.describe(), e, q, counts)
