@@ -459,6 +459,7 @@ class CoverageUtility(UtilityFunction):
             e = next(e for e, row in enumerate(self.covers)
                      if any(mask & outside for mask in row))
             raise ValidationError("coverage of item %d outside universe" % e)
+        self.fewest_states = min(map(len, self.covers), default=0)
         self._states = {}           # covered mask -> Delta state
         self._table = (_weight_table(self.weights)
                        if self.universe_size <= _TABLE_MAX_UNIVERSE else None)
@@ -657,10 +658,21 @@ def _check_evidence(prior, psi: PartialRealization):
         raise _zero_probability(psi)
 
 
+def _check_fit(f: UtilityFunction, prior):
+    """Raise ValidationError unless a coverage f covers each of the prior's n
+    items in at least its m states."""
+    if isinstance(f, CoverageUtility) and (len(f.covers) != prior.n
+                                           or f.fewest_states < prior.m):
+        raise ValidationError("the utility covers %d items in %d or more states each, but "
+                              "the prior has %d items in %d states"
+                              % (len(f.covers), f.fewest_states, prior.n, prior.m))
+
+
 def expected_set_value(f: UtilityFunction, prior, psi: PartialRealization) -> float:
     """E[f(dom psi, Phi) | psi]: the value of stopping at psi; for coverage,
-    psi's covered mask's weight once _check_evidence has passed psi."""
+    psi's covered mask's weight once _check_fit and _check_evidence pass."""
     if isinstance(f, CoverageUtility):
+        _check_fit(f, prior)
         _check_evidence(prior, psi)
         return f.covered_value(f.covered(psi))
     dom = psi.domain()
@@ -711,6 +723,7 @@ class EvalContext:
     """
 
     def __init__(self, f, prior, seed=0, delta_cache=None):
+        _check_fit(f, prior)
         self.f = f
         self.prior = prior
         self.seed = seed

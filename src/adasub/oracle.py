@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (CoverageUtility, IndependentPrior, PartialRealization, _check_evidence,
-                   expected_set_value)
+                   _check_fit, expected_set_value)
 from .errors import InstanceTooLarge, ValidationError
 
 VALUE_TOL = 1e-12
@@ -93,6 +93,7 @@ class RestrictedOracle:
     """
 
     def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
+        _check_fit(f, prior)
         _check_size(prior, caps)
         self.f, self.prior, self.n, self.caps = f, prior, prior.n, caps
         independent = isinstance(prior, IndependentPrior)

@@ -21,9 +21,13 @@ from adasub import (
     ZeroProbabilityEvidence,
     adaptive_greedy,
     adaptive_stochastic_greedy,
+    check_adaptive_monotone,
+    check_adaptive_submodular,
+    check_fully_adaptive_submodular,
     complementarity_counterexample,
     condition,
     consistent,
+    exact_policy_value,
     expected_set_value,
     expected_utility,
     generalized_asg,
@@ -32,6 +36,8 @@ from adasub import (
     locally_greedy,
     marginal_utility,
     optimal_value,
+    restricted_optimal,
+    run_policy,
     sample_realization,
     subrealization,
 )
@@ -520,3 +526,42 @@ def test_evidence_outside_range(explicit, query, pairs, expected):
             getattr(prior, query)(*args)
     else:
         assert getattr(prior, query)(*args) == expected
+
+
+_FIT_ENTRY_POINTS = {
+    "marginal_utility": lambda f, prior, psi: marginal_utility(f, prior, psi, 1),
+    "expected_set_value": lambda f, prior, psi: expected_set_value(f, prior, psi),
+    "EvalContext.delta": lambda f, prior, psi: EvalContext(f, prior).delta(1, psi),
+    "run_policy": lambda f, prior, psi: run_policy(adaptive_greedy(3), f, prior,
+                                                   (1,) * prior.n),
+    "exact_policy_value": lambda f, prior, psi: exact_policy_value(adaptive_greedy(3), f, prior),
+    "optimal_value": lambda f, prior, psi: optimal_value(f, prior, CardinalityConstraint(2)),
+    "restricted_optimal": lambda f, prior, psi: restricted_optimal(f, prior, psi, [0, 1], 1),
+    "check_adaptive_monotone": lambda f, prior, psi: check_adaptive_monotone(f, prior),
+    "check_adaptive_submodular": lambda f, prior, psi: check_adaptive_submodular(f, prior),
+    "check_fully_adaptive_submodular":
+        lambda f, prior, psi: check_fully_adaptive_submodular(f, prior),
+}
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["independent", "explicit"])
+@pytest.mark.parametrize("f_shape,prior_shape,pairs", [
+    ((3, 2), (5, 2), {4: 0}),       # item 4 has no coverage: was a bare IndexError
+    ((3, 2), (3, 3), {2: 2}),       # state 2 has no coverage: was a bare IndexError
+    ((5, 2), (3, 2), {}),           # items 3 and 4 were ignored
+], ids=["fewer-items", "fewer-states", "more-items"])
+@pytest.mark.parametrize("entry", sorted(_FIT_ENTRY_POINTS))
+def test_utility_and_prior_of_different_sizes_are_refused(entry, f_shape, prior_shape, pairs,
+                                                         explicit):
+    def instance(shape):
+        n, m = shape
+        return generate_coverage(n=n, m=m, universe_size=6, density=0.4, seed=1, k=2)
+    f, prior = instance(f_shape).utility(), instance(prior_shape).prior
+    if explicit:
+        prior = ExplicitPrior(prior.support())
+    assert (prior.n, prior.m) == prior_shape
+    message = (r"^the utility covers %d items in %d or more states each, but the prior has "
+               r"%d items in %d states$" % (f_shape + prior_shape))
+    with pytest.raises(ValidationError, match=message):
+        _FIT_ENTRY_POINTS[entry](f, prior, PartialRealization.of(pairs))
+    assert f.f_counter == f.delta_counter == 0
