@@ -449,7 +449,10 @@ class CoverageUtility(UtilityFunction):
         # mask table is shared, not copied.
         self.covers = tuple(map(tuple, covers))
         union = 0
+        fewest = len(self.covers[0]) if self.covers else 0      # states of the poorest item
         for row in self.covers:
+            if len(row) < fewest:
+                fewest = len(row)
             for mask in row:
                 if type(mask) is not int:
                     _check_int(mask, "coverage mask")
@@ -459,7 +462,7 @@ class CoverageUtility(UtilityFunction):
             e = next(e for e, row in enumerate(self.covers)
                      if any(mask & outside for mask in row))
             raise ValidationError("coverage of item %d outside universe" % e)
-        self.fewest_states = min(map(len, self.covers), default=0)
+        self._fewest_states = fewest
         self._states = {}           # covered mask -> Delta state
         self._table = (_weight_table(self.weights)
                        if self.universe_size <= _TABLE_MAX_UNIVERSE else None)
@@ -662,10 +665,10 @@ def _check_fit(f: UtilityFunction, prior):
     """Raise ValidationError unless a coverage f covers each of the prior's n
     items in at least its m states."""
     if isinstance(f, CoverageUtility) and (len(f.covers) != prior.n
-                                           or f.fewest_states < prior.m):
+                                           or f._fewest_states < prior.m):
         raise ValidationError("the utility covers %d items in %d or more states each, but "
                               "the prior has %d items in %d states"
-                              % (len(f.covers), f.fewest_states, prior.n, prior.m))
+                              % (len(f.covers), f._fewest_states, prior.n, prior.m))
 
 
 def expected_set_value(f: UtilityFunction, prior, psi: PartialRealization) -> float:

@@ -35,11 +35,11 @@ def rollout(pi, inst, phi, seed=0):
     return run_policy(pi, f, inst.prior, phi, seed=seed), f
 
 
-class Stubborn(Policy):
+class Scripted(Policy):
     """Chooses choices[len(psi)] at every history, observed or not, under a
     budget of `budget`; stops once the choices run out."""
 
-    name = "stubborn"
+    name = "scripted"
 
     def __init__(self, choices, budget):
         self.choices, self.budget = choices, budget
@@ -51,8 +51,8 @@ class Stubborn(Policy):
         return (self.choices[len(psi)], (), None) if len(psi) < len(self.choices) else None
 
 
-class StubbornLaw(Stubborn):
-    """Stubborn whose unseeded law is a point mass on its choice."""
+class ScriptedLaw(Scripted):
+    """Scripted, with an unseeded law that is a point mass on its choice."""
 
     randomized = True
 
@@ -87,15 +87,15 @@ class TestRunPolicy:
         del bad
 
     @pytest.mark.parametrize("choices,budget,message",
-                             [([7], 1, "stubborn selected unknown item 7"),
-                              ([-1], 1, "stubborn selected unknown item -1"),
-                              ([0, 0], 2, "stubborn re-selected item 0"),
-                              ([0, 1], 1, "stubborn selected infeasible item 1")])
-    @pytest.mark.parametrize("cls", [Stubborn, StubbornLaw])
+                             [([7], 1, "scripted selected unknown item 7"),
+                              ([-1], 1, "scripted selected unknown item -1"),
+                              ([0, 0], 2, "scripted re-selected item 0"),
+                              ([0, 1], 1, "scripted selected infeasible item 1")])
+    @pytest.mark.parametrize("cls", [Scripted, ScriptedLaw])
     def test_rollouts_and_exact_evaluation_refuse_a_choice_alike(self, cls, choices, budget,
                                                                  message):
         # Exact evaluation called all three "chose infeasible item"; its
-        # unseeded StubbornLaw tree checks the law's items, its seeded one decide's.
+        # unseeded ScriptedLaw tree checks the law's items, its seeded one decide's.
         inst = generate_coverage(n=5, m=2, universe_size=6, density=0.4, seed=1)
         f, prior, pi = inst.utility(), inst.prior, cls(choices, budget)
         phi = sample_realization(prior, random.Random(0))
