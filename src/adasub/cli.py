@@ -342,7 +342,7 @@ def bench(policy_name, ns, ks, eps_list, instance_path, m, universe, density, se
             f = inst.utility()
             phi = inst.prior.sample(random.Random(stream))
             run_policy(pi, f, inst.prior, phi, seed=stream)
-            budget = sum(inst.constraint.remaining) if k is None else k
+            budget = pi.fresh_constraint(inst.n).total_budget()
             rows.append([pi.name, inst.n, budget, eps, f.delta_counter,
                          pi.oracle_call_cap(inst.n), inst.n * budget])
     with open(out, "w", newline="") as fh:

@@ -445,8 +445,6 @@ class CoverageUtility(UtilityFunction):
         if not all(0.0 <= w < math.inf for w in self.weights):
             raise ValidationError("negative or non-finite universe weight")
         self.universe_size = len(self.weights)
-        # tuple() returns a tuple row itself, so Instance.utility()'s cached
-        # mask table is shared, not copied.
         self.covers = tuple(map(tuple, covers))
         union = 0
         fewest = len(self.covers[0]) if self.covers else 0      # states of the poorest item
@@ -466,6 +464,18 @@ class CoverageUtility(UtilityFunction):
         self._states = {}           # covered mask -> Delta state
         self._table = (_weight_table(self.weights)
                        if self.universe_size <= _TABLE_MAX_UNIVERSE else None)
+
+    def _fresh(self) -> "CoverageUtility":
+        """This utility, not validated again: the same immutable fields,
+        zeroed counters and its own empty Delta-state cache."""
+        # Set in __init__'s order on a bare object, so the copy keeps the
+        # class's shared attribute layout: copy.copy fills a materialized
+        # __dict__, which measured slower per Delta (its delta_counter += 1).
+        f = object.__new__(CoverageUtility)
+        f.f_counter = f.delta_counter = 0
+        f.weights, f.universe_size, f.covers = self.weights, self.universe_size, self.covers
+        f._fewest_states, f._states, f._table = self._fewest_states, {}, self._table
+        return f
 
     def _value(self, items, states):
         covers, mask = self.covers, 0
@@ -592,8 +602,8 @@ def _weight_table(weights: tuple) -> array:
 class TabularUtility(UtilityFunction):
     """Explicit table of f over (selected-set bitmask, realization index).
 
-    Only usable with an ExplicitPrior whose support matches `realizations`;
-    exists to build counterexamples for the definitional checkers.
+    Usable with any prior whose support `realizations` lists (Instance.validate
+    checks it); exists to build counterexamples for the definitional checkers.
     """
 
     MAX_ITEMS = 12

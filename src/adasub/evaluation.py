@@ -20,7 +20,6 @@ mean and standard error have the same bits on every Python version.
 
 from __future__ import annotations
 
-import copy
 import math
 import random
 
@@ -39,9 +38,8 @@ def exact_history_bound(pi: Policy, n: int, m: int, expand=True) -> int:
 
     After j selections pi has followed at most prod(widths[:j]) item
     sequences (each width 1 when expand is False, as a seeded policy's choice
-    is a point mass, and for a deterministic policy: one sequence bounds it
-    whether or not its nodes are memoized); memoized, these collapse to at
-    most C(n, j) item sets.  Each set carries at most m^j outcome vectors.
+    is a point mass, and for a deterministic policy); memoized, these collapse
+    to at most C(n, j) item sets.  Each set carries at most m^j outcome vectors.
     """
     total = paths = 1
     for j, width in enumerate(pi.decision_widths(n), 1):
@@ -54,14 +52,14 @@ def exact_history_bound(pi: Policy, n: int, m: int, expand=True) -> int:
 class HistoryRecursion:
     """pi's expected final utility over observation histories, in the context ctx.
 
-    value(psi, cstate, scratch) is a node.  Its evidence is psi with `given`,
-    which pi does not see, built once per node.  pi either stops, worth
-    E[f(dom psi) | evidence], priced each time a node stops (once per
-    history), or its choice's branches are averaged, each e worth
-    sum_o p(o | evidence) * value(psi + (e, o), cstate after e).  A node whose
-    scratch is empty ({} or None) is memoized on (psi, constraint key); one
-    whose scratch holds state depends on its path, is not memoized, and gives
-    each child a deep copy.  nodes counts expanded nodes, hits memo hits.
+    value(psi, cstate) is a node, memoized on (psi, constraint key).  Its
+    evidence is psi with `given`, which pi does not see, built once per node.
+    pi either stops, worth E[f(dom psi) | evidence], priced each time a node
+    stops (once per history), or its choice's branches are averaged, each e
+    worth sum_o p(o | evidence) * value(psi + (e, o), cstate after e).  Each
+    node's decide starts from an empty per-rollout dict, so lazy greedy builds
+    its heap afresh there and its tree is greedy's.  nodes counts expanded
+    nodes, hits memo hits.
     """
 
     def __init__(self, pi, ctx, given=PSI_EMPTY):
@@ -69,40 +67,30 @@ class HistoryRecursion:
         self.memo = {}
         self.nodes = self.hits = 0
 
-    def value(self, psi, cstate, scratch=None):
-        if scratch:
-            self.nodes += 1
-            return self._node(psi, cstate, scratch)
+    def value(self, psi, cstate):
         key = (psi.pairs, cstate.key())
         value = self.memo.get(key)
         if value is not None:
             self.hits += 1
             return value
         self.nodes += 1
-        value = self.memo[key] = self._node(psi, cstate, scratch)
-        return value
-
-    def _node(self, psi, cstate, scratch):
-        """Stop, or average the branches over pi's choice."""
         pi, ctx, given = self.pi, self.ctx, self.given
         if ctx.seed is None and pi.randomized:
             choices = pi.decision_distribution(ctx, psi, cstate)
         else:
-            decision = pi.decide(ctx, psi, cstate, scratch)
+            decision = pi.decide(ctx, psi, cstate, {})
             choices = [] if decision is None else [(decision[0], 1.0)]
         evidence = (PartialRealization.of({**given.as_dict(), **psi.as_dict()})
                     if given else psi)
-        if not choices:
-            return expected_set_value(ctx.f, ctx.prior, evidence)
-        value = 0.0
+        value = 0.0 if choices else expected_set_value(ctx.f, ctx.prior, evidence)
         for e, q in choices:
             _check_choice(pi, e, psi, cstate, ctx.n)
             nxt = cstate.after(e)
             branch = 0.0
             for o, p in ctx.prior.item_posterior(e, evidence):
-                child = copy.deepcopy(scratch) if scratch else scratch
-                branch += p * self.value(psi.with_observation(e, o), nxt, child)
+                branch += p * self.value(psi.with_observation(e, o), nxt)
             value += q * branch
+        self.memo[key] = value
         return value
 
 
@@ -137,7 +125,7 @@ def _policy_value(pi, f, prior, given, seed, delta_cache=None):
             % (pi.describe(), bound, EXACT_MAX_HISTORIES))
     ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
     rec = HistoryRecursion(pi, ctx, given=given)
-    return rec.value(PSI_EMPTY, pi.fresh_constraint(prior.n), {})
+    return rec.value(PSI_EMPTY, pi.fresh_constraint(prior.n))
 
 
 def expected_utility(f, prior, pi: Policy, mode: str = "exact",

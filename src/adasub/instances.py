@@ -45,24 +45,25 @@ class Instance:
     utility_spec: dict
     constraint: object
     metadata: dict = field(default_factory=dict)
-    _masks: tuple = field(default=None, init=False, repr=False, compare=False)
+    _coverage: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def utility(self) -> UtilityFunction:
         """Build a fresh utility (zeroed counters) from the stored spec.
 
-        A coverage spec's element lists become one bitmask per (item, state)
-        once per instance: the table is kept, keyed on the identity of
-        utility_spec["covers"], so replacing that list rebuilds it.  Only the
-        table is kept, not the built utility.
+        A coverage spec is built and validated into one CoverageUtility per
+        instance, kept with the identities of utility_spec["covers"] and
+        ["weights"], so replacing either list rebuilds it.  Each call returns a
+        copy that shares its tables, with zeroed counters and its own empty
+        Delta-state cache.
         """
         spec = self.utility_spec
         if spec["type"] == "coverage":
-            covers = spec["covers"]
-            cached = self._masks
-            if cached is None or cached[0] is not covers:
+            covers, weights = spec["covers"], spec["weights"]
+            cached = self._coverage
+            if cached is None or cached[0] is not covers or cached[1] is not weights:
                 masks = tuple(tuple(_mask(elems) for elems in row) for row in covers)
-                cached = self._masks = (covers, masks)
-            return CoverageUtility(spec["weights"], cached[1])
+                cached = self._coverage = (covers, weights, CoverageUtility(weights, masks))
+            return cached[2]._fresh()
         if spec["type"] == "tabular":
             return TabularUtility(self.n, spec["realizations"], spec["table"])
         raise ParseError("unknown utility type %r" % spec["type"])

@@ -515,6 +515,23 @@ class TestBench:
         row = read_rows(out)[0]
         assert int(row["delta_measured"]) == 8 + 7 + 6 + 5 + 4 + 3 + 2 + 1
 
+    def test_budget_counts_the_selections_the_policy_can_make(self, runner, tmp_path):
+        # k=9 on 5 items: greedy selects 5, so budget 5 and naive_evals 5 * 5.
+        out = tmp_path / "bench.csv"
+        res = runner.invoke(main, ["bench", "--policy", "greedy", "--n", "5", "--k", "9",
+                                   "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert out.read_text().splitlines()[1] == "greedy,5,5,,15,15,25"
+        # Limits 5 and 1 on groups of 3: min(5, 3) + min(1, 3) = 4 selections.
+        inst_path = tmp_path / "part.json"
+        res = runner.invoke(main, ["gen", "--n", "6", "--groups", "0,1,2;3,4,5",
+                                   "--limits", "5,1", "--seed", "1", "--out", str(inst_path)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["bench", "--policy", "gasg", "--instance", str(inst_path),
+                                   "--eps", "0.1", "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert out.read_text().splitlines()[1] == "gasg,6,4,0.1,8,9,24"
+
     def test_local_bench_counts(self, runner, tmp_path):
         inst_path = tmp_path / "part.json"
         save_instance(generate_coverage(8, 2, 8, 0.3, seed=1,

@@ -10,6 +10,7 @@ no rank formula.
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -264,10 +265,10 @@ def visited_histories(monkeypatch, pi, f, prior, seed=None):
     seen = []
     inner = evaluation.HistoryRecursion.value
 
-    def counting(rec, psi, cstate, scratch=None):
+    def counting(rec, psi, cstate):
         if (psi.pairs, cstate.key()) not in rec.memo:
             seen.append((psi.pairs, cstate.key()))
-        return inner(rec, psi, cstate, scratch)
+        return inner(rec, psi, cstate)
 
     monkeypatch.setattr(evaluation.HistoryRecursion, "value", counting)
     value = exact_policy_value(pi, f, prior, seed=seed)
@@ -291,26 +292,45 @@ def recursion_of(monkeypatch, pi, f, prior, seed=None):
     return value, rec
 
 
-def test_only_nodes_with_an_empty_scratch_are_memoized(monkeypatch):
+def test_every_node_is_memoized(monkeypatch):
     groups, limits = [[0, 1, 2], [3, 4, 5]], [2, 1]
     inst = generate_coverage(n=6, m=2, universe_size=6, density=0.35, seed=600,
                              groups=groups, limits=limits)
     f, prior = inst.utility(), inst.prior
-    greedy = exact_policy_value(adaptive_greedy(3), f, prior)
-    # Lazy greedy's heap is in its scratch from the root's decision on: the
-    # root alone is memoized, and each branch must carry its own heap to
-    # select greedy's items.
+    policies = (adaptive_greedy(3), adaptive_greedy(3, "lazy"),
+                adaptive_stochastic_greedy(3, 0.3), random_policy(3),
+                locally_greedy(groups, limits), generalized_asg(groups, limits, 0.5))
+    recs = {}
+    for pi in policies:
+        for seed in (None, 0):
+            value, rec = recursion_of(monkeypatch, pi, f, prior, seed)
+            assert len(rec.memo) == rec.nodes, (pi.describe(), seed)
+            recs[pi.name, seed] = value, rec
+    # Each node's decide starts from an empty scratch, so lazy greedy walks
+    # greedy's tree: the same histories, hits and value bits.
     for seed in (None, 0):
-        value, rec = recursion_of(monkeypatch, adaptive_greedy(3, "lazy"), f, prior, seed)
-        assert value == greedy
-        assert list(rec.memo) == [((), ("card", 3))]
-        assert (rec.nodes, rec.hits) == (15, 0)
-    # ASG and GASG write nothing to their scratch, so their trees share nodes.
-    for pi, hits in ((adaptive_stochastic_greedy(3, 0.3), 70),
-                     (generalized_asg(groups, limits, 0.5), 4)):
-        _, rec = recursion_of(monkeypatch, pi, f, prior)
-        assert rec.hits == hits, pi.describe()
-        assert len(rec.memo) == rec.nodes, pi.describe()
+        (greedy_value, greedy), (lazy_value, lazy) = recs["greedy", seed], recs["lazy", seed]
+        assert list(lazy.memo) == list(greedy.memo)
+        assert (lazy.nodes, lazy.hits) == (greedy.nodes, greedy.hits)
+        assert lazy_value.hex() == greedy_value.hex()
+    assert recs["asg", None][1].hits == 70
+    assert recs["gasg", None][1].hits == 4
+
+
+def test_lazy_greedy_keeps_its_heap_across_one_rollouts_rounds():
+    # bench_lazy.csv's rollout: greedy prices 40 + 39 + 38 + 37 = 154 items,
+    # lazy greedy 85, because its stale bounds carry from round to round.
+    inst = generate_coverage(40, 2, 16, 0.2, seed=2)
+    stream = "bench|2|40|4"
+    phi = inst.prior.sample(random.Random(stream))
+    runs = []
+    for pi in (adaptive_greedy(4), adaptive_greedy(4, "lazy")):
+        f = inst.utility()
+        runs.append((run_policy(pi, f, inst.prior, phi, seed=stream).selected,
+                     f.delta_counter))
+    (greedy_items, greedy_deltas), (lazy_items, lazy_deltas) = runs
+    assert lazy_items == greedy_items
+    assert (greedy_deltas, lazy_deltas) == (154, 85)
 
 
 def test_history_bound_covers_every_evaluation(monkeypatch):

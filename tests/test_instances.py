@@ -1,13 +1,18 @@
 import json
+import random
 
 import pytest
 
 from adasub import (
     CardinalityConstraint,
+    CoverageUtility,
     ParseError,
     ValidationError,
+    adaptive_greedy,
     check_adaptive_monotone,
     check_adaptive_submodular,
+    check_fully_adaptive_submodular,
+    exact_policy_value,
     generate_coverage,
     load_instance,
     optimal_value,
@@ -134,6 +139,48 @@ class TestUtilityMaskTable:
         w = inst.utility_spec["weights"]
         assert after.value((0, 2), (0, 0, 0, 0)) == sum([w[0], w[1], w[4], w[5]])
 
+    def test_a_second_call_builds_and_validates_nothing(self, monkeypatch):
+        inst = generate_coverage(8, 2, 10, 0.3, seed=5)
+        f = inst.utility()
+        f.value((0, 1), (0,) * 8)
+        f.delta_counter += 1
+        f.state(f.covers[0][0])
+        built = []
+        init = CoverageUtility.__init__
+        monkeypatch.setattr(CoverageUtility, "__init__",
+                            lambda u, *args: built.append(u) or init(u, *args))
+        g = inst.utility()
+        assert built == []
+        assert type(g) is CoverageUtility and g is not f
+        assert (g.f_counter, g.delta_counter, g._states) == (0, 0, {})
+        assert g._states is not f._states and len(f._states) == 1
+        for name in ("weights", "universe_size", "covers", "_fewest_states", "_table"):
+            assert getattr(g, name) is getattr(f, name), name
+        rebuilt = CoverageUtility(inst.utility_spec["weights"], g.covers)
+        assert len(built) == 1
+        phi = inst.prior.sample(random.Random(1))
+        for u in (g, rebuilt):
+            u.reset_counters()
+        values = [(exact_policy_value(adaptive_greedy(3), u, inst.prior).hex(),
+                   u.value(range(8), phi).hex(), u.f_counter, u.delta_counter)
+                  for u in (g, rebuilt)]
+        assert values[0] == values[1]
+
+    @pytest.mark.parametrize("key", ["covers", "weights"])
+    def test_a_replaced_list_rebuilds_the_utility(self, monkeypatch, key):
+        inst = generate_coverage(4, 2, 6, 0.3, seed=2)
+        before = inst.utility()
+        built = []
+        init = CoverageUtility.__init__
+        monkeypatch.setattr(CoverageUtility, "__init__",
+                            lambda u, *args: built.append(u) or init(u, *args))
+        inst.utility_spec[key] = list(inst.utility_spec[key])
+        after = inst.utility()
+        assert len(built) == 1 and after is not built[0]
+        assert (after.weights, after.covers) == (before.weights, before.covers)
+        inst.utility()
+        assert len(built) == 1
+
     def test_out_of_universe_coverage_raises_on_the_first_call(self):
         inst = Instance(3, 2, IndependentPrior([[0.5, 0.5]] * 3),
                         {"type": "coverage", "weights": [1.0, 2.0],
@@ -152,6 +199,25 @@ class TestUtilityMaskTable:
                         CardinalityConstraint(1))
         with pytest.raises(ValidationError, match="coverage element must be an integer"):
             inst.validate()
+
+
+def test_tabular_utility_under_an_independent_prior():
+    # f({0}) is 1 in state 0 and 2 in state 1, each with mass 1/2, and f({}) = 0.
+    inst = loads_instance(json.dumps({
+        "n": 1, "m": 2, "constraint": {"type": "cardinality", "k": 1},
+        "prior": {"type": "independent", "probs": [[0.5, 0.5]]},
+        "utility": {"type": "tabular", "realizations": [[0], [1]],
+                    "table": [[0, 0], [1, 2]]}}))
+    assert isinstance(inst.prior, IndependentPrior)
+    assert exact_policy_value(adaptive_greedy(1), inst.utility(), inst.prior) == 1.5
+    assert optimal_value(inst.utility(), inst.prior, inst.constraint).value == 1.5
+    # Delta(0 | {}) = 1.5 is the one monotone and the one submodular comparison.
+    # The fully-adaptive column ({0}, a=1) is worth 1.5 at {} and 0 at each
+    # one-pair history, compared with itself: 1 + 2 + 2 comparisons.
+    reports = [check(inst.utility(), inst.prior) for check in
+               (check_adaptive_monotone, check_adaptive_submodular,
+                check_fully_adaptive_submodular)]
+    assert [(r.passed, r.pairs_checked) for r in reports] == [(True, 1), (True, 1), (True, 5)]
 
 
 def _field_paths(x, prefix=()):
