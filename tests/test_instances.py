@@ -139,25 +139,29 @@ class TestUtilityMaskTable:
         w = inst.utility_spec["weights"]
         assert after.value((0, 2), (0, 0, 0, 0)) == sum([w[0], w[1], w[4], w[5]])
 
-    def test_a_second_call_builds_and_validates_nothing(self, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every CoverageUtility whose __init__ runs from here on."""
+        built, init = [], CoverageUtility.__init__
+        monkeypatch.setattr(CoverageUtility, "__init__",
+                            lambda u, *args: built.append(u) or init(u, *args))
+        return built
+
+    def test_a_second_call_builds_and_validates_nothing(self, built):
         inst = generate_coverage(8, 2, 10, 0.3, seed=5)
         f = inst.utility()
         f.value((0, 1), (0,) * 8)
         f.delta_counter += 1
         f.state(f.covers[0][0])
-        built = []
-        init = CoverageUtility.__init__
-        monkeypatch.setattr(CoverageUtility, "__init__",
-                            lambda u, *args: built.append(u) or init(u, *args))
         g = inst.utility()
-        assert built == []
+        assert len(built) == 1
         assert type(g) is CoverageUtility and g is not f
         assert (g.f_counter, g.delta_counter, g._states) == (0, 0, {})
         assert g._states is not f._states and len(f._states) == 1
         for name in ("weights", "universe_size", "covers", "_fewest_states", "_table"):
             assert getattr(g, name) is getattr(f, name), name
         rebuilt = CoverageUtility(inst.utility_spec["weights"], g.covers)
-        assert len(built) == 1
+        assert len(built) == 2
         phi = inst.prior.sample(random.Random(1))
         for u in (g, rebuilt):
             u.reset_counters()
@@ -167,19 +171,15 @@ class TestUtilityMaskTable:
         assert values[0] == values[1]
 
     @pytest.mark.parametrize("key", ["covers", "weights"])
-    def test_a_replaced_list_rebuilds_the_utility(self, monkeypatch, key):
+    def test_a_replaced_list_rebuilds_the_utility(self, built, key):
         inst = generate_coverage(4, 2, 6, 0.3, seed=2)
         before = inst.utility()
-        built = []
-        init = CoverageUtility.__init__
-        monkeypatch.setattr(CoverageUtility, "__init__",
-                            lambda u, *args: built.append(u) or init(u, *args))
         inst.utility_spec[key] = list(inst.utility_spec[key])
         after = inst.utility()
-        assert len(built) == 1 and after is not built[0]
+        assert len(built) == 2 and after is not built[1]
         assert (after.weights, after.covers) == (before.weights, before.covers)
         inst.utility()
-        assert len(built) == 1
+        assert len(built) == 2
 
     def test_out_of_universe_coverage_raises_on_the_first_call(self):
         inst = Instance(3, 2, IndependentPrior([[0.5, 0.5]] * 3),
