@@ -12,10 +12,10 @@ stream is derived from the seed and the history); unseeded, a randomized
 policy's decision_distribution averages over that randomness exactly.  Exact
 evaluation first bounds the histories it could visit and refuses trees over
 EXACT_MAX_HISTORIES: a randomized policy may reach C(n, j) * m^j histories at
-depth j.  Policies with no single decision stream (concatenations, whose
-second phase forgets the history) fall back to enumerating the prior support
-and running a rollout per realization.  Monte Carlo sums left to right, so its
-mean and standard error have the same bits on every Python version.
+depth j.  A concatenation's first phase stops at leaves worth the second
+phase's exact value given the leaf's evidence, which that phase does not see.
+Monte Carlo sums left to right, so its mean and standard error have the same
+bits on every Python version.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import random
 
 from .core import (EvalContext, PSI_EMPTY, PartialRealization, _check_int, _left_sum,
                    expected_set_value)
-from .errors import ExactModeUnavailable, InstanceTooLarge, ValidationError
-from .policies import Policy, _check_choice, run_policy
+from .errors import InstanceTooLarge, ValidationError
+from .policies import ConcatPolicy, Policy, _check_choice, run_policy
 
 # Each visited history costs ~40 us and a ~320-byte memo entry (2-vCPU Xeon,
 # Python 3.11), so a tree at the cap takes under ten seconds and ~65 MiB.
@@ -40,7 +40,11 @@ def exact_history_bound(pi: Policy, n: int, m: int, expand=True) -> int:
     sequences (each width 1 when expand is False, as a seeded policy's choice
     is a point mass, and for a deterministic policy); memoized, these collapse
     to at most C(n, j) item sets.  Each set carries at most m^j outcome vectors.
+    A concatenation's is first's * (second's + 1): a second tree per first history.
     """
+    if isinstance(pi, ConcatPolicy):
+        return (exact_history_bound(pi.first, n, m, expand)
+                * (exact_history_bound(pi.second, n, m, expand) + 1))
     total = paths = 1
     for j, width in enumerate(pi.decision_widths(n), 1):
         if expand:
@@ -54,16 +58,16 @@ class HistoryRecursion:
 
     value(psi, cstate) is a node, memoized on (psi, constraint key).  Its
     evidence is psi with `given`, which pi does not see, built once per node.
-    pi either stops, worth E[f(dom psi) | evidence], priced each time a node
-    stops (once per history), or its choice's branches are averaged, each e
-    worth sum_o p(o | evidence) * value(psi + (e, o), cstate after e).  Each
-    node's decide starts from an empty per-rollout dict, so lazy greedy builds
-    its heap afresh there and its tree is greedy's.  nodes counts expanded
-    nodes, hits memo hits.
+    pi either stops, worth leaf(evidence), priced each time a node stops (once
+    per history), or its choice's branches are averaged, each e worth
+    sum_o p(o | evidence) * value(psi + (e, o), cstate after e).  Each node's
+    decide starts from an empty per-rollout dict, so lazy greedy builds its
+    heap afresh there and its tree is greedy's.  nodes counts expanded nodes,
+    hits memo hits.
     """
 
-    def __init__(self, pi, ctx, given=PSI_EMPTY):
-        self.pi, self.ctx, self.given = pi, ctx, given
+    def __init__(self, pi, ctx, given, leaf):
+        self.pi, self.ctx, self.given, self.leaf = pi, ctx, given, leaf
         self.memo = {}
         self.nodes = self.hits = 0
 
@@ -82,7 +86,7 @@ class HistoryRecursion:
             choices = [] if decision is None else [(decision[0], 1.0)]
         evidence = (PartialRealization.of({**given.as_dict(), **psi.as_dict()})
                     if given else psi)
-        value = 0.0 if choices else expected_set_value(ctx.f, ctx.prior, evidence)
+        value = 0.0 if choices else self.leaf(evidence)
         for e, q in choices:
             _check_choice(pi, e, psi, cstate, ctx.n)
             nxt = cstate.after(e)
@@ -105,27 +109,24 @@ def exact_policy_value(pi: Policy, f, prior, seed=None, delta_cache=None) -> flo
     return _policy_value(pi, f, prior, PSI_EMPTY, seed, delta_cache)
 
 
-def _policy_value(pi, f, prior, given, seed, delta_cache=None):
-    """E[f(dom given + pi's selections) | given], pi run from an empty history."""
-    if not pi.supports_tree_eval:
-        if seed is None and pi.randomized:
-            raise ExactModeUnavailable(
-                "%s has no exact form over its internal randomness; "
-                "use expected_utility(mode='mc')" % pi.name)
-        total = 0.0
-        for phi, p in prior.support(given):
-            trace = run_policy(pi, f, prior, phi, seed=seed)
-            union = tuple(sorted(set(given.domain()) | set(trace.selected)))
-            total += p * f.value(union, phi)
-        return total
-    bound = exact_history_bound(pi, prior.n, prior.m, expand=seed is None)
-    if bound > EXACT_MAX_HISTORIES:
-        raise InstanceTooLarge(
-            "exact evaluation of %s may visit %d histories, over the cap %d"
-            % (pi.describe(), bound, EXACT_MAX_HISTORIES))
+def _policy_value(pi, f, prior, given, seed, delta_cache=None, leaf=None):
+    """E[f(dom given + pi's selections) | given], pi run from an empty history.  The
+    outer call (leaf None) checks the size and prices a stop at E[f | evidence]; in
+    a concatenation, leaf(evidence) is the next phase's value, seeded as in run_on."""
+    if leaf is None:
+        bound = exact_history_bound(pi, prior.n, prior.m, expand=seed is None)
+        if bound > EXACT_MAX_HISTORIES:
+            raise InstanceTooLarge(
+                "exact evaluation of %s may visit %d histories, over the cap %d"
+                % (pi.describe(), bound, EXACT_MAX_HISTORIES))
+        leaf = lambda evidence: expected_set_value(f, prior, evidence)
+    if isinstance(pi, ConcatPolicy):
+        s1, s2 = (None, None) if seed is None else ("%s/1" % seed, "%s/2" % seed)
+        return _policy_value(pi.first, f, prior, given, s1, delta_cache,
+                             lambda evidence: _policy_value(pi.second, f, prior, evidence,
+                                                            s2, delta_cache, leaf))
     ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
-    rec = HistoryRecursion(pi, ctx, given=given)
-    return rec.value(PSI_EMPTY, pi.fresh_constraint(prior.n))
+    return HistoryRecursion(pi, ctx, given, leaf).value(PSI_EMPTY, pi.fresh_constraint(prior.n))
 
 
 def expected_utility(f, prior, pi: Policy, mode: str = "exact",
@@ -164,8 +165,8 @@ def policy_marginal(f, prior, psi, pi: Policy) -> float:
     E[f(dom(psi) | union E(pi, Phi), Phi) - f(dom(psi), Phi)] over
     realizations consistent with psi; pi decides from its own observations
     only, under the unconditioned prior.  The value is exact over pi's
-    internal randomness as well, with exact_policy_value's size cap and its
-    ExactModeUnavailable for a randomized concat.
+    internal randomness as well, a concatenation's included (randomized or
+    not, through the same recursion), and has exact_policy_value's size cap.
     """
     return (_policy_value(pi, f, prior, psi, None)
             - expected_set_value(f, prior, psi))

@@ -83,9 +83,7 @@ class Instance:
                     if any(not 0 <= x < u for x in elems):
                         raise ValidationError("coverage element out of universe")
         if isinstance(self.constraint, PartitionConstraint):
-            for g in self.constraint.groups:
-                if any(not 0 <= e < self.n for e in g):
-                    raise ValidationError("partition group references unknown item")
+            self.constraint.check_items(self.n)
         f = self.utility()  # constructor re-checks nonnegativity etc.
         if spec["type"] == "tabular":
             # An independent prior's support is counted before it is listed.
@@ -273,7 +271,8 @@ def _reject_constant(name):
 def loads_instance(text: str) -> Instance:
     try:
         d = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, an integer past the digit limit, or nesting past the recursion limit
         raise ParseError("invalid JSON: %s" % exc) from exc
     if not isinstance(d, dict):
         raise ParseError("instance file must contain a JSON object")

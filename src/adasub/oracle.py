@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from .core import (CoverageUtility, IndependentPrior, PartialRealization, _check_evidence,
                    _check_fit, expected_set_value)
 from .errors import InstanceTooLarge, ValidationError
+from .policies import PartitionConstraint
 
 VALUE_TOL = 1e-12
 
@@ -241,6 +242,8 @@ def optimal_value(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> Orac
 
     The gain from observations psi is restricted_optimal's marginal form.
     """
+    if isinstance(constraint, PartitionConstraint):
+        constraint.check_items(prior.n)
     return _solve(f, prior, constraint, caps)
 
 

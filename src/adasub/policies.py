@@ -80,6 +80,13 @@ class PartitionConstraint:
             raise ValidationError("one budget per group required")
         if any(d < 0 for d in self.remaining):
             raise ValidationError("negative group budget")
+        object.__setattr__(self, "_span", (min(seen, default=0), max(seen, default=0)))
+
+    def check_items(self, n: int):
+        """Raise ValidationError unless every group item is an item in [0, n)."""
+        bad = [e for e in self._span if not 0 <= e < n]     # the smallest and largest item
+        if bad:
+            raise ValidationError("group item %d is not an item in [0, %d)" % (bad[0], n))
 
     @classmethod
     def of(cls, groups: Sequence[Sequence[int]], limits: Sequence[int]) -> "PartitionConstraint":
@@ -146,7 +153,6 @@ class Policy:
     # that unseeded exact evaluation averages over; the law gets no scratch,
     # so only a deterministic policy may keep state there.
     randomized = False
-    supports_tree_eval = True
 
     def params(self) -> dict:
         return {}
@@ -478,8 +484,6 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
     def __init__(self, groups, limits, order=None):
         self.constraint = PartitionConstraint.of(groups, limits)
         self.limits = self.constraint.remaining     # the fixed budgets d_i
-        items = [e for g in self.constraint.groups for e in g]
-        self._span = (min(items, default=0), max(items, default=0))     # smallest, largest
         b = len(self.constraint.groups)
         self.order = tuple(_check_int(i, "order item")
                            for i in (order if order is not None else range(b)))
@@ -490,10 +494,7 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
         return {"order": ":".join(map(str, self.order))}
 
     def fresh_constraint(self, n):
-        lo, hi = self._span
-        if lo < 0 or hi >= n:
-            raise ValidationError("group item %d is not an item in [0, %d)"
-                                  % (lo if lo < 0 else hi, n))
+        self.constraint.check_items(n)
         return self.constraint
 
     def oracle_call_cap(self, n: int) -> int:
@@ -550,12 +551,10 @@ class ConcatPolicy(Policy):
     """
 
     name = "concat"
-    supports_tree_eval = False
 
     def __init__(self, first: Policy, second: Policy):
         self.first = first
         self.second = second
-        self.randomized = first.randomized or second.randomized
 
     def params(self):
         return {"first": self.first.describe(), "second": self.second.describe()}
@@ -569,9 +568,6 @@ class ConcatPolicy(Policy):
         t2 = self.second.run_on(ctx2, phi)
         selected = tuple(sorted(set(t1.selected) | set(t2.selected)))
         return PolicyTrace(t1.steps + t2.steps, selected, ctx.f.value(selected, phi))
-
-    def decide(self, ctx, psi, cstate, scratch):
-        raise NotImplementedError("concatenation has no single decision stream")
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,16 @@ class TestMalformedInstance:
         d["utility"]["table"] = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]
         self.assert_usage_error(runner, tmp_path, d)
 
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"n": %s}' % ("1" * 4301)],
+                             ids=["deep-arrays", "long-integer"])
+    def test_json_past_the_parsers_limits(self, runner, tmp_path, text):
+        # Each exited 1 with a traceback: a RecursionError and a ValueError.
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        res = runner.invoke(main, ["verify", "--instance", str(path)])
+        assert_clean_usage_error(res)
+        assert res.stderr.startswith("error: invalid JSON: ")
+
     def test_binary_file(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{\x00")

@@ -122,6 +122,11 @@ class TestConditioning:
         for phi in s1:
             assert abs(s1[phi] - s2[phi]) < 1e-12
 
+    def test_merged_evidence_about_a_new_item(self, prior_a):
+        twice = condition(condition(prior_a, psi({0: 1})), psi({1: 0}))
+        assert twice.evidence.pairs == ((0, 1), (1, 0))
+        assert twice.support() == prior_a.support(psi({0: 1, 1: 0}))
+
     def test_merged_evidence_conflict(self, prior_a):
         once = condition(prior_a, psi({0: 1}))
         with pytest.raises(ZeroProbabilityEvidence):
@@ -544,19 +549,26 @@ _FIT_ENTRY_POINTS = {
 }
 
 
+# Items in 2, 1 and 2 states: the poorest item is not the first.
+UNEVEN_COVERS = ((1, 2), (4,), (1, 6))
+
+
 @pytest.mark.parametrize("explicit", [False, True], ids=["independent", "explicit"])
 @pytest.mark.parametrize("f_shape,prior_shape,pairs", [
     ((3, 2), (5, 2), {4: 0}),       # item 4 has no coverage: was a bare IndexError
     ((3, 2), (3, 3), {2: 2}),       # state 2 has no coverage: was a bare IndexError
     ((5, 2), (3, 2), {}),           # items 3 and 4 were ignored
-], ids=["fewer-items", "fewer-states", "more-items"])
+    ((3, 1), (3, 2), {1: 1}),       # UNEVEN_COVERS: item 1 has no coverage in state 1
+], ids=["fewer-items", "fewer-states", "more-items", "uneven-states"])
 @pytest.mark.parametrize("entry", sorted(_FIT_ENTRY_POINTS))
 def test_utility_and_prior_of_different_sizes_are_refused(entry, f_shape, prior_shape, pairs,
                                                          explicit):
     def instance(shape):
         n, m = shape
         return generate_coverage(n=n, m=m, universe_size=6, density=0.4, seed=1, k=2)
-    f, prior = instance(f_shape).utility(), instance(prior_shape).prior
+    f = (CoverageUtility((1.0, 1.0, 1.0), UNEVEN_COVERS) if f_shape == (3, 1)
+         else instance(f_shape).utility())
+    prior = instance(prior_shape).prior
     if explicit:
         prior = ExplicitPrior(prior.support())
     assert (prior.n, prior.m) == prior_shape

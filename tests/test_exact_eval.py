@@ -17,7 +17,7 @@ import pytest
 from adasub import (
     CardinalityConstraint,
     CoverageUtility,
-    ExactModeUnavailable,
+    ExplicitPrior,
     IndependentPrior,
     InstanceTooLarge,
     PSI_EMPTY,
@@ -252,12 +252,13 @@ def test_only_an_unseeded_randomized_policy_is_averaged_through_its_law(monkeypa
     assert [exact_policy_value(pi, f, prior) for pi in randomized] == laws
 
 
-def test_randomized_concat_has_no_exact_mode(utility_a, prior_a):
+def test_randomized_concat_is_exact(utility_a, prior_a):
+    # The second phase selects nothing, so the value is the first phase's.
     pi = concat(random_policy(1), empty_policy())
-    with pytest.raises(ExactModeUnavailable):
-        expected_utility(utility_a, prior_a, pi)
-    est, _ = expected_utility(utility_a, prior_a, pi, mode="mc", samples=200, seed=1)
-    assert 0.0 <= est <= 2.0
+    exact = expected_utility(utility_a, prior_a, pi)
+    assert exact == expected_utility(utility_a, prior_a, random_policy(1)) == 1.0
+    est, se = expected_utility(utility_a, prior_a, pi, mode="mc", samples=200, seed=1)
+    assert abs(est - exact) <= 4 * se
 
 
 def visited_histories(monkeypatch, pi, f, prior, seed=None):
@@ -340,7 +341,10 @@ def test_history_bound_covers_every_evaluation(monkeypatch):
                                  groups=groups, limits=limits)
         policies = (adaptive_stochastic_greedy(3, 0.3), adaptive_stochastic_greedy(2, 0.5),
                     random_policy(3), adaptive_greedy(3), adaptive_greedy(3, "lazy"),
-                    generalized_asg(groups, limits, 0.5), locally_greedy(groups, limits))
+                    generalized_asg(groups, limits, 0.5), locally_greedy(groups, limits),
+                    concat(adaptive_stochastic_greedy(2, 0.5), random_policy(1)),
+                    concat(random_policy(1), concat(adaptive_greedy(1),
+                                                    generalized_asg(groups, limits, 0.5))))
         for pi in policies:
             for s in (None, 0):
                 _, visited = visited_histories(monkeypatch, pi, inst.utility(), inst.prior, s)
@@ -373,25 +377,42 @@ def test_tree_over_the_cap_is_refused_before_any_work():
         assert exact_policy_value(pi, inst.utility(), inst.prior, seed=3) > 0.0
 
 
-def reference_marginal(f, prior, psi, cstate, candidate_sets):
-    """E[f(dom psi + selections) - f(dom psi) | psi] for a policy that starts
-    from an empty history on each realization, averaged over every candidate
-    set it may draw."""
+def reference_chain(f, prior, psi, phases):
+    """E[f(dom psi + every phase's selections) | psi] when each phase, a
+    (constraint, candidate_sets) pair, starts from an empty history once the
+    phase before it stops, and at each of its histories picks the best-Delta
+    item of a uniformly drawn candidate set (ties to the smallest item), each
+    phase's draws independent of the others'."""
+    deltas = {}     # a phase's Delta at its history, the same on every realization
+
+    def run(phi, phases, selected):
+        if not phases:
+            return f.value(tuple(sorted(selected)), phi)
+        (cstate, candidate_sets), rest = phases[0], phases[1:]
+
+        def walk(history, cstate):
+            sets = candidate_sets(history, cstate)
+            if not sets:
+                return run(phi, rest, selected | set(history.domain()))
+            total = 0.0
+            for cand in sets:
+                for e in cand:
+                    if (history, e) not in deltas:
+                        deltas[history, e] = explicit_delta(f, prior, history, e)
+                best = min(cand, key=lambda e: (-deltas[history, e], e))
+                total += walk(history.with_observation(best, phi[best]), cstate.after(best))
+            return total / len(sets)
+
+        return walk(PSI_EMPTY, cstate)
+
+    return sum(p * run(phi, phases, set(psi.domain())) for phi, p in prior.support(psi))
+
+
+def reference_marginal(f, prior, psi, phases):
+    """E[f(dom psi + selections) - f(dom psi) | psi] for reference_chain's phases."""
     dom = psi.domain()
-
-    def gain(phi, history, cstate):
-        sets = candidate_sets(history, cstate)
-        if not sets:
-            union = tuple(sorted(set(dom) | set(history.domain())))
-            return f.value(union, phi) - f.value(dom, phi)
-        total = 0.0
-        for cand in sets:
-            delta = {e: explicit_delta(f, prior, history, e) for e in cand}
-            best = min(cand, key=lambda e: (-delta[e], e))
-            total += gain(phi, history.with_observation(best, phi[best]), cstate.after(best))
-        return total / len(sets)
-
-    return sum(p * gain(phi, PSI_EMPTY, cstate) for phi, p in prior.support(psi))
+    return (reference_chain(f, prior, psi, phases)
+            - sum(p * f.value(dom, phi) for phi, p in prior.support(psi)))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -410,12 +431,102 @@ def test_policy_marginal_matches_the_reference(seed):
               PartitionConstraint.of(groups, limits), gasg_sets(groups, limits, eps, order)))
     for pi, cstate, sets in cases:
         val = policy_marginal(f, prior, psi, pi)
-        assert abs(val - reference_marginal(f, prior, psi, cstate, sets)) <= 1e-12, pi.name
+        assert abs(val - reference_marginal(f, prior, psi, [(cstate, sets)])) <= 1e-12, pi.name
         assert (policy_marginal(f, prior, PSI_EMPTY, pi)
                 == exact_policy_value(pi, f, prior) - expected_set_value(f, prior, PSI_EMPTY))
 
 
-def test_randomized_concat_has_no_exact_policy_marginal(utility_a, prior_a):
-    pi = concat(random_policy(1), empty_policy())
-    with pytest.raises(ExactModeUnavailable, match=r"use expected_utility\(mode='mc'\)$"):
-        policy_marginal(utility_a, prior_a, PartialRealization.of({0: 1}), pi)
+def test_randomized_concat_policy_marginal_matches_the_reference(utility_a, prior_a):
+    # At {0: 1} item 0 covers the whole universe, so every marginal there is 0.
+    psi = PartialRealization.of({0: 0})
+    pi = concat(random_policy(1), random_policy(1))
+    phases = [(CardinalityConstraint(1), random_sets(2))] * 2
+    val = policy_marginal(utility_a, prior_a, psi, pi)
+    assert val == 0.375     # item 1, in state 1 half the time, unless both phases pick 0
+    assert abs(val - reference_marginal(utility_a, prior_a, psi, phases)) <= 1e-12
+
+
+def fixed_sets(sequence):
+    def sets(psi, cstate):
+        todo = [e for e in sequence if e not in psi]
+        return [(todo[0],)] if todo and cstate.remaining else []
+    return sets
+
+
+def concat_phases():
+    """name -> (policy, its reference_chain phases) on 4 items: greedy, lazy,
+    ASG, random, fixed and empty, every concatenation of two of them, and a
+    concatenation nested in each phase."""
+    n = 4
+    single = {
+        "greedy": (adaptive_greedy(2), [(CardinalityConstraint(2), asg_sets(n, 2, None))]),
+        "lazy": (adaptive_greedy(2, "lazy"), [(CardinalityConstraint(2), asg_sets(n, 2, None))]),
+        "asg": (adaptive_stochastic_greedy(2, 0.5),
+                [(CardinalityConstraint(2), asg_sets(n, 2, 0.5))]),
+        "random": (random_policy(1), [(CardinalityConstraint(1), random_sets(n))]),
+        "fixed": (FixedSequencePolicy([3, 0]), [(CardinalityConstraint(2), fixed_sets([3, 0]))]),
+        "empty": (empty_policy(), [(CardinalityConstraint(0), lambda psi, cstate: [])]),
+    }
+
+    def joined(first, second):
+        return concat(first[0], second[0]), first[1] + second[1]
+
+    out = {(a, b): joined(single[a], single[b]) for a in single for b in single}
+    asg, rnd, fixed = single["asg"], single["random"], single["fixed"]
+    out["(asg, random), fixed"] = joined(joined(asg, rnd), fixed)
+    out["random, (fixed, asg)"] = joined(rnd, joined(fixed, asg))
+    return out
+
+
+def test_concatenations_match_the_reference_and_the_seeded_rollouts():
+    # Unseeded, each phase's law is averaged: the product-of-laws reference.
+    # Seeded, each phase is one seeded policy: the support-weighted rollouts,
+    # whose phases ConcatPolicy.run_on seeds "3/1" and "3/2".
+    inst = generate_coverage(n=4, m=2, universe_size=6, density=0.35, seed=11, k=2)
+    rng = random.Random(11)
+    weighted = [(phi, rng.uniform(0.1, 1.0)) for phi, _ in inst.prior.support()]
+    total = sum(w for _, w in weighted)
+    correlated = ExplicitPrior([(phi, w / total) for phi, w in weighted])
+    cases = concat_phases()
+    for prior in (inst.prior, correlated):
+        for psi in (PSI_EMPTY, PartialRealization.of({1: 1})):
+            dom = psi.domain()
+            for name, (pi, phases) in cases.items():
+                f = inst.utility()
+                if psi:
+                    exact = policy_marginal(f, prior, psi, pi) + expected_set_value(f, prior, psi)
+                else:
+                    exact = exact_policy_value(pi, f, prior)
+                assert abs(exact - reference_chain(f, prior, psi, phases)) <= 1e-12, name
+                rollouts = 0.0
+                for phi, p in prior.support(psi):
+                    selected = set(dom) | set(run_policy(pi, f, prior, phi, seed=3).selected)
+                    rollouts += p * f.value(tuple(sorted(selected)), phi)
+                seeded = evaluation._policy_value(pi, f, prior, psi, 3)
+                assert abs(seeded - rollouts) <= 1e-12, name
+
+
+def test_seeded_concat_walks_one_tree_per_phase(monkeypatch):
+    # 8.3377973004402 is the support-weighted value of the seeded rollouts,
+    # sum(p * run_policy(pi, f, prior, phi, seed="s").value) over the 65,536
+    # realizations, which take seconds.  Greedy's tree has 15 histories and
+    # 8 stops, each the root of an ASG tree of at most 7 (fewer where ASG
+    # selects an item greedy observed: its state is known).
+    inst = generate_coverage(n=16, m=2, universe_size=8, density=0.3, seed=1, k=5)
+    pi = concat(adaptive_greedy(3), adaptive_stochastic_greedy(2, 0.3))
+    value, visited = visited_histories(monkeypatch, pi, inst.utility(), inst.prior, seed="s")
+    assert abs(value - 8.3377973004402) <= 1e-12
+    assert visited <= 15 + 8 * 7 <= exact_history_bound(pi, 16, 2, expand=False)
+
+
+def test_concat_over_the_cap_is_refused_before_any_work():
+    # Each phase alone is under the cap; together they may visit
+    # 173,235 * 173,236 histories.
+    inst = generate_coverage(n=16, m=2, universe_size=8, density=0.3, seed=1, k=5)
+    asg = adaptive_stochastic_greedy(5, 0.1)
+    assert exact_history_bound(asg, 16, 2) == 173_235 <= EXACT_MAX_HISTORIES
+    assert exact_history_bound(concat(asg, asg), 16, 2) == 173_235 * 173_236
+    f = inst.utility()
+    with pytest.raises(InstanceTooLarge, match="histories"):
+        exact_policy_value(concat(asg, asg), f, inst.prior)
+    assert f.delta_counter == 0 and f.f_counter == 0

@@ -34,6 +34,11 @@ EXIT_CODES = {0, 1, 2, 3}
 # empty and nested containers.
 LEAVES = [-1, 0, 1, 2, 3, 7, 0.5, -0.0, 1e308, 10 ** 30, "x", "", None, True,
           [], {}, [0], [[0]], [-1], {"type": "x"}, "independent", "tabular"]
+# Raw JSON a mutation writes over a value, through a placeholder string that
+# the document's text then swaps for it: arrays nested past every
+# interpreter's recursion limit, and an integer past Python's 4,300-digit
+# limit for converting a string to an int.
+RAW = {"@deep": "[" * 100_000 + "]" * 100_000, "@digits": "1" * 4301}
 
 
 def _bases():
@@ -63,8 +68,9 @@ def _slots(node):
 
 def _mutate(rng, doc) -> str:
     """The text of doc after one to three random edits: nudge a number,
-    overwrite a value, delete an entry or duplicate a list entry; one file in
-    five is then cut short or has one character replaced."""
+    overwrite a value (now and then with RAW text), delete an entry or
+    duplicate a list entry; one file in five is then cut short or has one
+    character replaced."""
     doc = copy.deepcopy(doc)
     for _ in range(rng.randint(1, 3)):
         slots = list(_slots(doc))
@@ -74,13 +80,17 @@ def _mutate(rng, doc) -> str:
         value, op = container[key], rng.random()
         if op < 0.3 and type(value) in (int, float):
             container[key] = rng.choice([value + 1, value - 1, -value, 2 * value, 0])
-        elif op < 0.7:
+        elif op < 0.65:
             container[key] = copy.deepcopy(rng.choice(LEAVES))
+        elif op < 0.7:
+            container[key] = rng.choice(sorted(RAW))
         elif op < 0.85:
             del container[key]
         elif isinstance(container, list):
             container.insert(key, copy.deepcopy(value))
     text = json.dumps(doc)
+    for placeholder, raw in RAW.items():
+        text = text.replace(json.dumps(placeholder), raw)
     if rng.random() < 0.2:
         i = rng.randrange(len(text))
         tail = "" if rng.random() < 0.5 else rng.choice('{}[],:"0-.ex') + text[i + 1:]

@@ -26,6 +26,11 @@ from adasub.instances import (
     loads_instance,
 )
 
+# Arrays nested past every interpreter's recursion limit, and an integer past
+# Python's limit of 4,300 digits for converting a string to an int.
+DEEP_ARRAYS = "[" * 100_000 + "]" * 100_000
+LONG_INTEGER = '{"n": %s}' % ("1" * 4301)
+
 
 class TestGeneration:
     def test_deterministic_bytes(self):
@@ -103,6 +108,12 @@ class TestSerialization:
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             loads_instance("{not json")
+
+    # json.loads raised a bare RecursionError and ValueError for these.
+    @pytest.mark.parametrize("text", [DEEP_ARRAYS, LONG_INTEGER], ids=["deep", "digits"])
+    def test_json_past_the_parsers_limits(self, text):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            loads_instance(text)
 
     def test_coverage_element_bounds_checked(self):
         d = json.loads(dumps_instance(generate_coverage(3, 2, 4, 0.3, seed=0)))

@@ -128,6 +128,14 @@ class TestOptimalValue:
         res = optimal_value(utility_a, prior_a, con)
         assert res.value == pytest.approx(1.75)
 
+    @pytest.mark.parametrize("item", [9, -1])
+    def test_group_item_outside_the_ground_set_is_refused(self, item):
+        # The oracle ignored the item and returned the optimum over group [0].
+        inst = generate_coverage(5, 2, 6, 0.4, seed=3, k=2)
+        with pytest.raises(ValidationError, match=r"^group item %d is not an item in "
+                                                  r"\[0, 5\)$" % item):
+            optimal_value(inst.utility(), inst.prior, PartitionConstraint.of([[0, item]], [1]))
+
     def test_budget_monotone_on_monotone_utility(self):
         inst = generate_coverage(n=6, m=2, universe_size=8, density=0.3, seed=30)
         vals = [optimal_value(inst.utility(), inst.prior, CardinalityConstraint(k)).value
