@@ -63,6 +63,19 @@ def _check_int(value, name: str):
     return value
 
 
+def _check_real(value, name: str) -> float:
+    """value as a float, once it is an int or a float: float() would accept
+    "0.5" and True, and raise OverflowError on an int past the float range.
+    ValidationError names the parameter otherwise."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError("%s must be a number, got %s" % (name, reprlib.repr(value)))
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError("%s %s is past the float range"
+                              % (name, reprlib.repr(value))) from None
+
+
 # ---------------------------------------------------------------------------
 # partial realizations
 
@@ -173,7 +186,7 @@ class IndependentPrior(Prior):
     """Per-item categorical distributions; items are mutually independent."""
 
     def __init__(self, probs: Sequence[Sequence[float]]):
-        self.probs = tuple(tuple(float(p) for p in row) for row in probs)
+        self.probs = tuple(tuple(_check_real(p, "probability") for p in row) for row in probs)
         self.n = len(self.probs)
         if self.n == 0:
             raise ValidationError("empty ground set")
@@ -261,8 +274,8 @@ class ExplicitPrior(Prior):
     """A weighted list of realizations (supports arbitrary correlations)."""
 
     def __init__(self, weighted: Sequence):
-        entries = [(tuple(_check_int(s, "realization state") for s in phi), float(p))
-                   for phi, p in weighted]
+        entries = [(tuple(_check_int(s, "realization state") for s in phi),
+                    _check_real(p, "probability")) for phi, p in weighted]
         if not entries:
             raise ValidationError("empty support")
         self.n = len(entries[0][0])
@@ -441,7 +454,7 @@ class CoverageUtility(UtilityFunction):
 
     def __init__(self, weights: Sequence[float], covers: Sequence[Sequence[int]]):
         super().__init__()
-        self.weights = tuple(float(w) for w in weights)
+        self.weights = tuple(_check_real(w, "universe weight") for w in weights)
         if not all(0.0 <= w < math.inf for w in self.weights):
             raise ValidationError("negative or non-finite universe weight")
         self.universe_size = len(self.weights)
@@ -618,7 +631,7 @@ class TabularUtility(UtilityFunction):
         if any(len(phi) != n for phi in self.realizations):
             raise ValidationError("every tabular realization must have %d states" % n)
         self._index = {phi: i for i, phi in enumerate(self.realizations)}
-        self.table = tuple(tuple(float(v) for v in row) for row in table)
+        self.table = tuple(tuple(_check_real(v, "table value") for v in row) for row in table)
         if len(self.table) != (1 << n):
             raise ValidationError("table must have a row per subset bitmask")
         for row in self.table:

@@ -10,7 +10,9 @@ class ValidationError(AdasubError):
 
 
 class ParseError(AdasubError):
-    """An instance file is malformed (missing field, wrong type, bad syntax)."""
+    """An instance file's document is malformed: bad syntax, a missing field,
+    or a field of the wrong JSON kind.  A bad value inside a list (a state, a
+    cover element, a probability) raises its constructor's ValidationError."""
 
 
 class ZeroProbabilityEvidence(AdasubError):

@@ -31,6 +31,7 @@ from .core import (
     TabularUtility,
     UtilityFunction,
     _check_int,
+    _check_real,
     _left_sum,
 )
 from .errors import ParseError, ValidationError
@@ -61,7 +62,8 @@ class Instance:
             covers, weights = spec["covers"], spec["weights"]
             cached = self._coverage
             if cached is None or cached[0] is not covers or cached[1] is not weights:
-                masks = tuple(tuple(_mask(elems) for elems in row) for row in covers)
+                masks = tuple(tuple(_mask(elems, e, len(weights)) for elems in row)
+                              for e, row in enumerate(covers))
                 cached = self._coverage = (covers, weights, CoverageUtility(weights, masks))
             return cached[2]._fresh()
         if spec["type"] == "tabular":
@@ -73,18 +75,14 @@ class Instance:
             raise ValidationError("prior dimensions do not match the instance")
         spec = self.utility_spec
         if spec["type"] == "coverage":
-            u = len(spec["weights"])
             if len(spec["covers"]) != self.n:
                 raise ValidationError("coverage must list every item")
             for e, row in enumerate(spec["covers"]):
                 if len(row) != self.m:
                     raise ValidationError("item %d must cover every state" % e)
-                for elems in row:
-                    if any(not 0 <= x < u for x in elems):
-                        raise ValidationError("coverage element out of universe")
         if isinstance(self.constraint, PartitionConstraint):
             self.constraint.check_items(self.n)
-        f = self.utility()  # constructor re-checks nonnegativity etc.
+        f = self.utility()  # its constructor checks each value the spec lists
         if spec["type"] == "tabular":
             # An independent prior's support is counted before it is listed.
             if (isinstance(self.prior, IndependentPrior)
@@ -97,10 +95,13 @@ class Instance:
         return self
 
 
-def _mask(elems) -> int:
+def _mask(elems, e, universe_size) -> int:
+    """Item e's mask in one state, each element checked in [0, universe_size) before its shift."""
     mask = 0
     for x in elems:
-        mask |= 1 << _check_int(x, "coverage element")
+        if not 0 <= _check_int(x, "coverage element") < universe_size:
+            raise ValidationError("coverage of item %d outside universe" % e)
+        mask |= 1 << x
     return mask
 
 
@@ -117,15 +118,17 @@ def generate_coverage(n: int, m: int, universe_size: int, density: float,
     probability `density`; element weights are uniform in `weight_range`;
     the prior is independent with uniform-random categorical vectors.
     """
-    if not 0.0 <= density <= 1.0:
+    if not 0.0 <= _check_real(density, "density") <= 1.0:
         raise ValidationError("density must be in [0,1]")
     if min(_check_int(n, "n"), _check_int(m, "m"), _check_int(universe_size, "universe_size")) < 1:
         raise ValidationError("sizes must be >= 1")
-    if weight_range[0] > weight_range[1]:
-        raise ValidationError("empty weight range: minimum %r exceeds maximum %r"
-                              % tuple(weight_range))
+    low, high = (_check_real(w, "weight_range bound") for w in weight_range)
+    if low > high:
+        raise ValidationError("empty weight range: minimum %r exceeds maximum %r" % (low, high))
+    if groups is not None and limits is None:
+        raise ValidationError("groups require limits")
     rng = random.Random(seed)
-    weights = [round(rng.uniform(*weight_range), 6) for _ in range(universe_size)]
+    weights = [round(rng.uniform(low, high), 6) for _ in range(universe_size)]
     covers = [[sorted(x for x in range(universe_size) if rng.random() < density)
                for _ in range(m)] for _ in range(n)]
     probs = []
@@ -206,14 +209,6 @@ def _require(d, key, types, where):
     return val
 
 
-def _ints(values, where):
-    """values, once each is a JSON integer: int() would truncate 2.5 to 2."""
-    for x in values:
-        if type(x) is not int:
-            raise ParseError("%s must be integers, got %r" % (where, x))
-    return values
-
-
 def _instance_from_dict(d: dict) -> Instance:
     n = _require(d, "n", int, "instance")
     m = _require(d, "m", int, "instance")
@@ -223,9 +218,8 @@ def _instance_from_dict(d: dict) -> Instance:
         prior = IndependentPrior(_require(prior_d, "probs", list, "prior"))
     elif ptype == "explicit":
         support = _require(prior_d, "support", list, "prior")
-        prior = ExplicitPrior([(_ints(_require(s, "states", list, "support entry"), "states"),
-                                _require(s, "p", (int, float), "support entry"))
-                               for s in support])
+        prior = ExplicitPrior([(_require(s, "states", list, "support entry"),
+                                _require(s, "p", (int, float), "support entry")) for s in support])
     else:
         raise ParseError("unknown prior type %r" % ptype)
     util_d = _require(d, "utility", dict, "instance")
@@ -234,15 +228,10 @@ def _instance_from_dict(d: dict) -> Instance:
         spec = {"type": "coverage",
                 "weights": _require(util_d, "weights", list, "utility"),
                 "covers": _require(util_d, "covers", list, "utility")}
-        for row in spec["covers"]:
-            for elems in row:
-                _ints(elems, "coverage elements")
     elif utype == "tabular":
         spec = {"type": "tabular",
                 "realizations": _require(util_d, "realizations", list, "utility"),
                 "table": _require(util_d, "table", list, "utility")}
-        for phi in spec["realizations"]:
-            _ints(phi, "realization states")
     else:
         raise ParseError("unknown utility type %r" % utype)
     con_d = _require(d, "constraint", dict, "instance")
@@ -250,10 +239,8 @@ def _instance_from_dict(d: dict) -> Instance:
     if ctype == "cardinality":
         constraint = CardinalityConstraint(_require(con_d, "k", int, "constraint"))
     elif ctype == "partition":
-        groups = _require(con_d, "groups", list, "constraint")
-        constraint = PartitionConstraint.of([_ints(g, "group items") for g in groups],
-                                            _ints(_require(con_d, "limits", list, "constraint"),
-                                                  "partition limits"))
+        constraint = PartitionConstraint.of(_require(con_d, "groups", list, "constraint"),
+                                            _require(con_d, "limits", list, "constraint"))
     else:
         raise ParseError("unknown constraint type %r" % ctype)
     meta = d.get("metadata", {})
@@ -279,8 +266,8 @@ def loads_instance(text: str) -> Instance:
     try:
         return _instance_from_dict(d)
     except (TypeError, ValueError) as exc:
-        # a value of the wrong kind below the checked top-level fields, such
-        # as a number where a list belongs or a string among probabilities
+        # a container of the wrong kind below the checked top-level fields,
+        # such as a number where a list belongs
         raise ParseError("malformed instance: %s" % exc) from exc
 
 

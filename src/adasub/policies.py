@@ -559,6 +559,10 @@ class ConcatPolicy(Policy):
     def params(self):
         return {"first": self.first.describe(), "second": self.second.describe()}
 
+    def decision_widths(self, n):
+        """first's widths, then second's: its selections follow first's."""
+        return self.first.decision_widths(n) + self.second.decision_widths(n)
+
     def run_on(self, ctx, phi):
         ctx1 = EvalContext(ctx.f, ctx.prior, seed="%s/1" % ctx.seed,
                            delta_cache=ctx.delta_cache)

@@ -16,6 +16,7 @@ from adasub import (
     InstanceTooLarge,
     PSI_EMPTY,
     ParseError,
+    ValidationError,
     ZeroProbabilityEvidence,
     cli,
     generate_coverage,
@@ -348,14 +349,19 @@ class TestVerify:
         assert "error: no checks given" in res.output
 
 
+# 10 ** 400 as the constructors name it, shortened by reprlib.
+PAST_FLOATS = "100000000000000000...0000000000000000000 is past the float range"
+
+
 class TestMalformedInstance:
     @pytest.fixture
     def instance_dict(self):
         return json.loads(dumps_instance(generate_coverage(3, 2, 4, 0.3, seed=0, k=2)))
 
-    def assert_usage_error(self, runner, tmp_path, d, huge=None):
-        """`verify`, `run` and `oracle` on d exit 2; the string `huge`, if
-        given, is written as the JSON number 1e999, which json reads as inf."""
+    def assert_usage_error(self, runner, tmp_path, d, huge=None, message=""):
+        """`verify`, `run` and `oracle` on d exit 2 with one `error:` line,
+        which holds `message`; the string `huge`, if given, is written as the
+        JSON number 1e999, which json reads as inf."""
         path = tmp_path / "bad.json"
         text = json.dumps(d)
         path.write_text(text if huge is None else text.replace(json.dumps(huge), "1e999"))
@@ -367,6 +373,8 @@ class TestMalformedInstance:
             assert res.exit_code == 2, res.output
             assert "error: " in res.output and "Traceback" not in res.output
             assert res.exception is None or isinstance(res.exception, SystemExit)
+            assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+            assert message in res.stderr, res.stderr
 
     def test_int_covers_entry(self, runner, tmp_path, instance_dict):
         instance_dict["utility"]["covers"][1] = 7
@@ -390,13 +398,35 @@ class TestMalformedInstance:
         instance_dict["utility"]["covers"][0][1].append(2.5)
         self.assert_usage_error(runner, tmp_path, instance_dict)
 
+    # The parser's own integer check refused each of these until the
+    # constructor that stores the value became its one check.
+    @pytest.mark.parametrize("element,message", [
+        (True, "coverage element must be an integer"),
+        ("1", "coverage element must be an integer"),
+        (-1, "coverage of item 0 outside universe"),
+        (4, "coverage of item 0 outside universe"),       # the universe's size
+        (10 ** 400, "coverage of item 0 outside universe"),
+    ], ids=["true", "string", "negative", "universe-size", "huge"])
+    def test_non_integer_or_outside_cover_element(self, runner, tmp_path, instance_dict,
+                                                  element, message):
+        instance_dict["utility"]["covers"][0][1].append(element)
+        self.assert_usage_error(runner, tmp_path, instance_dict, message=message)
+        with pytest.raises(ValidationError, match=message):
+            loads_instance(json.dumps(instance_dict))
+
+    # Fractional, `true` and string items and budgets: the last two were the
+    # parser's own refusals until PartitionConstraint.of became their one check.
     @pytest.mark.parametrize("field,value", [("limits", [1.5, 1]),
-                                             ("groups", [[0.9, 1], [2]])])
+                                             ("groups", [[0.9, 1], [2]]),
+                                             ("limits", [True, 1]),
+                                             ("limits", ["1", 1]),
+                                             ("groups", [[True, 1], [2]]),
+                                             ("groups", [["0", 1], [2]])])
     def test_fractional_partition_field(self, runner, tmp_path, field, value):
         d = json.loads(dumps_instance(generate_coverage(3, 2, 4, 0.3, seed=0,
                                                         groups=[[0, 1], [2]], limits=[1, 1])))
         d["constraint"][field] = value
-        self.assert_usage_error(runner, tmp_path, d)
+        self.assert_usage_error(runner, tmp_path, d, message="must be an integer")
 
     # A bool is an int to isinstance, so `true` could pass as 1.
     @pytest.mark.parametrize("path", [("constraint", "k"), ("n",)], ids=["k", "n"])
@@ -410,13 +440,37 @@ class TestMalformedInstance:
             loads_instance(json.dumps(instance_dict))
 
     @pytest.mark.parametrize("field", ["support", "realizations"])
-    def test_fractional_explicit_state(self, runner, tmp_path, field):
+    @pytest.mark.parametrize("state", [0.6, True, "1"], ids=["fraction", "true", "string"])
+    def test_fractional_explicit_state(self, runner, tmp_path, field, state):
         d = json.loads(dumps_instance(complementarity_counterexample()))
         if field == "support":
-            d["prior"]["support"][0]["states"] = [0.6, 0]
+            d["prior"]["support"][0]["states"] = [state, 0]
         else:
-            d["utility"]["realizations"][0] = [0.6, 0]
-        self.assert_usage_error(runner, tmp_path, d)
+            d["utility"]["realizations"][0] = [state, 0]
+        self.assert_usage_error(runner, tmp_path, d,
+                                message="realization state must be an integer")
+
+    # Past the float range each exited 1 with an OverflowError traceback; a
+    # numeric string or a bool loaded and ran, exit 0.
+    @pytest.mark.parametrize("path,value,message", [
+        (("prior", "probs", 0, 0), 10 ** 400, "probability %s" % PAST_FLOATS),
+        (("utility", "weights", 1), 10 ** 400, "universe weight %s" % PAST_FLOATS),
+        (("utility", "table", 3, 0), 10 ** 400, "table value %s" % PAST_FLOATS),
+        (("prior", "support", 0, "p"), 10 ** 400, "probability %s" % PAST_FLOATS),
+        (("prior", "probs", 0), ["0.5", "0.5"], "probability must be a number, got '0.5'"),
+        (("utility", "weights", 1), True, "universe weight must be a number, got True"),
+        (("utility", "table", 3, 0), "1.0", "table value must be a number, got '1.0'"),
+    ], ids=["huge-prob", "huge-weight", "huge-table-value", "huge-explicit-p",
+            "string-probs", "true-weight", "string-table-value"])
+    def test_number_field_out_of_kind(self, runner, tmp_path, instance_dict, path, value,
+                                      message):
+        d = (json.loads(dumps_instance(complementarity_counterexample()))
+             if "table" in path or "support" in path else instance_dict)
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        self.assert_usage_error(runner, tmp_path, d, message=message)
 
     def test_negative_explicit_state(self, runner, tmp_path):
         # `oracle` read state -1 as the item's last state and exited 0.

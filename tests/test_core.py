@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -316,6 +317,10 @@ class TestCounters:
         assert utility_a.delta_counter == 0
 
 
+# 10 ** 400 as the constructors name it, shortened by reprlib.
+PAST_FLOATS = "100000000000000000...0000000000000000000 is past the float range"
+
+
 class TestValidation:
     def test_independent_rows_must_normalize(self):
         with pytest.raises(ValidationError):
@@ -349,6 +354,30 @@ class TestValidation:
                      lambda: TabularUtility(1, [(0,)], [[0.0], [bad]])):
             with pytest.raises(ValidationError, match="negative or non-finite"):
                 make()
+
+    # float() took "0.5" and True, and raised OverflowError past the float range.
+    @pytest.mark.parametrize("make,message", [
+        (lambda: IndependentPrior([["0.5", "0.5"]]), "probability must be a number, got '0.5'"),
+        (lambda: IndependentPrior([[10 ** 400, 0]]), "probability %s" % PAST_FLOATS),
+        (lambda: ExplicitPrior([((0,), True)]), "probability must be a number, got True"),
+        (lambda: ExplicitPrior([((0,), 10 ** 400)]), "probability %s" % PAST_FLOATS),
+        (lambda: CoverageUtility([True], [[0b1]]), "universe weight must be a number, got True"),
+        (lambda: CoverageUtility([10 ** 400], [[0b1]]), "universe weight %s" % PAST_FLOATS),
+        (lambda: TabularUtility(1, [(0,)], [["1.0"], [0.0]]),
+         "table value must be a number, got '1.0'"),
+        (lambda: TabularUtility(1, [(0,)], [[0.0], [10 ** 400]]),
+         "table value %s" % PAST_FLOATS),
+    ], ids=["independent-string", "independent-huge", "explicit-true", "explicit-huge",
+            "weight-true", "weight-huge", "table-string", "table-huge"])
+    def test_numbers_must_be_ints_or_floats_in_range(self, make, message):
+        with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+            make()
+
+    def test_numbers_may_be_ints_or_float_subclasses(self):
+        np = pytest.importorskip("numpy")
+        prior = IndependentPrior([[np.float64(0.25), np.float64(0.75)], [1, 0]])
+        assert prior.probs == ((0.25, 0.75), (1.0, 0.0))
+        assert all(type(p) is float for row in prior.probs for p in row)
 
     def test_tabular_utility_is_bounded_in_items(self):
         n = TabularUtility.MAX_ITEMS + 1

@@ -30,10 +30,11 @@ FILES = 300         # mutated instance files, each run through four command line
 SPECS = 600         # random --policy descriptors
 EXIT_CODES = {0, 1, 2, 3}
 
-# Values a mutation writes over a field: wrong types, out-of-range numbers,
-# empty and nested containers.
-LEAVES = [-1, 0, 1, 2, 3, 7, 0.5, -0.0, 1e308, 10 ** 30, "x", "", None, True,
-          [], {}, [0], [[0]], [-1], {"type": "x"}, "independent", "tabular"]
+# Values a mutation writes over a field: wrong types, out-of-range numbers
+# (10 ** 400 is past the float range), numeric strings, empty and nested
+# containers.
+LEAVES = [-1, 0, 1, 2, 3, 7, 0.5, -0.0, 1e308, 10 ** 30, 10 ** 400, "x", "", "0.5", None,
+          True, [], {}, [0], [[0]], [-1], {"type": "x"}, "independent", "tabular"]
 # Raw JSON a mutation writes over a value, through a placeholder string that
 # the document's text then swaps for it: arrays nested past every
 # interpreter's recursion limit, and an integer past Python's 4,300-digit

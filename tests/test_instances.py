@@ -66,6 +66,17 @@ class TestGeneration:
         with pytest.raises(ValidationError, match="%s must be an integer" % size):
             generate_coverage(**sizes, density=0.4, seed=1)
 
+    def test_groups_without_limits_rejected(self):
+        # Was a bare TypeError: 'NoneType' object is not iterable.
+        with pytest.raises(ValidationError, match="groups require limits"):
+            generate_coverage(5, 2, 4, 0.3, groups=[[0, 1]])
+
+    @pytest.mark.parametrize("weight_range", [("a", "b"), (0.5, None), (True, 2.0)])
+    def test_weight_range_must_be_numbers(self, weight_range):
+        # ("a", "b") raised a bare TypeError from rng.uniform.
+        with pytest.raises(ValidationError, match="weight_range bound must be a number"):
+            generate_coverage(5, 2, 4, 0.3, weight_range=weight_range)
+
     def test_generated_instances_are_adaptive_submodular(self):
         for seed in (0, 1, 2):
             inst = generate_coverage(5, 2, 6, 0.3, seed=seed)
@@ -201,6 +212,17 @@ class TestUtilityMaskTable:
             with pytest.raises(ValidationError, match="coverage of item 1 outside universe"):
                 inst.utility()
 
+    @pytest.mark.parametrize("element", [-1, 2, 10 ** 400],
+                             ids=["negative", "universe-size", "huge"])
+    def test_unvalidated_element_outside_universe_raises_before_its_shift(self, element):
+        # 1 << -1 raised a bare ValueError and 1 << 10 ** 400 an OverflowError.
+        inst = Instance(2, 1, IndependentPrior([[1.0]] * 2),
+                        {"type": "coverage", "weights": [1.0, 2.0],
+                         "covers": [[[0]], [[1, element]]]},
+                        CardinalityConstraint(1))
+        with pytest.raises(ValidationError, match="^coverage of item 1 outside universe$"):
+            inst.utility()
+
     @pytest.mark.parametrize("element", [2.5, True], ids=["float", "bool"])
     def test_non_integer_coverage_element_is_refused(self, element):
         # 1 << int(x) would have read 2.5 as element 2 and True as element 1.
@@ -251,7 +273,8 @@ def test_every_single_field_corruption_is_a_clean_error():
     # a number where a list belongs, a string among numbers, and so on, at
     # every position of three instances covering each prior, utility and
     # constraint type
-    bad_values = (0, -1, 1.5, "x", None, [], {}, [0], [[0]], True, 10 ** 6, [["a"]])
+    bad_values = (0, -1, 1.5, "x", None, [], {}, [0], [[0]], True, 10 ** 6, [["a"]],
+                  10 ** 400, "0.5")
     bases = (generate_coverage(4, 2, 4, 0.5, seed=1, k=2),
              generate_coverage(4, 2, 4, 0.5, seed=1, groups=[[0, 1], [2, 3]], limits=[1, 1]),
              complementarity_counterexample())

@@ -251,6 +251,15 @@ def test_decision_widths_build_no_context(monkeypatch):
         [[1, 1, 1], [1, 1, 1], [9, 8, 7], [3, 2, 1], [1] * 5, [2, 1, 2, 1, 1]]
 
 
+def test_concat_widths_are_the_first_phases_then_the_seconds():
+    # ConcatPolicy had no decision_widths of its own, and the base one raised
+    # AttributeError: a concatenation has no fresh_constraint.
+    assert concat(adaptive_greedy(1), empty_policy()).decision_widths(4) == [1]
+    assert concat(adaptive_greedy(2), adaptive_stochastic_greedy(3, 0.1)).decision_widths(9) \
+        == [1, 1, 3, 2, 1]
+    assert concat(empty_policy(), random_policy(2)).decision_widths(5) == [5, 4]
+
+
 class TestAdaptiveStochasticGreedy:
     def test_sample_size_example(self):
         # n=100, k=10, eps=0.1: per-round sample of ceil(10 ln 10) = 24
