@@ -23,7 +23,6 @@ from .core import (
 )
 from .errors import (
     AdasubError,
-    ExactModeUnavailable,
     InstanceTooLarge,
     ParseError,
     PolicyViolation,

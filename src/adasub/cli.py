@@ -68,6 +68,24 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _write_csv(out: str, columns, rows):
+    """The header and rows, each value by _fmt, as CSV at out."""
+    with open(out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
+    _echo("wrote %s" % out)
+
+
+def _emit(lines, out):
+    """The lines on stdout, and at out when it is given."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    _echo(text, nl=False)
+
+
 _POLICY_RE = re.compile(r"^([a-z_]+)\s*(?:\((.*)\))?$")
 # The keys each policy descriptor takes; any other key is a usage error.
 _POLICY_KEYS = {"empty": (), "greedy": ("k",), "lazy": ("k",), "asg": ("k", "eps"),
@@ -237,12 +255,7 @@ def run(instance_path, policy_specs, seed, mode, samples, out):
                      favg, se, f.delta_counter, f.f_counter, ratio, wall])
     if opt is not None and rows:
         rows.append(["oracle", "", opt, 0.0, None, None, 1.0, None])
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-    _echo("wrote %s" % out)
+    _write_csv(out, RUN_COLUMNS, rows)
 
 
 @main.command()
@@ -252,15 +265,10 @@ def oracle(instance_path, out):
     """Exhaustive optimal-policy value for a small instance."""
     inst = load_instance(instance_path)
     res = optimal_value(inst.utility(), inst.prior, inst.constraint)
-    lines = ["value %s" % _fmt(res.value),
-             "optimal_first_actions %s" % ",".join(map(str, res.optimal_first_actions)),
-             "nodes_expanded %d" % res.nodes_expanded,
-             "cache_hits %d" % res.cache_hits]
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    _echo(text, nl=False)
+    _emit(["value %s" % _fmt(res.value),
+           "optimal_first_actions %s" % ",".join(map(str, res.optimal_first_actions)),
+           "nodes_expanded %d" % res.nodes_expanded,
+           "cache_hits %d" % res.cache_hits], out)
 
 
 # Each check is looked up when it runs, so a rebound adasub.cli.check_* is called.
@@ -286,11 +294,7 @@ def verify(instance_path, checks, out):
     if unknown:
         _fail(EXIT_USAGE, "unknown checks: %s" % ",".join(unknown))
     reports = [CHECKS[name](inst.utility(), inst.prior) for name in names]
-    text = "\n".join(r.format() for r in reports) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    _echo(text, nl=False)
+    _emit([r.format() for r in reports], out)
     if not all(r.passed for r in reports):
         sys.exit(EXIT_CHECK_FAILED)
 
@@ -345,12 +349,7 @@ def bench(policy_name, ns, ks, eps_list, instance_path, m, universe, density, se
             budget = pi.fresh_constraint(inst.n).total_budget()
             rows.append([pi.name, inst.n, budget, eps, f.delta_counter,
                          pi.oracle_call_cap(inst.n), inst.n * budget])
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-    _echo("wrote %s" % out)
+    _write_csv(out, BENCH_COLUMNS, rows)
 
 
 if __name__ == "__main__":

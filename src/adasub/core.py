@@ -6,7 +6,7 @@ sorted collection of (item, state) observations; its sorted pair tuple doubles
 as a memoization key everywhere in the package.
 
 Probabilities are kept in plain double precision.  Exact expectations
-enumerate the conditioned support and refuse (ExactModeUnavailable) when that
+enumerate the conditioned support and refuse (InstanceTooLarge) when that
 support exceeds ENUMERATION_CAP weighted realizations, except where
 independence lets the expectation factorize over a single item's posterior.
 """
@@ -23,11 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import (
-    ExactModeUnavailable,
-    ValidationError,
-    ZeroProbabilityEvidence,
-)
+from .errors import InstanceTooLarge, ValidationError, ZeroProbabilityEvidence
 
 PROB_TOL = 1e-9
 ENUMERATION_CAP = 1 << 20
@@ -72,8 +68,11 @@ def _check_real(value, name: str) -> float:
     try:
         return float(value)
     except OverflowError:
-        raise ValidationError("%s %s is past the float range"
-                              % (name, reprlib.repr(value))) from None
+        try:
+            shown = reprlib.repr(value)
+        except ValueError:      # past str()'s digit limit
+            shown = "(an int of %d bits)" % value.bit_length()
+        raise ValidationError("%s %s is past the float range" % (name, shown)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -150,39 +149,15 @@ def subrealization(psi: PartialRealization, psi2: PartialRealization) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# priors
+# priors: IndependentPrior and ExplicitPrior.  Each has sizes n and m and
+# answers, for evidence psi: evidence_probability(psi); possible(psi), True iff
+# psi has positive probability; item_posterior(e, psi), item e's (state, prob)
+# pairs with prob > 0; support(psi), the [(realization, prob)] consistent with
+# psi, renormalized; sample(rng, psi); and item_states(e), item e's states of
+# positive marginal probability.
 
 
-class Prior:
-    """Distribution over realizations.  Subclasses: Independent, Explicit."""
-
-    n: int
-    m: int
-
-    def evidence_probability(self, psi: PartialRealization) -> float:
-        raise NotImplementedError
-
-    def possible(self, psi: PartialRealization) -> bool:
-        """True iff psi has positive probability."""
-        return self.evidence_probability(psi) > 0.0
-
-    def item_posterior(self, e: int, psi: PartialRealization):
-        """List of (state, prob) with prob > 0 for item e given evidence psi."""
-        raise NotImplementedError
-
-    def support(self, psi: PartialRealization = PSI_EMPTY):
-        """Enumerate [(realization, prob)] consistent with psi, renormalized."""
-        raise NotImplementedError
-
-    def sample(self, rng: random.Random, psi: PartialRealization = PSI_EMPTY) -> tuple:
-        raise NotImplementedError
-
-    def item_states(self, e: int) -> tuple:
-        """States of item e with positive marginal probability."""
-        raise NotImplementedError
-
-
-class IndependentPrior(Prior):
+class IndependentPrior:
     """Per-item categorical distributions; items are mutually independent."""
 
     def __init__(self, probs: Sequence[Sequence[float]]):
@@ -239,7 +214,7 @@ class IndependentPrior(Prior):
     def support(self, psi=PSI_EMPTY):
         _check_evidence(self, psi)
         if self.support_size(psi) > ENUMERATION_CAP:
-            raise ExactModeUnavailable(
+            raise InstanceTooLarge(
                 "conditioned support exceeds %d realizations" % ENUMERATION_CAP)
         per_item = [self.item_posterior(e, psi) for e in range(self.n)]
         out = []
@@ -270,7 +245,7 @@ class IndependentPrior(Prior):
         return tuple(states)
 
 
-class ExplicitPrior(Prior):
+class ExplicitPrior:
     """A weighted list of realizations (supports arbitrary correlations)."""
 
     def __init__(self, weighted: Sequence):
@@ -301,6 +276,9 @@ class ExplicitPrior(Prior):
     def evidence_probability(self, psi):
         _check_items(psi, self.n)
         return _left_sum(p for phi, p in self.weighted if consistent(psi, phi))
+
+    def possible(self, psi):
+        return self.evidence_probability(psi) > 0.0
 
     def _consistent(self, psi):
         _check_items(psi, self.n)
@@ -349,7 +327,7 @@ class ExplicitPrior(Prior):
 class ConditionedPrior:
     """A prior together with evidence; presents the posterior p(phi | psi)."""
 
-    base: Prior
+    base: IndependentPrior | ExplicitPrior
     evidence: PartialRealization
 
     def __post_init__(self):
@@ -631,6 +609,9 @@ class TabularUtility(UtilityFunction):
         if any(len(phi) != n for phi in self.realizations):
             raise ValidationError("every tabular realization must have %d states" % n)
         self._index = {phi: i for i, phi in enumerate(self.realizations)}
+        if len(self._index) < len(self.realizations):
+            phi = next(phi for i, phi in enumerate(self.realizations) if self._index[phi] != i)
+            raise ValidationError("duplicate realization %r in the table" % (phi,))
         self.table = tuple(tuple(_check_real(v, "table value") for v in row) for row in table)
         if len(self.table) != (1 << n):
             raise ValidationError("table must have a row per subset bitmask")

@@ -19,10 +19,6 @@ class ZeroProbabilityEvidence(AdasubError):
     """Conditioning on a partial realization that has zero prior probability."""
 
 
-class ExactModeUnavailable(AdasubError):
-    """Exact expectation requested but the conditioned support is not enumerable."""
-
-
 class InstanceTooLarge(AdasubError):
     """An exhaustive computation was asked for on an instance above its hard caps."""
 

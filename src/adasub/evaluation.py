@@ -62,14 +62,14 @@ class HistoryRecursion:
     per history), or its choice's branches are averaged, each e worth
     sum_o p(o | evidence) * value(psi + (e, o), cstate after e).  Each node's
     decide starts from an empty per-rollout dict, so lazy greedy builds its
-    heap afresh there and its tree is greedy's.  nodes counts expanded nodes,
-    hits memo hits.
+    heap afresh there and its tree is greedy's.  Every expanded node is
+    memoized, so len(memo) counts them; hits counts memo hits.
     """
 
     def __init__(self, pi, ctx, given, leaf):
         self.pi, self.ctx, self.given, self.leaf = pi, ctx, given, leaf
         self.memo = {}
-        self.nodes = self.hits = 0
+        self.hits = 0
 
     def value(self, psi, cstate):
         key = (psi.pairs, cstate.key())
@@ -77,7 +77,6 @@ class HistoryRecursion:
         if value is not None:
             self.hits += 1
             return value
-        self.nodes += 1
         pi, ctx, given = self.pi, self.ctx, self.given
         if ctx.seed is None and pi.randomized:
             choices = pi.decision_distribution(ctx, psi, cstate)

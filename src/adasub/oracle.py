@@ -89,8 +89,8 @@ class RestrictedOracle:
     stop values of subproblems that several queries reach are computed once.
     Callers ask many (items, a) at one psi, so psi's root key (dom psi
     bitmask, state) is computed when psi changes, not per query, and
-    query(psi, mask(items), a) checks the items once for many psi.  nodes
-    counts expanded keys, hits memo hits.
+    query(psi, mask(items), a) checks the items once for many psi.  Every
+    expanded key is memoized, so len(memo) counts them; hits counts memo hits.
     """
 
     def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
@@ -108,7 +108,7 @@ class RestrictedOracle:
         self.rows = (tuple(tuple((self.bits[e][o], p) for o, p in row)
                            for e, row in enumerate(prior.rows)) if independent else None)
         self.memo, self.stops, self.moves = {}, {}, {}
-        self.nodes = self.hits = 0
+        self.hits = 0
         self._psi = self._root = None
 
     def __call__(self, psi: PartialRealization, items, a: int) -> float:
@@ -188,7 +188,6 @@ class RestrictedOracle:
 
     def _node(self, key, cstate, first=None):
         """V at a key not in the memo; a `first` list receives its tied best items."""
-        self.nodes += 1
         dom, state, ckey = key
         memo, rows = self.memo, self.rows
         best = self._stop(state)
@@ -234,7 +233,7 @@ def _solve(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> OracleResul
     _check_budget(prior, constraint.total_budget(), caps)
     first = []
     value = oracle._node((0, 0, constraint.key()), constraint, first)   # the empty history
-    return OracleResult(value, tuple(first), oracle.nodes, oracle.hits)
+    return OracleResult(value, tuple(first), len(oracle.memo), oracle.hits)
 
 
 def optimal_value(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:

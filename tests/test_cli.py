@@ -472,6 +472,15 @@ class TestMalformedInstance:
         node[path[-1]] = value
         self.assert_usage_error(runner, tmp_path, d, message=message)
 
+    def test_tabular_realization_listed_twice(self, runner, tmp_path):
+        # The second column was read and the first went unused; each command exited 0.
+        d = json.loads(dumps_instance(complementarity_counterexample()))
+        d["utility"]["realizations"].append([0, 0])
+        for row in d["utility"]["table"]:
+            row.append(5.0)
+        self.assert_usage_error(runner, tmp_path, d,
+                                message="duplicate realization (0, 0) in the table")
+
     def test_negative_explicit_state(self, runner, tmp_path):
         # `oracle` read state -1 as the item's last state and exited 0.
         d = json.loads(dumps_instance(generate_coverage(2, 2, 4, 0.5, seed=1, k=1)))

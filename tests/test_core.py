@@ -43,7 +43,7 @@ from adasub import (
     subrealization,
 )
 from adasub.core import ENUMERATION_CAP, EvalContext
-from adasub.errors import ExactModeUnavailable
+from adasub.errors import InstanceTooLarge
 from adasub.instances import loads_instance
 from adasub.oracle import restricted_optimal
 from adasub.policies import FixedSequencePolicy, PartitionConstraint
@@ -319,6 +319,9 @@ class TestCounters:
 
 # 10 ** 400 as the constructors name it, shortened by reprlib.
 PAST_FLOATS = "100000000000000000...0000000000000000000 is past the float range"
+# 10 ** 5000 is past str()'s 4,300-digit limit, where reprlib.repr raises
+# ValueError: the message names it by its size.
+PAST_STR = "(an int of 16610 bits) is past the float range"
 
 
 class TestValidation:
@@ -367,8 +370,12 @@ class TestValidation:
          "table value must be a number, got '1.0'"),
         (lambda: TabularUtility(1, [(0,)], [[0.0], [10 ** 400]]),
          "table value %s" % PAST_FLOATS),
+        (lambda: IndependentPrior([[10 ** 5000, 0]]), "probability %s" % PAST_STR),
+        (lambda: TabularUtility(1, [(0,)], [[0.0], [-10 ** 5000]]),
+         "table value %s" % PAST_STR),
     ], ids=["independent-string", "independent-huge", "explicit-true", "explicit-huge",
-            "weight-true", "weight-huge", "table-string", "table-huge"])
+            "weight-true", "weight-huge", "table-string", "table-huge",
+            "independent-past-str", "table-past-str"])
     def test_numbers_must_be_ints_or_floats_in_range(self, make, message):
         with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
             make()
@@ -390,12 +397,21 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"realization \(0, 1\) not in the table"):
             f.value((0,), (0, 1))
 
+    def test_tabular_realization_listed_twice_is_refused(self):
+        # The last column of a repeated realization won, and the first went unused.
+        message = r"^duplicate realization %s in the table$"
+        with pytest.raises(ValidationError, match=message % r"\(0,\)"):
+            TabularUtility(1, [[0], [0]], [[0.0, 0.0], [1.0, 2.0]])
+        with pytest.raises(ValidationError, match=message % r"\(1, 0\)"):
+            TabularUtility(2, [(0, 0), (1, 0), (0, 1), (1, 0)], [[0.0] * 4] * 4)
+
     def test_support_over_the_enumeration_cap_is_unavailable(self):
         # 21 fair coins have 2^21 realizations, twice ENUMERATION_CAP: the
         # support is counted, not listed, before it is refused.
         prior = IndependentPrior([[0.5, 0.5]] * 21)
         assert prior.support_size() == 2 * ENUMERATION_CAP
-        with pytest.raises(ExactModeUnavailable, match="exceeds %d" % ENUMERATION_CAP):
+        message = "^conditioned support exceeds %d realizations$" % ENUMERATION_CAP
+        with pytest.raises(InstanceTooLarge, match=message):
             prior.support()
         assert len(prior.support(psi({e: 0 for e in range(20)}))) == 2
 

@@ -303,16 +303,24 @@ def test_every_node_is_memoized(monkeypatch):
                 locally_greedy(groups, limits), generalized_asg(groups, limits, 0.5))
     recs = {}
     for pi in policies:
+        # Each expanded node asks pi once, through decide or decision_distribution.
+        calls = [0]
+        for name in ("decide", "decision_distribution"):
+            def counted(*args, method=getattr(pi, name)):
+                calls[0] += 1
+                return method(*args)
+            setattr(pi, name, counted)
         for seed in (None, 0):
+            before = calls[0]
             value, rec = recursion_of(monkeypatch, pi, f, prior, seed)
-            assert len(rec.memo) == rec.nodes, (pi.describe(), seed)
+            assert calls[0] - before == len(rec.memo), (pi.describe(), seed)
             recs[pi.name, seed] = value, rec
     # Each node's decide starts from an empty scratch, so lazy greedy walks
     # greedy's tree: the same histories, hits and value bits.
     for seed in (None, 0):
         (greedy_value, greedy), (lazy_value, lazy) = recs["greedy", seed], recs["lazy", seed]
         assert list(lazy.memo) == list(greedy.memo)
-        assert (lazy.nodes, lazy.hits) == (greedy.nodes, greedy.hits)
+        assert (len(lazy.memo), lazy.hits) == (len(greedy.memo), greedy.hits)
         assert lazy_value.hex() == greedy_value.hex()
     assert recs["asg", None][1].hits == 70
     assert recs["gasg", None][1].hits == 4
