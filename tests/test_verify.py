@@ -419,6 +419,46 @@ def test_planted_failures_land_at_every_level(level):
     assert (len(w["psi2"]), len(w["psi"])) == (level - 1, level - 2)
 
 
+def pinned_failures():
+    """Three instances whose checks fail, with each check's pinned report
+    fields (passed, pairs_checked, witness) and Delta count."""
+    deep = explicit_priors()[9]         # fails submodularity at |psi2| = 2
+    inst = monotonicity_counterexample()
+    yield "monotonicity", inst.utility, inst.prior, [
+        (False, 1, {"psi": (), "item": 0, "delta": -1.0}, 1),
+        (True, 1, None, 1),
+        (True, 3, None, 0)]
+    inst = complementarity_counterexample()
+    yield "complementarity", inst.utility, inst.prior, [
+        (True, 4, None, 4),
+        (False, 3, {"psi": (), "psi2": ((0, 0),), "item": 1,
+                    "delta_psi": 0.0, "delta_psi2": 1.0}, 3),
+        (False, 6, {"psi": (), "psi2": ((0, 0),), "items": (1,), "budget": 1,
+                    "value_psi": 0.0, "value_psi2": 1.0}, 0)]
+    coverage = generate_coverage(n=5, m=2, universe_size=6, density=0.4, seed=5)
+    yield "explicit-9", coverage.utility, deep, [
+        (True, 237, None, 237),
+        (False, 81, {"psi": ((0, 0),), "psi2": ((0, 0), (1, 0)), "item": 2,
+                     "delta_psi": 0.8364575638136327,
+                     "delta_psi2": 1.2951940000000004}, 44),
+        (False, 1603, {"psi": ((0, 0),), "psi2": ((0, 0), (1, 0)), "items": (2,),
+                       "budget": 1, "value_psi": 0.8364575638136325,
+                       "value_psi2": 1.2951940000000004}, 0)]
+
+
+@pytest.mark.parametrize("label, utility, prior, pinned", pinned_failures(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_failing_checks_keep_their_witness_and_counts(label, utility, prior, pinned):
+    checks = (check_adaptive_monotone, check_adaptive_submodular,
+              check_fully_adaptive_submodular)
+    for check, (passed, pairs, witness, deltas) in zip(checks, pinned):
+        f = utility()
+        report = check(f, prior)
+        assert (report.passed, report.pairs_checked, report.counterexample) == (
+            passed, pairs, witness), check.__name__
+        assert f.delta_counter == deltas, check.__name__
+
+
 def test_caps_corner_passes_with_closed_form_counts():
     # n * (m+1)^(n-1) monotone and n * (2m+1)^(n-1) submodular comparisons:
     # each item outside psi2, for each of psi2's 2^|psi2| sub-histories.
