@@ -51,11 +51,24 @@ def _left_sum(values) -> float:
     return total
 
 
+class _Shown(reprlib.Repr):
+    """reprlib.repr, naming an int past str()'s digit limit by its bit length."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return "(an int of %d bits)" % x.bit_length()
+
+
+_shown = _Shown().repr
+
+
 def _check_int(value, name: str):
     """value, once it is an int: int() would truncate 2.5 to 2, and a bool
     would pass as 0 or 1.  ValidationError names the parameter otherwise."""
     if type(value) is not int:
-        raise ValidationError("%s must be an integer, got %r" % (name, value))
+        raise ValidationError("%s must be an integer, got %s" % (name, _shown(value)))
     return value
 
 
@@ -64,15 +77,11 @@ def _check_real(value, name: str) -> float:
     "0.5" and True, and raise OverflowError on an int past the float range.
     ValidationError names the parameter otherwise."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError("%s must be a number, got %s" % (name, reprlib.repr(value)))
+        raise ValidationError("%s must be a number, got %s" % (name, _shown(value)))
     try:
         return float(value)
     except OverflowError:
-        try:
-            shown = reprlib.repr(value)
-        except ValueError:      # past str()'s digit limit
-            shown = "(an int of %d bits)" % value.bit_length()
-        raise ValidationError("%s %s is past the float range" % (name, shown)) from None
+        raise ValidationError("%s %s is past the float range" % (name, _shown(value))) from None
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +104,11 @@ class PartialRealization:
         pairs = [(e, o) for e, o in observations]
         if any(type(e) is not int or type(o) is not int for e, o in pairs):
             raise ValidationError("partial realization needs integer items and states: %s"
-                                  % reprlib.repr(pairs))
+                                  % _shown(pairs))
         pairs = tuple(sorted(pairs))
         seen = [e for e, _ in pairs]
         if len(set(seen)) != len(seen):
-            raise ValidationError("duplicate item in partial realization: %r" % (pairs,))
+            raise ValidationError("duplicate item in partial realization: %s" % _shown(pairs))
         return cls(pairs)
 
     @cached_property
@@ -117,7 +126,7 @@ class PartialRealization:
 
     def with_observation(self, e: int, o: int) -> "PartialRealization":
         if e in self._map:
-            raise ValidationError("item %d already observed" % e)
+            raise ValidationError("item %s already observed" % _shown(e))
         return PartialRealization(_insert_pair(self.pairs, e, o)[1])
 
     def __contains__(self, e: int) -> bool:
@@ -261,11 +270,11 @@ class ExplicitPrior:
             if len(phi) != self.n:
                 raise ValidationError("realization length mismatch")
             if min(phi) < 0:
-                raise ValidationError("negative state in realization %r" % (phi,))
+                raise ValidationError("negative state in realization %s" % _shown(phi))
             if not 0.0 <= p < math.inf:
                 raise ValidationError("negative or non-finite probability")
             if phi in seen:
-                raise ValidationError("duplicate realization %r in support" % (phi,))
+                raise ValidationError("duplicate realization %s in support" % _shown(phi))
             seen.add(phi)
         self.m = max(max(phi) for phi, _ in entries) + 1
         total = _left_sum(p for _, p in entries)
@@ -363,7 +372,7 @@ def condition(prior, psi: PartialRealization) -> ConditionedPrior:
         for e, o in psi.pairs:
             if merged.get(e, o) != o:
                 raise ZeroProbabilityEvidence(
-                    "conflicting observations for item %d" % e)
+                    "conflicting observations for item %s" % _shown(e))
             merged[e] = o
         return ConditionedPrior(prior.base, PartialRealization.of(merged))
     return ConditionedPrior(prior, psi)
@@ -478,8 +487,8 @@ class CoverageUtility(UtilityFunction):
                 raise ValidationError("the states give item %d no state" % e) from None
             row = covers[e]
             if type(o) is not int or not 0 <= o < len(row):
-                raise ValidationError("state %r of item %d is not an integer in [0, %d)"
-                                      % (o, e, len(row)))
+                raise ValidationError("state %s of item %d is not an integer in [0, %d)"
+                                      % (_shown(o), e, len(row)))
             mask |= row[o]
         return self._mask_weight(mask)
 
@@ -611,7 +620,7 @@ class TabularUtility(UtilityFunction):
         self._index = {phi: i for i, phi in enumerate(self.realizations)}
         if len(self._index) < len(self.realizations):
             phi = next(phi for i, phi in enumerate(self.realizations) if self._index[phi] != i)
-            raise ValidationError("duplicate realization %r in the table" % (phi,))
+            raise ValidationError("duplicate realization %s in the table" % _shown(phi))
         self.table = tuple(tuple(_check_real(v, "table value") for v in row) for row in table)
         if len(self.table) != (1 << n):
             raise ValidationError("table must have a row per subset bitmask")
@@ -631,7 +640,7 @@ class TabularUtility(UtilityFunction):
         try:
             idx = self._index[states]
         except KeyError:
-            raise ValidationError("realization %r not in the table" % (states,))
+            raise ValidationError("realization %s not in the table" % _shown(states))
         return self.table[mask][idx]
 
 
@@ -640,9 +649,9 @@ class TabularUtility(UtilityFunction):
 
 
 def _zero_probability(psi: PartialRealization) -> ZeroProbabilityEvidence:
-    # reprlib shortens psi: a long history would make a message of many KB.
+    # _shown shortens psi: a long history would make a message of many KB.
     return ZeroProbabilityEvidence("evidence %s (%d observations) has zero probability"
-                                   % (reprlib.repr(psi.pairs), len(psi)))
+                                   % (_shown(psi.pairs), len(psi)))
 
 
 def _check_items(psi: PartialRealization, n: int):
@@ -650,12 +659,12 @@ def _check_items(psi: PartialRealization, n: int):
     pairs = psi.pairs
     if pairs and not (0 <= pairs[0][0] and pairs[-1][0] < n):
         raise ValidationError("evidence %s observes an item outside [0, %d)"
-                              % (reprlib.repr(pairs), n))
+                              % (_shown(pairs), n))
 
 
 def _check_item(e, n: int):
     if type(e) is not int or not 0 <= e < n:
-        raise ValidationError("item %r is not an integer in [0, %d)" % (e, n))
+        raise ValidationError("item %s is not an integer in [0, %d)" % (_shown(e), n))
 
 
 def _check_evidence(prior, psi: PartialRealization):
@@ -720,9 +729,10 @@ class EvalContext:
     one map entry, one pool deletion, one repr insertion and one OR into the
     covered mask.  Under an independent prior the child's evidence check is
     the new observation's mass.  A rollout (Policy.run_on) advances this way,
-    so no round rebuilds what the round before it had.  Any other history
-    (exact evaluation, the checkers' sweeps, a stray psi) becomes the
-    current one with its state built from scratch.
+    so no round rebuilds what the round before it had; descend(psi, covered)
+    makes a checker sweep's history current from its parent's covered mask
+    in the same way.  Any other history (exact evaluation, a stray psi)
+    becomes the current one with its state built from scratch.
     f's Delta state (for coverage: the pricing function made for the
     covered mask) belongs to f: f.state(covered) builds, shares and bounds
     it, so every history that covers the same elements, in any context on f,
@@ -811,6 +821,20 @@ class EvalContext:
         self._psi = child
         self._fstate = None
         return child
+
+    def descend(self, psi: PartialRealization, covered):
+        """Make psi current, carrying the state of its parent, psi less its
+        last pair (e, o), a possible history of covered mask `covered` (None
+        for a non-coverage f or an empty psi): psi's mask, returned, is
+        covered | f.covers[e][o]; under an independent prior its evidence
+        check is (e, o)'s mass, as in advance()."""
+        self._adopt(psi)
+        if psi.pairs:
+            e, o = psi.pairs[-1]
+            self._possible = self._probs is not None and self._probs[e][o] > 0.0
+        if isinstance(self.f, CoverageUtility):
+            self._covered = covered | self.f.covers[e][o] if psi.pairs else 0
+        return self._covered
 
     def _state(self):
         """f's Delta state at the current history, which must be possible:

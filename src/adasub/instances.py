@@ -33,6 +33,7 @@ from .core import (
     _check_int,
     _check_real,
     _left_sum,
+    _shown,
 )
 from .errors import ParseError, ValidationError
 from .policies import CardinalityConstraint, PartitionConstraint
@@ -90,8 +91,8 @@ class Instance:
                 raise ValidationError("the prior's support is larger than the table")
             for phi, _ in self.prior.support():
                 if phi not in f._index:
-                    raise ValidationError("the prior's realization %r is not in the table"
-                                          % (phi,))
+                    raise ValidationError("the prior's realization %s is not in the table"
+                                          % _shown(phi))
         return self
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (CoverageUtility, IndependentPrior, PartialRealization, _check_evidence,
-                   _check_fit, expected_set_value)
+                   _check_fit, _shown, expected_set_value)
 from .errors import InstanceTooLarge, ValidationError
 from .policies import PartitionConstraint
 
@@ -119,7 +119,7 @@ class RestrictedOracle:
         n, mask = self.n, 0
         for e in items:
             if type(e) is not int or not 0 <= e < n:
-                raise ValidationError("item %r outside the integers [0, %d)" % (e, n))
+                raise ValidationError("item %s outside the integers [0, %d)" % (_shown(e), n))
             mask |= 1 << e
         return mask
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import EvalContext, PSI_EMPTY, PartialRealization, _check_int
+from .core import EvalContext, PSI_EMPTY, PartialRealization, _check_int, _shown
 from .errors import PolicyViolation, ValidationError
 
 
@@ -74,7 +74,7 @@ class PartitionConstraint:
         for g in self.groups:
             for e in g:
                 if e in seen:
-                    raise ValidationError("item %d in two groups" % e)
+                    raise ValidationError("item %s in two groups" % _shown(e))
                 seen.add(e)
         if len(self.remaining) != len(self.groups):
             raise ValidationError("one budget per group required")
@@ -86,7 +86,7 @@ class PartitionConstraint:
         """Raise ValidationError unless every group item is an item in [0, n)."""
         bad = [e for e in self._span if not 0 <= e < n]     # the smallest and largest item
         if bad:
-            raise ValidationError("group item %d is not an item in [0, %d)" % (bad[0], n))
+            raise ValidationError("group item %s is not an item in [0, %d)" % (_shown(bad[0]), n))
 
     @classmethod
     def of(cls, groups: Sequence[Sequence[int]], limits: Sequence[int]) -> "PartitionConstraint":
@@ -191,8 +191,8 @@ class Policy:
             _check_choice(self, e, ctx.observed(psi), cstate, n)
             o = phi[e]
             if type(o) is not int or not 0 <= o < m:
-                raise ValidationError("realization gives item %d state %r, not an integer "
-                                      "in [0, %d)" % (e, o, m))
+                raise ValidationError("realization gives item %d state %s, not an integer "
+                                      "in [0, %d)" % (e, _shown(o), m))
             steps.append(TraceStep(tuple(candidates), e, o, delta))
             psi = ctx.advance(psi, e, o)
             cstate = cstate.after(e)
@@ -203,7 +203,7 @@ class Policy:
 def _check_choice(pi: Policy, e: int, seen, cstate, n: int):
     """Raise PolicyViolation unless e is an unseen int item in [0, n) that cstate allows."""
     if type(e) is not int or not 0 <= e < n:
-        raise PolicyViolation("%s selected unknown item %r" % (pi.name, e))
+        raise PolicyViolation("%s selected unknown item %s" % (pi.name, _shown(e)))
     if e in seen:
         raise PolicyViolation("%s re-selected item %d" % (pi.name, e))
     if not cstate.can_select(e):

@@ -3,9 +3,11 @@
 The definitional checkers sweep every positive-probability partial
 realization of an enumerable instance and test the marginal-utility
 inequalities directly; a failure report carries a witness that re-verifies
-when both sides are recomputed from scratch.  The sampling check compares
-the exact hypergeometric hit probability of the subsampling rule against
-its target bound and a seeded empirical frequency.
+when both sides are recomputed from scratch.  The sweep builds each history
+from its parent, one size after another, and carries from the parent what
+it keys a history by.  The sampling check compares the exact hypergeometric
+hit probability of the subsampling rule against its target bound and a
+seeded empirical frequency.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import EvalContext, IndependentPrior, PartialRealization, _check_int
+from .core import PSI_EMPTY, EvalContext, IndependentPrior, PartialRealization, _check_int
 from .errors import ValidationError
 from .oracle import OracleCaps, RestrictedOracle, _check_size, _dom_mask
 from .policies import _check_epsilon, sample_budget
@@ -45,79 +47,101 @@ class CheckReport:
 
 def enumerate_partial_realizations(prior, max_size=None):
     """All positive-probability partial realizations, smallest domains first."""
+    return (psi for level in _levels(prior, max_size) for psi, _ in level)
+
+
+def _levels(prior, max_size=None):
+    """enumerate_partial_realizations' histories as one list per size of
+    (psi, index of its parent in the list before).  Domains come in
+    combinations order; a domain's histories are those of the domain less its
+    top item e, each extended by (e, o) for its states o in order: e's of
+    positive mass, or e's in the support's realizations that restrict to the
+    parent, kept per history, so no probability is computed."""
     n = prior.n
     limit = n if max_size is None else min(max_size, n)
     independent = isinstance(prior, IndependentPrior)
-    if independent:
-        per_item = [prior.item_states(e) for e in range(n)]
-    else:
-        support = [phi for phi, _ in prior.support()]
-    for size in range(limit + 1):
+    tails = [[((e, o),) for o in prior.item_states(e)] for e in range(n)] if independent else None
+    links = None if independent else [[phi for phi, _ in prior.support()]]
+    level, spans = [(PSI_EMPTY, 0)], {(): range(1)}     # domain -> its histories in level
+    if limit >= 0:
+        yield level
+    for size in range(1, limit + 1):
+        children, child_spans, kept = [], {}, []
         for dom in itertools.combinations(range(n), size):
-            if independent:     # every combination of positive-mass states is possible
-                vectors = itertools.product(*(per_item[e] for e in dom))
-            else:               # the support's restrictions to dom, in product order
-                vectors = sorted({tuple(phi[e] for e in dom) for phi in support})
-            for states in vectors:
-                # dom is ascending and duplicate-free, so the pairs are canonical
-                yield PartialRealization(tuple(zip(dom, states)))
+            begin, e, parents = len(children), dom[-1], spans[dom[:-1]]
+            if independent:
+                children += [(PartialRealization(level[i][0].pairs + tail), i)
+                             for i in parents for tail in tails[e]]
+            else:
+                for i in parents:
+                    observed = sorted({phi[e] for phi in links[i]})
+                    kept += [[phi for phi in links[i] if phi[e] == o] for o in observed]
+                    children += [(PartialRealization(level[i][0].pairs + ((e, o),)), i)
+                                 for o in observed]
+            child_spans[dom] = range(begin, len(children))
+        level, spans, links = children, child_spans, kept
+        yield level
 
 
 def check_adaptive_monotone(f, prior) -> CheckReport:
     """Delta(e | psi) >= 0 for every positive-probability psi and e outside it."""
     _check_size(prior, DELTA_CHECK_CAPS)
     ctx = EvalContext(f, prior)
-    checked = 0
-    for psi in enumerate_partial_realizations(prior):
-        for e in ctx.pool(psi):
-            checked += 1
-            d = ctx.delta(e, psi)
-            if d < -INEQ_TOL:
-                witness = {"psi": psi.pairs, "item": e, "delta": d}
-                return CheckReport("adaptive-monotone", False, checked, witness)
+    checked, masks = 0, [None]
+    for level in _levels(prior):
+        parents, masks = masks, []
+        for psi, parent in level:
+            masks.append(ctx.descend(psi, parents[parent]))
+            for e in ctx.pool(psi):
+                checked += 1
+                d = ctx.delta(e, psi)
+                if d < -INEQ_TOL:
+                    witness = {"psi": psi.pairs, "item": e, "delta": d}
+                    return CheckReport("adaptive-monotone", False, checked, witness)
     return CheckReport("adaptive-monotone", True, checked)
 
 
-def _sweep(name, prior, columns, row, witness) -> CheckReport:
+def _sweep(name, prior, columns, row, witness, carry=lambda psi, key: None) -> CheckReport:
     """value(psi, c) >= value(psi2, c) whenever psi is a subrealization of psi2.
 
     row(psi2) returns history psi2's values over `columns` as a sequence,
     priced once, with -inf in every column psi2 does not compare: -inf < -inf
     is false, so such a column never fails.  The compared columns must be
     downward closed: a column compared at psi2 is compared at every
-    sub-history of psi2, so their rows hold that column's value.
+    sub-history of psi2, so their rows hold that column's value.  Just before
+    row(psi2), carry(psi2, its parent's key; None at the root) returns its key.
 
     Every proper sub-history psi of psi2, the empty one included, is decided
     at once against the minimum, per column, over all of them.  Those minima
-    live on the history lattice: a history's code is sum (o+1)*(m+1)^e over
-    its pairs (e, o), an array of shape (m+1,)*n x len(columns) holds each
-    priced row at its code and +inf elsewhere, and when the enumeration
-    reaches size j, one np.minimum per item axis (digits 1..m take the
-    minimum with digit 0) turns every entry into the minimum over its
-    sub-histories.  Histories of size < j are priced by then, so a size-j
-    psi2 reads the minimum over its proper sub-histories at its code; its
-    level's rows are written when the level ends.  min returns one of the
-    values it compares, so psi2 fails exactly when some psi does.  Only then
-    are the sub-histories walked as pair tuples (by size from the empty
-    history, then in combinations order, then by compared column) to name
-    the first failing pair.  pairs_checked counts every inequality decided:
-    2^|psi2| per compared column of a passing psi2, and up to the witness
-    for the failing one.
+    live on the history lattice: an array of shape (m+1,)*n x len(columns)
+    holds each priced row at its history's code, sum (o+1)*(m+1)^e over its
+    pairs (e, o), which is its parent's code plus its last pair's term, and
+    +inf elsewhere.  When the walk reaches size j, one np.minimum per item
+    axis (digits 1..m take the minimum with digit 0) turns every entry into
+    the minimum over its sub-histories, all of size < j and priced, and a
+    size-j psi2 reads it at its code; its level's rows are written when the
+    level ends.  min returns one of the values it compares, so psi2 fails
+    exactly when some psi does.  Only then are the sub-histories walked as
+    pair tuples (by size from the empty history, then in combinations order,
+    then by compared column) to name the first failing pair.  pairs_checked
+    counts every inequality decided: 2^|psi2| per compared column of a
+    passing psi2, and up to the witness for the failing one.
     """
     import numpy as np
     n, ncols, radix = prior.n, len(columns), prior.m + 1
-    code_of = {(e, o): (o + 1) * radix ** e for e in range(n) for o in range(prior.m)}
     lattice = np.full((radix,) * n + (ncols,), math.inf)
     lows = lattice.reshape(-1, ncols)       # a view: row `code` of the lattice
-    rows, checked = {}, 0
-    for depth, level in itertools.groupby(enumerate_partial_realizations(prior),
-                                          lambda psi: len(psi.pairs)):
-        level = list(level)
-        codes = [sum(map(code_of.__getitem__, psi.pairs)) for psi in level]
-        for axis in range(n):   # every smaller history's row is written
-            view = lattice.reshape(radix ** axis, radix, -1)
-            np.minimum(view[:, 1:], view[:, :1], out=view[:, 1:])
-        for psi2, low in zip(level, lows[codes].tolist()):
+    rows, checked, codes, keys = {}, 0, [0], [None]
+    for depth, level in enumerate(_levels(prior)):
+        if depth:   # every smaller history's row is written
+            codes = [codes[i] + (o + 1) * radix ** e for psi, i in level
+                     for e, o in (psi.pairs[-1],)]
+            for axis in range(n):
+                view = lattice.reshape(radix ** axis, radix, -1)
+                np.minimum(view[:, 1:], view[:, :1], out=view[:, 1:])
+        parents, keys = keys, []
+        for (psi2, parent), low in zip(level, lows[codes].tolist()):
+            keys.append(carry(psi2, parents[parent]))
             pairs = psi2.pairs
             row2 = rows[pairs] = row(psi2)
             bounds = [rhs - INEQ_TOL for rhs in row2]
@@ -133,7 +157,7 @@ def _sweep(name, prior, columns, row, witness) -> CheckReport:
                                     "psi": sub, "psi2": pairs,
                                     **witness(columns[i], lhs[i], row2[i])})
             checked += (ncols - row2.count(-math.inf)) << depth
-        lows[codes] = [rows[psi.pairs] for psi in level]
+        lows[codes] = [rows[psi.pairs] for psi, _ in level]
     return CheckReport(name, True, checked)
 
 
@@ -147,7 +171,8 @@ def check_adaptive_submodular(f, prior) -> CheckReport:
         return [-math.inf if e in seen else ctx.delta(e, psi) for e in range(prior.n)]
 
     return _sweep("adaptive-submodular", prior, range(prior.n), row,
-                  lambda e, lhs, rhs: {"item": e, "delta_psi": lhs, "delta_psi2": rhs})
+                  lambda e, lhs, rhs: {"item": e, "delta_psi": lhs, "delta_psi2": rhs},
+                  ctx.descend)
 
 
 def check_fully_adaptive_submodular(f, prior) -> CheckReport:

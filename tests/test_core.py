@@ -42,10 +42,11 @@ from adasub import (
     sample_realization,
     subrealization,
 )
+from adasub import core
 from adasub.core import ENUMERATION_CAP, EvalContext
 from adasub.errors import InstanceTooLarge
 from adasub.instances import loads_instance
-from adasub.oracle import restricted_optimal
+from adasub.oracle import RestrictedOracle, restricted_optimal
 from adasub.policies import FixedSequencePolicy, PartitionConstraint
 
 
@@ -320,8 +321,9 @@ class TestCounters:
 # 10 ** 400 as the constructors name it, shortened by reprlib.
 PAST_FLOATS = "100000000000000000...0000000000000000000 is past the float range"
 # 10 ** 5000 is past str()'s 4,300-digit limit, where reprlib.repr raises
-# ValueError: the message names it by its size.
-PAST_STR = "(an int of 16610 bits) is past the float range"
+# ValueError: a message names it by its size.
+BIG, BITS = 10 ** 5000, "(an int of 16610 bits)"
+PAST_STR = "%s is past the float range" % BITS
 
 
 class TestValidation:
@@ -378,6 +380,49 @@ class TestValidation:
             "independent-past-str", "table-past-str"])
     def test_numbers_must_be_ints_or_floats_in_range(self, make, message):
         with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+            make()
+
+    # Each message formatted the int in full and raised a bare ValueError.
+    @pytest.mark.parametrize("make,error,message", [
+        (lambda: core._check_item(BIG, 3), ValidationError,
+         "item %s is not an integer in [0, 3)" % BITS),
+        (lambda: RestrictedOracle(*_repro_instance()).mask([0, BIG]), ValidationError,
+         "item %s outside the integers [0, 5)" % BITS),
+        (lambda: run_policy(FixedSequencePolicy([BIG]), *_repro_instance(), (0,) * 5),
+         PolicyViolation, "fixed selected unknown item %s" % BITS),
+        (lambda: run_policy(FixedSequencePolicy([0]), *_repro_instance(), (BIG,) + (0,) * 4),
+         ValidationError, "realization gives item 0 state %s, not an integer in [0, 2)" % BITS),
+        (lambda: _repro_instance()[0].value([0], {0: BIG}), ValidationError,
+         "state %s of item 0 is not an integer in [0, 2)" % BITS),
+        (lambda: PartitionConstraint.of([[0, BIG]], [1]).check_items(3), ValidationError,
+         "group item %s is not an item in [0, 3)" % BITS),
+        (lambda: PartitionConstraint.of([[BIG], [BIG]], [1, 1]), ValidationError,
+         "item %s in two groups" % BITS),
+        (lambda: ExplicitPrior([((BIG,), 0.5)] * 2), ValidationError,
+         "duplicate realization (%s,) in support" % BITS),
+        (lambda: ExplicitPrior([((-BIG,), 1.0)]), ValidationError,
+         "negative state in realization (%s,)" % BITS),
+        (lambda: TabularUtility(1, [(BIG,), (BIG,)], [[0.0, 0.0], [1.0, 2.0]]),
+         ValidationError, "duplicate realization (%s,) in the table" % BITS),
+        (lambda: TabularUtility(1, [(0,)], [[0.0], [1.0]]).value([0], (BIG,)),
+         ValidationError, "realization (%s,) not in the table" % BITS),
+        (lambda: PartialRealization.of([(BIG, 0.5)]), ValidationError,
+         "partial realization needs integer items and states: [(%s, 0.5)]" % BITS),
+        (lambda: PartialRealization.of([(BIG, 0), (BIG, 1)]), ValidationError,
+         "duplicate item in partial realization: ((%s, 0), (%s, 1))" % (BITS, BITS)),
+        (lambda: PartialRealization.of({BIG: 0}).with_observation(BIG, 1), ValidationError,
+         "item %s already observed" % BITS),
+        (lambda: _repro_instance()[1].possible(PartialRealization.of({BIG: 0})),
+         ValidationError, "evidence ((%s, 0),) observes an item outside [0, 5)" % BITS),
+        (lambda: _repro_instance()[1].support(PartialRealization.of({0: BIG})),
+         ZeroProbabilityEvidence, "evidence ((0, %s),) (1 observations) has zero probability"
+         % BITS),
+    ], ids=["check-item", "oracle-mask", "policy-choice", "rollout-state", "coverage-state",
+            "group-item", "group-twice", "explicit-duplicate", "explicit-negative",
+            "tabular-duplicate", "tabular-missing", "history-non-int", "history-duplicate",
+            "with-observation", "evidence-items", "zero-probability"])
+    def test_messages_name_an_int_past_str_by_its_bit_length(self, make, error, message):
+        with pytest.raises(error, match="^%s$" % re.escape(message)):
             make()
 
     def test_numbers_may_be_ints_or_float_subclasses(self):

@@ -29,7 +29,7 @@ from adasub import (
     restricted_optimal,
 )
 from adasub import verify
-from adasub.core import subrealization
+from adasub.core import EvalContext, subrealization
 from adasub.oracle import OracleCaps, RestrictedOracle
 from adasub.verify import INEQ_TOL, CheckReport, enumerate_partial_realizations
 
@@ -94,6 +94,64 @@ def test_sweeps_check_each_explicit_history_once(monkeypatch):
         report = check(inst.utility(), prior)
         assert report.passed and report.pairs_checked == pairs
         assert len(calls) == with_pool, check.__name__
+
+
+def test_sweeps_check_an_independent_prior_at_most_once(monkeypatch):
+    # Each history's evidence check is its last observation's mass, carried
+    # from its parent; at most the empty history is checked in full.
+    inst = generate_coverage(n=6, m=2, universe_size=6, density=0.3, seed=3)
+    calls = []
+    possible = IndependentPrior.possible
+
+    def counting(self, psi):
+        calls.append(psi)
+        return possible(self, psi)
+
+    monkeypatch.setattr(IndependentPrior, "possible", counting)
+    for check, pairs in ((check_adaptive_monotone, 1458), (check_adaptive_submodular, 18750)):
+        del calls[:]
+        report = check(inst.utility(), inst.prior)
+        assert report.passed and report.pairs_checked == pairs
+        assert len(calls) <= 1, check.__name__
+
+
+@pytest.mark.parametrize("prior", [
+    # item 1 has a state of zero mass, which no history observes
+    IndependentPrior([[0.5, 0.5], [0.0, 1.0], [0.3, 0.7], [0.6, 0.4]]),
+    # the first passes both checks; the second fails submodularity at |psi2| = 2
+    explicit_priors()[6], explicit_priors()[9],
+], ids=["independent", "explicit-passing", "explicit-failing"])
+def test_descend_carries_what_a_history_built_from_scratch_has(prior, monkeypatch):
+    inst = generate_coverage(n=prior.n, m=prior.m, universe_size=6, density=0.4, seed=prior.n)
+    descend, delta = EvalContext.descend, EvalContext.delta
+
+    def checked_descend(self, psi, covered):
+        mask = descend(self, psi, covered)
+        visited.append((psi, dict(self._seen), self._covered, mask))
+        return mask
+
+    def recorded_delta(self, e, psi):
+        d = delta(self, e, psi)
+        priced.append((psi, e, d, self._fstate))
+        return d
+
+    for check in (check_adaptive_monotone, check_adaptive_submodular):
+        f, visited, priced = inst.utility(), [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(EvalContext, "descend", checked_descend)
+            patch.setattr(EvalContext, "delta", recorded_delta)
+            check(f, prior)
+        histories = list(enumerate_partial_realizations(prior))
+        assert [psi for psi, *_ in visited] == histories[:len(visited)]
+        for psi, observed, covered, returned in visited:
+            assert observed == dict(psi.pairs)
+            assert covered == returned == f.covered(psi)
+        assert priced
+        for psi, e, d, state in priced:
+            fresh = EvalContext(f, prior)
+            assert fresh.delta(e, psi).hex() == d.hex()
+            assert fresh._fstate is state
+            assert marginal_utility(f, prior, psi, e).hex() == d.hex()
 
 
 class TestMonotoneChecker:
