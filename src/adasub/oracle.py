@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (CoverageUtility, IndependentPrior, PartialRealization, _check_evidence,
-                   _check_fit, _shown, expected_set_value)
+                   _check_fit, _check_item, expected_set_value)
 from .errors import InstanceTooLarge, ValidationError
 from .policies import PartitionConstraint
 
@@ -74,23 +74,16 @@ def _check_budget(prior, budget: int, caps: OracleCaps):
         raise InstanceTooLarge("budget %d exceeds oracle cap %d" % (budget, caps.max_budget))
 
 
-def _dom_mask(psi):
-    dom = 0
-    for e, _ in psi.pairs:
-        dom |= 1 << e
-    return dom
-
-
 class RestrictedOracle:
     """The optimum's recursion (module docstring) for one instance.
 
     optimal_value expands the empty history's key once; restricted_optimal
     is oracle(psi, items, a).  One memo serves every call, so the values and
     stop values of subproblems that several queries reach are computed once.
-    Callers ask many (items, a) at one psi, so psi's root key (dom psi
-    bitmask, state) is computed when psi changes, not per query, and
-    query(psi, mask(items), a) checks the items once for many psi.  Every
-    expanded key is memoized, so len(memo) counts them; hits counts memo hits.
+    oracle(psi, items, a) is the one checked entry; a caller that walks the
+    histories carries each one's root key (dom psi bitmask, state) from its
+    parent's with child and reads value(root, free, budget).  Every expanded
+    key is memoized, so len(memo) counts them; hits counts memo hits.
     """
 
     def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
@@ -109,38 +102,44 @@ class RestrictedOracle:
                            for e, row in enumerate(prior.rows)) if independent else None)
         self.memo, self.stops, self.moves = {}, {}, {}
         self.hits = 0
-        self._psi = self._root = None
 
     def __call__(self, psi: PartialRealization, items, a: int) -> float:
-        return self.query(psi, self.mask(items), a)
-
-    def mask(self, items) -> int:
-        """The bitmask of items, each checked to be an integer in [0, n)."""
-        n, mask = self.n, 0
-        for e in items:
-            if type(e) is not int or not 0 <= e < n:
-                raise ValidationError("item %s outside the integers [0, %d)" % (_shown(e), n))
-            mask |= 1 << e
-        return mask
-
-    def query(self, psi: PartialRealization, mask: int, a: int) -> float:
-        """oracle(psi, items, a), the items given as mask(items).
-
-        Checks, in this order: a is an integer >= 0 (ValidationError); psi
-        observes items in [0, n) (ValidationError) and is possible
-        (ZeroProbabilityEvidence); a, clamped to the items psi leaves free,
-        is within the budget cap (InstanceTooLarge).  The memo is read at
-        the query's key, and a _Restriction is built only on a miss.
-        """
+        """Best expected gain from at most `a` items of `items` after psi.
+        Raises, in this order: ValidationError for the items, a and psi's
+        items; ZeroProbabilityEvidence for an impossible psi; InstanceTooLarge
+        when a, clamped to the items psi leaves free, is over the budget cap."""
+        mask = self.mask(items)
         if type(a) is not int:
             raise ValidationError("budget a must be an integer, got %r" % (a,))
         if a < 0:
             raise ValidationError("negative budget")
-        dom, state = self._root_of(psi)
-        free = mask & ~dom
+        _check_evidence(self.prior, psi)
+        root = (0, 0)
+        for e, o in psi.pairs:
+            root = self.child(root, e, o)
+        free = mask & ~root[0]
         budget = min(a, free.bit_count())
-        if budget > self.caps.max_budget:     # raises
-            _check_budget(self.prior, budget, self.caps)
+        _check_budget(self.prior, budget, self.caps)
+        return self.value(root, free, budget)
+
+    def mask(self, items) -> int:
+        """The bitmask of items, each checked to be an integer in [0, n)."""
+        mask = 0
+        for e in items:
+            _check_item(e, self.n)
+            mask |= 1 << e
+        return mask
+
+    def child(self, root, e, o):
+        """The root key (dom bitmask, state) of root's history plus (e, o)."""
+        dom, state = root
+        return dom | 1 << e, state | self.bits[e][o]
+
+    def value(self, root, free, budget) -> float:
+        """V less the stop value at root, with `budget` <= |free| selections
+        left from the free items' mask, unchecked.  The memo is read at the
+        key, and a _Restriction is built only on a miss."""
+        dom, state = root
         key = (dom, state, (free, budget))
         value = self.memo.get(key)
         if value is None:
@@ -154,18 +153,6 @@ class RestrictedOracle:
         width, field = self.width, (1 << self.width) - 1
         return PartialRealization(tuple((e, o - 1) for e in range(self.n)
                                         if (o := (state >> (e * width)) & field)))
-
-    def _root_of(self, psi):
-        """(dom psi bitmask, state); psi's items are range-checked and
-        impossible evidence raises."""
-        if psi is not self._psi:
-            _check_evidence(self.prior, psi)
-            bits, state = self.bits, 0
-            for e, o in psi.pairs:
-                state |= bits[e][o]
-            self._root = (_dom_mask(psi), state)
-            self._psi = psi
-        return self._root
 
     def _stop(self, state):
         value = self.stops.get(state)
@@ -250,8 +237,8 @@ class _Restriction:
     """Constraint state: at most `budget` further selections from the items
     whose bits are set in the mask `items`, 0 <= budget <= |items|.
 
-    The query clamps the root's budget, so key() is canonical and every
-    (psi, items, a) query that reaches a subproblem shares its memo entry.
+    value()'s callers clamp the root's budget, so key() is canonical and
+    every (psi, items, a) query that reaches a subproblem shares its memo.
     """
 
     __slots__ = ("items", "budget")

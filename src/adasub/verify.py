@@ -20,7 +20,7 @@ from typing import Optional
 
 from .core import PSI_EMPTY, EvalContext, IndependentPrior, PartialRealization, _check_int
 from .errors import ValidationError
-from .oracle import OracleCaps, RestrictedOracle, _check_size, _dom_mask
+from .oracle import OracleCaps, RestrictedOracle, _check_budget, _check_size
 from .policies import _check_epsilon, sample_budget
 
 INEQ_TOL = 1e-9
@@ -101,15 +101,14 @@ def check_adaptive_monotone(f, prior) -> CheckReport:
     return CheckReport("adaptive-monotone", True, checked)
 
 
-def _sweep(name, prior, columns, row, witness, carry=lambda psi, key: None) -> CheckReport:
+def _sweep(name, prior, columns, row, witness) -> CheckReport:
     """value(psi, c) >= value(psi2, c) whenever psi is a subrealization of psi2.
 
-    row(psi2) returns history psi2's values over `columns` as a sequence,
-    priced once, with -inf in every column psi2 does not compare: -inf < -inf
-    is false, so such a column never fails.  The compared columns must be
-    downward closed: a column compared at psi2 is compared at every
-    sub-history of psi2, so their rows hold that column's value.  Just before
-    row(psi2), carry(psi2, its parent's key; None at the root) returns its key.
+    row(psi2, its parent's key; None at the root) returns (values, psi2's
+    key), the values over `columns` priced once, with -inf in every column
+    psi2 does not compare: -inf < -inf is false, so such a column never
+    fails.  The compared columns must be downward closed: a column compared
+    at psi2 is compared at every sub-history, so their rows hold its value.
 
     Every proper sub-history psi of psi2, the empty one included, is decided
     at once against the minimum, per column, over all of them.  Those minima
@@ -141,9 +140,10 @@ def _sweep(name, prior, columns, row, witness, carry=lambda psi, key: None) -> C
                 np.minimum(view[:, 1:], view[:, :1], out=view[:, 1:])
         parents, keys = keys, []
         for (psi2, parent), low in zip(level, lows[codes].tolist()):
-            keys.append(carry(psi2, parents[parent]))
             pairs = psi2.pairs
-            row2 = rows[pairs] = row(psi2)
+            row2, key = row(psi2, parents[parent])
+            rows[pairs] = row2
+            keys.append(key)
             bounds = [rhs - INEQ_TOL for rhs in row2]
             if any(map(operator.lt, low, bounds)):
                 live = [i for i, rhs in enumerate(row2) if rhs != -math.inf]
@@ -166,13 +166,13 @@ def check_adaptive_submodular(f, prior) -> CheckReport:
     _check_size(prior, DELTA_CHECK_CAPS)
     ctx = EvalContext(f, prior)
 
-    def row(psi):
+    def row(psi, covered):
+        covered = ctx.descend(psi, covered)
         seen = ctx.observed(psi)
-        return [-math.inf if e in seen else ctx.delta(e, psi) for e in range(prior.n)]
+        return [-math.inf if e in seen else ctx.delta(e, psi) for e in range(prior.n)], covered
 
     return _sweep("adaptive-submodular", prior, range(prior.n), row,
-                  lambda e, lhs, rhs: {"item": e, "delta_psi": lhs, "delta_psi2": rhs},
-                  ctx.descend)
+                  lambda e, lhs, rhs: {"item": e, "delta_psi": lhs, "delta_psi2": rhs})
 
 
 def check_fully_adaptive_submodular(f, prior) -> CheckReport:
@@ -182,16 +182,19 @@ def check_fully_adaptive_submodular(f, prior) -> CheckReport:
     FULLY_ADAPTIVE_CAPS.  A column's value at psi depends only on its key
     (V minus dom psi, min(a, |V minus dom psi|)), so each history's row is
     priced once per distinct key and scattered to the columns through an
-    index built once per dom mask.
+    index built once per dom mask.  Each history's oracle key comes from its
+    parent's, and the largest budget, n, is checked against the cap once.
     """
     oracle = RestrictedOracle(f, prior, FULLY_ADAPTIVE_CAPS)
+    _check_budget(prior, prior.n, FULLY_ADAPTIVE_CAPS)
     columns = [(items, a, oracle.mask(items)) for size in range(1, prior.n + 1)
                for items in itertools.combinations(range(prior.n), size)
                for a in range(1, size + 1)]
-    query, plans = oracle.query, {}
+    value, child, plans = oracle.value, oracle.child, {}
 
-    def row(psi):
-        dom = _dom_mask(psi)
+    def row(psi, root):
+        root = (0, 0) if root is None else child(root, *psi.pairs[-1])
+        dom = root[0]
         plan = plans.get(dom)
         if plan is None:
             slots, scatter = {}, []
@@ -200,7 +203,7 @@ def check_fully_adaptive_submodular(f, prior) -> CheckReport:
                 scatter.append(slots.setdefault((free, min(a, free.bit_count())), len(slots)))
             plan = plans[dom] = (tuple(slots), scatter)
         keys, scatter = plan
-        return tuple(map([query(psi, free, a) for free, a in keys].__getitem__, scatter))
+        return tuple(map([value(root, free, a) for free, a in keys].__getitem__, scatter)), root
 
     return _sweep("fully-adaptive-submodular", prior, columns, row,
                   lambda col, lhs, rhs: {"items": col[0], "budget": col[1],

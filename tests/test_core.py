@@ -255,6 +255,13 @@ class TestSampling:
         assert phi == (1,)
         assert prior.evidence_probability(psi(enumerate(phi))) > 0.0
 
+    def test_explicit_rounding_gap_falls_back_to_the_last_consistent_realization(self):
+        # Given {0: 1} only the subnormal realization is consistent: the draw
+        # u * total rounds up to total, past every partial sum.
+        prior = ExplicitPrior([((0,), 1.0), ((1,), 5e-324)])
+        assert random.Random(0).random() * 5e-324 == 5e-324
+        assert prior.sample(random.Random(0), psi({0: 1})) == (1,)
+
     def test_conditioned_sampling_respects_evidence(self, prior_a):
         cond = condition(prior_a, psi({0: 1}))
         rng = random.Random(3)
@@ -387,7 +394,7 @@ class TestValidation:
         (lambda: core._check_item(BIG, 3), ValidationError,
          "item %s is not an integer in [0, 3)" % BITS),
         (lambda: RestrictedOracle(*_repro_instance()).mask([0, BIG]), ValidationError,
-         "item %s outside the integers [0, 5)" % BITS),
+         "item %s is not an integer in [0, 5)" % BITS),
         (lambda: run_policy(FixedSequencePolicy([BIG]), *_repro_instance(), (0,) * 5),
          PolicyViolation, "fixed selected unknown item %s" % BITS),
         (lambda: run_policy(FixedSequencePolicy([0]), *_repro_instance(), (BIG,) + (0,) * 4),
@@ -528,7 +535,7 @@ def _repro_instance():
 def test_integer_parameters_refuse_floats_and_bools(call, name):
     # int() would truncate 2.5, and a bool would pass as 0 or 1.
     f, prior = _repro_instance()
-    with pytest.raises(ValidationError, match=r"^%s (must be an integer|outside the integers)"
+    with pytest.raises(ValidationError, match=r"^%s (must be an integer|is not an integer in)"
                        % name):
         call(f, prior)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -139,6 +140,12 @@ class TestSerialization:
         save_instance(inst, path)
         assert load_instance(path).constraint == CardinalityConstraint(2)
 
+    def test_unsupported_prior_or_constraint_is_not_saved(self, tmp_path):
+        inst = generate_coverage(3, 2, 4, 0.3, seed=0)
+        for field in ("prior", "constraint"):
+            with pytest.raises(ValidationError, match="^unsupported %s type 'object'$" % field):
+                save_instance(dataclasses.replace(inst, **{field: object()}), tmp_path / "x.json")
+
 
 class TestUtilityMaskTable:
     def test_calls_share_the_table_but_not_the_counters(self):
@@ -202,6 +209,12 @@ class TestUtilityMaskTable:
         assert (after.weights, after.covers) == (before.weights, before.covers)
         inst.utility()
         assert len(built) == 2
+
+    def test_unknown_utility_type_is_a_parse_error(self):
+        inst = generate_coverage(3, 2, 4, 0.3, seed=0)
+        inst.utility_spec = {"type": "matroid"}
+        with pytest.raises(ParseError, match="^unknown utility type 'matroid'$"):
+            inst.utility()
 
     def test_out_of_universe_coverage_raises_on_the_first_call(self):
         inst = Instance(3, 2, IndependentPrior([[0.5, 0.5]] * 3),

@@ -25,7 +25,7 @@ from adasub import (
     random_policy,
     restricted_optimal,
 )
-from adasub.oracle import VALUE_TOL, OracleCaps, RestrictedOracle, _dom_mask, _Restriction
+from adasub.oracle import VALUE_TOL, OracleCaps, RestrictedOracle, _Restriction
 from adasub.policies import PartitionConstraint
 from adasub.verify import check_fully_adaptive_submodular, enumerate_partial_realizations
 
@@ -173,33 +173,36 @@ class TestRestrictedOptimal:
         prior = ExplicitPrior(prior_a.support()) if explicit else prior_a
         oracle = RestrictedOracle(utility_a, prior)
         for items in ((-1,), (0, -1), (2,), (1, 5)):
-            with pytest.raises(ValidationError, match="outside"):
+            with pytest.raises(ValidationError, match=r"is not an integer in \[0, 2\)$"):
                 oracle(PSI_EMPTY, items, 1)
-        with pytest.raises(ValidationError, match="outside"):
+        with pytest.raises(ValidationError, match=r"^item 2 is not an integer in \[0, 2\)$"):
             restricted_optimal(utility_a, prior, PSI_EMPTY, (0, 2), 1)
 
     @pytest.mark.parametrize("explicit", [False, True])
     def test_query_checks_a_then_evidence_then_the_budget_cap(self, explicit):
         # Item 0 is never in state 1, so {0: 1} is impossible.  Every query
         # below asks for a budget of 2, clamped to 2 free items, over a cap of 1.
+        # oracle(psi, items, a), the one checked entry, checks the items first.
         prior = IndependentPrior([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
         if explicit:
             prior = ExplicitPrior(prior.support())
         f = CoverageUtility((1.0, 1.0), ((0b01, 0b11), (0b00, 0b10), (0b10, 0b01)))
         oracle = RestrictedOracle(f, prior, OracleCaps(max_budget=1))
-        items = oracle.mask((1, 2))
+        items = (1, 2)
         outside = (PartialRealization.of({3: 0}), PartialRealization.of({-1: 0}),
                    PartialRealization.of({0: 0, 5: 1}))
         for psi in outside:
+            with pytest.raises(ValidationError, match=r"^item 5 is not an integer in \[0, 3\)$"):
+                oracle(psi, (1, 5), -1)
             with pytest.raises(ValidationError, match="negative budget"):
-                oracle.query(psi, items, -1)
+                oracle(psi, items, -1)
             with pytest.raises(ValidationError, match=r"observes an item outside \[0, 3\)"):
-                oracle.query(psi, items, 2)
+                oracle(psi, items, 2)
         with pytest.raises(ZeroProbabilityEvidence):
-            oracle.query(PartialRealization.of({0: 1}), items, 2)
+            oracle(PartialRealization.of({0: 1}), items, 2)
         with pytest.raises(InstanceTooLarge, match="budget 2 exceeds oracle cap 1"):
-            oracle.query(PartialRealization.of({0: 0}), items, 2)
-        assert oracle.query(PartialRealization.of({0: 0}), items, 1) >= 0.0
+            oracle(PartialRealization.of({0: 0}), items, 2)
+        assert oracle(PartialRealization.of({0: 0}), items, 1) >= 0.0
 
     @pytest.mark.parametrize("explicit", [False, True])
     def test_a_repeated_item_counts_once(self, utility_a, prior_a, explicit):
@@ -246,6 +249,14 @@ def test_covered_mask_keys_agree_with_history_keys(inst):
                        - plain_oracle(psi, items, a)) <= VALUE_TOL, (psi, items, a)
 
 
+def root_of(oracle, psi):
+    """psi's root key, built with child from the empty history's (0, 0)."""
+    root = (0, 0)
+    for e, o in psi.pairs:
+        root = oracle.child(root, e, o)
+    return root
+
+
 @pytest.mark.parametrize("inst", [monotonicity_counterexample(),
                                   complementarity_counterexample(),
                                   generate_coverage(n=3, m=3, universe_size=6, density=0.35,
@@ -259,8 +270,8 @@ def test_a_history_state_decodes_to_its_history(inst):
     oracle = RestrictedOracle(inst.utility(), prior)
     assert not oracle.coverage and oracle.rows is None
     for psi in enumerate_partial_realizations(prior):
-        dom, state = oracle._root_of(psi)
-        assert dom == _dom_mask(psi)
+        dom, state = root_of(oracle, psi)
+        assert dom == sum(1 << e for e in psi.domain())
         assert oracle._history(state) == psi
         assert oracle._stop(state) == expected_set_value(inst.utility(), prior, psi)
 
@@ -268,11 +279,11 @@ def test_a_history_state_decodes_to_its_history(inst):
 @pytest.mark.parametrize("explicit", [False, True], ids=["independent-prior", "explicit-prior"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mask_queries_equal_restricted_optimal(monkeypatch, seed, explicit):
-    # One oracle answers query(psi, mask, a) for every column, as the
-    # fully-adaptive check asks it; a query that hits the memo is read at its
-    # key without building a _Restriction.  Each answer must equal a fresh
-    # restricted_optimal to the bit, and the memo value at the query's key
-    # less psi's stop value.
+    # One oracle answers value(root, free, budget) at every column's clamped
+    # key, as the fully-adaptive check reads it; a read that hits the memo
+    # builds no _Restriction.  Each answer must equal a fresh
+    # restricted_optimal to the bit, and the memo value at the key less psi's
+    # stop value.
     built = []
 
     class Counted(_Restriction):
@@ -293,14 +304,14 @@ def test_mask_queries_equal_restricted_optimal(monkeypatch, seed, explicit):
     monkeypatch.setattr("adasub.oracle._Restriction", Counted)
     hit_queries = 0
     for psi in enumerate_partial_realizations(prior, max_size=2):
+        root = dom, state = root_of(oracle, psi)
         for items, a, mask in columns:
             expected = restricted_optimal(f, prior, psi, items, a)
-            dom, state = oracle._root_of(psi)
             free = mask & ~dom
-            key = (dom, state, (free, min(a, free.bit_count())))     # as query clamps
+            key = (dom, state, (free, min(a, free.bit_count())))     # the clamped key
             hit, hits = key in oracle.memo, oracle.hits
             built.clear()
-            answer = oracle.query(psi, mask, a)
+            answer = oracle.value(root, *key[2])
             assert answer == expected, (psi, items, a)
             assert answer == oracle.memo[key] - oracle._stop(state), (psi, items, a)
             if hit:

@@ -62,6 +62,10 @@ class ScriptedLaw(Scripted):
         return [] if decision is None else [(decision[0], 1.0)]
 
 
+def test_fixed_sequence_describes_its_sequence():
+    assert FixedSequencePolicy([2, 0]).describe() == "fixed(seq=2:0)"
+
+
 class TestRunPolicy:
     def test_empty_policy_trace(self, utility_a, prior_a):
         trace = run_policy(empty_policy(), utility_a, prior_a, (0, 0))

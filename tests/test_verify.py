@@ -17,6 +17,7 @@ from adasub import (
     InstanceTooLarge,
     PSI_EMPTY,
     PartialRealization,
+    TabularUtility,
     ValidationError,
     check_adaptive_monotone,
     check_adaptive_submodular,
@@ -529,22 +530,81 @@ def test_caps_corner_passes_with_closed_form_counts():
     assert submodular.passed and submodular.pairs_checked == n * (2 * m + 1) ** (n - 1) == 6_588_344
 
 
+def fully_adaptive_rows(monkeypatch, on_row, on_value):
+    """Patch the fully-adaptive check's sweep and oracle reads: on_row(psi,
+    root) sees each history's carried root as its row returns it, and
+    on_value(psi, root, free, budget) each value read, psi the history whose
+    row makes it."""
+    sweep, value, at = verify._sweep, RestrictedOracle.value, [None]
+
+    def recorded_sweep(name, prior, columns, row, witness):
+        def recorded_row(psi, key):
+            at[0] = psi
+            values, root = row(psi, key)
+            on_row(psi, root)
+            return values, root
+        return sweep(name, prior, columns, recorded_row, witness)
+
+    def recorded_value(self, root, free, budget):
+        on_value(at[0], root, free, budget)
+        return value(self, root, free, budget)
+
+    monkeypatch.setattr(verify, "_sweep", recorded_sweep)
+    monkeypatch.setattr(RestrictedOracle, "value", recorded_value)
+
+
 def test_fully_adaptive_check_queries_each_distinct_key_once(monkeypatch):
     # A history with d observed items and r = 4 - d free ones has r * 2^(r-1)
     # keys (W, b) with W nonempty, plus (0, 0) when some V lies in dom psi:
     # 32 + 8 * 13 + 24 * 5 + 32 * 2 + 16 * 1 = 336 of the 81 * 32 = 2,592 columns.
     calls = []
-    query = RestrictedOracle.query
-
-    def counting(self, psi, mask, a):
-        calls.append((psi.pairs, mask, a))
-        return query(self, psi, mask, a)
-
-    monkeypatch.setattr(RestrictedOracle, "query", counting)
+    fully_adaptive_rows(monkeypatch, lambda psi, root: None,
+                        lambda psi, root, free, budget: calls.append((psi.pairs, free, budget)))
     inst = generate_coverage(n=4, m=2, universe_size=6, density=0.3, seed=0)
     report = check_fully_adaptive_submodular(inst.utility(), inst.prior)
     assert report.passed and report.pairs_checked == 20_000
     assert len(calls) == len(set(calls)) == 336
+
+
+def modular_tabular():
+    """A tabular utility, modular in its items, under an independent prior."""
+    prior = IndependentPrior([[0.5, 0.5], [0.2, 0.8], [0.7, 0.3]])
+    support = list(itertools.product((0, 1), repeat=3))
+    table = [[sum((1 + phi[e]) * (e + 1) for e in range(3) if mask >> e & 1) for phi in support]
+             for mask in range(8)]
+    return TabularUtility(3, support, table), prior
+
+
+def coverage_n4(explicit):
+    inst = generate_coverage(n=4, m=2, universe_size=6, density=0.3, seed=0)
+    return inst.utility(), ExplicitPrior(inst.prior.support()) if explicit else inst.prior
+
+
+@pytest.mark.parametrize("make", [lambda: coverage_n4(False), lambda: coverage_n4(True),
+                                  modular_tabular],
+                         ids=["coverage-independent", "coverage-explicit-twin", "tabular"])
+def test_fully_adaptive_sweep_carries_each_history_root(monkeypatch, make):
+    # Each history's root key, carried from its parent's through child, is
+    # (the bits of dom psi, the OR of bits[e][o] over psi's pairs), and every
+    # value read of its row is made at it.
+    f, prior = make()
+    rows, reads = [], []
+    fully_adaptive_rows(monkeypatch, lambda psi, root: rows.append((psi, root)),
+                        lambda psi, root, free, budget: reads.append((psi, root)))
+    assert check_fully_adaptive_submodular(f, prior).passed
+    assert [psi for psi, _ in rows] == list(enumerate_partial_realizations(prior))
+    oracle = RestrictedOracle(f, prior)     # the check's bits[e][o]
+    for psi, root in rows:
+        dom, state = 0, 0
+        for e, o in psi.pairs:
+            dom, state = dom | 1 << e, state | oracle.bits[e][o]
+        assert root == (dom, state), psi
+        if oracle.coverage:
+            assert state == f.covered(psi), psi
+        else:
+            assert oracle._history(state) == psi, psi
+    carried = dict(rows)
+    assert reads and all(root == carried[psi] for psi, root in reads)
 
 
 def reachable_states(prior, queries):
