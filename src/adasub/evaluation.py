@@ -2,13 +2,15 @@
 
 Exact evaluation is one recursion over observation histories,
 HistoryRecursion: the expectation of the final utility over histories,
-memoized on (history, constraint state), where each node either stops, worth
+memoized on the history, where each node either stops, worth
 expected_set_value (for coverage, its covered mask's weight), or averages
 over the policy's own choice (adasub.oracle's RestrictedOracle takes the max
 instead).  A policy owns its constraint (pi.fresh_constraint(n)) and is always
-evaluated under it.  A deterministic policy's choice is its decide, the code
-a rollout runs, and so is a randomized one's for a fixed master seed (its
-stream is derived from the seed and the history); unseeded, a randomized
+evaluated under it; every selected item is observed, so a history's
+constraint state is the fresh one advanced by its domain's items, and the
+history alone keys its node.  A deterministic policy's choice is its decide,
+the code a rollout runs, and so is a randomized one's for a fixed master seed
+(its stream is derived from the seed and the history); unseeded, a randomized
 policy's decision_distribution averages over that randomness exactly.  Exact
 evaluation first bounds the histories it could visit and refuses trees over
 EXACT_MAX_HISTORIES: a randomized policy may reach C(n, j) * m^j histories at
@@ -56,10 +58,11 @@ def exact_history_bound(pi: Policy, n: int, m: int, expand=True) -> int:
 class HistoryRecursion:
     """pi's expected final utility over observation histories, in the context ctx.
 
-    value(psi, cstate) is a node, memoized on (psi, constraint key).  Its
-    evidence is psi with `given`, which pi does not see, built once per node.
-    pi either stops, worth leaf(evidence), priced each time a node stops (once
-    per history), or its choice's branches are averaged, each e worth
+    value(psi, cstate) is a node, memoized on psi.pairs, as dom psi fixes
+    cstate (module docstring).  Its evidence is psi with `given`, which pi
+    does not see, built once per node.  pi either stops, worth
+    leaf(evidence), priced each time a node stops (once per history), or its
+    choice's branches are averaged, each e worth
     sum_o p(o | evidence) * value(psi + (e, o), cstate after e).  Each node's
     decide starts from an empty per-rollout dict, so lazy greedy builds its
     heap afresh there and its tree is greedy's.  Every expanded node is
@@ -72,8 +75,7 @@ class HistoryRecursion:
         self.hits = 0
 
     def value(self, psi, cstate):
-        key = (psi.pairs, cstate.key())
-        value = self.memo.get(key)
+        value = self.memo.get(psi.pairs)
         if value is not None:
             self.hits += 1
             return value
@@ -93,7 +95,7 @@ class HistoryRecursion:
             for o, p in ctx.prior.item_posterior(e, evidence):
                 branch += p * self.value(psi.with_observation(e, o), nxt)
             value += q * branch
-        self.memo[key] = value
+        self.memo[psi.pairs] = value
         return value
 
 

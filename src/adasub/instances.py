@@ -273,8 +273,9 @@ def loads_instance(text: str) -> Instance:
 
 
 def save_instance(inst: Instance, path):
+    text = dumps_instance(inst)     # refuses an unsupported instance before path is opened
     with open(path, "w") as fh:
-        fh.write(dumps_instance(inst))
+        fh.write(text)
 
 
 def load_instance(path) -> Instance:

@@ -9,8 +9,11 @@ with the policy's choice replaced by a max:
 memoized on (psi, constraint state).  The stop branch keeps the oracle
 correct for non-monotone tabular utilities.  One object per instance,
 RestrictedOracle, computes it for optimal_value and every restricted query.
-It keys a history psi as (dom psi bitmask, state, constraint key), where the
-state ORs a bit pattern per observation (e, o):
+Every node's key is (state, left, groups): `left` masks the items still free
+(every unobserved item, or V minus dom psi for a restricted query), and
+`groups` holds fixed (group mask, budget) pairs: ((all items, k),) for a
+cardinality k, one per group for a partition, ((all items, min(a, |left|)),)
+for a restricted query.  The state ORs a bit pattern per observation (e, o):
 
 * for coverage under an independent prior, (e, o)'s coverage mask.  An
   unobserved item's posterior is its prior, and the future values of psi
@@ -22,12 +25,12 @@ state ORs a bit pattern per observation (e, o):
 Stop values are memoized on the state.  Under an independent prior each
 item's (bits, probability) row is built once; under an explicit prior a node
 reads each free item's posterior at its history from ExplicitPrior.posteriors.
-Each constraint key gets a move table once: the mask of selectable items and,
-per item e, (cstate.after(e), its key).  A node loops over the set bits of
-`selectable & ~dom` in ascending order and keys each child from the node's
-key in O(1).  Values within VALUE_TOL of the best tie, and the root's tied
-best items are its optimal first actions.  Hard instance caps fail loudly;
-ground truth is this module's only job.
+Each groups tuple gets a move table once: the mask of items whose group has
+budget and, per item e, the groups after e.  A node loops over the set bits of
+`selectable & left` in ascending order and keys each child in O(1).  Values
+within VALUE_TOL of the best tie, and the root's tied best items are its
+optimal first actions.  Hard instance caps fail loudly; ground truth is this
+module's only job.
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ class RestrictedOracle:
     oracle(psi, items, a) is the one checked entry; a caller that walks the
     histories carries each one's root key (dom psi bitmask, state) from its
     parent's with child and reads value(root, free, budget).  Every expanded
-    key is memoized, so len(memo) counts them; hits counts memo hits.
+    key (state, left, groups) is memoized, so len(memo) counts them; hits
+    counts memo hits.
     """
 
     def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
@@ -100,6 +104,7 @@ class RestrictedOracle:
         # an explicit prior a node prices them at its history.
         self.rows = (tuple(tuple((self.bits[e][o], p) for o, p in row)
                            for e, row in enumerate(prior.rows)) if independent else None)
+        self.ground = (1 << self.n) - 1     # the mask of all items
         self.memo, self.stops, self.moves = {}, {}, {}
         self.hits = 0
 
@@ -132,21 +137,19 @@ class RestrictedOracle:
 
     def child(self, root, e, o):
         """The root key (dom bitmask, state) of root's history plus (e, o)."""
-        dom, state = root
-        return dom | 1 << e, state | self.bits[e][o]
+        return root[0] | 1 << e, root[1] | self.bits[e][o]
 
     def value(self, root, free, budget) -> float:
         """V less the stop value at root, with `budget` <= |free| selections
-        left from the free items' mask, unchecked.  The memo is read at the
-        key, and a _Restriction is built only on a miss."""
-        dom, state = root
-        key = (dom, state, (free, budget))
+        left from `free`, a mask outside dom psi; unchecked.  Reads the memo at
+        (state, free, ((all items, budget),)) and expands that key on a miss."""
+        key = (root[1], free, ((self.ground, budget),))
         value = self.memo.get(key)
         if value is None:
-            value = self._node(key, _Restriction(free, budget))
+            value = self._node(key)
         else:
             self.hits += 1
-        return value - self._stop(state)
+        return value - self._stop(root[1])
 
     def _history(self, state):
         """The history whose state this is, where states are not covered masks."""
@@ -162,44 +165,43 @@ class RestrictedOracle:
                 else expected_set_value(self.f, self.prior, self._history(state)))
         return value
 
-    def _moves(self, cstate, ckey):
-        """(selectable items' mask, per item (cstate.after(e), its key)) of a key."""
+    def _moves(self, groups):
+        """(the mask of items whose group has budget, per item e the groups after e)."""
         selectable, after = 0, [None] * self.n
-        for e in range(self.n):
-            if cstate.can_select(e):
-                selectable |= 1 << e
-                nxt = cstate.after(e)
-                after[e] = (nxt, nxt.key())
-        table = self.moves[ckey] = (selectable, after)
-        return table
+        for i, (mask, budget) in enumerate(groups):
+            if budget:
+                selectable |= mask
+                nxt = groups[:i] + ((mask, budget - 1),) + groups[i + 1:]
+                for e in range(self.n):
+                    if mask >> e & 1:
+                        after[e] = nxt
+        return self.moves.setdefault(groups, (selectable, after))
 
-    def _node(self, key, cstate, first=None):
+    def _node(self, key, first=None):
         """V at a key not in the memo; a `first` list receives its tied best items."""
-        dom, state, ckey = key
+        state, left, groups = key
         memo, rows = self.memo, self.rows
         best = self._stop(state)
-        selectable, after = self.moves.get(ckey) or self._moves(cstate, ckey)
-        free = selectable & ~dom
+        selectable, after = self.moves.get(groups) or self._moves(groups)
+        free = selectable & left
         if rows is None and free:
             # An explicit prior's posteriors at psi, its states as bits.
             items = [e for e in range(self.n) if free >> e & 1]
             rows, bits = [None] * self.n, self.bits
             for e, posterior in zip(items, self.prior.posteriors(self._history(state), items)):
                 rows[e] = [(bits[e][o], p) for o, p in posterior]
-        best_items = []
-        hits = 0
+        best_items, hits = [], 0
         while free:
             bit = free & -free
             free ^= bit
             e = bit.bit_length() - 1
-            nxt, nkey = after[e]
-            child = dom | bit
+            nxt, rest = after[e], left ^ bit
             total = 0.0
             for bits, p in rows[e]:
-                k = (child, state | bits, nkey)
+                k = (state | bits, rest, nxt)
                 value = memo.get(k)
                 if value is None:
-                    value = self._node(k, nxt)
+                    value = self._node(k)
                 else:
                     hits += 1
                 total += p * value
@@ -218,8 +220,11 @@ class RestrictedOracle:
 def _solve(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
     oracle = RestrictedOracle(f, prior, caps)
     _check_budget(prior, constraint.total_budget(), caps)
+    groups = (tuple(zip(map(oracle.mask, constraint.groups), constraint.remaining))
+              if isinstance(constraint, PartitionConstraint)
+              else ((oracle.ground, constraint.remaining),))
     first = []
-    value = oracle._node((0, 0, constraint.key()), constraint, first)   # the empty history
+    value = oracle._node((0, oracle.ground, groups), first)   # the empty history
     return OracleResult(value, tuple(first), len(oracle.memo), oracle.hits)
 
 
@@ -231,29 +236,6 @@ def optimal_value(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> Orac
     if isinstance(constraint, PartitionConstraint):
         constraint.check_items(prior.n)
     return _solve(f, prior, constraint, caps)
-
-
-class _Restriction:
-    """Constraint state: at most `budget` further selections from the items
-    whose bits are set in the mask `items`, 0 <= budget <= |items|.
-
-    value()'s callers clamp the root's budget, so key() is canonical and
-    every (psi, items, a) query that reaches a subproblem shares its memo.
-    """
-
-    __slots__ = ("items", "budget")
-
-    def __init__(self, items: int, budget: int):
-        self.items, self.budget = items, budget
-
-    def can_select(self, e):
-        return self.budget > 0 and self.items >> e & 1 == 1
-
-    def after(self, e):
-        return _Restriction(self.items & ~(1 << e), self.budget - 1)
-
-    def key(self):
-        return (self.items, self.budget)
 
 
 def restricted_optimal(f, prior, psi: PartialRealization, items, a: int,

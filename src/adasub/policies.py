@@ -52,9 +52,6 @@ class CardinalityConstraint:
     def exhausted(self) -> bool:
         return self.remaining == 0
 
-    def key(self):
-        return ("card", self.remaining)
-
     def total_budget(self) -> int:
         return self.remaining
 
@@ -114,9 +111,6 @@ class PartitionConstraint:
         child = object.__new__(PartitionConstraint)     # valid as self is: no __post_init__
         child.__dict__.update(self.__dict__, remaining=tuple(rem))     # shares _group_of
         return child
-
-    def key(self):
-        return ("part", self.remaining)
 
     def total_budget(self) -> int:
         return sum(min(d, len(g)) for d, g in zip(self.remaining, self.groups))

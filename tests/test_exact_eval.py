@@ -267,8 +267,8 @@ def visited_histories(monkeypatch, pi, f, prior, seed=None):
     inner = evaluation.HistoryRecursion.value
 
     def counting(rec, psi, cstate):
-        if (psi.pairs, cstate.key()) not in rec.memo:
-            seen.append((psi.pairs, cstate.key()))
+        if psi.pairs not in rec.memo:
+            seen.append(psi.pairs)
         return inner(rec, psi, cstate)
 
     monkeypatch.setattr(evaluation.HistoryRecursion, "value", counting)
@@ -324,6 +324,38 @@ def test_every_node_is_memoized(monkeypatch):
         assert lazy_value.hex() == greedy_value.hex()
     assert recs["asg", None][1].hits == 70
     assert recs["gasg", None][1].hits == 4
+
+
+def test_each_memoized_node_has_the_constraint_its_domain_fixes(monkeypatch):
+    # HistoryRecursion keys a node by psi alone: the constraint state passed
+    # in must be the fresh one advanced by dom psi's items.
+    groups, limits = [[0, 1, 2], [3, 4, 5]], [2, 1]
+    instances = (generate_coverage(n=6, m=2, universe_size=6, density=0.35, seed=600, k=3),
+                 generate_coverage(n=6, m=2, universe_size=6, density=0.35, seed=601,
+                                   groups=groups, limits=limits))
+    policies = (adaptive_greedy(3), adaptive_greedy(3, "lazy"),
+                adaptive_stochastic_greedy(3, 0.3), random_policy(3),
+                locally_greedy(groups, limits), generalized_asg(groups, limits, 0.5),
+                FixedSequencePolicy([4, 0, 2]))
+    inner = evaluation.HistoryRecursion.value
+    for inst in instances:
+        for pi in policies:
+            for seed in (None, 0):
+                checked = []
+
+                def checking(rec, psi, cstate):
+                    if psi.pairs not in rec.memo:
+                        fresh = pi.fresh_constraint(inst.n)
+                        for e in psi.domain():
+                            fresh = fresh.after(e)
+                        assert cstate == fresh, (pi.describe(), seed, psi)
+                        checked.append(psi.pairs)
+                    return inner(rec, psi, cstate)
+
+                monkeypatch.setattr(evaluation.HistoryRecursion, "value", checking)
+                _, rec = recursion_of(monkeypatch, pi, inst.utility(), inst.prior, seed)
+                assert sorted(checked) == sorted(rec.memo), (pi.describe(), seed)
+                assert any(len(pairs) == 3 for pairs in checked), (pi.describe(), seed)
 
 
 def test_lazy_greedy_keeps_its_heap_across_one_rollouts_rounds():

@@ -146,6 +146,15 @@ class TestSerialization:
             with pytest.raises(ValidationError, match="^unsupported %s type 'object'$" % field):
                 save_instance(dataclasses.replace(inst, **{field: object()}), tmp_path / "x.json")
 
+    def test_a_refused_instance_leaves_the_file_as_it_was(self, tmp_path):
+        # The file was opened for writing, and so emptied, before the refusal.
+        path = tmp_path / "x.json"
+        path.write_bytes(b"precious")
+        inst = generate_coverage(3, 2, 4, 0.3, seed=0)
+        with pytest.raises(ValidationError, match="^unsupported prior type 'object'$"):
+            save_instance(dataclasses.replace(inst, prior=object()), path)
+        assert path.read_bytes() == b"precious"
+
 
 class TestUtilityMaskTable:
     def test_calls_share_the_table_but_not_the_counters(self):

@@ -25,9 +25,24 @@ from adasub import (
     random_policy,
     restricted_optimal,
 )
-from adasub.oracle import VALUE_TOL, OracleCaps, RestrictedOracle, _Restriction
+from adasub.oracle import VALUE_TOL, OracleCaps, RestrictedOracle
 from adasub.policies import PartitionConstraint
 from adasub.verify import check_fully_adaptive_submodular, enumerate_partial_realizations
+
+
+def _stop_value(f, prior, psi):
+    return sum(p * f.value(psi.domain(), phi) for phi, p in prior.support(psi))
+
+
+def _brute_force(f, prior, psi, cstate):
+    """max(stop, every feasible branch), unmemoized, over the support given psi."""
+    best = _stop_value(f, prior, psi)
+    for e in range(prior.n):
+        if e not in psi and cstate.can_select(e):
+            best = max(best, sum(
+                p * _brute_force(f, prior, psi.with_observation(e, o), cstate.after(e))
+                for o, p in prior.item_posterior(e, psi)))
+    return best
 
 
 class TestOptimalValue:
@@ -72,20 +87,7 @@ class TestOptimalValue:
                 val = expected_utility(inst.utility(), inst.prior, pi)
                 assert val <= opt + 1e-9
 
-    def test_cache_soundness(self):
-        def stop(f, prior, psi):
-            return sum(p * f.value(psi.domain(), phi) for phi, p in prior.support(psi))
-
-        def brute_force(f, prior, psi, cstate):
-            """max(stop, every feasible branch), unmemoized, over the support given psi."""
-            best = stop(f, prior, psi)
-            for e in range(prior.n):
-                if e not in psi and cstate.can_select(e):
-                    best = max(best, sum(
-                        p * brute_force(f, prior, psi.with_observation(e, o), cstate.after(e))
-                        for o, p in prior.item_posterior(e, psi)))
-            return best
-
+    def test_cache_soundness(self, monkeypatch):
         cases = []
         for seed in range(20):
             inst = generate_coverage(n=5, m=2, universe_size=6, density=0.35, seed=seed)
@@ -102,26 +104,60 @@ class TestOptimalValue:
             ExplicitPrior([((0, 0, 0), 0.25), ((0, 0, 1), 0.25),
                            ((1, 1, 0), 0.25), ((1, 1, 1), 0.25)]))
         cases.append(correlated + (CardinalityConstraint(2),))
+        # Item 2 is in no group: the partition's keys leave it in `left`, and
+        # the restricted queries below start from histories that observed it.
+        outside = generate_coverage(n=5, m=2, universe_size=6, density=0.35, seed=7,
+                                    groups=[[0, 1], [3, 4]], limits=[1, 1])
+        cases.append((outside.utility(), outside.prior, outside.constraint))
         for f, prior, constraint in cases:
             memoized = optimal_value(f, prior, constraint).value
-            assert abs(memoized - brute_force(f, prior, PSI_EMPTY, constraint)) <= 1e-12
+            assert abs(memoized - _brute_force(f, prior, PSI_EMPTY, constraint)) <= 1e-12
 
         # restricted queries (psi, V, a), shuffled, all answered by one oracle
-        restricted = [correlated] + [
-            (inst.utility(), inst.prior) for inst in
+        restricted = [correlated + (None,)] + [
+            (inst.utility(), inst.prior, None) for inst in
             (generate_coverage(n=4, m=2, universe_size=6, density=0.35, seed=s) for s in (1, 2))]
-        for f, prior in restricted:
+        restricted.append((outside.utility(), outside.prior, outside.constraint))
+        for f, prior, constraint in restricted:
             queries = [(psi, items, a)
                        for psi in enumerate_partial_realizations(prior, max_size=2)
+                       if constraint is None or 2 in psi
                        for size in range(1, prior.n + 1)
                        for items in itertools.combinations(range(prior.n), size)
                        for a in range(1, size + 1)]
             random.Random(0).shuffle(queries)
             oracle = RestrictedOracle(f, prior)
+            if constraint is not None:
+                # The partition's optimum fills the same memo first.
+                with monkeypatch.context() as patch:
+                    patch.setattr("adasub.oracle.RestrictedOracle", lambda *args: oracle)
+                    optimal_value(f, prior, constraint)
+                assert oracle.memo
             for psi, items, a in queries:
                 allowed = PartitionConstraint.of([set(items) - set(psi.domain())], [a])
-                exact = brute_force(f, prior, psi, allowed) - stop(f, prior, psi)
+                exact = _brute_force(f, prior, psi, allowed) - _stop_value(f, prior, psi)
                 assert abs(oracle(psi, items, a) - exact) <= 1e-12, (psi, items, a)
+
+    def test_histories_that_share_a_key_share_its_memo_entry(self):
+        # {0: 0} and {1: 0} both cover element 0 alone and leave items 2 and
+        # 3 free, so their queries on V = {2, 3} share (covered mask, free
+        # items, budget): the second reads the first's memo entry.
+        f = CoverageUtility((1.0, 2.0, 0.5),
+                            ((0b001, 0b011), (0b001, 0b100), (0b010, 0b100), (0b000, 0b110)))
+        prior = IndependentPrior([[0.5, 0.5], [0.3, 0.7], [0.6, 0.4], [0.2, 0.8]])
+        first, second = PartialRealization.of({0: 0}), PartialRealization.of({1: 0})
+        assert f.covered(first) == f.covered(second)
+        for a in (1, 2):
+            oracle = RestrictedOracle(f, prior)
+            answers = [oracle(first, (2, 3), a)]
+            size, hits = len(oracle.memo), oracle.hits
+            answers.append(oracle(second, (2, 3), a))
+            assert (len(oracle.memo), oracle.hits) == (size, hits + 1), a
+            assert answers[0] == answers[1], a
+            for psi, answer in zip((first, second), answers):
+                allowed = PartitionConstraint.of([[2, 3]], [a])
+                exact = _brute_force(f, prior, psi, allowed) - _stop_value(f, prior, psi)
+                assert abs(answer - exact) <= 1e-12, (psi, a)
 
     def test_partition_constraint(self, utility_a, prior_a):
         con = PartitionConstraint.of([[0], [1]], [1, 1])
@@ -281,18 +317,9 @@ def test_a_history_state_decodes_to_its_history(inst):
 def test_mask_queries_equal_restricted_optimal(monkeypatch, seed, explicit):
     # One oracle answers value(root, free, budget) at every column's clamped
     # key, as the fully-adaptive check reads it; a read that hits the memo
-    # builds no _Restriction.  Each answer must equal a fresh
-    # restricted_optimal to the bit, and the memo value at the key less psi's
-    # stop value.
-    built = []
-
-    class Counted(_Restriction):
-        __slots__ = ()
-
-        def __init__(self, items, budget):
-            built.append((items, budget))
-            super().__init__(items, budget)
-
+    # expands no node, and a miss expands its key first.  Each answer must
+    # equal a fresh restricted_optimal to the bit, and the memo value at the
+    # key less psi's stop value.
     inst = generate_coverage(n=4, m=2, universe_size=6, density=0.35, seed=seed)
     f, prior = inst.utility(), inst.prior
     if explicit:
@@ -301,31 +328,38 @@ def test_mask_queries_equal_restricted_optimal(monkeypatch, seed, explicit):
     columns = [(items, a, oracle.mask(items)) for size in range(1, inst.n + 1)
                for items in itertools.combinations(range(inst.n), size)
                for a in range(1, size + 1)]
-    monkeypatch.setattr("adasub.oracle._Restriction", Counted)
+    expanded, node = [], oracle._node
+
+    def counted(key, first=None):
+        expanded.append(key)
+        return node(key, first)
+
+    monkeypatch.setattr(oracle, "_node", counted)     # the recursion calls self._node
     hit_queries = 0
     for psi in enumerate_partial_realizations(prior, max_size=2):
         root = dom, state = root_of(oracle, psi)
         for items, a, mask in columns:
             expected = restricted_optimal(f, prior, psi, items, a)
             free = mask & ~dom
-            key = (dom, state, (free, min(a, free.bit_count())))     # the clamped key
+            key = (state, free, ((oracle.ground, min(a, free.bit_count())),))   # clamped
             hit, hits = key in oracle.memo, oracle.hits
-            built.clear()
-            answer = oracle.value(root, *key[2])
+            expanded.clear()
+            answer = oracle.value(root, free, key[2][0][1])
             assert answer == expected, (psi, items, a)
             assert answer == oracle.memo[key] - oracle._stop(state), (psi, items, a)
             if hit:
                 hit_queries += 1
-                assert not built and oracle.hits == hits + 1, (psi, items, a)
+                assert not expanded and oracle.hits == hits + 1, (psi, items, a)
             else:
-                assert built[0] == key[2], (psi, items, a)
+                assert expanded[0] == key, (psi, items, a)
     assert hit_queries > 0
 
 
 @pytest.mark.parametrize("explicit", [False, True], ids=["independent-prior", "explicit-prior"])
 def test_restriction_budgets_never_exceed_their_items(monkeypatch, explicit):
-    # _Restriction does not clamp: the query clamps the root's budget to its
-    # free items, and every state below keeps 0 <= budget <= |items|, so each
+    # Nothing below the root clamps: the query clamps the root's budget to
+    # its free items, and each selection takes one item from `left` and one
+    # from the budget, so every key keeps 0 <= budget <= |left| and each
     # subproblem has one memo key.
     inst = generate_coverage(n=4, m=2, universe_size=6, density=0.35, seed=0)
     f, prior = inst.utility(), inst.prior
@@ -341,7 +375,8 @@ def test_restriction_budgets_never_exceed_their_items(monkeypatch, explicit):
     monkeypatch.setattr("adasub.verify.RestrictedOracle", Recorded)
     check_fully_adaptive_submodular(f, prior)
     (oracle,) = oracles
-    keys = [key[-1] for key in oracle.memo]     # (items, budget) per entry
-    assert keys
-    for items, budget in keys:
-        assert 0 <= budget <= items.bit_count(), (items, budget)
+    assert oracle.memo
+    for state, left, groups in oracle.memo:
+        ((mask, budget),) = groups
+        assert mask == oracle.ground, groups
+        assert 0 <= budget <= left.bit_count(), (left, budget)

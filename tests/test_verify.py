@@ -607,9 +607,10 @@ def test_fully_adaptive_sweep_carries_each_history_root(monkeypatch, make):
     assert reads and all(root == carried[psi] for psi, root in reads)
 
 
-def reachable_states(prior, queries):
-    """Distinct (psi, V minus dom psi, clamped budget) states the queries reach."""
-    seen = set()
+def reachable_states(f, prior, queries):
+    """Distinct (covered mask, V minus dom psi, clamped budget) oracle keys the
+    queries reach, for coverage under an independent prior."""
+    seen, keys = set(), set()
     stack = [(psi, frozenset(items) - set(psi.domain()), a) for psi, items, a in queries]
     while stack:
         psi, rest, a = stack.pop()
@@ -617,10 +618,11 @@ def reachable_states(prior, queries):
         if (psi.pairs, rest, a) in seen:
             continue
         seen.add((psi.pairs, rest, a))
+        keys.add((f.covered(psi), rest, a))
         for e in rest if a else ():
             for o, _ in prior.item_posterior(e, psi):
                 stack.append((psi.with_observation(e, o), rest - {e}, a - 1))
-    return seen
+    return keys
 
 
 @pytest.mark.parametrize("inst", reference_instances(), ids=instance_id)
@@ -650,5 +652,5 @@ def test_fully_adaptive_check_expands_each_oracle_state_once(monkeypatch):
         queries = [(psi, items, a) for psi in histories
                    for size in range(1, 5) for items in itertools.combinations(range(4), size)
                    for a in range(1, size + 1)]
-        bound = len(reachable_states(inst.prior, queries))
-        assert len(made[-1].memo) <= bound < 1000
+        bound = len(reachable_states(inst.utility(), inst.prior, queries))
+        assert len(made[-1].memo) == bound < 1000
