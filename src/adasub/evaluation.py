@@ -30,8 +30,9 @@ from .core import (EvalContext, PSI_EMPTY, PartialRealization, _check_int, _left
 from .errors import InstanceTooLarge, ValidationError
 from .policies import ConcatPolicy, Policy, _check_choice, run_policy
 
-# Each visited history costs ~40 us and a ~320-byte memo entry (2-vCPU Xeon,
-# Python 3.11), so a tree at the cap takes under ten seconds and ~65 MiB.
+# Exact unseeded ASG (k=5, eps=0.1) on generate_coverage(n=16, m=2, universe_size=8,
+# density=0.3, seed=1) visits 53,635 histories in ~0.7 CPU s and ~11.5 MiB (2-vCPU
+# Xeon, Python 3.11), so a tree at the cap takes about 3 s and 45 MiB.
 EXACT_MAX_HISTORIES = 200_000
 
 

@@ -6,14 +6,14 @@ with the policy's choice replaced by a max:
     V(psi) = max( E[f(dom(psi), Phi) | psi],
                   max_e sum_o Pr[Phi_e = o | psi] * V(psi + (e, o)) )
 
-memoized on (psi, constraint state).  The stop branch keeps the oracle
-correct for non-monotone tabular utilities.  One object per instance,
-RestrictedOracle, computes it for optimal_value and every restricted query.
-Every node's key is (state, left, groups): `left` masks the items still free
-(every unobserved item, or V minus dom psi for a restricted query), and
-`groups` holds fixed (group mask, budget) pairs: ((all items, k),) for a
-cardinality k, one per group for a partition, ((all items, min(a, |left|)),)
-for a restricted query.  The state ORs a bit pattern per observation (e, o):
+The stop branch keeps the oracle correct for non-monotone tabular utilities.
+One object per instance, RestrictedOracle, computes it for optimal_value and
+every restricted query, memoized on the key (state, left, gid): `left` masks
+the items still free (every unobserved item, or V minus dom psi for a
+restricted query), and `gid` interns a tuple of fixed (group mask, budget
+clamped to the group's size) pairs: ((all items, k),) for a cardinality k,
+one per group for a partition, ((all items, min(a, |left|)),) for a
+restricted query.  The state ORs a bit pattern per observation (e, o):
 
 * for coverage under an independent prior, (e, o)'s coverage mask.  An
   unobserved item's posterior is its prior, and the future values of psi
@@ -25,12 +25,12 @@ for a restricted query.  The state ORs a bit pattern per observation (e, o):
 Stop values are memoized on the state.  Under an independent prior each
 item's (bits, probability) row is built once; under an explicit prior a node
 reads each free item's posterior at its history from ExplicitPrior.posteriors.
-Each groups tuple gets a move table once: the mask of items whose group has
-budget and, per item e, the groups after e.  A node loops over the set bits of
-`selectable & left` in ascending order and keys each child in O(1).  Values
-within VALUE_TOL of the best tie, and the root's tied best items are its
-optimal first actions.  Hard instance caps fail loudly; ground truth is this
-module's only job.
+A node loops over the set bits of `selectable & left` in ascending order and
+keys each child in O(1) from its gid's move table.  A child whose groups
+leave none of its free items selectable is a leaf, worth exactly its stop,
+which is read with no call and no memo entry.  Values within VALUE_TOL of
+the best tie, and the root's tied best items are its optimal first actions.
+Hard instance caps fail loudly; ground truth is this module's only job.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class RestrictedOracle:
     oracle(psi, items, a) is the one checked entry; a caller that walks the
     histories carries each one's root key (dom psi bitmask, state) from its
     parent's with child and reads value(root, free, budget).  Every expanded
-    key (state, left, groups) is memoized, so len(memo) counts them; hits
-    counts memo hits.
+    key (state, left, gid) is memoized, so len(memo) counts them and hits
+    counts memo hits; a leaf, but for optimal_value's root, is in neither.
     """
 
     def __init__(self, f, prior, caps: OracleCaps = DEFAULT_CAPS):
@@ -105,8 +105,8 @@ class RestrictedOracle:
         self.rows = (tuple(tuple((self.bits[e][o], p) for o, p in row)
                            for e, row in enumerate(prior.rows)) if independent else None)
         self.ground = (1 << self.n) - 1     # the mask of all items
-        self.memo, self.stops, self.moves = {}, {}, {}
-        self.hits = 0
+        self.memo, self.stops, self.hits = {}, {}, 0
+        self.gids, self.moves = {}, []      # groups tuple -> gid, gid -> its move table
 
     def __call__(self, psi: PartialRealization, items, a: int) -> float:
         """Best expected gain from at most `a` items of `items` after psi.
@@ -142,8 +142,11 @@ class RestrictedOracle:
     def value(self, root, free, budget) -> float:
         """V less the stop value at root, with `budget` <= |free| selections
         left from `free`, a mask outside dom psi; unchecked.  Reads the memo at
-        (state, free, ((all items, budget),)) and expands that key on a miss."""
-        key = (root[1], free, ((self.ground, budget),))
+        (state, free, gid of ((all items, budget),)), expanding it on a miss;
+        a zero budget is a leaf, worth 0."""
+        if not budget:
+            return 0.0
+        key = (root[1], free, self._gid(((self.ground, budget),)))
         value = self.memo.get(key)
         if value is None:
             value = self._node(key)
@@ -165,24 +168,28 @@ class RestrictedOracle:
                 else expected_set_value(self.f, self.prior, self._history(state)))
         return value
 
-    def _moves(self, groups):
-        """(the mask of items whose group has budget, per item e the groups after e)."""
-        selectable, after = 0, [None] * self.n
-        for i, (mask, budget) in enumerate(groups):
-            if budget:
-                selectable |= mask
-                nxt = groups[:i] + ((mask, budget - 1),) + groups[i + 1:]
-                for e in range(self.n):
-                    if mask >> e & 1:
-                        after[e] = nxt
-        return self.moves.setdefault(groups, (selectable, after))
+    def _gid(self, groups):
+        """The id of a groups tuple, interned with its move table: the mask of
+        items whose group has budget and, per item e, (the gid after e, its mask)."""
+        gid = self.gids.get(groups)
+        if gid is None:
+            selectable, after = 0, [None] * self.n
+            for i, (mask, budget) in enumerate(groups):
+                if budget:
+                    selectable |= mask
+                    nxt = self._gid(groups[:i] + ((mask, budget - 1),) + groups[i + 1:])
+                    move = (nxt, self.moves[nxt][0])
+                    after = [move if mask >> e & 1 else a for e, a in enumerate(after)]
+            gid = self.gids[groups] = len(self.moves)
+            self.moves.append((selectable, after))
+        return gid
 
     def _node(self, key, first=None):
         """V at a key not in the memo; a `first` list receives its tied best items."""
-        state, left, groups = key
-        memo, rows = self.memo, self.rows
+        state, left, gid = key
+        memo, rows, stops = self.memo, self.rows, self.stops
         best = self._stop(state)
-        selectable, after = self.moves.get(groups) or self._moves(groups)
+        selectable, after = self.moves[gid]
         free = selectable & left
         if rows is None and free:
             # An explicit prior's posteriors at psi, its states as bits.
@@ -195,16 +202,20 @@ class RestrictedOracle:
             bit = free & -free
             free ^= bit
             e = bit.bit_length() - 1
-            nxt, rest = after[e], left ^ bit
+            (nxt, reach), rest = after[e], left ^ bit
             total = 0.0
-            for bits, p in rows[e]:
-                k = (state | bits, rest, nxt)
-                value = memo.get(k)
-                if value is None:
-                    value = self._node(k)
-                else:
-                    hits += 1
-                total += p * value
+            if reach & rest:
+                for bits, p in rows[e]:
+                    k = (state | bits, rest, nxt)
+                    value = memo.get(k)
+                    if value is None:
+                        value = self._node(k)
+                    else:
+                        hits += 1
+                    total += p * value
+            else:       # a leaf
+                for bits, p in rows[e]:
+                    total += p * (stops.get(state | bits) or self._stop(state | bits))
             if total > best + VALUE_TOL:
                 best = total
                 best_items = [e]
@@ -220,11 +231,12 @@ class RestrictedOracle:
 def _solve(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> OracleResult:
     oracle = RestrictedOracle(f, prior, caps)
     _check_budget(prior, constraint.total_budget(), caps)
-    groups = (tuple(zip(map(oracle.mask, constraint.groups), constraint.remaining))
+    groups = (tuple((oracle.mask(g), min(d, len(g)))
+                    for g, d in zip(constraint.groups, constraint.remaining))
               if isinstance(constraint, PartitionConstraint)
-              else ((oracle.ground, constraint.remaining),))
+              else ((oracle.ground, min(constraint.remaining, oracle.n)),))
     first = []
-    value = oracle._node((0, oracle.ground, groups), first)   # the empty history
+    value = oracle._node((0, oracle.ground, oracle._gid(groups)), first)   # the empty history
     return OracleResult(value, tuple(first), len(oracle.memo), oracle.hits)
 
 

@@ -35,13 +35,19 @@ def _stop_value(f, prior, psi):
 
 
 def _brute_force(f, prior, psi, cstate):
-    """max(stop, every feasible branch), unmemoized, over the support given psi."""
-    best = _stop_value(f, prior, psi)
+    """The oracle's recursion unmemoized, over the posteriors given psi: the
+    stop value (checked against its definition), then each feasible item's
+    branch in ascending order, kept when it beats the best by more than
+    VALUE_TOL.  It keys nothing, so the oracle must equal it bit for bit."""
+    best = expected_set_value(f, prior, psi)
+    assert abs(best - _stop_value(f, prior, psi)) <= 1e-12, psi
     for e in range(prior.n):
         if e not in psi and cstate.can_select(e):
-            best = max(best, sum(
-                p * _brute_force(f, prior, psi.with_observation(e, o), cstate.after(e))
-                for o, p in prior.item_posterior(e, psi)))
+            total = 0.0
+            for o, p in prior.item_posterior(e, psi):
+                total += p * _brute_force(f, prior, psi.with_observation(e, o), cstate.after(e))
+            if total > best + VALUE_TOL:
+                best = total
     return best
 
 
@@ -109,14 +115,25 @@ class TestOptimalValue:
         outside = generate_coverage(n=5, m=2, universe_size=6, density=0.35, seed=7,
                                     groups=[[0, 1], [3, 4]], limits=[1, 1])
         cases.append((outside.utility(), outside.prior, outside.constraint))
-        for f, prior, constraint in cases:
+        # Tabular utilities, whose stops are no covered weight, and generated
+        # coverage under an explicit prior over its support: keyed by psi itself.
+        tabular = [(inst.utility(), inst.prior, inst.constraint)
+                   for inst in (complementarity_counterexample(), monotonicity_counterexample())]
+        explicit = [(inst.utility(), ExplicitPrior(inst.prior.support()), inst.constraint)
+                    for inst in (generate_coverage(n=5, m=2, universe_size=6, density=0.35,
+                                                   seed=3, k=3),
+                                 generate_coverage(n=6, m=2, universe_size=6, density=0.35,
+                                                   seed=101, groups=[[0, 1, 2], [3, 4, 5]],
+                                                   limits=[1, 2]))]
+        for f, prior, constraint in cases + tabular + explicit:
             memoized = optimal_value(f, prior, constraint).value
-            assert abs(memoized - _brute_force(f, prior, PSI_EMPTY, constraint)) <= 1e-12
+            assert memoized == _brute_force(f, prior, PSI_EMPTY, constraint)
 
         # restricted queries (psi, V, a), shuffled, all answered by one oracle
         restricted = [correlated + (None,)] + [
             (inst.utility(), inst.prior, None) for inst in
             (generate_coverage(n=4, m=2, universe_size=6, density=0.35, seed=s) for s in (1, 2))]
+        restricted += [(f, prior, None) for f, prior, _ in tabular]
         restricted.append((outside.utility(), outside.prior, outside.constraint))
         for f, prior, constraint in restricted:
             queries = [(psi, items, a)
@@ -135,8 +152,48 @@ class TestOptimalValue:
                 assert oracle.memo
             for psi, items, a in queries:
                 allowed = PartitionConstraint.of([set(items) - set(psi.domain())], [a])
-                exact = _brute_force(f, prior, psi, allowed) - _stop_value(f, prior, psi)
-                assert abs(oracle(psi, items, a) - exact) <= 1e-12, (psi, items, a)
+                exact = _brute_force(f, prior, psi, allowed) - expected_set_value(f, prior, psi)
+                assert oracle(psi, items, a) == exact, (psi, items, a)
+
+    @pytest.mark.parametrize("inst", [
+        generate_coverage(n=6, m=2, universe_size=8, density=0.3, seed=1, k=3),
+        generate_coverage(n=5, m=3, universe_size=8, density=0.3, seed=2, k=2),
+        generate_coverage(n=6, m=2, universe_size=8, density=0.3, seed=3,
+                          groups=[[0, 1, 2], [3, 4, 5]], limits=[1, 2]),
+        # item 2 is in no group, so a key may leave it free and unselectable
+        generate_coverage(n=5, m=2, universe_size=6, density=0.35, seed=7,
+                          groups=[[0, 1], [3, 4]], limits=[1, 1]),
+        complementarity_counterexample()],
+        ids=["card-n6", "card-n5-m3", "part-n6", "part-outside", "complementarity"])
+    @pytest.mark.parametrize("explicit", [False, True], ids=["own-prior", "explicit-prior"])
+    def test_memo_holds_no_leaf(self, monkeypatch, inst, explicit):
+        # A child whose groups leave none of its free items selectable is
+        # priced as its stop, so every memo key (state, left, gid) has an item
+        # to select, and nodes_expanded counts the memo's keys; restricted
+        # queries on the same oracle add no leaf either.
+        prior = ExplicitPrior(inst.prior.support()) if explicit else inst.prior
+        oracle = RestrictedOracle(inst.utility(), prior)
+        monkeypatch.setattr("adasub.oracle.RestrictedOracle", lambda *args: oracle)
+        res = optimal_value(inst.utility(), prior, inst.constraint)
+        assert res.nodes_expanded == len(oracle.memo) > 0
+        for psi in enumerate_partial_realizations(prior, max_size=1):
+            for items in ((0,), tuple(range(inst.n))):
+                for a in range(len(items) + 1):
+                    oracle(psi, items, a)
+        for state, left, gid in oracle.memo:
+            assert oracle.moves[gid][0] & left, (state, left, gid)
+
+    def test_budgets_past_their_groups_solve_as_clamped(self):
+        # No selection spends a budget past its group's size, so the oracle
+        # interns the clamped groups: the value, first actions and counts are
+        # the clamped constraint's, and a budget of 10**9 builds no deep table.
+        inst = generate_coverage(n=5, m=2, universe_size=6, density=0.35, seed=7, k=5)
+        f, prior = inst.utility(), inst.prior
+        for clamped, wide in [
+                (CardinalityConstraint(5), CardinalityConstraint(10 ** 9)),
+                (PartitionConstraint.of([[0], [1, 2, 3]], [1, 2]),
+                 PartitionConstraint.of([[0], [1, 2, 3]], [10 ** 9, 2]))]:
+            assert optimal_value(f, prior, wide) == optimal_value(f, prior, clamped)
 
     def test_histories_that_share_a_key_share_its_memo_entry(self):
         # {0: 0} and {1: 0} both cover element 0 alone and leave items 2 and
@@ -156,8 +213,8 @@ class TestOptimalValue:
             assert answers[0] == answers[1], a
             for psi, answer in zip((first, second), answers):
                 allowed = PartitionConstraint.of([[2, 3]], [a])
-                exact = _brute_force(f, prior, psi, allowed) - _stop_value(f, prior, psi)
-                assert abs(answer - exact) <= 1e-12, (psi, a)
+                exact = _brute_force(f, prior, psi, allowed) - expected_set_value(f, prior, psi)
+                assert answer == exact, (psi, a)
 
     def test_partition_constraint(self, utility_a, prior_a):
         con = PartitionConstraint.of([[0], [1]], [1, 1])
@@ -319,7 +376,8 @@ def test_mask_queries_equal_restricted_optimal(monkeypatch, seed, explicit):
     # key, as the fully-adaptive check reads it; a read that hits the memo
     # expands no node, and a miss expands its key first.  Each answer must
     # equal a fresh restricted_optimal to the bit, and the memo value at the
-    # key less psi's stop value.
+    # key (read through the id of its groups) less psi's stop value.  A zero
+    # budget is a leaf: it answers 0 with no memo entry, read or expansion.
     inst = generate_coverage(n=4, m=2, universe_size=6, density=0.35, seed=seed)
     f, prior = inst.utility(), inst.prior
     if explicit:
@@ -335,24 +393,32 @@ def test_mask_queries_equal_restricted_optimal(monkeypatch, seed, explicit):
         return node(key, first)
 
     monkeypatch.setattr(oracle, "_node", counted)     # the recursion calls self._node
-    hit_queries = 0
+    hit_queries = leaf_queries = 0
     for psi in enumerate_partial_realizations(prior, max_size=2):
         root = dom, state = root_of(oracle, psi)
         for items, a, mask in columns:
             expected = restricted_optimal(f, prior, psi, items, a)
             free = mask & ~dom
-            key = (state, free, ((oracle.ground, min(a, free.bit_count())),))   # clamped
-            hit, hits = key in oracle.memo, oracle.hits
+            budget = min(a, free.bit_count())     # clamped
+            groups = ((oracle.ground, budget),)
+            hit = (state, free, oracle.gids.get(groups)) in oracle.memo
+            hits, size = oracle.hits, len(oracle.memo)
             expanded.clear()
-            answer = oracle.value(root, free, key[2][0][1])
+            answer = oracle.value(root, free, budget)
             assert answer == expected, (psi, items, a)
+            if not budget:
+                leaf_queries += 1
+                assert answer == 0.0 and not hit, (psi, items, a)
+                assert not expanded and (oracle.hits, len(oracle.memo)) == (hits, size)
+                continue
+            key = (state, free, oracle.gids[groups])
             assert answer == oracle.memo[key] - oracle._stop(state), (psi, items, a)
             if hit:
                 hit_queries += 1
                 assert not expanded and oracle.hits == hits + 1, (psi, items, a)
             else:
                 assert expanded[0] == key, (psi, items, a)
-    assert hit_queries > 0
+    assert hit_queries > 0 and leaf_queries > 0
 
 
 @pytest.mark.parametrize("explicit", [False, True], ids=["independent-prior", "explicit-prior"])
@@ -376,7 +442,9 @@ def test_restriction_budgets_never_exceed_their_items(monkeypatch, explicit):
     check_fully_adaptive_submodular(f, prior)
     (oracle,) = oracles
     assert oracle.memo
-    for state, left, groups in oracle.memo:
-        ((mask, budget),) = groups
+    groups_of = {gid: groups for groups, gid in oracle.gids.items()}
+    assert len(groups_of) == len(oracle.gids) == len(oracle.moves)
+    for state, left, gid in oracle.memo:
+        ((mask, budget),) = groups = groups_of[gid]
         assert mask == oracle.ground, groups
         assert 0 <= budget <= left.bit_count(), (left, budget)

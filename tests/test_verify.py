@@ -608,8 +608,9 @@ def test_fully_adaptive_sweep_carries_each_history_root(monkeypatch, make):
 
 
 def reachable_states(f, prior, queries):
-    """Distinct (covered mask, V minus dom psi, clamped budget) oracle keys the
-    queries reach, for coverage under an independent prior."""
+    """Distinct non-leaf (covered mask, V minus dom psi, clamped budget) oracle
+    keys the queries reach, for coverage under an independent prior.  A key
+    with no budget left is a leaf, which the oracle prices as its stop."""
     seen, keys = set(), set()
     stack = [(psi, frozenset(items) - set(psi.domain()), a) for psi, items, a in queries]
     while stack:
@@ -618,8 +619,10 @@ def reachable_states(f, prior, queries):
         if (psi.pairs, rest, a) in seen:
             continue
         seen.add((psi.pairs, rest, a))
+        if not a:
+            continue
         keys.add((f.covered(psi), rest, a))
-        for e in rest if a else ():
+        for e in rest:
             for o, _ in prior.item_posterior(e, psi):
                 stack.append((psi.with_observation(e, o), rest - {e}, a - 1))
     return keys
