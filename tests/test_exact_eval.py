@@ -570,3 +570,131 @@ def test_concat_over_the_cap_is_refused_before_any_work():
     with pytest.raises(InstanceTooLarge, match="histories"):
         exact_policy_value(concat(asg, asg), f, inst.prior)
     assert f.delta_counter == 0 and f.f_counter == 0
+
+
+# Exact values (float.hex), Delta counts and f counts of six policies,
+# unseeded and at seeds 0 and "x", pinned from the recursion that rebuilt
+# each node from its pairs: a faster recursion must keep every one.  The
+# coverage instances alternate cardinality and partition constraints; "z" is
+# an independent prior with zero-mass states.
+PIN_INSTANCES = (   # (n, m, universe size, density, seed, k, groups, limits)
+    (6, 2, 6, 0.35, 600, 3, ((0, 1, 2), (3, 4, 5)), (2, 1)),
+    (7, 3, 8, 0.3, 601, 3, ((0, 1, 2, 3), (4, 5, 6)), (2, 2)),
+    (8, 2, 8, 0.3, 602, 4, ((0, 1, 2), (3, 4, 5), (6, 7)), (1, 1, 1)),
+    (8, 2, 10, 0.25, 603, 4, ((0, 1, 2, 3), (4, 5, 6, 7)), (2, 2)),
+    (5, 3, 6, 0.4, 604, 3, ((0, 1), (2, 3, 4)), (1, 2)),
+    (8, 3, 12, 0.2, 605, 3, ((0, 1, 2), (3, 4, 5), (6, 7)), (1, 1, 1)),
+)
+PINNED = {
+    (0, "greedy"):
+        ("0x1.7ea3a6a66e5f2p+2 32 8", "0x1.7ea3a6a66e5f2p+2 32 8", "0x1.7ea3a6a66e5f2p+2 32 8"),
+    (0, "lazy"):
+        ("0x1.7ea3a6a66e5f2p+2 32 8", "0x1.7ea3a6a66e5f2p+2 32 8", "0x1.7ea3a6a66e5f2p+2 32 8"),
+    (0, "asg"):
+        ("0x1.7167bcca0c648p+2 174 74", "0x1.75936caac59dcp+2 21 8", "0x1.5b3b8bb0eaddcp+2 21 8"),
+    (0, "random"):
+        ("0x1.3992a4c205b50p+2 0 160", "0x1.200b3c959c948p+2 0 8", "0x1.421db186841eep+2 0 8"),
+    (0, "local"):
+        ("0x1.63f3afc18e96bp+2 19 8", "0x1.63f3afc18e96bp+2 19 8", "0x1.63f3afc18e96bp+2 19 8"),
+    (0, "gasg"):
+        ("0x1.63f3afc18e96ap+2 23 8", "0x1.63f3afc18e96ap+2 18 8", "0x1.63f3afc18e96bp+2 18 8"),
+    (1, "greedy"):
+        ("0x1.9753436cd49bep+2 70 27", "0x1.9753436cd49bep+2 70 27", "0x1.9753436cd49bep+2 70 27"),
+    (1, "lazy"):
+        ("0x1.9753436cd49bep+2 70 27", "0x1.9753436cd49bep+2 70 27", "0x1.9753436cd49bep+2 70 27"),
+    (1, "asg"):
+        ("0x1.7eee6d7070353p+2 737 639", "0x1.7c621fc834938p+2 39 27", "0x1.84f987ff628a4p+2 39 27"),
+    (1, "random"):
+        ("0x1.57a7657035a46p+2 0 945", "0x1.7245712b18be1p+2 0 27", "0x1.49f88764b75a7p+2 0 27"),
+    (1, "local"):
+        ("0x1.b134574d5e963p+2 94 81", "0x1.b134574d5e963p+2 94 81", "0x1.b134574d5e963p+2 94 81"),
+    (1, "gasg"):
+        ("0x1.a95e5cc845f63p+2 541 514", "0x1.aea0dc331c698p+2 80 81", "0x1.aad13cc2662f0p+2 80 81"),
+    (2, "greedy"):
+        ("0x1.f536e102b3122p+2 86 16", "0x1.f536e102b3122p+2 86 16", "0x1.f536e102b3122p+2 86 16"),
+    (2, "lazy"):
+        ("0x1.f536e102b3122p+2 86 16", "0x1.f536e102b3122p+2 86 16", "0x1.f536e102b3122p+2 86 16"),
+    (2, "asg"):
+        ("0x1.e407a1df26a16p+2 2204 785", "0x1.e64808e8badb0p+2 45 16", "0x1.d81c43ab2dafcp+2 45 16"),
+    (2, "random"):
+        ("0x1.9d36cfe5bd363p+2 0 1120", "0x1.bc35f729495aap+2 0 16", "0x1.c3f143b1b1412p+2 0 16"),
+    (2, "local"):
+        ("0x1.d2a19135f3727p+2 17 8", "0x1.d2a19135f3727p+2 17 8", "0x1.d2a19135f3727p+2 17 8"),
+    (2, "gasg"):
+        ("0x1.d2a19135f3727p+2 17 8", "0x1.d2a19135f3727p+2 17 8", "0x1.d2a19135f3727p+2 17 8"),
+    (3, "greedy"):
+        ("0x1.cf97e720eccd6p+2 86 16", "0x1.cf97e720eccd6p+2 86 16", "0x1.cf97e720eccd6p+2 86 16"),
+    (3, "lazy"):
+        ("0x1.cf97e720eccd6p+2 86 16", "0x1.cf97e720eccd6p+2 86 16", "0x1.cf97e720eccd6p+2 86 16"),
+    (3, "asg"):
+        ("0x1.bc4fb70733a42p+2 1720 605", "0x1.c50a6fd12f7e2p+2 45 16", "0x1.c2504950791cbp+2 45 16"),
+    (3, "random"):
+        ("0x1.780f3bf4a8813p+2 0 1120", "0x1.660acbdf6e1a6p+2 0 16", "0x1.872d07ce584dap+2 0 16"),
+    (3, "local"):
+        ("0x1.bf82d07c44160p+2 50 16", "0x1.bf82d07c44160p+2 50 16", "0x1.bf82d07c44160p+2 50 16"),
+    (3, "gasg"):
+        ("0x1.aaa0fd40e31b2p+2 396 241", "0x1.ad1257d3458cdp+2 30 16", "0x1.b016635617372p+2 30 16"),
+    (4, "greedy"):
+        ("0x1.7fefedb713fbdp+2 44 27", "0x1.7fefedb713fbdp+2 44 27", "0x1.7fefedb713fbdp+2 44 27"),
+    (4, "lazy"):
+        ("0x1.7fefedb713fbdp+2 44 27", "0x1.7fefedb713fbdp+2 44 27", "0x1.7fefedb713fbdp+2 44 27"),
+    (4, "asg"):
+        ("0x1.7f6c5fcbad3b2p+2 155 75", "0x1.7fefedb713fbep+2 39 27", "0x1.7e75f32d861c4p+2 39 27"),
+    (4, "random"):
+        ("0x1.6a8eb15ec9f08p+2 0 270", "0x1.78e29f967e286p+2 0 27", "0x1.7064323a95b46p+2 0 27"),
+    (4, "local"):
+        ("0x1.7fefedb713fbdp+2 29 27", "0x1.7fefedb713fbdp+2 29 27", "0x1.7fefedb713fbdp+2 29 27"),
+    (4, "gasg"):
+        ("0x1.7f71ef893a06ap+2 47 40", "0x1.7fefedb713fbcp+2 26 27", "0x1.7ee574f19a144p+2 26 27"),
+    (5, "greedy"):
+        ("0x1.951ad961dd63cp+2 83 27", "0x1.951ad961dd63cp+2 83 27", "0x1.951ad961dd63cp+2 83 27"),
+    (5, "lazy"):
+        ("0x1.951ad961dd63cp+2 83 27", "0x1.951ad961dd63cp+2 83 27", "0x1.951ad961dd63cp+2 83 27"),
+    (5, "asg"):
+        ("0x1.853536d0d71e1p+2 839 539", "0x1.7a20b4a7e1f02p+2 52 27", "0x1.7196f122c292ep+2 52 27"),
+    (5, "random"):
+        ("0x1.3232aa10da8afp+2 0 1512", "0x1.513379066f89cp+2 0 27", "0x1.30cfaeabe3261p+2 0 27"),
+    (5, "local"):
+        ("0x1.737af65ec683ep+2 30 27", "0x1.737af65ec683ep+2 30 27", "0x1.737af65ec683ep+2 30 27"),
+    (5, "gasg"):
+        ("0x1.737af65ec683ep+2 30 27", "0x1.737af65ec683ep+2 30 27", "0x1.737af65ec683ep+2 30 27"),
+    ("z", "greedy"):
+        ("0x1.9cccccccccccdp+1 9 3", "0x1.9cccccccccccdp+1 9 3", "0x1.9cccccccccccdp+1 9 3"),
+    ("z", "lazy"):
+        ("0x1.9cccccccccccdp+1 9 3", "0x1.9cccccccccccdp+1 9 3", "0x1.9cccccccccccdp+1 9 3"),
+    ("z", "asg"):
+        ("0x1.9547ae147ae15p+1 17 6", "0x1.9cccccccccccdp+1 8 3", "0x1.9cccccccccccdp+1 8 3"),
+    ("z", "random"):
+        ("0x1.4d5810624dd2fp+1 0 39", "0x1.8666666666666p+1 0 2", "0x1.8666666666666p+1 0 2"),
+    ("z", "local"):
+        ("0x1.8666666666666p+1 8 2", "0x1.8666666666666p+1 8 2", "0x1.8666666666666p+1 8 2"),
+    ("z", "gasg"):
+        ("0x1.8666666666666p+1 8 2", "0x1.8666666666666p+1 8 2", "0x1.8666666666666p+1 8 2"),
+}
+
+
+def _pinned_policies(k, groups, limits):
+    return (adaptive_greedy(k), adaptive_greedy(k, "lazy"), adaptive_stochastic_greedy(k, 0.3),
+            random_policy(k), locally_greedy(groups, limits), generalized_asg(groups, limits, 0.5))
+
+
+def test_exact_values_and_counts_are_pinned():
+    cases = []
+    for i, (n, m, size, density, seed, k, groups, limits) in enumerate(PIN_INSTANCES):
+        constraint = {"groups": groups, "limits": limits} if i % 2 else {"k": k}
+        inst = generate_coverage(n, m, size, density, seed=seed, **constraint)
+        cases += [(i, inst.utility, inst.prior, pi) for pi in _pinned_policies(k, groups, limits)]
+    prior = IndependentPrior([[0.0, 0.3, 0.7], [0.5, 0.5, 0.0], [0.25, 0.0, 0.75],
+                              [1.0, 0.0, 0.0], [0.4, 0.35, 0.25]])
+    covers = ((0b0001, 0b0011, 0b1000), (0b0000, 0b0110, 0b1111), (0b0100, 0b0101, 0b0010),
+              (0b1010, 0b0001, 0b0000), (0b0000, 0b1001, 0b0110))
+    cases += [("z", lambda: CoverageUtility((1.0, 2.0, 0.5, 0.75), covers), prior, pi)
+              for pi in _pinned_policies(2, ((0, 1), (2, 3, 4)), (1, 1))]
+    assert len(cases) == len(PINNED) == 42
+    for key, utility, prior, pi in cases:
+        runs = []
+        for seed in (None, 0, "x"):
+            f = utility()
+            value = exact_policy_value(pi, f, prior, seed=seed)
+            runs.append("%s %d %d" % (value.hex(), f.delta_counter, f.f_counter))
+        assert tuple(runs) == PINNED[key, pi.name], (key, pi.describe())
