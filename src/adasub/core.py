@@ -730,8 +730,8 @@ class EvalContext:
     covered mask.  Under an independent prior the child's evidence check is
     the new observation's mass.  A rollout (Policy.run_on) advances this way,
     so no round rebuilds what the round before it had; descend(psi, covered)
-    makes a checker sweep's history current from its parent's covered mask
-    in the same way.  Any other history (exact evaluation, a stray psi)
+    makes a history of a checker sweep or of exact evaluation current with
+    the covered mask its caller carries.  Any other history (a stray psi)
     becomes the current one with its state built from scratch.
     f's Delta state (for coverage: the pricing function made for the
     covered mask) belongs to f: f.state(covered) builds, shares and bounds
@@ -822,18 +822,18 @@ class EvalContext:
         self._fstate = None
         return child
 
-    def descend(self, psi: PartialRealization, covered):
-        """Make psi current, carrying the state of its parent, psi less its
-        last pair (e, o), a possible history of covered mask `covered` (None
-        for a non-coverage f or an empty psi): psi's mask, returned, is
-        covered | f.covers[e][o]; under an independent prior its evidence
-        check is (e, o)'s mass, as in advance()."""
+    def descend(self, psi: PartialRealization, covered, added=None):
+        """Make psi current, reached from a possible parent through a state of
+        positive mass, so under an independent prior its evidence is not
+        checked.  A coverage f's mask of psi, returned, is `covered` ORed with
+        the covers of the pairs `added`: by default psi's last pair, so
+        `covered` is its parent's mask (None at the root); with (), psi's own."""
         self._adopt(psi)
-        if psi.pairs:
-            e, o = psi.pairs[-1]
-            self._possible = self._probs is not None and self._probs[e][o] > 0.0
+        self._possible = self._probs is not None
         if isinstance(self.f, CoverageUtility):
-            self._covered = covered | self.f.covers[e][o] if psi.pairs else 0
+            self._covered = covered or 0
+            for e, o in psi.pairs[-1:] if added is None else added:
+                self._covered |= self.f.covers[e][o]
         return self._covered
 
     def _state(self):

@@ -5,13 +5,16 @@ HistoryRecursion: the expectation of the final utility over histories,
 memoized on the history, where each node either stops, worth
 expected_set_value (for coverage, its covered mask's weight), or averages
 over the policy's own choice (adasub.oracle's RestrictedOracle takes the max
-instead).  A policy owns its constraint (pi.fresh_constraint(n)) and is always
-evaluated under it; every selected item is observed, so a history's
-constraint state is the fresh one advanced by its domain's items, and the
-history alone keys its node.  A deterministic policy's choice is its decide,
-the code a rollout runs, and so is a randomized one's for a fixed master seed
-(its stream is derived from the seed and the history); unseeded, a randomized
-policy's decision_distribution averages over that randomness exactly.  Exact
+instead).  Coverage under an independent prior, evaluated on its own (no
+evidence given, no concatenation), hands each node its covered mask from its
+parent, so no node rescans its pairs for its Delta state, evidence or stop.
+A policy owns its constraint (pi.fresh_constraint(n)) and is always evaluated
+under it; every selected item is observed, so a history's constraint state
+is the fresh one advanced by its domain's items, and the history alone keys
+its node.  A deterministic policy's choice is its decide, the code a rollout
+runs, and so is a randomized one's for a fixed master seed (its stream is
+derived from the seed and the history); unseeded, a randomized policy's
+decision_distribution averages over that randomness exactly.  Exact
 evaluation first bounds the histories it could visit and refuses trees over
 EXACT_MAX_HISTORIES: a randomized policy may reach C(n, j) * m^j histories at
 depth j.  A concatenation's first phase stops at leaves worth the second
@@ -25,14 +28,14 @@ from __future__ import annotations
 import math
 import random
 
-from .core import (EvalContext, PSI_EMPTY, PartialRealization, _check_int, _left_sum,
-                   expected_set_value)
+from .core import (EvalContext, PSI_EMPTY, PartialRealization, _check_int, _insert_pair,
+                   _left_sum, expected_set_value)
 from .errors import InstanceTooLarge, ValidationError
 from .policies import ConcatPolicy, Policy, _check_choice, run_policy
 
 # Exact unseeded ASG (k=5, eps=0.1) on generate_coverage(n=16, m=2, universe_size=8,
-# density=0.3, seed=1) visits 53,635 histories in ~0.7 CPU s and ~11.5 MiB (2-vCPU
-# Xeon, Python 3.11), so a tree at the cap takes about 3 s and 45 MiB.
+# density=0.3, seed=1) visits 53,635 histories in ~0.42 CPU s and ~10.3 MiB (2-vCPU
+# Xeon, Python 3.11), so a tree at the cap takes about 1.6 s and 40 MiB.
 EXACT_MAX_HISTORIES = 200_000
 
 
@@ -59,44 +62,54 @@ def exact_history_bound(pi: Policy, n: int, m: int, expand=True) -> int:
 class HistoryRecursion:
     """pi's expected final utility over observation histories, in the context ctx.
 
-    value(psi, cstate) is a node, memoized on psi.pairs, as dom psi fixes
-    cstate (module docstring).  Its evidence is psi with `given`, which pi
-    does not see, built once per node.  pi either stops, worth
-    leaf(evidence), priced each time a node stops (once per history), or its
-    choice's branches are averaged, each e worth
-    sum_o p(o | evidence) * value(psi + (e, o), cstate after e).  Each node's
-    decide starts from an empty per-rollout dict, so lazy greedy builds its
-    heap afresh there and its tree is greedy's.  Every expanded node is
-    memoized, so len(memo) counts them; hits counts memo hits.
+    value(psi, cstate, covered) is a node, memoized on psi.pairs, as dom psi
+    fixes cstate (module docstring).  pi either stops, priced once per
+    history, or its choice's branches are averaged, each e worth
+    sum_o p(o | evidence) * value(psi + (e, o), cstate after e, its mask).
+    A node given its covered mask (module docstring) becomes ctx's current
+    history through descend, reads e's posterior from its prior row and
+    stops at f.covered_value(covered); any other node's evidence is psi with
+    `given`, which pi does not see, and its stop is leaf(evidence).  Each
+    node's decide starts from an empty per-rollout dict, so lazy greedy's
+    tree is greedy's.  len(memo) counts the expanded nodes; hits, memo hits.
     """
 
     def __init__(self, pi, ctx, given, leaf):
         self.pi, self.ctx, self.given, self.leaf = pi, ctx, given, leaf
-        self.memo = {}
-        self.hits = 0
+        self.memo, self.hits = {}, 0
 
-    def value(self, psi, cstate):
-        value = self.memo.get(psi.pairs)
+    def value(self, psi, cstate, covered=None):
+        pairs = psi.pairs
+        value = self.memo.get(pairs)
         if value is not None:
             self.hits += 1
             return value
-        pi, ctx, given = self.pi, self.ctx, self.given
+        pi, ctx, given, f = self.pi, self.ctx, self.given, self.ctx.f
+        if covered is not None:
+            ctx.descend(psi, covered, ())
         if ctx.seed is None and pi.randomized:
             choices = pi.decision_distribution(ctx, psi, cstate)
         else:
             decision = pi.decide(ctx, psi, cstate, {})
             choices = [] if decision is None else [(decision[0], 1.0)]
-        evidence = (PartialRealization.of({**given.as_dict(), **psi.as_dict()})
-                    if given else psi)
-        value = 0.0 if choices else self.leaf(evidence)
+        if covered is None:
+            evidence = (PartialRealization.of({**given.as_dict(), **psi.as_dict()})
+                        if given else psi)
+            value = 0.0 if choices else self.leaf(evidence)
+        else:
+            value = 0.0 if choices else f.covered_value(covered)
+        seen = ctx.observed(psi)
         for e, q in choices:
-            _check_choice(pi, e, psi, cstate, ctx.n)
+            _check_choice(pi, e, seen, cstate, ctx.n)
             nxt = cstate.after(e)
             branch = 0.0
-            for o, p in ctx.prior.item_posterior(e, evidence):
-                branch += p * self.value(psi.with_observation(e, o), nxt)
+            for o, p in (ctx.prior.item_posterior(e, evidence) if covered is None
+                         else ctx._rows[e]):
+                child = PartialRealization(_insert_pair(pairs, e, o)[1])
+                branch += p * self.value(child, nxt, covered if covered is None
+                                         else covered | f.covers[e][o])
             value += q * branch
-        self.memo[psi.pairs] = value
+        self.memo[pairs] = value
         return value
 
 
@@ -121,14 +134,17 @@ def _policy_value(pi, f, prior, given, seed, delta_cache=None, leaf=None):
             raise InstanceTooLarge(
                 "exact evaluation of %s may visit %d histories, over the cap %d"
                 % (pi.describe(), bound, EXACT_MAX_HISTORIES))
-        leaf = lambda evidence: expected_set_value(f, prior, evidence)
+    stop = leaf or (lambda evidence: expected_set_value(f, prior, evidence))
     if isinstance(pi, ConcatPolicy):
         s1, s2 = (None, None) if seed is None else ("%s/1" % seed, "%s/2" % seed)
         return _policy_value(pi.first, f, prior, given, s1, delta_cache,
                              lambda evidence: _policy_value(pi.second, f, prior, evidence,
-                                                            s2, delta_cache, leaf))
+                                                            s2, delta_cache, stop))
     ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
-    return HistoryRecursion(pi, ctx, given, leaf).value(PSI_EMPTY, pi.fresh_constraint(prior.n))
+    # The empty history's covered mask, where the nodes carry theirs (HistoryRecursion).
+    covered = 0 if leaf is None and not given and ctx._rows is not None else None
+    return HistoryRecursion(pi, ctx, given, stop).value(PSI_EMPTY, pi.fresh_constraint(prior.n),
+                                                        covered)
 
 
 def expected_utility(f, prior, pi: Policy, mode: str = "exact",

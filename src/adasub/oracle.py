@@ -9,8 +9,9 @@ with the policy's choice replaced by a max:
 The stop branch keeps the oracle correct for non-monotone tabular utilities.
 One object per instance, RestrictedOracle, computes it for optimal_value and
 every restricted query, memoized on the key (state, left, gid): `left` masks
-the items still free (every unobserved item, or V minus dom psi for a
-restricted query), and `gid` interns a tuple of fixed (group mask, budget
+the items still free and selectable (unobserved, or in V minus dom psi for a
+restricted query, and in a group with budget: budgets only fall, so V never
+reads the others), and `gid` interns a tuple of fixed (group mask, budget
 clamped to the group's size) pairs: ((all items, k),) for a cardinality k,
 one per group for a partition, ((all items, min(a, |left|)),) for a
 restricted query.  The state ORs a bit pattern per observation (e, o):
@@ -25,10 +26,9 @@ restricted query.  The state ORs a bit pattern per observation (e, o):
 Stop values are memoized on the state.  Under an independent prior each
 item's (bits, probability) row is built once; under an explicit prior a node
 reads each free item's posterior at its history from ExplicitPrior.posteriors.
-A node loops over the set bits of `selectable & left` in ascending order and
-keys each child in O(1) from its gid's move table.  A child whose groups
-leave none of its free items selectable is a leaf, worth exactly its stop,
-which is read with no call and no memo entry.  Values within VALUE_TOL of
+A node loops over the set bits of `left` in ascending order and keys each
+child in O(1) from its gid's move table.  A child with no item left is a
+leaf, worth exactly its stop, which is read with no call and no memo entry.  Values within VALUE_TOL of
 the best tie, and the root's tied best items are its optimal first actions.
 Hard instance caps fail loudly; ground truth is this module's only job.
 """
@@ -189,8 +189,7 @@ class RestrictedOracle:
         state, left, gid = key
         memo, rows, stops = self.memo, self.rows, self.stops
         best = self._stop(state)
-        selectable, after = self.moves[gid]
-        free = selectable & left
+        free, after = left, self.moves[gid][1]
         if rows is None and free:
             # An explicit prior's posteriors at psi, its states as bits.
             items = [e for e in range(self.n) if free >> e & 1]
@@ -202,9 +201,10 @@ class RestrictedOracle:
             bit = free & -free
             free ^= bit
             e = bit.bit_length() - 1
-            (nxt, reach), rest = after[e], left ^ bit
+            nxt, reach = after[e]
+            rest = (left ^ bit) & reach
             total = 0.0
-            if reach & rest:
+            if rest:
                 for bits, p in rows[e]:
                     k = (state | bits, rest, nxt)
                     value = memo.get(k)
@@ -236,7 +236,8 @@ def _solve(f, prior, constraint, caps: OracleCaps = DEFAULT_CAPS) -> OracleResul
               if isinstance(constraint, PartitionConstraint)
               else ((oracle.ground, min(constraint.remaining, oracle.n)),))
     first = []
-    value = oracle._node((0, oracle.ground, oracle._gid(groups)), first)   # the empty history
+    gid = oracle._gid(groups)
+    value = oracle._node((0, oracle.moves[gid][0], gid), first)   # the empty history
     return OracleResult(value, tuple(first), len(oracle.memo), oracle.hits)
 
 

@@ -307,8 +307,11 @@ class _BestOfSamplePolicy(Policy):
         the candidates may be `pool` itself, and none stops."""
         raise NotImplementedError
 
+    def _candidates(self, ctx, psi, cstate):      # _sample_space at psi, from ctx's maps
+        return self._sample_space(ctx.observed(psi), ctx.pool(psi), cstate, ctx.n)
+
     def decide(self, ctx, psi, cstate, scratch):
-        pool, s = self._sample_space(ctx.observed(psi), ctx.pool(psi), cstate, ctx.n)
+        pool, s = self._candidates(ctx, psi, cstate)
         if not pool:
             return None
         candidates = pool if s == len(pool) else _draw(ctx.rng_for(psi), pool, s)
@@ -326,7 +329,7 @@ class _BestOfSamplePolicy(Policy):
         the sample holds rank j and s-1 of the N-1-j ranks after it:
         probability C(N-1-j, s-1) / C(N, s).
         """
-        pool, s = self._sample_space(ctx.observed(psi), ctx.pool(psi), cstate, ctx.n)
+        pool, s = self._candidates(ctx, psi, cstate)
         if not pool:
             return []
         ranked = sorted(pool, key=lambda e: (-ctx.delta(e, psi), e))
@@ -495,6 +498,9 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
         """Greedy's cap in each group i: pools |B_i|, |B_i|-1, ... in min(d_i, |B_i|) rounds."""
         return sum(sum(len(g) - j for j in range(min(d, len(g))))
                    for g, d in zip(self.constraint.groups, self.limits))
+
+    def _candidates(self, ctx, psi, cstate):    # its _sample_space reads no pool
+        return self._sample_space(ctx.observed(psi), None, cstate, ctx.n)
 
     def _sample_space(self, seen, pool, cstate, n):
         for i in self.order:

@@ -266,10 +266,12 @@ def visited_histories(monkeypatch, pi, f, prior, seed=None):
     seen = []
     inner = evaluation.HistoryRecursion.value
 
-    def counting(rec, psi, cstate):
+    def counting(rec, psi, cstate, covered=None):
         if psi.pairs not in rec.memo:
             seen.append(psi.pairs)
-        return inner(rec, psi, cstate)
+            # a carried covered mask is the one psi's pairs cover
+            assert covered is None or covered == rec.ctx.f.covered(psi), psi
+        return inner(rec, psi, cstate, covered)
 
     monkeypatch.setattr(evaluation.HistoryRecursion, "value", counting)
     value = exact_policy_value(pi, f, prior, seed=seed)
@@ -343,14 +345,17 @@ def test_each_memoized_node_has_the_constraint_its_domain_fixes(monkeypatch):
             for seed in (None, 0):
                 checked = []
 
-                def checking(rec, psi, cstate):
+                def checking(rec, psi, cstate, covered=None):
                     if psi.pairs not in rec.memo:
                         fresh = pi.fresh_constraint(inst.n)
                         for e in psi.domain():
                             fresh = fresh.after(e)
                         assert cstate == fresh, (pi.describe(), seed, psi)
+                        # coverage under an independent prior: every node
+                        # carries the covered mask its pairs fix
+                        assert covered == rec.ctx.f.covered(psi), (pi.describe(), seed, psi)
                         checked.append(psi.pairs)
-                    return inner(rec, psi, cstate)
+                    return inner(rec, psi, cstate, covered)
 
                 monkeypatch.setattr(evaluation.HistoryRecursion, "value", checking)
                 _, rec = recursion_of(monkeypatch, pi, inst.utility(), inst.prior, seed)

@@ -160,7 +160,7 @@ class TestOptimalValue:
         generate_coverage(n=5, m=3, universe_size=8, density=0.3, seed=2, k=2),
         generate_coverage(n=6, m=2, universe_size=8, density=0.3, seed=3,
                           groups=[[0, 1, 2], [3, 4, 5]], limits=[1, 2]),
-        # item 2 is in no group, so a key may leave it free and unselectable
+        # item 2 is in no group, so no key of optimal_value holds it
         generate_coverage(n=5, m=2, universe_size=6, density=0.35, seed=7,
                           groups=[[0, 1], [3, 4]], limits=[1, 1]),
         complementarity_counterexample()],
@@ -182,6 +182,32 @@ class TestOptimalValue:
                     oracle(psi, items, a)
         for state, left, gid in oracle.memo:
             assert oracle.moves[gid][0] & left, (state, left, gid)
+
+    @pytest.mark.parametrize("inst", [
+        generate_coverage(n=6, m=2, universe_size=8, density=0.3, seed=3,
+                          groups=[[0, 1, 2], [3, 4, 5]], limits=[1, 2]),
+        generate_coverage(n=5, m=2, universe_size=6, density=0.35, seed=7,
+                          groups=[[0, 1], [3, 4]], limits=[1, 1]),
+        generate_coverage(n=8, m=2, universe_size=8, density=0.3, seed=5,
+                          groups=[[0, 1, 2, 3], [4, 5, 6, 7]], limits=[2, 1]),
+        # the CI twin: gen --n 10 --m 3 --universe 16 --groups '0,1,2;3,4,5;6,7,8,9'
+        # --limits 2,2,2 --seed 1
+        generate_coverage(n=10, m=3, universe_size=16, density=0.3, seed=1,
+                          groups=[[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]], limits=[2, 2, 2])],
+        ids=["part-n6", "part-outside", "part-n8", "part-n10-twin"])
+    def test_partition_keys_hold_only_selectable_items(self, monkeypatch, inst):
+        # Budgets only fall, so V does not depend on an item whose group is
+        # spent (or that is in no group): every key's `left` drops such items,
+        # and keys that differ only in them are one memo entry.
+        oracle = RestrictedOracle(inst.utility(), inst.prior)
+        monkeypatch.setattr("adasub.oracle.RestrictedOracle", lambda *args: oracle)
+        res = optimal_value(inst.utility(), inst.prior, inst.constraint)
+        assert res.nodes_expanded == len(oracle.memo) > 0
+        for state, left, gid in oracle.memo:
+            assert left & ~oracle.moves[gid][0] == 0, (state, left, gid)
+        if inst.n == 10:
+            assert (round(res.value, 10), res.optimal_first_actions) == (15.3095874214, (2,))
+            assert (res.nodes_expanded, res.cache_hits) == (13297, 126375)
 
     def test_budgets_past_their_groups_solve_as_clamped(self):
         # No selection spends a budget past its group's size, so the oracle

@@ -203,6 +203,34 @@ def test_sample_space_matches_its_definition():
             assert pool == [e for e in range(10) if e not in psi and cstate.can_select(e)]
 
 
+def test_partition_policies_build_no_pool(monkeypatch):
+    # Locally greedy and GASG draw from a group's unobserved items, which the
+    # observed map gives, so their decisions never ask the context for its
+    # pool; their values, Delta counts and rollouts stay those with a pool.
+    groups, limits = [[0, 1, 2, 3], [4, 5, 6]], [2, 1]
+    inst = generate_coverage(n=7, m=2, universe_size=8, density=0.3, seed=5,
+                             groups=groups, limits=limits)
+    phi = inst.prior.sample(random.Random(5))
+
+    def runs():
+        out = []
+        for pi in (locally_greedy(groups, limits), generalized_asg(groups, limits, 0.5)):
+            for seed in (None, 0):
+                f = inst.utility()
+                out.append((exact_policy_value(pi, f, inst.prior, seed=seed), f.delta_counter))
+            trace, f = rollout(pi, inst, phi)
+            out.append((trace, f.delta_counter))
+        return out
+
+    with_pool = runs()
+
+    def refuse(*args):
+        raise AssertionError("a partition policy built the pool")
+
+    monkeypatch.setattr(EvalContext, "pool", refuse)
+    assert runs() == with_pool
+
+
 @pytest.mark.parametrize("eps,match", [
     (1e-320, "too small"), (5e-324, "too small"), ("0.1", "must be a number"),
     (None, "must be a number"), (0.0, r"must be in \(0,1\)"), (1.0, r"must be in \(0,1\)"),
