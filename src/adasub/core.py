@@ -822,18 +822,18 @@ class EvalContext:
         self._fstate = None
         return child
 
-    def descend(self, psi: PartialRealization, covered, added=None):
+    def descend(self, psi: PartialRealization, covered, own=False):
         """Make psi current, reached from a possible parent through a state of
-        positive mass, so under an independent prior its evidence is not
-        checked.  A coverage f's mask of psi, returned, is `covered` ORed with
-        the covers of the pairs `added`: by default psi's last pair, so
-        `covered` is its parent's mask (None at the root); with (), psi's own."""
+        positive mass (so under an independent prior no evidence is checked),
+        with a coverage f's mask, returned: `covered` if `own`, else its parent's
+        mask `covered` (None at the root) ORed with psi's last pair's cover."""
         self._adopt(psi)
         self._possible = self._probs is not None
         if isinstance(self.f, CoverageUtility):
+            if not own and psi.pairs:
+                e, o = psi.pairs[-1]
+                covered |= self.f.covers[e][o]
             self._covered = covered or 0
-            for e, o in psi.pairs[-1:] if added is None else added:
-                self._covered |= self.f.covers[e][o]
         return self._covered
 
     def _state(self):

@@ -86,7 +86,7 @@ class HistoryRecursion:
             return value
         pi, ctx, given, f = self.pi, self.ctx, self.given, self.ctx.f
         if covered is not None:
-            ctx.descend(psi, covered, ())
+            ctx.descend(psi, covered, own=True)
         if ctx.seed is None and pi.randomized:
             choices = pi.decision_distribution(ctx, psi, cstate)
         else:
@@ -106,7 +106,7 @@ class HistoryRecursion:
             for o, p in (ctx.prior.item_posterior(e, evidence) if covered is None
                          else ctx._rows[e]):
                 child = PartialRealization(_insert_pair(pairs, e, o)[1])
-                branch += p * self.value(child, nxt, covered if covered is None
+                branch += p * self.value(child, nxt, None if covered is None
                                          else covered | f.covers[e][o])
             value += q * branch
         self.memo[pairs] = value

@@ -9,12 +9,11 @@ with the policy's choice replaced by a max:
 The stop branch keeps the oracle correct for non-monotone tabular utilities.
 One object per instance, RestrictedOracle, computes it for optimal_value and
 every restricted query, memoized on the key (state, left, gid): `left` masks
-the items still free and selectable (unobserved, or in V minus dom psi for a
-restricted query, and in a group with budget: budgets only fall, so V never
-reads the others), and `gid` interns a tuple of fixed (group mask, budget
-clamped to the group's size) pairs: ((all items, k),) for a cardinality k,
-one per group for a partition, ((all items, min(a, |left|)),) for a
-restricted query.  The state ORs a bit pattern per observation (e, o):
+the items still free and selectable (unobserved, or in V minus dom psi for
+a restricted query, and with group budget left), and `gid` interns a tuple of
+fixed (group mask, budget clamped to the group's size) pairs: ((all items,
+k),) for a cardinality k, one per group for a partition, ((all items, min(a,
+|left|)),) for a restricted query.  The state ORs a bit pattern per (e, o):
 
 * for coverage under an independent prior, (e, o)'s coverage mask.  An
   unobserved item's posterior is its prior, and the future values of psi
@@ -27,10 +26,11 @@ Stop values are memoized on the state.  Under an independent prior each
 item's (bits, probability) row is built once; under an explicit prior a node
 reads each free item's posterior at its history from ExplicitPrior.posteriors.
 A node loops over the set bits of `left` in ascending order and keys each
-child in O(1) from its gid's move table.  A child with no item left is a
-leaf, worth exactly its stop, which is read with no call and no memo entry.  Values within VALUE_TOL of
-the best tie, and the root's tied best items are its optimal first actions.
-Hard instance caps fail loudly; ground truth is this module's only job.
+child in O(1) from its gid's move table; a child with no item left is a
+leaf, worth exactly its stop, read with no call and no memo entry.  Values
+within VALUE_TOL of the best tie, and the root's tied best items are its
+optimal first actions.  Hard instance caps fail loudly; ground truth is this
+module's only job.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class RestrictedOracle:
             free ^= bit
             e = bit.bit_length() - 1
             nxt, reach = after[e]
-            rest = (left ^ bit) & reach
+            rest = (left ^ bit) & reach     # budgets only fall: V never reads the rest
             total = 0.0
             if rest:
                 for bits, p in rows[e]:
