@@ -703,3 +703,60 @@ def test_exact_values_and_counts_are_pinned():
             value = exact_policy_value(pi, f, prior, seed=seed)
             runs.append("%s %d %d" % (value.hex(), f.delta_counter, f.f_counter))
         assert tuple(runs) == PINNED[key, pi.name], (key, pi.describe())
+
+
+# Exact values (float.hex), Delta counts and f counts of the evaluations that
+# acceptance criteria 1 and 4-6 make, on the first of their instances, pinned
+# from runs that shared one Delta cache per instance: "card" instances are
+# criterion 1's seeds 1000, 1001 and 1003, "part" ones the partition suite's
+# seeds 2000 and 2001.  Each tuple is unseeded, then at each listed seed.
+ACCEPTANCE_PINNED = {
+    (1000, "asg(eps=0.3,k=2)"): ("0x1.5eff611a3a7c6p+2 36 18", "0x1.61c7ec0411496p+2 12 4",
+                                 "0x1.61f886c3598f4p+2 12 4"),
+    (1000, "asg(eps=0.1,k=2)"): ("0x1.653e7872cb08ap+2 16 4",) * 3,
+    (1000, "asg(eps=0.01,k=2)"): ("0x1.653e7872cb08ap+2 16 4",) * 3,
+    (1001, "asg(eps=0.3,k=2)"): ("0x1.8ec15c9a6a474p+2 64 35", "0x1.9a1c470dd451ap+2 15 4",
+                                 "0x1.9a1c470dd451ap+2 15 4"),
+    (1001, "asg(eps=0.1,k=2)"): ("0x1.9a1c470dd451ap+2 22 4",) * 3,
+    (1001, "asg(eps=0.01,k=2)"): ("0x1.9a1c470dd451ap+2 22 4",) * 3,
+    (1003, "asg(eps=0.3,k=3)"): ("0x1.8c678696bee9cp+2 402 185", "0x1.99417581ba424p+2 28 8",
+                                 "0x1.7139374c7e0a0p+2 28 8"),
+    (1003, "asg(eps=0.1,k=3)"): ("0x1.9cce73e13e091p+2 84 10", "0x1.9c20261ad1ee3p+2 45 8",
+                                 "0x1.a192944e32c51p+2 45 8"),
+    (1003, "asg(eps=0.01,k=3)"): ("0x1.9c20261ad1ee3p+2 46 8",) * 3,
+    (2000, "local(order=0:1)"): ("0x1.eb71e0ad6f20dp+2 23 8",) * 2,
+    (2000, "gasg(eps=0.1,order=0:1)"): ("0x1.eb71e0ad6f20dp+2 23 8",) * 2,
+    (2000, "gasg(eps=0.01,order=0:1)"): ("0x1.eb71e0ad6f20dp+2 23 8",) * 2,
+    (2001, "local(order=0:1)"): ("0x1.e820b9770d0fep+2 50 16",) * 2,
+    (2001, "gasg(eps=0.1,order=0:1)"): ("0x1.e820b9770d0fep+2 50 16",) * 2,
+    (2001, "gasg(eps=0.01,order=0:1)"): ("0x1.e820b9770d0fep+2 50 16",) * 2,
+}
+
+
+def _acceptance_cases():
+    """(instance seed, instance, policies, seeds), as the acceptance suites build them."""
+    for i, n, k in ((0, 6, 2), (1, 8, 2), (3, 8, 3)):
+        inst = generate_coverage(n=n, m=2, universe_size=8, density=0.3, seed=1000 + i, k=k)
+        yield (1000 + i, inst, [adaptive_stochastic_greedy(k, eps) for eps in (0.3, 0.1, 0.01)],
+               ("c1:0", "c1:1"))
+    shapes = ((7, [[0, 1, 2], [3, 4, 5, 6]], [1, 2]), (8, [[0, 1, 2, 3], [4, 5, 6, 7]], [2, 2]))
+    for i, (n, groups, limits) in enumerate(shapes):
+        inst = generate_coverage(n=n, m=2, universe_size=8, density=0.3, seed=2000 + i,
+                                 groups=groups, limits=limits)
+        yield (2000 + i, inst, [locally_greedy(groups, limits)]
+               + [generalized_asg(groups, limits, eps) for eps in (0.1, 0.01)], ("c5:0",))
+
+
+def test_acceptance_evaluations_are_pinned():
+    checked = 0
+    for key, inst, policies, seeds in _acceptance_cases():
+        cache = {}
+        for pi in policies:
+            runs = []
+            for seed in (None,) + seeds:
+                f = inst.utility()
+                value = exact_policy_value(pi, f, inst.prior, seed=seed, delta_cache=cache)
+                runs.append("%s %d %d" % (value.hex(), f.delta_counter, f.f_counter))
+            assert tuple(runs) == ACCEPTANCE_PINNED[key, pi.describe()], (key, pi.describe())
+            checked += len(runs)
+    assert checked == 39
