@@ -713,11 +713,10 @@ def marginal_utility(f: UtilityFunction, prior, psi: PartialRealization, e: int)
 class EvalContext:
     """Shared evaluation state for policy rollouts.
 
-    Bundles the utility, the prior, the master seed for internal policy
-    randomness, and an optional cross-rollout cache of Delta values.
-    The per-decision random stream is derived from (seed, observation
-    history), so a policy's choice at a given history is reproducible no
-    matter how that history was reached.
+    Bundles the utility, the prior and the master seed for internal policy
+    randomness.  The per-decision random stream is derived from (seed,
+    observation history), so a policy's choice at a given history is
+    reproducible no matter how that history was reached.
 
     It also holds one history state, for the current history object:
       - its observed-item map;
@@ -739,17 +738,20 @@ class EvalContext:
     rollout or not, prices through one function.  delta() calls it directly.
     """
 
-    def __init__(self, f, prior, seed=0, delta_cache=None):
+    # Read by perfbench/tracing.py's delta_lookup on every traced Delta;
+    # no context caches Delta values.
+    delta_cache = None
+
+    def __init__(self, f, prior, seed=0):
         _check_fit(f, prior)
         self.f = f
         self.prior = prior
         self.seed = seed
-        self.delta_cache = delta_cache
         independent = isinstance(prior, IndependentPrior)
-        # delta()'s fast path: f's state prices Delta, no delta_cache, and an
-        # unobserved item's posterior is its row.
-        self._rows = (prior.rows if independent and delta_cache is None
-                      and isinstance(f, CoverageUtility) else None)
+        # Coverage under an independent prior, where an unobserved item's
+        # posterior is its row: delta()'s fast path and HistoryRecursion's
+        # carried-mask nodes.
+        self._rows = prior.rows if independent and isinstance(f, CoverageUtility) else None
         self._probs = prior.probs if independent else None
         self._psi = None            # the current history
         self._seen = {}             # its observed items -> states
@@ -824,11 +826,11 @@ class EvalContext:
 
     def descend(self, psi: PartialRealization, covered, own=False):
         """Make psi current, reached from a possible parent through a state of
-        positive mass (so under an independent prior no evidence is checked),
-        with a coverage f's mask, returned: `covered` if `own`, else its parent's
+        positive mass (so no evidence is checked, under any prior), with a
+        coverage f's mask, returned: `covered` if `own`, else its parent's
         mask `covered` (None at the root) ORed with psi's last pair's cover."""
         self._adopt(psi)
-        self._possible = self._probs is not None
+        self._possible = True
         if isinstance(self.f, CoverageUtility):
             if not own and psi.pairs:
                 e, o = psi.pairs[-1]
@@ -860,26 +862,13 @@ class EvalContext:
             if gain is None:
                 gain = self._state()
             return gain(e, self._rows[e])
-        if self.delta_cache is None:
-            return self._delta_exact(e, psi)
-        key = (psi.pairs, e)
-        val = self.delta_cache.get(key)
-        if val is None:
-            val = self._delta_exact(e, psi)
-            self.delta_cache[key] = val
-        return val
-
-    def _delta_exact(self, e, psi):
-        """Delta(e | psi) for an unobserved e at the current history psi,
-        without touching delta_counter."""
-        f, prior = self.f, self.prior
-        if not isinstance(f, CoverageUtility):
-            dom = psi.domain()
-            dom_e = dom + (e,)
-            total = 0.0
-            for phi, p in prior.support(psi):
-                total += p * (f.value(dom_e, phi) - f.value(dom, phi))
-            return total
-        # f(dom, .) is fixed by psi and f(dom+e, .) depends on Phi_e only,
-        # so the expectation reduces to item e's posterior for any prior.
-        return self._state()(e, prior.item_posterior(e, psi))
+        if isinstance(f, CoverageUtility):
+            # f(dom, .) is fixed by psi and f(dom+e, .) depends on Phi_e only,
+            # so the expectation reduces to item e's posterior for any prior.
+            return self._state()(e, self.prior.item_posterior(e, psi))
+        dom = psi.domain()
+        dom_e = dom + (e,)
+        total = 0.0
+        for phi, p in self.prior.support(psi):
+            total += p * (f.value(dom_e, phi) - f.value(dom, phi))
+        return total

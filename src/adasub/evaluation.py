@@ -113,18 +113,18 @@ class HistoryRecursion:
         return value
 
 
-def exact_policy_value(pi: Policy, f, prior, seed=None, delta_cache=None) -> float:
-    """Exact f_avg of pi under the prior.
+def exact_policy_value(pi: Policy, f, prior, seed=None) -> float:
+    """Exact f_avg of pi under the prior; each Delta pi asks for ticks f.delta_counter.
 
     seed=None averages over pi's internal randomness exactly; a given seed
     fixes it, giving the value of that one seeded policy.  Raises
     InstanceTooLarge when exact_history_bound exceeds EXACT_MAX_HISTORIES;
     expected_utility(mode="mc") estimates the value instead.
     """
-    return _policy_value(pi, f, prior, PSI_EMPTY, seed, delta_cache)
+    return _policy_value(pi, f, prior, PSI_EMPTY, seed)
 
 
-def _policy_value(pi, f, prior, given, seed, delta_cache=None, leaf=None):
+def _policy_value(pi, f, prior, given, seed, leaf=None):
     """E[f(dom given + pi's selections) | given], pi run from an empty history.  The
     outer call (leaf None) checks the size and prices a stop at E[f | evidence]; in
     a concatenation, leaf(evidence) is the next phase's value, seeded as in run_on."""
@@ -137,27 +137,29 @@ def _policy_value(pi, f, prior, given, seed, delta_cache=None, leaf=None):
     stop = leaf or (lambda evidence: expected_set_value(f, prior, evidence))
     if isinstance(pi, ConcatPolicy):
         s1, s2 = (None, None) if seed is None else ("%s/1" % seed, "%s/2" % seed)
-        return _policy_value(pi.first, f, prior, given, s1, delta_cache,
+        return _policy_value(pi.first, f, prior, given, s1,
                              lambda evidence: _policy_value(pi.second, f, prior, evidence,
-                                                            s2, delta_cache, stop))
-    ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
-    # The empty history's covered mask, where the nodes carry theirs (HistoryRecursion).
+                                                            s2, stop))
+    ctx = EvalContext(f, prior, seed=seed)
+    # Coverage under an independent prior, no `given` evidence and the default stop:
+    # the root gets its covered mask, and each node carries its own (HistoryRecursion).
     covered = 0 if leaf is None and not given and ctx._rows is not None else None
     return HistoryRecursion(pi, ctx, given, stop).value(PSI_EMPTY, pi.fresh_constraint(prior.n),
                                                         covered)
 
 
 def expected_utility(f, prior, pi: Policy, mode: str = "exact",
-                     samples: int = 10_000, seed=0, delta_cache=None):
+                     samples: int = 10_000, seed=0):
     """f_avg(pi): expected utility over the prior and pi's internal randomness.
 
     Exact mode returns the exact expectation as a float, from one exact
     evaluation (seed is unused: the internal randomness is averaged out, not
     sampled); it raises InstanceTooLarge when the policy tree is over
-    EXACT_MAX_HISTORIES.  Monte Carlo mode returns (estimate, standard_error).
+    EXACT_MAX_HISTORIES.  Monte Carlo mode returns (estimate, standard_error)
+    over `samples` run_policy rollouts, the i-th seeded "seed#i".
     """
     if mode == "exact":
-        return exact_policy_value(pi, f, prior, delta_cache=delta_cache)
+        return exact_policy_value(pi, f, prior)
     if mode != "mc":
         raise ValidationError("unknown mode %r" % mode)
     if _check_int(samples, "samples") < 1:
@@ -166,8 +168,7 @@ def expected_utility(f, prior, pi: Policy, mode: str = "exact",
     vals = []
     for i in range(samples):
         phi = prior.sample(rng_phi)
-        trace = run_policy(pi, f, prior, phi, seed="%s#%d" % (seed, i),
-                           delta_cache=delta_cache)
+        trace = run_policy(pi, f, prior, phi, seed="%s#%d" % (seed, i))
         vals.append(trace.value)
     mean = _left_sum(vals) / len(vals)
     try:

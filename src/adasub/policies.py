@@ -204,9 +204,10 @@ def _check_choice(pi: Policy, e: int, seen, cstate, n: int):
         raise PolicyViolation("%s selected infeasible item %d" % (pi.name, e))
 
 
-def run_policy(pi: Policy, f, prior, phi, seed=0, delta_cache=None) -> PolicyTrace:
-    """Execute one rollout of pi on realization phi and return its trace."""
-    ctx = EvalContext(f, prior, seed=seed, delta_cache=delta_cache)
+def run_policy(pi: Policy, f, prior, phi, seed=0) -> PolicyTrace:
+    """Execute one rollout of pi on realization phi, in a fresh EvalContext
+    whose seed fixes pi's internal randomness, and return its trace."""
+    ctx = EvalContext(f, prior, seed=seed)
     return pi.run_on(ctx, phi)
 
 
@@ -564,10 +565,8 @@ class ConcatPolicy(Policy):
         return self.first.decision_widths(n) + self.second.decision_widths(n)
 
     def run_on(self, ctx, phi):
-        ctx1 = EvalContext(ctx.f, ctx.prior, seed="%s/1" % ctx.seed,
-                           delta_cache=ctx.delta_cache)
-        ctx2 = EvalContext(ctx.f, ctx.prior, seed="%s/2" % ctx.seed,
-                           delta_cache=ctx.delta_cache)
+        ctx1 = EvalContext(ctx.f, ctx.prior, seed="%s/1" % ctx.seed)
+        ctx2 = EvalContext(ctx.f, ctx.prior, seed="%s/2" % ctx.seed)
         t1 = self.first.run_on(ctx1, phi)
         t2 = self.second.run_on(ctx2, phi)
         selected = tuple(sorted(set(t1.selected) | set(t2.selected)))

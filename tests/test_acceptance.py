@@ -113,11 +113,9 @@ def test_criterion_1_asg_ratio(card_suite):
     worst = None
     for inst, k, opt in card_suite:
         f = inst.utility()
-        cache = {}
         for eps in EPS_GRID_CARD:
             pi = adaptive_stochastic_greedy(k, eps)
-            vals = [exact_policy_value(pi, f, inst.prior, seed="c1:%d" % r,
-                                       delta_cache=cache)
+            vals = [exact_policy_value(pi, f, inst.prior, seed="c1:%d" % r)
                     for r in range(REPLICATES)]
             mean, se = mean_se(vals)
             bound = (1.0 - E_INV - eps) * opt - 3.0 * se
@@ -130,7 +128,7 @@ def test_criterion_1_asg_ratio(card_suite):
                 gate("1 asg approximation ratio", False,
                      "instance %s eps=%g mean=%.6g < bound=%.6g"
                      % (inst.metadata["name"], eps, mean, bound))
-            exact = exact_policy_value(pi, f, inst.prior, delta_cache=cache)
+            exact = exact_policy_value(pi, f, inst.prior)
             check_exact("1 asg approximation ratio", inst, eps, exact, mean, se,
                         (1.0 - E_INV - eps) * opt)
     gate("1 asg approximation ratio", True,
@@ -192,7 +190,7 @@ def test_criterion_4_locally_greedy_half(partition_suite):
             orders.add(tuple(rng.sample(range(b), b)))
         for order in sorted(orders):
             pi = locally_greedy(groups, limits, order)
-            val = exact_policy_value(pi, inst.utility(), inst.prior, delta_cache={})
+            val = exact_policy_value(pi, inst.utility(), inst.prior)
             _DOMINANCE_LOG.append((val, opt))
             margin = val - (0.5 * opt - TOL)
             if worst is None or margin < worst[0]:
@@ -209,11 +207,9 @@ def test_criterion_5_gasg_ratio_and_cap(partition_suite):
     worst = None
     for inst, groups, limits, opt in partition_suite:
         f = inst.utility()
-        cache = {}
         for eps in EPS_GRID_PART:
             pi = generalized_asg(groups, limits, eps)
-            vals = [exact_policy_value(pi, f, inst.prior, seed="c5:%d" % r,
-                                       delta_cache=cache)
+            vals = [exact_policy_value(pi, f, inst.prior, seed="c5:%d" % r)
                     for r in range(REPLICATES)]
             mean, se = mean_se(vals)
             ratio = (1.0 - E_INV - eps) / (4.0 - 2.0 * E_INV - 2.0 * eps)
@@ -227,7 +223,7 @@ def test_criterion_5_gasg_ratio_and_cap(partition_suite):
                 gate("5 gasg ratio and cap", False,
                      "%s eps=%g mean %.6g < bound %.6g"
                      % (inst.metadata["name"], eps, mean, bound))
-            exact = exact_policy_value(pi, f, inst.prior, delta_cache=cache)
+            exact = exact_policy_value(pi, f, inst.prior)
             check_exact("5 gasg ratio and cap", inst, eps, exact, mean, se, ratio * opt)
             cap = sum(d * math.ceil(len(g) / d * math.log(1.0 / eps))
                       for g, d in zip(groups, limits))
@@ -246,13 +242,10 @@ def test_criterion_6_gasg_vs_local(partition_suite):
     worst = None
     for inst, groups, limits, opt in partition_suite:
         f = inst.utility()
-        cache = {}
-        local_val = exact_policy_value(locally_greedy(groups, limits), f,
-                                       inst.prior, delta_cache=cache)
+        local_val = exact_policy_value(locally_greedy(groups, limits), f, inst.prior)
         for eps in EPS_GRID_PART:
             pi = generalized_asg(groups, limits, eps)
-            vals = [exact_policy_value(pi, f, inst.prior, seed="c6:%d" % r,
-                                       delta_cache=cache)
+            vals = [exact_policy_value(pi, f, inst.prior, seed="c6:%d" % r)
                     for r in range(REPLICATES)]
             mean, se = mean_se(vals)
             ratio = (1.0 - E_INV - eps) / (2.0 - E_INV - eps)
@@ -264,7 +257,7 @@ def test_criterion_6_gasg_vs_local(partition_suite):
                 gate("6 gasg vs locally greedy", False,
                      "%s eps=%g mean %.6g < bound %.6g"
                      % (inst.metadata["name"], eps, mean, bound))
-            exact = exact_policy_value(pi, f, inst.prior, delta_cache=cache)
+            exact = exact_policy_value(pi, f, inst.prior)
             check_exact("6 gasg vs locally greedy", inst, eps, exact, mean, se,
                         ratio * local_val)
     gate("6 gasg vs locally greedy", True,

@@ -122,16 +122,6 @@ class TestCoverageDeltaIsExact:
             misses -= len(f._states)
         assert misses > 0.8 * priced
 
-    def test_delta_cache_keeps_exact_values(self):
-        inst = generate_coverage(n=12, m=3, universe_size=20, density=0.3, seed=4)
-        cache = {}
-        ctx = EvalContext(inst.utility(), inst.prior, delta_cache=cache)
-        psi = random_history(inst.prior, random.Random(1), 5)
-        for _ in range(2):
-            for e in range(inst.n):
-                assert ctx.delta(e, psi) == explicit_delta(inst.utility(), inst.prior, psi, e)
-        assert len(cache) == inst.n - 5
-
     def test_zero_probability_state_is_never_priced(self):
         # Item 0's state 1 and item 2's state 0 have no mass but would cover a lot.
         prior = IndependentPrior([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.3, 0.7]])

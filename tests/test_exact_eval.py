@@ -707,9 +707,10 @@ def test_exact_values_and_counts_are_pinned():
 
 # Exact values (float.hex), Delta counts and f counts of the evaluations that
 # acceptance criteria 1 and 4-6 make, on the first of their instances, pinned
-# from runs that shared one Delta cache per instance: "card" instances are
-# criterion 1's seeds 1000, 1001 and 1003, "part" ones the partition suite's
-# seeds 2000 and 2001.  Each tuple is unseeded, then at each listed seed.
+# from runs that shared one cache of Delta values per instance (an option
+# since removed): criterion 1's instance seeds 1000, 1001 and 1003 and the
+# partition suite's 2000 and 2001.  Each tuple is unseeded, then at each
+# listed seed.
 ACCEPTANCE_PINNED = {
     (1000, "asg(eps=0.3,k=2)"): ("0x1.5eff611a3a7c6p+2 36 18", "0x1.61c7ec0411496p+2 12 4",
                                  "0x1.61f886c3598f4p+2 12 4"),
@@ -750,12 +751,11 @@ def _acceptance_cases():
 def test_acceptance_evaluations_are_pinned():
     checked = 0
     for key, inst, policies, seeds in _acceptance_cases():
-        cache = {}
         for pi in policies:
             runs = []
             for seed in (None,) + seeds:
                 f = inst.utility()
-                value = exact_policy_value(pi, f, inst.prior, seed=seed, delta_cache=cache)
+                value = exact_policy_value(pi, f, inst.prior, seed=seed)
                 runs.append("%s %d %d" % (value.hex(), f.delta_counter, f.f_counter))
             assert tuple(runs) == ACCEPTANCE_PINNED[key, pi.describe()], (key, pi.describe())
             checked += len(runs)
