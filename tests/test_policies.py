@@ -193,6 +193,39 @@ class TestAdaptiveGreedy:
         assert len(trace.selected) == 2
 
 
+def _equivalence_cases():
+    """20 instances at n=6-8, k in {1, 2, 3}, and one with k > n."""
+    draw = random.Random(45)
+    cases = [(draw.randint(6, 8), draw.randint(1, 3), seed) for seed in range(20)]
+    return cases + [(6, 8, 20)]
+
+
+@pytest.mark.parametrize("n,k,seed", _equivalence_cases())
+def test_one_group_partition_policies_equal_the_cardinality_ones(n, k, seed):
+    # ASG is GASG with one group of all n items and d = k, and adaptive greedy
+    # is locally greedy over that group: the same choices, Delta counts and
+    # value bits, in seeded rollouts and in exact evaluation with and without
+    # a seed.
+    inst = generate_coverage(n=n, m=2, universe_size=8, density=0.3, seed=seed)
+    pairs = [(adaptive_greedy(k), locally_greedy([range(n)], [k]))]
+    pairs += [(adaptive_stochastic_greedy(k, eps), generalized_asg([range(n)], [k], eps))
+              for eps in (0.1, 0.3)]
+
+    def outcomes(pi):
+        out = []
+        for r in range(3):
+            trace, f = rollout(pi, inst, inst.prior.sample(random.Random(r)), seed=r)
+            out.append(([s.chosen for s in trace.steps], f.delta_counter, trace.value.hex()))
+        for exact_seed in (None, 0):
+            f = inst.utility()
+            value = exact_policy_value(pi, f, inst.prior, seed=exact_seed)
+            out.append((value.hex(), f.delta_counter))
+        return out
+
+    for cardinality, partition in pairs:
+        assert outcomes(partition) == outcomes(cardinality), cardinality.describe()
+
+
 def test_sample_space_matches_its_definition():
     ctx = EvalContext(UtilityFunction(), IndependentPrior([[0.5, 0.5]] * 10))
     pi = adaptive_greedy(3)
