@@ -102,8 +102,10 @@ def parse_policy(text: str, instance=None):
     for part in filter(None, (p.strip() for p in argstr.split(","))):
         if "=" not in part:
             raise ValidationError("bad argument %r in policy %r" % (part, text))
-        key, val = part.split("=", 1)
-        kv[key.strip()] = val.strip()
+        key, val = (x.strip() for x in part.split("=", 1))
+        if key in kv:
+            raise ValidationError("policy %r repeats argument %s" % (text, key))
+        kv[key] = val
     if name not in _POLICY_KEYS:
         raise ValidationError("unknown policy %r" % name)
     unknown = sorted(set(kv) - set(_POLICY_KEYS[name]))

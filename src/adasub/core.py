@@ -720,7 +720,9 @@ class EvalContext:
 
     It also holds one history state, for the current history object:
       - its observed-item map;
-      - its unobserved items in id order (the pool, built on first use);
+      - the pool: its unobserved items of the item set last asked for (all
+        n items by default; a policy asks for the group it serves), in id
+        order, built on first use;
       - for coverage, its covered mask (made on the first Delta there);
       - the reprs of its pairs, in pair order, that rng_for joins into the
         seed string (built on first use).
@@ -755,7 +757,8 @@ class EvalContext:
         self._probs = prior.probs if independent else None
         self._psi = None            # the current history
         self._seen = {}             # its observed items -> states
-        self._pool = None           # its unobserved items in id order
+        self._pool = None           # its unobserved items of _items, in id order
+        self._items = None          # the item set of _pool: None for all n items
         self._covered = None        # its covered mask, once f's state is asked for
         self._fstate = None         # f's Delta state at it: its pricing function
         self._reprs = None          # repr of each of its pairs, in pair order
@@ -789,19 +792,20 @@ class EvalContext:
             self._adopt(psi)
         return self._seen
 
-    def pool(self, psi: PartialRealization) -> list:
-        """psi's unobserved items in id order.
+    def pool(self, psi: PartialRealization, items=None) -> list:
+        """psi's unobserved items of `items` (sorted; all n items if None), in id order.
 
-        The list is the context's own: advance() deletes the chosen item from
-        it, so copy it to keep it, and do not modify it.
+        The context holds the pool of the one item set, by identity, it was
+        last asked for.  The list is the context's own: advance() deletes the
+        chosen item from it, so copy it to keep it, and do not modify it.
         """
         if psi is not self._psi:
             self._adopt(psi)
         pool = self._pool
-        if pool is None:
-            pool = self._pool = list(range(self.n))
-            for e, _ in reversed(psi.pairs):    # descending, so pool[e] is still e
-                del pool[e]
+        if pool is None or items is not self._items:
+            seen, self._items = self._seen, items
+            pool = range(self.n) if items is None else items
+            pool = self._pool = [e for e in pool if e not in seen] if seen else list(pool)
         return pool
 
     def advance(self, psi: PartialRealization, e: int, o: int) -> PartialRealization:
@@ -812,8 +816,11 @@ class EvalContext:
         i, pairs = _insert_pair(psi.pairs, e, o)
         child = PartialRealization(pairs)
         seen[e] = o
-        if self._pool is not None:
-            del self._pool[bisect_left(self._pool, e)]
+        pool = self._pool
+        if pool is not None:
+            j = bisect_left(pool, e)
+            if j < len(pool) and pool[j] == e:
+                del pool[j]
         if self._reprs is not None:
             self._reprs.insert(i, repr((e, o)))
         probs = self._probs

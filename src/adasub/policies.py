@@ -2,13 +2,14 @@
 
 Every policy is an immutable descriptor; all per-rollout mutable state lives
 in a scratch dict, empty when a rollout starts (only lazy greedy writes to it),
-and in the EvalContext, which carries each history's pool and observed-item
-map to its child.  A policy's internal randomness is drawn from a stream
-derived from (master seed, observation history), which makes rollouts
-reproducible and lets the same seeded policy be evaluated exactly by
-recursion over its decision tree.  Each policy owns its constraint,
-fresh_constraint(n) (cardinality k for greedy, lazy, ASG and random; the
-partition matroid for locally greedy and GASG), and always runs under it.
+and in the EvalContext, which carries each history's observed-item map and
+the pool of the group being served to its child.  A policy's internal
+randomness is drawn from a stream derived from (master seed, observation
+history), which makes rollouts reproducible and lets the same seeded policy be
+evaluated exactly by recursion over its decision tree.  Each policy owns its
+constraint, fresh_constraint(n), and always runs under it: for the samplers a
+partition with budgets min(d_i, |B_i|), for greedy, lazy, ASG and random one
+group of all n items with budget min(k, n).
 
 Greedy, ASG, locally greedy and GASG select the smallest (-Delta(e|psi), id)
 key of a uniform sample of the pool (the whole pool for the greedy two), and
@@ -20,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .core import EvalContext, PSI_EMPTY, PartialRealization, _check_int, _shown
@@ -48,9 +49,6 @@ class CardinalityConstraint:
 
     def after(self, e: int) -> "CardinalityConstraint":
         return CardinalityConstraint(self.remaining - 1)
-
-    def exhausted(self) -> bool:
-        return self.remaining == 0
 
     def total_budget(self) -> int:
         return self.remaining
@@ -289,27 +287,45 @@ class FixedSequencePolicy(Policy):
         return None
 
 
-class _BestOfSamplePolicy(Policy):
-    """Selects the best-Delta item of a uniform sample drawn from a pool.
+@lru_cache(maxsize=8)
+def _one_group(n: int, budget: int) -> "PartitionConstraint":
+    """A cardinality policy's constraint, built and validated once per (n, budget)."""
+    return PartitionConstraint((tuple(range(n)),), (budget,))
 
-    Subclasses say which pool (_sample_space) and, through _sample_size, how
-    large a sample; the draw is without replacement, and the best item has
-    the smallest (-Delta, id) key.  The default sample is the whole pool, which
-    is greedy: decide then draws nothing (each history has its own stream, so
-    no other choice changes) and decision_distribution puts mass 1 on rank 0.
+
+class _BestOfSamplePolicy(Policy):
+    """Selects the best-Delta item of a uniform sample of a group's pool.
+
+    Each round serves the first group in `order` with budget left and an
+    unobserved item, and draws _sample_size items, without replacement, from
+    that group's pool, which the context carries (EvalContext.pool); the best
+    item has the smallest (-Delta, id) key.  With no epsilon the sample is the
+    whole pool, which is greedy: decide draws nothing (each history has its own
+    stream, so no other choice changes) and decision_distribution puts mass 1
+    on rank 0.  Groups are disjoint, so the r-th round in group i has a pool of
+    |B_i| - r items whatever was observed: widths and caps are arithmetic.
     """
 
+    epsilon = None
+    order = (0,)
+
     def _sample_size(self, pool_size: int, group_size: int, limit: int) -> int:
-        return pool_size
+        """ceil((|B_i|/d_i) * ln(1/eps)) clamped to the pool; the pool with no epsilon."""
+        if self.epsilon is None:
+            return pool_size
+        return sample_budget(pool_size, group_size, limit, self.epsilon)
 
-    def _sample_space(self, seen: dict, pool: list, cstate, n: int):
-        """(candidates in id order, sample size) under cstate at a history over
-        n items that observed `seen` (item -> state) and left `pool` (id order);
-        the candidates may be `pool` itself, and none stops."""
-        raise NotImplementedError
-
-    def _candidates(self, ctx, psi, cstate):      # _sample_space at psi, from ctx's maps
-        return self._sample_space(ctx.observed(psi), ctx.pool(psi), cstate, ctx.n)
+    def _candidates(self, ctx, psi, cstate):
+        """(the served group's pool at psi in id order, sample size), or ([], 0)
+        to stop; the pool is ctx's own list."""
+        remaining = cstate.remaining
+        for i in self.order:
+            if remaining[i]:
+                group = cstate.groups[i]
+                pool = ctx.pool(psi, group)
+                if pool:
+                    return pool, self._sample_size(len(pool), len(group), self.limits[i])
+        return [], 0
 
     def decide(self, ctx, psi, cstate, scratch):
         pool, s = self._candidates(ctx, psi, cstate)
@@ -339,25 +355,27 @@ class _BestOfSamplePolicy(Policy):
         return [(e, math.comb(size - 1 - j, s - 1) / draws)
                 for j, e in enumerate(ranked[:size - s + 1])]
 
+    def _rounds(self, n: int) -> list:
+        """(|B_i|, d_i, pool size) of each round on n items, in order."""
+        cstate = self.fresh_constraint(n)
+        return [(len(g), self.limits[i], len(g) - r) for i in self.order
+                for g in (cstate.groups[i],) for r in range(cstate.remaining[i])]
+
     def decision_widths(self, n):
-        """The law's length, pool size - s + 1, at each selection along one
-        path from the empty history: pool sizes do not depend on which items
-        were picked or observed, nor on f or the prior, so the walk observes
-        each round's first candidate in state 0."""
-        widths, seen, pool, cstate = [], {}, list(range(n)), self.fresh_constraint(n)
-        while True:
-            candidates, s = self._sample_space(seen, pool, cstate, n)
-            if not candidates:
-                return widths
-            widths.append(len(candidates) - s + 1)
-            e = candidates[0]
-            seen[e] = 0
-            pool.remove(e)
-            cstate = cstate.after(e)
+        """The law's length, pool size - s + 1, at each round."""
+        return [pool - self._sample_size(pool, size, d) + 1 for size, d, pool in self._rounds(n)]
+
+    def oracle_call_cap(self, n: int) -> int:
+        """The paper's cap on one rollout's Delta calls: in each group i, the
+        pools |B_i|, |B_i|-1, ... with no epsilon; else each round's sample of
+        ceil((|B_i|/d_i) * ln(1/eps)) items, clamped to |B_i|."""
+        return sum(pool if self.epsilon is None else self._sample_size(size, size, d)
+                   for size, d, pool in self._rounds(n))
 
 
 class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
-    """Classic adaptive greedy: argmax Delta over all feasible items each round."""
+    """Classic adaptive greedy: argmax Delta over all unselected items each round,
+    under one group of all n items with budget min(k, n) (sample sizes read k)."""
 
     name = "greedy"
 
@@ -365,21 +383,13 @@ class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
         if _check_int(k, "k") < 0:
             raise ValidationError("k must be >= 0")
         self.k = k
+        self.limits = (k,)
 
     def params(self):
         return {"k": self.k}
 
     def fresh_constraint(self, n):
-        return CardinalityConstraint(min(self.k, n))
-
-    def oracle_call_cap(self, n: int) -> int:
-        """The paper's cap on one rollout's Delta calls: pools n, n-1, ... in min(k, n) rounds."""
-        return sum(n - r for r in range(min(self.k, n)))
-
-    def _sample_space(self, seen, pool, cstate, n):
-        if cstate.exhausted():
-            return [], 0
-        return pool, self._sample_size(len(pool), n, self.k)
+        return _one_group(n, min(self.k, n))
 
 
 class LazyGreedyPolicy(AdaptiveGreedyPolicy):
@@ -399,13 +409,13 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
         # Only round 1 reads the pool; in round j + 1 (|psi| = j) the heap holds
         # the n - j items not yet chosen, at least one while the budget
         # min(k, n) - j lasts, so only an exhausted budget stops.
-        if cstate.exhausted():
+        if not cstate.remaining[0]:
             return None
         rnd = len(psi) + 1
         heap = scratch.get("heap")
         evaluated = []
         if heap is None:    # every entry is fresh, so the first pop is chosen
-            evaluated = ctx.pool(psi)
+            evaluated, _ = self._candidates(ctx, psi, cstate)
             heap = scratch["heap"] = [(-ctx.delta(e, psi), e, rnd) for e in evaluated]
             heapq.heapify(heap)
         while True:
@@ -432,18 +442,11 @@ class AdaptiveStochasticGreedyPolicy(AdaptiveGreedyPolicy):
     def __init__(self, k: int, epsilon: float):
         if _check_int(k, "k") < 1:
             raise ValidationError("k must be >= 1")
-        self.k = k
+        super().__init__(k)
         self.epsilon = _check_epsilon(epsilon)
 
     def params(self):
         return {"k": self.k, "eps": self.epsilon}
-
-    def oracle_call_cap(self, n):
-        """min(k, n) rounds, each a sample of ceil((n/k) * ln(1/eps)) items (clamped to n)."""
-        return min(self.k, n) * sample_budget(n, n, self.k, self.epsilon)
-
-    def _sample_size(self, pool_size, group_size, limit):
-        return sample_budget(pool_size, group_size, limit, self.epsilon)
 
 
 class RandomPolicy(AdaptiveGreedyPolicy):
@@ -459,14 +462,14 @@ class RandomPolicy(AdaptiveGreedyPolicy):
         return 1
 
     def decide(self, ctx, psi, cstate, scratch):
-        pool = [] if cstate.exhausted() else ctx.pool(psi)
+        pool, _ = self._candidates(ctx, psi, cstate)
         if not pool:
             return None
         e = ctx.rng_for(psi).choice(pool)
         return e, (e,), None
 
     def decision_distribution(self, ctx, psi, cstate):
-        pool = [] if cstate.exhausted() else ctx.pool(psi)
+        pool, _ = self._candidates(ctx, psi, cstate)
         return [(e, 1.0 / len(pool)) for e in pool]
 
 
@@ -480,8 +483,11 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
     name = "local"
 
     def __init__(self, groups, limits, order=None):
-        self.constraint = PartitionConstraint.of(groups, limits)
-        self.limits = self.constraint.remaining     # the fixed budgets d_i
+        given = PartitionConstraint.of(groups, limits)
+        self.limits = given.remaining       # the fixed budgets d_i, which sample sizes read
+        # Budgets min(d_i, |B_i|), so a group's pool empties only with its budget.
+        self.constraint = PartitionConstraint(
+            given.groups, tuple(map(min, self.limits, map(len, given.groups))))
         b = len(self.constraint.groups)
         self.order = tuple(_check_int(i, "order item")
                            for i in (order if order is not None else range(b)))
@@ -494,24 +500,6 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
     def fresh_constraint(self, n):
         self.constraint.check_items(n)
         return self.constraint
-
-    def oracle_call_cap(self, n: int) -> int:
-        """Greedy's cap in each group i: pools |B_i|, |B_i|-1, ... in min(d_i, |B_i|) rounds."""
-        return sum(sum(len(g) - j for j in range(min(d, len(g))))
-                   for g, d in zip(self.constraint.groups, self.limits))
-
-    def _candidates(self, ctx, psi, cstate):    # its _sample_space reads no pool
-        return self._sample_space(ctx.observed(psi), None, cstate, ctx.n)
-
-    def _sample_space(self, seen, pool, cstate, n):
-        for i in self.order:
-            if cstate.remaining[i] == 0:
-                continue
-            group = self.constraint.groups[i]
-            pool = [e for e in group if e not in seen]
-            if pool:
-                return pool, self._sample_size(len(pool), len(group), self.limits[i])
-        return [], 0
 
 
 class GeneralizedASGPolicy(LocallyGreedyPolicy):
@@ -533,15 +521,6 @@ class GeneralizedASGPolicy(LocallyGreedyPolicy):
 
     def params(self):
         return {"eps": self.epsilon, **super().params()}
-
-    def oracle_call_cap(self, n):
-        """In each group i, min(d_i, |B_i|) rounds, each a sample of
-        ceil((|B_i|/d_i) * ln(1/eps)) items (clamped to |B_i|)."""
-        return sum(min(d, len(g)) * sample_budget(len(g), len(g), d, self.epsilon)
-                   for g, d in zip(self.constraint.groups, self.limits))
-
-    def _sample_size(self, pool_size, group_size, limit):
-        return sample_budget(pool_size, group_size, limit, self.epsilon)
 
 
 class ConcatPolicy(Policy):

@@ -162,6 +162,9 @@ class TestRun:
         ("asg(k=2)", "policy 'asg(k=2)' is missing argument 'eps'"),
         ("local", "policy 'local' needs an instance with a partition constraint"),
         ("gasg(eps=0.1)", "policy 'gasg' needs an instance with a partition constraint"),
+        # a repeated key ran with its last value
+        ("greedy(k=2,k=3)", "policy 'greedy(k=2,k=3)' repeats argument k"),
+        ("asg(k=2, eps=0.1, k =2)", "policy 'asg(k=2, eps=0.1, k =2)' repeats argument k"),
     ])
     def test_bad_descriptor_is_usage_error(self, runner, instance_a_path, tmp_path,
                                            spec, message):

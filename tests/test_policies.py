@@ -28,7 +28,8 @@ from adasub import (
     sample_realization,
 )
 from adasub.core import CoverageUtility, EvalContext, IndependentPrior, UtilityFunction
-from adasub.policies import FixedSequencePolicy, PartitionConstraint, Policy, TraceStep
+from adasub.policies import (FixedSequencePolicy, PartitionConstraint, Policy, TraceStep,
+                             sample_budget)
 
 
 def rollout(pi, inst, phi, seed=0):
@@ -226,20 +227,65 @@ def test_one_group_partition_policies_equal_the_cardinality_ones(n, k, seed):
         assert outcomes(partition) == outcomes(cardinality), cardinality.describe()
 
 
-def test_sample_space_matches_its_definition():
-    ctx = EvalContext(UtilityFunction(), IndependentPrior([[0.5, 0.5]] * 10))
-    pi = adaptive_greedy(3)
-    for cstate in (CardinalityConstraint(3), CardinalityConstraint(0)):
-        for obs in ({}, {2: 0, 5: 1}, {0: 1, 7: 0, 9: 1}, {e: 0 for e in range(10)}):
-            psi = PartialRealization.of(obs)
-            pool, _ = pi._sample_space(ctx.observed(psi), ctx.pool(psi), cstate, ctx.n)
-            assert pool == [e for e in range(10) if e not in psi and cstate.can_select(e)]
+def test_candidates_match_their_definition():
+    # Each round serves the first group in order with budget left and an
+    # unobserved item (a cardinality policy's one group is all n items); each
+    # group's budget is min(d_i, |B_i|).  The candidates are that group's
+    # unobserved items in id order, under cardinality and partition states, at
+    # histories reached by advance and at stray ones, and the sample size is
+    # the policy's rule, which reads the unclamped d_i.
+    n, groups, order = 10, [[6, 7, 8, 9], [0, 1, 2], [3, 4, 5]], [2, 0, 1]
+    whole = lambda pool, size, d: pool
+    cases = [
+        (adaptive_greedy(3), [range(n)], [3], [0], whole),
+        (adaptive_greedy(12), [range(n)], [12], [0], whole),
+        (adaptive_greedy(3, "lazy"), [range(n)], [3], [0], whole),
+        (random_policy(3), [range(n)], [3], [0], lambda pool, size, d: 1),
+        (adaptive_stochastic_greedy(3, 0.1), [range(n)], [3], [0],
+         lambda pool, size, d: sample_budget(pool, size, d, 0.1)),
+    ]
+    for limits in ([2, 1, 2], [2, 5, 1]):
+        cases += [(locally_greedy(groups, limits, order), groups, limits, order, whole),
+                  (generalized_asg(groups, limits, 0.3, order), groups, limits, order,
+                   lambda pool, size, d: sample_budget(pool, size, d, 0.3))]
+    stray = [PartialRealization.of(obs) for obs in
+             ({}, {2: 0, 5: 1}, {0: 1, 7: 0, 9: 1}, {6: 0, 7: 0, 8: 0, 9: 1},
+              {e: 0 for e in range(n)})]
+    for pi, pi_groups, pi_limits, pi_order, size in cases:
+        fresh = pi.fresh_constraint(n)
+        assert fresh == PartitionConstraint.of(
+            pi_groups, [min(d, len(g)) for g, d in zip(pi_groups, pi_limits)])
+        states = [fresh]
+        for e in (4, 0, 9, 7, 1, 3, 8, 5, 2, 6):
+            if states[-1].can_select(e):
+                states.append(states[-1].after(e))
+        assert states[-1].total_budget() == 0
+
+        def check(ctx, psi):
+            for cstate in states:
+                expected = [], 0
+                for i in pi_order:
+                    group = sorted(pi_groups[i])
+                    pool = [e for e in group if e not in psi]
+                    if cstate.remaining[i] and pool:
+                        expected = pool, size(len(pool), len(group), pi_limits[i])
+                        break
+                assert pi._candidates(ctx, psi, cstate) == expected, (pi.describe(), psi, cstate)
+
+        ctx = EvalContext(UtilityFunction(), IndependentPrior([[0.5, 0.5]] * n))
+        psi = PSI_EMPTY
+        for e in (3, 6, 0, 8, 5, 9, 1):
+            check(ctx, psi)
+            psi = ctx.advance(psi, e, e % 2)
+        for psi in stray:
+            check(ctx, psi)
 
 
-def test_partition_policies_build_no_pool(monkeypatch):
-    # Locally greedy and GASG draw from a group's unobserved items, which the
-    # observed map gives, so their decisions never ask the context for its
-    # pool; their values, Delta counts and rollouts stay those with a pool.
+def test_partition_policies_carry_one_pool_per_group(monkeypatch):
+    # Locally greedy and GASG draw from the pool of the group they serve,
+    # which the context carries from round to round: their values, Delta
+    # counts and rollouts stay those with every pool built from its
+    # definition, and one rollout gets one pool list per group served.
     groups, limits = [[0, 1, 2, 3], [4, 5, 6]], [2, 1]
     inst = generate_coverage(n=7, m=2, universe_size=8, density=0.3, seed=5,
                              groups=groups, limits=limits)
@@ -255,13 +301,35 @@ def test_partition_policies_build_no_pool(monkeypatch):
             out.append((trace, f.delta_counter))
         return out
 
-    with_pool = runs()
+    carried = runs()
+    pool = EvalContext.pool
 
-    def refuse(*args):
-        raise AssertionError("a partition policy built the pool")
+    def defined(self, psi, items=None):
+        return [e for e in (range(self.n) if items is None else items) if e not in psi]
 
-    monkeypatch.setattr(EvalContext, "pool", refuse)
-    assert runs() == with_pool
+    monkeypatch.setattr(EvalContext, "pool", defined)
+    assert runs() == carried
+
+    lists = []      # every list pool returned, kept alive so that no id is reused
+
+    def recorded(self, psi, items=None):
+        lists.append(pool(self, psi, items))
+        return lists[-1]
+
+    monkeypatch.setattr(EvalContext, "pool", recorded)
+    for pi_limits, rounds in (([2, 1], 3), ([5, 2], 6)):
+        # A limit above its group's size (5 > 4) once rebuilt both groups'
+        # pools in every round after that group ran out of items.
+        lists.clear()
+        trace, _ = rollout(locally_greedy(groups, pi_limits), inst, phi)
+        assert len(trace.steps) == len(lists) == rounds
+        assert len({id(x) for x in lists}) == 2
+    lists.clear()
+    big = generate_coverage(n=1000, m=2, universe_size=16, density=0.3, seed=5)
+    trace, _ = rollout(generalized_asg([range(1000)], [50], 0.1), big,
+                       big.prior.sample(random.Random(1)))
+    assert len(trace.steps) == len(lists) == 50
+    assert len({id(x) for x in lists}) == 1
 
 
 @pytest.mark.parametrize("eps,match", [
@@ -300,7 +368,7 @@ def test_sampling_caps_count_only_rounds_that_can_happen(pi, n, cap):
 
 
 def test_decision_widths_build_no_context(monkeypatch):
-    """The walk sizes each round from a plain map and list: no stand-in
+    """Widths are arithmetic in the group sizes and budgets: no stand-in
     utility, prior or context."""
     groups, limits = [[0, 1, 2], [3, 4], [5, 6, 7, 8]], [2, 1, 2]
     policies = (adaptive_greedy(3), adaptive_greedy(3, "lazy"), random_policy(3),
