@@ -295,6 +295,9 @@ def verify(instance_path, checks, out):
     unknown = [c for c in names if c not in CHECKS]
     if unknown:
         _fail(EXIT_USAGE, "unknown checks: %s" % ",".join(unknown))
+    repeated = sorted({c for c in names if names.count(c) > 1})
+    if repeated:
+        _fail(EXIT_USAGE, "repeated checks: %s" % ",".join(repeated))
     reports = [CHECKS[name](inst.utility(), inst.prior) for name in names]
     _emit([r.format() for r in reports], out)
     if not all(r.passed for r in reports):

@@ -107,6 +107,7 @@ class RestrictedOracle:
         self.ground = (1 << self.n) - 1     # the mask of all items
         self.memo, self.stops, self.hits = {}, {}, 0
         self.gids, self.moves = {}, []      # groups tuple -> gid, gid -> its move table
+        self.budget_gids = {}               # budget -> gid of ((all items, budget),)
 
     def __call__(self, psi: PartialRealization, items, a: int) -> float:
         """Best expected gain from at most `a` items of `items` after psi.
@@ -143,16 +144,21 @@ class RestrictedOracle:
         """V less the stop value at root, with `budget` <= |free| selections
         left from `free`, a mask outside dom psi; unchecked.  Reads the memo at
         (state, free, gid of ((all items, budget),)), expanding it on a miss;
-        a zero budget is a leaf, worth 0."""
+        a zero budget is a leaf, worth 0.  Each budget's gid is interned once
+        per oracle, and the stop is read from the stops memo, which expanding
+        any key at the state has filled."""
         if not budget:
             return 0.0
-        key = (root[1], free, self._gid(((self.ground, budget),)))
+        gid = self.budget_gids.get(budget)
+        if gid is None:
+            gid = self.budget_gids[budget] = self._gid(((self.ground, budget),))
+        key = (root[1], free, gid)
         value = self.memo.get(key)
         if value is None:
             value = self._node(key)
         else:
             self.hits += 1
-        return value - self._stop(root[1])
+        return value - self.stops[root[1]]
 
     def _history(self, state):
         """The history whose state this is, where states are not covered masks."""

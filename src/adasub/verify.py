@@ -87,14 +87,18 @@ def check_adaptive_monotone(f, prior) -> CheckReport:
     """Delta(e | psi) >= 0 for every positive-probability psi and e outside it."""
     _check_size(prior, DELTA_CHECK_CAPS)
     ctx = EvalContext(f, prior)
+    delta, descend, items = ctx.delta, ctx.descend, range(prior.n)
     checked, masks = 0, [None]
     for level in _levels(prior):
         parents, masks = masks, []
         for psi, parent in level:
-            masks.append(ctx.descend(psi, parents[parent]))
-            for e in ctx.pool(psi):
+            masks.append(descend(psi, parents[parent]))
+            seen = ctx.observed(psi)
+            for e in items:
+                if e in seen:
+                    continue
                 checked += 1
-                d = ctx.delta(e, psi)
+                d = delta(e, psi)
                 if d < -INEQ_TOL:
                     witness = {"psi": psi.pairs, "item": e, "delta": d}
                     return CheckReport("adaptive-monotone", False, checked, witness)
@@ -118,11 +122,14 @@ def _sweep(name, prior, columns, row, witness) -> CheckReport:
     +inf elsewhere.  When the walk reaches size j, one np.minimum per item
     axis (digits 1..m take the minimum with digit 0) turns every entry into
     the minimum over its sub-histories, all of size < j and priced, and a
-    size-j psi2 reads it at its code; its level's rows are written when the
-    level ends.  min returns one of the values it compares, so psi2 fails
-    exactly when some psi does.  Only then are the sub-histories walked as
-    pair tuples (by size from the empty history, then in combinations order,
-    then by compared column) to name the first failing pair.  pairs_checked
+    size-j psi2 reads it at its code; its level's rows, one list, are written
+    when the level ends.  A row is screened with low < rhs, which low < rhs -
+    INEQ_TOL implies, and only a row the screen flags builds its bounds rhs -
+    INEQ_TOL.  min returns one of the values it compares, so psi2 fails
+    exactly when some psi does.  Only then are the earlier rows mapped by
+    their pairs and the sub-histories walked as pair tuples (by size from
+    the empty history, then in combinations order, then by compared column)
+    to name the first failing pair.  pairs_checked
     counts every inequality decided: 2^|psi2| per compared column of a
     passing psi2, and up to the witness for the failing one.
     """
@@ -130,7 +137,7 @@ def _sweep(name, prior, columns, row, witness) -> CheckReport:
     n, ncols, radix = prior.n, len(columns), prior.m + 1
     lattice = np.full((radix,) * n + (ncols,), math.inf)
     lows = lattice.reshape(-1, ncols)       # a view: row `code` of the lattice
-    rows, checked, codes, keys = {}, 0, [0], [None]
+    levels, checked, codes, keys, skip = [], 0, [0], [None], -math.inf
     for depth, level in enumerate(_levels(prior)):
         if depth:   # every smaller history's row is written
             codes = [codes[i] + (o + 1) * radix ** e for psi, i in level
@@ -138,26 +145,28 @@ def _sweep(name, prior, columns, row, witness) -> CheckReport:
             for axis in range(n):
                 view = lattice.reshape(radix ** axis, radix, -1)
                 np.minimum(view[:, 1:], view[:, :1], out=view[:, 1:])
-        parents, keys = keys, []
+        parents, keys, rows = keys, [], []
+        levels.append((level, rows))
         for (psi2, parent), low in zip(level, lows[codes].tolist()):
-            pairs = psi2.pairs
             row2, key = row(psi2, parents[parent])
-            rows[pairs] = row2
+            rows.append(row2)
             keys.append(key)
-            bounds = [rhs - INEQ_TOL for rhs in row2]
-            if any(map(operator.lt, low, bounds)):
-                live = [i for i, rhs in enumerate(row2) if rhs != -math.inf]
+            if any(map(operator.lt, low, row2)) and any(map(operator.lt, low, bounds := [
+                    rhs - INEQ_TOL for rhs in row2])):     # screen, then decide
+                pairs, live = psi2.pairs, [i for i, rhs in enumerate(row2) if rhs != skip]
+                subs = {psi.pairs: lhs for past, past_rows in levels[:depth]
+                        for (psi, _), lhs in zip(past, past_rows)}
                 for size in range(depth):
                     for sub in itertools.combinations(pairs, size):
-                        lhs = rows[sub]
+                        lhs = subs[sub]
                         for i in live:
                             checked += 1
                             if lhs[i] < bounds[i]:
                                 return CheckReport(name, False, checked, {
                                     "psi": sub, "psi2": pairs,
                                     **witness(columns[i], lhs[i], row2[i])})
-            checked += (ncols - row2.count(-math.inf)) << depth
-        lows[codes] = [rows[psi.pairs] for psi, _ in level]
+            checked += (ncols - row2.count(skip)) << depth
+        lows[codes] = rows
     return CheckReport(name, True, checked)
 
 
@@ -165,11 +174,12 @@ def check_adaptive_submodular(f, prior) -> CheckReport:
     """Delta(e | psi) >= Delta(e | psi') whenever psi is a subrealization of psi'."""
     _check_size(prior, DELTA_CHECK_CAPS)
     ctx = EvalContext(f, prior)
+    delta, descend, items, skip = ctx.delta, ctx.descend, range(prior.n), -math.inf
 
     def row(psi, covered):
-        covered = ctx.descend(psi, covered)
+        covered = descend(psi, covered)
         seen = ctx.observed(psi)
-        return [-math.inf if e in seen else ctx.delta(e, psi) for e in range(prior.n)], covered
+        return [skip if e in seen else delta(e, psi) for e in items], covered
 
     return _sweep("adaptive-submodular", prior, range(prior.n), row,
                   lambda e, lhs, rhs: {"item": e, "delta_psi": lhs, "delta_psi2": rhs})

@@ -351,6 +351,16 @@ class TestVerify:
         assert_clean_usage_error(res)
         assert "error: no checks given" in res.output
 
+    @pytest.mark.parametrize("checks,repeated", [
+        # a repeated check ran its sweep again and printed a second report
+        ("monotone,monotone", "monotone"),
+        ("fully, submodular,fully ,submodular", "fully,submodular")])
+    def test_repeated_check_is_usage_error(self, runner, instance_a_path, checks, repeated):
+        res = runner.invoke(main, ["verify", "--instance", instance_a_path, "--checks", checks])
+        assert_clean_usage_error(res)
+        assert res.stderr == "error: repeated checks: %s\n" % repeated
+        assert "check " not in res.stdout
+
 
 # 10 ** 400 as the constructors name it, shortened by reprlib.
 PAST_FLOATS = "100000000000000000...0000000000000000000 is past the float range"

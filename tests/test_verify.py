@@ -530,6 +530,55 @@ def test_caps_corner_passes_with_closed_form_counts():
     assert submodular.passed and submodular.pairs_checked == n * (2 * m + 1) ** (n - 1) == 6_588_344
 
 
+def reference_sweep(prior, values):
+    """_sweep's report, deciding every (psi, psi2) pair and compared column in turn."""
+    histories = list(enumerate_partial_realizations(prior))
+    checked = 0
+    for psi2 in histories:
+        for psi in sub_histories(histories, psi2):
+            for i, rhs in enumerate(values(psi2)):
+                if rhs == -math.inf:
+                    continue
+                checked += 1
+                lhs = values(psi)[i]
+                if lhs < rhs - INEQ_TOL:
+                    return CheckReport("boundary", False, checked, {
+                        "psi": psi.pairs, "psi2": psi2.pairs, "column": i,
+                        "lhs": lhs, "rhs": rhs})
+    return CheckReport("boundary", True, checked)
+
+
+def test_sweep_screen_keeps_the_tolerance_boundary():
+    # psi2 = ((0, 1), (1, 0)) reads low = 2.0, the value of its sub-history
+    # ((1, 0),), in column 0, and fails exactly when low < rhs - INEQ_TOL.
+    # Column 1 is compared at every history without (0, 0) and never fails.
+    # rhs runs from low itself (the screen low < rhs fires, the bound does
+    # not) through the ulps on both sides of low + INEQ_TOL.
+    prior = IndependentPrior([[0.5, 0.5], [0.5, 0.5]])
+    low, psi2 = 2.0, ((0, 1), (1, 0))
+    steps, up, down = [], low + INEQ_TOL, low + INEQ_TOL
+    for _ in range(6):
+        steps += [up, down]
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+    verdicts = set()
+    for rhs in [low, math.nextafter(low, math.inf)] + steps:
+        first = {(): 3.0, ((1, 0),): low, psi2: rhs}
+
+        def values(psi):
+            default = 2.5 if len(psi.pairs) == 1 else 1.0
+            return [first.get(psi.pairs, default), -math.inf if (0, 0) in psi.pairs else 4.0]
+
+        report = verify._sweep("boundary", prior, range(2), lambda psi, key: (values(psi), key),
+                               lambda i, lhs, rhs: {"column": i, "lhs": lhs, "rhs": rhs})
+        assert report.passed == (not low < rhs - INEQ_TOL), rhs
+        assert report == reference_sweep(prior, values), rhs
+        verdicts.add(report.passed)
+        if not report.passed:
+            assert report.counterexample == {"psi": ((1, 0),), "psi2": psi2, "column": 0,
+                                             "lhs": low, "rhs": rhs}
+    assert verdicts == {True, False}
+
+
 def fully_adaptive_rows(monkeypatch, on_row, on_value):
     """Patch the fully-adaptive check's sweep and oracle reads: on_row(psi,
     root) sees each history's carried root as its row returns it, and
