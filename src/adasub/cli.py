@@ -28,7 +28,7 @@ from . import __version__
 from .errors import AdasubError, InstanceTooLarge, ValidationError
 from .evaluation import expected_utility
 from .instances import generate_coverage, load_instance, save_instance
-from .oracle import optimal_value
+from .oracle import _check_size, optimal_value
 from .policies import (
     PartitionConstraint,
     adaptive_greedy,
@@ -40,6 +40,7 @@ from .policies import (
     run_policy,
 )
 from .verify import (
+    DELTA_CHECK_CAPS, FULLY_ADAPTIVE_CAPS,
     check_adaptive_monotone,
     check_adaptive_submodular,
     check_fully_adaptive_submodular,
@@ -298,6 +299,8 @@ def verify(instance_path, checks, out):
     repeated = sorted({c for c in names if names.count(c) > 1})
     if repeated:
         _fail(EXIT_USAGE, "repeated checks: %s" % ",".join(repeated))
+    for name in names:      # every named check's caps, before any check runs
+        _check_size(inst.prior, FULLY_ADAPTIVE_CAPS if name == "fully" else DELTA_CHECK_CAPS)
     reports = [CHECKS[name](inst.utility(), inst.prior) for name in names]
     _emit([r.format() for r in reports], out)
     if not all(r.passed for r in reports):

@@ -755,6 +755,7 @@ class EvalContext:
         # carried-mask nodes.
         self._rows = prior.rows if independent and isinstance(f, CoverageUtility) else None
         self._probs = prior.probs if independent else None
+        self._coverage = isinstance(f, CoverageUtility)
         self._psi = None            # the current history
         self._seen = {}             # its observed items -> states
         self._pool = None           # its unobserved items of _items, in id order
@@ -832,18 +833,18 @@ class EvalContext:
         return child
 
     def descend(self, psi: PartialRealization, covered, own=False):
-        """Make psi current, reached from a possible parent through a state of
-        positive mass (so no evidence is checked, under any prior), with a
-        coverage f's mask, returned: `covered` if `own`, else its parent's
+        """Make psi current in one step, reached from a possible parent through
+        a state of positive mass (so no evidence is checked, under any prior),
+        with a coverage f's mask, returned: `covered` if `own`, else its parent's
         mask `covered` (None at the root) ORed with psi's last pair's cover."""
-        self._adopt(psi)
-        self._possible = True
-        if isinstance(self.f, CoverageUtility):
+        if self._coverage:
             if not own and psi.pairs:
                 e, o = psi.pairs[-1]
                 covered |= self.f.covers[e][o]
-            self._covered = covered or 0
-        return self._covered
+            covered = covered or 0
+        self._psi, self._seen, self._covered, self._possible = psi, dict(psi.pairs), covered, True
+        self._pool = self._fstate = self._reprs = None
+        return covered
 
     def _state(self):
         """f's Delta state at the current history, which must be possible:

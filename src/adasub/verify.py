@@ -3,11 +3,11 @@
 The definitional checkers sweep every positive-probability partial
 realization of an enumerable instance and test the marginal-utility
 inequalities directly; a failure report carries a witness that re-verifies
-when both sides are recomputed from scratch.  The sweep builds each history
-from its parent, one size after another, and carries from the parent what
-it keys a history by.  The sampling check compares the exact hypergeometric
-hit probability of the subsampling rule against its target bound and a
-seeded empirical frequency.
+when both sides are recomputed from scratch.  A prior's histories are built
+once, each from its parent, into a table that every check on it reads; a
+sweep carries from the parent what it keys a history by.  The sampling check
+compares the exact hypergeometric hit probability of the subsampling rule
+against its target bound and a seeded empirical frequency.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,41 +47,58 @@ class CheckReport:
 
 
 def enumerate_partial_realizations(prior, max_size=None):
-    """All positive-probability partial realizations, smallest domains first."""
-    return (psi for level in _levels(prior, max_size) for psi, _ in level)
+    """All positive-probability partial realizations, smallest domains first,
+    from the prior's history table, which this builds to size max_size only."""
+    return (psi for level, _ in _levels(prior, max_size) for psi, _ in level)
 
 
 def _levels(prior, max_size=None):
-    """enumerate_partial_realizations' histories as one list per size of
-    (psi, index of its parent in the list before).  Domains come in
-    combinations order; a domain's histories are those of the domain less its
-    top item e, each extended by (e, o) for its states o in order: e's of
-    positive mass, or e's in the support's realizations that restrict to the
-    parent, kept per history, so no probability is computed."""
-    n = prior.n
-    limit = n if max_size is None else min(max_size, n)
-    independent = isinstance(prior, IndependentPrior)
-    tails = [[((e, o),) for o in prior.item_states(e)] for e in range(n)] if independent else None
-    links = None if independent else [[phi for phi, _ in prior.support()]]
-    level, spans = [(PSI_EMPTY, 0)], {(): range(1)}     # domain -> its histories in level
-    if limit >= 0:
-        yield level
-    for size in range(1, limit + 1):
-        children, child_spans, kept = [], {}, []
-        for dom in itertools.combinations(range(n), size):
-            begin, e, parents = len(children), dom[-1], spans[dom[:-1]]
-            if independent:
+    """The levels of the _HistoryTable in prior's own __dict__ (a frozen one's too)."""
+    table = vars(prior).get("_walk") or vars(prior).setdefault("_walk", _HistoryTable(prior))
+    for size in range(prior.n + 1 if max_size is None else min(max_size, prior.n) + 1):
+        if size == len(table.levels):
+            table.grow()
+        yield table.levels[size]
+
+
+class _HistoryTable:
+    """A prior's positive-probability histories, kept while the prior lives and
+    built one size at a time, on first read; none depends on a utility.  levels[j]
+    is (the size-j histories as (psi, its parent's index in levels[j-1]), their
+    lattice codes sum (o+1)*(m+1)^e over pairs (e, o), each its parent's plus one
+    term: 8-byte ints if (m+1)^n fits).  Domains come in combinations order; a
+    domain's histories extend those of the domain less its top item e by (e, o)
+    for e's states o in order: of positive mass, or in the support's realizations
+    that restrict to the parent, carried per history of the last size built
+    (links), so no probability is computed."""
+
+    def __init__(self, prior):
+        n, radix, independent = prior.n, prior.m + 1, isinstance(prior, IndependentPrior)
+        self.n, self.terms, self.wide = n, [radix ** e for e in range(n)], radix ** n > 1 << 63
+        self.tails = [[(((e, o),), (o + 1) * radix ** e) for o in prior.item_states(e)]
+                      for e in range(n)] if independent else None
+        self.links = None if independent else [[phi for phi, _ in prior.support()]]
+        self.levels, self.spans = [([(PSI_EMPTY, 0)], [0])], {(): range(1)}
+
+    def grow(self):
+        (level, codes), links, size = self.levels[-1], self.links, len(self.levels)
+        children, child_codes, spans, kept = [], [], {}, []
+        for dom in itertools.combinations(range(self.n), size):
+            begin, e, parents = len(children), dom[-1], self.spans[dom[:-1]]
+            if links is None:
                 children += [(PartialRealization(level[i][0].pairs + tail), i)
-                             for i in parents for tail in tails[e]]
+                             for i in parents for tail, _ in self.tails[e]]
+                child_codes += [codes[i] + term for i in parents for _, term in self.tails[e]]
             else:
                 for i in parents:
-                    observed = sorted({phi[e] for phi in links[i]})
-                    kept += [[phi for phi in links[i] if phi[e] == o] for o in observed]
+                    states, term = sorted({phi[e] for phi in links[i]}), self.terms[e]
+                    kept += [[phi for phi in links[i] if phi[e] == o] for o in states]
                     children += [(PartialRealization(level[i][0].pairs + ((e, o),)), i)
-                                 for o in observed]
-            child_spans[dom] = range(begin, len(children))
-        level, spans, links = children, child_spans, kept
-        yield level
+                                 for o in states]
+                    child_codes += [codes[i] + (o + 1) * term for o in states]
+            spans[dom] = range(begin, len(children))
+        self.levels.append((children, child_codes if self.wide else array("q", child_codes)))
+        self.spans, self.links = spans, None if links is None else kept
 
 
 def check_adaptive_monotone(f, prior) -> CheckReport:
@@ -89,7 +107,7 @@ def check_adaptive_monotone(f, prior) -> CheckReport:
     ctx = EvalContext(f, prior)
     delta, descend, items = ctx.delta, ctx.descend, range(prior.n)
     checked, masks = 0, [None]
-    for level in _levels(prior):
+    for level, _ in _levels(prior):
         parents, masks = masks, []
         for psi, parent in level:
             masks.append(descend(psi, parents[parent]))
@@ -118,7 +136,7 @@ def _sweep(name, prior, columns, row, witness) -> CheckReport:
     at once against the minimum, per column, over all of them.  Those minima
     live on the history lattice: an array of shape (m+1,)*n x len(columns)
     holds each priced row at its history's code, sum (o+1)*(m+1)^e over its
-    pairs (e, o), which is its parent's code plus its last pair's term, and
+    pairs (e, o), read with its level from the prior's history table, and
     +inf elsewhere.  When the walk reaches size j, one np.minimum per item
     axis (digits 1..m take the minimum with digit 0) turns every entry into
     the minimum over its sub-histories, all of size < j and priced, and a
@@ -137,11 +155,9 @@ def _sweep(name, prior, columns, row, witness) -> CheckReport:
     n, ncols, radix = prior.n, len(columns), prior.m + 1
     lattice = np.full((radix,) * n + (ncols,), math.inf)
     lows = lattice.reshape(-1, ncols)       # a view: row `code` of the lattice
-    levels, checked, codes, keys, skip = [], 0, [0], [None], -math.inf
-    for depth, level in enumerate(_levels(prior)):
+    levels, checked, keys, skip = [], 0, [None], -math.inf
+    for depth, (level, codes) in enumerate(_levels(prior)):
         if depth:   # every smaller history's row is written
-            codes = [codes[i] + (o + 1) * radix ** e for psi, i in level
-                     for e, o in (psi.pairs[-1],)]
             for axis in range(n):
                 view = lattice.reshape(radix ** axis, radix, -1)
                 np.minimum(view[:, 1:], view[:, :1], out=view[:, 1:])

@@ -322,6 +322,20 @@ class TestVerify:
                                    "--checks", "fully"])
         assert res.exit_code == 3
 
+    def test_a_check_over_its_caps_is_refused_before_any_check_runs(self, runner, tmp_path,
+                                                                       monkeypatch):
+        # The two Delta sweeps ran (about 1 CPU s at n=8), then fully's cap
+        # exited 3 with neither of their reports printed.
+        calls = []
+        monkeypatch.setattr(cli, "check_adaptive_monotone", lambda f, prior: calls.append(f))
+        path = tmp_path / "corner.json"
+        save_instance(generate_coverage(8, 3, 8, 0.3, seed=1), path)
+        res = runner.invoke(main, ["verify", "--instance", str(path),
+                                   "--checks", "monotone,submodular,fully"])
+        assert res.exit_code == 3
+        assert res.stderr == "error: n=8 exceeds oracle cap 5\n"
+        assert calls == [] and res.stdout == ""
+
     @pytest.mark.parametrize("check, name", [("monotone", "check_adaptive_monotone"),
                                              ("submodular", "check_adaptive_submodular"),
                                              ("fully", "check_fully_adaptive_submodular")])

@@ -30,7 +30,7 @@ from adasub import (
     restricted_optimal,
 )
 from adasub import verify
-from adasub.core import EvalContext, subrealization
+from adasub.core import CoverageUtility, EvalContext, condition, subrealization
 from adasub.oracle import OracleCaps, RestrictedOracle
 from adasub.verify import INEQ_TOL, CheckReport, enumerate_partial_realizations
 
@@ -153,6 +153,59 @@ def test_descend_carries_what_a_history_built_from_scratch_has(prior, monkeypatc
             assert fresh.delta(e, psi).hex() == d.hex()
             assert fresh._fstate is state
             assert marginal_utility(f, prior, psi, e).hex() == d.hex()
+
+
+CHECKS = (check_adaptive_monotone, check_adaptive_submodular, check_fully_adaptive_submodular)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)], ids=["listed", "reversed"])
+@pytest.mark.parametrize("explicit", [False, True], ids=["independent", "explicit"])
+def test_each_prior_walks_its_histories_once(explicit, order, monkeypatch):
+    # Every check on a prior, and its enumeration, read one history table;
+    # it holds nothing of a utility, so a second one reads it unchanged.
+    inst = generate_coverage(n=4, m=2, universe_size=6, density=0.4, seed=4)
+
+    def fresh():
+        if explicit:
+            return ExplicitPrior(explicit_priors()[8].weighted)
+        return IndependentPrior(inst.prior.probs)
+
+    covers = inst.utility().covers
+    utilities = (inst.utility, lambda: CoverageUtility([0.25, 2.0, 1.0, 0.5, 3.0, 1.5], covers))
+    expected = [[check(utility(), fresh()) for check in CHECKS] for utility in utilities]
+    prior, built = fresh(), []
+
+    def counting(pairs):
+        built.append(pairs)
+        return PartialRealization(pairs)
+
+    monkeypatch.setattr(verify, "PartialRealization", counting)
+    for i in order:
+        for utility, reports in zip(utilities, expected):
+            assert CHECKS[i](utility(), prior) == reports[i], (CHECKS[i].__name__, utility)
+    histories = list(enumerate_partial_realizations(prior))
+    assert built == [psi.pairs for psi in histories[1:]]    # all but the empty one, once each
+
+
+def test_history_table_builds_no_size_past_what_is_read():
+    prior = IndependentPrior([[0.5, 0.5]] * 40)
+    assert len(list(enumerate_partial_realizations(prior, max_size=1))) == 1 + 40 * 2
+    table = vars(prior)["_walk"]
+    assert len(table.levels) == 2
+    assert len(list(enumerate_partial_realizations(prior, max_size=2))) == 81 + 780 * 4
+    assert vars(prior)["_walk"] is table and len(table.levels) == 3
+    # a check that fails at the empty history builds no size past it
+    inst = monotonicity_counterexample()
+    assert not check_adaptive_monotone(inst.utility(), inst.prior).passed
+    assert len(vars(inst.prior)["_walk"].levels) == 1
+
+
+def test_a_conditioned_prior_enumerates_its_support_histories():
+    base = IndependentPrior([[0.5, 0.5], [0.0, 1.0], [0.3, 0.7]])
+    conditioned = condition(base, PartialRealization.of({0: 1}))
+    assert list(enumerate_partial_realizations(conditioned)) == list(
+        enumerate_partial_realizations(ExplicitPrior(conditioned.support())))
+    assert "_walk" in vars(conditioned)    # kept on the frozen dataclass
 
 
 class TestMonotoneChecker:
