@@ -354,7 +354,7 @@ def bench(policy_name, ns, ks, eps_list, instance_path, m, universe, density, se
             f = inst.utility()
             phi = inst.prior.sample(random.Random(stream))
             run_policy(pi, f, inst.prior, phi, seed=stream)
-            budget = pi.fresh_constraint(inst.n).total_budget()
+            budget = len(pi.schedule(inst.n))
             rows.append([pi.name, inst.n, budget, eps, f.delta_counter,
                          pi.oracle_call_cap(inst.n), inst.n * budget])
     _write_csv(out, BENCH_COLUMNS, rows)

@@ -8,12 +8,12 @@ over the policy's own choice (adasub.oracle's RestrictedOracle takes the max
 instead).  Coverage under an independent prior, evaluated on its own (no
 evidence given, no concatenation), hands each node its covered mask from its
 parent, so no node rescans its pairs for its Delta state, evidence or stop.
-A policy owns its constraint (pi.fresh_constraint(n)) and is always evaluated
-under it; every selected item is observed, so a history's constraint state
-is the fresh one advanced by its domain's items, and the history alone keys
-its node.  A deterministic policy's choice is its decide, the code a rollout
-runs, and so is a randomized one's for a fixed master seed (its stream is
-derived from the seed and the history); unseeded, a randomized policy's
+A policy owns its constraint and is always evaluated under it: every
+selected item is observed, so round |psi| of pi.schedule(n) names the group a
+node may select from, and the history alone keys its node.  A deterministic
+policy's choice is its decide, the code a rollout runs, and so is a
+randomized one's for a fixed master seed (its stream is derived from the
+seed and the history); unseeded, a randomized policy's
 decision_distribution averages over that randomness exactly.  Exact
 evaluation first bounds the histories it could visit and refuses trees over
 EXACT_MAX_HISTORIES: a randomized policy may reach C(n, j) * m^j histories at
@@ -62,10 +62,10 @@ def exact_history_bound(pi: Policy, n: int, m: int, expand=True) -> int:
 class HistoryRecursion:
     """pi's expected final utility over observation histories, in the context ctx.
 
-    value(psi, cstate, covered) is a node, memoized on psi.pairs, as dom psi
-    fixes cstate (module docstring).  pi either stops, priced once per
+    value(psi, covered) is a node, memoized on psi.pairs, as |psi| fixes the
+    round pi serves (module docstring).  pi either stops, priced once per
     history, or its choice's branches are averaged, each e worth
-    sum_o p(o | evidence) * value(psi + (e, o), cstate after e, its mask).
+    sum_o p(o | evidence) * value(psi + (e, o), its mask).
     A node given its covered mask (module docstring) becomes ctx's current
     history through descend, reads e's posterior from its prior row and
     stops at f.covered_value(covered); any other node's evidence is psi with
@@ -78,7 +78,7 @@ class HistoryRecursion:
         self.pi, self.ctx, self.given, self.leaf = pi, ctx, given, leaf
         self.memo, self.hits = {}, 0
 
-    def value(self, psi, cstate, covered=None):
+    def value(self, psi, covered=None):
         pairs = psi.pairs
         value = self.memo.get(pairs)
         if value is not None:
@@ -88,9 +88,9 @@ class HistoryRecursion:
         if covered is not None:
             ctx.descend(psi, covered, own=True)
         if ctx.seed is None and pi.randomized:
-            choices = pi.decision_distribution(ctx, psi, cstate)
+            choices = pi.decision_distribution(ctx, psi)
         else:
-            decision = pi.decide(ctx, psi, cstate, {})
+            decision = pi.decide(ctx, psi, {})
             choices = [] if decision is None else [(decision[0], 1.0)]
         if covered is None:
             evidence = (PartialRealization.of({**given.as_dict(), **psi.as_dict()})
@@ -100,13 +100,12 @@ class HistoryRecursion:
             value = 0.0 if choices else f.covered_value(covered)
         seen = ctx.observed(psi)
         for e, q in choices:
-            _check_choice(pi, e, seen, cstate, ctx.n)
-            nxt = cstate.after(e)
+            _check_choice(pi, e, seen, ctx.n)
             branch = 0.0
             for o, p in (ctx.prior.item_posterior(e, evidence) if covered is None
                          else ctx._rows[e]):
                 child = PartialRealization(_insert_pair(pairs, e, o)[1])
-                branch += p * self.value(child, nxt, None if covered is None
+                branch += p * self.value(child, None if covered is None
                                          else covered | f.covers[e][o])
             value += q * branch
         self.memo[pairs] = value
@@ -144,8 +143,7 @@ def _policy_value(pi, f, prior, given, seed, leaf=None):
     # Coverage under an independent prior, no `given` evidence and the default stop:
     # the root gets its covered mask, and each node carries its own (HistoryRecursion).
     covered = 0 if leaf is None and not given and ctx._rows is not None else None
-    return HistoryRecursion(pi, ctx, given, stop).value(PSI_EMPTY, pi.fresh_constraint(prior.n),
-                                                        covered)
+    return HistoryRecursion(pi, ctx, given, stop).value(PSI_EMPTY, covered)
 
 
 def expected_utility(f, prior, pi: Policy, mode: str = "exact",

@@ -1,15 +1,19 @@
 """Adaptive selection policies and the select-observe execution loop.
 
-Every policy is an immutable descriptor; all per-rollout mutable state lives
-in a scratch dict, empty when a rollout starts (only lazy greedy writes to it),
-and in the EvalContext, which carries each history's observed-item map and
-the pool of the group being served to its child.  A policy's internal
+Every policy is an immutable descriptor (it keeps only its schedule per n);
+all per-rollout mutable state lives in a scratch dict, empty when a rollout
+starts (only lazy greedy writes to it), and in the EvalContext, which carries
+each history's observed-item map and the pool of the group being served to
+its child.  A policy's internal
 randomness is drawn from a stream derived from (master seed, observation
 history), which makes rollouts reproducible and lets the same seeded policy be
 evaluated exactly by recursion over its decision tree.  Each policy owns its
-constraint, fresh_constraint(n), and always runs under it: for the samplers a
-partition with budgets min(d_i, |B_i|), for greedy, lazy, ASG and random one
-group of all n items with budget min(k, n).
+constraint, fresh_constraint(n), and always runs under it, group by group in a
+fixed order: its schedule(n), built once per n, names round r's group, so the
+r-th selection (r = |psi|, every selected item being observed) may come only
+from that group.  Group B_i with budget d_i gets min(d_i, |B_i|) rounds; a
+cardinality budget k, as for greedy, lazy, ASG and random, is min(k, n)
+rounds of one group of all n items.
 
 Greedy, ASG, locally greedy and GASG select the smallest (-Delta(e|psi), id)
 key of a uniform sample of the pool (the whole pool for the greedy two), and
@@ -20,8 +24,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .core import EvalContext, PSI_EMPTY, PartialRealization, _check_int, _shown
@@ -29,26 +33,20 @@ from .errors import PolicyViolation, ValidationError
 
 
 # ---------------------------------------------------------------------------
-# constraint states
+# constraints
 
 
 @dataclass(frozen=True)
 class CardinalityConstraint:
-    """At most `remaining` further selections."""
+    """At most `remaining` selections."""
 
     remaining: int
 
     def __post_init__(self):
-        if type(self.remaining) is not int:     # runs on every after(): one test
+        if type(self.remaining) is not int:
             raise ValidationError("budget must be an integer, got %r" % (self.remaining,))
         if self.remaining < 0:
             raise ValidationError("negative budget")
-
-    def can_select(self, e: int) -> bool:
-        return self.remaining > 0
-
-    def after(self, e: int) -> "CardinalityConstraint":
-        return CardinalityConstraint(self.remaining - 1)
 
     def total_budget(self) -> int:
         return self.remaining
@@ -56,7 +54,7 @@ class CardinalityConstraint:
 
 @dataclass(frozen=True)
 class PartitionConstraint:
-    """Disjoint item groups with per-group selection budgets.
+    """Disjoint item groups, group i with the selection budget remaining[i].
 
     Items outside every group are never selectable.
     """
@@ -88,28 +86,6 @@ class PartitionConstraint:
         return cls(tuple(tuple(sorted(_check_int(e, "group item") for e in g)) for g in groups),
                    tuple(_check_int(d, "group limit") for d in limits))
 
-    @cached_property
-    def _group_of(self) -> dict:
-        out = {}
-        for i, g in enumerate(self.groups):
-            for e in g:
-                out[e] = i
-        return out
-
-    def can_select(self, e: int) -> bool:
-        i = self._group_of.get(e)
-        return i is not None and self.remaining[i] > 0
-
-    def after(self, e: int) -> "PartitionConstraint":
-        i = self._group_of[e]
-        rem = list(self.remaining)
-        rem[i] -= 1
-        if rem[i] < 0:
-            raise PolicyViolation("group %d budget exceeded" % i)
-        child = object.__new__(PartitionConstraint)     # valid as self is: no __post_init__
-        child.__dict__.update(self.__dict__, remaining=tuple(rem))     # shares _group_of
-        return child
-
     def total_budget(self) -> int:
         return sum(min(d, len(g)) for d, g in zip(self.remaining, self.groups))
 
@@ -138,13 +114,20 @@ class PolicyTrace:
 
 
 class Policy:
-    """Decision procedure: observation history + constraint state -> item or stop."""
+    """Decision procedure: observation history -> item or stop.
+
+    Round |psi| may select only from its group in schedule(n), which serves
+    the groups of fresh_constraint(n) in `order` (group-index order unless a
+    policy sets one).
+    """
 
     name = "policy"
     # A randomized policy defines decision_distribution, the law of its choice
     # that unseeded exact evaluation averages over; the law gets no scratch,
     # so only a deterministic policy may keep state there.
     randomized = False
+    order = None        # serve the groups in index order
+    _schedules = None
 
     def params(self) -> dict:
         return {}
@@ -153,15 +136,39 @@ class Policy:
         inner = ",".join("%s=%s" % (k, v) for k, v in sorted(self.params().items()))
         return "%s(%s)" % (self.name, inner)
 
-    def decide(self, ctx: EvalContext, psi: PartialRealization, cstate, scratch):
+    def decide(self, ctx: EvalContext, psi: PartialRealization, scratch):
         """None to stop, or (item, candidates, Delta): the choice, the items drawn or
         priced (maybe ctx's pool: copy before advance) and the choice's Delta or None."""
         raise NotImplementedError
 
+    def schedule(self, n: int) -> tuple:
+        """Each round's (group, limit, pool size) on n items, built once per n.
+
+        fresh_constraint(n) is served group by group in `order`: min(d_i,
+        |B_i|) rounds of B_i, as one sorted tuple, its pool shrinking by one a
+        round, where d_i is the group's budget, the limit sample sizes read; a
+        cardinality budget k is min(k, n) rounds of range(n), limit k.
+        """
+        schedules = self._schedules
+        if schedules is None:
+            schedules = self._schedules = {}
+        rounds = schedules.get(n)
+        if rounds is None:
+            c = self.fresh_constraint(n)
+            if isinstance(c, CardinalityConstraint):
+                groups, limits = (range(n),), (c.remaining,)
+            else:
+                groups, limits = [tuple(sorted(g)) for g in c.groups], c.remaining
+            rounds = schedules[n] = tuple(
+                (g, limits[i], len(g) - j)
+                for i in (range(len(groups)) if self.order is None else self.order)
+                for g in (groups[i],) for j in range(min(limits[i], len(g))))
+        return rounds
+
     def decision_widths(self, n: int) -> list:
         """Upper bounds, one per selection from the empty history on, on how
         many items the policy may choose there (its law's length if randomized)."""
-        return [1] * min(self.fresh_constraint(n).total_budget(), n)
+        return [1] * len(self.schedule(n))
 
     def run_on(self, ctx: EvalContext, phi) -> PolicyTrace:
         """Select-observe loop on a fixed realization, under the policy's own
@@ -171,35 +178,39 @@ class Policy:
         n, m = ctx.n, ctx.prior.m
         if len(phi) != n:
             raise ValidationError("realization has %d states, expected %d" % (len(phi), n))
-        cstate = self.fresh_constraint(n)
         psi = PSI_EMPTY
         scratch = {}
         steps = []
         while True:
-            decision = self.decide(ctx, psi, cstate, scratch)
+            decision = self.decide(ctx, psi, scratch)
             if decision is None:
                 break
             e, candidates, delta = decision
-            _check_choice(self, e, ctx.observed(psi), cstate, n)
+            _check_choice(self, e, ctx.observed(psi), n)
             o = phi[e]
             if type(o) is not int or not 0 <= o < m:
                 raise ValidationError("realization gives item %d state %s, not an integer "
                                       "in [0, %d)" % (e, _shown(o), m))
             steps.append(TraceStep(tuple(candidates), e, o, delta))
             psi = ctx.advance(psi, e, o)
-            cstate = cstate.after(e)
         selected = psi.domain()
         return PolicyTrace(tuple(steps), selected, ctx.f.value(selected, phi))
 
 
-def _check_choice(pi: Policy, e: int, seen, cstate, n: int):
-    """Raise PolicyViolation unless e is an unseen int item in [0, n) that cstate allows."""
+def _check_choice(pi: Policy, e: int, seen, n: int):
+    """Raise PolicyViolation unless e is an int item in [0, n) outside seen, the
+    observed map of psi, and in round |psi|'s group of pi.schedule(n)."""
     if type(e) is not int or not 0 <= e < n:
         raise PolicyViolation("%s selected unknown item %s" % (pi.name, _shown(e)))
     if e in seen:
         raise PolicyViolation("%s re-selected item %d" % (pi.name, e))
-    if not cstate.can_select(e):
-        raise PolicyViolation("%s selected infeasible item %d" % (pi.name, e))
+    rounds = pi.schedule(n)
+    if len(seen) < len(rounds):
+        group = rounds[len(seen)][0]
+        j = bisect_left(group, e)       # a sorted group: O(log |B_i|)
+        if j < len(group) and group[j] == e:
+            return
+    raise PolicyViolation("%s selected infeasible item %d" % (pi.name, e))
 
 
 def run_policy(pi: Policy, f, prior, phi, seed=0) -> PolicyTrace:
@@ -262,7 +273,7 @@ class EmptyPolicy(Policy):
     def fresh_constraint(self, n):
         return CardinalityConstraint(0)
 
-    def decide(self, ctx, psi, cstate, scratch):
+    def decide(self, ctx, psi, scratch):
         return None
 
 
@@ -280,34 +291,27 @@ class FixedSequencePolicy(Policy):
     def fresh_constraint(self, n):
         return CardinalityConstraint(len(self.sequence))
 
-    def decide(self, ctx, psi, cstate, scratch):
+    def decide(self, ctx, psi, scratch):
         for e in self.sequence:
             if e not in psi:
                 return e, (), None
         return None
 
 
-@lru_cache(maxsize=8)
-def _one_group(n: int, budget: int) -> "PartitionConstraint":
-    """A cardinality policy's constraint, built and validated once per (n, budget)."""
-    return PartitionConstraint((tuple(range(n)),), (budget,))
-
-
 class _BestOfSamplePolicy(Policy):
     """Selects the best-Delta item of a uniform sample of a group's pool.
 
-    Each round serves the first group in `order` with budget left and an
-    unobserved item, and draws _sample_size items, without replacement, from
-    that group's pool, which the context carries (EvalContext.pool); the best
-    item has the smallest (-Delta, id) key.  With no epsilon the sample is the
-    whole pool, which is greedy: decide draws nothing (each history has its own
-    stream, so no other choice changes) and decision_distribution puts mass 1
-    on rank 0.  Groups are disjoint, so the r-th round in group i has a pool of
-    |B_i| - r items whatever was observed: widths and caps are arithmetic.
+    Round |psi| serves its group in the schedule and draws _sample_size items,
+    without replacement, from that group's pool, which the context carries
+    (EvalContext.pool); the best item has the smallest (-Delta, id) key.  With
+    no epsilon the sample is the whole pool, which is greedy: decide draws
+    nothing (each history has its own stream, so no other choice changes) and
+    decision_distribution puts mass 1 on rank 0.  Groups are disjoint, so the
+    j-th round in group i has a pool of |B_i| - j items whatever was observed:
+    widths and caps are arithmetic.
     """
 
     epsilon = None
-    order = (0,)
 
     def _sample_size(self, pool_size: int, group_size: int, limit: int) -> int:
         """ceil((|B_i|/d_i) * ln(1/eps)) clamped to the pool; the pool with no epsilon."""
@@ -315,20 +319,20 @@ class _BestOfSamplePolicy(Policy):
             return pool_size
         return sample_budget(pool_size, group_size, limit, self.epsilon)
 
-    def _candidates(self, ctx, psi, cstate):
-        """(the served group's pool at psi in id order, sample size), or ([], 0)
-        to stop; the pool is ctx's own list."""
-        remaining = cstate.remaining
-        for i in self.order:
-            if remaining[i]:
-                group = cstate.groups[i]
-                pool = ctx.pool(psi, group)
-                if pool:
-                    return pool, self._sample_size(len(pool), len(group), self.limits[i])
+    def _candidates(self, ctx, psi):
+        """(round |psi|'s group's pool at psi in id order, sample size), or ([], 0)
+        to stop: past the schedule, or on an empty pool, which only a history off
+        the schedule has; the pool is ctx's own list."""
+        rounds, r = self.schedule(ctx.n), len(psi)
+        if r < len(rounds):
+            group, limit, _ = rounds[r]
+            pool = ctx.pool(psi, group)
+            if pool:
+                return pool, self._sample_size(len(pool), len(group), limit)
         return [], 0
 
-    def decide(self, ctx, psi, cstate, scratch):
-        pool, s = self._candidates(ctx, psi, cstate)
+    def decide(self, ctx, psi, scratch):
+        pool, s = self._candidates(ctx, psi)
         if not pool:
             return None
         candidates = pool if s == len(pool) else _draw(ctx.rng_for(psi), pool, s)
@@ -339,14 +343,14 @@ class _BestOfSamplePolicy(Policy):
                 best, best_d = e, d
         return best, candidates, best_d
 
-    def decision_distribution(self, ctx, psi, cstate):
+    def decision_distribution(self, ctx, psi):
         """Exact law of decide's choice over the uniform draw.
 
         With the pool ranked by (-Delta, id), the sample's best is rank j iff
         the sample holds rank j and s-1 of the N-1-j ranks after it:
         probability C(N-1-j, s-1) / C(N, s).
         """
-        pool, s = self._candidates(ctx, psi, cstate)
+        pool, s = self._candidates(ctx, psi)
         if not pool:
             return []
         ranked = sorted(pool, key=lambda e: (-ctx.delta(e, psi), e))
@@ -355,27 +359,21 @@ class _BestOfSamplePolicy(Policy):
         return [(e, math.comb(size - 1 - j, s - 1) / draws)
                 for j, e in enumerate(ranked[:size - s + 1])]
 
-    def _rounds(self, n: int) -> list:
-        """(|B_i|, d_i, pool size) of each round on n items, in order."""
-        cstate = self.fresh_constraint(n)
-        return [(len(g), self.limits[i], len(g) - r) for i in self.order
-                for g in (cstate.groups[i],) for r in range(cstate.remaining[i])]
-
     def decision_widths(self, n):
         """The law's length, pool size - s + 1, at each round."""
-        return [pool - self._sample_size(pool, size, d) + 1 for size, d, pool in self._rounds(n)]
+        return [pool - self._sample_size(pool, len(g), d) + 1 for g, d, pool in self.schedule(n)]
 
     def oracle_call_cap(self, n: int) -> int:
         """The paper's cap on one rollout's Delta calls: in each group i, the
         pools |B_i|, |B_i|-1, ... with no epsilon; else each round's sample of
         ceil((|B_i|/d_i) * ln(1/eps)) items, clamped to |B_i|."""
-        return sum(pool if self.epsilon is None else self._sample_size(size, size, d)
-                   for size, d, pool in self._rounds(n))
+        return sum(pool if self.epsilon is None else self._sample_size(len(g), len(g), d)
+                   for g, d, pool in self.schedule(n))
 
 
 class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
     """Classic adaptive greedy: argmax Delta over all unselected items each round,
-    under one group of all n items with budget min(k, n) (sample sizes read k)."""
+    under the cardinality budget k (sample sizes read k)."""
 
     name = "greedy"
 
@@ -383,13 +381,12 @@ class AdaptiveGreedyPolicy(_BestOfSamplePolicy):
         if _check_int(k, "k") < 0:
             raise ValidationError("k must be >= 0")
         self.k = k
-        self.limits = (k,)
 
     def params(self):
         return {"k": self.k}
 
     def fresh_constraint(self, n):
-        return _one_group(n, min(self.k, n))
+        return CardinalityConstraint(self.k)
 
 
 class LazyGreedyPolicy(AdaptiveGreedyPolicy):
@@ -405,17 +402,17 @@ class LazyGreedyPolicy(AdaptiveGreedyPolicy):
 
     name = "lazy"
 
-    def decide(self, ctx, psi, cstate, scratch):
+    def decide(self, ctx, psi, scratch):
         # Only round 1 reads the pool; in round j + 1 (|psi| = j) the heap holds
-        # the n - j items not yet chosen, at least one while the budget
-        # min(k, n) - j lasts, so only an exhausted budget stops.
-        if not cstate.remaining[0]:
-            return None
+        # the n - j items not yet chosen, at least one while the schedule's
+        # min(k, n) rounds last, so only its end stops.
         rnd = len(psi) + 1
+        if rnd > len(self.schedule(ctx.n)):
+            return None
         heap = scratch.get("heap")
         evaluated = []
         if heap is None:    # every entry is fresh, so the first pop is chosen
-            evaluated, _ = self._candidates(ctx, psi, cstate)
+            evaluated, _ = self._candidates(ctx, psi)
             heap = scratch["heap"] = [(-ctx.delta(e, psi), e, rnd) for e in evaluated]
             heapq.heapify(heap)
         while True:
@@ -461,15 +458,15 @@ class RandomPolicy(AdaptiveGreedyPolicy):
     def _sample_size(self, pool_size, group_size, limit):
         return 1
 
-    def decide(self, ctx, psi, cstate, scratch):
-        pool, _ = self._candidates(ctx, psi, cstate)
+    def decide(self, ctx, psi, scratch):
+        pool, _ = self._candidates(ctx, psi)
         if not pool:
             return None
         e = ctx.rng_for(psi).choice(pool)
         return e, (e,), None
 
-    def decision_distribution(self, ctx, psi, cstate):
-        pool, _ = self._candidates(ctx, psi, cstate)
+    def decision_distribution(self, ctx, psi):
+        pool, _ = self._candidates(ctx, psi)
         return [(e, 1.0 / len(pool)) for e in pool]
 
 
@@ -483,11 +480,7 @@ class LocallyGreedyPolicy(_BestOfSamplePolicy):
     name = "local"
 
     def __init__(self, groups, limits, order=None):
-        given = PartitionConstraint.of(groups, limits)
-        self.limits = given.remaining       # the fixed budgets d_i, which sample sizes read
-        # Budgets min(d_i, |B_i|), so a group's pool empties only with its budget.
-        self.constraint = PartitionConstraint(
-            given.groups, tuple(map(min, self.limits, map(len, given.groups))))
+        self.constraint = PartitionConstraint.of(groups, limits)
         b = len(self.constraint.groups)
         self.order = tuple(_check_int(i, "order item")
                            for i in (order if order is not None else range(b)))
@@ -516,7 +509,7 @@ class GeneralizedASGPolicy(LocallyGreedyPolicy):
     def __init__(self, groups, limits, epsilon: float, order=None):
         super().__init__(groups, limits, order)
         self.epsilon = _check_epsilon(epsilon)
-        if any(d < 1 for d in self.limits):
+        if any(d < 1 for d in self.constraint.remaining):
             raise ValidationError("every group budget must be >= 1")
 
     def params(self):

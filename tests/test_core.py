@@ -582,8 +582,6 @@ class _OverBudget(FixedSequencePolicy):
     (lambda f, prior: generalized_asg([[0, 1], [2, 3]], [1, 0], 0.1),
      ValidationError, "every group budget must be >= 1"),
     (lambda f, prior: adaptive_greedy(2, variant="eager"), ValidationError, "variant must be"),
-    (lambda f, prior: PartitionConstraint.of([[0, 1]], [1]).after(0).after(1),
-     PolicyViolation, "group 0 budget exceeded"),
     (lambda f, prior: _OverBudget([0]).run_on(EvalContext(f, prior), (0,) * prior.n),
      PolicyViolation, "selected infeasible item 0"),
     (lambda f, prior: lemma1_check(10, 2, 0.1, trials=0), ValidationError,
@@ -594,7 +592,7 @@ class _OverBudget(FixedSequencePolicy):
     (lambda f, prior: expected_utility(f, prior, adaptive_greedy(2), mode="approx"),
      ValidationError, "unknown mode 'approx'"),
 ], ids=["greedy-k-negative", "asg-k-zero", "local-order-repeats", "gasg-limit-zero",
-        "greedy-variant-unknown", "partition-after-exhausted", "run-on-infeasible-choice",
+        "greedy-variant-unknown", "run-on-infeasible-choice",
         "lemma1-trials-zero", "generate-n-zero", "load-non-object", "expected-utility-mode"])
 def test_out_of_range_arguments_raise_package_errors(call, error, match):
     f, prior = _repro_instance()

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from adasub import (
-    CardinalityConstraint,
     CoverageUtility,
     ExplicitPrior,
     IndependentPrior,
@@ -41,7 +40,6 @@ from adasub.core import EvalContext
 from adasub.evaluation import EXACT_MAX_HISTORIES, exact_history_bound
 from adasub.policies import (
     FixedSequencePolicy,
-    PartitionConstraint,
     RandomPolicy,
     _BestOfSamplePolicy,
     sample_budget,
@@ -60,31 +58,30 @@ def explicit_delta(f, prior, psi, e):
     return total
 
 
-def reference_value(f, prior, psi, cstate, candidate_sets):
+def reference_value(f, prior, psi, candidate_sets):
     """E[final f] when each history picks the best-Delta item of a uniformly
     drawn candidate set (ties to the smallest item).
 
-    candidate_sets(psi, cstate) lists the equally likely sets; [] stops.
+    candidate_sets(psi) lists the equally likely sets; [] stops.  Each set
+    counts the budget psi has used itself: every selected item is observed.
     """
-    sets = candidate_sets(psi, cstate)
+    sets = candidate_sets(psi)
     if not sets:
         return sum(p * f.value(psi.domain(), phi) for phi, p in prior.support(psi))
     total = 0.0
     for cand in sets:
         delta = {e: explicit_delta(f, prior, psi, e) for e in cand}
         best = min(cand, key=lambda e: (-delta[e], e))
-        nxt = cstate.after(best)
-        total += sum(p * reference_value(f, prior, psi.with_observation(best, o), nxt,
-                                         candidate_sets)
+        total += sum(p * reference_value(f, prior, psi.with_observation(best, o), candidate_sets)
                      for o, p in prior.item_posterior(best, psi))
     return total / len(sets)
 
 
 def asg_sets(n, k, eps):
-    """ASG's equally likely samples; eps=None is greedy, whose one candidate
-    set is the whole pool."""
-    def sets(psi, cstate):
-        pool = [e for e in range(n) if e not in psi] if cstate.remaining else []
+    """ASG's equally likely samples while |dom psi| < k; eps=None is greedy,
+    whose one candidate set is the whole pool."""
+    def sets(psi):
+        pool = [e for e in range(n) if e not in psi] if len(psi.domain()) < k else []
         if not pool:
             return []
         s = len(pool) if eps is None else sample_budget(len(pool), n, k, eps)
@@ -92,19 +89,20 @@ def asg_sets(n, k, eps):
     return sets
 
 
-def random_sets(n):
-    def sets(psi, cstate):
-        pool = [e for e in range(n) if e not in psi] if cstate.remaining else []
+def random_sets(n, k):
+    def sets(psi):
+        pool = [e for e in range(n) if e not in psi] if len(psi.domain()) < k else []
         return [(e,) for e in pool]
     return sets
 
 
 def gasg_sets(groups, limits, eps, order):
-    """GASG's equally likely samples; eps=None is locally greedy."""
-    def sets(psi, cstate):
+    """GASG's equally likely samples from the first group in order with
+    |dom psi ∩ B_i| < d_i and an unobserved item; eps=None is locally greedy."""
+    def sets(psi):
         for i in order:
             pool = [e for e in groups[i] if e not in psi]
-            if cstate.remaining[i] and pool:
+            if len(set(groups[i]) & set(psi.domain())) < limits[i] and pool:
                 s = len(pool) if eps is None else sample_budget(len(pool), len(groups[i]),
                                                                 limits[i], eps)
                 return list(itertools.combinations(pool, s))
@@ -146,15 +144,13 @@ def cardinality_cases():
 @pytest.mark.parametrize("name,f,prior,n,k,eps", list(cardinality_cases()))
 def test_asg_and_random_match_the_reference(name, f, prior, n, k, eps):
     asg = exact_policy_value(adaptive_stochastic_greedy(k, eps), f, prior)
-    ref = reference_value(f, prior, PSI_EMPTY, CardinalityConstraint(k),
-                          asg_sets(n, k, eps))
+    ref = reference_value(f, prior, PSI_EMPTY, asg_sets(n, k, eps))
     assert abs(asg - ref) <= 1e-12
     greedy = exact_policy_value(adaptive_greedy(k), f, prior)
-    ref = reference_value(f, prior, PSI_EMPTY, CardinalityConstraint(k),
-                          asg_sets(n, k, None))
+    ref = reference_value(f, prior, PSI_EMPTY, asg_sets(n, k, None))
     assert abs(greedy - ref) <= 1e-12
     rnd = exact_policy_value(random_policy(k), f, prior)
-    ref = reference_value(f, prior, PSI_EMPTY, CardinalityConstraint(k), random_sets(n))
+    ref = reference_value(f, prior, PSI_EMPTY, random_sets(n, k))
     assert abs(rnd - ref) <= 1e-12
 
 
@@ -178,12 +174,11 @@ def partition_cases():
 
 @pytest.mark.parametrize("f,prior,groups,limits,order,eps", list(partition_cases()))
 def test_gasg_matches_the_reference(f, prior, groups, limits, order, eps):
-    cstate = PartitionConstraint.of(groups, limits)
     val = exact_policy_value(generalized_asg(groups, limits, eps, order), f, prior)
-    ref = reference_value(f, prior, PSI_EMPTY, cstate, gasg_sets(groups, limits, eps, order))
+    ref = reference_value(f, prior, PSI_EMPTY, gasg_sets(groups, limits, eps, order))
     assert abs(val - ref) <= 1e-12
     val = exact_policy_value(locally_greedy(groups, limits, order), f, prior)
-    ref = reference_value(f, prior, PSI_EMPTY, cstate, gasg_sets(groups, limits, None, order))
+    ref = reference_value(f, prior, PSI_EMPTY, gasg_sets(groups, limits, None, order))
     assert abs(val - ref) <= 1e-12
 
 
@@ -201,11 +196,10 @@ def test_every_selection_path_breaks_ties_to_the_smallest_id():
              (locally_greedy(groups, limits), PSI_EMPTY),
              (generalized_asg(groups, limits, 0.1), PSI_EMPTY))
     for pi, psi in cases:
-        cstate = pi.fresh_constraint(5)
         for seed in (0, 1, "x"):
             ctx = EvalContext(f, prior, seed=seed)
-            assert pi.decide(ctx, psi, cstate, {})[0] == 0, pi.name
-        assert pi.decision_distribution(EvalContext(f, prior), psi, cstate) == [(0, 1.0)]
+            assert pi.decide(ctx, psi, {})[0] == 0, pi.name
+        assert pi.decision_distribution(EvalContext(f, prior), psi) == [(0, 1.0)]
     # lazy greedy meets the tie through its heap of stale bounds
     phi = (1, 1, 0, 1, 1)
     for pi in (adaptive_greedy(2), adaptive_greedy(2, "lazy"),
@@ -266,12 +260,12 @@ def visited_histories(monkeypatch, pi, f, prior, seed=None):
     seen = []
     inner = evaluation.HistoryRecursion.value
 
-    def counting(rec, psi, cstate, covered=None):
+    def counting(rec, psi, covered=None):
         if psi.pairs not in rec.memo:
             seen.append(psi.pairs)
             # a carried covered mask is the one psi's pairs cover
             assert covered is None or covered == rec.ctx.f.covered(psi), psi
-        return inner(rec, psi, cstate, covered)
+        return inner(rec, psi, covered)
 
     monkeypatch.setattr(evaluation.HistoryRecursion, "value", counting)
     value = exact_policy_value(pi, f, prior, seed=seed)
@@ -329,38 +323,101 @@ def test_every_node_is_memoized(monkeypatch):
 
 
 def test_each_memoized_node_has_the_constraint_its_domain_fixes(monkeypatch):
-    # HistoryRecursion keys a node by psi alone: the constraint state passed
-    # in must be the fresh one advanced by dom psi's items.
+    # HistoryRecursion keys a node by psi alone, as |psi| names the round pi
+    # serves: dom psi must hold, of each group, exactly as many items as the
+    # schedule's first |psi| rounds serve (written out here, not read from
+    # the policy: greedy-like policies' one group of 6 items for 3 rounds,
+    # the partition's groups for 2 and 1).
     groups, limits = [[0, 1, 2], [3, 4, 5]], [2, 1]
     instances = (generate_coverage(n=6, m=2, universe_size=6, density=0.35, seed=600, k=3),
                  generate_coverage(n=6, m=2, universe_size=6, density=0.35, seed=601,
                                    groups=groups, limits=limits))
-    policies = (adaptive_greedy(3), adaptive_greedy(3, "lazy"),
-                adaptive_stochastic_greedy(3, 0.3), random_policy(3),
-                locally_greedy(groups, limits), generalized_asg(groups, limits, 0.5),
-                FixedSequencePolicy([4, 0, 2]))
+    everything = [range(6)] * 3
+    policies = ((adaptive_greedy(3), everything), (adaptive_greedy(3, "lazy"), everything),
+                (adaptive_stochastic_greedy(3, 0.3), everything),
+                (random_policy(3), everything),
+                (locally_greedy(groups, limits), [groups[0], groups[0], groups[1]]),
+                (generalized_asg(groups, limits, 0.5), [groups[0], groups[0], groups[1]]),
+                (FixedSequencePolicy([4, 0, 2]), everything))
     inner = evaluation.HistoryRecursion.value
     for inst in instances:
-        for pi in policies:
+        for pi, rounds in policies:
             for seed in (None, 0):
                 checked = []
 
-                def checking(rec, psi, cstate, covered=None):
+                def checking(rec, psi, covered=None):
                     if psi.pairs not in rec.memo:
-                        fresh = pi.fresh_constraint(inst.n)
-                        for e in psi.domain():
-                            fresh = fresh.after(e)
-                        assert cstate == fresh, (pi.describe(), seed, psi)
+                        served = rounds[:len(psi)]
+                        assert len(served) == len(psi), (pi.describe(), seed, psi)
+                        for group in map(set, served):
+                            assert (len(group & set(psi.domain()))
+                                    == sum(set(g) == group for g in served)), \
+                                (pi.describe(), seed, psi)
                         # coverage under an independent prior: every node
                         # carries the covered mask its pairs fix
                         assert covered == rec.ctx.f.covered(psi), (pi.describe(), seed, psi)
                         checked.append(psi.pairs)
-                    return inner(rec, psi, cstate, covered)
+                    return inner(rec, psi, covered)
 
                 monkeypatch.setattr(evaluation.HistoryRecursion, "value", checking)
                 _, rec = recursion_of(monkeypatch, pi, inst.utility(), inst.prior, seed)
                 assert sorted(checked) == sorted(rec.memo), (pi.describe(), seed)
                 assert any(len(pairs) == 3 for pairs in checked), (pi.describe(), seed)
+
+
+def scan_rule(groups, limits, order, size, psi):
+    """The group search that preceded the schedule: the first group in order
+    with budget min(d_i, |B_i|) - |dom psi ∩ B_i| left and an unobserved item,
+    its pool in id order and the sample size read at d_i; ([], 0) if none."""
+    dom = set(psi.domain())
+    for i in order:
+        group = sorted(groups[i])
+        pool = [e for e in group if e not in dom]
+        if min(limits[i], len(group)) - len(dom & set(group)) > 0 and pool:
+            return pool, size(len(pool), len(group), limits[i])
+    return [], 0
+
+
+def test_the_schedule_is_the_scan_rule_wherever_a_policy_can_be(monkeypatch):
+    # At every memoized node of the exact trees, unseeded and seeded, and at
+    # every step of seeded rollouts, round |psi|'s candidates are the ones the
+    # old first-group-with-budget search found: greedy, lazy, ASG and random
+    # at k <= n and k > n, and locally greedy and GASG with a permuted order
+    # and a limit above its group's size.
+    n = 6
+    whole = lambda pool, size, d: pool
+    one = lambda pool, size, d: 1
+    sampled = lambda eps: lambda pool, size, d: sample_budget(pool, size, d, eps)
+    cases = []
+    for k in (3, 8):
+        cases += [(adaptive_greedy(k), [range(n)], [k], [0], whole),
+                  (adaptive_greedy(k, "lazy"), [range(n)], [k], [0], whole),
+                  (adaptive_stochastic_greedy(k, 0.3), [range(n)], [k], [0], sampled(0.3)),
+                  (random_policy(k), [range(n)], [k], [0], one)]
+    for groups, limits, order in (([[0, 1, 2], [3, 4, 5]], [2, 4], [1, 0]),
+                                  ([[4, 0], [5, 1, 3, 2]], [3, 1], [1, 0])):
+        cases += [(locally_greedy(groups, limits, order), groups, limits, order, whole),
+                  (generalized_asg(groups, limits, 0.5, order), groups, limits, order,
+                   sampled(0.5))]
+    inst = generate_coverage(n=n, m=2, universe_size=6, density=0.35, seed=602)
+    f, prior = inst.utility(), inst.prior
+    for pi, groups, limits, order, size in cases:
+        def check(psi, where):
+            expected = scan_rule(groups, limits, order, size, psi)
+            assert pi._candidates(EvalContext(f, prior), psi) == expected, \
+                (pi.describe(), where, psi)
+
+        for seed in (None, 0):
+            _, rec = recursion_of(monkeypatch, pi, f, prior, seed)
+            for pairs in rec.memo:
+                check(PartialRealization(pairs), seed)
+        for r in range(4):
+            phi = prior.sample(random.Random(r))
+            psi = PSI_EMPTY
+            for step in run_policy(pi, f, prior, phi, seed=r).steps:
+                check(psi, "rollout %d" % r)
+                psi = psi.with_observation(step.chosen, step.observed)
+            check(psi, "rollout %d" % r)
 
 
 def test_lazy_greedy_keeps_its_heap_across_one_rollouts_rounds():
@@ -424,19 +481,19 @@ def test_tree_over_the_cap_is_refused_before_any_work():
 
 def reference_chain(f, prior, psi, phases):
     """E[f(dom psi + every phase's selections) | psi] when each phase, a
-    (constraint, candidate_sets) pair, starts from an empty history once the
-    phase before it stops, and at each of its histories picks the best-Delta
-    item of a uniformly drawn candidate set (ties to the smallest item), each
+    candidate_sets function, starts from an empty history once the phase
+    before it stops, and at each of its histories picks the best-Delta item
+    of a uniformly drawn candidate set (ties to the smallest item), each
     phase's draws independent of the others'."""
     deltas = {}     # a phase's Delta at its history, the same on every realization
 
     def run(phi, phases, selected):
         if not phases:
             return f.value(tuple(sorted(selected)), phi)
-        (cstate, candidate_sets), rest = phases[0], phases[1:]
+        candidate_sets, rest = phases[0], phases[1:]
 
-        def walk(history, cstate):
-            sets = candidate_sets(history, cstate)
+        def walk(history):
+            sets = candidate_sets(history)
             if not sets:
                 return run(phi, rest, selected | set(history.domain()))
             total = 0.0
@@ -445,10 +502,10 @@ def reference_chain(f, prior, psi, phases):
                     if (history, e) not in deltas:
                         deltas[history, e] = explicit_delta(f, prior, history, e)
                 best = min(cand, key=lambda e: (-deltas[history, e], e))
-                total += walk(history.with_observation(best, phi[best]), cstate.after(best))
+                total += walk(history.with_observation(best, phi[best]))
             return total / len(sets)
 
-        return walk(PSI_EMPTY, cstate)
+        return walk(PSI_EMPTY)
 
     return sum(p * run(phi, phases, set(psi.domain())) for phi, p in prior.support(psi))
 
@@ -470,13 +527,12 @@ def test_policy_marginal_matches_the_reference(seed):
                              groups=groups, limits=limits)
     f, prior = inst.utility(), inst.prior
     psi = PartialRealization.of({1: prior.item_states(1)[-1], n - 2: prior.item_states(n - 2)[0]})
-    cases = ((adaptive_stochastic_greedy(k, eps), CardinalityConstraint(k), asg_sets(n, k, eps)),
-             (random_policy(k), CardinalityConstraint(k), random_sets(n)),
-             (generalized_asg(groups, limits, eps, order),
-              PartitionConstraint.of(groups, limits), gasg_sets(groups, limits, eps, order)))
-    for pi, cstate, sets in cases:
+    cases = ((adaptive_stochastic_greedy(k, eps), asg_sets(n, k, eps)),
+             (random_policy(k), random_sets(n, k)),
+             (generalized_asg(groups, limits, eps, order), gasg_sets(groups, limits, eps, order)))
+    for pi, sets in cases:
         val = policy_marginal(f, prior, psi, pi)
-        assert abs(val - reference_marginal(f, prior, psi, [(cstate, sets)])) <= 1e-12, pi.name
+        assert abs(val - reference_marginal(f, prior, psi, [sets])) <= 1e-12, pi.name
         assert (policy_marginal(f, prior, PSI_EMPTY, pi)
                 == exact_policy_value(pi, f, prior) - expected_set_value(f, prior, PSI_EMPTY))
 
@@ -485,16 +541,16 @@ def test_randomized_concat_policy_marginal_matches_the_reference(utility_a, prio
     # At {0: 1} item 0 covers the whole universe, so every marginal there is 0.
     psi = PartialRealization.of({0: 0})
     pi = concat(random_policy(1), random_policy(1))
-    phases = [(CardinalityConstraint(1), random_sets(2))] * 2
+    phases = [random_sets(2, 1)] * 2
     val = policy_marginal(utility_a, prior_a, psi, pi)
     assert val == 0.375     # item 1, in state 1 half the time, unless both phases pick 0
     assert abs(val - reference_marginal(utility_a, prior_a, psi, phases)) <= 1e-12
 
 
 def fixed_sets(sequence):
-    def sets(psi, cstate):
+    def sets(psi):
         todo = [e for e in sequence if e not in psi]
-        return [(todo[0],)] if todo and cstate.remaining else []
+        return [(todo[0],)] if todo and len(psi.domain()) < len(sequence) else []
     return sets
 
 
@@ -504,13 +560,12 @@ def concat_phases():
     concatenation nested in each phase."""
     n = 4
     single = {
-        "greedy": (adaptive_greedy(2), [(CardinalityConstraint(2), asg_sets(n, 2, None))]),
-        "lazy": (adaptive_greedy(2, "lazy"), [(CardinalityConstraint(2), asg_sets(n, 2, None))]),
-        "asg": (adaptive_stochastic_greedy(2, 0.5),
-                [(CardinalityConstraint(2), asg_sets(n, 2, 0.5))]),
-        "random": (random_policy(1), [(CardinalityConstraint(1), random_sets(n))]),
-        "fixed": (FixedSequencePolicy([3, 0]), [(CardinalityConstraint(2), fixed_sets([3, 0]))]),
-        "empty": (empty_policy(), [(CardinalityConstraint(0), lambda psi, cstate: [])]),
+        "greedy": (adaptive_greedy(2), [asg_sets(n, 2, None)]),
+        "lazy": (adaptive_greedy(2, "lazy"), [asg_sets(n, 2, None)]),
+        "asg": (adaptive_stochastic_greedy(2, 0.5), [asg_sets(n, 2, 0.5)]),
+        "random": (random_policy(1), [random_sets(n, 1)]),
+        "fixed": (FixedSequencePolicy([3, 0]), [fixed_sets([3, 0])]),
+        "empty": (empty_policy(), [lambda psi: []]),
     }
 
     def joined(first, second):

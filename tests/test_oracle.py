@@ -34,18 +34,28 @@ def _stop_value(f, prior, psi):
     return sum(p * f.value(psi.domain(), phi) for phi, p in prior.support(psi))
 
 
-def _brute_force(f, prior, psi, cstate):
+def _allows(constraint, chosen, e):
+    """Whether the constraint lets e follow the selections `chosen`, in any order."""
+    if isinstance(constraint, CardinalityConstraint):
+        return len(chosen) < constraint.remaining
+    return any(e in g and len(set(g) & set(chosen)) < d
+               for g, d in zip(constraint.groups, constraint.remaining))
+
+
+def _brute_force(f, prior, psi, constraint, chosen=()):
     """The oracle's recursion unmemoized, over the posteriors given psi: the
-    stop value (checked against its definition), then each feasible item's
-    branch in ascending order, kept when it beats the best by more than
+    stop value (checked against its definition), then the branch of each item
+    the constraint allows after `chosen` (the items selected since the first
+    call) in ascending order, kept when it beats the best by more than
     VALUE_TOL.  It keys nothing, so the oracle must equal it bit for bit."""
     best = expected_set_value(f, prior, psi)
     assert abs(best - _stop_value(f, prior, psi)) <= 1e-12, psi
     for e in range(prior.n):
-        if e not in psi and cstate.can_select(e):
+        if e not in psi and _allows(constraint, chosen, e):
             total = 0.0
             for o, p in prior.item_posterior(e, psi):
-                total += p * _brute_force(f, prior, psi.with_observation(e, o), cstate.after(e))
+                total += p * _brute_force(f, prior, psi.with_observation(e, o), constraint,
+                                          chosen + (e,))
             if total > best + VALUE_TOL:
                 best = total
     return best

@@ -38,8 +38,9 @@ def rollout(pi, inst, phi, seed=0):
 
 
 class Scripted(Policy):
-    """Chooses choices[len(psi)] at every history, observed or not, under a
-    budget of `budget`; stops once the choices run out."""
+    """Chooses choices[len(psi)] at every history, observed or not, under
+    `budget`, a cardinality budget or a constraint; stops once the choices
+    run out."""
 
     name = "scripted"
 
@@ -47,9 +48,9 @@ class Scripted(Policy):
         self.choices, self.budget = choices, budget
 
     def fresh_constraint(self, n):
-        return CardinalityConstraint(self.budget)
+        return CardinalityConstraint(self.budget) if isinstance(self.budget, int) else self.budget
 
-    def decide(self, ctx, psi, cstate, scratch):
+    def decide(self, ctx, psi, scratch):
         return (self.choices[len(psi)], (), None) if len(psi) < len(self.choices) else None
 
 
@@ -58,9 +59,13 @@ class ScriptedLaw(Scripted):
 
     randomized = True
 
-    def decision_distribution(self, ctx, psi, cstate):
-        decision = self.decide(ctx, psi, cstate, None)
+    def decision_distribution(self, ctx, psi):
+        decision = self.decide(ctx, psi, None)
         return [] if decision is None else [(decision[0], 1.0)]
+
+
+# Groups [[0, 1], [2, 3]] with limits [1, 1] on five items: item 4 is in no group.
+TWO_PAIRS = PartitionConstraint.of([[0, 1], [2, 3]], [1, 1])
 
 
 def test_fixed_sequence_describes_its_sequence():
@@ -86,7 +91,7 @@ class TestRunPolicy:
         bad = FixedSequencePolicy([0, 0])
         # fixed policy skips observed items, so force the violation directly
         class Stubborn(FixedSequencePolicy):
-            def decide(self, ctx, psi, cstate, scratch):
+            def decide(self, ctx, psi, scratch):
                 return 0, (), None
         with pytest.raises(PolicyViolation):
             run_policy(Stubborn([0]), utility_a, prior_a, (1, 0))
@@ -96,12 +101,22 @@ class TestRunPolicy:
                              [([7], 1, "scripted selected unknown item 7"),
                               ([-1], 1, "scripted selected unknown item -1"),
                               ([0, 0], 2, "scripted re-selected item 0"),
-                              ([0, 1], 1, "scripted selected infeasible item 1")])
+                              ([0, 1], 1, "scripted selected infeasible item 1"),
+                              # a second pick from group 0, and one past every group's
+                              # budget, in round 1 and round 2
+                              ([0, 1], TWO_PAIRS, "scripted selected infeasible item 1"),
+                              ([0, 2, 3], TWO_PAIRS, "scripted selected infeasible item 3"),
+                              # an item in no group
+                              ([4], TWO_PAIRS, "scripted selected infeasible item 4"),
+                              # group 1 before group 0: groups are served in index order
+                              ([2], TWO_PAIRS, "scripted selected infeasible item 2")])
     @pytest.mark.parametrize("cls", [Scripted, ScriptedLaw])
     def test_rollouts_and_exact_evaluation_refuse_a_choice_alike(self, cls, choices, budget,
                                                                  message):
         # Exact evaluation called all three "chose infeasible item"; its
         # unseeded ScriptedLaw tree checks the law's items, its seeded one decide's.
+        # Under a partition, round |psi| may select only from its group in the
+        # schedule, so group 1's item 2 in round 0 is refused too.
         inst = generate_coverage(n=5, m=2, universe_size=6, density=0.4, seed=1)
         f, prior, pi = inst.utility(), inst.prior, cls(choices, budget)
         phi = sample_realization(prior, random.Random(0))
@@ -110,6 +125,23 @@ class TestRunPolicy:
                     lambda: exact_policy_value(pi, f, prior, seed=0)):
             with pytest.raises(PolicyViolation, match="^%s$" % message):
                 run()
+
+    @pytest.mark.parametrize("choices,budget,widths", [
+        ([0, 2], TWO_PAIRS, [1, 1]),
+        # group 0's limit 5 serves its 2 items, then group 1 gets its round
+        ([1, 0, 3], PartitionConstraint.of([[0, 1], [2, 3]], [5, 1]), [1, 1, 1]),
+        # a cardinality budget past n serves n rounds
+        ([4, 3, 2, 1, 0], 9, [1] * 5)])
+    @pytest.mark.parametrize("cls", [Scripted, ScriptedLaw])
+    def test_a_choice_on_the_schedule_runs(self, cls, choices, budget, widths):
+        inst = generate_coverage(n=5, m=2, universe_size=6, density=0.4, seed=1)
+        f, prior, pi = inst.utility(), inst.prior, cls(choices, budget)
+        assert pi.decision_widths(5) == widths
+        for phi, p in prior.support():
+            assert run_policy(pi, f, prior, phi).selected == tuple(sorted(choices))
+        value = sum(p * f.value(choices, phi) for phi, p in prior.support())
+        for seed in (None, 0):
+            assert abs(exact_policy_value(pi, f, prior, seed=seed) - value) <= 1e-12
 
     @pytest.mark.parametrize("choice", [1.0, True])
     @pytest.mark.parametrize("cls", [Scripted, ScriptedLaw])
@@ -228,12 +260,12 @@ def test_one_group_partition_policies_equal_the_cardinality_ones(n, k, seed):
 
 
 def test_candidates_match_their_definition():
-    # Each round serves the first group in order with budget left and an
-    # unobserved item (a cardinality policy's one group is all n items); each
-    # group's budget is min(d_i, |B_i|).  The candidates are that group's
-    # unobserved items in id order, under cardinality and partition states, at
-    # histories reached by advance and at stray ones, and the sample size is
-    # the policy's rule, which reads the unclamped d_i.
+    # The schedule serves the groups in order, min(d_i, |B_i|) rounds of group
+    # B_i (a cardinality policy's one group is all n items), with the
+    # unclamped d_i and the pool size each round has on the schedule.  Round
+    # |psi|'s candidates are its group's unobserved items in id order and the
+    # policy's sample size, or none past the schedule or on an empty pool, at
+    # histories reached by advance and at stray ones.
     n, groups, order = 10, [[6, 7, 8, 9], [0, 1, 2], [3, 4, 5]], [2, 0, 1]
     whole = lambda pool, size, d: pool
     cases = [
@@ -252,25 +284,19 @@ def test_candidates_match_their_definition():
              ({}, {2: 0, 5: 1}, {0: 1, 7: 0, 9: 1}, {6: 0, 7: 0, 8: 0, 9: 1},
               {e: 0 for e in range(n)})]
     for pi, pi_groups, pi_limits, pi_order, size in cases:
-        fresh = pi.fresh_constraint(n)
-        assert fresh == PartitionConstraint.of(
-            pi_groups, [min(d, len(g)) for g, d in zip(pi_groups, pi_limits)])
-        states = [fresh]
-        for e in (4, 0, 9, 7, 1, 3, 8, 5, 2, 6):
-            if states[-1].can_select(e):
-                states.append(states[-1].after(e))
-        assert states[-1].total_budget() == 0
+        rounds = [(sorted(pi_groups[i]), pi_limits[i], len(pi_groups[i]) - j) for i in pi_order
+                  for j in range(min(pi_limits[i], len(pi_groups[i])))]
+        assert [(list(g), d, pool) for g, d, pool in pi.schedule(n)] == rounds, pi.describe()
+        assert min(pi.fresh_constraint(n).total_budget(), n) == len(rounds)
 
         def check(ctx, psi):
-            for cstate in states:
-                expected = [], 0
-                for i in pi_order:
-                    group = sorted(pi_groups[i])
-                    pool = [e for e in group if e not in psi]
-                    if cstate.remaining[i] and pool:
-                        expected = pool, size(len(pool), len(group), pi_limits[i])
-                        break
-                assert pi._candidates(ctx, psi, cstate) == expected, (pi.describe(), psi, cstate)
+            expected = [], 0
+            if len(psi) < len(rounds):
+                group, d, _ = rounds[len(psi)]
+                pool = [e for e in group if e not in psi]
+                if pool:
+                    expected = pool, size(len(pool), len(group), d)
+            assert pi._candidates(ctx, psi) == expected, (pi.describe(), psi)
 
         ctx = EvalContext(UtilityFunction(), IndependentPrior([[0.5, 0.5]] * n))
         psi = PSI_EMPTY

@@ -64,14 +64,13 @@ def partitions(draw):
 
 def check_policy(pi, inst):
     f, prior = inst.utility(), inst.prior
-    cstate = pi.fresh_constraint(inst.n)
-    law = pi.decision_distribution(EvalContext(f, prior, seed=None), PSI_EMPTY, cstate)
+    law = pi.decision_distribution(EvalContext(f, prior, seed=None), PSI_EMPTY)
     assert abs(sum(q for _, q in law) - 1.0) <= 1e-12, pi.describe()
     support = {e for e, q in law if q > 0.0}
     for seed in range(5):
-        e = pi.decide(EvalContext(f, prior, seed=seed), PSI_EMPTY, cstate, {})[0]
+        e = pi.decide(EvalContext(f, prior, seed=seed), PSI_EMPTY, {})[0]
         assert e in support, (pi.describe(), seed, e)
-    opt = optimal_value(f, prior, cstate).value
+    opt = optimal_value(f, prior, pi.fresh_constraint(inst.n)).value
     assert exact_policy_value(pi, f, prior) <= opt + 1e-12, pi.describe()
     # The seeded tree against one seeded rollout per realization of the support.
     rolled = sum(p * run_policy(pi, f, prior, phi, seed=SEED).value
@@ -85,15 +84,15 @@ def check_widths_along_a_path(pi, inst):
     widths = pi.decision_widths(inst.n)
     phi = inst.prior.sample(random.Random(0))
     ctx = EvalContext(inst.utility(), inst.prior, seed=None)
-    psi, cstate = PSI_EMPTY, pi.fresh_constraint(inst.n)
+    psi = PSI_EMPTY
     for j in range(len(widths) + 1):
-        law = pi.decision_distribution(ctx, psi, cstate)
+        law = pi.decision_distribution(ctx, psi)
         if j == len(widths):
             assert law == [], (pi.describe(), j)
             return
         assert len(law) == widths[j], (pi.describe(), j)
         e = law[0][0]
-        psi, cstate = psi.with_observation(e, phi[e]), cstate.after(e)
+        psi = psi.with_observation(e, phi[e])
 
 
 @given(coverage(), st.integers(1, 3), EPSILONS)
@@ -117,11 +116,10 @@ def test_partition_policies(case, eps):
 
 def check_against_sampling(pi, inst):
     f, prior = inst.utility(), inst.prior
-    cstate = pi.fresh_constraint(inst.n)
-    law = dict(pi.decision_distribution(EvalContext(f, prior, seed=None), PSI_EMPTY, cstate))
+    law = dict(pi.decision_distribution(EvalContext(f, prior, seed=None), PSI_EMPTY))
     counts = dict.fromkeys(law, 0)
     for seed in range(DRAWS):
-        counts[pi.decide(EvalContext(f, prior, seed=seed), PSI_EMPTY, cstate, {})[0]] += 1
+        counts[pi.decide(EvalContext(f, prior, seed=seed), PSI_EMPTY, {})[0]] += 1
     for e, q in law.items():
         se = math.sqrt(q * (1.0 - q) / DRAWS)
         assert abs(counts[e] / DRAWS - q) <= 4 * se + 1e-12, (pi.describe(), e, q, counts)
