@@ -4,10 +4,10 @@ Every policy is an immutable descriptor (it keeps only its schedule per n);
 all per-rollout mutable state lives in a scratch dict, empty when a rollout
 starts (only lazy greedy writes to it), and in the EvalContext, which carries
 each history's observed-item map and the pool of the group being served to
-its child.  A policy's internal
-randomness is drawn from a stream derived from (master seed, observation
-history), which makes rollouts reproducible and lets the same seeded policy be
-evaluated exactly by recursion over its decision tree.  Each policy owns its
+its child.  A policy's internal randomness is drawn from a stream derived
+from (master seed, observation history), which makes rollouts reproducible
+and lets the same seeded policy be evaluated exactly by recursion over its
+decision tree.  Each policy owns its
 constraint, fresh_constraint(n), and always runs under it, group by group in a
 fixed order: its schedule(n), built once per n, names round r's group, so the
 r-th selection (r = |psi|, every selected item being observed) may come only
