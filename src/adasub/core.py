@@ -401,6 +401,10 @@ class UtilityFunction:
     utility's Delta and stop values are sums over the conditioned support.
     """
 
+    # (a prior's history table, its Delta rows) kept by a passing Delta check
+    # (adasub.verify); a fresh utility or copy has none.
+    _delta_rows = None
+
     def __init__(self):
         self.f_counter = 0
         self.delta_counter = 0

@@ -167,8 +167,10 @@ class Policy:
 
     def decision_widths(self, n: int) -> list:
         """Upper bounds, one per selection from the empty history on, on how
-        many items the policy may choose there (its law's length if randomized)."""
-        return [1] * len(self.schedule(n))
+        many items the policy may choose there (its law's length if randomized):
+        1 for a deterministic policy's decide, and for a randomized one's law
+        its round's pool, the unobserved items of the group it may select from."""
+        return [pool if self.randomized else 1 for _, _, pool in self.schedule(n)]
 
     def run_on(self, ctx: EvalContext, phi) -> PolicyTrace:
         """Select-observe loop on a fixed realization, under the policy's own

@@ -5,9 +5,13 @@ realization of an enumerable instance and test the marginal-utility
 inequalities directly; a failure report carries a witness that re-verifies
 when both sides are recomputed from scratch.  A prior's histories are built
 once, each from its parent, into a table that every check on it reads; a
-sweep carries from the parent what it keys a history by.  The sampling check
-compares the exact hypergeometric hit probability of the subsampling rule
-against its target bound and a seeded empirical frequency.
+sweep carries from the parent what it keys a history by.  Both Delta checks
+price a history's Delta row, Delta(e | psi) per item e and -inf where psi
+observes e; whichever passes first on a utility f and a prior's table keeps
+those rows on f, and the other reads them.  Reading a kept row is not a Delta
+evaluation: it makes no EvalContext.delta call and adds no delta_counter tick.
+The sampling check compares the exact hypergeometric hit probability of the
+subsampling rule against its target bound and a seeded empirical frequency.
 """
 
 from __future__ import annotations
@@ -52,9 +56,14 @@ def enumerate_partial_realizations(prior, max_size=None):
     return (psi for level, _ in _levels(prior, max_size) for psi, _ in level)
 
 
+def _table(prior):
+    """The _HistoryTable in prior's own __dict__ (a frozen one's too)."""
+    return vars(prior).get("_walk") or vars(prior).setdefault("_walk", _HistoryTable(prior))
+
+
 def _levels(prior, max_size=None):
-    """The levels of the _HistoryTable in prior's own __dict__ (a frozen one's too)."""
-    table = vars(prior).get("_walk") or vars(prior).setdefault("_walk", _HistoryTable(prior))
+    """The levels of prior's _HistoryTable, each built on first read."""
+    table = _table(prior)
     for size in range(prior.n + 1 if max_size is None else min(max_size, prior.n) + 1):
         if size == len(table.levels):
             table.grow()
@@ -101,25 +110,51 @@ class _HistoryTable:
         self.spans, self.links = spans, None if links is None else kept
 
 
+def _kept_rows(f, prior):
+    """The Delta rows a passing Delta check kept on f for prior's history
+    table, or None: every history's row in the table's order, one array("d").
+
+    f._delta_rows is (table, rows), set only by a passing check, so the rows
+    are whole; it holds the table itself, so a prior made later never matches.
+    """
+    kept = f._delta_rows
+    return kept[1] if kept is not None and kept[0] is _table(prior) else None
+
+
 def check_adaptive_monotone(f, prior) -> CheckReport:
-    """Delta(e | psi) >= 0 for every positive-probability psi and e outside it."""
+    """Delta(e | psi) >= 0 for every positive-probability psi and e outside it.
+
+    Prices each history's Delta row one Delta at a time and stops at the
+    first negative one; a passing check keeps the rows on f.  Rows kept on f
+    for this prior (_kept_rows) are read instead, which is not a Delta
+    evaluation: no delta_counter tick.
+    """
     _check_size(prior, DELTA_CHECK_CAPS)
-    ctx = EvalContext(f, prior)
-    delta, descend, items = ctx.delta, ctx.descend, range(prior.n)
-    checked, masks = 0, [None]
+    n, ctx, kept = prior.n, EvalContext(f, prior), _kept_rows(f, prior)
+    delta, descend, items = ctx.delta, ctx.descend, range(n)
+    rows = array("d") if kept is None else kept
+    checked, masks, at = 0, [None], 0       # rows[at:at + n] is psi's row
     for level, _ in _levels(prior):
         parents, masks = masks, []
+        if kept is None:
+            rows.extend(array("d", [-math.inf]) * (len(level) * n))
         for psi, parent in level:
-            masks.append(descend(psi, parents[parent]))
+            if kept is None:
+                masks.append(descend(psi, parents[parent]))
             seen = ctx.observed(psi)
             for e in items:
                 if e in seen:
                     continue
                 checked += 1
-                d = delta(e, psi)
+                if kept is None:
+                    rows[at + e] = delta(e, psi)
+                d = rows[at + e]
                 if d < -INEQ_TOL:
                     witness = {"psi": psi.pairs, "item": e, "delta": d}
                     return CheckReport("adaptive-monotone", False, checked, witness)
+            at += n
+    if kept is None:
+        f._delta_rows = (_table(prior), rows)
     return CheckReport("adaptive-monotone", True, checked)
 
 
@@ -140,10 +175,10 @@ def _sweep(name, prior, columns, row, witness) -> CheckReport:
     +inf elsewhere.  When the walk reaches size j, one np.minimum per item
     axis (digits 1..m take the minimum with digit 0) turns every entry into
     the minimum over its sub-histories, all of size < j and priced, and a
-    size-j psi2 reads it at its code; its level's rows, one list, are written
-    when the level ends.  A row is screened with low < rhs, which low < rhs -
-    INEQ_TOL implies, and only a row the screen flags builds its bounds rhs -
-    INEQ_TOL.  min returns one of the values it compares, so psi2 fails
+    size-j psi2 reads it at its code; its level's rows, one array("d"), are
+    written when the level ends.  A row is screened with low < rhs, which
+    low < rhs - INEQ_TOL implies, and only a row the screen flags builds its
+    bounds rhs - INEQ_TOL.  min returns one of the values it compares, so psi2 fails
     exactly when some psi does.  Only then are the earlier rows mapped by
     their pairs and the sub-histories walked as pair tuples (by size from
     the empty history, then in combinations order, then by compared column)
@@ -161,17 +196,18 @@ def _sweep(name, prior, columns, row, witness) -> CheckReport:
             for axis in range(n):
                 view = lattice.reshape(radix ** axis, radix, -1)
                 np.minimum(view[:, 1:], view[:, :1], out=view[:, 1:])
-        parents, keys, rows = keys, [], []
+        parents, keys, rows = keys, [], array("d")
         levels.append((level, rows))
         for (psi2, parent), low in zip(level, lows[codes].tolist()):
             row2, key = row(psi2, parents[parent])
-            rows.append(row2)
+            rows.extend(row2)
             keys.append(key)
             if any(map(operator.lt, low, row2)) and any(map(operator.lt, low, bounds := [
                     rhs - INEQ_TOL for rhs in row2])):     # screen, then decide
                 pairs, live = psi2.pairs, [i for i, rhs in enumerate(row2) if rhs != skip]
-                subs = {psi.pairs: lhs for past, past_rows in levels[:depth]
-                        for (psi, _), lhs in zip(past, past_rows)}
+                subs = {psi.pairs: past_rows[i * ncols:(i + 1) * ncols]
+                        for past, past_rows in levels[:depth]
+                        for i, (psi, _) in enumerate(past)}
                 for size in range(depth):
                     for sub in itertools.combinations(pairs, size):
                         lhs = subs[sub]
@@ -182,23 +218,40 @@ def _sweep(name, prior, columns, row, witness) -> CheckReport:
                                     "psi": sub, "psi2": pairs,
                                     **witness(columns[i], lhs[i], row2[i])})
             checked += (ncols - row2.count(skip)) << depth
-        lows[codes] = rows
+        lows[codes] = np.frombuffer(rows).reshape(-1, ncols)
     return CheckReport(name, True, checked)
 
 
 def check_adaptive_submodular(f, prior) -> CheckReport:
-    """Delta(e | psi) >= Delta(e | psi') whenever psi is a subrealization of psi'."""
+    """Delta(e | psi) >= Delta(e | psi') whenever psi is a subrealization of psi'.
+
+    _sweep's row at psi is its Delta row, priced whole; a passing check keeps
+    the rows on f.  Rows kept on f for this prior (_kept_rows) are read
+    instead, which is not a Delta evaluation: no delta_counter tick.
+    """
     _check_size(prior, DELTA_CHECK_CAPS)
-    ctx = EvalContext(f, prior)
-    delta, descend, items, skip = ctx.delta, ctx.descend, range(prior.n), -math.inf
+    n, kept = prior.n, _kept_rows(f, prior)
+    if kept is None:
+        ctx, rows, skip = EvalContext(f, prior), array("d"), -math.inf
+        delta, descend = ctx.delta, ctx.descend
 
-    def row(psi, covered):
-        covered = descend(psi, covered)
-        seen = ctx.observed(psi)
-        return [skip if e in seen else delta(e, psi) for e in items], covered
+        def row(psi, covered):
+            covered = descend(psi, covered)
+            seen = ctx.observed(psi)
+            values = [skip if e in seen else delta(e, psi) for e in range(n)]
+            rows.extend(values)
+            return values, covered
+    else:
+        read = (kept[i:i + n] for i in range(0, len(kept), n))
 
-    return _sweep("adaptive-submodular", prior, range(prior.n), row,
-                  lambda e, lhs, rhs: {"item": e, "delta_psi": lhs, "delta_psi2": rhs})
+        def row(psi, key):
+            return next(read), key
+
+    report = _sweep("adaptive-submodular", prior, range(n), row,
+                    lambda e, lhs, rhs: {"item": e, "delta_psi": lhs, "delta_psi2": rhs})
+    if kept is None and report.passed:
+        f._delta_rows = (_table(prior), rows)
+    return report
 
 
 def check_fully_adaptive_submodular(f, prior) -> CheckReport:

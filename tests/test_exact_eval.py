@@ -15,6 +15,7 @@ import random
 import pytest
 
 from adasub import (
+    CardinalityConstraint,
     CoverageUtility,
     ExplicitPrior,
     IndependentPrior,
@@ -40,6 +41,7 @@ from adasub.core import EvalContext
 from adasub.evaluation import EXACT_MAX_HISTORIES, exact_history_bound
 from adasub.policies import (
     FixedSequencePolicy,
+    Policy,
     RandomPolicy,
     _BestOfSamplePolicy,
     sample_budget,
@@ -465,6 +467,37 @@ def test_history_bound_is_tight_for_random(monkeypatch):
     _, visited = visited_histories(monkeypatch, pi, f, prior)
     assert visited == sum(math.comb(5, j) * 2 ** j for j in range(4))
     assert exact_history_bound(pi, 5, 2) == visited
+
+
+class UniformLaw(Policy):
+    """A randomized policy that defines no widths: its law is uniform over
+    the unobserved items, for a cardinality budget of 3."""
+
+    name = "uniform"
+    randomized = True
+
+    def fresh_constraint(self, n):
+        return CardinalityConstraint(3)
+
+    def decision_distribution(self, ctx, psi):
+        pool = ctx.pool(psi) if len(psi) < 3 else []
+        return [(e, 1.0 / len(pool)) for e in pool]
+
+
+def test_a_randomized_policys_default_widths_bound_its_tree(monkeypatch):
+    # The base widths were 1 per round for every policy, so this bound read
+    # 1 + 6*2 + 15*4 + 20*8 with paths of one item sequence: 15 histories.
+    prior = IndependentPrior([[0.3, 0.7], [0.5, 0.5], [0.6, 0.4], [0.2, 0.8], [0.9, 0.1],
+                              [0.4, 0.6]])
+    f = CoverageUtility(weights=(1.0, 2.0, 0.5),
+                        covers=((0b001, 0b011), (0b000, 0b110), (0b100, 0b101),
+                                (0b010, 0b010), (0b000, 0b111), (0b011, 0b100)))
+    pi = UniformLaw()
+    assert pi.decision_widths(6) == [6, 5, 4]
+    _, visited = visited_histories(monkeypatch, pi, f, prior)
+    assert visited == sum(math.comb(6, j) * 2 ** j for j in range(4)) == 233
+    assert exact_history_bound(pi, 6, 2) >= visited
+    assert exact_history_bound(pi, 6, 2, expand=False) == 15
 
 
 def test_tree_over_the_cap_is_refused_before_any_work():

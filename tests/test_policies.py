@@ -136,7 +136,10 @@ class TestRunPolicy:
     def test_a_choice_on_the_schedule_runs(self, cls, choices, budget, widths):
         inst = generate_coverage(n=5, m=2, universe_size=6, density=0.4, seed=1)
         f, prior, pi = inst.utility(), inst.prior, cls(choices, budget)
-        assert pi.decision_widths(5) == widths
+        # A randomized policy's default width is its round's pool: the
+        # unobserved items of the group it may select from.
+        pools = {(0, 2): [2, 2], (1, 0, 3): [2, 1, 2], (4, 3, 2, 1, 0): [5, 4, 3, 2, 1]}
+        assert pi.decision_widths(5) == (pools[tuple(choices)] if pi.randomized else widths)
         for phi, p in prior.support():
             assert run_policy(pi, f, prior, phi).selected == tuple(sorted(choices))
         value = sum(p * f.value(choices, phi) for phi, p in prior.support())

@@ -583,6 +583,110 @@ def test_caps_corner_passes_with_closed_form_counts():
     assert submodular.passed and submodular.pairs_checked == n * (2 * m + 1) ** (n - 1) == 6_588_344
 
 
+# ---------------------------------------------------------------------------
+# Delta rows kept on f by a passing Delta check
+
+
+DELTA_CHECKS = (check_adaptive_monotone, check_adaptive_submodular)
+
+
+def kept_rows_cases():
+    """(id, utility maker, prior): the reference instances, coverage under
+    the explicit priors and the noisy tabular seeds."""
+    cases = [(instance_id(inst), inst.utility, inst.prior) for inst in reference_instances()]
+    for i, prior in enumerate(explicit_priors()):
+        inst = generate_coverage(n=prior.n, m=prior.m, universe_size=6, density=0.4, seed=prior.n)
+        cases.append(("explicit-%d" % i, inst.utility, prior))
+    for seed in range(40):
+        inst = noisy_tabular(seed)
+        cases.append((instance_id(inst), inst.utility, inst.prior))
+    return cases
+
+
+@pytest.mark.parametrize("order", [DELTA_CHECKS, DELTA_CHECKS[::-1]],
+                         ids=["monotone-first", "submodular-first"])
+@pytest.mark.parametrize("label, utility, prior", kept_rows_cases(),
+                         ids=[case[0] for case in kept_rows_cases()])
+def test_a_passing_delta_check_keeps_its_rows_for_the_other(label, utility, prior, order):
+    # Each report on one f equals its report on a fresh f; the second check
+    # prices nothing after a passing first one, and all of its Deltas after a
+    # failing one, which keeps no rows.
+    fresh = {}
+    for check in DELTA_CHECKS:
+        g = utility()
+        fresh[check] = (check(g, prior), g.delta_counter)
+    f, (first, second) = utility(), order
+    assert first(f, prior) == fresh[first][0]
+    assert f.delta_counter == fresh[first][1]
+    kept = f._delta_rows
+    assert second(f, prior) == fresh[second][0]
+    assert f.delta_counter - fresh[first][1] == (0 if kept else fresh[second][1])
+    if not fresh[first][0].passed:
+        assert kept is None
+        return
+    table, rows = kept
+    assert table is vars(prior)["_walk"]
+    assert f._delta_rows is kept        # a reader stores nothing
+    histories = list(enumerate_partial_realizations(prior))
+    assert len(rows) == len(histories) * prior.n
+    for i, psi in enumerate(histories):
+        for e in range(prior.n):
+            expected = -math.inf if e in psi else marginal_utility(utility(), prior, psi, e)
+            assert rows[i * prior.n + e].hex() == expected.hex(), (psi, e)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["independent", "explicit"])
+def test_kept_rows_serve_only_their_own_prior_object(explicit, monkeypatch):
+    inst = generate_coverage(n=4, m=2, universe_size=6, density=0.4, seed=4)
+
+    def fresh():
+        if explicit:
+            return ExplicitPrior(inst.prior.support())
+        return IndependentPrior(inst.prior.probs)
+
+    expected = [(check(g := inst.utility(), fresh()), g.delta_counter) for check in DELTA_CHECKS]
+    assert all(report.passed for report, _ in expected)
+    calls = []
+    delta = EvalContext.delta
+
+    def counting(self, e, psi):
+        calls.append((psi, e))
+        return delta(self, e, psi)
+
+    monkeypatch.setattr(EvalContext, "delta", counting)
+    f, prior = inst.utility(), fresh()
+    assert check_adaptive_monotone(f, prior) == expected[0][0]
+    assert len(calls) == f.delta_counter == expected[0][1]
+    del calls[:]
+    assert check_adaptive_submodular(f, prior) == expected[1][0]
+    assert calls == [] and f.delta_counter == expected[0][1]     # read, not priced
+    # a prior with equal probabilities is another table: priced afresh, and
+    # its rows replace the first prior's
+    for check, (report, deltas) in zip(DELTA_CHECKS[::-1], expected[::-1]):
+        twin, before = fresh(), f.delta_counter
+        assert check(f, twin) == report
+        assert len(calls) == f.delta_counter - before == deltas
+        assert f._delta_rows[0] is vars(twin)["_walk"]
+        del calls[:], twin
+    # the kept table is held by f, so a prior made after the last one is
+    # gone (maybe at its address) still prices afresh
+    before = f.delta_counter
+    assert check_adaptive_monotone(f, fresh()) == expected[0][0]
+    assert f.delta_counter - before == expected[0][1]
+
+
+def test_utility_copies_carry_no_kept_rows():
+    inst = generate_coverage(n=4, m=2, universe_size=6, density=0.3, seed=0)
+    f = inst.utility()
+    assert f._delta_rows is None
+    assert check_adaptive_monotone(f, inst.prior).passed
+    assert f._delta_rows is not None
+    for copy in (inst.utility(), f._fresh()):
+        assert copy._delta_rows is None and "_delta_rows" not in vars(copy)
+        before = check_adaptive_submodular(copy, inst.prior)
+        assert before.passed and copy.delta_counter > 0
+
+
 def reference_sweep(prior, values):
     """_sweep's report, deciding every (psi, psi2) pair and compared column in turn."""
     histories = list(enumerate_partial_realizations(prior))
