@@ -178,8 +178,9 @@ def _sweep(name, prior, columns, row, witness) -> CheckReport:
     size-j psi2 reads it at its code; its level's rows, one array("d"), are
     written when the level ends.  A row is screened with low < rhs, which
     low < rhs - INEQ_TOL implies, and only a row the screen flags builds its
-    bounds rhs - INEQ_TOL.  min returns one of the values it compares, so psi2 fails
-    exactly when some psi does.  Only then are the earlier rows mapped by
+    bounds rhs - INEQ_TOL.  min returns one of the values it compares, so
+    psi2 fails exactly when some psi does.  Only then are the earlier rows
+    mapped by
     their pairs and the sub-histories walked as pair tuples (by size from
     the empty history, then in combinations order, then by compared column)
     to name the first failing pair.  pairs_checked

@@ -354,6 +354,25 @@ class TestVerify:
         assert res.exit_code == 0, res.output
         assert calls == [name] and "PASS" in res.output
 
+    @pytest.mark.parametrize("checks", ["monotone,submodular,fully", "submodular,monotone"])
+    def test_checks_share_one_utility(self, runner, tmp_path, monkeypatch, checks):
+        # Each check got its own inst.utility(), so the second Delta check
+        # priced every Delta again: 2 x 108 on this n=4 instance.
+        seen = []
+        for name in ("check_adaptive_monotone", "check_adaptive_submodular",
+                     "check_fully_adaptive_submodular"):
+            def spy(f, prior, original=getattr(cli, name)):
+                report = original(f, prior)
+                seen.append((f, f.delta_counter))
+                return report
+            monkeypatch.setattr(cli, name, spy)
+        path = tmp_path / "inst.json"
+        save_instance(generate_coverage(4, 2, 6, 0.3, seed=0), path)
+        res = runner.invoke(main, ["verify", "--instance", str(path), "--checks", checks])
+        assert res.exit_code == 0, res.output
+        assert len({id(f) for f, _ in seen}) == 1
+        assert [deltas for _, deltas in seen] == [108] * len(seen)
+
     def test_unknown_check_is_usage_error(self, runner, instance_a_path):
         res = runner.invoke(main, ["verify", "--instance", instance_a_path,
                                    "--checks", "bogus"])

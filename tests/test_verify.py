@@ -644,7 +644,10 @@ def test_kept_rows_serve_only_their_own_prior_object(explicit, monkeypatch):
             return ExplicitPrior(inst.prior.support())
         return IndependentPrior(inst.prior.probs)
 
-    expected = [(check(g := inst.utility(), fresh()), g.delta_counter) for check in DELTA_CHECKS]
+    expected = []
+    for check in DELTA_CHECKS:
+        g = inst.utility()
+        expected.append((check(g, fresh()), g.delta_counter))
     assert all(report.passed for report, _ in expected)
     calls = []
     delta = EvalContext.delta
