@@ -63,15 +63,16 @@ class PartitionConstraint:
     remaining: tuple
 
     def __post_init__(self):
+        items = [_check_int(e, "group item") for g in self.groups for e in g]
+        limits = [_check_int(d, "group limit") for d in self.remaining]
         seen = set()
-        for g in self.groups:
-            for e in g:
-                if e in seen:
-                    raise ValidationError("item %s in two groups" % _shown(e))
-                seen.add(e)
-        if len(self.remaining) != len(self.groups):
+        for e in items:
+            if e in seen:
+                raise ValidationError("item %s in two groups" % _shown(e))
+            seen.add(e)
+        if len(limits) != len(self.groups):
             raise ValidationError("one budget per group required")
-        if any(d < 0 for d in self.remaining):
+        if any(d < 0 for d in limits):
             raise ValidationError("negative group budget")
         object.__setattr__(self, "_span", (min(seen, default=0), max(seen, default=0)))
 
@@ -83,8 +84,9 @@ class PartitionConstraint:
 
     @classmethod
     def of(cls, groups: Sequence[Sequence[int]], limits: Sequence[int]) -> "PartitionConstraint":
-        return cls(tuple(tuple(sorted(_check_int(e, "group item") for e in g)) for g in groups),
-                   tuple(_check_int(d, "group limit") for d in limits))
+        # a group holding a non-int stays as given, for __post_init__ to refuse
+        return cls(tuple(tuple(sorted(g)) if all(type(e) is int for e in g) else g
+                         for g in map(tuple, groups)), tuple(limits))
 
     def total_budget(self) -> int:
         return sum(min(d, len(g)) for d, g in zip(self.remaining, self.groups))

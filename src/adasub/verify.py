@@ -53,6 +53,8 @@ class CheckReport:
 def enumerate_partial_realizations(prior, max_size=None):
     """All positive-probability partial realizations, smallest domains first,
     from the prior's history table, which this builds to size max_size only."""
+    if max_size is not None and _check_int(max_size, "max_size") < 0:
+        raise ValidationError("max_size must be >= 0")
     return (psi for level, _ in _levels(prior, max_size) for psi, _ in level)
 
 
@@ -158,57 +160,61 @@ def check_adaptive_monotone(f, prior) -> CheckReport:
     return CheckReport("adaptive-monotone", True, checked)
 
 
-def _sweep(name, prior, columns, row, witness) -> CheckReport:
+def _sweep(name, prior, columns, row, witness, rows) -> CheckReport:
     """value(psi, c) >= value(psi2, c) whenever psi is a subrealization of psi2.
 
-    row(psi2, its parent's key; None at the root) returns (values, psi2's
-    key), the values over `columns` priced once, with -inf in every column
-    psi2 does not compare: -inf < -inf is false, so such a column never
-    fails.  The compared columns must be downward closed: a column compared
-    at psi2 is compared at every sub-history, so their rows hold its value.
+    rows, one array("d"), holds every history's row over `columns` in the
+    prior's table order, or is empty: a row it holds is read in place (its
+    key is None), and past its end row(psi2, its parent's key; None at the
+    root) returns (values, psi2's key), the values priced once and appended.
+    A row holds -inf in every column psi2 does not compare: -inf < -inf is
+    false, so such a column never fails.  The compared columns must be
+    downward closed: a column compared at psi2 is compared at every
+    sub-history, so their rows hold it.
 
     Every proper sub-history psi of psi2, the empty one included, is decided
     at once against the minimum, per column, over all of them.  Those minima
     live on the history lattice: an array of shape (m+1,)*n x len(columns)
-    holds each priced row at its history's code, sum (o+1)*(m+1)^e over its
+    holds each stored row at its history's code, sum (o+1)*(m+1)^e over its
     pairs (e, o), read with its level from the prior's history table, and
     +inf elsewhere.  When the walk reaches size j, one np.minimum per item
     axis (digits 1..m take the minimum with digit 0) turns every entry into
-    the minimum over its sub-histories, all of size < j and priced, and a
-    size-j psi2 reads it at its code; its level's rows, one array("d"), are
+    the minimum over its sub-histories, all of size < j and stored, and a
+    size-j psi2 reads it at its code; its level's slice of the store is
     written when the level ends.  A row is screened with low < rhs, which
     low < rhs - INEQ_TOL implies, and only a row the screen flags builds its
     bounds rhs - INEQ_TOL.  min returns one of the values it compares, so
-    psi2 fails exactly when some psi does.  Only then are the earlier rows
-    mapped by
-    their pairs and the sub-histories walked as pair tuples (by size from
-    the empty history, then in combinations order, then by compared column)
-    to name the first failing pair.  pairs_checked
-    counts every inequality decided: 2^|psi2| per compared column of a
-    passing psi2, and up to the witness for the failing one.
+    psi2 fails exactly when some psi does.  Only then are the stored rows
+    mapped by their histories' pairs and the sub-histories walked as pair
+    tuples (by size from the empty history, then in combinations order, then
+    by compared column) to name the first failing pair.  pairs_checked counts
+    every inequality decided: 2^|psi2| per compared column of a passing
+    psi2, and up to the witness for the failing one.
     """
     import numpy as np
     n, ncols, radix = prior.n, len(columns), prior.m + 1
     lattice = np.full((radix,) * n + (ncols,), math.inf)
     lows = lattice.reshape(-1, ncols)       # a view: row `code` of the lattice
-    levels, checked, keys, skip = [], 0, [None], -math.inf
+    checked, keys, skip, at = 0, [None], -math.inf, 0     # rows[at:at + ncols] is psi2's row
     for depth, (level, codes) in enumerate(_levels(prior)):
         if depth:   # every smaller history's row is written
             for axis in range(n):
                 view = lattice.reshape(radix ** axis, radix, -1)
                 np.minimum(view[:, 1:], view[:, :1], out=view[:, 1:])
-        parents, keys, rows = keys, [], array("d")
-        levels.append((level, rows))
+        parents, keys, start = keys, [], at
         for (psi2, parent), low in zip(level, lows[codes].tolist()):
-            row2, key = row(psi2, parents[parent])
-            rows.extend(row2)
+            if at < len(rows):
+                row2, key = rows[at:at + ncols], None
+            else:
+                row2, key = row(psi2, parents[parent])
+                rows.extend(row2)
+            at += ncols
             keys.append(key)
             if any(map(operator.lt, low, row2)) and any(map(operator.lt, low, bounds := [
                     rhs - INEQ_TOL for rhs in row2])):     # screen, then decide
                 pairs, live = psi2.pairs, [i for i, rhs in enumerate(row2) if rhs != skip]
-                subs = {psi.pairs: past_rows[i * ncols:(i + 1) * ncols]
-                        for past, past_rows in levels[:depth]
-                        for i, (psi, _) in enumerate(past)}
+                subs = {psi.pairs: rows[i * ncols:(i + 1) * ncols] for i, psi in
+                        enumerate(enumerate_partial_realizations(prior, depth - 1))}
                 for size in range(depth):
                     for sub in itertools.combinations(pairs, size):
                         lhs = subs[sub]
@@ -219,7 +225,8 @@ def _sweep(name, prior, columns, row, witness) -> CheckReport:
                                     "psi": sub, "psi2": pairs,
                                     **witness(columns[i], lhs[i], row2[i])})
             checked += (ncols - row2.count(skip)) << depth
-        lows[codes] = np.frombuffer(rows).reshape(-1, ncols)
+        lows[codes] = np.frombuffer(    # a temporary: rows.extend fails while it lives
+            rows, count=at - start, offset=start * rows.itemsize).reshape(-1, ncols)
     return CheckReport(name, True, checked)
 
 
@@ -227,29 +234,21 @@ def check_adaptive_submodular(f, prior) -> CheckReport:
     """Delta(e | psi) >= Delta(e | psi') whenever psi is a subrealization of psi'.
 
     _sweep's row at psi is its Delta row, priced whole; a passing check keeps
-    the rows on f.  Rows kept on f for this prior (_kept_rows) are read
-    instead, which is not a Delta evaluation: no delta_counter tick.
+    its store on f.  Rows kept on f for this prior (_kept_rows) are the store,
+    read in place, which is not a Delta evaluation: no delta_counter tick.
     """
     _check_size(prior, DELTA_CHECK_CAPS)
-    n, kept = prior.n, _kept_rows(f, prior)
-    if kept is None:
-        ctx, rows, skip = EvalContext(f, prior), array("d"), -math.inf
-        delta, descend = ctx.delta, ctx.descend
+    n, ctx, kept = prior.n, EvalContext(f, prior), _kept_rows(f, prior)
+    delta, descend, skip = ctx.delta, ctx.descend, -math.inf
 
-        def row(psi, covered):
-            covered = descend(psi, covered)
-            seen = ctx.observed(psi)
-            values = [skip if e in seen else delta(e, psi) for e in range(n)]
-            rows.extend(values)
-            return values, covered
-    else:
-        read = (kept[i:i + n] for i in range(0, len(kept), n))
+    def row(psi, covered):
+        covered = descend(psi, covered)
+        seen = ctx.observed(psi)
+        return [skip if e in seen else delta(e, psi) for e in range(n)], covered
 
-        def row(psi, key):
-            return next(read), key
-
+    rows = array("d") if kept is None else kept
     report = _sweep("adaptive-submodular", prior, range(n), row,
-                    lambda e, lhs, rhs: {"item": e, "delta_psi": lhs, "delta_psi2": rhs})
+                    lambda e, lhs, rhs: {"item": e, "delta_psi": lhs, "delta_psi2": rhs}, rows)
     if kept is None and report.passed:
         f._delta_rows = (_table(prior), rows)
     return report
@@ -287,7 +286,7 @@ def check_fully_adaptive_submodular(f, prior) -> CheckReport:
 
     return _sweep("fully-adaptive-submodular", prior, columns, row,
                   lambda col, lhs, rhs: {"items": col[0], "budget": col[1],
-                                         "value_psi": lhs, "value_psi2": rhs})
+                                         "value_psi": lhs, "value_psi2": rhs}, array("d"))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from adasub.errors import InstanceTooLarge
 from adasub.instances import loads_instance
 from adasub.oracle import RestrictedOracle, restricted_optimal
 from adasub.policies import FixedSequencePolicy, PartitionConstraint
+from adasub.verify import enumerate_partial_realizations
 
 
 def psi(obs):
@@ -511,6 +512,16 @@ def _repro_instance():
     (lambda f, prior: adaptive_stochastic_greedy(2.5, 0.1), "k"),
     (lambda f, prior: adaptive_greedy(True), "k"),
     (lambda f, prior: PartitionConstraint.of([[0, 1]], [1.5]), "group limit"),
+    (lambda f, prior: optimal_value(f, prior, PartitionConstraint(((0, 1), (2, 3)), (1.5, 1))),
+     "group limit"),
+    (lambda f, prior: PartitionConstraint(((0, 1),), ("1",)), "group limit"),
+    (lambda f, prior: PartitionConstraint(((0, 1),), (True,)), "group limit"),
+    (lambda f, prior: PartitionConstraint(((0, 1.0),), (1,)), "group item"),
+    (lambda f, prior: PartitionConstraint(((True, 2),), (1,)), "group item"),
+    (lambda f, prior: PartitionConstraint.of([[2, "0"]], [1]), "group item"),
+    (lambda f, prior: enumerate_partial_realizations(prior, 2.5), "max_size"),
+    (lambda f, prior: enumerate_partial_realizations(prior, "2"), "max_size"),
+    (lambda f, prior: enumerate_partial_realizations(prior, True), "max_size"),
     (lambda f, prior: FixedSequencePolicy([1.7]), "sequence item"),
     (lambda f, prior: expected_utility(f, prior, adaptive_greedy(2), mode="mc", samples=2.5),
      "samples"),
@@ -527,6 +538,9 @@ def _repro_instance():
     (lambda f, prior: CoverageUtility([1.0, 1.0], [(1, math.inf)]), "coverage mask"),
 ], ids=["budget-float", "budget-bool", "item-bool", "item-float", "cardinality-float",
         "greedy-k-float", "asg-k-float", "greedy-k-bool", "partition-limit-float",
+        "partition-budget-float", "partition-budget-str", "partition-budget-bool",
+        "partition-item-float", "partition-item-bool", "partition-of-item-str",
+        "max-size-float", "max-size-str", "max-size-bool",
         "sequence-item-float", "mc-samples-float", "lemma1-trials-float",
         "explicit-state-float", "explicit-state-bool", "explicit-state-inf",
         "tabular-state-float", "coverage-mask-float", "coverage-mask-bool",
@@ -538,6 +552,28 @@ def test_integer_parameters_refuse_floats_and_bools(call, name):
     with pytest.raises(ValidationError, match=r"^%s (must be an integer|is not an integer in)"
                        % name):
         call(f, prior)
+
+
+def test_enumeration_refuses_a_negative_max_size():
+    # was an empty enumeration
+    _, prior = _repro_instance()
+    with pytest.raises(ValidationError, match=r"^max_size must be >= 0$"):
+        enumerate_partial_realizations(prior, -1)
+    assert list(enumerate_partial_realizations(prior, 0)) == [PSI_EMPTY]
+
+
+@pytest.mark.parametrize("groups,limits,message", [
+    ([[1, 1], [2, "x"], ["y"]], ["z", -1], "group item must be an integer, got 'x'"),
+    ([[1, 1]], ["z", -1], "group limit must be an integer, got 'z'"),
+    ([[5, 0], [0, 5]], [1], "item 0 in two groups"),    # read from the sorted groups
+    ([[0], [1]], [-1], "one budget per group required"),
+    ([[0], [1]], [1, -1], "negative group budget"),
+])
+def test_partition_of_keeps_its_messages_in_order(groups, limits, message):
+    # items, then limits, then disjointness, the budget count and their signs
+    with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+        PartitionConstraint.of(groups, limits)
+    assert PartitionConstraint.of([[3, 1], [2, 0]], [1, 2]).groups == ((1, 3), (0, 2))
 
 
 @pytest.mark.parametrize("items,states,match", [

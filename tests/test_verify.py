@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -607,7 +608,8 @@ def kept_rows_cases():
                          ids=["monotone-first", "submodular-first"])
 @pytest.mark.parametrize("label, utility, prior", kept_rows_cases(),
                          ids=[case[0] for case in kept_rows_cases()])
-def test_a_passing_delta_check_keeps_its_rows_for_the_other(label, utility, prior, order):
+def test_a_passing_delta_check_keeps_its_rows_for_the_other(label, utility, prior, order,
+                                                            monkeypatch):
     # Each report on one f equals its report on a fresh f; the second check
     # prices nothing after a passing first one, and all of its Deltas after a
     # failing one, which keeps no rows.
@@ -615,12 +617,29 @@ def test_a_passing_delta_check_keeps_its_rows_for_the_other(label, utility, prio
     for check in DELTA_CHECKS:
         g = utility()
         fresh[check] = (check(g, prior), g.delta_counter)
+    sweeps, sweep = [], verify._sweep      # (its row store, its row calls) per sweep
+
+    def recorded_sweep(name, prior, columns, row, witness, rows):
+        calls = []
+        sweeps.append((rows, calls))
+
+        def counted_row(psi, key):
+            calls.append(psi)
+            return row(psi, key)
+        return sweep(name, prior, columns, counted_row, witness, rows)
+
+    monkeypatch.setattr(verify, "_sweep", recorded_sweep)
     f, (first, second) = utility(), order
     assert first(f, prior) == fresh[first][0]
     assert f.delta_counter == fresh[first][1]
     kept = f._delta_rows
     assert second(f, prior) == fresh[second][0]
     assert f.delta_counter - fresh[first][1] == (0 if kept else fresh[second][1])
+    (store, calls), = sweeps                # the submodular check's one sweep
+    if first is check_adaptive_submodular:
+        assert kept is None or kept[1] is store     # keeps the very store it filled
+    elif kept:
+        assert store is kept[1] and calls == []     # reads the kept rows in place
     if not fresh[first][0].passed:
         assert kept is None
         return
@@ -729,7 +748,8 @@ def test_sweep_screen_keeps_the_tolerance_boundary():
             return [first.get(psi.pairs, default), -math.inf if (0, 0) in psi.pairs else 4.0]
 
         report = verify._sweep("boundary", prior, range(2), lambda psi, key: (values(psi), key),
-                               lambda i, lhs, rhs: {"column": i, "lhs": lhs, "rhs": rhs})
+                               lambda i, lhs, rhs: {"column": i, "lhs": lhs, "rhs": rhs},
+                               array("d"))
         assert report.passed == (not low < rhs - INEQ_TOL), rhs
         assert report == reference_sweep(prior, values), rhs
         verdicts.add(report.passed)
@@ -746,13 +766,13 @@ def fully_adaptive_rows(monkeypatch, on_row, on_value):
     row makes it."""
     sweep, value, at = verify._sweep, RestrictedOracle.value, [None]
 
-    def recorded_sweep(name, prior, columns, row, witness):
+    def recorded_sweep(name, prior, columns, row, witness, rows):
         def recorded_row(psi, key):
             at[0] = psi
             values, root = row(psi, key)
             on_row(psi, root)
             return values, root
-        return sweep(name, prior, columns, recorded_row, witness)
+        return sweep(name, prior, columns, recorded_row, witness, rows)
 
     def recorded_value(self, root, free, budget):
         on_value(at[0], root, free, budget)
